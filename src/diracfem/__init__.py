@@ -2,9 +2,10 @@
 
 Three discretizations of the coupled first-order system (continuous linear
 Galerkin, cubic Hermite Galerkin, and a stabilized Petrov-Galerkin variant
-with a mesh-derived stability parameter), a dense generalized eigensolver
-working directly in binding energies, and a classifier that labels computed
-levels against the exact relativistic reference spectrum.
+with a mesh-derived stability parameter), a generalized eigensolver working
+directly in binding energies (dense full spectrum, or sparse shift-invert on
+a binding window), and a classifier that labels computed levels against
+the exact relativistic reference spectrum.
 """
 
 from .analysis import (
@@ -49,7 +50,7 @@ from .discretization import (
     hermite_interpolation_error_order,
     quadrature_for,
 )
-from .eigensolver import Spectrum, bound_states, solve
+from .eigensolver import Spectrum, bound_states, bound_window, solve
 from .errors import (
     ComplexSpectrumError,
     ConfigError,

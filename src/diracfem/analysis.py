@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import SCHEME_LINEAR, assemble
 from .discretization import Mesh, build_exponential_mesh, hermite_interpolate, quadrature_for
-from .eigensolver import Spectrum, solve
+from .eigensolver import Spectrum, bound_window, solve
 from .errors import CoefficientSingularityError, DegeneratePencilError
 from .physics import (
     OperatorParams,
@@ -349,18 +349,22 @@ def convergence_study(scheme: str, params: OperatorParams, potential: PotentialM
                       match_tol: float | None = None,
                       reality_tol: float = 1e-8,
                       free_lower_slope: bool = False) -> ConvergenceStudy:
-    """Solve on a refinement sequence, classify, and fit per-level orders."""
+    """Solve on a refinement sequence, classify, and fit per-level orders.
+
+    Each mesh is solved on ``bound_window(params, levels)`` only.
+    """
     n_values = tuple(int(n) for n in n_values)
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
     if match_tol is None:
         match_tol = match_tol_for(scheme)
     reference = reference_spectrum(params, levels)
+    window = bound_window(params, levels)
     errors = np.full((len(n_values), levels), np.nan)
     for i, n in enumerate(n_values):
         mesh = build_exponential_mesh(a, b, n, gamma)
         system = assemble(scheme, params, mesh, potential, free_lower_slope=free_lower_slope)
-        spectrum = solve(system, reality_tol=reality_tol)
+        spectrum = solve(system, reality_tol=reality_tol, window=window)
         classified = classify(spectrum.bindings, reference, match_tol=match_tol)
         errors[i] = genuine_errors(classified, reference)
     orders = np.full(levels, np.nan)

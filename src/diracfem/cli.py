@@ -18,7 +18,7 @@ from . import analysis
 from .analysis import Label, classify, coincidence_report, truncate_to_genuine
 from .assembly import SCHEME_SUPG, SCHEMES, assemble, compute_tau
 from .discretization import build_exponential_mesh
-from .eigensolver import solve
+from .eigensolver import bound_window, solve
 from .errors import ConfigError, InsufficientLevelsError, PhysicsError, SolverError
 from .physics import (
     SPEED_OF_LIGHT,
@@ -178,13 +178,14 @@ def _solve_classified(cfg: RunConfig):
     """Solve and classify for every configured kappa; returns per-kappa data."""
     potential = cfg.potential()
     mesh = build_exponential_mesh(cfg.a, cfg.b, cfg.n, cfg.mesh_gamma)
+    window = bound_window(cfg.params(cfg.kappas()[0]), cfg.levels)
     out = {}
     spectra = {}
     for kappa in sorted(cfg.kappas(), reverse=True):  # negative kappa last
         params = cfg.params(kappa)
         system = assemble(cfg.scheme, params, mesh, potential,
                           free_lower_slope=cfg.free_lower_slope)
-        spectra[kappa] = solve(system, reality_tol=cfg.reality_tol)
+        spectra[kappa] = solve(system, reality_tol=cfg.reality_tol, window=window)
     for kappa, spectrum in spectra.items():
         params = cfg.params(kappa)
         reference = reference_spectrum(params, cfg.levels)
@@ -341,11 +342,13 @@ def _mode_coincidence(cfg: RunConfig):
         raise ConfigError("coincidence mode requires abs_kappa (a +/- pair)")
     potential = cfg.potential()
     mesh = build_exponential_mesh(cfg.a, cfg.b, cfg.n, cfg.mesh_gamma)
+    # pairs 1..levels need levels + 1 bindings of each sign
+    window = bound_window(cfg.params(cfg.abs_kappa), cfg.levels + 1)
     spectra = {}
     for kappa in (cfg.abs_kappa, -cfg.abs_kappa):
         system = assemble(cfg.scheme, cfg.params(kappa), mesh, potential,
                           free_lower_slope=cfg.free_lower_slope)
-        spectra[kappa] = solve(system, reality_tol=cfg.reality_tol)
+        spectra[kappa] = solve(system, reality_tol=cfg.reality_tol, window=window)
     report = coincidence_report(spectra[cfg.abs_kappa], spectra[-cfg.abs_kappa],
                                 tol=cfg.matching_tolerance())
     rows = [{"pair": 0, "pos_binding": report.first_pos, "neg_binding": report.first_neg,

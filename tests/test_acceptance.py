@@ -32,7 +32,7 @@ from diracfem.discretization import (
     eval_hermite,
     hermite_interpolation_error_order,
 )
-from diracfem.eigensolver import bound_states, eigenpair_residual, solve
+from diracfem.eigensolver import bound_states, bound_window, eigenpair_residual, solve
 from diracfem.physics import OperatorParams, point_nucleus, reference_binding, reference_spectrum
 
 from conftest import random_mesh
@@ -70,6 +70,19 @@ def magnesium_supg():
         params = OperatorParams(Z=12, kappa=kappa)
         out[kappa] = solve(assemble_supg(params, mesh, pot))
     return out
+
+
+def test_dense_fixtures_inside_bound_window(hydrogen_runs, magnesium_supg):
+    # the CLI solves only bound_window(...); no full-spectrum level of the
+    # acceptance runs lies below its lower edge, instilled or coincident ones
+    # included, so that edge cuts nothing the dense oracle finds
+    runs = [(OperatorParams(Z=1, kappa=kappa), spectrum)
+            for (_, kappa), spectrum in hydrogen_runs.items()]
+    runs += [(OperatorParams(Z=12, kappa=kappa), spectrum)
+             for kappa, spectrum in magnesium_supg.items()]
+    for params, spectrum in runs:
+        lo, _ = bound_window(params, 12)
+        assert spectrum.bindings[0] > lo, f"{params}: {spectrum.bindings[0]} <= {lo}"
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +244,7 @@ def test_criterion_05_supg_full_cure(magnesium_supg):
     mesh92 = build_exponential_mesh(1e-7, 1.0, 200, 9.0)
     spec92 = solve(assemble_supg(params92, mesh92, point_nucleus(92.0)))
     first = spec92.bindings[0]
+    assert first > bound_window(params92, 4)[0]
     ref_2p = reference_binding(params92, 1).binding
     ref_1s = reference_binding(OperatorParams(Z=92, kappa=-1), 0).binding
     rel_2p = abs(first - ref_2p) / abs(ref_2p)

@@ -1,7 +1,11 @@
+import io
 import json
+import math
+from contextlib import redirect_stdout
 
 import pytest
 
+from diracfem import analysis, cli, eigensolver
 from diracfem.cli import (
     EXIT_CONFIG,
     EXIT_PHYSICS,
@@ -136,6 +140,16 @@ class TestMain:
         assert isinstance(genuine[0]["binding"], float)
         assert genuine[0]["binding"] == pytest.approx(-0.50000665659, abs=1e-6)
 
+    def test_json_byte_determinism(self, tmp_path):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(FAST + ["--format", "json", "--out", str(out1)]) == 0
+        # a different solve in between must not perturb the next one
+        assert main(["--Z", "12", "--kappa", "-2", "--n", "100", "--a", "1e-6", "--b", "60",
+                     "--mesh-gamma", "8.5", "--levels", "3", "--scheme", "hermite-supg",
+                     "--format", "json", "--out", str(tmp_path / "other.json")]) == 0
+        assert main(FAST + ["--format", "json", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_coincidence_mode(self, capsys):
         code = main(["--Z", "1", "--abs-kappa", "1", "--scheme", "hermite-galerkin",
                      "--n", "40", "--a", "1e-6", "--b", "40", "--mesh-gamma", "8",
@@ -164,3 +178,81 @@ class TestMain:
         out = capsys.readouterr().out
         for scheme in ("linear-galerkin", "hermite-galerkin", "hermite-supg"):
             assert scheme in out
+
+
+# --- windowed CLI pipeline against the dense full-spectrum oracle -----------
+
+SMALL = ["--Z", "1", "--a", "1e-6", "--b", "40", "--mesh-gamma", "8", "--levels", "3"]
+# the stabilized scheme's n=100 levels sit ~1e-5 off the reference
+SUPG_TOL = ["--match-tol", "1e-4"]
+EQUIVALENCE_RUNS = [
+    pytest.param(SMALL + ["--scheme", scheme, "--abs-kappa", "1", "--n", "100"] + extra,
+                 id=f"solve-{scheme}")
+    for scheme, extra in (("linear-galerkin", []), ("hermite-galerkin", []),
+                          ("hermite-supg", SUPG_TOL))
+] + [
+    pytest.param(SMALL + ["--scheme", scheme, "--kappa", "-1", "--n-list", "40,80",
+                          "--mode", "convergence"] + extra, id=f"convergence-{scheme}")
+    for scheme, extra in (("linear-galerkin", []), ("hermite-galerkin", []),
+                          ("hermite-supg", SUPG_TOL))
+] + [
+    pytest.param(SMALL + ["--scheme", scheme, "--abs-kappa", "1", "--n", "100",
+                          "--mode", "coincidence"] + extra, id=f"coincidence-{scheme}")
+    for scheme, extra in (("linear-galerkin", []), ("hermite-galerkin", []),
+                          ("hermite-supg", SUPG_TOL))
+] + [
+    pytest.param(SMALL + ["--abs-kappa", "1", "--n", "100", "--mode", "compare-schemes"]
+                 + SUPG_TOL, id="compare-schemes"),
+    pytest.param(["--Z", "1", "--abs-kappa", "1", "--scheme", "linear-galerkin", "--n", "100",
+                  "--a", "1e-6", "--b", "150", "--mesh-gamma", "8", "--levels", "6"],
+                 id="solve-linear-pathology"),
+]
+
+BINDING_RTOL = 1e-9
+EXACT_KEYS = ("level", "kappa", "label", "n", "pair", "note", "scheme", "reference")
+BINDING_KEYS = ("binding", "pos_binding", "neg_binding")
+# relative differences of bindings: a binding rtol bounds them absolutely
+RELATIVE_KEYS = ("rel_error", "rel_diff")
+
+
+def _json_rows(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv + ["--format", "json"]) == 0
+    return json.loads(out.getvalue())["rows"]
+
+
+def _dense_solve(system, reality_tol=eigensolver.DEFAULT_REALITY_TOL, window=None):
+    return eigensolver.solve(system, reality_tol=reality_tol)
+
+
+def _order_is_resolved(rows, level):
+    """A fitted order is compared only where every error behind it is far above 1e-9."""
+    errs = [r["rel_error"] for r in rows if r["level"] == level and r["n"] is not None]
+    return all(e is not None and e > 1e-6 for e in errs)
+
+
+@pytest.mark.parametrize("argv", EQUIVALENCE_RUNS)
+def test_windowed_rows_match_dense(argv, monkeypatch):
+    windowed = _json_rows(argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "solve", _dense_solve)
+        m.setattr(analysis, "solve", _dense_solve)
+        dense = _json_rows(argv)
+    assert len(windowed) == len(dense)
+    for got, want in zip(windowed, dense):
+        assert got.keys() == want.keys()
+        for key in EXACT_KEYS:
+            assert got.get(key) == want.get(key), key
+        for key in BINDING_KEYS:
+            if key in want:
+                assert got[key] == pytest.approx(want[key], rel=BINDING_RTOL, abs=0.0)
+        for key in RELATIVE_KEYS:
+            if want.get(key) is None:
+                assert got.get(key) is None
+            elif key in want:
+                assert got[key] == pytest.approx(want[key], rel=0.0, abs=BINDING_RTOL)
+        if "order" in want:
+            assert (got["order"] is None) == (want["order"] is None)
+            if want["order"] is not None and _order_is_resolved(dense, want["level"]):
+                assert math.isclose(got["order"], want["order"], rel_tol=1e-3)

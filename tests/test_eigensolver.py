@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,20 @@ from diracfem.assembly import (
 )
 from diracfem.discretization import build_exponential_mesh
 from diracfem.eigensolver import (
+    _fix_vector_signs,
     bound_states,
+    bound_window,
     component_coefficients,
     eigenpair_residual,
     solve,
 )
-from diracfem.errors import ComplexSpectrumError, InsufficientLevelsError
-from diracfem.physics import OperatorParams, point_nucleus
+from diracfem.errors import (
+    ComplexSpectrumError,
+    InsufficientLevelsError,
+    SingularSystemError,
+    SolverError,
+)
+from diracfem.physics import OperatorParams, point_nucleus, reference_binding
 
 TOY = OperatorParams(Z=1, kappa=-1, c=10.0)  # mc^2 = 100
 
@@ -116,16 +125,96 @@ class TestRealSystems:
         params, system, spectrum = hydrogen_solution
         lo, hi = -1.0, -0.01
         windowed = solve(system, window=(lo, hi))
-        full = spectrum.bindings[(spectrum.bindings > lo) & (spectrum.bindings < hi)]
-        # absolute floor covers LAPACK driver differences at eps * ||lhs||
-        np.testing.assert_allclose(windowed.bindings, full, rtol=1e-10, atol=1e-11)
+        inside = (spectrum.bindings > lo) & (spectrum.bindings < hi)
+        full = spectrum.bindings[inside]
+        # oracle: extended-precision Rayleigh quotients of the dense
+        # eigenvectors against the shifted pencil both solvers factor
+        mc2 = params.rest_energy
+        shifted = (system.lhs - mc2 * system.rhs).astype(np.longdouble)
+        rhs = system.rhs.astype(np.longdouble)
+        vecs = spectrum.eigenvectors[:, inside].astype(np.longdouble)
+        oracle = np.array([float((v @ shifted @ v) / (v @ rhs @ v)) for v in vecs.T])
+        assert len(windowed.bindings) == len(full)
+        np.testing.assert_allclose(windowed.bindings, oracle, rtol=1e-10, atol=1e-11)
+        # the dense eigh values themselves sit farther from that oracle: the
+        # digit loss of the full-spectrum driver near the accumulation point
+        dense_miss = np.max(np.abs(full - oracle))
+        windowed_miss = np.max(np.abs(windowed.bindings - oracle))
+        assert dense_miss > 1e-12
+        assert dense_miss > 100.0 * windowed_miss
 
-    def test_windowed_solve_rejected_for_supg(self):
-        params = OperatorParams(Z=1, kappa=-1)
-        mesh = build_exponential_mesh(1e-5, 40.0, 10, 5.0)
-        system = assemble_supg(params, mesh, point_nucleus(1.0))
-        with pytest.raises(ValueError):
+    def test_windowed_supg_matches_dense(self):
+        mesh = build_exponential_mesh(1e-6, 40.0, 60, 8.0)
+        for kappa in (1, -1):
+            params = OperatorParams(Z=1, kappa=kappa)
+            system = assemble_supg(params, mesh, point_nucleus(1.0))
+            lo, hi = bound_window(params, 3)
+            dense = solve(system)
+            windowed = solve(system, window=(lo, hi))
+            full = dense.bindings[(dense.bindings > lo) & (dense.bindings < hi)]
+            assert len(full) >= 2
+            assert len(windowed.bindings) == len(full)
+            np.testing.assert_allclose(windowed.bindings, full, rtol=1e-9, atol=0.0)
+            for k in range(len(full)):
+                assert eigenpair_residual(system, windowed.bindings[k],
+                                          windowed.eigenvectors[:, k]) <= 1e-8
+
+    def test_windowed_complex_pair_rejected(self):
+        # a rotation block puts mu = -0.5 +- 0.3i inside the window; the
+        # other eigenvalues lie far outside it
+        size = 20
+        lhs = np.diag(TOY.rest_energy + np.arange(5.0, 5.0 + size))
+        lhs[:2, :2] = TOY.rest_energy * np.eye(2) + [[-0.5, 0.3], [-0.3, -0.5]]
+        system = toy_system(lhs, np.eye(size), scheme=SCHEME_SUPG)
+        with pytest.raises(ComplexSpectrumError):
             solve(system, window=(-1.0, 0.0))
+
+    def test_windowed_solve_is_certified_or_refused(self):
+        # every eigenvalue lies in the window: no k < N - 1 can certify it
+        system = toy_system(np.diag(TOY.rest_energy - np.linspace(0.1, 0.9, 10)),
+                            np.eye(10))
+        with pytest.raises(SolverError, match="not certified"):
+            solve(system, window=(-1.0, 0.0))
+
+    def test_windowed_singular_shift(self):
+        # sigma = -0.5 is an eigenvalue: the shifted pencil is exactly singular
+        lhs = np.diag(TOY.rest_energy + np.concatenate([[-0.5], np.arange(5.0, 25.0)]))
+        with pytest.raises(SingularSystemError):
+            solve(toy_system(lhs, np.eye(21)), window=(-1.0, 0.0))
+
+    def test_windowed_solve_logs_its_shape(self, hydrogen_solution, caplog):
+        params, system, _ = hydrogen_solution
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            solve(system, window=(-1.0, -0.01))
+        (record,) = [r for r in caplog.records if r.name == "diracfem"]
+        message = record.getMessage()
+        for part in (f"N={system.size}", "nnz=", "window=(-1.0, -0.01)", "sigma=-0.505",
+                     "k=16", "rounds=1", "max_imag=0"):
+            assert part in message
+
+    def test_bound_window(self):
+        for kappa in (2, -2):
+            params = OperatorParams(Z=12, kappa=kappa)
+            lo, hi = bound_window(params, 12)
+            neg = OperatorParams(Z=12, kappa=-2)
+            assert lo == 2.0 * reference_binding(neg, 0).binding
+            assert reference_binding(neg, 12).binding < hi < reference_binding(neg, 13).binding
+        with pytest.raises(ValueError):
+            bound_window(params, 0)
+
+    def test_bound_states_is_slice_of_bindings(self, hydrogen_solution):
+        params, system, spectrum = hydrogen_solution
+        for count in (1, 4, len(spectrum.bindings)):
+            np.testing.assert_array_equal(bound_states(spectrum, params, count),
+                                          spectrum.bindings[:count])
+        with pytest.raises(InsufficientLevelsError):
+            bound_states(spectrum, params, len(spectrum.bindings) + 1)
+
+    def test_vanishing_rhs_norm_raises(self):
+        # nonsymmetric rhs with v^T rhs v = 0 for v = (1, 1)
+        rhs = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        with pytest.raises(SolverError):
+            _fix_vector_signs(np.ones((2, 1)), rhs, 1)
 
     def test_supg_solution_real_here(self):
         params = OperatorParams(Z=1, kappa=-1)
