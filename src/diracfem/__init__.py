@@ -32,23 +32,17 @@ from .assembly import (
     BlockMatrixSpec,
     StabilizationProfile,
     assemble,
-    assemble_hermite_galerkin,
-    assemble_linear_galerkin,
-    assemble_supg,
-    closed_form_element_entries,
     compute_tau,
-    element_integral,
 )
 from .discretization import (
     BasisFamily,
     BasisKind,
     Mesh,
-    QuadratureRule,
     build_exponential_mesh,
     eval_hat,
     eval_hermite,
+    gauss_rule,
     hermite_interpolation_error_order,
-    quadrature_for,
 )
 from .eigensolver import Spectrum, bound_states, bound_window, solve
 from .errors import (

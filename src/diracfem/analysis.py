@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .assembly import SCHEME_LINEAR, assemble
-from .discretization import Mesh, build_exponential_mesh, hermite_interpolate, quadrature_for
+from .discretization import Mesh, build_exponential_mesh, gauss_rule, hermite_interpolate
 from .eigensolver import Spectrum, bound_window, solve
 from .errors import CoefficientSingularityError, DegeneratePencilError
 from .physics import (
@@ -217,17 +217,12 @@ def second_order_residual(params: OperatorParams, potential: PotentialModel, mes
         full_slopes[0:n + 1] = slopes
     else:
         full_slopes[1:n + 1] = slopes
-    total = 0.0
-    for e in range(1, mesh.element_count + 1):
-        rule = quadrature_for(mesh, e)
-        xq = rule.points
-        p1, p2 = second_order_coefficients(params, potential, lam, xq, component)
-        u = hermite_interpolate(mesh, full_values, full_slopes, xq, order=0)
-        du = hermite_interpolate(mesh, full_values, full_slopes, xq, order=1)
-        d2u = hermite_interpolate(mesh, full_values, full_slopes, xq, order=2)
-        r = d2u + p1 * du + p2 * u
-        total += float(np.dot(rule.weights, r**2))
-    return float(np.sqrt(total))
+    x, w = gauss_rule(mesh)
+    p1, p2 = second_order_coefficients(params, potential, lam, x, component)
+    u, du, d2u = (hermite_interpolate(mesh, full_values, full_slopes, x, order)
+                  for order in (0, 1, 2))
+    r = d2u + p1 * du + p2 * u
+    return float(np.sqrt(np.sum(w * r**2)))
 
 
 def supg_residuals(params: OperatorParams, potential: PotentialModel, lam: float,

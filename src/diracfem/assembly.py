@@ -4,9 +4,13 @@ All block matrices have entries of the form
 
     integral over the domain of  (trial)^(s) * (test)^(r) * x^(-t) * q(x) dx
 
-with q either 1 or the nuclear potential V, evaluated element by element
-with the fixed 4-point Gauss rule. The stabilized scheme additionally
-weights selected blocks by the per-element parameter tau.
+with q either 1 or the nuclear potential V, evaluated with the fixed
+4-point Gauss rule at every (element, point) pair at once.
+A scheme is a table of block terms: which pencil matrix and 2x2 block a
+term goes to, its block integrand, its coefficient in (c, kappa, mc^2), and
+whether the per-element stabilization parameter tau weights it. The
+stabilized scheme is the Galerkin table plus the tau-weighted terms, so
+with tau identically zero it gives the Galerkin system by construction.
 
 Degree-of-freedom layout (boundary dofs eliminated):
   linear:   [f values at nodes 1..n | g values at nodes 1..n]
@@ -20,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    BasisFamily,
-    BasisKind,
-    Mesh,
-    hat_local,
-    hermite_local,
-    quadrature_for,
-)
+from .discretization import BasisFamily, BasisKind, Mesh, gauss_rule, hat_local, hermite_local
 from .physics import OperatorParams, PotentialModel, potential_value
 
 SCHEME_LINEAR = "linear-galerkin"
@@ -113,33 +110,7 @@ class AssembledSystem:
         raise KeyError(name)
 
 
-def dump_matrix(matrix: np.ndarray, path) -> None:
-    """Write (row, col, value) triplets of the nonzero entries, for external checks."""
-    with open(path, "w") as fh:
-        rows, cols = np.nonzero(matrix)
-        for i, j in zip(rows, cols):
-            fh.write(f"{i} {j} {float(matrix[i, j])!r}\n")
-
-
-# --- dof maps ---------------------------------------------------------------
-
-
-def _value_dof(n: int, node: int) -> int:
-    return node - 1 if 1 <= node <= n else -1
-
-
-def _slope_dof(n: int, node: int, free_lower: bool) -> int:
-    if free_lower:
-        return node if 0 <= node <= n else -1
-    return node - 1 if 1 <= node <= n else -1
-
-
-def _hermite_layout(n: int, free_lower: bool) -> tuple[int, int]:
-    """(value dof count, slope dof count) of one spinor component."""
-    return n, n + 1 if free_lower else n
-
-
-# --- element-loop block assembly --------------------------------------------
+# --- block kernel ------------------------------------------------------------
 
 
 def _weight_at(spec: BlockMatrixSpec, potential: PotentialModel, x: np.ndarray) -> np.ndarray:
@@ -151,222 +122,132 @@ def _weight_at(spec: BlockMatrixSpec, potential: PotentialModel, x: np.ndarray) 
     return w
 
 
+def _dof_table(n: int, hermite: bool, free_lower_slope: bool) -> np.ndarray:
+    """(element x local) dof indices of one component, -1 where the dof is eliminated.
+
+    Local order per element is (left value, right value) for hats and
+    (left value, left slope, right value, right slope) for Hermite.
+    """
+    value = np.r_[-1, np.arange(n), -1]  # per node 0..n+1
+    if not hermite:
+        return np.stack([value[:-1], value[1:]], axis=1)
+    if free_lower_slope:
+        slope = np.r_[n + np.arange(n + 1), -1]
+    else:
+        slope = np.where(value >= 0, n + value, -1)
+    per_node = np.stack([value, slope], axis=1)
+    return np.concatenate([per_node[:-1], per_node[1:]], axis=1)
+
+
 def _assemble_block(spec: BlockMatrixSpec, basis: BasisFamily, potential: PotentialModel,
                     tau: StabilizationProfile | None = None,
                     free_lower_slope: bool = False) -> np.ndarray:
     """Dense block matrix over the active dofs of one spinor component."""
     mesh = basis.mesh
-    n = mesh.interior_count
     hermite = basis.kind is BasisKind.CUBIC_HERMITE
-    if hermite:
-        nv, ns = _hermite_layout(n, free_lower_slope)
-        size = nv + ns
-    else:
-        size = n
-    out = np.zeros((size, size))
-    for e in range(1, mesh.element_count + 1):
-        rule = quadrature_for(mesh, e)
-        xq = rule.points
-        w = rule.weights * _weight_at(spec, potential, xq)
-        if tau is not None:
-            w = w * tau.tau[e - 1]
-        h = mesh.h[e - 1]
-        s = xq - mesh.nodes[e - 1]
-        if hermite:
-            test = np.stack(hermite_local(h, s, spec.r))
-            trial = np.stack(hermite_local(h, s, spec.s))
-            vl, vr = _value_dof(n, e - 1), _value_dof(n, e)
-            sl = _slope_dof(n, e - 1, free_lower_slope)
-            sr = _slope_dof(n, e, free_lower_slope)
-            dofs = [vl, nv + sl if sl >= 0 else -1, vr, nv + sr if sr >= 0 else -1]
-        else:
-            test = np.stack(hat_local(h, s, spec.r))
-            trial = np.stack(hat_local(h, s, spec.s))
-            dofs = [_value_dof(n, e - 1), _value_dof(n, e)]
-        local = np.einsum("q,aq,bq->ab", w, test, trial)
-        for a, da in enumerate(dofs):
-            if da < 0:
-                continue
-            for b, db in enumerate(dofs):
-                if db >= 0:
-                    out[da, db] += local[a, b]
-    return out
+    x, w = gauss_rule(mesh)
+    w = w * _weight_at(spec, potential, x)
+    if tau is not None:
+        w = w * tau.tau[:, None]
+    h, s = mesh.h[:, None], x - mesh.nodes[:-1, None]
+    shapes = hermite_local if hermite else hat_local
+    test = np.stack(shapes(h, s, spec.r), axis=1)
+    trial = np.stack(shapes(h, s, spec.s), axis=1)
+    local = np.einsum("eq,eaq,ebq->eab", w, test, trial)
+    dofs = _dof_table(mesh.interior_count, hermite, free_lower_slope)
+    size = dofs.max() + 1
+    # eliminated dofs (-1) land in a padding row and column that is cut off;
+    # unbuffered adds in element order sum each entry as an element loop would
+    out = np.zeros((size + 1, size + 1))
+    np.add.at(out, (dofs[:, :, None], dofs[:, None, :]), local)
+    return out[:-1, :-1]
 
 
-def element_integral(spec: BlockMatrixSpec, basis: BasisFamily, potential: PotentialModel,
-                     test_dof: int, trial_dof: int) -> float:
-    """Single block-matrix entry; 0 without quadrature when supports are disjoint.
+# --- schemes as tables of block terms ----------------------------------------
 
-    Dof indices follow the component layout: 0..n-1 are nodal values at
-    interior nodes 1..n and, for Hermite, n..2n-1 the nodal slopes.
-    """
-    mesh = basis.mesh
-    n = mesh.interior_count
-    hermite = basis.kind is BasisKind.CUBIC_HERMITE
-    for dof in (test_dof, trial_dof):
-        if not (0 <= dof < basis.dof_count):
-            raise IndexError(f"dof index {dof} out of range 0..{basis.dof_count - 1}")
+#: (matrix, row block, col block, integrand, coefficient(c, kappa, mc2), tau-weighted)
+_GALERKIN = (
+    ("lhs", 0, 0, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: mc2, False),
+    ("lhs", 0, 0, BlockMatrixSpec(0, 0, 0, "V"), lambda c, k, mc2: 1.0, False),
+    ("lhs", 0, 1, BlockMatrixSpec(0, 1, 0), lambda c, k, mc2: -c, False),
+    ("lhs", 0, 1, BlockMatrixSpec(0, 0, 1), lambda c, k, mc2: c * k, False),
+    ("lhs", 1, 0, BlockMatrixSpec(0, 1, 0), lambda c, k, mc2: c, False),
+    ("lhs", 1, 0, BlockMatrixSpec(0, 0, 1), lambda c, k, mc2: c * k, False),
+    ("lhs", 1, 1, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: -mc2, False),
+    ("lhs", 1, 1, BlockMatrixSpec(0, 0, 0, "V"), lambda c, k, mc2: 1.0, False),
+    ("rhs", 0, 0, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: 1.0, False),
+    ("rhs", 1, 1, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: 1.0, False),
+)
 
-    def node_part(dof):
-        if hermite and dof >= n:
-            return dof - n + 1, 3  # slope piece index in hermite_local order
-        return dof + 1, 2
+#: Couplings of the tau * v' part of the stabilized test space.
+_STABILIZED = (
+    ("lhs", 0, 0, BlockMatrixSpec(1, 1, 0), lambda c, k, mc2: c, True),
+    ("lhs", 0, 0, BlockMatrixSpec(1, 0, 1), lambda c, k, mc2: c * k, True),
+    ("lhs", 0, 1, BlockMatrixSpec(1, 0, 0), lambda c, k, mc2: -mc2, True),
+    ("lhs", 0, 1, BlockMatrixSpec(1, 0, 0, "V"), lambda c, k, mc2: 1.0, True),
+    ("lhs", 1, 0, BlockMatrixSpec(1, 0, 0), lambda c, k, mc2: mc2, True),
+    ("lhs", 1, 0, BlockMatrixSpec(1, 0, 0, "V"), lambda c, k, mc2: 1.0, True),
+    ("lhs", 1, 1, BlockMatrixSpec(1, 1, 0), lambda c, k, mc2: -c, True),
+    ("lhs", 1, 1, BlockMatrixSpec(1, 0, 1), lambda c, k, mc2: c * k, True),
+    ("rhs", 0, 1, BlockMatrixSpec(1, 0, 0), lambda c, k, mc2: 1.0, True),
+    ("rhs", 1, 0, BlockMatrixSpec(1, 0, 0), lambda c, k, mc2: 1.0, True),
+)
 
-    t_node, t_sel = node_part(test_dof)
-    s_node, s_sel = node_part(trial_dof)
-    if abs(t_node - s_node) >= 2:
-        return 0.0
-    elements = {e for e in (t_node, t_node + 1) if 1 <= e <= mesh.element_count}
-    elements &= {e for e in (s_node, s_node + 1) if 1 <= e <= mesh.element_count}
-    total = 0.0
-    for e in sorted(elements):
-        rule = quadrature_for(mesh, e)
-        xq = rule.points
-        w = rule.weights * _weight_at(spec, potential, xq)
-        h = mesh.h[e - 1]
-        s = xq - mesh.nodes[e - 1]
-        if hermite:
-            test = hermite_local(h, s, spec.r)[t_sel if e == t_node else t_sel - 2]
-            trial = hermite_local(h, s, spec.s)[s_sel if e == s_node else s_sel - 2]
-        else:
-            test = hat_local(h, s, spec.r)[1 if e == t_node else 0]
-            trial = hat_local(h, s, spec.s)[1 if e == s_node else 0]
-        total += float(np.dot(w, test * trial))
-    return total
-
-
-# --- closed-form element integrals (assembly oracle) ------------------------
-
-
-def closed_form_element_entries(mesh: Mesh, j: int) -> dict[str, np.ndarray]:
-    """Exact rows j (values) and j+n (slopes) of the four polynomial blocks.
-
-    Returns, per matrix, a (2, 6) array over the columns
-    (j-1, j, j+1, j-1+n, j+n, j+1+n). The integrands are polynomial, so
-    these are the exact integrals the 4-point rule must reproduce.
-    """
-    if not (1 <= j <= mesh.interior_count):
-        raise IndexError(f"node index {j} out of range 1..{mesh.interior_count}")
-    hj = mesh.h[j - 1]
-    hj1 = mesh.h[j]
-    mm000 = np.array([
-        [9 / 70 * hj, 13 / 35 * (hj + hj1), 9 / 70 * hj1,
-         13 / 420 * hj**2, 11 / 210 * (hj1**2 - hj**2), -13 / 420 * hj1**2],
-        [-13 / 420 * hj**2, 11 / 210 * (hj1**2 - hj**2), 13 / 420 * hj1**2,
-         -1 / 140 * hj**3, 1 / 105 * (hj**3 + hj1**3), -1 / 140 * hj1**3],
-    ])
-    mm100 = np.array([
-        [0.5, 0.0, -0.5, hj / 10, -(hj + hj1) / 10, hj1 / 10],
-        [-hj / 10, (hj + hj1) / 10, -hj1 / 10, -hj**2 / 60, 0.0, hj1**2 / 60],
-    ])
-    mm110 = np.array([
-        [-6 / 5 / hj, 6 / 5 * (hj + hj1) / (hj * hj1), -6 / 5 / hj1, -0.1, 0.0, 0.1],
-        [0.1, 0.0, -0.1, -hj / 30, 2 / 15 * (hj + hj1), -hj1 / 30],
-    ])
-    mm010 = -mm100  # transpose pair: same rows with opposite sign
-    return {"MM000": mm000, "MM100": mm100, "MM010": mm010, "MM110": mm110}
-
-
-# --- scheme assembly ---------------------------------------------------------
-
-
-def _two_by_two(a11, a12, a21, a22) -> np.ndarray:
-    return np.block([[a11, a12], [a21, a22]])
-
-
-def assemble_linear_galerkin(params: OperatorParams, mesh: Mesh,
-                             potential: PotentialModel) -> AssembledSystem:
-    """Standard Galerkin system with hat functions; symmetric 2n x 2n pencil."""
-    basis = BasisFamily(kind=BasisKind.LINEAR_HAT, mesh=mesh)
-    m000 = _assemble_block(BlockMatrixSpec(0, 0, 0), basis, potential)
-    m010 = _assemble_block(BlockMatrixSpec(0, 1, 0), basis, potential)
-    m001 = _assemble_block(BlockMatrixSpec(0, 0, 1), basis, potential)
-    mv = _assemble_block(BlockMatrixSpec(0, 0, 0, "V"), basis, potential)
-    c, k, mc2 = params.c, params.kappa, params.rest_energy
-    lhs = _two_by_two(mc2 * m000 + mv, -c * m010 + c * k * m001,
-                      c * m010 + c * k * m001, -mc2 * m000 + mv)
-    rhs = _two_by_two(m000, np.zeros_like(m000), np.zeros_like(m000), m000)
-    n = mesh.interior_count
-    return AssembledSystem(scheme=SCHEME_LINEAR, lhs=lhs, rhs=rhs,
-                           dof_blocks=(("zeta", n), ("xi", n)),
-                           params=params, mesh=mesh, potential=potential)
-
-
-def _hermite_blocks(params, mesh, potential, free_lower_slope):
-    basis = BasisFamily(kind=BasisKind.CUBIC_HERMITE, mesh=mesh)
-    kw = dict(free_lower_slope=free_lower_slope)
-    return basis, {
-        "000": _assemble_block(BlockMatrixSpec(0, 0, 0), basis, potential, **kw),
-        "010": _assemble_block(BlockMatrixSpec(0, 1, 0), basis, potential, **kw),
-        "001": _assemble_block(BlockMatrixSpec(0, 0, 1), basis, potential, **kw),
-        "V000": _assemble_block(BlockMatrixSpec(0, 0, 0, "V"), basis, potential, **kw),
-    }
-
-
-def _hermite_dof_blocks(n: int, free_lower_slope: bool):
-    nv, ns = _hermite_layout(n, free_lower_slope)
-    return (("zeta", nv), ("zeta_prime", ns), ("xi", nv), ("xi_prime", ns))
-
-
-def assemble_hermite_galerkin(params: OperatorParams, mesh: Mesh,
-                              potential: PotentialModel,
-                              free_lower_slope: bool = False) -> AssembledSystem:
-    """Galerkin system in the C1 cubic Hermite space; symmetric 4n x 4n pencil.
-
-    Boundary conditions eliminate value and slope dofs at both endpoints;
-    ``free_lower_slope`` keeps the slope dof at the lower endpoint instead
-    (the physically correct choice for |kappa| = 1).
-    """
-    _, mm = _hermite_blocks(params, mesh, potential, free_lower_slope)
-    c, k, mc2 = params.c, params.kappa, params.rest_energy
-    lhs = _two_by_two(mc2 * mm["000"] + mm["V000"], -c * mm["010"] + c * k * mm["001"],
-                      c * mm["010"] + c * k * mm["001"], -mc2 * mm["000"] + mm["V000"])
-    zero = np.zeros_like(mm["000"])
-    rhs = _two_by_two(mm["000"], zero, zero, mm["000"])
-    return AssembledSystem(scheme=SCHEME_HERMITE, lhs=lhs, rhs=rhs,
-                           dof_blocks=_hermite_dof_blocks(mesh.interior_count, free_lower_slope),
-                           params=params, mesh=mesh, potential=potential)
-
-
-def assemble_supg(params: OperatorParams, mesh: Mesh, potential: PotentialModel,
-                  tau: StabilizationProfile | None = None,
-                  free_lower_slope: bool = False) -> AssembledSystem:
-    """Petrov-Galerkin system with test functions augmented by tau * v'.
-
-    The Galerkin blocks are perturbed by tau-weighted residual couplings;
-    with tau identically zero the system coincides with the Hermite
-    Galerkin one entrywise.
-    """
-    if tau is None:
-        tau = compute_tau(mesh)
-    if len(tau.tau) != mesh.element_count:
-        raise ValueError("stabilization profile length does not match the mesh")
-    basis, mm = _hermite_blocks(params, mesh, potential, free_lower_slope)
-    kw = dict(tau=tau, free_lower_slope=free_lower_slope)
-    t110 = _assemble_block(BlockMatrixSpec(1, 1, 0), basis, potential, **kw)
-    t101 = _assemble_block(BlockMatrixSpec(1, 0, 1), basis, potential, **kw)
-    t100 = _assemble_block(BlockMatrixSpec(1, 0, 0), basis, potential, **kw)
-    tv100 = _assemble_block(BlockMatrixSpec(1, 0, 0, "V"), basis, potential, **kw)
-    c, k, mc2 = params.c, params.kappa, params.rest_energy
-    lhs = _two_by_two(
-        mc2 * mm["000"] + mm["V000"] + c * t110 + c * k * t101,
-        -c * mm["010"] + c * k * mm["001"] - mc2 * t100 + tv100,
-        c * mm["010"] + c * k * mm["001"] + mc2 * t100 + tv100,
-        -mc2 * mm["000"] + mm["V000"] - c * t110 + c * k * t101,
-    )
-    rhs = _two_by_two(mm["000"], t100, t100, mm["000"])
-    return AssembledSystem(scheme=SCHEME_SUPG, lhs=lhs, rhs=rhs,
-                           dof_blocks=_hermite_dof_blocks(mesh.interior_count, free_lower_slope),
-                           params=params, mesh=mesh, potential=potential, tau=tau)
+_SCHEME_TABLE = {
+    SCHEME_LINEAR: (BasisKind.LINEAR_HAT, _GALERKIN),
+    SCHEME_HERMITE: (BasisKind.CUBIC_HERMITE, _GALERKIN),
+    SCHEME_SUPG: (BasisKind.CUBIC_HERMITE, _GALERKIN + _STABILIZED),
+}
 
 
 def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: PotentialModel,
-             free_lower_slope: bool = False) -> AssembledSystem:
-    """Dispatch on the scheme name (see SCHEMES)."""
-    if scheme == SCHEME_LINEAR:
-        return assemble_linear_galerkin(params, mesh, potential)
-    if scheme == SCHEME_HERMITE:
-        return assemble_hermite_galerkin(params, mesh, potential, free_lower_slope)
-    if scheme == SCHEME_SUPG:
-        return assemble_supg(params, mesh, potential, free_lower_slope=free_lower_slope)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+             free_lower_slope: bool = False,
+             tau: StabilizationProfile | None = None) -> AssembledSystem:
+    """Generalized eigensystem of one scheme (see SCHEMES).
+
+    linear-galerkin and hermite-galerkin give symmetric pencils (2n and 4n
+    dofs); hermite-supg tests against v + tau * v' and gives a nonsymmetric
+    one, with ``tau`` defaulting to ``compute_tau(mesh)``; the Galerkin
+    schemes take no ``tau``. Boundary conditions eliminate the value and
+    slope dofs at both endpoints; ``free_lower_slope`` keeps the Hermite
+    slope dof at the lower endpoint instead (the physically correct choice
+    for |kappa| = 1).
+    """
+    if scheme not in _SCHEME_TABLE:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    kind, terms = _SCHEME_TABLE[scheme]
+    if any(weighted for *_, weighted in terms):
+        tau = compute_tau(mesh) if tau is None else tau
+        if len(tau.tau) != mesh.element_count:
+            raise ValueError("stabilization profile length does not match the mesh")
+    elif tau is not None:
+        raise ValueError(f"scheme {scheme!r} takes no stabilization profile")
+    basis = BasisFamily(kind=kind, mesh=mesh)
+    n = mesh.interior_count
+    m = int(_dof_table(n, kind is BasisKind.CUBIC_HERMITE, free_lower_slope).max()) + 1
+    pencil = {"lhs": np.zeros((2 * m, 2 * m)), "rhs": np.zeros((2 * m, 2 * m))}
+    c, k, mc2 = params.c, params.kappa, params.rest_energy
+    # each distinct block is built at its first term and dropped after its last
+    last_use = {(spec, weighted): i for i, (*_, spec, _, weighted) in enumerate(terms)}
+    blocks, started = {}, set()
+    for i, (matrix, row, col, spec, coefficient, weighted) in enumerate(terms):
+        key = (spec, weighted)
+        if key not in blocks:
+            blocks[key] = _assemble_block(spec, basis, potential, tau if weighted else None,
+                                          free_lower_slope)
+        block = blocks.pop(key) if last_use[key] == i else blocks[key]
+        view = pencil[matrix][row * m:(row + 1) * m, col * m:(col + 1) * m]
+        # a block's first term is stored, not added to zero, which would
+        # turn its -0.0 entries into +0.0
+        if (matrix, row, col) in started:
+            view += coefficient(c, k, mc2) * block
+        else:
+            np.multiply(coefficient(c, k, mc2), block, out=view)
+            started.add((matrix, row, col))
+    if kind is BasisKind.LINEAR_HAT:
+        dof_blocks = (("zeta", n), ("xi", n))
+    else:
+        dof_blocks = (("zeta", n), ("zeta_prime", m - n), ("xi", n), ("xi_prime", m - n))
+    return AssembledSystem(scheme=scheme, lhs=pencil["lhs"], rhs=pencil["rhs"],
+                           dof_blocks=dof_blocks, params=params, mesh=mesh,
+                           potential=potential, tau=tau)

@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, replace
 
 from . import analysis
 from .analysis import Label, classify, coincidence_report, truncate_to_genuine
@@ -31,6 +32,7 @@ from .physics import (
 
 MODES = ("solve", "compare-schemes", "convergence", "coincidence", "verify-tau")
 FORMATS = ("table", "csv", "json")
+NUCLEI = ("point", "extended")
 ENV_CONFIG = "DIRAC_FEM_CONFIG"
 
 EXIT_OK = 0
@@ -71,7 +73,7 @@ class RunConfig:
             raise ConfigError(f"unknown scheme {cfg.scheme!r}; expected one of {SCHEMES}")
         if cfg.format not in FORMATS:
             raise ConfigError(f"unknown format {cfg.format!r}; expected one of {FORMATS}")
-        if cfg.nucleus not in ("point", "extended"):
+        if cfg.nucleus not in NUCLEI:
             raise ConfigError(f"nucleus must be 'point' or 'extended', got {cfg.nucleus!r}")
         if cfg.nucleus == "extended" and (cfg.radius is None or cfg.radius <= 0):
             raise ConfigError("extended nucleus requires a positive --radius")
@@ -112,32 +114,39 @@ class RunConfig:
         return (self.abs_kappa, -self.abs_kappa)
 
 
-_BOOL_KEYS = {"free_lower_slope"}
-_INT_KEYS = {"kappa", "abs_kappa", "n", "levels"}
-_FLOAT_KEYS = {"Z", "m", "c_value", "radius", "a", "b", "mesh_gamma", "match_tol", "reality_tol"}
-_STR_KEYS = {"scheme", "nucleus", "mode", "format", "out"}
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+#: Parser of a config value or flag argument, per RunConfig field type.
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str,
+            tuple[int, ...]: lambda s: tuple(int(x) for x in s.split(","))}
+
+
+def _value_type(hint):
+    """A field's value type, with the ``| None`` of an optional field dropped."""
+    args = typing.get_args(hint)
+    return args[0] if type(None) in args else hint
+
+
+#: The config keys: every RunConfig field, with its value type.
+_KEY_TYPES = {name: _value_type(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
+
+_CHOICES = {"scheme": SCHEMES, "nucleus": NUCLEI, "mode": MODES, "format": FORMATS}
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
+    if key not in _KEY_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "n_list":
-            return tuple(int(p) for p in raw.split(","))
-        if key in _STR_KEYS:
-            return raw
+        return _PARSERS[_KEY_TYPES[key]](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -161,10 +170,9 @@ def load_config_file(path: str) -> dict:
 
 def build_config(file_values: dict, flag_values: dict) -> RunConfig:
     cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
     for source in (file_values, flag_values):
         for key, value in source.items():
-            if key not in known:
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
             if value is not None:
                 setattr(cfg, key, value)
@@ -174,18 +182,24 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
 # --- pipeline ----------------------------------------------------------------
 
 
-def _solve_classified(cfg: RunConfig):
-    """Solve and classify for every configured kappa; returns per-kappa data."""
+def _solve_kappas(cfg: RunConfig, kappas, levels: int) -> dict:
+    """Windowed spectrum per kappa, in the given order, on the configured mesh."""
     potential = cfg.potential()
     mesh = build_exponential_mesh(cfg.a, cfg.b, cfg.n, cfg.mesh_gamma)
-    window = bound_window(cfg.params(cfg.kappas()[0]), cfg.levels)
-    out = {}
+    window = bound_window(cfg.params(kappas[0]), levels)
     spectra = {}
-    for kappa in sorted(cfg.kappas(), reverse=True):  # negative kappa last
-        params = cfg.params(kappa)
-        system = assemble(cfg.scheme, params, mesh, potential,
+    for kappa in kappas:
+        system = assemble(cfg.scheme, cfg.params(kappa), mesh, potential,
                           free_lower_slope=cfg.free_lower_slope)
         spectra[kappa] = solve(system, reality_tol=cfg.reality_tol, window=window)
+    return spectra
+
+
+def _solve_classified(cfg: RunConfig):
+    """Solve and classify for every configured kappa; returns per-kappa data."""
+    # negative kappa last
+    spectra = _solve_kappas(cfg, sorted(cfg.kappas(), reverse=True), cfg.levels)
+    out = {}
     for kappa, spectrum in spectra.items():
         params = cfg.params(kappa)
         reference = reference_spectrum(params, cfg.levels)
@@ -296,8 +310,7 @@ def _mode_solve(cfg: RunConfig):
     rows = _long_rows(per_kappa)
     title = (f"scheme={cfg.scheme} Z={_fmt(cfg.Z)} n={cfg.n} "
              f"a={_fmt(cfg.a)} b={_fmt(cfg.b)} gamma={_fmt(cfg.mesh_gamma)}")
-    table = _render_solve_table(per_kappa, title)
-    return rows, _SOLVE_COLUMNS, table
+    return rows, _SOLVE_COLUMNS, _render_solve_table(per_kappa, title), True
 
 
 def _mode_compare(cfg: RunConfig):
@@ -307,7 +320,7 @@ def _mode_compare(cfg: RunConfig):
         per_kappa = _solve_classified(sub)
         rows.extend(_long_rows(per_kappa, scheme=scheme))
         tables.append(_render_solve_table(per_kappa, f"--- {scheme} ---"))
-    return rows, _SOLVE_COLUMNS + ("scheme",), "\n".join(tables)
+    return rows, _SOLVE_COLUMNS + ("scheme",), "\n".join(tables), True
 
 
 def _mode_convergence(cfg: RunConfig):
@@ -334,21 +347,14 @@ def _mode_convergence(cfg: RunConfig):
         lines.append("  ".join(cells))
     cells = [f"{'order':>8}"] + [f"{_fmt(float(o)) if o == o else '-':>12}" for o in study.orders]
     lines.append("  ".join(cells))
-    return rows, ("n", "level", "kappa", "rel_error", "order"), "\n".join(lines) + "\n"
+    return rows, ("n", "level", "kappa", "rel_error", "order"), "\n".join(lines) + "\n", True
 
 
 def _mode_coincidence(cfg: RunConfig):
     if cfg.kappa is not None:
         raise ConfigError("coincidence mode requires abs_kappa (a +/- pair)")
-    potential = cfg.potential()
-    mesh = build_exponential_mesh(cfg.a, cfg.b, cfg.n, cfg.mesh_gamma)
     # pairs 1..levels need levels + 1 bindings of each sign
-    window = bound_window(cfg.params(cfg.abs_kappa), cfg.levels + 1)
-    spectra = {}
-    for kappa in (cfg.abs_kappa, -cfg.abs_kappa):
-        system = assemble(cfg.scheme, cfg.params(kappa), mesh, potential,
-                          free_lower_slope=cfg.free_lower_slope)
-        spectra[kappa] = solve(system, reality_tol=cfg.reality_tol, window=window)
+    spectra = _solve_kappas(cfg, (cfg.abs_kappa, -cfg.abs_kappa), cfg.levels + 1)
     report = coincidence_report(spectra[cfg.abs_kappa], spectra[-cfg.abs_kappa],
                                 tol=cfg.matching_tolerance())
     rows = [{"pair": 0, "pos_binding": report.first_pos, "neg_binding": report.first_neg,
@@ -363,7 +369,8 @@ def _mode_coincidence(cfg: RunConfig):
     for row in rows:
         lines.append(f"  pair {row['pair']:>2}: {_fmt(row['pos_binding']):>18} vs "
                      f"{_fmt(row['neg_binding']):>18}  rel={_fmt(row['rel_diff'])}  {row['note']}")
-    return rows, ("pair", "pos_binding", "neg_binding", "rel_diff", "note"), "\n".join(lines) + "\n"
+    return rows, ("pair", "pos_binding", "neg_binding", "rel_diff", "note"), \
+        "\n".join(lines) + "\n", True
 
 
 #: Element pair and c sweep used by the verify-tau report.
@@ -404,20 +411,16 @@ def _mode_verify_tau(cfg: RunConfig):
         "\n".join(lines) + "\n", ok
 
 
+#: Each mode returns (rows, columns, table text, ok).
+_RUNNERS = {"solve": _mode_solve, "compare-schemes": _mode_compare,
+            "convergence": _mode_convergence, "coincidence": _mode_coincidence,
+            "verify-tau": _mode_verify_tau}
+
+
 def run(config: RunConfig, stream=None) -> int:
     """Execute one mode and emit the result; returns the process exit code."""
     stream = stream if stream is not None else sys.stdout
-    ok = True
-    if config.mode == "solve":
-        rows, columns, table = _mode_solve(config)
-    elif config.mode == "compare-schemes":
-        rows, columns, table = _mode_compare(config)
-    elif config.mode == "convergence":
-        rows, columns, table = _mode_convergence(config)
-    elif config.mode == "coincidence":
-        rows, columns, table = _mode_coincidence(config)
-    else:
-        rows, columns, table, ok = _mode_verify_tau(config)
+    rows, columns, table, ok = _RUNNERS[config.mode](config)
 
     if config.format == "table":
         text = table
@@ -438,28 +441,12 @@ def _make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dirac-fem",
                                 description="Radial Coulomb-Dirac finite element solver")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--Z", type=float)
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--abs-kappa", dest="abs_kappa", type=int)
-    p.add_argument("--m", type=float)
-    p.add_argument("--c-value", dest="c_value", type=float)
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--nucleus", choices=("point", "extended"))
-    p.add_argument("--radius", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--mesh-gamma", dest="mesh_gamma", type=float)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--match-tol", dest="match_tol", type=float)
-    p.add_argument("--reality-tol", dest="reality_tol", type=float)
-    p.add_argument("--free-lower-slope", dest="free_lower_slope",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--out")
-    p.add_argument("--n-list", dest="n_list",
-                   type=lambda s: tuple(int(x) for x in s.split(",")))
+    for name, value_type in _KEY_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if value_type is bool:
+            p.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction, default=None)
+        else:
+            p.add_argument(flag, dest=name, type=_PARSERS[value_type], choices=_CHOICES.get(name))
     return p
 
 

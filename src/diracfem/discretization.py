@@ -29,10 +29,13 @@ class BasisKind(Enum):
 class Mesh:
     """Partition a = x_0 < x_1 < ... < x_{n+1} = b of the radial domain.
 
+    Construction copies ``nodes`` into a read-only float array and raises
+    PhysicsError unless they strictly increase from a to b.
+
     Attributes
     ----------
     a, b : float
-        Domain endpoints (atomic units), 0 < a < b.
+        Domain endpoints (atomic units), a < b.
     interior_count : int
         Number n of interior nodes.
     gamma : float
@@ -48,7 +51,17 @@ class Mesh:
     nodes: np.ndarray
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
+        nodes = np.array(self.nodes, dtype=float)
+        if nodes.ndim != 1 or len(nodes) != self.interior_count + 2:
+            raise PhysicsError(f"mesh needs interior_count + 2 = {self.interior_count + 2} "
+                               f"nodes, got shape {nodes.shape}")
+        if not np.all(np.diff(nodes) > 0):
+            raise PhysicsError("mesh nodes must strictly increase")
+        if nodes[0] != self.a or nodes[-1] != self.b:
+            raise PhysicsError(f"mesh nodes must run from a={self.a} to b={self.b}, "
+                               f"got {nodes[0]} to {nodes[-1]}")
+        nodes.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def h(self) -> np.ndarray:
@@ -98,29 +111,14 @@ class BasisFamily:
         return n if self.kind is BasisKind.LINEAR_HAT else 2 * n
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre points and weights mapped onto one element."""
+def gauss_rule(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """4-point rule on every element: (points, weights), each of shape (n+1, 4).
 
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.points)))
-
-
-def quadrature_for(mesh: Mesh, element: int) -> QuadratureRule:
-    """4-point rule on element ``[x_{element-1}, x_element]`` (1-based index)."""
-    if not (1 <= element <= mesh.element_count):
-        raise IndexError(f"element index {element} out of range 1..{mesh.element_count}")
-    xl = mesh.nodes[element - 1]
-    xr = mesh.nodes[element]
+    Row e-1 holds the rule on element ``[x_{e-1}, x_e]``.
+    """
+    xl, xr = mesh.nodes[:-1, None], mesh.nodes[1:, None]
     mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
-    return QuadratureRule(points=mid + half * _GAUSS_POINTS, weights=half * _GAUSS_WEIGHTS)
+    return mid + half * _GAUSS_POINTS, half * _GAUSS_WEIGHTS
 
 
 # --- element-local shape functions ----------------------------------------
@@ -131,7 +129,8 @@ def quadrature_for(mesh: Mesh, element: int) -> QuadratureRule:
 #   Hermite:  (left value, left slope, right value, right slope)
 # The Hermite pieces match the per-node formulas used throughout: the "left"
 # pair is the right-element branch of the functions at node x_{e-1}, the
-# "right" pair the left-element branch at node x_e.
+# "right" pair the left-element branch at node x_e. The size h may be an
+# array that broadcasts against s, so one call covers many elements.
 
 
 def hat_local(h: float, s, order: int):
@@ -251,12 +250,8 @@ def hermite_interpolate(mesh: Mesh, values, slopes, x, order: int = 0):
     x = np.asarray(x, dtype=float)
     nodes, h = mesh.nodes, mesh.h
     e = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, mesh.element_count - 1)
-    s = x - nodes[e]
-    out = np.zeros(x.shape, dtype=float)
-    for k in np.unique(e):
-        m = e == k
-        lv, ls, rv, rs = hermite_local(h[k], s[m], order)
-        out[m] = values[k] * lv + slopes[k] * ls + values[k + 1] * rv + slopes[k + 1] * rs
+    lv, ls, rv, rs = hermite_local(h[e], x - nodes[e], order)
+    out = values[e] * lv + slopes[e] * ls + values[e + 1] * rv + slopes[e + 1] * rs
     return out if out.shape else float(out)
 
 

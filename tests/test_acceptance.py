@@ -17,13 +17,13 @@ from diracfem.analysis import (
     tau_rule_residual,
 )
 from diracfem.assembly import (
+    SCHEME_HERMITE,
+    SCHEME_LINEAR,
+    SCHEME_SUPG,
     BlockMatrixSpec,
     StabilizationProfile,
     _assemble_block,
-    assemble_hermite_galerkin,
-    assemble_linear_galerkin,
-    assemble_supg,
-    closed_form_element_entries,
+    assemble,
 )
 from diracfem.discretization import (
     BasisFamily,
@@ -36,6 +36,7 @@ from diracfem.eigensolver import bound_states, bound_window, eigenpair_residual,
 from diracfem.physics import OperatorParams, point_nucleus, reference_binding, reference_spectrum
 
 from conftest import random_mesh
+from oracles import closed_form_element_entries
 
 
 def verdict(num, ok, message):
@@ -55,8 +56,8 @@ def hydrogen_runs():
     out = {}
     for kappa in (1, -1):
         params = OperatorParams(Z=1, kappa=kappa)
-        out[("linear", kappa)] = solve(assemble_linear_galerkin(params, mesh, pot))
-        out[("hermite", kappa)] = solve(assemble_hermite_galerkin(params, mesh, pot))
+        out[("linear", kappa)] = solve(assemble(SCHEME_LINEAR, params, mesh, pot))
+        out[("hermite", kappa)] = solve(assemble(SCHEME_HERMITE, params, mesh, pot))
     return out
 
 
@@ -68,7 +69,7 @@ def magnesium_supg():
     out = {}
     for kappa in (2, -2):
         params = OperatorParams(Z=12, kappa=kappa)
-        out[kappa] = solve(assemble_supg(params, mesh, pot))
+        out[kappa] = solve(assemble(SCHEME_SUPG, params, mesh, pot))
     return out
 
 
@@ -242,7 +243,7 @@ def test_criterion_05_supg_full_cure(magnesium_supg):
     # of the kappa=-1 ground state
     params92 = OperatorParams(Z=92, kappa=1)
     mesh92 = build_exponential_mesh(1e-7, 1.0, 200, 9.0)
-    spec92 = solve(assemble_supg(params92, mesh92, point_nucleus(92.0)))
+    spec92 = solve(assemble(SCHEME_SUPG, params92, mesh92, point_nucleus(92.0)))
     first = spec92.bindings[0]
     assert first > bound_window(params92, 4)[0]
     ref_2p = reference_binding(params92, 1).binding
@@ -276,8 +277,8 @@ def test_criterion_06_scheme_nesting():
         mesh = build_exponential_mesh(a, b, n, gamma)
         pot = point_nucleus(Z)
         zero = StabilizationProfile(tau=np.zeros(mesh.element_count))
-        supg = assemble_supg(params, mesh, pot, tau=zero)
-        galerkin = assemble_hermite_galerkin(params, mesh, pot)
+        supg = assemble(SCHEME_SUPG, params, mesh, pot, tau=zero)
+        galerkin = assemble(SCHEME_HERMITE, params, mesh, pot)
         scale = np.max(np.abs(galerkin.lhs))
         dev = max(np.max(np.abs(supg.lhs - galerkin.lhs)) / scale,
                   np.max(np.abs(supg.rhs - galerkin.rhs)) / np.max(np.abs(galerkin.rhs)))
@@ -342,8 +343,8 @@ def test_criterion_09_property_suite(hydrogen_runs):
                                       rng.uniform(10.0, 60.0), n, rng.uniform(2, 8))
         params = OperatorParams(Z=3, kappa=int(rng.choice([-2, -1, 1, 2])))
 
-        lin = assemble_linear_galerkin(params, mesh, pot)
-        her = assemble_hermite_galerkin(params, mesh, pot)
+        lin = assemble(SCHEME_LINEAR, params, mesh, pot)
+        her = assemble(SCHEME_HERMITE, params, mesh, pot)
         for system in (lin, her):
             scale = np.max(np.abs(system.lhs))
             assert np.max(np.abs(system.lhs - system.lhs.T)) <= 1e-12 * scale
@@ -370,8 +371,8 @@ def test_criterion_09_property_suite(hydrogen_runs):
     pot1 = point_nucleus(1.0)
     for (scheme, kappa), spectrum in hydrogen_runs.items():
         params = OperatorParams(Z=1, kappa=kappa)
-        system = (assemble_linear_galerkin if scheme == "linear"
-                  else assemble_hermite_galerkin)(params, mesh, pot1)
+        system = assemble(SCHEME_LINEAR if scheme == "linear" else SCHEME_HERMITE,
+                          params, mesh, pot1)
         for k in range(min(4, len(spectrum.bindings))):
             res = eigenpair_residual(system, spectrum.bindings[k],
                                      spectrum.eigenvectors[:, k])

@@ -16,7 +16,7 @@ from diracfem.analysis import (
     tau_rule_residual,
     truncate_to_genuine,
 )
-from diracfem.assembly import SCHEME_HERMITE, assemble_hermite_galerkin
+from diracfem.assembly import SCHEME_HERMITE, assemble
 from diracfem.discretization import Mesh, build_exponential_mesh
 from diracfem.eigensolver import Spectrum, component_coefficients, solve
 from diracfem.errors import DegeneratePencilError
@@ -211,7 +211,7 @@ class TestSecondOrderResidual:
         params = OperatorParams(Z=12, kappa=-2)
         pot = point_nucleus(12.0)
         mesh = build_exponential_mesh(1e-6, 50.0, 200, 8.0)
-        spectrum = solve(assemble_hermite_galerkin(params, mesh, pot))
+        spectrum = solve(assemble(SCHEME_HERMITE, params, mesh, pot))
         ref = reference_spectrum(params, 10)
         cl = classify(spectrum.bindings[:10], ref, match_tol=1e-5)
         labels = [e.label for e in cl.entries]
@@ -236,13 +236,13 @@ class TestSupgWeakConsistency:
         # function (v, tau v') with the same quadrature: the weak residuals
         # must vanish at solver tolerance. This ties supg_residuals, the
         # reconstruction, and the assembled matrices together independently.
-        from diracfem.assembly import assemble_supg, compute_tau
-        from diracfem.discretization import hermite_interpolate, hermite_local, quadrature_for
+        from diracfem.assembly import SCHEME_SUPG, compute_tau
+        from diracfem.discretization import gauss_rule, hermite_interpolate, hermite_local
 
         params = OperatorParams(Z=2, kappa=1)
         mesh = build_exponential_mesh(1e-5, 30.0, 40, 6.0)
         pot = point_nucleus(2.0)
-        system = assemble_supg(params, mesh, pot)
+        system = assemble(SCHEME_SUPG, params, mesh, pot)
         spectrum = solve(system)
         tau = compute_tau(mesh).tau
         n = mesh.interior_count
@@ -266,9 +266,9 @@ class TestSupgWeakConsistency:
 
         weak_f = np.zeros(2 * n)  # (Re1, v) + (Re2, tau v') per f-test dof
         weak_g = np.zeros(2 * n)  # (Re2, v) + (Re1, tau v') per g-test dof
+        points, weights = gauss_rule(mesh)
         for e in range(1, mesh.element_count + 1):
-            rule = quadrature_for(mesh, e)
-            xq, wq = rule.points, rule.weights
+            xq, wq = points[e - 1], weights[e - 1]
             r1, r2 = re1(xq), re2(xq)
             shapes0 = hermite_local(mesh.h[e - 1], xq - mesh.nodes[e - 1], 0)
             shapes1 = hermite_local(mesh.h[e - 1], xq - mesh.nodes[e - 1], 1)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from dataclasses import fields
 
 import pytest
 
@@ -84,6 +85,41 @@ free_lower_slope = yes
             RunConfig(nucleus="extended").finalize()  # missing radius
         with pytest.raises(ConfigError):
             RunConfig(levels=0).finalize()
+
+
+#: Per RunConfig field: its flag, a raw value, and the value it parses to.
+FIELD_SAMPLES = {
+    "Z": ("--Z", "12", 12.0),
+    "kappa": ("--kappa", "-2", -2),
+    "abs_kappa": ("--abs-kappa", "2", 2),
+    "m": ("--m", "1.5", 1.5),
+    "c_value": ("--c-value", "100", 100.0),
+    "scheme": ("--scheme", "linear-galerkin", "linear-galerkin"),
+    "nucleus": ("--nucleus", "extended", "extended"),
+    "radius": ("--radius", "1e-4", 1e-4),
+    "a": ("--a", "1e-6", 1e-6),
+    "b": ("--b", "40", 40.0),
+    "n": ("--n", "50", 50),
+    "mesh_gamma": ("--mesh-gamma", "7.5", 7.5),
+    "levels": ("--levels", "4", 4),
+    "match_tol": ("--match-tol", "1e-4", 1e-4),
+    "reality_tol": ("--reality-tol", "1e-7", 1e-7),
+    "free_lower_slope": ("--free-lower-slope", "yes", True),
+    "mode": ("--mode", "coincidence", "coincidence"),
+    "format": ("--format", "csv", "csv"),
+    "out": ("--out", "result.txt", "result.txt"),
+    "n_list": ("--n-list", "50,100", (50, 100)),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_every_field_settable_from_file_and_flag(name, tmp_path):
+    flag, raw, value = FIELD_SAMPLES[name]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{name} = {raw}\n")
+    assert load_config_file(str(path)) == {name: value}
+    argv = [flag] if value is True else [flag, raw]
+    assert vars(cli._make_parser().parse_args(argv))[name] == value
 
 
 class TestMain:

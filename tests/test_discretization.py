@@ -6,12 +6,13 @@ import pytest
 from diracfem.discretization import (
     BasisFamily,
     BasisKind,
+    Mesh,
     build_exponential_mesh,
     eval_hat,
     eval_hermite,
+    gauss_rule,
     hermite_interpolation_error_order,
     hermite_interpolation_max_error,
-    quadrature_for,
 )
 from diracfem.errors import PhysicsError
 
@@ -41,6 +42,29 @@ class TestMesh:
         assert mesh.nodes[-1] == 60.0
         assert np.all(np.diff(mesh.nodes) > 0)
 
+    @pytest.mark.parametrize("a, b, n, nodes", [
+        (0.5, 0.9, 1, [0.5, 0.4, 0.9]),        # nodes not increasing
+        (0.5, 0.9, 1, [0.5, 0.5, 0.9]),        # repeated node
+        (0.5, 0.9, 2, [0.5, 0.7, 0.9]),        # interior count disagrees
+        (0.5, 0.9, 1, [0.4, 0.7, 0.9]),        # first node is not a
+        (0.5, 0.9, 1, [0.5, 0.7, 1.0]),        # last node is not b
+        (0.5, 0.9, 1, [0.5, float("nan"), 0.9]),
+    ])
+    def test_direct_construction_validated(self, a, b, n, nodes):
+        with pytest.raises(PhysicsError):
+            Mesh(a=a, b=b, interior_count=n, gamma=0.0, nodes=np.array(nodes))
+
+    def test_direct_construction_copies_nodes(self):
+        nodes = np.array([0.5, 0.7, 0.9])
+        mesh = Mesh(a=0.5, b=0.9, interior_count=1, gamma=0.0, nodes=nodes)
+        assert nodes.flags.writeable
+        assert not mesh.nodes.flags.writeable
+        nodes[1] = 0.6
+        assert mesh.nodes[1] == 0.7
+        # any array-like of numbers is accepted and stored as floats
+        ints = Mesh(a=0, b=2, interior_count=1, gamma=0.0, nodes=[0, 1, 2])
+        assert ints.nodes.dtype == np.float64
+
     def test_invalid_domain(self):
         with pytest.raises(PhysicsError):
             build_exponential_mesh(0.0, 1.0, 5, 6.0)
@@ -54,37 +78,27 @@ class TestMesh:
 
 class TestQuadrature:
     def test_degree_seven_exact(self):
-        from diracfem.discretization import Mesh
-
         unit = Mesh(a=0.0, b=1.0, interior_count=0, gamma=0.0, nodes=np.array([0.0, 1.0]))
-        rule = quadrature_for(unit, 1)
-        assert rule.integrate(lambda x: x**7) == pytest.approx(1.0 / 8.0, abs=1e-15)
+        points, weights = gauss_rule(unit)
+        assert np.dot(weights[0], points[0]**7) == pytest.approx(1.0 / 8.0, abs=1e-15)
 
     def test_weights_sum_to_element_length(self):
         mesh = build_exponential_mesh(1e-5, 50.0, 10, 6.0)
+        points, weights = gauss_rule(mesh)
+        assert points.shape == weights.shape == (mesh.element_count, 4)
         for e in (1, 5, 11):
-            rule = quadrature_for(mesh, e)
-            assert np.all(rule.weights > 0)
-            assert rule.weights.sum() == pytest.approx(mesh.h[e - 1], rel=1e-14)
+            assert np.all(weights[e - 1] > 0)
+            assert weights[e - 1].sum() == pytest.approx(mesh.h[e - 1], rel=1e-14)
 
     def test_reference_abscissae_match_independent_rootfinder(self):
         # roots of the degree-4 Legendre polynomial (35x^4 - 30x^2 + 3)/8,
         # found independently with numpy's companion-matrix root solver
         roots = np.sort(np.roots([35.0 / 8.0, 0.0, -30.0 / 8.0, 0.0, 3.0 / 8.0]))
-        from diracfem.discretization import Mesh
-
         unit = Mesh(a=-1.0, b=1.0, interior_count=0, gamma=0.0, nodes=np.array([-1.0, 1.0]))
-        rule = quadrature_for(unit, 1)
-        np.testing.assert_allclose(np.sort(rule.points), roots, atol=1e-12)
-        assert abs(rule.points[1]) == pytest.approx(0.3399810435848563, abs=1e-12)
-        assert abs(rule.points[0]) == pytest.approx(0.8611363115940526, abs=1e-12)
-
-    def test_out_of_range_element(self):
-        mesh = build_exponential_mesh(1e-5, 50.0, 4, 6.0)
-        with pytest.raises(IndexError):
-            quadrature_for(mesh, 0)
-        with pytest.raises(IndexError):
-            quadrature_for(mesh, 6)
+        points = gauss_rule(unit)[0][0]
+        np.testing.assert_allclose(np.sort(points), roots, atol=1e-12)
+        assert abs(points[1]) == pytest.approx(0.3399810435848563, abs=1e-12)
+        assert abs(points[0]) == pytest.approx(0.8611363115940526, abs=1e-12)
 
 
 class TestHatBasis:

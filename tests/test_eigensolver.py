@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from diracfem.assembly import (
+    SCHEME_HERMITE,
     SCHEME_LINEAR,
     SCHEME_SUPG,
     AssembledSystem,
-    assemble_hermite_galerkin,
-    assemble_linear_galerkin,
-    assemble_supg,
+    assemble,
 )
 from diracfem.discretization import build_exponential_mesh
 from diracfem.eigensolver import (
@@ -83,14 +82,14 @@ class TestToyPencils:
         params = OperatorParams(Z=2, kappa=1)
         mesh = build_exponential_mesh(1e-5, 30.0, 24, 6.0)
         with pytest.raises(ComplexSpectrumError):
-            solve(assemble_supg(params, mesh, point_nucleus(2.0)))
+            solve(assemble(SCHEME_SUPG, params, mesh, point_nucleus(2.0)))
 
 
 @pytest.fixture(scope="module")
 def hydrogen_solution():
     params = OperatorParams(Z=1, kappa=-1)
     mesh = build_exponential_mesh(1e-5, 60.0, 60, 6.0)
-    system = assemble_hermite_galerkin(params, mesh, point_nucleus(1.0))
+    system = assemble(SCHEME_HERMITE, params, mesh, point_nucleus(1.0))
     return params, system, solve(system)
 
 
@@ -147,7 +146,7 @@ class TestRealSystems:
         mesh = build_exponential_mesh(1e-6, 40.0, 60, 8.0)
         for kappa in (1, -1):
             params = OperatorParams(Z=1, kappa=kappa)
-            system = assemble_supg(params, mesh, point_nucleus(1.0))
+            system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(1.0))
             lo, hi = bound_window(params, 3)
             dense = solve(system)
             windowed = solve(system, window=(lo, hi))
@@ -219,7 +218,7 @@ class TestRealSystems:
     def test_supg_solution_real_here(self):
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 40.0, 100, 8.0)
-        system = assemble_supg(params, mesh, point_nucleus(1.0))
+        system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(1.0))
         spectrum = solve(system)
         assert spectrum.max_imag <= 1e-8 * params.rest_energy
         assert spectrum.bindings[0] == pytest.approx(-0.5000066566, abs=1e-4)
@@ -238,7 +237,7 @@ class TestRealSystems:
     def test_linear_scheme_has_no_slopes(self):
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 40.0, 30, 5.0)
-        spectrum = solve(assemble_linear_galerkin(params, mesh, point_nucleus(1.0)))
+        spectrum = solve(assemble(SCHEME_LINEAR, params, mesh, point_nucleus(1.0)))
         values, slopes = component_coefficients(spectrum, 0, "f")
         assert slopes is None
         assert values.shape == (30,)
@@ -249,8 +248,8 @@ class TestRealSystems:
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 60.0, 60, 6.0)
         pot = point_nucleus(1.0)
-        fixed = solve(assemble_hermite_galerkin(params, mesh, pot))
-        free = solve(assemble_hermite_galerkin(params, mesh, pot, free_lower_slope=True))
+        fixed = solve(assemble(SCHEME_HERMITE, params, mesh, pot))
+        free = solve(assemble(SCHEME_HERMITE, params, mesh, pot, free_lower_slope=True))
         exact = -0.50000665659
         assert abs(free.bindings[0] - exact) < 0.01 * abs(fixed.bindings[0] - exact)
         values, slopes = component_coefficients(free, 0, "f")
@@ -263,8 +262,8 @@ class TestRealSystems:
 
         params = OperatorParams(Z=92, kappa=-1)
         mesh = build_exponential_mesh(1e-7, 1.0, 150, 9.0)
-        point_spec = solve(assemble_hermite_galerkin(params, mesh, point_nucleus(92.0)))
-        ext_spec = solve(assemble_hermite_galerkin(
+        point_spec = solve(assemble(SCHEME_HERMITE, params, mesh, point_nucleus(92.0)))
+        ext_spec = solve(assemble(SCHEME_HERMITE,
             params, mesh, extended_nucleus(92.0, 1.4e-4)))
         point_exact = reference_binding(params, 0).binding
         assert point_spec.bindings[0] == pytest.approx(point_exact, rel=1e-4)
