@@ -39,8 +39,6 @@ from .discretization import (
     BasisKind,
     Mesh,
     build_exponential_mesh,
-    eval_hat,
-    eval_hermite,
     gauss_rule,
     hermite_interpolation_error_order,
 )

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .discretization import BasisFamily, BasisKind, Mesh, gauss_rule, hat_local, hermite_local
 from .physics import OperatorParams, PotentialModel, potential_value
@@ -78,11 +79,16 @@ def compute_tau(mesh: Mesh) -> StabilizationProfile:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """One generalized eigenproblem lhs*X = lambda*rhs*X with its provenance."""
+    """One generalized eigenproblem lhs*X = lambda*rhs*X with its provenance.
+
+    The pencil is stored sparse (``lhs_csc``, ``rhs_csc``, read-only);
+    ``lhs`` and ``rhs`` are dense C-ordered copies for the full-spectrum
+    solve and for tests.
+    """
 
     scheme: str
-    lhs: np.ndarray
-    rhs: np.ndarray
+    lhs_csc: scipy.sparse.csc_array
+    rhs_csc: scipy.sparse.csc_array
     dof_blocks: tuple[tuple[str, int], ...]
     params: OperatorParams
     mesh: Mesh
@@ -90,12 +96,21 @@ class AssembledSystem:
     tau: StabilizationProfile | None = None
 
     def __post_init__(self):
-        self.lhs.setflags(write=False)
-        self.rhs.setflags(write=False)
+        for matrix in (self.lhs_csc, self.rhs_csc):
+            for part in (matrix.data, matrix.indices, matrix.indptr):
+                part.setflags(write=False)
+
+    @property
+    def lhs(self) -> np.ndarray:
+        return _dense_view(self.lhs_csc)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return _dense_view(self.rhs_csc)
 
     @property
     def size(self) -> int:
-        return self.lhs.shape[0]
+        return self.lhs_csc.shape[0]
 
     @property
     def dof_layout(self) -> tuple[str, ...]:
@@ -108,6 +123,12 @@ class AssembledSystem:
                 return slice(start, start + width)
             start += width
         raise KeyError(name)
+
+
+def _dense_view(matrix: scipy.sparse.csc_array) -> np.ndarray:
+    dense = matrix.toarray(order="C")
+    dense.setflags(write=False)
+    return dense
 
 
 # --- block kernel ------------------------------------------------------------
@@ -139,10 +160,27 @@ def _dof_table(n: int, hermite: bool, free_lower_slope: bool) -> np.ndarray:
     return np.concatenate([per_node[:-1], per_node[1:]], axis=1)
 
 
+def _block_pattern(dofs: np.ndarray):
+    """CSC pattern of one component block and each local entry's slot in it.
+
+    Returns (indices, indptr, pos): ``pos[e, a, b]`` is the data slot of
+    the (test a, trial b) entry of element e, and the padding slot nnz
+    where either dof is eliminated.
+    """
+    size = int(dofs.max()) + 1
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    active = (rows >= 0) & (cols >= 0)
+    keys, slots = np.unique(cols[active] * size + rows[active], return_inverse=True)
+    pos = np.full(rows.shape, len(keys))
+    pos[active] = slots
+    indptr = np.searchsorted(keys // size, np.arange(size + 1))
+    return keys % size, indptr, pos
+
+
 def _assemble_block(spec: BlockMatrixSpec, basis: BasisFamily, potential: PotentialModel,
                     tau: StabilizationProfile | None = None,
-                    free_lower_slope: bool = False) -> np.ndarray:
-    """Dense block matrix over the active dofs of one spinor component."""
+                    free_lower_slope: bool = False) -> scipy.sparse.csc_array:
+    """Sparse block matrix over the active dofs of one spinor component."""
     mesh = basis.mesh
     hermite = basis.kind is BasisKind.CUBIC_HERMITE
     x, w = gauss_rule(mesh)
@@ -155,12 +193,13 @@ def _assemble_block(spec: BlockMatrixSpec, basis: BasisFamily, potential: Potent
     trial = np.stack(shapes(h, s, spec.s), axis=1)
     local = np.einsum("eq,eaq,ebq->eab", w, test, trial)
     dofs = _dof_table(mesh.interior_count, hermite, free_lower_slope)
-    size = dofs.max() + 1
-    # eliminated dofs (-1) land in a padding row and column that is cut off;
-    # unbuffered adds in element order sum each entry as an element loop would
-    out = np.zeros((size + 1, size + 1))
-    np.add.at(out, (dofs[:, :, None], dofs[:, None, :]), local)
-    return out[:-1, :-1]
+    indices, indptr, pos = _block_pattern(dofs)
+    # eliminated dofs land in a padding slot that is cut off; unbuffered
+    # adds in element order sum each entry as an element loop would
+    data = np.zeros(len(indices) + 1)
+    np.add.at(data, pos, local)
+    size = len(indptr) - 1
+    return scipy.sparse.csc_array((data[:-1], indices, indptr), shape=(size, size))
 
 
 # --- schemes as tables of block terms ----------------------------------------
@@ -211,7 +250,8 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     schemes take no ``tau``. Boundary conditions eliminate the value and
     slope dofs at both endpoints; ``free_lower_slope`` keeps the Hermite
     slope dof at the lower endpoint instead (the physically correct choice
-    for |kappa| = 1).
+    for |kappa| = 1). The hat basis has no slope dof, so linear-galerkin
+    rejects it. The pencil is returned in CSC form.
     """
     if scheme not in _SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -222,32 +262,35 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
             raise ValueError("stabilization profile length does not match the mesh")
     elif tau is not None:
         raise ValueError(f"scheme {scheme!r} takes no stabilization profile")
+    if free_lower_slope and kind is BasisKind.LINEAR_HAT:
+        raise ValueError(f"scheme {scheme!r} has no slope dof to free")
     basis = BasisFamily(kind=kind, mesh=mesh)
-    n = mesh.interior_count
-    m = int(_dof_table(n, kind is BasisKind.CUBIC_HERMITE, free_lower_slope).max()) + 1
-    pencil = {"lhs": np.zeros((2 * m, 2 * m)), "rhs": np.zeros((2 * m, 2 * m))}
     c, k, mc2 = params.c, params.kappa, params.rest_energy
-    # each distinct block is built at its first term and dropped after its last
-    last_use = {(spec, weighted): i for i, (*_, spec, _, weighted) in enumerate(terms)}
-    blocks, started = {}, set()
-    for i, (matrix, row, col, spec, coefficient, weighted) in enumerate(terms):
+    blocks, parts = {}, {}  # (spec, tau-weighted) -> block; (matrix, row, col) -> data
+    for matrix, row, col, spec, coefficient, weighted in terms:
         key = (spec, weighted)
         if key not in blocks:
             blocks[key] = _assemble_block(spec, basis, potential, tau if weighted else None,
                                           free_lower_slope)
-        block = blocks.pop(key) if last_use[key] == i else blocks[key]
-        view = pencil[matrix][row * m:(row + 1) * m, col * m:(col + 1) * m]
-        # a block's first term is stored, not added to zero, which would
+        term = coefficient(c, k, mc2) * blocks[key].data
+        # a part's first term is stored, not added to zero, which would
         # turn its -0.0 entries into +0.0
-        if (matrix, row, col) in started:
-            view += coefficient(c, k, mc2) * block
+        if (matrix, row, col) in parts:
+            parts[matrix, row, col] += term
         else:
-            np.multiply(coefficient(c, k, mc2), block, out=view)
-            started.add((matrix, row, col))
+            parts[matrix, row, col] = term
+    pattern = next(iter(blocks.values()))  # every block shares the element pattern
+    grids = {"lhs": [[None, None], [None, None]], "rhs": [[None, None], [None, None]]}
+    for (matrix, row, col), data in parts.items():
+        grids[matrix][row][col] = scipy.sparse.csc_array(
+            (data, pattern.indices, pattern.indptr), shape=pattern.shape)
+    lhs, rhs = (scipy.sparse.block_array(grids[name], format="csc") for name in ("lhs", "rhs"))
+    m = pattern.shape[0]
+    n = mesh.interior_count
     if kind is BasisKind.LINEAR_HAT:
         dof_blocks = (("zeta", n), ("xi", n))
     else:
         dof_blocks = (("zeta", n), ("zeta_prime", m - n), ("xi", n), ("xi_prime", m - n))
-    return AssembledSystem(scheme=scheme, lhs=pencil["lhs"], rhs=pencil["rhs"],
+    return AssembledSystem(scheme=scheme, lhs_csc=lhs, rhs_csc=rhs,
                            dof_blocks=dof_blocks, params=params, mesh=mesh,
                            potential=potential, tau=tau)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from . import analysis
 from .analysis import Label, classify, coincidence_report, truncate_to_genuine
-from .assembly import SCHEME_SUPG, SCHEMES, assemble, compute_tau
+from .assembly import SCHEME_LINEAR, SCHEME_SUPG, SCHEMES, assemble, compute_tau
 from .discretization import build_exponential_mesh
 from .eigensolver import bound_window, solve
 from .errors import ConfigError, InsufficientLevelsError, PhysicsError, SolverError
@@ -87,6 +87,10 @@ class RunConfig:
             raise ConfigError("n must be >= 1")
         if cfg.levels < 1:
             raise ConfigError("levels must be >= 1")
+        schemes = SCHEMES if cfg.mode == "compare-schemes" else (cfg.scheme,)
+        if cfg.free_lower_slope and SCHEME_LINEAR in schemes:
+            raise ConfigError("free_lower_slope applies to the Hermite schemes only: "
+                              f"{SCHEME_LINEAR} has no slope dof")
         if cfg.a is None:
             cfg.a = 1e-5
         if cfg.b is None:

@@ -143,14 +143,15 @@ def solve(system: AssembledSystem, reality_tol: float = DEFAULT_REALITY_TOL,
     inside (lo, hi): a sparse shift-invert solve (see ``_solve_window``)
     whose reality check covers the eigenvalues it computed.
     """
-    mc2 = system.params.rest_energy
-    shifted = system.lhs - mc2 * system.rhs
     zeta_width = dict(system.dof_blocks)["zeta"]
     if window is not None:
-        return _solve_window(system, shifted, window, reality_tol, zeta_width)
+        return _solve_window(system, window, reality_tol, zeta_width)
 
+    mc2 = system.params.rest_energy
+    rhs = system.rhs
+    shifted = system.lhs - mc2 * rhs
     if system.scheme == SCHEME_SUPG:
-        mu, vecs = scipy.linalg.eig(shifted, system.rhs, right=True)
+        mu, vecs = scipy.linalg.eig(shifted, rhs, right=True)
         finite = np.isfinite(mu)
         if not finite.any():
             raise SingularSystemError("no finite eigenvalues: rhs numerically singular")
@@ -160,33 +161,35 @@ def solve(system: AssembledSystem, reality_tol: float = DEFAULT_REALITY_TOL,
         mu, vecs = mu.real[order], vecs[:, order]
         # strip the residual complex phase before normalizing
         bound = (mu > -2.0 * mc2) & (mu < 0.0)
-        vectors = _fix_vector_signs(_strip_phase(vecs[:, bound]), system.rhs, zeta_width)
+        vectors = _fix_vector_signs(_strip_phase(vecs[:, bound]), rhs, zeta_width)
     else:
         try:
-            mu, vecs = scipy.linalg.eigh(shifted, system.rhs)
+            mu, vecs = scipy.linalg.eigh(shifted, rhs)
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(f"symmetric-definite solve failed: {exc}") from exc
         max_imag = 0.0
         bound = (mu > -2.0 * mc2) & (mu < 0.0)
-        vectors = _fix_vector_signs(vecs[:, bound], system.rhs, zeta_width)
+        vectors = _fix_vector_signs(vecs[:, bound], rhs, zeta_width)
 
     return Spectrum(scheme=system.scheme, bindings=mu[bound], raw=mu + mc2,
                     max_imag=max_imag, params=system.params,
                     dof_blocks=system.dof_blocks, eigenvectors=vectors)
 
 
-def _solve_window(system: AssembledSystem, shifted: np.ndarray, window: tuple[float, float],
-                  reality_tol: float, zeta_width: int) -> Spectrum:
+def _solve_window(system: AssembledSystem, window: tuple[float, float], reality_tol: float,
+                  zeta_width: int) -> Spectrum:
     """Shift-invert Arnoldi solve certified complete on the binding window.
 
-    The shift sigma is the window midpoint; ``(shifted - sigma*rhs)`` is
-    factored once with SuperLU, and ARPACK finds the k largest-magnitude
+    The shift sigma is the window midpoint; the CSC matrix
+    ``shifted - sigma*rhs``, with ``shifted = lhs - m*c^2*rhs``, is factored
+    once with SuperLU, and ARPACK finds the k largest-magnitude
     eigenvalues theta of ``x -> (shifted - sigma*rhs)^-1 rhs x``, i.e. the k
     bindings mu = sigma + 1/theta nearest sigma. k starts at
     WINDOW_FIRST_K and doubles until the farthest returned |mu - sigma|
     exceeds the half-width: every eigenvalue of the window then lies
     inside the disk the solve exhausted. A fixed start vector makes
-    repeated solves bit-identical.
+    repeated solves bit-identical, and the number of operator
+    applications (one SuperLU solve each) deterministic.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -196,14 +199,20 @@ def _solve_window(system: AssembledSystem, shifted: np.ndarray, window: tuple[fl
     if size < 3:
         raise SolverError(f"pencil of size {size} is too small for a windowed solve")
     sigma, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    a = scipy.sparse.csc_array(shifted)
-    b = scipy.sparse.csc_array(system.rhs)
+    b = system.rhs_csc
+    a = system.lhs_csc - mc2 * b
     try:
         lu = scipy.sparse.linalg.splu(a - sigma * b)
     except RuntimeError as exc:
         raise SingularSystemError(f"shifted pencil singular at sigma={sigma}: {exc}") from exc
-    op = scipy.sparse.linalg.LinearOperator((size, size), matvec=lambda x: lu.solve(b @ x),
-                                            dtype=float)
+    ops = 0
+
+    def apply(x):
+        nonlocal ops
+        ops += 1
+        return lu.solve(b @ x)
+
+    op = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply, dtype=float)
     v0 = np.ones(size)
     k, rounds = min(WINDOW_FIRST_K, size - 2), 0
     while True:
@@ -222,8 +231,8 @@ def _solve_window(system: AssembledSystem, shifted: np.ndarray, window: tuple[fl
 
     lam = mu + mc2
     max_imag = float(np.max(np.abs(lam.imag)))
-    _log.debug("windowed solve: N=%d nnz=%d window=(%r, %r) sigma=%r k=%d rounds=%d "
-               "max_imag=%.3g", size, a.nnz, lo, hi, sigma, k, rounds, max_imag)
+    _log.debug("windowed solve: N=%d nnz=%d window=(%r, %r) sigma=%r k=%d rounds=%d ops=%d "
+               "max_imag=%.3g", size, a.nnz, lo, hi, sigma, k, rounds, ops, max_imag)
     _check_reality(lam, reality_tol)
     order = np.argsort(mu.real)
     mu, vecs = mu.real[order], vecs[:, order]
@@ -269,6 +278,7 @@ def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarr
     """Relative residual of one eigenpair against the assembled pencil."""
     mc2 = system.params.rest_energy
     lam = binding + mc2
-    r = (system.lhs - mc2 * system.rhs) @ vector - binding * (system.rhs @ vector)
-    scale = (np.linalg.norm(system.lhs) + abs(lam) * np.linalg.norm(system.rhs))
+    lhs, rhs = system.lhs_csc, system.rhs_csc
+    r = (lhs - mc2 * rhs) @ vector - binding * (rhs @ vector)
+    scale = scipy.sparse.linalg.norm(lhs) + abs(lam) * scipy.sparse.linalg.norm(rhs)
     return float(np.linalg.norm(r) / (scale * np.linalg.norm(vector)))

@@ -1,8 +1,9 @@
-"""Entrywise oracles the block assembly is checked against.
+"""Pointwise and entrywise oracles the basis and the block assembly are checked against.
 
-``element_integral`` evaluates one block-matrix entry straight from the
-basis functions of its two dofs; ``closed_form_element_entries`` gives the
-exact polynomial integrals the 4-point rule must reproduce.
+``eval_hat`` and ``eval_hermite`` evaluate one global basis function of a
+node; ``element_integral`` evaluates one block-matrix entry straight from
+the basis functions of its two dofs; ``closed_form_element_entries`` gives
+the exact polynomial integrals the 4-point rule must reproduce.
 """
 
 import numpy as np
@@ -17,6 +18,70 @@ from diracfem.discretization import (
     hermite_local,
 )
 from diracfem.physics import PotentialModel
+
+
+def _node_branches(mesh: Mesh, j: int, x):
+    """Masks selecting the two support elements of node j.
+
+    Points exactly on a node belong to the element on their left, so values
+    at x_j come from I_j and at x_{j+1} from I_{j+1}; everything outside
+    [x_{j-1}, x_{j+1}] evaluates to exactly zero.
+    """
+    nodes = mesh.nodes
+    x = np.asarray(x, dtype=float)
+    left = (x > nodes[j - 1]) & (x <= nodes[j]) if j >= 1 else np.zeros(x.shape, bool)
+    if j + 1 <= mesh.interior_count + 1:
+        right = (x > nodes[j]) & (x <= nodes[j + 1])
+    else:
+        right = np.zeros(x.shape, bool)
+    return x, left, right
+
+
+def eval_hat(basis: BasisFamily, j: int, x, order: int = 0):
+    """Evaluate hat function j (interior node index, 1..n) or its derivative."""
+    if basis.kind is not BasisKind.LINEAR_HAT:
+        raise ValueError("eval_hat requires a LINEAR_HAT basis")
+    if order not in (0, 1):
+        raise ValueError(f"unsupported derivative order {order} for linear hats")
+    _check_node(basis.mesh, j)
+    x, left, right = _node_branches(basis.mesh, j, x)
+    nodes, h = basis.mesh.nodes, basis.mesh.h
+    out = np.zeros(x.shape, dtype=float)
+    if left.any():
+        out[left] = hat_local(h[j - 1], x[left] - nodes[j - 1], order)[1]
+    if right.any():
+        out[right] = hat_local(h[j], x[right] - nodes[j], order)[0]
+    return out if out.shape else float(out)
+
+
+def eval_hermite(basis: BasisFamily, j: int, part: str, x, order: int = 0):
+    """Evaluate Hermite function of node j or its first derivative.
+
+    ``part`` selects the value-interpolating ("value") or the
+    slope-interpolating ("slope") member of the pair at node j.
+    """
+    if basis.kind is not BasisKind.CUBIC_HERMITE:
+        raise ValueError("eval_hermite requires a CUBIC_HERMITE basis")
+    if order not in (0, 1):
+        raise ValueError(f"unsupported derivative order {order} for eval_hermite")
+    if part not in ("value", "slope"):
+        raise ValueError(f"part must be 'value' or 'slope', got {part!r}")
+    _check_node(basis.mesh, j, allow_boundary=True)
+    x, left, right = _node_branches(basis.mesh, j, x)
+    nodes, h = basis.mesh.nodes, basis.mesh.h
+    sel = 2 if part == "value" else 3  # right-node pieces of the left element
+    out = np.zeros(x.shape, dtype=float)
+    if left.any():
+        out[left] = hermite_local(h[j - 1], x[left] - nodes[j - 1], order)[sel]
+    if right.any():
+        out[right] = hermite_local(h[j], x[right] - nodes[j], order)[sel - 2]
+    return out if out.shape else float(out)
+
+
+def _check_node(mesh: Mesh, j: int, allow_boundary: bool = False):
+    lo, hi = (0, mesh.interior_count + 1) if allow_boundary else (1, mesh.interior_count)
+    if not (lo <= j <= hi):
+        raise IndexError(f"node index {j} out of range {lo}..{hi}")
 
 
 def element_integral(spec: BlockMatrixSpec, basis: BasisFamily, potential: PotentialModel,

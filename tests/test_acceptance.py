@@ -29,14 +29,13 @@ from diracfem.discretization import (
     BasisFamily,
     BasisKind,
     build_exponential_mesh,
-    eval_hermite,
     hermite_interpolation_error_order,
 )
 from diracfem.eigensolver import bound_states, bound_window, eigenpair_residual, solve
 from diracfem.physics import OperatorParams, point_nucleus, reference_binding, reference_spectrum
 
 from conftest import random_mesh
-from oracles import closed_form_element_entries
+from oracles import closed_form_element_entries, eval_hermite
 
 
 def verdict(num, ok, message):
@@ -138,7 +137,7 @@ def test_criterion_02_element_integral_oracle():
     for _ in range(100):
         mesh = random_mesh(rng, n=n, lo=0.05, hi=2.0, start=rng.uniform(0.1, 3.0))
         basis = BasisFamily(BasisKind.CUBIC_HERMITE, mesh)
-        blocks = {name: _assemble_block(spec, basis, pot)
+        blocks = {name: _assemble_block(spec, basis, pot).toarray()
                   for name, spec in POLY_SPECS.items()}
         for j in range(2, n):  # rows with all six neighbour columns active
             entries = closed_form_element_entries(mesh, j)
@@ -351,7 +350,7 @@ def test_criterion_09_property_suite(hydrogen_runs):
             assert np.linalg.eigvalsh(system.rhs).min() > 0
 
         basis = BasisFamily(BasisKind.LINEAR_HAT, mesh)
-        m010 = _assemble_block(BlockMatrixSpec(0, 1, 0), basis, pot)
+        m010 = _assemble_block(BlockMatrixSpec(0, 1, 0), basis, pot).toarray()
         assert np.max(np.abs(m010 + m010.T)) <= 1e-12 * np.max(np.abs(m010))
 
         hbasis = BasisFamily(BasisKind.CUBIC_HERMITE, mesh)

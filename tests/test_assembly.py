@@ -120,7 +120,7 @@ class TestBlockKernelProperties:
         pot = point_nucleus(2.0)
         m = basis.dof_count
         for spec in ALL_SPECS:
-            block = _assemble_block(spec, basis, pot)
+            block = _assemble_block(spec, basis, pot).toarray()
             want = np.array([[element_integral(spec, basis, pot, i, j) for j in range(m)]
                              for i in range(m)])
             # entries that cancel to zero (the hat M010 diagonal is 1/2 - 1/2)
@@ -137,8 +137,8 @@ class TestBlockKernelProperties:
         ones = StabilizationProfile(tau=np.ones(mesh.element_count))
         for spec in ALL_SPECS:
             np.testing.assert_array_equal(
-                _assemble_block(spec, basis, pot, tau=ones, free_lower_slope=free),
-                _assemble_block(spec, basis, pot, free_lower_slope=free))
+                _assemble_block(spec, basis, pot, tau=ones, free_lower_slope=free).toarray(),
+                _assemble_block(spec, basis, pot, free_lower_slope=free).toarray())
 
     @PROPERTY
     @given(mesh=meshes())
@@ -149,8 +149,8 @@ class TestBlockKernelProperties:
         pot = point_nucleus(2.0)
         n = mesh.interior_count
         for spec in ALL_SPECS:
-            free = _assemble_block(spec, basis, pot, free_lower_slope=True)
-            fixed = _assemble_block(spec, basis, pot)
+            free = _assemble_block(spec, basis, pot, free_lower_slope=True).toarray()
+            fixed = _assemble_block(spec, basis, pot).toarray()
             np.testing.assert_array_equal(np.delete(np.delete(free, n, 0), n, 1), fixed)
 
     @PROPERTY
@@ -212,7 +212,7 @@ class TestSchemes:
     def test_m010_antisymmetric(self, hyd_setup):
         params, mesh, pot = hyd_setup
         basis = BasisFamily(BasisKind.LINEAR_HAT, mesh)
-        m010 = _assemble_block(BlockMatrixSpec(0, 1, 0), basis, pot)
+        m010 = _assemble_block(BlockMatrixSpec(0, 1, 0), basis, pot).toarray()
         assert np.max(np.abs(m010 + m010.T)) < 1e-12 * np.max(np.abs(m010))
 
     def test_hermite_shapes_and_symmetry(self, hyd_setup):
@@ -265,6 +265,12 @@ class TestSchemes:
         for scheme in (SCHEME_LINEAR, SCHEME_HERMITE):
             with pytest.raises(ValueError):
                 assemble(scheme, params, mesh, pot, tau=tau)
+
+    def test_linear_rejects_free_lower_slope(self, hyd_setup):
+        # the hat basis has no slope dof: the flag cannot be honoured
+        params, mesh, pot = hyd_setup
+        with pytest.raises(ValueError, match="slope"):
+            assemble(SCHEME_LINEAR, params, mesh, pot, free_lower_slope=True)
 
     def test_supg_rejects_mismatched_tau(self, hyd_setup):
         params, mesh, pot = hyd_setup

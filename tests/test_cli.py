@@ -86,6 +86,14 @@ free_lower_slope = yes
         with pytest.raises(ConfigError):
             RunConfig(levels=0).finalize()
 
+    def test_free_lower_slope_needs_a_hermite_scheme(self):
+        # the hat basis has no slope dof, so the flag would be dropped
+        for overrides in ({"scheme": "linear-galerkin"}, {"mode": "compare-schemes"}):
+            with pytest.raises(ConfigError, match="free_lower_slope"):
+                RunConfig(free_lower_slope=True, **overrides).finalize()
+        for scheme in ("hermite-galerkin", "hermite-supg"):
+            assert RunConfig(scheme=scheme, free_lower_slope=True).finalize().free_lower_slope
+
 
 #: Per RunConfig field: its flag, a raw value, and the value it parses to.
 FIELD_SAMPLES = {
@@ -128,6 +136,14 @@ class TestMain:
         cfg.write_text("scheme = fancy\n")
         out = tmp_path / "result.csv"
         code = main(["--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_linear_free_lower_slope_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "result.csv"
+        code = main(["--Z", "1", "--n", "60", "--scheme", "linear-galerkin",
+                     "--free-lower-slope", "--format", "csv", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert "config error" in capsys.readouterr().err

@@ -8,8 +8,6 @@ from diracfem.discretization import (
     BasisKind,
     Mesh,
     build_exponential_mesh,
-    eval_hat,
-    eval_hermite,
     gauss_rule,
     hermite_interpolation_error_order,
     hermite_interpolation_max_error,
@@ -17,6 +15,7 @@ from diracfem.discretization import (
 from diracfem.errors import PhysicsError
 
 from conftest import random_mesh
+from oracles import eval_hat, eval_hermite
 
 
 class TestMesh:

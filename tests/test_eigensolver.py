@@ -1,7 +1,9 @@
 import logging
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from diracfem.assembly import (
     SCHEME_HERMITE,
@@ -34,7 +36,8 @@ def toy_system(lhs, rhs, scheme=SCHEME_LINEAR):
     lhs = np.asarray(lhs, dtype=float)
     size = lhs.shape[0] // 2
     mesh = build_exponential_mesh(0.1, 10.0, max(size, 1), 1.0)
-    return AssembledSystem(scheme=scheme, lhs=lhs, rhs=np.asarray(rhs, dtype=float),
+    return AssembledSystem(scheme=scheme, lhs_csc=scipy.sparse.csc_array(lhs),
+                           rhs_csc=scipy.sparse.csc_array(np.asarray(rhs, dtype=float)),
                            dof_blocks=(("zeta", size), ("xi", lhs.shape[0] - size)),
                            params=TOY, mesh=mesh, potential=point_nucleus(1.0))
 
@@ -61,7 +64,8 @@ class TestToyPencils:
     def test_window_filter(self):
         # raw eigenvalues {-c^2 - 1, c^2 - 0.5, c^2 + 5}: one bound state
         lam = [-TOY.c**2 - 1.0, TOY.c**2 - 0.5, TOY.c**2 + 5.0]
-        sys3 = AssembledSystem(scheme=SCHEME_LINEAR, lhs=np.diag(lam), rhs=np.eye(3),
+        sys3 = AssembledSystem(scheme=SCHEME_LINEAR, lhs_csc=scipy.sparse.csc_array(np.diag(lam)),
+                               rhs_csc=scipy.sparse.csc_array(np.eye(3)),
                                dof_blocks=(("zeta", 2), ("xi", 1)), params=TOY,
                                mesh=build_exponential_mesh(0.1, 10.0, 2, 1.0),
                                potential=point_nucleus(1.0))
@@ -188,8 +192,10 @@ class TestRealSystems:
         (record,) = [r for r in caplog.records if r.name == "diracfem"]
         message = record.getMessage()
         for part in (f"N={system.size}", "nnz=", "window=(-1.0, -0.01)", "sigma=-0.505",
-                     "k=16", "rounds=1", "max_imag=0"):
+                     "k=16", "rounds=1", "ops=", "max_imag=0"):
             assert part in message
+        # ARPACK applies the operator at least once per Krylov vector
+        assert int(re.search(r"ops=(\d+)", message).group(1)) > 16
 
     def test_bound_window(self):
         for kappa in (2, -2):
