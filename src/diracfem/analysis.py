@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import SCHEME_LINEAR, assemble
 from .discretization import Mesh, build_exponential_mesh, gauss_rule, hermite_interpolate
-from .eigensolver import Spectrum, bound_window, solve
+from .eigensolver import DEFAULT_REALITY_TOL, Spectrum, bound_window, solve
 from .errors import CoefficientSingularityError, DegeneratePencilError
 from .physics import (
     OperatorParams,
@@ -342,7 +342,7 @@ def genuine_errors(classified: ClassifiedSpectrum, reference: list[ReferenceLeve
 def convergence_study(scheme: str, params: OperatorParams, potential: PotentialModel,
                       n_values, levels: int, *, a: float, b: float, gamma: float,
                       match_tol: float | None = None,
-                      reality_tol: float = 1e-8,
+                      reality_tol: float = DEFAULT_REALITY_TOL,
                       free_lower_slope: bool = False) -> ConvergenceStudy:
     """Solve on a refinement sequence, classify, and fit per-level orders.
 

@@ -12,6 +12,10 @@ whether the per-element stabilization parameter tau weights it. The
 stabilized scheme is the Galerkin table plus the tau-weighted terms, so
 with tau identically zero it gives the Galerkin system by construction.
 
+The coefficients are those of the binding-form pencil (A - mc^2 B, B) of
+the Dirac pencil (A, B): the rest energy cancels term by term here, so no
+bound level is ever computed as a small difference of energies near mc^2.
+
 Degree-of-freedom layout (boundary dofs eliminated):
   linear:   [f values at nodes 1..n | g values at nodes 1..n]
   Hermite:  [f values 1..n | f slopes 1..n | g values 1..n | g slopes 1..n]
@@ -79,11 +83,12 @@ def compute_tau(mesh: Mesh) -> StabilizationProfile:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """One generalized eigenproblem lhs*X = lambda*rhs*X with its provenance.
+    """One generalized eigenproblem lhs*X = mu*rhs*X with its provenance.
 
-    The pencil is stored sparse (``lhs_csc``, ``rhs_csc``, read-only);
-    ``lhs`` and ``rhs`` are dense C-ordered copies for the full-spectrum
-    solve and for tests.
+    The pencil is in binding form: its eigenvalues are the bindings
+    mu = lambda - m*c^2 of the Dirac energies lambda. It is stored sparse
+    (``lhs_csc``, ``rhs_csc``, read-only); ``lhs`` and ``rhs`` are dense
+    C-ordered copies for the full-spectrum solve and for tests.
     """
 
     scheme: str
@@ -115,14 +120,6 @@ class AssembledSystem:
     @property
     def dof_layout(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.dof_blocks)
-
-    def block_slice(self, name: str) -> slice:
-        start = 0
-        for label, width in self.dof_blocks:
-            if label == name:
-                return slice(start, start + width)
-            start += width
-        raise KeyError(name)
 
 
 def _dense_view(matrix: scipy.sparse.csc_array) -> np.ndarray:
@@ -160,59 +157,60 @@ def _dof_table(n: int, hermite: bool, free_lower_slope: bool) -> np.ndarray:
     return np.concatenate([per_node[:-1], per_node[1:]], axis=1)
 
 
-def _block_pattern(dofs: np.ndarray):
-    """CSC pattern of one component block and each local entry's slot in it.
+def _element_integrals(spec: BlockMatrixSpec, basis: BasisFamily, potential: PotentialModel,
+                       tau: StabilizationProfile | None = None) -> np.ndarray:
+    """(element, test a, trial b) integrals of one block integrand."""
+    mesh = basis.mesh
+    x, w = gauss_rule(mesh)
+    w = w * _weight_at(spec, potential, x)
+    if tau is not None:
+        w = w * tau.tau[:, None]
+    h, s = mesh.h[:, None], x - mesh.nodes[:-1, None]
+    shapes = hermite_local if basis.kind is BasisKind.CUBIC_HERMITE else hat_local
+    test = np.stack(shapes(h, s, spec.r), axis=1)
+    trial = np.stack(shapes(h, s, spec.s), axis=1)
+    return np.einsum("eq,eaq,ebq->eab", w, test, trial)
 
-    Returns (indices, indptr, pos): ``pos[e, a, b]`` is the data slot of
-    the (test a, trial b) entry of element e, and the padding slot nnz
-    where either dof is eliminated.
+
+def _scatter(dofs: np.ndarray, local: np.ndarray,
+             coupled: np.ndarray | bool = True) -> scipy.sparse.csc_array:
+    """CSC matrix summing each local entry (e, a, b) at (dofs[e, a], dofs[e, b]).
+
+    The pattern holds the local entries where ``coupled`` (a local
+    (a, b) mask) is true and neither dof is eliminated (-1). Unbuffered adds in element order sum
+    each entry as an element loop would.
     """
     size = int(dofs.max()) + 1
     rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-    active = (rows >= 0) & (cols >= 0)
+    active = (rows >= 0) & (cols >= 0) & coupled
     keys, slots = np.unique(cols[active] * size + rows[active], return_inverse=True)
-    pos = np.full(rows.shape, len(keys))
-    pos[active] = slots
+    data = np.zeros(len(keys))
+    np.add.at(data, slots, local[active])
     indptr = np.searchsorted(keys // size, np.arange(size + 1))
-    return keys % size, indptr, pos
+    return scipy.sparse.csc_array((data, keys % size, indptr), shape=(size, size))
 
 
 def _assemble_block(spec: BlockMatrixSpec, basis: BasisFamily, potential: PotentialModel,
                     tau: StabilizationProfile | None = None,
                     free_lower_slope: bool = False) -> scipy.sparse.csc_array:
     """Sparse block matrix over the active dofs of one spinor component."""
-    mesh = basis.mesh
-    hermite = basis.kind is BasisKind.CUBIC_HERMITE
-    x, w = gauss_rule(mesh)
-    w = w * _weight_at(spec, potential, x)
-    if tau is not None:
-        w = w * tau.tau[:, None]
-    h, s = mesh.h[:, None], x - mesh.nodes[:-1, None]
-    shapes = hermite_local if hermite else hat_local
-    test = np.stack(shapes(h, s, spec.r), axis=1)
-    trial = np.stack(shapes(h, s, spec.s), axis=1)
-    local = np.einsum("eq,eaq,ebq->eab", w, test, trial)
-    dofs = _dof_table(mesh.interior_count, hermite, free_lower_slope)
-    indices, indptr, pos = _block_pattern(dofs)
-    # eliminated dofs land in a padding slot that is cut off; unbuffered
-    # adds in element order sum each entry as an element loop would
-    data = np.zeros(len(indices) + 1)
-    np.add.at(data, pos, local)
-    size = len(indptr) - 1
-    return scipy.sparse.csc_array((data[:-1], indices, indptr), shape=(size, size))
+    dofs = _dof_table(basis.mesh.interior_count, basis.kind is BasisKind.CUBIC_HERMITE,
+                      free_lower_slope)
+    return _scatter(dofs, _element_integrals(spec, basis, potential, tau))
 
 
 # --- schemes as tables of block terms ----------------------------------------
 
 #: (matrix, row block, col block, integrand, coefficient(c, kappa, mc2), tau-weighted)
+#: of the pencil in binding form: lhs = A - mc2*B and rhs = B for the
+#: Dirac pencil A*x = lambda*B*x, so its eigenvalues are mu = lambda - mc2.
 _GALERKIN = (
-    ("lhs", 0, 0, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: mc2, False),
     ("lhs", 0, 0, BlockMatrixSpec(0, 0, 0, "V"), lambda c, k, mc2: 1.0, False),
     ("lhs", 0, 1, BlockMatrixSpec(0, 1, 0), lambda c, k, mc2: -c, False),
     ("lhs", 0, 1, BlockMatrixSpec(0, 0, 1), lambda c, k, mc2: c * k, False),
     ("lhs", 1, 0, BlockMatrixSpec(0, 1, 0), lambda c, k, mc2: c, False),
     ("lhs", 1, 0, BlockMatrixSpec(0, 0, 1), lambda c, k, mc2: c * k, False),
-    ("lhs", 1, 1, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: -mc2, False),
+    ("lhs", 1, 1, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: -2.0 * mc2, False),
     ("lhs", 1, 1, BlockMatrixSpec(0, 0, 0, "V"), lambda c, k, mc2: 1.0, False),
     ("rhs", 0, 0, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: 1.0, False),
     ("rhs", 1, 1, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: 1.0, False),
@@ -222,9 +220,8 @@ _GALERKIN = (
 _STABILIZED = (
     ("lhs", 0, 0, BlockMatrixSpec(1, 1, 0), lambda c, k, mc2: c, True),
     ("lhs", 0, 0, BlockMatrixSpec(1, 0, 1), lambda c, k, mc2: c * k, True),
-    ("lhs", 0, 1, BlockMatrixSpec(1, 0, 0), lambda c, k, mc2: -mc2, True),
+    ("lhs", 0, 1, BlockMatrixSpec(1, 0, 0), lambda c, k, mc2: -2.0 * mc2, True),
     ("lhs", 0, 1, BlockMatrixSpec(1, 0, 0, "V"), lambda c, k, mc2: 1.0, True),
-    ("lhs", 1, 0, BlockMatrixSpec(1, 0, 0), lambda c, k, mc2: mc2, True),
     ("lhs", 1, 0, BlockMatrixSpec(1, 0, 0, "V"), lambda c, k, mc2: 1.0, True),
     ("lhs", 1, 1, BlockMatrixSpec(1, 1, 0), lambda c, k, mc2: -c, True),
     ("lhs", 1, 1, BlockMatrixSpec(1, 0, 1), lambda c, k, mc2: c * k, True),
@@ -242,7 +239,7 @@ _SCHEME_TABLE = {
 def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: PotentialModel,
              free_lower_slope: bool = False,
              tau: StabilizationProfile | None = None) -> AssembledSystem:
-    """Generalized eigensystem of one scheme (see SCHEMES).
+    """Generalized eigensystem of one scheme (see SCHEMES), in binding form.
 
     linear-galerkin and hermite-galerkin give symmetric pencils (2n and 4n
     dofs); hermite-supg tests against v + tau * v' and gives a nonsymmetric
@@ -251,7 +248,8 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     slope dofs at both endpoints; ``free_lower_slope`` keeps the Hermite
     slope dof at the lower endpoint instead (the physically correct choice
     for |kappa| = 1). The hat basis has no slope dof, so linear-galerkin
-    rejects it. The pencil is returned in CSC form.
+    rejects it. Each pencil matrix is summed element by element into one
+    CSC pattern: the blocks its terms touch.
     """
     if scheme not in _SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -265,28 +263,25 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:
         raise ValueError(f"scheme {scheme!r} has no slope dof to free")
     basis = BasisFamily(kind=kind, mesh=mesh)
-    c, k, mc2 = params.c, params.kappa, params.rest_energy
-    blocks, parts = {}, {}  # (spec, tau-weighted) -> block; (matrix, row, col) -> data
-    for matrix, row, col, spec, coefficient, weighted in terms:
-        key = (spec, weighted)
-        if key not in blocks:
-            blocks[key] = _assemble_block(spec, basis, potential, tau if weighted else None,
-                                          free_lower_slope)
-        term = coefficient(c, k, mc2) * blocks[key].data
-        # a part's first term is stored, not added to zero, which would
-        # turn its -0.0 entries into +0.0
-        if (matrix, row, col) in parts:
-            parts[matrix, row, col] += term
-        else:
-            parts[matrix, row, col] = term
-    pattern = next(iter(blocks.values()))  # every block shares the element pattern
-    grids = {"lhs": [[None, None], [None, None]], "rhs": [[None, None], [None, None]]}
-    for (matrix, row, col), data in parts.items():
-        grids[matrix][row][col] = scipy.sparse.csc_array(
-            (data, pattern.indices, pattern.indptr), shape=pattern.shape)
-    lhs, rhs = (scipy.sparse.block_array(grids[name], format="csc") for name in ("lhs", "rhs"))
-    m = pattern.shape[0]
     n = mesh.interior_count
+    dofs = _dof_table(n, kind is BasisKind.CUBIC_HERMITE, free_lower_slope)
+    m, width = int(dofs.max()) + 1, dofs.shape[1]
+    # pencil dofs per element: the f dofs, then the g dofs offset by m
+    pencil_dofs = np.concatenate([dofs, np.where(dofs >= 0, dofs + m, -1)], axis=1)
+    local = {name: np.zeros((mesh.element_count, 2 * width, 2 * width)) for name in ("lhs", "rhs")}
+    coupled = {name: np.zeros((2, 2), dtype=bool) for name in ("lhs", "rhs")}
+    integrals = {}  # (spec, tau-weighted) -> element integrals
+    c, k, mc2 = params.c, params.kappa, params.rest_energy
+    for matrix, row, col, spec, coefficient, weighted in terms:
+        if (spec, weighted) not in integrals:
+            integrals[spec, weighted] = _element_integrals(spec, basis, potential,
+                                                           tau if weighted else None)
+        block = np.s_[:, row * width:(row + 1) * width, col * width:(col + 1) * width]
+        local[matrix][block] += coefficient(c, k, mc2) * integrals[spec, weighted]
+        coupled[matrix][row, col] = True
+    lhs, rhs = (_scatter(pencil_dofs, local[name],
+                         coupled[name].repeat(width, axis=0).repeat(width, axis=1))
+                for name in ("lhs", "rhs"))
     if kind is BasisKind.LINEAR_HAT:
         dof_blocks = (("zeta", n), ("xi", n))
     else:

@@ -19,7 +19,7 @@ from . import analysis
 from .analysis import Label, classify, coincidence_report, truncate_to_genuine
 from .assembly import SCHEME_LINEAR, SCHEME_SUPG, SCHEMES, assemble, compute_tau
 from .discretization import build_exponential_mesh
-from .eigensolver import bound_window, solve
+from .eigensolver import DEFAULT_REALITY_TOL, bound_window, solve
 from .errors import ConfigError, InsufficientLevelsError, PhysicsError, SolverError
 from .physics import (
     SPEED_OF_LIGHT,
@@ -57,7 +57,7 @@ class RunConfig:
     mesh_gamma: float = 6.0
     levels: int = 6
     match_tol: float | None = None
-    reality_tol: float = 1e-8
+    reality_tol: float = DEFAULT_REALITY_TOL
     free_lower_slope: bool = False
     mode: str = "solve"
     format: str = "table"
@@ -214,7 +214,7 @@ def _solve_classified(cfg: RunConfig):
                 opposite = float(neg.bindings[0])
             else:
                 opposite = reference_binding(cfg.params(-kappa), 0).binding
-        classified = classify(spectrum.bindings[:cfg.levels + 8], reference,
+        classified = classify(spectrum.bindings, reference,
                               opposite_kappa_ground=opposite,
                               match_tol=cfg.matching_tolerance())
         out[kappa] = (spectrum, classified)

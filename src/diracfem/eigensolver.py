@@ -1,10 +1,11 @@
 """Generalized eigensolves of the assembled pencil and bound-branch extraction.
 
-The pencil is solved in shifted form (lhs - m*c^2*rhs, rhs): working with
-binding energies mu = lambda - m*c^2 directly avoids losing ~9 digits of the
-bound-state energies to cancellation against the rest energy.
+The assembled pencil is in binding form, lhs*x = mu*rhs*x with
+mu = lambda - m*c^2 (see ``assembly``), and is solved as it is: the
+bindings never pass through the rest energy, so none of their digits are
+lost to cancellation against it. Only ``Spectrum.raw`` adds m*c^2 back.
 
-Two paths share that form. ``solve(system)`` is the dense full-spectrum
+Two paths solve that pencil. ``solve(system)`` is the dense full-spectrum
 solve (symmetric-definite ``eigh`` or general QZ); it is the oracle. With
 ``window=(lo, hi)`` it is a sparse shift-invert Arnoldi solve (Ericsson &
 Ruhe 1980; ARPACK) that computes only the eigenvalues nearest the window
@@ -131,7 +132,7 @@ def _check_reality(lam: np.ndarray, reality_tol: float) -> float:
 
 def solve(system: AssembledSystem, reality_tol: float = DEFAULT_REALITY_TOL,
           window: tuple[float, float] | None = None) -> Spectrum:
-    """Solve lhs*X = lambda*rhs*X and return the spectrum in binding form.
+    """Solve lhs*X = mu*rhs*X and return the spectrum (bindings mu, raw mu + m*c^2).
 
     Without ``window`` the whole pencil is solved densely: Galerkin pencils
     with the symmetric-definite driver (real by construction), the
@@ -148,10 +149,9 @@ def solve(system: AssembledSystem, reality_tol: float = DEFAULT_REALITY_TOL,
         return _solve_window(system, window, reality_tol, zeta_width)
 
     mc2 = system.params.rest_energy
-    rhs = system.rhs
-    shifted = system.lhs - mc2 * rhs
+    lhs, rhs = system.lhs, system.rhs
     if system.scheme == SCHEME_SUPG:
-        mu, vecs = scipy.linalg.eig(shifted, rhs, right=True)
+        mu, vecs = scipy.linalg.eig(lhs, rhs, right=True)
         finite = np.isfinite(mu)
         if not finite.any():
             raise SingularSystemError("no finite eigenvalues: rhs numerically singular")
@@ -164,7 +164,7 @@ def solve(system: AssembledSystem, reality_tol: float = DEFAULT_REALITY_TOL,
         vectors = _fix_vector_signs(_strip_phase(vecs[:, bound]), rhs, zeta_width)
     else:
         try:
-            mu, vecs = scipy.linalg.eigh(shifted, rhs)
+            mu, vecs = scipy.linalg.eigh(lhs, rhs)
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(f"symmetric-definite solve failed: {exc}") from exc
         max_imag = 0.0
@@ -181,10 +181,9 @@ def _solve_window(system: AssembledSystem, window: tuple[float, float], reality_
     """Shift-invert Arnoldi solve certified complete on the binding window.
 
     The shift sigma is the window midpoint; the CSC matrix
-    ``shifted - sigma*rhs``, with ``shifted = lhs - m*c^2*rhs``, is factored
-    once with SuperLU, and ARPACK finds the k largest-magnitude
-    eigenvalues theta of ``x -> (shifted - sigma*rhs)^-1 rhs x``, i.e. the k
-    bindings mu = sigma + 1/theta nearest sigma. k starts at
+    ``lhs - sigma*rhs`` is factored once with SuperLU, and ARPACK finds the
+    k largest-magnitude eigenvalues theta of ``x -> (lhs - sigma*rhs)^-1 rhs x``,
+    i.e. the k bindings mu = sigma + 1/theta nearest sigma. k starts at
     WINDOW_FIRST_K and doubles until the farthest returned |mu - sigma|
     exceeds the half-width: every eigenvalue of the window then lies
     inside the disk the solve exhausted. A fixed start vector makes
@@ -199,8 +198,7 @@ def _solve_window(system: AssembledSystem, window: tuple[float, float], reality_
     if size < 3:
         raise SolverError(f"pencil of size {size} is too small for a windowed solve")
     sigma, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    b = system.rhs_csc
-    a = system.lhs_csc - mc2 * b
+    a, b = system.lhs_csc, system.rhs_csc
     try:
         lu = scipy.sparse.linalg.splu(a - sigma * b)
     except RuntimeError as exc:
@@ -275,10 +273,8 @@ def component_coefficients(spectrum: Spectrum, index: int, component: str):
 
 
 def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarray) -> float:
-    """Relative residual of one eigenpair against the assembled pencil."""
-    mc2 = system.params.rest_energy
-    lam = binding + mc2
+    """Relative residual of one eigenpair (binding, vector) against the assembled pencil."""
     lhs, rhs = system.lhs_csc, system.rhs_csc
-    r = (lhs - mc2 * rhs) @ vector - binding * (rhs @ vector)
-    scale = scipy.sparse.linalg.norm(lhs) + abs(lam) * scipy.sparse.linalg.norm(rhs)
+    r = lhs @ vector - binding * (rhs @ vector)
+    scale = scipy.sparse.linalg.norm(lhs) + abs(binding) * scipy.sparse.linalg.norm(rhs)
     return float(np.linalg.norm(r) / (scale * np.linalg.norm(vector)))

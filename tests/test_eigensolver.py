@@ -27,9 +27,17 @@ from diracfem.errors import (
     SingularSystemError,
     SolverError,
 )
-from diracfem.physics import OperatorParams, point_nucleus, reference_binding
+from diracfem.physics import (
+    OperatorParams,
+    point_nucleus,
+    reference_binding,
+    reference_spectrum,
+)
 
 TOY = OperatorParams(Z=1, kappa=-1, c=10.0)  # mc^2 = 100
+
+# Toy pencils are written in binding form, as ``assemble`` returns them:
+# lhs = A - mc^2 * rhs for the Dirac-form matrix A, so raw = mu + mc^2.
 
 
 def toy_system(lhs, rhs, scheme=SCHEME_LINEAR):
@@ -44,11 +52,13 @@ def toy_system(lhs, rhs, scheme=SCHEME_LINEAR):
 
 class TestToyPencils:
     def test_diagonal_pencil(self):
-        spectrum = solve(toy_system(np.diag([2.0, 3.0]), np.eye(2)))
+        spectrum = solve(toy_system(np.diag([2.0, 3.0]) - TOY.rest_energy * np.eye(2),
+                                    np.eye(2)))
         np.testing.assert_allclose(np.sort(spectrum.raw), [2.0, 3.0], atol=1e-9)
 
     def test_reciprocal_scaling(self):
-        spectrum = solve(toy_system(np.eye(2), np.diag([2.0, 4.0])))
+        rhs = np.diag([2.0, 4.0])
+        spectrum = solve(toy_system(np.eye(2) - TOY.rest_energy * rhs, rhs))
         np.testing.assert_allclose(np.sort(spectrum.raw), [0.25, 0.5], atol=1e-12)
 
     def test_two_by_two_limit_structure(self):
@@ -56,15 +66,16 @@ class TestToyPencils:
         # closed-form roots +-sqrt((a^2-b^2)/(rho^2-d^2))
         a, b, rho, d = -2.5, 1.2, -9.0 / 70.0, 0.04
         expected = np.sqrt((a**2 - b**2) / (rho**2 - d**2))
-        spectrum = solve(toy_system([[a, b], [-b, -a]], [[rho, d], [d, rho]],
+        rhs = np.array([[rho, d], [d, rho]])
+        spectrum = solve(toy_system(np.array([[a, b], [-b, -a]]) - TOY.rest_energy * rhs, rhs,
                                     scheme=SCHEME_SUPG))
         np.testing.assert_allclose(np.sort(spectrum.raw), [-expected, expected],
                                    rtol=1e-12)
 
     def test_window_filter(self):
         # raw eigenvalues {-c^2 - 1, c^2 - 0.5, c^2 + 5}: one bound state
-        lam = [-TOY.c**2 - 1.0, TOY.c**2 - 0.5, TOY.c**2 + 5.0]
-        sys3 = AssembledSystem(scheme=SCHEME_LINEAR, lhs_csc=scipy.sparse.csc_array(np.diag(lam)),
+        mu = [-2.0 * TOY.c**2 - 1.0, -0.5, 5.0]
+        sys3 = AssembledSystem(scheme=SCHEME_LINEAR, lhs_csc=scipy.sparse.csc_array(np.diag(mu)),
                                rhs_csc=scipy.sparse.csc_array(np.eye(3)),
                                dof_blocks=(("zeta", 2), ("xi", 1)), params=TOY,
                                mesh=build_exponential_mesh(0.1, 10.0, 2, 1.0),
@@ -131,12 +142,11 @@ class TestRealSystems:
         inside = (spectrum.bindings > lo) & (spectrum.bindings < hi)
         full = spectrum.bindings[inside]
         # oracle: extended-precision Rayleigh quotients of the dense
-        # eigenvectors against the shifted pencil both solvers factor
-        mc2 = params.rest_energy
-        shifted = (system.lhs - mc2 * system.rhs).astype(np.longdouble)
+        # eigenvectors against the binding-form pencil both solvers factor
+        lhs = system.lhs.astype(np.longdouble)
         rhs = system.rhs.astype(np.longdouble)
         vecs = spectrum.eigenvectors[:, inside].astype(np.longdouble)
-        oracle = np.array([float((v @ shifted @ v) / (v @ rhs @ v)) for v in vecs.T])
+        oracle = np.array([float((v @ lhs @ v) / (v @ rhs @ v)) for v in vecs.T])
         assert len(windowed.bindings) == len(full)
         np.testing.assert_allclose(windowed.bindings, oracle, rtol=1e-10, atol=1e-11)
         # the dense eigh values themselves sit farther from that oracle: the
@@ -145,6 +155,17 @@ class TestRealSystems:
         windowed_miss = np.max(np.abs(windowed.bindings - oracle))
         assert dense_miss > 1e-12
         assert dense_miss > 100.0 * windowed_miss
+
+    def test_bindings_keep_their_digits_at_large_c(self):
+        # near the nonrelativistic limit the bound levels sit ~0.5 below
+        # mc^2 = 1e10: a pencil that carries the rest energy loses them to
+        # cancellation; at c = 137 this mesh gives 1.9e-8, 5.2e-9 and 2.8e-9
+        params = OperatorParams(Z=1, kappa=-1, c=1e5)
+        mesh = build_exponential_mesh(1e-6, 60.0, 200, 8.0)
+        system = assemble(SCHEME_HERMITE, params, mesh, point_nucleus(1.0))
+        spectrum = solve(system, window=bound_window(params, 4))
+        exact = [level.binding for level in reference_spectrum(params, 3)]
+        np.testing.assert_allclose(spectrum.bindings[:3], exact, rtol=3e-8, atol=0.0)
 
     def test_windowed_supg_matches_dense(self):
         mesh = build_exponential_mesh(1e-6, 40.0, 60, 8.0)
@@ -166,22 +187,21 @@ class TestRealSystems:
         # a rotation block puts mu = -0.5 +- 0.3i inside the window; the
         # other eigenvalues lie far outside it
         size = 20
-        lhs = np.diag(TOY.rest_energy + np.arange(5.0, 5.0 + size))
-        lhs[:2, :2] = TOY.rest_energy * np.eye(2) + [[-0.5, 0.3], [-0.3, -0.5]]
+        lhs = np.diag(np.arange(5.0, 5.0 + size))
+        lhs[:2, :2] = [[-0.5, 0.3], [-0.3, -0.5]]
         system = toy_system(lhs, np.eye(size), scheme=SCHEME_SUPG)
         with pytest.raises(ComplexSpectrumError):
             solve(system, window=(-1.0, 0.0))
 
     def test_windowed_solve_is_certified_or_refused(self):
         # every eigenvalue lies in the window: no k < N - 1 can certify it
-        system = toy_system(np.diag(TOY.rest_energy - np.linspace(0.1, 0.9, 10)),
-                            np.eye(10))
+        system = toy_system(np.diag(-np.linspace(0.1, 0.9, 10)), np.eye(10))
         with pytest.raises(SolverError, match="not certified"):
             solve(system, window=(-1.0, 0.0))
 
     def test_windowed_singular_shift(self):
         # sigma = -0.5 is an eigenvalue: the shifted pencil is exactly singular
-        lhs = np.diag(TOY.rest_energy + np.concatenate([[-0.5], np.arange(5.0, 25.0)]))
+        lhs = np.diag(np.concatenate([[-0.5], np.arange(5.0, 25.0)]))
         with pytest.raises(SingularSystemError):
             solve(toy_system(lhs, np.eye(21)), window=(-1.0, 0.0))
 

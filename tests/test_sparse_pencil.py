@@ -8,6 +8,7 @@ from diracfem import analysis, cli
 from diracfem.assembly import (
     SCHEME_HERMITE,
     SCHEME_LINEAR,
+    SCHEME_SUPG,
     SCHEMES,
     AssembledSystem,
     BlockMatrixSpec,
@@ -82,3 +83,28 @@ def test_pencil_is_read_only_csc(setup):
             matrix.data[0] = 1.0
     np.testing.assert_array_equal(system.lhs, system.lhs_csc.toarray())
     assert system.lhs.flags.c_contiguous and not system.lhs.flags.writeable
+
+
+@pytest.mark.parametrize("scheme, free", [(scheme, False) for scheme in SCHEMES]
+                         + [(SCHEME_HERMITE, True), (SCHEME_SUPG, True)])
+def test_pencil_pattern_is_the_block_pattern(setup, scheme, free):
+    # lhs couples all four spinor blocks on the element pattern; the
+    # Galerkin rhs is block-diagonal and stores only its two mass blocks
+    params, mesh, pot = setup
+    system = assemble(scheme, params, mesh, pot, free_lower_slope=free)
+    kind = BasisKind.LINEAR_HAT if scheme == SCHEME_LINEAR else BasisKind.CUBIC_HERMITE
+    block = _assemble_block(BlockMatrixSpec(0, 0, 0), BasisFamily(kind, mesh), pot,
+                            free_lower_slope=free)
+    m = block.shape[0]
+    assert system.lhs_csc.nnz == 4 * block.nnz
+    for matrix in (system.lhs_csc, system.rhs_csc):
+        assert matrix.has_canonical_format
+    rhs = system.rhs_csc
+    if scheme == SCHEME_SUPG:
+        assert rhs.nnz == 4 * block.nnz
+    else:
+        assert rhs.nnz == 2 * block.nnz
+        assert rhs[:m, m:].nnz == 0 and rhs[m:, :m].nnz == 0
+        assert np.count_nonzero(rhs.data) == rhs.nnz
+        np.testing.assert_array_equal(rhs[:m, :m].toarray(), block.toarray())
+        np.testing.assert_array_equal(rhs[m:, m:].toarray(), block.toarray())
