@@ -17,9 +17,7 @@ from .analysis import (
     classify,
     coincidence_report,
     convergence_study,
-    nodal_propagation,
     second_order_residual,
-    supg_residuals,
     tau_limit_lambda,
     tau_rule_residual,
 )
@@ -40,7 +38,6 @@ from .discretization import (
     Mesh,
     build_exponential_mesh,
     gauss_rule,
-    hermite_interpolation_error_order,
 )
 from .eigensolver import Spectrum, bound_states, bound_window, solve
 from .errors import (
@@ -58,11 +55,9 @@ from .physics import (
     OperatorParams,
     PotentialModel,
     ReferenceLevel,
-    accumulation_point,
     extended_nucleus,
     point_nucleus,
     potential_value,
-    potential_w,
     reference_binding,
     reference_spectrum,
 )

@@ -32,6 +32,8 @@ from .physics import (
 #: ~1e-4 accurate, the Hermite schemes far better.
 DEFAULT_MATCH_TOL = 1e-3
 DEFAULT_MATCH_TOL_HERMITE = 1e-5
+#: Exclusive upper bound on a matching tolerance.
+MAX_MATCH_TOL = 0.1
 
 
 def match_tol_for(scheme: str) -> float:
@@ -85,8 +87,8 @@ def classify(computed, reference: list[ReferenceLevel],
     ref_bindings = [r.binding for r in reference]
     if any(b < a for a, b in zip(ref_bindings, ref_bindings[1:])):
         raise ValueError("reference levels must be sorted ascending")
-    if not (0.0 < match_tol < 0.1):
-        raise ValueError(f"match_tol must lie in (0, 0.1), got {match_tol}")
+    if not (0.0 < match_tol < MAX_MATCH_TOL):
+        raise ValueError(f"match_tol must lie in (0, {MAX_MATCH_TOL}), got {match_tol}")
 
     entries = []
     ri = 0
@@ -223,51 +225,6 @@ def second_order_residual(params: OperatorParams, potential: PotentialModel, mes
                   for order in (0, 1, 2))
     r = d2u + p1 * du + p2 * u
     return float(np.sqrt(np.sum(w * r**2)))
-
-
-def supg_residuals(params: OperatorParams, potential: PotentialModel, lam: float,
-                   f, df, g, dg):
-    """Residual functionals of the two first-order equations, as callables.
-
-    re1(x) = (w+ - lam) f - c g' + (c kappa / x) g
-    re2(x) = (w- - lam) g + c f' + (c kappa / x) f
-    Both vanish identically on an exact eigenpair.
-    """
-    mc2, c, k = params.rest_energy, params.c, params.kappa
-
-    def re1(x):
-        x = np.asarray(x, dtype=float)
-        V = potential_value(potential, x)
-        return (mc2 + V - lam) * np.asarray(f(x)) - c * np.asarray(dg(x)) \
-            + (c * k / x) * np.asarray(g(x))
-
-    def re2(x):
-        x = np.asarray(x, dtype=float)
-        V = potential_value(potential, x)
-        return (-mc2 + V - lam) * np.asarray(g(x)) + c * np.asarray(df(x)) \
-            + (c * k / x) * np.asarray(f(x))
-
-    return re1, re2
-
-
-def nodal_propagation(params: OperatorParams, potential: PotentialModel,
-                      x_j: float, h_j: float, h_j1: float,
-                      zeta_j: float, xi_j: float, lam: float):
-    """First-order nodal propagation to the two neighbouring nodes.
-
-    Backward/forward difference approximations of the derivatives in the
-    coupled first-order system give (zeta_{j-1}, xi_{j-1}, zeta_{j+1},
-    xi_{j+1}) from the values at x_j, with O(h) accuracy.
-    """
-    if x_j <= 0:
-        raise ValueError("x_j must be positive")
-    c, k, mc2 = params.c, params.kappa, params.rest_energy
-    V = potential_value(potential, x_j)
-    zeta_m = (1.0 + h_j * k / x_j) * zeta_j + (h_j / c) * (-mc2 + V - lam) * xi_j
-    xi_m = (1.0 - h_j * k / x_j) * xi_j + (h_j / c) * (lam - mc2 - V) * zeta_j
-    zeta_p = (1.0 - h_j1 * k / x_j) * zeta_j + (h_j1 / c) * (lam + mc2 - V) * xi_j
-    xi_p = (1.0 + h_j1 * k / x_j) * xi_j + (h_j1 / c) * (mc2 + V - lam) * zeta_j
-    return zeta_m, xi_m, zeta_p, xi_p
 
 
 # --- stability-parameter verification ----------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import typing
@@ -87,8 +88,13 @@ class RunConfig:
             raise ConfigError("n must be >= 1")
         if cfg.levels < 1:
             raise ConfigError("levels must be >= 1")
-        schemes = SCHEMES if cfg.mode == "compare-schemes" else (cfg.scheme,)
-        if cfg.free_lower_slope and SCHEME_LINEAR in schemes:
+        if cfg.match_tol is not None and not 0.0 < cfg.match_tol < analysis.MAX_MATCH_TOL:
+            raise ConfigError(f"match_tol must lie in (0, {analysis.MAX_MATCH_TOL}), "
+                              f"got {cfg.match_tol}")
+        if not 0.0 <= cfg.reality_tol < math.inf:
+            raise ConfigError(f"reality_tol must be finite and >= 0, got {cfg.reality_tol}")
+        # compare-schemes applies the flag to the Hermite schemes only
+        if cfg.free_lower_slope and cfg.scheme == SCHEME_LINEAR and cfg.mode != "compare-schemes":
             raise ConfigError("free_lower_slope applies to the Hermite schemes only: "
                               f"{SCHEME_LINEAR} has no slope dof")
         if cfg.a is None:
@@ -97,6 +103,8 @@ class RunConfig:
             cfg.b = 60.0 / cfg.Z
         if cfg.n_list is None:
             cfg.n_list = (cfg.n, 2 * cfg.n, 4 * cfg.n)
+        if min(cfg.n_list) < 1 or any(n2 <= n1 for n1, n2 in zip(cfg.n_list, cfg.n_list[1:])):
+            raise ConfigError(f"n_list must be strictly increasing and >= 1, got {cfg.n_list}")
         return cfg
 
     def matching_tolerance(self) -> float:
@@ -225,9 +233,14 @@ def _solve_classified(cfg: RunConfig):
     spectrum, classified = out[anchor]
     classified = truncate_to_genuine(classified, cfg.levels)
     if classified.count(Label.GENUINE) < cfg.levels:
+        hint = ""
+        if (cfg.scheme != SCHEME_LINEAR and not cfg.free_lower_slope and abs(anchor) == 1
+                and len(spectrum.bindings) >= cfg.levels):
+            hint = ("; the computed levels miss the reference, likely because of the "
+                    "fixed lower slope (try --free-lower-slope)")
         raise InsufficientLevelsError(
             f"kappa={anchor}: only {classified.count(Label.GENUINE)} of "
-            f"{cfg.levels} genuine levels found"
+            f"{cfg.levels} genuine levels found{hint}"
         )
     out[anchor] = (spectrum, classified)
     depth = len(classified.entries)
@@ -320,7 +333,8 @@ def _mode_solve(cfg: RunConfig):
 def _mode_compare(cfg: RunConfig):
     rows, tables = [], []
     for scheme in SCHEMES:
-        sub = replace(cfg, scheme=scheme).finalize()
+        sub = replace(cfg, scheme=scheme,
+                      free_lower_slope=cfg.free_lower_slope and scheme != SCHEME_LINEAR).finalize()
         per_kappa = _solve_classified(sub)
         rows.extend(_long_rows(per_kappa, scheme=scheme))
         tables.append(_render_solve_table(per_kappa, f"--- {scheme} ---"))

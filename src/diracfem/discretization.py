@@ -189,37 +189,3 @@ def hermite_interpolate(mesh: Mesh, values, slopes, x, order: int = 0):
     lv, ls, rv, rs = hermite_local(h[e], x - nodes[e], order)
     out = values[e] * lv + slopes[e] * ls + values[e + 1] * rv + slopes[e + 1] * rs
     return out if out.shape else float(out)
-
-
-def hermite_interpolation_max_error(f, df, a: float, b: float, n_elements: int,
-                                    samples_per_element: int = 24) -> float:
-    """Max-norm error of the Hermite interpolant of f on a uniform mesh."""
-    nodes = np.linspace(a, b, n_elements + 1)
-    mesh = Mesh(a=a, b=b, interior_count=n_elements - 1, gamma=0.0, nodes=nodes)
-    values = np.array([f(x) for x in nodes])
-    slopes = np.array([df(x) for x in nodes])
-    t = np.linspace(0.0, 1.0, samples_per_element, endpoint=False)[1:]
-    xs = (nodes[:-1, None] + np.diff(nodes)[:, None] * t[None, :]).ravel()
-    exact = np.array([f(x) for x in xs])
-    return float(np.max(np.abs(hermite_interpolate(mesh, values, slopes, xs) - exact)))
-
-
-def hermite_interpolation_error_order(f, df, a: float, b: float, mesh_sizes) -> float:
-    """Observed convergence order of the max-norm Hermite interpolation error.
-
-    Fits the slope of log(error) against log(h) over uniform meshes with the
-    given target element sizes. Functions reproduced exactly (degree <= 3)
-    yield errors at rounding level; the fit then returns ``inf``.
-    """
-    mesh_sizes = list(mesh_sizes)
-    if len(mesh_sizes) < 3:
-        raise ValueError("degenerate fit: need at least 3 mesh sizes")
-    hs, errs = [], []
-    for h in mesh_sizes:
-        n_elem = max(1, round((b - a) / h))
-        hs.append((b - a) / n_elem)
-        errs.append(hermite_interpolation_max_error(f, df, a, b, n_elem))
-    hs, errs = np.array(hs), np.array(errs)
-    if np.all(errs < 1e-14):
-        return float("inf")
-    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

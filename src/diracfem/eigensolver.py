@@ -6,10 +6,11 @@ bindings never pass through the rest energy, so none of their digits are
 lost to cancellation against it. Only ``Spectrum.raw`` adds m*c^2 back.
 
 Two paths solve that pencil. ``solve(system)`` is the dense full-spectrum
-solve (symmetric-definite ``eigh`` or general QZ); it is the oracle. With
-``window=(lo, hi)`` it is a sparse shift-invert Arnoldi solve (Ericsson &
-Ruhe 1980; ARPACK) that computes only the eigenvalues nearest the window
-midpoint and certifies that every eigenvalue inside the window was found.
+solve (symmetric-definite ``eigh`` or general QZ), eigenvalues only; it is
+the oracle. With ``window=(lo, hi)`` it is a sparse shift-invert Arnoldi
+solve (Ericsson & Ruhe 1980; ARPACK) that computes only the eigenvalues
+nearest the window midpoint, certifies that every eigenvalue inside the
+window was found, and is the one source of eigenvectors.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ class Spectrum:
     (-2mc^2, 0), and to the requested window of a windowed solve, ascending
     (deepest level first). ``raw`` holds every eigenvalue lambda this solve
     computed: all finite ones for the dense solve, the certified
-    neighbourhood of the window for a windowed one. Eigenvectors are kept
-    for the bound branch only, rhs-normalized with the largest f-value
-    coefficient made positive.
+    neighbourhood of the window for a windowed one. Only a windowed solve
+    returns eigenvectors: one column per binding, rhs-normalized with the
+    largest f-value coefficient made positive. The dense solve leaves
+    ``eigenvectors`` None.
     """
 
     scheme: str
@@ -134,50 +136,44 @@ def solve(system: AssembledSystem, reality_tol: float = DEFAULT_REALITY_TOL,
           window: tuple[float, float] | None = None) -> Spectrum:
     """Solve lhs*X = mu*rhs*X and return the spectrum (bindings mu, raw mu + m*c^2).
 
-    Without ``window`` the whole pencil is solved densely: Galerkin pencils
-    with the symmetric-definite driver (real by construction), the
-    stabilized (nonsymmetric) pencil with the general QZ routine, where any
-    finite eigenvalue whose imaginary part exceeds ``reality_tol`` relative
-    to its magnitude aborts the solve.
+    Without ``window`` the eigenvalues of the whole pencil are computed
+    densely, with no eigenvectors: Galerkin pencils with the
+    symmetric-definite driver (real by construction), the stabilized
+    (nonsymmetric) pencil with the general QZ routine, where any finite
+    eigenvalue whose imaginary part exceeds ``reality_tol`` relative to its
+    magnitude aborts the solve.
 
     ``window=(lo, hi)`` restricts the solve, for every scheme, to bindings
     inside (lo, hi): a sparse shift-invert solve (see ``_solve_window``)
-    whose reality check covers the eigenvalues it computed.
+    whose reality check covers the eigenvalues it computed, and which
+    returns the eigenvectors of those bindings.
     """
-    zeta_width = dict(system.dof_blocks)["zeta"]
     if window is not None:
-        return _solve_window(system, window, reality_tol, zeta_width)
+        return _solve_window(system, window, reality_tol)
 
     mc2 = system.params.rest_energy
     lhs, rhs = system.lhs, system.rhs
     if system.scheme == SCHEME_SUPG:
-        mu, vecs = scipy.linalg.eig(lhs, rhs, right=True)
-        finite = np.isfinite(mu)
-        if not finite.any():
+        mu = scipy.linalg.eigvals(lhs, rhs)
+        mu = mu[np.isfinite(mu)]
+        if not len(mu):
             raise SingularSystemError("no finite eigenvalues: rhs numerically singular")
-        mu, vecs = mu[finite], vecs[:, finite]
         max_imag = _check_reality(mu + mc2, reality_tol)
-        order = np.argsort(mu.real)
-        mu, vecs = mu.real[order], vecs[:, order]
-        # strip the residual complex phase before normalizing
-        bound = (mu > -2.0 * mc2) & (mu < 0.0)
-        vectors = _fix_vector_signs(_strip_phase(vecs[:, bound]), rhs, zeta_width)
+        mu = np.sort(mu.real)
     else:
         try:
-            mu, vecs = scipy.linalg.eigh(lhs, rhs)
+            mu = scipy.linalg.eigh(lhs, rhs, eigvals_only=True)
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(f"symmetric-definite solve failed: {exc}") from exc
         max_imag = 0.0
-        bound = (mu > -2.0 * mc2) & (mu < 0.0)
-        vectors = _fix_vector_signs(vecs[:, bound], rhs, zeta_width)
 
+    bound = (mu > -2.0 * mc2) & (mu < 0.0)
     return Spectrum(scheme=system.scheme, bindings=mu[bound], raw=mu + mc2,
-                    max_imag=max_imag, params=system.params,
-                    dof_blocks=system.dof_blocks, eigenvectors=vectors)
+                    max_imag=max_imag, params=system.params, dof_blocks=system.dof_blocks)
 
 
-def _solve_window(system: AssembledSystem, window: tuple[float, float], reality_tol: float,
-                  zeta_width: int) -> Spectrum:
+def _solve_window(system: AssembledSystem, window: tuple[float, float],
+                  reality_tol: float) -> Spectrum:
     """Shift-invert Arnoldi solve certified complete on the binding window.
 
     The shift sigma is the window midpoint; the CSC matrix
@@ -235,7 +231,8 @@ def _solve_window(system: AssembledSystem, window: tuple[float, float], reality_
     order = np.argsort(mu.real)
     mu, vecs = mu.real[order], vecs[:, order]
     keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(hi, 0.0))
-    vectors = _fix_vector_signs(_strip_phase(vecs[:, keep]), b, zeta_width)
+    vectors = _fix_vector_signs(_strip_phase(vecs[:, keep]), b,
+                                dict(system.dof_blocks)["zeta"])
     return Spectrum(scheme=system.scheme, bindings=mu[keep], raw=mu + mc2,
                     max_imag=max_imag, params=system.params,
                     dof_blocks=system.dof_blocks, eigenvectors=vectors)
@@ -245,6 +242,8 @@ def bound_states(spectrum: Spectrum, params: OperatorParams, count: int) -> np.n
     """First ``count`` bound bindings (deepest first): a checked slice of ``bindings``."""
     if params != spectrum.params:
         raise ValueError(f"params {params} do not match the spectrum's {spectrum.params}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if len(spectrum.bindings) < count:
         raise InsufficientLevelsError(
             f"requested {count} bound states but only {len(spectrum.bindings)} found"
@@ -258,7 +257,7 @@ def component_coefficients(spectrum: Spectrum, index: int, component: str):
     For the linear scheme the slope array is None.
     """
     if spectrum.eigenvectors is None:
-        raise ValueError("spectrum carries no eigenvectors")
+        raise ValueError("spectrum carries no eigenvectors: only a windowed solve computes them")
     vec = spectrum.eigenvectors[:, index]
     blocks = {}
     start = 0

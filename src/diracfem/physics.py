@@ -31,8 +31,11 @@ class OperatorParams:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        if self.kappa == 0:
-            raise PhysicsError("kappa must be a nonzero integer")
+        if self.kappa == 0 or not float(self.kappa).is_integer():
+            raise PhysicsError(f"kappa must be a nonzero integer, got {self.kappa}")
+        if not all(math.isfinite(v) for v in (self.Z, self.m, self.c)):
+            raise PhysicsError(f"Z, m and c must be finite, got Z={self.Z} m={self.m} "
+                               f"c={self.c}")
         if self.Z < 1:
             raise PhysicsError(f"nuclear charge must satisfy Z >= 1, got {self.Z}")
         if self.Z >= self.c * abs(self.kappa):
@@ -109,13 +112,6 @@ def potential_derivative(model: PotentialModel, x):
     return out if out.shape else float(out)
 
 
-def potential_w(params: OperatorParams, model: PotentialModel, sign: int, x):
-    """w_plusminus(x) = sign * m*c^2 + V(x) with sign = +1 or -1."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return sign * params.rest_energy + potential_value(model, x)
-
-
 @dataclass(frozen=True)
 class ReferenceLevel:
     """One exact point-nucleus bound level identified by (kappa, n_r)."""
@@ -152,8 +148,3 @@ def reference_spectrum(params: OperatorParams, count: int) -> list[ReferenceLeve
         raise ValueError(f"count must be >= 1, got {count}")
     start = 0 if params.kappa < 0 else 1
     return [reference_binding(params, n_r) for n_r in range(start, start + count)]
-
-
-def accumulation_point(params: OperatorParams) -> float:
-    """Sole accumulation point of the eigenvalues: the rest energy m*c^2."""
-    return params.rest_energy

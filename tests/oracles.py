@@ -1,9 +1,12 @@
-"""Pointwise and entrywise oracles the basis and the block assembly are checked against.
+"""Independent oracles the package is checked against.
 
 ``eval_hat`` and ``eval_hermite`` evaluate one global basis function of a
 node; ``element_integral`` evaluates one block-matrix entry straight from
 the basis functions of its two dofs; ``closed_form_element_entries`` gives
-the exact polynomial integrals the 4-point rule must reproduce.
+the exact polynomial integrals the 4-point rule must reproduce. The
+Hermite interpolation-error helpers, ``potential_w``,
+``accumulation_point`` and the first-order residual functionals and nodal
+propagation of the radial system restate the model in its plainest form.
 """
 
 import numpy as np
@@ -15,9 +18,10 @@ from diracfem.discretization import (
     Mesh,
     gauss_rule,
     hat_local,
+    hermite_interpolate,
     hermite_local,
 )
-from diracfem.physics import PotentialModel
+from diracfem.physics import OperatorParams, PotentialModel, potential_value
 
 
 def _node_branches(mesh: Mesh, j: int, x):
@@ -156,3 +160,100 @@ def closed_form_element_entries(mesh: Mesh, j: int) -> dict[str, np.ndarray]:
     ])
     mm010 = -mm100  # transpose pair: same rows with opposite sign
     return {"MM000": mm000, "MM100": mm100, "MM010": mm010, "MM110": mm110}
+
+
+# --- Hermite interpolation error --------------------------------------------
+
+
+def hermite_interpolation_max_error(f, df, a: float, b: float, n_elements: int,
+                                    samples_per_element: int = 24) -> float:
+    """Max-norm error of the Hermite interpolant of f on a uniform mesh."""
+    nodes = np.linspace(a, b, n_elements + 1)
+    mesh = Mesh(a=a, b=b, interior_count=n_elements - 1, gamma=0.0, nodes=nodes)
+    values = np.array([f(x) for x in nodes])
+    slopes = np.array([df(x) for x in nodes])
+    t = np.linspace(0.0, 1.0, samples_per_element, endpoint=False)[1:]
+    xs = (nodes[:-1, None] + np.diff(nodes)[:, None] * t[None, :]).ravel()
+    exact = np.array([f(x) for x in xs])
+    return float(np.max(np.abs(hermite_interpolate(mesh, values, slopes, xs) - exact)))
+
+
+def hermite_interpolation_error_order(f, df, a: float, b: float, mesh_sizes) -> float:
+    """Observed convergence order of the max-norm Hermite interpolation error.
+
+    Fits the slope of log(error) against log(h) over uniform meshes with the
+    given target element sizes. Functions reproduced exactly (degree <= 3)
+    yield errors at rounding level; the fit then returns ``inf``.
+    """
+    mesh_sizes = list(mesh_sizes)
+    if len(mesh_sizes) < 3:
+        raise ValueError("degenerate fit: need at least 3 mesh sizes")
+    hs, errs = [], []
+    for h in mesh_sizes:
+        n_elem = max(1, round((b - a) / h))
+        hs.append((b - a) / n_elem)
+        errs.append(hermite_interpolation_max_error(f, df, a, b, n_elem))
+    hs, errs = np.array(hs), np.array(errs)
+    if np.all(errs < 1e-14):
+        return float("inf")
+    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+
+
+# --- the radial system in first-order form ----------------------------------
+
+
+def potential_w(params: OperatorParams, model: PotentialModel, sign: int, x):
+    """w_plusminus(x) = sign * m*c^2 + V(x) with sign = +1 or -1."""
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    return sign * params.rest_energy + potential_value(model, x)
+
+
+def accumulation_point(params: OperatorParams) -> float:
+    """Sole accumulation point of the eigenvalues: the rest energy m*c^2."""
+    return params.rest_energy
+
+
+def supg_residuals(params: OperatorParams, potential: PotentialModel, lam: float,
+                   f, df, g, dg):
+    """Residual functionals of the two first-order equations, as callables.
+
+    re1(x) = (w+ - lam) f - c g' + (c kappa / x) g
+    re2(x) = (w- - lam) g + c f' + (c kappa / x) f
+    Both vanish identically on an exact eigenpair.
+    """
+    mc2, c, k = params.rest_energy, params.c, params.kappa
+
+    def re1(x):
+        x = np.asarray(x, dtype=float)
+        V = potential_value(potential, x)
+        return (mc2 + V - lam) * np.asarray(f(x)) - c * np.asarray(dg(x)) \
+            + (c * k / x) * np.asarray(g(x))
+
+    def re2(x):
+        x = np.asarray(x, dtype=float)
+        V = potential_value(potential, x)
+        return (-mc2 + V - lam) * np.asarray(g(x)) + c * np.asarray(df(x)) \
+            + (c * k / x) * np.asarray(f(x))
+
+    return re1, re2
+
+
+def nodal_propagation(params: OperatorParams, potential: PotentialModel,
+                      x_j: float, h_j: float, h_j1: float,
+                      zeta_j: float, xi_j: float, lam: float):
+    """First-order nodal propagation to the two neighbouring nodes.
+
+    Backward/forward difference approximations of the derivatives in the
+    coupled first-order system give (zeta_{j-1}, xi_{j-1}, zeta_{j+1},
+    xi_{j+1}) from the values at x_j, with O(h) accuracy.
+    """
+    if x_j <= 0:
+        raise ValueError("x_j must be positive")
+    c, k, mc2 = params.c, params.kappa, params.rest_energy
+    V = potential_value(potential, x_j)
+    zeta_m = (1.0 + h_j * k / x_j) * zeta_j + (h_j / c) * (-mc2 + V - lam) * xi_j
+    xi_m = (1.0 - h_j * k / x_j) * xi_j + (h_j / c) * (lam - mc2 - V) * zeta_j
+    zeta_p = (1.0 - h_j1 * k / x_j) * zeta_j + (h_j1 / c) * (lam + mc2 - V) * xi_j
+    xi_p = (1.0 + h_j1 * k / x_j) * xi_j + (h_j1 / c) * (mc2 + V - lam) * zeta_j
+    return zeta_m, xi_m, zeta_p, xi_p

@@ -9,18 +9,18 @@ from diracfem.analysis import (
     coincidence_report,
     convergence_study,
     genuine_errors,
-    nodal_propagation,
     second_order_residual,
-    supg_residuals,
     tau_limit_lambda,
     tau_rule_residual,
     truncate_to_genuine,
 )
 from diracfem.assembly import SCHEME_HERMITE, assemble
 from diracfem.discretization import Mesh, build_exponential_mesh
-from diracfem.eigensolver import Spectrum, component_coefficients, solve
+from diracfem.eigensolver import Spectrum, bound_window, component_coefficients, solve
 from diracfem.errors import DegeneratePencilError
 from diracfem.physics import OperatorParams, point_nucleus, reference_spectrum
+
+from oracles import nodal_propagation, supg_residuals
 
 # Published eigenvalues of an n=100 hat-function hydrogen run (levels 1-3,
 # the interleaved spurious value, then level 4), used as classifier vectors.
@@ -211,7 +211,8 @@ class TestSecondOrderResidual:
         params = OperatorParams(Z=12, kappa=-2)
         pot = point_nucleus(12.0)
         mesh = build_exponential_mesh(1e-6, 50.0, 200, 8.0)
-        spectrum = solve(assemble(SCHEME_HERMITE, params, mesh, pot))
+        spectrum = solve(assemble(SCHEME_HERMITE, params, mesh, pot),
+                         window=bound_window(params, 10))
         ref = reference_spectrum(params, 10)
         cl = classify(spectrum.bindings[:10], ref, match_tol=1e-5)
         labels = [e.label for e in cl.entries]
@@ -243,7 +244,7 @@ class TestSupgWeakConsistency:
         mesh = build_exponential_mesh(1e-5, 30.0, 40, 6.0)
         pot = point_nucleus(2.0)
         system = assemble(SCHEME_SUPG, params, mesh, pot)
-        spectrum = solve(system)
+        spectrum = solve(system, window=bound_window(params, 3))
         tau = compute_tau(mesh).tau
         n = mesh.interior_count
 

@@ -88,11 +88,14 @@ free_lower_slope = yes
 
     def test_free_lower_slope_needs_a_hermite_scheme(self):
         # the hat basis has no slope dof, so the flag would be dropped
-        for overrides in ({"scheme": "linear-galerkin"}, {"mode": "compare-schemes"}):
-            with pytest.raises(ConfigError, match="free_lower_slope"):
-                RunConfig(free_lower_slope=True, **overrides).finalize()
+        with pytest.raises(ConfigError, match="free_lower_slope"):
+            RunConfig(free_lower_slope=True, scheme="linear-galerkin").finalize()
         for scheme in ("hermite-galerkin", "hermite-supg"):
             assert RunConfig(scheme=scheme, free_lower_slope=True).finalize().free_lower_slope
+        # compare-schemes applies it to the two Hermite schemes only
+        for scheme in ("linear-galerkin", "hermite-supg"):
+            assert RunConfig(mode="compare-schemes", scheme=scheme,
+                             free_lower_slope=True).finalize().free_lower_slope
 
 
 #: Per RunConfig field: its flag, a raw value, and the value it parses to.
@@ -153,6 +156,27 @@ class TestMain:
         cfg.write_text("mode = bogus\n")
         monkeypatch.setenv("DIRAC_FEM_CONFIG", str(cfg))
         assert main([]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("extra", [
+        ["--match-tol", "0.5"], ["--match-tol", "nan"], ["--match-tol", "0"],
+        ["--mode", "convergence", "--n-list", "100,50"],
+        ["--mode", "convergence", "--n-list", "50,50"],
+        ["--mode", "convergence", "--n-list", "0,10"],
+        ["--reality-tol", "nan"], ["--reality-tol", "-1"], ["--reality-tol", "inf"],
+    ])
+    def test_bad_tolerance_or_n_list_exits_2_without_output(self, extra, tmp_path, capsys):
+        # each used to end in a traceback, a solver failure or a silently
+        # disabled reality check
+        out = tmp_path / "result.csv"
+        code = main(FAST + extra + ["--format", "csv", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_charge_exits_3(self, capsys):
+        code = main(["--Z", "nan", "--b", "60", "--n", "20", "--levels", "1"])
+        assert code == EXIT_PHYSICS
+        assert "physics error" in capsys.readouterr().err
 
     def test_physics_invariant_exits_3(self, capsys):
         code = main(["--Z", "200", "--kappa", "1", "--n", "10"])
@@ -221,6 +245,20 @@ class TestMain:
         assert main(["--mode", "verify-tau", "--n", "15"]) == 0
         out = capsys.readouterr().out
         assert "improved" in out
+
+    def test_compare_schemes_free_lower_slope_on_pathology_config(self, capsys):
+        # the README pathology mesh: with the fixed lower slope the SUPG
+        # kappa=-1 ground level misses the reference by 1.8e-4 relative
+        argv = ["--mode", "compare-schemes", "--Z", "1", "--abs-kappa", "1", "--n", "100",
+                "--a", "1e-6", "--b", "150", "--mesh-gamma", "8", "--levels", "3"]
+        assert main(argv) == EXIT_SOLVER
+        assert "fixed lower slope" in capsys.readouterr().err
+        assert main(argv + ["--free-lower-slope", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        for scheme in ("linear-galerkin", "hermite-galerkin", "hermite-supg"):
+            genuine = [r for r in rows if r["scheme"] == scheme and r["kappa"] == -1
+                       and r["label"] == "genuine"]
+            assert [r["level"] for r in genuine] == [1, 2, 3], scheme
 
     def test_compare_schemes_small(self, capsys):
         code = main(["--Z", "1", "--abs-kappa", "1", "--n", "100", "--a", "1e-6",

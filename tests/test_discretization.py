@@ -9,13 +9,16 @@ from diracfem.discretization import (
     Mesh,
     build_exponential_mesh,
     gauss_rule,
-    hermite_interpolation_error_order,
-    hermite_interpolation_max_error,
 )
 from diracfem.errors import PhysicsError
 
 from conftest import random_mesh
-from oracles import eval_hat, eval_hermite
+from oracles import (
+    eval_hat,
+    eval_hermite,
+    hermite_interpolation_error_order,
+    hermite_interpolation_max_error,
+)
 
 
 class TestMesh:

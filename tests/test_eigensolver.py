@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from diracfem.assembly import (
@@ -108,6 +109,13 @@ def hydrogen_solution():
     return params, system, solve(system)
 
 
+@pytest.fixture(scope="module")
+def hydrogen_windowed(hydrogen_solution):
+    """Windowed solve of the same pencil, the one source of its eigenvectors."""
+    params, system, _ = hydrogen_solution
+    return params, system, solve(system, window=bound_window(params, 6))
+
+
 class TestRealSystems:
     def test_galerkin_spectrum_real_and_graded(self, hydrogen_solution):
         params, system, spectrum = hydrogen_solution
@@ -120,15 +128,18 @@ class TestRealSystems:
         params, system, spectrum = hydrogen_solution
         assert spectrum.bindings[0] == pytest.approx(-0.5000066566, abs=2e-5)
 
-    def test_eigenpair_residual_bound(self, hydrogen_solution):
-        params, system, spectrum = hydrogen_solution
+    def test_eigenpair_residual_bound(self, hydrogen_solution, hydrogen_windowed):
+        # the windowed pairs are the dense solve's six deepest levels
+        dense = hydrogen_solution[2]
+        params, system, spectrum = hydrogen_windowed
+        np.testing.assert_allclose(spectrum.bindings[:6], dense.bindings[:6], rtol=1e-9)
         for k in range(min(6, len(spectrum.bindings))):
             res = eigenpair_residual(system, spectrum.bindings[k],
                                      spectrum.eigenvectors[:, k])
             assert res <= 1e-8
 
-    def test_vectors_rhs_normalized_with_positive_lead(self, hydrogen_solution):
-        params, system, spectrum = hydrogen_solution
+    def test_vectors_rhs_normalized_with_positive_lead(self, hydrogen_windowed):
+        params, system, spectrum = hydrogen_windowed
         zeta = spectrum.dof_blocks[0][1]
         for k in range(3):
             v = spectrum.eigenvectors[:, k]
@@ -139,14 +150,17 @@ class TestRealSystems:
         params, system, spectrum = hydrogen_solution
         lo, hi = -1.0, -0.01
         windowed = solve(system, window=(lo, hi))
-        inside = (spectrum.bindings > lo) & (spectrum.bindings < hi)
-        full = spectrum.bindings[inside]
-        # oracle: extended-precision Rayleigh quotients of the dense
-        # eigenvectors against the binding-form pencil both solvers factor
+        full = spectrum.bindings[(spectrum.bindings > lo) & (spectrum.bindings < hi)]
+        # oracle: extended-precision Rayleigh quotients of dense eigenvectors,
+        # computed here independently of the solver, against the
+        # binding-form pencil both solvers factor
+        mu, vecs = scipy.linalg.eigh(system.lhs, system.rhs)
+        inside = (mu > lo) & (mu < hi)
         lhs = system.lhs.astype(np.longdouble)
         rhs = system.rhs.astype(np.longdouble)
-        vecs = spectrum.eigenvectors[:, inside].astype(np.longdouble)
+        vecs = vecs[:, inside].astype(np.longdouble)
         oracle = np.array([float((v @ lhs @ v) / (v @ rhs @ v)) for v in vecs.T])
+        assert len(full) == len(oracle)
         assert len(windowed.bindings) == len(full)
         np.testing.assert_allclose(windowed.bindings, oracle, rtol=1e-10, atol=1e-11)
         # the dense eigh values themselves sit farther from that oracle: the
@@ -234,6 +248,10 @@ class TestRealSystems:
                                           spectrum.bindings[:count])
         with pytest.raises(InsufficientLevelsError):
             bound_states(spectrum, params, len(spectrum.bindings) + 1)
+        # a count below 1 would slice silently (-1: all but the last)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count"):
+                bound_states(spectrum, params, count)
 
     def test_vanishing_rhs_norm_raises(self):
         # nonsymmetric rhs with v^T rhs v = 0 for v = (1, 1)
@@ -249,8 +267,8 @@ class TestRealSystems:
         assert spectrum.max_imag <= 1e-8 * params.rest_energy
         assert spectrum.bindings[0] == pytest.approx(-0.5000066566, abs=1e-4)
 
-    def test_component_coefficients_split(self, hydrogen_solution):
-        params, system, spectrum = hydrogen_solution
+    def test_component_coefficients_split(self, hydrogen_windowed):
+        params, system, spectrum = hydrogen_windowed
         n = system.mesh.interior_count
         values, slopes = component_coefficients(spectrum, 0, "f")
         assert values.shape == (n,) and slopes.shape == (n,)
@@ -260,10 +278,22 @@ class TestRealSystems:
         with pytest.raises(ValueError):
             component_coefficients(spectrum, 0, "h")
 
+    @pytest.mark.parametrize("scheme", [SCHEME_LINEAR, SCHEME_HERMITE, SCHEME_SUPG])
+    def test_dense_solve_returns_eigenvalues_only(self, scheme):
+        # the windowed solve is the one source of eigenvectors
+        params = OperatorParams(Z=1, kappa=-1)
+        mesh = build_exponential_mesh(1e-5, 40.0, 40, 8.0)
+        spectrum = solve(assemble(scheme, params, mesh, point_nucleus(1.0)))
+        assert len(spectrum.bindings) >= 3
+        assert spectrum.eigenvectors is None
+        with pytest.raises(ValueError, match="no eigenvectors"):
+            component_coefficients(spectrum, 0, "f")
+
     def test_linear_scheme_has_no_slopes(self):
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 40.0, 30, 5.0)
-        spectrum = solve(assemble(SCHEME_LINEAR, params, mesh, point_nucleus(1.0)))
+        spectrum = solve(assemble(SCHEME_LINEAR, params, mesh, point_nucleus(1.0)),
+                         window=bound_window(params, 3))
         values, slopes = component_coefficients(spectrum, 0, "f")
         assert slopes is None
         assert values.shape == (30,)
@@ -274,8 +304,10 @@ class TestRealSystems:
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 60.0, 60, 6.0)
         pot = point_nucleus(1.0)
-        fixed = solve(assemble(SCHEME_HERMITE, params, mesh, pot))
-        free = solve(assemble(SCHEME_HERMITE, params, mesh, pot, free_lower_slope=True))
+        window = bound_window(params, 3)
+        fixed = solve(assemble(SCHEME_HERMITE, params, mesh, pot), window=window)
+        free = solve(assemble(SCHEME_HERMITE, params, mesh, pot, free_lower_slope=True),
+                     window=window)
         exact = -0.50000665659
         assert abs(free.bindings[0] - exact) < 0.01 * abs(fixed.bindings[0] - exact)
         values, slopes = component_coefficients(free, 0, "f")

@@ -6,15 +6,15 @@ from diracfem.physics import (
     NucleusKind,
     OperatorParams,
     PotentialModel,
-    accumulation_point,
     extended_nucleus,
     point_nucleus,
     potential_derivative,
     potential_value,
-    potential_w,
     reference_binding,
     reference_spectrum,
 )
+
+from oracles import accumulation_point, potential_w
 
 
 class TestParams:
@@ -27,6 +27,20 @@ class TestParams:
             OperatorParams(Z=138, kappa=-1)  # supercritical for |kappa| = 1
         OperatorParams(Z=137, kappa=-1)
         OperatorParams(Z=200, kappa=-2)
+        OperatorParams(Z=1, kappa=-1.0)  # an integer-valued float is an integer
+
+    @pytest.mark.parametrize("kappa", [1.5, -0.5, float("nan"), float("inf")])
+    def test_non_integer_kappa_rejected(self, kappa):
+        # kappa = 1.5 would give a binding for a level that does not exist
+        with pytest.raises(PhysicsError, match="kappa"):
+            OperatorParams(Z=1, kappa=kappa)
+
+    @pytest.mark.parametrize("field", ["Z", "m", "c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_constants_rejected(self, field, value):
+        # each would give NaN or -inf bindings
+        with pytest.raises(PhysicsError):
+            OperatorParams(**{"Z": 1.0, "kappa": -1, field: value})
 
 
 class TestPotential:
