@@ -28,12 +28,10 @@ from .assembly import (
     SCHEMES,
     AssembledSystem,
     BlockMatrixSpec,
-    StabilizationProfile,
     assemble,
     compute_tau,
 )
 from .discretization import (
-    BasisFamily,
     BasisKind,
     Mesh,
     build_exponential_mesh,

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .discretization import BasisFamily, BasisKind, Mesh, gauss_rule, hat_local, hermite_local
+from .discretization import BasisKind, Mesh, gauss_rule, hat_local, hermite_local
+from .errors import PhysicsError
 from .physics import OperatorParams, PotentialModel, potential_value
 
 SCHEME_LINEAR = "linear-galerkin"
@@ -58,32 +59,24 @@ class BlockMatrixSpec:
             raise ValueError(f"q must be 'one' or 'V', got {self.q!r}")
 
 
-@dataclass(frozen=True)
-class StabilizationProfile:
-    """Per-element stabilization parameter tau, length n+1.
+def compute_tau(mesh: Mesh) -> np.ndarray:
+    """Per-element stabilization parameter, a read-only array of length n+1.
 
-    Element e (1-based) carries tau[e-1]; the first element, having no left
+    tau_j = (9/35) * h_{j+1} * (h_{j+1} - h_j) / (h_{j+1} + h_j): element e
+    (1-based) carries tau[e-1], and the first element, having no left
     neighbour, carries zero. Uniform neighbouring elements give tau = 0 and
     |tau| < h_e always (the 9/35 factor times a ratio below 1).
     """
-
-    tau: np.ndarray
-
-    def __post_init__(self):
-        self.tau.setflags(write=False)
-
-
-def compute_tau(mesh: Mesh) -> StabilizationProfile:
-    """tau_j = (9/35) * h_{j+1} * (h_{j+1} - h_j) / (h_{j+1} + h_j) per element."""
     h = mesh.h
     tau = np.zeros(mesh.element_count)
     tau[1:] = (9.0 / 35.0) * h[1:] * (h[1:] - h[:-1]) / (h[1:] + h[:-1])
-    return StabilizationProfile(tau=tau)
+    tau.setflags(write=False)
+    return tau
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """One generalized eigenproblem lhs*X = mu*rhs*X with its provenance.
+    """One generalized eigenproblem lhs*X = mu*rhs*X of one scheme.
 
     The pencil is in binding form: its eigenvalues are the bindings
     mu = lambda - m*c^2 of the Dirac energies lambda. It is stored sparse
@@ -96,9 +89,6 @@ class AssembledSystem:
     rhs_csc: scipy.sparse.csc_array
     dof_blocks: tuple[tuple[str, int], ...]
     params: OperatorParams
-    mesh: Mesh
-    potential: PotentialModel
-    tau: StabilizationProfile | None = None
 
     def __post_init__(self):
         for matrix in (self.lhs_csc, self.rhs_csc):
@@ -116,10 +106,6 @@ class AssembledSystem:
     @property
     def size(self) -> int:
         return self.lhs_csc.shape[0]
-
-    @property
-    def dof_layout(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.dof_blocks)
 
 
 def _dense_view(matrix: scipy.sparse.csc_array) -> np.ndarray:
@@ -157,16 +143,15 @@ def _dof_table(n: int, hermite: bool, free_lower_slope: bool) -> np.ndarray:
     return np.concatenate([per_node[:-1], per_node[1:]], axis=1)
 
 
-def _element_integrals(spec: BlockMatrixSpec, basis: BasisFamily, potential: PotentialModel,
-                       tau: StabilizationProfile | None = None) -> np.ndarray:
+def _element_integrals(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
+                       potential: PotentialModel, tau: np.ndarray | None = None) -> np.ndarray:
     """(element, test a, trial b) integrals of one block integrand."""
-    mesh = basis.mesh
     x, w = gauss_rule(mesh)
     w = w * _weight_at(spec, potential, x)
     if tau is not None:
-        w = w * tau.tau[:, None]
+        w = w * tau[:, None]
     h, s = mesh.h[:, None], x - mesh.nodes[:-1, None]
-    shapes = hermite_local if basis.kind is BasisKind.CUBIC_HERMITE else hat_local
+    shapes = hermite_local if kind is BasisKind.CUBIC_HERMITE else hat_local
     test = np.stack(shapes(h, s, spec.r), axis=1)
     trial = np.stack(shapes(h, s, spec.s), axis=1)
     return np.einsum("eq,eaq,ebq->eab", w, test, trial)
@@ -190,13 +175,12 @@ def _scatter(dofs: np.ndarray, local: np.ndarray,
     return scipy.sparse.csc_array((data, keys % size, indptr), shape=(size, size))
 
 
-def _assemble_block(spec: BlockMatrixSpec, basis: BasisFamily, potential: PotentialModel,
-                    tau: StabilizationProfile | None = None,
+def _assemble_block(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
+                    potential: PotentialModel, tau: np.ndarray | None = None,
                     free_lower_slope: bool = False) -> scipy.sparse.csc_array:
     """Sparse block matrix over the active dofs of one spinor component."""
-    dofs = _dof_table(basis.mesh.interior_count, basis.kind is BasisKind.CUBIC_HERMITE,
-                      free_lower_slope)
-    return _scatter(dofs, _element_integrals(spec, basis, potential, tau))
+    dofs = _dof_table(mesh.interior_count, kind is BasisKind.CUBIC_HERMITE, free_lower_slope)
+    return _scatter(dofs, _element_integrals(spec, kind, mesh, potential, tau))
 
 
 # --- schemes as tables of block terms ----------------------------------------
@@ -238,31 +222,35 @@ _SCHEME_TABLE = {
 
 def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: PotentialModel,
              free_lower_slope: bool = False,
-             tau: StabilizationProfile | None = None) -> AssembledSystem:
+             tau: np.ndarray | None = None) -> AssembledSystem:
     """Generalized eigensystem of one scheme (see SCHEMES), in binding form.
 
     linear-galerkin and hermite-galerkin give symmetric pencils (2n and 4n
     dofs); hermite-supg tests against v + tau * v' and gives a nonsymmetric
-    one, with ``tau`` defaulting to ``compute_tau(mesh)``; the Galerkin
-    schemes take no ``tau``. Boundary conditions eliminate the value and
-    slope dofs at both endpoints; ``free_lower_slope`` keeps the Hermite
-    slope dof at the lower endpoint instead (the physically correct choice
-    for |kappa| = 1). The hat basis has no slope dof, so linear-galerkin
-    rejects it. Each pencil matrix is summed element by element into one
-    CSC pattern: the blocks its terms touch.
+    one, with the per-element ``tau`` array defaulting to
+    ``compute_tau(mesh)``; the Galerkin schemes take no ``tau``. The
+    potential's charge must be ``params.Z`` (PhysicsError otherwise).
+    Boundary conditions eliminate the value and slope dofs at both
+    endpoints; ``free_lower_slope`` keeps the Hermite slope dof at the lower
+    endpoint instead (the physically correct choice for |kappa| = 1). The
+    hat basis has no slope dof, so linear-galerkin rejects it. Each pencil
+    matrix is summed element by element into one CSC pattern: the blocks
+    its terms touch.
     """
     if scheme not in _SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     kind, terms = _SCHEME_TABLE[scheme]
     if any(weighted for *_, weighted in terms):
-        tau = compute_tau(mesh) if tau is None else tau
-        if len(tau.tau) != mesh.element_count:
-            raise ValueError("stabilization profile length does not match the mesh")
+        tau = compute_tau(mesh) if tau is None else np.asarray(tau, dtype=float)
+        if tau.shape != (mesh.element_count,):
+            raise ValueError(f"tau needs one value per element ({mesh.element_count}), "
+                             f"got shape {tau.shape}")
     elif tau is not None:
-        raise ValueError(f"scheme {scheme!r} takes no stabilization profile")
+        raise ValueError(f"scheme {scheme!r} takes no stabilization parameter tau")
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:
         raise ValueError(f"scheme {scheme!r} has no slope dof to free")
-    basis = BasisFamily(kind=kind, mesh=mesh)
+    if potential.Z != params.Z:
+        raise PhysicsError(f"potential charge {potential.Z} does not match Z={params.Z}")
     n = mesh.interior_count
     dofs = _dof_table(n, kind is BasisKind.CUBIC_HERMITE, free_lower_slope)
     m, width = int(dofs.max()) + 1, dofs.shape[1]
@@ -274,7 +262,7 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     c, k, mc2 = params.c, params.kappa, params.rest_energy
     for matrix, row, col, spec, coefficient, weighted in terms:
         if (spec, weighted) not in integrals:
-            integrals[spec, weighted] = _element_integrals(spec, basis, potential,
+            integrals[spec, weighted] = _element_integrals(spec, kind, mesh, potential,
                                                            tau if weighted else None)
         block = np.s_[:, row * width:(row + 1) * width, col * width:(col + 1) * width]
         local[matrix][block] += coefficient(c, k, mc2) * integrals[spec, weighted]
@@ -287,5 +275,4 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     else:
         dof_blocks = (("zeta", n), ("zeta_prime", m - n), ("xi", n), ("xi_prime", m - n))
     return AssembledSystem(scheme=scheme, lhs_csc=lhs, rhs_csc=rhs,
-                           dof_blocks=dof_blocks, params=params, mesh=mesh,
-                           potential=potential, tau=tau)
+                           dof_blocks=dof_blocks, params=params)

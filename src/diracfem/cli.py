@@ -398,11 +398,11 @@ TAU_DEMO_C = (1e3, 1e4, 1e5)
 
 def _mode_verify_tau(cfg: RunConfig):
     mesh = build_exponential_mesh(cfg.a, cfg.b, cfg.n, cfg.mesh_gamma)
-    profile = compute_tau(mesh)
+    tau = compute_tau(mesh)
     h = mesh.h
     worst = 0.0
     for e in range(2, mesh.element_count + 1):
-        r = analysis.tau_rule_residual(h[e - 2], h[e - 1], profile.tau[e - 1])
+        r = analysis.tau_rule_residual(h[e - 2], h[e - 1], tau[e - 1])
         worst = max(worst, abs(r) / h[e - 1] ** 2)
     rows = [{"check": "rule-residual", "c": None, "dev_stabilized": None,
              "dev_unstabilized": None, "value": worst,

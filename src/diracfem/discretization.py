@@ -1,10 +1,11 @@
 """One-dimensional discretization layer.
 
-Provides the exponentially graded mesh, the continuous piecewise-linear
-(hat) and cubic Hermite basis families with their derivatives, and the
-fixed 4-point Gauss-Legendre quadrature used for all element integrals.
+Provides the exponentially graded mesh, the element-local shape functions
+of the two bases (continuous piecewise-linear hats and cubic Hermite) with
+their derivatives, and the fixed 4-point Gauss-Legendre quadrature used
+for all element integrals. A basis is a (``BasisKind``, mesh) pair.
 
-All types are immutable after construction and all evaluations are pure.
+The mesh is immutable after construction and all evaluations are pure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ _GAUSS_POINTS, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
 class BasisKind(Enum):
+    """Linear hats carry one dof per interior node, cubic Hermite two (value, slope)."""
+
     LINEAR_HAT = "linear-hat"
     CUBIC_HERMITE = "cubic-hermite"
 
@@ -91,24 +94,6 @@ def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
     nodes[0] = a
     nodes[-1] = b
     return Mesh(a=a, b=b, interior_count=n, gamma=gamma, nodes=nodes)
-
-
-@dataclass(frozen=True)
-class BasisFamily:
-    """A nodal basis family over a mesh.
-
-    Linear hats carry one degree of freedom per interior node; cubic Hermite
-    carries two (function value and first derivative). Every basis function
-    is supported on at most the two elements adjacent to its node.
-    """
-
-    kind: BasisKind
-    mesh: Mesh
-
-    @property
-    def dof_count(self) -> int:
-        n = self.mesh.interior_count
-        return n if self.kind is BasisKind.LINEAR_HAT else 2 * n
 
 
 def gauss_rule(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:

@@ -88,35 +88,27 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _fix_vector_signs(vectors: np.ndarray, rhs, zeta_width: int) -> np.ndarray:
-    """rhs-normalize columns and make the largest-|f value| entry positive.
+def _normalize_vectors(vecs: np.ndarray, rhs, zeta_width: int) -> np.ndarray:
+    """Real, rhs-normalized columns whose largest-|f value| entry is positive.
 
-    A column whose rhs norm vanishes to rounding (possible for the
-    nonsymmetric stabilized rhs) cannot be normalized and raises SolverError.
+    Each column is first rotated so that its largest entry is real. A column
+    whose rhs norm vanishes to rounding (possible for the nonsymmetric
+    stabilized rhs) cannot be normalized and raises SolverError.
     """
-    out = np.array(vectors, dtype=float)
+    cols = np.arange(vecs.shape[1])
+    phase = vecs[np.argmax(np.abs(vecs), axis=0), cols]
+    # one real copy, then in place, so repeated solves do not grow peak RSS
+    v = (vecs * np.conj(phase / np.abs(phase))).real.copy()
+    vb = rhs.T @ v
+    norms = np.einsum("ik,ik->k", vb, v)
     eps = np.finfo(float).eps
-    for k in range(out.shape[1]):
-        v = out[:, k]
-        vb = v @ rhs
-        norm = float(vb @ v)
-        if not abs(norm) > eps * np.linalg.norm(vb) * np.linalg.norm(v):
-            raise SolverError(f"eigenvector {k} has vanishing rhs norm {norm:.3g}")
-        v /= np.sqrt(abs(norm))
-        lead = np.argmax(np.abs(v[:zeta_width]))
-        if v[lead] < 0:
-            v *= -1.0
-    return out
-
-
-def _strip_phase(vecs: np.ndarray) -> np.ndarray:
-    """Real vectors from complex ones, rotating each column's largest entry real."""
-    real_vecs = np.empty(vecs.shape, dtype=float)
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        phase = col[np.argmax(np.abs(col))]
-        real_vecs[:, k] = (col * np.conj(phase / abs(phase))).real
-    return real_vecs
+    vanishing = ~(np.abs(norms) > eps * np.linalg.norm(vb, axis=0) * np.linalg.norm(v, axis=0))
+    if vanishing.any():
+        k = int(np.argmax(vanishing))
+        raise SolverError(f"eigenvector {k} has vanishing rhs norm {norms[k]:.3g}")
+    v /= np.sqrt(np.abs(norms))
+    v[:, v[np.argmax(np.abs(v[:zeta_width]), axis=0), cols] < 0] *= -1.0
+    return v
 
 
 def _check_reality(lam: np.ndarray, reality_tol: float) -> float:
@@ -147,7 +139,12 @@ def solve(system: AssembledSystem, reality_tol: float = DEFAULT_REALITY_TOL,
     inside (lo, hi): a sparse shift-invert solve (see ``_solve_window``)
     whose reality check covers the eigenvalues it computed, and which
     returns the eigenvectors of those bindings.
+
+    ``reality_tol`` must be finite and >= 0, or ValueError is raised before
+    any work.
     """
+    if not 0.0 <= reality_tol < np.inf:
+        raise ValueError(f"reality_tol must be finite and >= 0, got {reality_tol}")
     if window is not None:
         return _solve_window(system, window, reality_tol)
 
@@ -231,8 +228,7 @@ def _solve_window(system: AssembledSystem, window: tuple[float, float],
     order = np.argsort(mu.real)
     mu, vecs = mu.real[order], vecs[:, order]
     keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(hi, 0.0))
-    vectors = _fix_vector_signs(_strip_phase(vecs[:, keep]), b,
-                                dict(system.dof_blocks)["zeta"])
+    vectors = _normalize_vectors(vecs[:, keep], b, dict(system.dof_blocks)["zeta"])
     return Spectrum(scheme=system.scheme, bindings=mu[keep], raw=mu + mc2,
                     max_imag=max_imag, params=system.params,
                     dof_blocks=system.dof_blocks, eigenvectors=vectors)

@@ -13,7 +13,6 @@ import numpy as np
 
 from diracfem.assembly import BlockMatrixSpec, _weight_at
 from diracfem.discretization import (
-    BasisFamily,
     BasisKind,
     Mesh,
     gauss_rule,
@@ -41,15 +40,13 @@ def _node_branches(mesh: Mesh, j: int, x):
     return x, left, right
 
 
-def eval_hat(basis: BasisFamily, j: int, x, order: int = 0):
+def eval_hat(mesh: Mesh, j: int, x, order: int = 0):
     """Evaluate hat function j (interior node index, 1..n) or its derivative."""
-    if basis.kind is not BasisKind.LINEAR_HAT:
-        raise ValueError("eval_hat requires a LINEAR_HAT basis")
     if order not in (0, 1):
         raise ValueError(f"unsupported derivative order {order} for linear hats")
-    _check_node(basis.mesh, j)
-    x, left, right = _node_branches(basis.mesh, j, x)
-    nodes, h = basis.mesh.nodes, basis.mesh.h
+    _check_node(mesh, j)
+    x, left, right = _node_branches(mesh, j, x)
+    nodes, h = mesh.nodes, mesh.h
     out = np.zeros(x.shape, dtype=float)
     if left.any():
         out[left] = hat_local(h[j - 1], x[left] - nodes[j - 1], order)[1]
@@ -58,21 +55,19 @@ def eval_hat(basis: BasisFamily, j: int, x, order: int = 0):
     return out if out.shape else float(out)
 
 
-def eval_hermite(basis: BasisFamily, j: int, part: str, x, order: int = 0):
+def eval_hermite(mesh: Mesh, j: int, part: str, x, order: int = 0):
     """Evaluate Hermite function of node j or its first derivative.
 
     ``part`` selects the value-interpolating ("value") or the
     slope-interpolating ("slope") member of the pair at node j.
     """
-    if basis.kind is not BasisKind.CUBIC_HERMITE:
-        raise ValueError("eval_hermite requires a CUBIC_HERMITE basis")
     if order not in (0, 1):
         raise ValueError(f"unsupported derivative order {order} for eval_hermite")
     if part not in ("value", "slope"):
         raise ValueError(f"part must be 'value' or 'slope', got {part!r}")
-    _check_node(basis.mesh, j, allow_boundary=True)
-    x, left, right = _node_branches(basis.mesh, j, x)
-    nodes, h = basis.mesh.nodes, basis.mesh.h
+    _check_node(mesh, j, allow_boundary=True)
+    x, left, right = _node_branches(mesh, j, x)
+    nodes, h = mesh.nodes, mesh.h
     sel = 2 if part == "value" else 3  # right-node pieces of the left element
     out = np.zeros(x.shape, dtype=float)
     if left.any():
@@ -88,19 +83,19 @@ def _check_node(mesh: Mesh, j: int, allow_boundary: bool = False):
         raise IndexError(f"node index {j} out of range {lo}..{hi}")
 
 
-def element_integral(spec: BlockMatrixSpec, basis: BasisFamily, potential: PotentialModel,
-                     test_dof: int, trial_dof: int) -> float:
+def element_integral(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
+                     potential: PotentialModel, test_dof: int, trial_dof: int) -> float:
     """Single block-matrix entry; 0 without quadrature when supports are disjoint.
 
     Dof indices follow the component layout: 0..n-1 are nodal values at
     interior nodes 1..n and, for Hermite, n..2n-1 the nodal slopes.
     """
-    mesh = basis.mesh
     n = mesh.interior_count
-    hermite = basis.kind is BasisKind.CUBIC_HERMITE
+    hermite = kind is BasisKind.CUBIC_HERMITE
+    dof_count = 2 * n if hermite else n
     for dof in (test_dof, trial_dof):
-        if not (0 <= dof < basis.dof_count):
-            raise IndexError(f"dof index {dof} out of range 0..{basis.dof_count - 1}")
+        if not (0 <= dof < dof_count):
+            raise IndexError(f"dof index {dof} out of range 0..{dof_count - 1}")
 
     def node_part(dof):
         if hermite and dof >= n:

@@ -21,12 +21,10 @@ from diracfem.assembly import (
     SCHEME_LINEAR,
     SCHEME_SUPG,
     BlockMatrixSpec,
-    StabilizationProfile,
     _assemble_block,
     assemble,
 )
 from diracfem.discretization import (
-    BasisFamily,
     BasisKind,
     build_exponential_mesh,
 )
@@ -139,8 +137,7 @@ def test_criterion_02_element_integral_oracle():
     worst = 0.0
     for _ in range(100):
         mesh = random_mesh(rng, n=n, lo=0.05, hi=2.0, start=rng.uniform(0.1, 3.0))
-        basis = BasisFamily(BasisKind.CUBIC_HERMITE, mesh)
-        blocks = {name: _assemble_block(spec, basis, pot).toarray()
+        blocks = {name: _assemble_block(spec, BasisKind.CUBIC_HERMITE, mesh, pot).toarray()
                   for name, spec in POLY_SPECS.items()}
         for j in range(2, n):  # rows with all six neighbour columns active
             entries = closed_form_element_entries(mesh, j)
@@ -278,8 +275,7 @@ def test_criterion_06_scheme_nesting():
         params = OperatorParams(Z=Z, kappa=kappa)
         mesh = build_exponential_mesh(a, b, n, gamma)
         pot = point_nucleus(Z)
-        zero = StabilizationProfile(tau=np.zeros(mesh.element_count))
-        supg = assemble(SCHEME_SUPG, params, mesh, pot, tau=zero)
+        supg = assemble(SCHEME_SUPG, params, mesh, pot, tau=np.zeros(mesh.element_count))
         galerkin = assemble(SCHEME_HERMITE, params, mesh, pot)
         scale = np.max(np.abs(galerkin.lhs))
         dev = max(np.max(np.abs(supg.lhs - galerkin.lhs)) / scale,
@@ -352,20 +348,19 @@ def test_criterion_09_property_suite(hydrogen_runs):
             assert np.max(np.abs(system.lhs - system.lhs.T)) <= 1e-12 * scale
             assert np.linalg.eigvalsh(system.rhs).min() > 0
 
-        basis = BasisFamily(BasisKind.LINEAR_HAT, mesh)
-        m010 = _assemble_block(BlockMatrixSpec(0, 1, 0), basis, pot).toarray()
+        m010 = _assemble_block(BlockMatrixSpec(0, 1, 0), BasisKind.LINEAR_HAT, mesh,
+                               pot).toarray()
         assert np.max(np.abs(m010 + m010.T)) <= 1e-12 * np.max(np.abs(m010))
 
-        hbasis = BasisFamily(BasisKind.CUBIC_HERMITE, mesh)
         xs = np.linspace(mesh.nodes[1], mesh.nodes[-2], 53)
-        pou = sum(eval_hermite(hbasis, j, "value", xs, 0) for j in range(1, n + 1))
+        pou = sum(eval_hermite(mesh, j, "value", xs, 0) for j in range(1, n + 1))
         np.testing.assert_allclose(pou, 1.0, atol=1e-12)
         eps = 1e-9 * mesh.h.min()
         for j in (1, n):
             for part in ("value", "slope"):
                 for order in (0, 1):
-                    left = eval_hermite(hbasis, j, part, mesh.nodes[j] - eps, order)
-                    right = eval_hermite(hbasis, j, part, mesh.nodes[j] + eps, order)
+                    left = eval_hermite(mesh, j, part, mesh.nodes[j] - eps, order)
+                    right = eval_hermite(mesh, j, part, mesh.nodes[j] + eps, order)
                     assert abs(left - right) <= 1e-5 * max(1.0, abs(left))
 
     # eigenpair residual bound on the precomputed hydrogen runs

@@ -245,7 +245,7 @@ class TestSupgWeakConsistency:
         pot = point_nucleus(2.0)
         system = assemble(SCHEME_SUPG, params, mesh, pot)
         spectrum = solve(system, window=bound_window(params, 3))
-        tau = compute_tau(mesh).tau
+        tau = compute_tau(mesh)
         n = mesh.interior_count
 
         k = 0  # deepest bound state
@@ -390,3 +390,10 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(SCHEME_HERMITE, params, point_nucleus(1.0),
                               (100, 50), 2, a=1e-6, b=40.0, gamma=8.0)
+
+    def test_rejects_bad_reality_tol(self):
+        params = OperatorParams(Z=1, kappa=-1)
+        with pytest.raises(ValueError, match="reality_tol"):
+            convergence_study(SCHEME_HERMITE, params, point_nucleus(1.0),
+                              (30, 60), 2, a=1e-6, b=40.0, gamma=8.0,
+                              reality_tol=float("nan"))

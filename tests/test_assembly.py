@@ -8,13 +8,13 @@ from diracfem.assembly import (
     SCHEME_LINEAR,
     SCHEME_SUPG,
     BlockMatrixSpec,
-    StabilizationProfile,
     assemble,
     compute_tau,
     _assemble_block,
 )
-from diracfem.discretization import BasisFamily, BasisKind, Mesh, build_exponential_mesh
-from diracfem.physics import OperatorParams, point_nucleus
+from diracfem.discretization import BasisKind, Mesh, build_exponential_mesh
+from diracfem.errors import PhysicsError
+from diracfem.physics import OperatorParams, extended_nucleus, point_nucleus
 
 from conftest import random_mesh
 from oracles import closed_form_element_entries, element_integral
@@ -38,14 +38,14 @@ class TestClosedFormOracle:
         pot = point_nucleus(1.0)
         for _ in range(5):
             mesh = random_mesh(rng, n=6)
-            basis = BasisFamily(BasisKind.CUBIC_HERMITE, mesh)
             n = 6
             for j in (2, 3, 5):
                 entries = closed_form_element_entries(mesh, j)
                 for name, spec in POLY_SPECS.items():
                     for row_i, row_dof in ((0, j - 1), (1, j - 1 + n)):
                         for col_i, col_dof in enumerate(table_columns(j, n)):
-                            got = element_integral(spec, basis, pot, row_dof, col_dof)
+                            got = element_integral(spec, BasisKind.CUBIC_HERMITE, mesh, pot,
+                                                   row_dof, col_dof)
                             want = entries[name][row_i, col_i]
                             assert got == pytest.approx(want, rel=1e-12, abs=1e-13), \
                                 f"{name} row {row_i} col {col_i}"
@@ -62,28 +62,27 @@ class TestClosedFormOracle:
 
     def test_disjoint_supports_zero_without_quadrature(self, rng):
         mesh = random_mesh(rng, n=6)
-        basis = BasisFamily(BasisKind.CUBIC_HERMITE, mesh)
         pot = point_nucleus(1.0)
-        assert element_integral(POLY_SPECS["MM000"], basis, pot, 0, 3) == 0.0
-        assert element_integral(POLY_SPECS["MM110"], basis, pot, 1, 5) == 0.0
+        hermite = BasisKind.CUBIC_HERMITE
+        assert element_integral(POLY_SPECS["MM000"], hermite, mesh, pot, 0, 3) == 0.0
+        assert element_integral(POLY_SPECS["MM110"], hermite, mesh, pot, 1, 5) == 0.0
 
     def test_block_assembly_consistent_with_entrywise(self, rng):
         mesh = random_mesh(rng, n=5)
-        basis = BasisFamily(BasisKind.CUBIC_HERMITE, mesh)
         pot = point_nucleus(2.0)
+        hermite = BasisKind.CUBIC_HERMITE
         for spec in (BlockMatrixSpec(0, 0, 1), BlockMatrixSpec(1, 0, 0, "V")):
-            block = _assemble_block(spec, basis, pot)
+            block = _assemble_block(spec, hermite, mesh, pot)
             for i in (0, 3, 7):
                 for j in (0, 4, 9):
                     assert block[i, j] == pytest.approx(
-                        element_integral(spec, basis, pot, i, j), rel=1e-13, abs=1e-16)
+                        element_integral(spec, hermite, mesh, pot, i, j), rel=1e-13, abs=1e-16)
 
     def test_linear_hat_blocks(self, rng):
         # exact hat integrals: mass diag (h_j + h_{j+1})/3, off-diag h/6
         mesh = random_mesh(rng, n=5)
-        basis = BasisFamily(BasisKind.LINEAR_HAT, mesh)
         pot = point_nucleus(1.0)
-        m000 = _assemble_block(BlockMatrixSpec(0, 0, 0), basis, pot)
+        m000 = _assemble_block(BlockMatrixSpec(0, 0, 0), BasisKind.LINEAR_HAT, mesh, pot)
         j = 3
         hj, hj1 = mesh.h[j - 1], mesh.h[j]
         assert m000[j - 1, j - 1] == pytest.approx((hj + hj1) / 3, rel=1e-13)
@@ -116,12 +115,12 @@ class TestBlockKernelProperties:
     @PROPERTY
     @given(mesh=meshes(), kind=st.sampled_from(list(BasisKind)))
     def test_block_matches_entrywise_oracle(self, mesh, kind):
-        basis = BasisFamily(kind, mesh)
         pot = point_nucleus(2.0)
-        m = basis.dof_count
+        n = mesh.interior_count
+        m = n if kind is BasisKind.LINEAR_HAT else 2 * n
         for spec in ALL_SPECS:
-            block = _assemble_block(spec, basis, pot).toarray()
-            want = np.array([[element_integral(spec, basis, pot, i, j) for j in range(m)]
+            block = _assemble_block(spec, kind, mesh, pot).toarray()
+            want = np.array([[element_integral(spec, kind, mesh, pot, i, j) for j in range(m)]
                              for i in range(m)])
             # entries that cancel to zero (the hat M010 diagonal is 1/2 - 1/2)
             # assemble to rounding noise on the scale of their row
@@ -132,31 +131,31 @@ class TestBlockKernelProperties:
     @PROPERTY
     @given(mesh=meshes(), kind=st.sampled_from(list(BasisKind)), free=st.booleans())
     def test_unit_tau_reproduces_unweighted_block(self, mesh, kind, free):
-        basis = BasisFamily(kind, mesh)
         pot = point_nucleus(2.0)
-        ones = StabilizationProfile(tau=np.ones(mesh.element_count))
+        ones = np.ones(mesh.element_count)
         for spec in ALL_SPECS:
             np.testing.assert_array_equal(
-                _assemble_block(spec, basis, pot, tau=ones, free_lower_slope=free).toarray(),
-                _assemble_block(spec, basis, pot, free_lower_slope=free).toarray())
+                _assemble_block(spec, kind, mesh, pot, tau=ones,
+                                free_lower_slope=free).toarray(),
+                _assemble_block(spec, kind, mesh, pot, free_lower_slope=free).toarray())
 
     @PROPERTY
     @given(mesh=meshes())
     def test_free_lower_slope_extends_fixed_block(self, mesh):
         # the free layout inserts the node-0 slope at index n, ahead of the
         # interior slopes; deleting it leaves the fixed block exactly
-        basis = BasisFamily(BasisKind.CUBIC_HERMITE, mesh)
+        hermite = BasisKind.CUBIC_HERMITE
         pot = point_nucleus(2.0)
         n = mesh.interior_count
         for spec in ALL_SPECS:
-            free = _assemble_block(spec, basis, pot, free_lower_slope=True).toarray()
-            fixed = _assemble_block(spec, basis, pot).toarray()
+            free = _assemble_block(spec, hermite, mesh, pot, free_lower_slope=True).toarray()
+            fixed = _assemble_block(spec, hermite, mesh, pot).toarray()
             np.testing.assert_array_equal(np.delete(np.delete(free, n, 0), n, 1), fixed)
 
     @PROPERTY
     @given(mesh=meshes())
     def test_tau_bounded_by_element_size(self, mesh):
-        assert np.all(np.abs(compute_tau(mesh).tau) < mesh.h)
+        assert np.all(np.abs(compute_tau(mesh)) < mesh.h)
 
 
 class TestTau:
@@ -167,7 +166,7 @@ class TestTau:
 
         nodes = 1.0 + 0.25 * np.arange(9)
         mesh = Mesh(a=1.0, b=3.0, interior_count=7, gamma=0.0, nodes=nodes)
-        assert np.all(compute_tau(mesh).tau == 0.0)
+        assert np.all(compute_tau(mesh) == 0.0)
 
     def test_direct_substitution(self):
         # h_j = 0.1, h_{j+1} = 0.3 -> 27/700
@@ -175,19 +174,20 @@ class TestTau:
         from diracfem.discretization import Mesh
 
         mesh = Mesh(a=0.5, b=1.4, interior_count=2, gamma=0.0, nodes=nodes)
-        tau = compute_tau(mesh).tau
+        tau = compute_tau(mesh)
         assert tau[0] == 0.0
         assert tau[1] == pytest.approx(27.0 / 700.0, rel=1e-14)
+        assert not tau.flags.writeable and compute_tau(mesh) is not tau
 
     def test_graded_mesh_positive_increasing(self):
         mesh = build_exponential_mesh(1e-4, 10.0, 20, 5.0)
-        tau = compute_tau(mesh).tau
+        tau = compute_tau(mesh)
         assert np.all(tau[1:] > 0)
         assert np.all(np.diff(tau[1:]) > 0)
 
     def test_bounded_by_element_size(self, rng):
         mesh = random_mesh(rng, n=10)
-        tau = compute_tau(mesh).tau
+        tau = compute_tau(mesh)
         assert np.all(np.abs(tau) < mesh.h)
 
 
@@ -204,15 +204,15 @@ class TestSchemes:
         system = assemble(SCHEME_LINEAR, params, mesh, pot)
         n = mesh.interior_count
         assert system.lhs.shape == (2 * n, 2 * n)
-        assert system.dof_layout == ("zeta", "xi")
+        assert system.dof_blocks == (("zeta", n), ("xi", n))
         sym = np.max(np.abs(system.lhs - system.lhs.T)) / np.max(np.abs(system.lhs))
         assert sym < 1e-12
         assert np.max(np.abs(system.rhs - system.rhs.T)) < 1e-12 * np.max(np.abs(system.rhs))
 
     def test_m010_antisymmetric(self, hyd_setup):
         params, mesh, pot = hyd_setup
-        basis = BasisFamily(BasisKind.LINEAR_HAT, mesh)
-        m010 = _assemble_block(BlockMatrixSpec(0, 1, 0), basis, pot).toarray()
+        m010 = _assemble_block(BlockMatrixSpec(0, 1, 0), BasisKind.LINEAR_HAT, mesh,
+                               pot).toarray()
         assert np.max(np.abs(m010 + m010.T)) < 1e-12 * np.max(np.abs(m010))
 
     def test_hermite_shapes_and_symmetry(self, hyd_setup):
@@ -220,7 +220,7 @@ class TestSchemes:
         system = assemble(SCHEME_HERMITE, params, mesh, pot)
         n = mesh.interior_count
         assert system.lhs.shape == (4 * n, 4 * n)
-        assert system.dof_layout == ("zeta", "zeta_prime", "xi", "xi_prime")
+        assert system.dof_blocks == (("zeta", n), ("zeta_prime", n), ("xi", n), ("xi_prime", n))
         assert np.max(np.abs(system.lhs - system.lhs.T)) < 1e-12 * np.max(np.abs(system.lhs))
         assert np.max(np.abs(system.rhs - system.rhs.T)) < 1e-14 * np.max(np.abs(system.rhs))
 
@@ -246,8 +246,9 @@ class TestSchemes:
 
     def test_supg_nesting_at_zero_tau(self, hyd_setup):
         params, mesh, pot = hyd_setup
-        tau0 = StabilizationProfile(tau=np.zeros(mesh.element_count))
+        tau0 = np.zeros(mesh.element_count)
         supg = assemble(SCHEME_SUPG, params, mesh, pot, tau=tau0)
+        assert tau0.flags.writeable  # the caller's array is left as it was
         galerkin = assemble(SCHEME_HERMITE, params, mesh, pot)
         scale = np.max(np.abs(galerkin.lhs))
         assert np.max(np.abs(supg.lhs - galerkin.lhs)) <= 1e-14 * scale
@@ -257,7 +258,6 @@ class TestSchemes:
         params, mesh, pot = hyd_setup
         system = assemble(SCHEME_SUPG, params, mesh, pot)
         assert np.max(np.abs(system.lhs - system.lhs.T)) > 0
-        assert system.tau is not None
 
     def test_galerkin_schemes_reject_tau(self, hyd_setup):
         params, mesh, pot = hyd_setup
@@ -265,6 +265,14 @@ class TestSchemes:
         for scheme in (SCHEME_LINEAR, SCHEME_HERMITE):
             with pytest.raises(ValueError):
                 assemble(scheme, params, mesh, pot, tau=tau)
+
+    def test_potential_charge_must_match_params(self, hyd_setup):
+        # a Z=12 potential under Z=1 params solves to Z=12-like levels, which
+        # classify would label against the Z=1 reference
+        params, mesh, _ = hyd_setup
+        for pot in (point_nucleus(12.0), extended_nucleus(12.0, 1e-4)):
+            with pytest.raises(PhysicsError, match="charge"):
+                assemble(SCHEME_HERMITE, params, mesh, pot)
 
     def test_linear_rejects_free_lower_slope(self, hyd_setup):
         # the hat basis has no slope dof: the flag cannot be honoured
@@ -275,7 +283,7 @@ class TestSchemes:
     def test_supg_rejects_mismatched_tau(self, hyd_setup):
         params, mesh, pot = hyd_setup
         with pytest.raises(ValueError):
-            assemble(SCHEME_SUPG, params, mesh, pot, tau=StabilizationProfile(tau=np.zeros(3)))
+            assemble(SCHEME_SUPG, params, mesh, pot, tau=np.zeros(3))
 
     def test_free_lower_slope_layout(self, hyd_setup):
         params, mesh, pot = hyd_setup

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from diracfem.discretization import (
-    BasisFamily,
-    BasisKind,
     Mesh,
     build_exponential_mesh,
     gauss_rule,
@@ -105,106 +103,96 @@ class TestQuadrature:
 
 class TestHatBasis:
     @pytest.fixture
-    def basis(self, rng):
-        return BasisFamily(BasisKind.LINEAR_HAT, random_mesh(rng))
+    def mesh(self, rng):
+        return random_mesh(rng)
 
-    def test_nodal_interpolation(self, basis):
-        nodes = basis.mesh.nodes
+    def test_nodal_interpolation(self, mesh):
+        nodes = mesh.nodes
         for j in (1, 3, 6):
-            assert eval_hat(basis, j, nodes[j], 0) == 1.0
-            assert eval_hat(basis, j, nodes[j - 1], 0) == 0.0
-            assert eval_hat(basis, j, nodes[j + 1], 0) == 0.0
+            assert eval_hat(mesh, j, nodes[j], 0) == 1.0
+            assert eval_hat(mesh, j, nodes[j - 1], 0) == 0.0
+            assert eval_hat(mesh, j, nodes[j + 1], 0) == 0.0
 
-    def test_rising_slope(self, basis):
-        mesh = basis.mesh
+    def test_rising_slope(self, mesh):
         j = 3
         x = 0.5 * (mesh.nodes[j - 1] + mesh.nodes[j])
-        assert eval_hat(basis, j, x, 1) == pytest.approx(1.0 / mesh.h[j - 1], rel=1e-14)
+        assert eval_hat(mesh, j, x, 1) == pytest.approx(1.0 / mesh.h[j - 1], rel=1e-14)
 
-    def test_compact_support_exact_zero(self, basis):
-        mesh = basis.mesh
+    def test_compact_support_exact_zero(self, mesh):
         j = 2
         outside = [mesh.nodes[0], mesh.nodes[j + 1] + 0.1, mesh.nodes[-1]]
         for x in outside:
-            assert eval_hat(basis, j, x, 0) == 0.0
-            assert eval_hat(basis, j, x, 1) == 0.0
+            assert eval_hat(mesh, j, x, 0) == 0.0
+            assert eval_hat(mesh, j, x, 1) == 0.0
 
-    def test_partition_of_unity(self, basis):
-        mesh = basis.mesh
+    def test_partition_of_unity(self, mesh):
         xs = np.linspace(mesh.nodes[1], mesh.nodes[-2], 101)
-        total = sum(eval_hat(basis, j, xs, 0) for j in range(1, mesh.interior_count + 1))
+        total = sum(eval_hat(mesh, j, xs, 0) for j in range(1, mesh.interior_count + 1))
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
-    def test_unsupported_order(self, basis):
+    def test_unsupported_order(self, mesh):
         with pytest.raises(ValueError):
-            eval_hat(basis, 1, 1.0, 2)
+            eval_hat(mesh, 1, 1.0, 2)
 
 
 class TestHermiteBasis:
     @pytest.fixture
-    def basis(self, rng):
-        return BasisFamily(BasisKind.CUBIC_HERMITE, random_mesh(rng))
+    def mesh(self, rng):
+        return random_mesh(rng)
 
-    def test_dof_count(self, basis):
-        assert basis.dof_count == 2 * basis.mesh.interior_count
-
-    def test_nodal_properties(self, basis):
+    def test_nodal_properties(self, mesh):
         # value function: 1 at its node with zero derivative; slope function:
         # 0 at its node with unit derivative; both vanish at other nodes
-        nodes = basis.mesh.nodes
+        nodes = mesh.nodes
         for j in (1, 4, 6):
-            assert eval_hermite(basis, j, "value", nodes[j], 0) == pytest.approx(1.0, abs=1e-14)
-            assert eval_hermite(basis, j, "value", nodes[j], 1) == pytest.approx(0.0, abs=1e-12)
-            assert eval_hermite(basis, j, "slope", nodes[j], 0) == pytest.approx(0.0, abs=1e-14)
-            assert eval_hermite(basis, j, "slope", nodes[j], 1) == pytest.approx(1.0, rel=1e-13)
+            assert eval_hermite(mesh, j, "value", nodes[j], 0) == pytest.approx(1.0, abs=1e-14)
+            assert eval_hermite(mesh, j, "value", nodes[j], 1) == pytest.approx(0.0, abs=1e-12)
+            assert eval_hermite(mesh, j, "slope", nodes[j], 0) == pytest.approx(0.0, abs=1e-14)
+            assert eval_hermite(mesh, j, "slope", nodes[j], 1) == pytest.approx(1.0, rel=1e-13)
             for i in (j - 1, j + 1):
-                assert eval_hermite(basis, j, "value", nodes[i], 0) == pytest.approx(0.0, abs=1e-13)
-                assert eval_hermite(basis, j, "slope", nodes[i], 0) == pytest.approx(0.0, abs=1e-13)
+                assert eval_hermite(mesh, j, "value", nodes[i], 0) == pytest.approx(0.0, abs=1e-13)
+                assert eval_hermite(mesh, j, "slope", nodes[i], 0) == pytest.approx(0.0, abs=1e-13)
 
     def test_value_at_midpoint_uniform(self):
         # phi_{j,1} at the midpoint of the right element equals 1/2 on a
         # uniform mesh (direct evaluation of the right-element branch)
         from conftest import uniform_mesh
 
-        basis = BasisFamily(BasisKind.CUBIC_HERMITE, uniform_mesh(0.0, 5.0, 4))
-        mesh = basis.mesh
+        mesh = uniform_mesh(0.0, 5.0, 4)
         j = 2
         mid = 0.5 * (mesh.nodes[j] + mesh.nodes[j + 1])
-        assert eval_hermite(basis, j, "value", mid, 0) == pytest.approx(0.5, abs=1e-14)
+        assert eval_hermite(mesh, j, "value", mid, 0) == pytest.approx(0.5, abs=1e-14)
 
-    def test_c1_continuity_across_node(self, basis):
-        mesh = basis.mesh
+    def test_c1_continuity_across_node(self, mesh):
         eps = 1e-9
         for j in (2, 5):
             for part in ("value", "slope"):
                 for order in (0, 1):
-                    left = eval_hermite(basis, j, part, mesh.nodes[j] - eps, order)
-                    right = eval_hermite(basis, j, part, mesh.nodes[j] + eps, order)
+                    left = eval_hermite(mesh, j, part, mesh.nodes[j] - eps, order)
+                    right = eval_hermite(mesh, j, part, mesh.nodes[j] + eps, order)
                     assert left == pytest.approx(right, abs=1e-6)
 
-    def test_compact_support_exact_zero(self, basis):
-        mesh = basis.mesh
+    def test_compact_support_exact_zero(self, mesh):
         j = 3
         for x in (mesh.nodes[j - 1] - 0.05, mesh.nodes[j + 1] + 0.05):
             for part in ("value", "slope"):
-                assert eval_hermite(basis, j, part, x, 0) == 0.0
-                assert eval_hermite(basis, j, part, x, 1) == 0.0
+                assert eval_hermite(mesh, j, part, x, 0) == 0.0
+                assert eval_hermite(mesh, j, part, x, 1) == 0.0
 
     def test_partition_of_unity_value_functions(self, rng):
         mesh = random_mesh(rng, n=8)
-        basis = BasisFamily(BasisKind.CUBIC_HERMITE, mesh)
         xs = np.linspace(mesh.nodes[1], mesh.nodes[-2], 137)
-        total = sum(eval_hermite(basis, j, "value", xs, 0)
+        total = sum(eval_hermite(mesh, j, "value", xs, 0)
                     for j in range(1, mesh.interior_count + 1))
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
-    def test_unsupported_order(self, basis):
+    def test_unsupported_order(self, mesh):
         with pytest.raises(ValueError):
-            eval_hermite(basis, 1, "value", 1.0, 2)
+            eval_hermite(mesh, 1, "value", 1.0, 2)
 
-    def test_bad_part(self, basis):
+    def test_bad_part(self, mesh):
         with pytest.raises(ValueError):
-            eval_hermite(basis, 1, "curvature", 1.0, 0)
+            eval_hermite(mesh, 1, "curvature", 1.0, 0)
 
 
 class TestHermiteInterpolation:

@@ -15,7 +15,7 @@ from diracfem.assembly import (
 )
 from diracfem.discretization import build_exponential_mesh
 from diracfem.eigensolver import (
-    _fix_vector_signs,
+    _normalize_vectors,
     bound_states,
     bound_window,
     component_coefficients,
@@ -44,11 +44,10 @@ TOY = OperatorParams(Z=1, kappa=-1, c=10.0)  # mc^2 = 100
 def toy_system(lhs, rhs, scheme=SCHEME_LINEAR):
     lhs = np.asarray(lhs, dtype=float)
     size = lhs.shape[0] // 2
-    mesh = build_exponential_mesh(0.1, 10.0, max(size, 1), 1.0)
     return AssembledSystem(scheme=scheme, lhs_csc=scipy.sparse.csc_array(lhs),
                            rhs_csc=scipy.sparse.csc_array(np.asarray(rhs, dtype=float)),
                            dof_blocks=(("zeta", size), ("xi", lhs.shape[0] - size)),
-                           params=TOY, mesh=mesh, potential=point_nucleus(1.0))
+                           params=TOY)
 
 
 class TestToyPencils:
@@ -78,9 +77,7 @@ class TestToyPencils:
         mu = [-2.0 * TOY.c**2 - 1.0, -0.5, 5.0]
         sys3 = AssembledSystem(scheme=SCHEME_LINEAR, lhs_csc=scipy.sparse.csc_array(np.diag(mu)),
                                rhs_csc=scipy.sparse.csc_array(np.eye(3)),
-                               dof_blocks=(("zeta", 2), ("xi", 1)), params=TOY,
-                               mesh=build_exponential_mesh(0.1, 10.0, 2, 1.0),
-                               potential=point_nucleus(1.0))
+                               dof_blocks=(("zeta", 2), ("xi", 1)), params=TOY)
         spectrum = solve(sys3)
         bs = bound_states(spectrum, TOY, 1)
         assert bs[0] == pytest.approx(-0.5, abs=1e-10)
@@ -99,6 +96,17 @@ class TestToyPencils:
         mesh = build_exponential_mesh(1e-5, 30.0, 24, 6.0)
         with pytest.raises(ComplexSpectrumError):
             solve(assemble(SCHEME_SUPG, params, mesh, point_nucleus(2.0)))
+
+    @pytest.mark.parametrize("reality_tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_reality_tol_rejected(self, reality_tol):
+        # nan and inf would let the complex levels of the pencil above pass,
+        # and -1 would blame the pencil for the caller's tolerance
+        params = OperatorParams(Z=2, kappa=1)
+        mesh = build_exponential_mesh(1e-5, 30.0, 24, 6.0)
+        system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(2.0))
+        for window in (None, bound_window(params, 3)):
+            with pytest.raises(ValueError, match="reality_tol"):
+                solve(system, reality_tol=reality_tol, window=window)
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +265,7 @@ class TestRealSystems:
         # nonsymmetric rhs with v^T rhs v = 0 for v = (1, 1)
         rhs = np.array([[1.0, 1.0], [-1.0, -1.0]])
         with pytest.raises(SolverError):
-            _fix_vector_signs(np.ones((2, 1)), rhs, 1)
+            _normalize_vectors(np.ones((2, 1)), rhs, 1)
 
     def test_supg_solution_real_here(self):
         params = OperatorParams(Z=1, kappa=-1)
@@ -269,7 +277,7 @@ class TestRealSystems:
 
     def test_component_coefficients_split(self, hydrogen_windowed):
         params, system, spectrum = hydrogen_windowed
-        n = system.mesh.interior_count
+        n = system.size // 4
         values, slopes = component_coefficients(spectrum, 0, "f")
         assert values.shape == (n,) and slopes.shape == (n,)
         gv, gs = component_coefficients(spectrum, 0, "g")

@@ -15,7 +15,7 @@ from diracfem.assembly import (
     _assemble_block,
     assemble,
 )
-from diracfem.discretization import BasisFamily, BasisKind, build_exponential_mesh
+from diracfem.discretization import BasisKind, build_exponential_mesh
 from diracfem.eigensolver import bound_window, solve
 from diracfem.physics import OperatorParams, point_nucleus
 
@@ -67,7 +67,7 @@ def test_block_has_the_element_pattern(setup):
     for kind, free, nnz in ((BasisKind.LINEAR_HAT, False, 3 * n - 2),
                             (BasisKind.CUBIC_HERMITE, False, 4 * (3 * n - 2)),
                             (BasisKind.CUBIC_HERMITE, True, 4 * (3 * n - 2) + 5)):
-        block = _assemble_block(spec, BasisFamily(kind, mesh), pot, free_lower_slope=free)
+        block = _assemble_block(spec, kind, mesh, pot, free_lower_slope=free)
         assert isinstance(block, scipy.sparse.csc_array)
         assert block.nnz == nnz
         assert block.has_canonical_format
@@ -93,7 +93,7 @@ def test_pencil_pattern_is_the_block_pattern(setup, scheme, free):
     params, mesh, pot = setup
     system = assemble(scheme, params, mesh, pot, free_lower_slope=free)
     kind = BasisKind.LINEAR_HAT if scheme == SCHEME_LINEAR else BasisKind.CUBIC_HERMITE
-    block = _assemble_block(BlockMatrixSpec(0, 0, 0), BasisFamily(kind, mesh), pot,
+    block = _assemble_block(BlockMatrixSpec(0, 0, 0), kind, mesh, pot,
                             free_lower_slope=free)
     m = block.shape[0]
     assert system.lhs_csc.nnz == 4 * block.nnz
