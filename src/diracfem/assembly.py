@@ -228,7 +228,8 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     linear-galerkin and hermite-galerkin give symmetric pencils (2n and 4n
     dofs); hermite-supg tests against v + tau * v' and gives a nonsymmetric
     one, with the per-element ``tau`` array defaulting to
-    ``compute_tau(mesh)``; the Galerkin schemes take no ``tau``. The
+    ``compute_tau(mesh)`` (a given ``tau`` must be finite); the Galerkin
+    schemes take no ``tau``. The
     potential's charge must be ``params.Z`` (PhysicsError otherwise).
     Boundary conditions eliminate the value and slope dofs at both
     endpoints; ``free_lower_slope`` keeps the Hermite slope dof at the lower
@@ -245,6 +246,8 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
         if tau.shape != (mesh.element_count,):
             raise ValueError(f"tau needs one value per element ({mesh.element_count}), "
                              f"got shape {tau.shape}")
+        if not np.isfinite(tau).all():
+            raise ValueError("tau must be finite")
     elif tau is not None:
         raise ValueError(f"scheme {scheme!r} takes no stabilization parameter tau")
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:

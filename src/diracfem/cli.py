@@ -27,6 +27,7 @@ from .physics import (
     NucleusKind,
     OperatorParams,
     PotentialModel,
+    check_charge,
     reference_binding,
     reference_spectrum,
 )
@@ -66,7 +67,7 @@ class RunConfig:
     n_list: tuple[int, ...] | None = None
 
     def finalize(self) -> "RunConfig":
-        """Fill derived defaults and validate; raises ConfigError."""
+        """Fill derived defaults and validate; raises ConfigError, or PhysicsError for Z."""
         cfg = replace(self)
         if cfg.mode not in MODES:
             raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
@@ -99,6 +100,7 @@ class RunConfig:
                               f"{SCHEME_LINEAR} has no slope dof")
         if cfg.a is None:
             cfg.a = 1e-5
+        check_charge(cfg.Z)  # b defaults to 60/Z
         if cfg.b is None:
             cfg.b = 60.0 / cfg.Z
         if cfg.n_list is None:

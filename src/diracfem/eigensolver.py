@@ -7,10 +7,13 @@ lost to cancellation against it. Only ``Spectrum.raw`` adds m*c^2 back.
 
 Two paths solve that pencil. ``solve(system)`` is the dense full-spectrum
 solve (symmetric-definite ``eigh`` or general QZ), eigenvalues only; it is
-the oracle. With ``window=(lo, hi)`` it is a sparse shift-invert Arnoldi
-solve (Ericsson & Ruhe 1980; ARPACK) that computes only the eigenvalues
-nearest the window midpoint, certifies that every eigenvalue inside the
-window was found, and is the one source of eigenvectors.
+the oracle. With ``window=(lo, hi)`` it is a shift-invert Arnoldi solve
+(Ericsson & Ruhe 1980; ARPACK) that computes only the eigenvalues nearest
+the window midpoint, certifies that every eigenvalue inside the window was
+found, and is the one source of eigenvectors. Every scheme couples only
+neighbouring nodes, so with its dofs ordered by node (reverse
+Cuthill-McKee) the pencil is a band matrix: each operator application is
+one band matrix-vector product and one band LU solve.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import SCHEME_SUPG, AssembledSystem
 from .errors import (
@@ -169,19 +175,30 @@ def solve(system: AssembledSystem, reality_tol: float = DEFAULT_REALITY_TOL,
                     max_imag=max_imag, params=system.params, dof_blocks=system.dof_blocks)
 
 
+def _renumbered_coordinates(matrix: scipy.sparse.csc_array, new_index: np.ndarray):
+    """(row, col) of every stored entry of ``matrix`` after renumbering its dofs."""
+    cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
+    return new_index[matrix.indices], new_index[cols]
+
+
 def _solve_window(system: AssembledSystem, window: tuple[float, float],
                   reality_tol: float) -> Spectrum:
     """Shift-invert Arnoldi solve certified complete on the binding window.
 
-    The shift sigma is the window midpoint; the CSC matrix
-    ``lhs - sigma*rhs`` is factored once with SuperLU, and ARPACK finds the
-    k largest-magnitude eigenvalues theta of ``x -> (lhs - sigma*rhs)^-1 rhs x``,
-    i.e. the k bindings mu = sigma + 1/theta nearest sigma. k starts at
-    WINDOW_FIRST_K and doubles until the farthest returned |mu - sigma|
-    exceeds the half-width: every eigenvalue of the window then lies
-    inside the disk the solve exhausted. A fixed start vector makes
-    repeated solves bit-identical, and the number of operator
-    applications (one SuperLU solve each) deterministic.
+    The shift sigma is the window midpoint. The dofs are renumbered by
+    reverse Cuthill-McKee on the union of the lhs and rhs patterns, which
+    makes both band matrices (half-bandwidth 3 for the linear scheme, 7 for
+    Hermite); ``lhs - sigma*rhs`` is factored once in LAPACK band storage
+    with partial pivoting, and ARPACK finds the k largest-magnitude
+    eigenvalues theta of ``x -> (lhs - sigma*rhs)^-1 rhs x`` in the
+    renumbered basis, i.e. the k bindings mu = sigma + 1/theta nearest
+    sigma. k starts at WINDOW_FIRST_K and doubles until the farthest
+    returned |mu - sigma| exceeds the half-width: every eigenvalue of the
+    window then lies inside the disk the solve exhausted. A fixed start
+    vector makes repeated solves bit-identical, and the number of operator
+    applications (one band matrix-vector product and one band LU solve
+    each) deterministic. A factor that is exactly singular or holds a
+    non-finite entry raises SingularSystemError before ARPACK runs.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -192,16 +209,37 @@ def _solve_window(system: AssembledSystem, window: tuple[float, float],
         raise SolverError(f"pencil of size {size} is too small for a windowed solve")
     sigma, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     a, b = system.lhs_csc, system.rhs_csc
-    try:
-        lu = scipy.sparse.linalg.splu(a - sigma * b)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"shifted pencil singular at sigma={sigma}: {exc}") from exc
+    perm = reverse_cuthill_mckee(abs(a) + abs(b))
+    new_index = np.empty_like(perm)
+    new_index[perm] = np.arange(size)
+    ra, ca = _renumbered_coordinates(a, new_index)
+    rb, cb = _renumbered_coordinates(b, new_index)
+    offsets = np.concatenate([ra - ca, rb - cb])
+    kl, ku = max(int(offsets.max()), 0), max(-int(offsets.min()), 0)
+    # LAPACK band storage holds entry (i, j) at row ku + i - j; the array to
+    # factor has kl more rows on top for the fill that row swaps bring
+    shifted = np.zeros((2 * kl + ku + 1, size), order="F")
+    shifted[kl + ku + ra - ca, ca] = a.data
+    shifted[kl + ku + rb - cb, cb] -= sigma * b.data
+    rhs_band = np.zeros((kl + ku + 1, size), order="F")
+    rhs_band[ku + rb - cb, cb] = b.data
+    lu, pivots, info = dgbtrf(shifted, kl, ku, overwrite_ab=True)
+    if info > 0:
+        raise SingularSystemError(f"shifted pencil singular at sigma={sigma}: "
+                                  f"zero pivot in column {info}")
+    if not np.isfinite(lu).all():
+        raise SingularSystemError(f"shifted pencil at sigma={sigma} has a non-finite factor")
+    # dgbmv's wrapper wants at least kl + ku + 1 rows, more than a pencil
+    # of a few nodes has; the product's rows past the pencil come out zero
+    rows = max(size, kl + ku + 1)
     ops = 0
 
     def apply(x):
         nonlocal ops
         ops += 1
-        return lu.solve(b @ x)
+        y, _ = dgbtrs(lu, kl, ku, dgbmv(rows, size, kl, ku, 1.0, rhs_band, x)[:size], pivots,
+                      overwrite_b=True)
+        return y
 
     op = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply, dtype=float)
     v0 = np.ones(size)
@@ -222,11 +260,12 @@ def _solve_window(system: AssembledSystem, window: tuple[float, float],
 
     lam = mu + mc2
     max_imag = float(np.max(np.abs(lam.imag)))
-    _log.debug("windowed solve: N=%d nnz=%d window=(%r, %r) sigma=%r k=%d rounds=%d ops=%d "
-               "max_imag=%.3g", size, a.nnz, lo, hi, sigma, k, rounds, ops, max_imag)
+    _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) sigma=%r k=%d "
+               "rounds=%d ops=%d max_imag=%.3g", size, a.nnz, kl, ku, lo, hi, sigma, k, rounds,
+               ops, max_imag)
     _check_reality(lam, reality_tol)
     order = np.argsort(mu.real)
-    mu, vecs = mu.real[order], vecs[:, order]
+    mu, vecs = mu.real[order], vecs[new_index][:, order]
     keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(hi, 0.0))
     vectors = _normalize_vectors(vecs[:, keep], b, dict(system.dof_blocks)["zeta"])
     return Spectrum(scheme=system.scheme, bindings=mu[keep], raw=mu + mc2,

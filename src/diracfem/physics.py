@@ -21,6 +21,12 @@ from .errors import PhysicsError
 SPEED_OF_LIGHT = 137.035999074
 
 
+def check_charge(Z: float) -> None:
+    """Raise PhysicsError unless Z is a finite nuclear charge >= 1."""
+    if not 1.0 <= Z < math.inf:
+        raise PhysicsError(f"nuclear charge must be finite and >= 1, got Z={Z}")
+
+
 @dataclass(frozen=True)
 class OperatorParams:
     """Physical constants and quantum numbers of the radial operator."""
@@ -33,11 +39,9 @@ class OperatorParams:
     def __post_init__(self):
         if self.kappa == 0 or not float(self.kappa).is_integer():
             raise PhysicsError(f"kappa must be a nonzero integer, got {self.kappa}")
-        if not all(math.isfinite(v) for v in (self.Z, self.m, self.c)):
-            raise PhysicsError(f"Z, m and c must be finite, got Z={self.Z} m={self.m} "
-                               f"c={self.c}")
-        if self.Z < 1:
-            raise PhysicsError(f"nuclear charge must satisfy Z >= 1, got {self.Z}")
+        check_charge(self.Z)
+        if not all(math.isfinite(v) for v in (self.m, self.c)):
+            raise PhysicsError(f"m and c must be finite, got m={self.m} c={self.c}")
         if self.Z >= self.c * abs(self.kappa):
             raise PhysicsError(
                 f"supercritical charge: Z={self.Z} >= c*|kappa|={self.c * abs(self.kappa)}"

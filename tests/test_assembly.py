@@ -274,6 +274,16 @@ class TestSchemes:
             with pytest.raises(PhysicsError, match="charge"):
                 assemble(SCHEME_HERMITE, params, mesh, pot)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_tau_rejected(self, value, capfd):
+        # a NaN tau fills the pencil with NaN, and the solve then blamed the
+        # pencil ("shifted pencil singular") for the caller's input
+        params = OperatorParams(Z=1, kappa=-1)
+        mesh = build_exponential_mesh(1e-5, 40.0, 40, 8.0)
+        with pytest.raises(ValueError, match="tau"):
+            assemble(SCHEME_SUPG, params, mesh, point_nucleus(1.0), tau=np.full(41, value))
+        assert capfd.readouterr() == ("", "")
+
     def test_linear_rejects_free_lower_slope(self, hyd_setup):
         # the hat basis has no slope dof: the flag cannot be honoured
         params, mesh, pot = hyd_setup

@@ -178,6 +178,14 @@ class TestMain:
         assert code == EXIT_PHYSICS
         assert "physics error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("charge", ["0", "-1", "nan"])
+    def test_bad_charge_exits_3(self, charge, capsys):
+        # Z=0 used to end in a ZeroDivisionError deriving b = 60/Z, and Z=-1
+        # in a complaint about the domain that b = -60 gave
+        code = main(["--Z", charge, "--n", "20", "--levels", "1"])
+        assert code == EXIT_PHYSICS
+        assert "nuclear charge" in capsys.readouterr().err
+
     def test_physics_invariant_exits_3(self, capsys):
         code = main(["--Z", "200", "--kappa", "1", "--n", "10"])
         assert code == EXIT_PHYSICS

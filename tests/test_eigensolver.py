@@ -227,6 +227,51 @@ class TestRealSystems:
         with pytest.raises(SingularSystemError):
             solve(toy_system(lhs, np.eye(21)), window=(-1.0, 0.0))
 
+    def test_windowed_solve_pivots(self):
+        # sigma = -0.5 leaves the block [[0, 0.3], [0.3, 0]] in lhs - sigma*rhs:
+        # nonsingular, but only a pivoting factorization gets past its zero
+        # diagonal; its eigenvalues -0.8 and -0.2 are the window's levels
+        size = 20
+        lhs = np.diag(np.concatenate([[-0.5, -0.5], np.arange(5.0, 5.0 + size - 2)]))
+        lhs[0, 1] = lhs[1, 0] = 0.3
+        system = toy_system(lhs, np.eye(size))
+        windowed = solve(system, window=(-1.0, 0.0))
+        dense = solve(system)
+        np.testing.assert_allclose(windowed.bindings, [-0.8, -0.2], rtol=1e-12)
+        np.testing.assert_allclose(windowed.bindings, dense.bindings[:2], rtol=1e-12)
+
+    def test_windowed_solve_of_a_dense_toy_pencil(self):
+        # every dof couples with every other: the band (4, 4) is wider than
+        # half the pencil, as in a FEM pencil of at most 3 interior nodes
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        lhs = q @ np.diag([-0.5, 3.0, 4.0, 5.0, 6.0]) @ q.T
+        windowed = solve(toy_system(0.5 * (lhs + lhs.T), np.eye(5)), window=(-1.0, 0.0))
+        np.testing.assert_allclose(windowed.bindings, [-0.5], rtol=1e-12)
+
+    def test_windowed_non_finite_pencil_raises_quietly(self, capfd):
+        # a NaN entry must stop the solve before ARPACK, which would print
+        # LAPACK argument errors and fail to converge
+        lhs = np.diag(np.concatenate([[-0.2], np.arange(5.0, 24.0)]))
+        lhs[3, 4] = lhs[4, 3] = float("nan")
+        with pytest.raises(SingularSystemError, match="non-finite"):
+            solve(toy_system(lhs, np.eye(20)), window=(-1.0, 0.0))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("scheme, free, width", [
+        (SCHEME_LINEAR, False, 3), (SCHEME_HERMITE, False, 7), (SCHEME_SUPG, False, 7),
+        (SCHEME_HERMITE, True, 7), (SCHEME_SUPG, True, 7)])
+    def test_windowed_solve_factors_a_narrow_band(self, scheme, free, width, caplog):
+        # ordered by node, neighbouring nodes couple 2 (linear) or 4 (Hermite)
+        # dofs each: a wider band means the reordering regressed
+        params = OperatorParams(Z=1, kappa=-1)
+        mesh = build_exponential_mesh(1e-5, 40.0, 40, 8.0)
+        system = assemble(scheme, params, mesh, point_nucleus(1.0), free_lower_slope=free)
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            solve(system, window=bound_window(params, 3))
+        (record,) = [r for r in caplog.records if r.name == "diracfem"]
+        assert f"band=({width}, {width})" in record.getMessage()
+
     def test_windowed_solve_logs_its_shape(self, hydrogen_solution, caplog):
         params, system, _ = hydrogen_solution
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
