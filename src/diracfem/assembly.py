@@ -16,7 +16,11 @@ The coefficients are those of the binding-form pencil (A - mc^2 B, B) of
 the Dirac pencil (A, B): the rest energy cancels term by term here, so no
 bound level is ever computed as a small difference of energies near mc^2.
 
-Degree-of-freedom layout (boundary dofs eliminated):
+The pencil numbers its dofs (boundary dofs eliminated) node by node,
+(f value, g value) for hats and (f value, f slope, g value, g slope) for
+Hermite, so that each pencil matrix is a band matrix; the free lower slope
+option puts (f slope, g slope) of node 0 first. The dense views, the
+eigenvectors and ``dof_blocks`` use the block layout:
   linear:   [f values at nodes 1..n | g values at nodes 1..n]
   Hermite:  [f values 1..n | f slopes 1..n | g values 1..n | g slopes 1..n]
 With the free lower slope option the slope lists start at node 0.
@@ -27,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .discretization import BasisKind, Mesh, gauss_rule, hat_local, hermite_local
 from .errors import PhysicsError
@@ -79,37 +82,45 @@ class AssembledSystem:
     """One generalized eigenproblem lhs*X = mu*rhs*X of one scheme.
 
     The pencil is in binding form: its eigenvalues are the bindings
-    mu = lambda - m*c^2 of the Dirac energies lambda. It is stored sparse
-    (``lhs_csc``, ``rhs_csc``, read-only); ``lhs`` and ``rhs`` are dense
-    C-ordered copies for the full-spectrum solve and for tests.
+    mu = lambda - m*c^2 of the Dirac energies lambda. It is held in LAPACK
+    band storage over the node-order dofs, Fortran-ordered and read-only:
+    ``lhs_band[hb + i - j, j]`` is entry (i, j) for |i - j| <= hb, the
+    half-bandwidth, and likewise ``rhs_band``. Node-order dof k is
+    block-layout dof ``block_index[k]``. ``lhs`` and ``rhs`` are dense
+    C-ordered read-only copies in block layout.
     """
 
     scheme: str
-    lhs_csc: scipy.sparse.csc_array
-    rhs_csc: scipy.sparse.csc_array
+    lhs_band: np.ndarray
+    rhs_band: np.ndarray
+    block_index: np.ndarray
     dof_blocks: tuple[tuple[str, int], ...]
     params: OperatorParams
 
     def __post_init__(self):
-        for matrix in (self.lhs_csc, self.rhs_csc):
-            for part in (matrix.data, matrix.indices, matrix.indptr):
-                part.setflags(write=False)
+        for array in (self.lhs_band, self.rhs_band, self.block_index):
+            array.setflags(write=False)
 
     @property
     def lhs(self) -> np.ndarray:
-        return _dense_view(self.lhs_csc)
+        return _dense_view(self.lhs_band, self.block_index)
 
     @property
     def rhs(self) -> np.ndarray:
-        return _dense_view(self.rhs_csc)
+        return _dense_view(self.rhs_band, self.block_index)
 
     @property
     def size(self) -> int:
-        return self.lhs_csc.shape[0]
+        return self.lhs_band.shape[1]
 
 
-def _dense_view(matrix: scipy.sparse.csc_array) -> np.ndarray:
-    dense = matrix.toarray(order="C")
+def _dense_view(band: np.ndarray, block_index: np.ndarray) -> np.ndarray:
+    hb, size = band.shape[0] // 2, band.shape[1]
+    cols = np.broadcast_to(np.arange(size), band.shape)
+    rows = cols + np.arange(-hb, hb + 1)[:, None]  # the entry each band slot holds
+    inside = (rows >= 0) & (rows < size)
+    dense = np.zeros((size, size))
+    dense[block_index[rows[inside]], block_index[cols[inside]]] = band[inside]
     dense.setflags(write=False)
     return dense
 
@@ -117,70 +128,55 @@ def _dense_view(matrix: scipy.sparse.csc_array) -> np.ndarray:
 # --- block kernel ------------------------------------------------------------
 
 
-def _weight_at(spec: BlockMatrixSpec, potential: PotentialModel, x: np.ndarray) -> np.ndarray:
-    w = np.ones_like(x)
-    if spec.t:
-        w = w / x
-    if spec.q == "V":
-        w = w * potential_value(potential, x)
-    return w
+def _element_kernel(kind: BasisKind, mesh: Mesh, potential: PotentialModel):
+    """Function (spec, tau=None) -> (element, test a, trial b) integrals of one integrand.
 
-
-def _dof_table(n: int, hermite: bool, free_lower_slope: bool) -> np.ndarray:
-    """(element x local) dof indices of one component, -1 where the dof is eliminated.
-
-    Local order per element is (left value, right value) for hats and
-    (left value, left slope, right value, right slope) for Hermite.
+    The Gauss rule, the shape tables of derivative orders 0 and 1 and V are
+    evaluated once, here.
     """
-    value = np.r_[-1, np.arange(n), -1]  # per node 0..n+1
-    if not hermite:
-        return np.stack([value[:-1], value[1:]], axis=1)
-    if free_lower_slope:
+    x, w = gauss_rule(mesh)
+    h, s = mesh.h[:, None], x - mesh.nodes[:-1, None]
+    local = hermite_local if kind is BasisKind.CUBIC_HERMITE else hat_local
+    shapes = [np.stack(local(h, s, order), axis=1) for order in (0, 1)]
+    v = potential_value(potential, x)
+
+    def integrals(spec: BlockMatrixSpec, tau: np.ndarray | None = None) -> np.ndarray:
+        weight = np.ones_like(x)
+        if spec.t:
+            weight = weight / x
+        if spec.q == "V":
+            weight = weight * v
+        weight = w * weight
+        if tau is not None:
+            weight = weight * tau[:, None]
+        return np.einsum("eq,eaq,ebq->eab", weight, shapes[spec.r], shapes[spec.s])
+
+    return integrals
+
+
+def _pencil_dofs(n: int, hermite: bool, free_lower_slope: bool):
+    """(element table, block_index) of the pencil dofs.
+
+    The table holds the node-order dof of each (element, local dof), -1 if
+    eliminated; local dofs are the f dofs, then the g dofs, each (left
+    value, right value) for hats and (left value, left slope, right value,
+    right slope) for Hermite. Node-order dof k is block dof block_index[k].
+    """
+    value = np.r_[-1, np.arange(n), -1]  # per node 0..n+1, within a component
+    if free_lower_slope:  # slopes at nodes 0..n
         slope = np.r_[n + np.arange(n + 1), -1]
     else:
         slope = np.where(value >= 0, n + value, -1)
-    per_node = np.stack([value, slope], axis=1)
-    return np.concatenate([per_node[:-1], per_node[1:]], axis=1)
-
-
-def _element_integrals(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
-                       potential: PotentialModel, tau: np.ndarray | None = None) -> np.ndarray:
-    """(element, test a, trial b) integrals of one block integrand."""
-    x, w = gauss_rule(mesh)
-    w = w * _weight_at(spec, potential, x)
-    if tau is not None:
-        w = w * tau[:, None]
-    h, s = mesh.h[:, None], x - mesh.nodes[:-1, None]
-    shapes = hermite_local if kind is BasisKind.CUBIC_HERMITE else hat_local
-    test = np.stack(shapes(h, s, spec.r), axis=1)
-    trial = np.stack(shapes(h, s, spec.s), axis=1)
-    return np.einsum("eq,eaq,ebq->eab", w, test, trial)
-
-
-def _scatter(dofs: np.ndarray, local: np.ndarray,
-             coupled: np.ndarray | bool = True) -> scipy.sparse.csc_array:
-    """CSC matrix summing each local entry (e, a, b) at (dofs[e, a], dofs[e, b]).
-
-    The pattern holds the local entries where ``coupled`` (a local
-    (a, b) mask) is true and neither dof is eliminated (-1). Unbuffered adds in element order sum
-    each entry as an element loop would.
-    """
-    size = int(dofs.max()) + 1
-    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-    active = (rows >= 0) & (cols >= 0) & coupled
-    keys, slots = np.unique(cols[active] * size + rows[active], return_inverse=True)
-    data = np.zeros(len(keys))
-    np.add.at(data, slots, local[active])
-    indptr = np.searchsorted(keys // size, np.arange(size + 1))
-    return scipy.sparse.csc_array((data, keys % size, indptr), shape=(size, size))
-
-
-def _assemble_block(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
-                    potential: PotentialModel, tau: np.ndarray | None = None,
-                    free_lower_slope: bool = False) -> scipy.sparse.csc_array:
-    """Sparse block matrix over the active dofs of one spinor component."""
-    dofs = _dof_table(mesh.interior_count, kind is BasisKind.CUBIC_HERMITE, free_lower_slope)
-    return _scatter(dofs, _element_integrals(spec, kind, mesh, potential, tau))
+    parts = np.stack([value, slope], axis=1) if hermite else value[:, None]
+    m = int(parts.max()) + 1
+    # block-layout index per (node, f parts then g parts); node order counts row by row
+    block = np.concatenate([parts, np.where(parts >= 0, parts + m, -1)], axis=1)
+    active = block >= 0
+    node = np.full(block.shape, -1)
+    node[active] = np.arange(np.count_nonzero(active))
+    d = parts.shape[1]
+    table = np.concatenate([node[:-1, :d], node[1:, :d], node[:-1, d:], node[1:, d:]], axis=1)
+    return table, block[active]
 
 
 # --- schemes as tables of block terms ----------------------------------------
@@ -234,9 +230,9 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     Boundary conditions eliminate the value and slope dofs at both
     endpoints; ``free_lower_slope`` keeps the Hermite slope dof at the lower
     endpoint instead (the physically correct choice for |kappa| = 1). The
-    hat basis has no slope dof, so linear-galerkin rejects it. Each pencil
-    matrix is summed element by element into one CSC pattern: the blocks
-    its terms touch.
+    hat basis has no slope dof, so linear-galerkin rejects it. The Gauss
+    rule, the shape tables and V are evaluated once per call, and each
+    pencil matrix is summed element by element into band storage.
     """
     if scheme not in _SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -255,27 +251,30 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     if potential.Z != params.Z:
         raise PhysicsError(f"potential charge {potential.Z} does not match Z={params.Z}")
     n = mesh.interior_count
-    dofs = _dof_table(n, kind is BasisKind.CUBIC_HERMITE, free_lower_slope)
-    m, width = int(dofs.max()) + 1, dofs.shape[1]
-    # pencil dofs per element: the f dofs, then the g dofs offset by m
-    pencil_dofs = np.concatenate([dofs, np.where(dofs >= 0, dofs + m, -1)], axis=1)
+    table, block_index = _pencil_dofs(n, kind is BasisKind.CUBIC_HERMITE, free_lower_slope)
+    size, width = len(block_index), table.shape[1] // 2
+    kernel = _element_kernel(kind, mesh, potential)
     local = {name: np.zeros((mesh.element_count, 2 * width, 2 * width)) for name in ("lhs", "rhs")}
-    coupled = {name: np.zeros((2, 2), dtype=bool) for name in ("lhs", "rhs")}
     integrals = {}  # (spec, tau-weighted) -> element integrals
     c, k, mc2 = params.c, params.kappa, params.rest_energy
     for matrix, row, col, spec, coefficient, weighted in terms:
         if (spec, weighted) not in integrals:
-            integrals[spec, weighted] = _element_integrals(spec, kind, mesh, potential,
-                                                           tau if weighted else None)
+            integrals[spec, weighted] = kernel(spec, tau if weighted else None)
         block = np.s_[:, row * width:(row + 1) * width, col * width:(col + 1) * width]
         local[matrix][block] += coefficient(c, k, mc2) * integrals[spec, weighted]
-        coupled[matrix][row, col] = True
-    lhs, rhs = (_scatter(pencil_dofs, local[name],
-                         coupled[name].repeat(width, axis=0).repeat(width, axis=1))
-                for name in ("lhs", "rhs"))
+    # an element couples the dofs of two neighbouring nodes, 2*width in all;
+    # entry (i, j) goes to slot (hb + i - j, j) of the Fortran-ordered band,
+    # an eliminated one to a spare last slot; bincount sums in element order
+    hb = 2 * width - 1
+    rows, cols = table[:, :, None], table[:, None, :]
+    slots = np.where((rows >= 0) & (cols >= 0), hb + rows + 2 * hb * cols,
+                     (2 * hb + 1) * size).ravel()
+    lhs, rhs = (np.bincount(slots, local[name].ravel(), (2 * hb + 1) * size + 1)[:-1]
+                .reshape(size, 2 * hb + 1).T for name in ("lhs", "rhs"))
     if kind is BasisKind.LINEAR_HAT:
         dof_blocks = (("zeta", n), ("xi", n))
     else:
-        dof_blocks = (("zeta", n), ("zeta_prime", m - n), ("xi", n), ("xi_prime", m - n))
-    return AssembledSystem(scheme=scheme, lhs_csc=lhs, rhs_csc=rhs,
+        slopes = size // 2 - n
+        dof_blocks = (("zeta", n), ("zeta_prime", slopes), ("xi", n), ("xi_prime", slopes))
+    return AssembledSystem(scheme=scheme, lhs_band=lhs, rhs_band=rhs, block_index=block_index,
                            dof_blocks=dof_blocks, params=params)

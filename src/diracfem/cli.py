@@ -77,8 +77,8 @@ class RunConfig:
             raise ConfigError(f"unknown format {cfg.format!r}; expected one of {FORMATS}")
         if cfg.nucleus not in NUCLEI:
             raise ConfigError(f"nucleus must be 'point' or 'extended', got {cfg.nucleus!r}")
-        if cfg.nucleus == "extended" and (cfg.radius is None or cfg.radius <= 0):
-            raise ConfigError("extended nucleus requires a positive --radius")
+        if cfg.nucleus == "extended" and (cfg.radius is None or not 0.0 < cfg.radius < math.inf):
+            raise ConfigError(f"extended nucleus needs a finite --radius > 0, got {cfg.radius}")
         if cfg.kappa is not None and cfg.abs_kappa is not None:
             raise ConfigError("give either kappa or abs_kappa, not both")
         if cfg.kappa is None and cfg.abs_kappa is None:
@@ -470,8 +470,11 @@ def _make_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _make_parser()
+
+
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config_path = args.config or os.environ.get(ENV_CONFIG)
         file_values = load_config_file(config_path) if config_path else {}

@@ -10,6 +10,7 @@ The mesh is immutable after construction and all evaluations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -81,8 +82,12 @@ def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
 
     Node formula: ``x_i = a + (b - a) * (exp(gamma*i/(n+1)) - 1) / (exp(gamma) - 1)``
     for i = 0..n+1, so the endpoints are hit exactly and element sizes grow
-    monotonically away from a.
+    monotonically away from a. a, b and gamma must be finite, and exp(gamma)
+    must not overflow.
     """
+    for name, value in (("a", a), ("b", b), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise PhysicsError(f"invalid mesh parameter {name}={value}: must be finite")
     if not (0.0 < a < b):
         raise PhysicsError(f"invalid domain: need 0 < a < b, got a={a}, b={b}")
     if n < 1:
@@ -90,7 +95,10 @@ def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
     if gamma <= 0.0:
         raise PhysicsError(f"invalid mesh grading: need gamma > 0, got {gamma}")
     i = np.arange(n + 2, dtype=float)
-    nodes = a + (b - a) * np.expm1(gamma * i / (n + 1)) / np.expm1(gamma)
+    exponents = gamma * i / (n + 1)  # the last may round to just above gamma
+    if max(gamma, exponents[-1]) > math.log(np.finfo(float).max):
+        raise PhysicsError(f"invalid mesh parameter gamma={gamma}: exp(gamma) overflows")
+    nodes = a + (b - a) * np.expm1(exponents) / np.expm1(gamma)
     nodes[0] = a
     nodes[-1] = b
     return Mesh(a=a, b=b, interior_count=n, gamma=gamma, nodes=nodes)

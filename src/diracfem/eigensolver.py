@@ -10,10 +10,9 @@ solve (symmetric-definite ``eigh`` or general QZ), eigenvalues only; it is
 the oracle. With ``window=(lo, hi)`` it is a shift-invert Arnoldi solve
 (Ericsson & Ruhe 1980; ARPACK) that computes only the eigenvalues nearest
 the window midpoint, certifies that every eigenvalue inside the window was
-found, and is the one source of eigenvectors. Every scheme couples only
-neighbouring nodes, so with its dofs ordered by node (reverse
-Cuthill-McKee) the pencil is a band matrix: each operator application is
-one band matrix-vector product and one band LU solve.
+found, and is the one source of eigenvectors. ``assemble`` stores the
+pencil in node order as band matrices (see ``assembly``): each operator
+application is one band matrix-vector product and one band LU solve.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import SCHEME_SUPG, AssembledSystem
 from .errors import (
@@ -94,18 +91,31 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _normalize_vectors(vecs: np.ndarray, rhs, zeta_width: int) -> np.ndarray:
-    """Real, rhs-normalized columns whose largest-|f value| entry is positive.
+def _band_product(band: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """A @ x, or A.T @ x, for the square matrix A held in LAPACK band storage ``band``."""
+    hb, size = band.shape[0] // 2, band.shape[1]
+    # dgbmv's wrapper wants at least 2*hb + 1 rows; those past a small pencil are zero
+    rows = max(size, 2 * hb + 1)
+    if transpose and rows > size:
+        x = np.r_[x, np.zeros(rows - size)]
+    return dgbmv(rows, size, hb, hb, 1.0, band, x, trans=int(transpose))[:size]
 
-    Each column is first rotated so that its largest entry is real. A column
-    whose rhs norm vanishes to rounding (possible for the nonsymmetric
-    stabilized rhs) cannot be normalized and raises SolverError.
+
+def _normalize_vectors(vecs: np.ndarray, system: AssembledSystem) -> np.ndarray:
+    """Node-order columns ``vecs`` made real, rhs-normalized and block-layout.
+
+    Each column is rotated so that its largest entry is real and signed so
+    that its largest-|f value| entry is positive. A column whose rhs norm
+    vanishes to rounding (possible for the nonsymmetric stabilized rhs)
+    raises SolverError.
     """
     cols = np.arange(vecs.shape[1])
     phase = vecs[np.argmax(np.abs(vecs), axis=0), cols]
     # one real copy, then in place, so repeated solves do not grow peak RSS
     v = (vecs * np.conj(phase / np.abs(phase))).real.copy()
-    vb = rhs.T @ v
+    vb = np.empty_like(v)
+    for j in cols:
+        vb[:, j] = _band_product(system.rhs_band, v[:, j], transpose=True)
     norms = np.einsum("ik,ik->k", vb, v)
     eps = np.finfo(float).eps
     vanishing = ~(np.abs(norms) > eps * np.linalg.norm(vb, axis=0) * np.linalg.norm(v, axis=0))
@@ -113,8 +123,9 @@ def _normalize_vectors(vecs: np.ndarray, rhs, zeta_width: int) -> np.ndarray:
         k = int(np.argmax(vanishing))
         raise SolverError(f"eigenvector {k} has vanishing rhs norm {norms[k]:.3g}")
     v /= np.sqrt(np.abs(norms))
-    v[:, v[np.argmax(np.abs(v[:zeta_width]), axis=0), cols] < 0] *= -1.0
-    return v
+    f_values = np.flatnonzero(system.block_index < dict(system.dof_blocks)["zeta"])
+    v[:, v[f_values[np.argmax(np.abs(v[f_values]), axis=0)], cols] < 0] *= -1.0
+    return v[np.argsort(system.block_index)]  # the inverse permutation
 
 
 def _check_reality(lam: np.ndarray, reality_tol: float) -> float:
@@ -175,30 +186,23 @@ def solve(system: AssembledSystem, reality_tol: float = DEFAULT_REALITY_TOL,
                     max_imag=max_imag, params=system.params, dof_blocks=system.dof_blocks)
 
 
-def _renumbered_coordinates(matrix: scipy.sparse.csc_array, new_index: np.ndarray):
-    """(row, col) of every stored entry of ``matrix`` after renumbering its dofs."""
-    cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
-    return new_index[matrix.indices], new_index[cols]
-
-
 def _solve_window(system: AssembledSystem, window: tuple[float, float],
                   reality_tol: float) -> Spectrum:
     """Shift-invert Arnoldi solve certified complete on the binding window.
 
-    The shift sigma is the window midpoint. The dofs are renumbered by
-    reverse Cuthill-McKee on the union of the lhs and rhs patterns, which
-    makes both band matrices (half-bandwidth 3 for the linear scheme, 7 for
-    Hermite); ``lhs - sigma*rhs`` is factored once in LAPACK band storage
-    with partial pivoting, and ARPACK finds the k largest-magnitude
-    eigenvalues theta of ``x -> (lhs - sigma*rhs)^-1 rhs x`` in the
-    renumbered basis, i.e. the k bindings mu = sigma + 1/theta nearest
-    sigma. k starts at WINDOW_FIRST_K and doubles until the farthest
-    returned |mu - sigma| exceeds the half-width: every eigenvalue of the
-    window then lies inside the disk the solve exhausted. A fixed start
-    vector makes repeated solves bit-identical, and the number of operator
-    applications (one band matrix-vector product and one band LU solve
-    each) deterministic. A factor that is exactly singular or holds a
-    non-finite entry raises SingularSystemError before ARPACK runs.
+    The shift sigma is the window midpoint. ``lhs - sigma*rhs`` is formed
+    from the node-order band pencil (half-bandwidth 3 for the linear
+    scheme, 7 for Hermite) and factored once in LAPACK band storage with
+    partial pivoting, and ARPACK finds the k largest-magnitude eigenvalues
+    theta of ``x -> (lhs - sigma*rhs)^-1 rhs x`` in node order, i.e. the k
+    bindings mu = sigma + 1/theta nearest sigma; their eigenvectors are
+    returned in block layout. k starts at WINDOW_FIRST_K and doubles until
+    the farthest returned |mu - sigma| exceeds the half-width: every
+    eigenvalue of the window then lies inside the disk the solve exhausted.
+    A fixed start vector makes repeated solves bit-identical, and the number
+    of operator applications (one band matrix-vector product and one band
+    LU solve each) deterministic. A factor that is exactly singular or holds
+    a non-finite entry raises SingularSystemError before ARPACK runs.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -208,37 +212,23 @@ def _solve_window(system: AssembledSystem, window: tuple[float, float],
     if size < 3:
         raise SolverError(f"pencil of size {size} is too small for a windowed solve")
     sigma, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    a, b = system.lhs_csc, system.rhs_csc
-    perm = reverse_cuthill_mckee(abs(a) + abs(b))
-    new_index = np.empty_like(perm)
-    new_index[perm] = np.arange(size)
-    ra, ca = _renumbered_coordinates(a, new_index)
-    rb, cb = _renumbered_coordinates(b, new_index)
-    offsets = np.concatenate([ra - ca, rb - cb])
-    kl, ku = max(int(offsets.max()), 0), max(-int(offsets.min()), 0)
-    # LAPACK band storage holds entry (i, j) at row ku + i - j; the array to
-    # factor has kl more rows on top for the fill that row swaps bring
-    shifted = np.zeros((2 * kl + ku + 1, size), order="F")
-    shifted[kl + ku + ra - ca, ca] = a.data
-    shifted[kl + ku + rb - cb, cb] -= sigma * b.data
-    rhs_band = np.zeros((kl + ku + 1, size), order="F")
-    rhs_band[ku + rb - cb, cb] = b.data
-    lu, pivots, info = dgbtrf(shifted, kl, ku, overwrite_ab=True)
+    a, b = system.lhs_band, system.rhs_band
+    hb = a.shape[0] // 2
+    # the array to factor has hb more rows on top for the fill that row swaps bring
+    shifted = np.zeros((3 * hb + 1, size), order="F")
+    shifted[hb:] = a - sigma * b
+    lu, pivots, info = dgbtrf(shifted, hb, hb, overwrite_ab=True)
     if info > 0:
         raise SingularSystemError(f"shifted pencil singular at sigma={sigma}: "
                                   f"zero pivot in column {info}")
     if not np.isfinite(lu).all():
         raise SingularSystemError(f"shifted pencil at sigma={sigma} has a non-finite factor")
-    # dgbmv's wrapper wants at least kl + ku + 1 rows, more than a pencil
-    # of a few nodes has; the product's rows past the pencil come out zero
-    rows = max(size, kl + ku + 1)
     ops = 0
 
     def apply(x):
         nonlocal ops
         ops += 1
-        y, _ = dgbtrs(lu, kl, ku, dgbmv(rows, size, kl, ku, 1.0, rhs_band, x)[:size], pivots,
-                      overwrite_b=True)
+        y, _ = dgbtrs(lu, hb, hb, _band_product(b, x), pivots, overwrite_b=True)
         return y
 
     op = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply, dtype=float)
@@ -261,16 +251,15 @@ def _solve_window(system: AssembledSystem, window: tuple[float, float],
     lam = mu + mc2
     max_imag = float(np.max(np.abs(lam.imag)))
     _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) sigma=%r k=%d "
-               "rounds=%d ops=%d max_imag=%.3g", size, a.nnz, kl, ku, lo, hi, sigma, k, rounds,
-               ops, max_imag)
+               "rounds=%d ops=%d max_imag=%.3g", size, np.count_nonzero(a), hb, hb, lo, hi,
+               sigma, k, rounds, ops, max_imag)
     _check_reality(lam, reality_tol)
     order = np.argsort(mu.real)
-    mu, vecs = mu.real[order], vecs[new_index][:, order]
+    mu, vecs = mu.real[order], vecs[:, order]
     keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(hi, 0.0))
-    vectors = _normalize_vectors(vecs[:, keep], b, dict(system.dof_blocks)["zeta"])
     return Spectrum(scheme=system.scheme, bindings=mu[keep], raw=mu + mc2,
-                    max_imag=max_imag, params=system.params,
-                    dof_blocks=system.dof_blocks, eigenvectors=vectors)
+                    max_imag=max_imag, params=system.params, dof_blocks=system.dof_blocks,
+                    eigenvectors=_normalize_vectors(vecs[:, keep], system))
 
 
 def bound_states(spectrum: Spectrum, params: OperatorParams, count: int) -> np.ndarray:
@@ -307,8 +296,8 @@ def component_coefficients(spectrum: Spectrum, index: int, component: str):
 
 
 def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarray) -> float:
-    """Relative residual of one eigenpair (binding, vector) against the assembled pencil."""
-    lhs, rhs = system.lhs_csc, system.rhs_csc
-    r = lhs @ vector - binding * (rhs @ vector)
-    scale = scipy.sparse.linalg.norm(lhs) + abs(binding) * scipy.sparse.linalg.norm(rhs)
-    return float(np.linalg.norm(r) / (scale * np.linalg.norm(vector)))
+    """Relative residual of one eigenpair (binding, block-layout vector) against the pencil."""
+    v = np.asarray(vector, dtype=float)[system.block_index]
+    r = _band_product(system.lhs_band, v) - binding * _band_product(system.rhs_band, v)
+    scale = np.linalg.norm(system.lhs_band) + abs(binding) * np.linalg.norm(system.rhs_band)
+    return float(np.linalg.norm(r) / (scale * np.linalg.norm(v)))

@@ -69,8 +69,8 @@ class PotentialModel:
 
     def __post_init__(self):
         if self.kind is NucleusKind.EXTENDED_UNIFORM:
-            if self.R is None or self.R <= 0:
-                raise PhysicsError("extended nucleus requires a positive radius R")
+            if self.R is None or not 0.0 < self.R < math.inf:
+                raise PhysicsError(f"extended nucleus needs a finite radius R > 0, got R={self.R}")
 
 
 def point_nucleus(Z: float) -> PotentialModel:

@@ -2,8 +2,11 @@
 
 ``eval_hat`` and ``eval_hermite`` evaluate one global basis function of a
 node; ``element_integral`` evaluates one block-matrix entry straight from
-the basis functions of its two dofs; ``closed_form_element_entries`` gives
-the exact polynomial integrals the 4-point rule must reproduce. The
+the basis functions of its two dofs; ``assemble_block`` sums the package's
+element integrals of one integrand into a dense block matrix;
+``band_storage`` writes a dense matrix in LAPACK band storage;
+``closed_form_element_entries`` gives the exact polynomial integrals the
+4-point rule must reproduce. The
 Hermite interpolation-error helpers, ``potential_w``,
 ``accumulation_point`` and the first-order residual functionals and nodal
 propagation of the radial system restate the model in its plainest form.
@@ -11,7 +14,7 @@ propagation of the radial system restate the model in its plainest form.
 
 import numpy as np
 
-from diracfem.assembly import BlockMatrixSpec, _weight_at
+from diracfem.assembly import BlockMatrixSpec, _element_kernel
 from diracfem.discretization import (
     BasisKind,
     Mesh,
@@ -83,6 +86,15 @@ def _check_node(mesh: Mesh, j: int, allow_boundary: bool = False):
         raise IndexError(f"node index {j} out of range {lo}..{hi}")
 
 
+def _weight_at(spec: BlockMatrixSpec, potential: PotentialModel, x: np.ndarray) -> np.ndarray:
+    w = np.ones_like(x)
+    if spec.t:
+        w = w / x
+    if spec.q == "V":
+        w = w * potential_value(potential, x)
+    return w
+
+
 def element_integral(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
                      potential: PotentialModel, test_dof: int, trial_dof: int) -> float:
     """Single block-matrix entry; 0 without quadrature when supports are disjoint.
@@ -123,6 +135,46 @@ def element_integral(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
             trial = hat_local(h, s, spec.s)[1 if e == s_node else 0]
         total += float(np.dot(w, test * trial))
     return total
+
+
+def assemble_block(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
+                   potential: PotentialModel, tau: np.ndarray | None = None,
+                   free_lower_slope: bool = False) -> np.ndarray:
+    """Dense block matrix of one integrand over the active dofs of one spinor component.
+
+    Dofs follow the layout of ``element_integral``: values at nodes 1..n,
+    then for Hermite the slopes, which start at node 0 with
+    ``free_lower_slope``. The package's element integrals are summed entry
+    by entry in element order.
+    """
+    n = mesh.interior_count
+    value = np.r_[-1, np.arange(n), -1]  # per node 0..n+1, -1 where eliminated
+    if kind is BasisKind.LINEAR_HAT:
+        dofs = np.stack([value[:-1], value[1:]], axis=1)
+    else:
+        if free_lower_slope:
+            slope = np.r_[n + np.arange(n + 1), -1]
+        else:
+            slope = np.where(value >= 0, n + value, -1)
+        per_node = np.stack([value, slope], axis=1)
+        dofs = np.concatenate([per_node[:-1], per_node[1:]], axis=1)
+    local = _element_kernel(kind, mesh, potential)(spec, tau)
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    active = (rows >= 0) & (cols >= 0)
+    block = np.zeros((dofs.max() + 1,) * 2)
+    np.add.at(block, (rows[active], cols[active]), local[active])
+    return block
+
+
+def band_storage(matrix, hb: int) -> np.ndarray:
+    """LAPACK band storage of the entries of a square matrix within hb of its diagonal."""
+    matrix = np.asarray(matrix, dtype=float)
+    size = matrix.shape[0]
+    band = np.zeros((2 * hb + 1, size), order="F")
+    reach = min(hb, size - 1)
+    for d in range(-reach, reach + 1):  # entry (i, i + d) sits in row hb - d, column i + d
+        band[hb - d, max(d, 0):size + min(d, 0)] = np.diagonal(matrix, d)
+    return band
 
 
 # --- closed-form element integrals (assembly oracle) ------------------------

@@ -10,14 +10,13 @@ from diracfem.assembly import (
     BlockMatrixSpec,
     assemble,
     compute_tau,
-    _assemble_block,
 )
 from diracfem.discretization import BasisKind, Mesh, build_exponential_mesh
 from diracfem.errors import PhysicsError
 from diracfem.physics import OperatorParams, extended_nucleus, point_nucleus
 
 from conftest import random_mesh
-from oracles import closed_form_element_entries, element_integral
+from oracles import assemble_block, closed_form_element_entries, element_integral
 
 POLY_SPECS = {
     "MM000": BlockMatrixSpec(0, 0, 0),
@@ -72,7 +71,7 @@ class TestClosedFormOracle:
         pot = point_nucleus(2.0)
         hermite = BasisKind.CUBIC_HERMITE
         for spec in (BlockMatrixSpec(0, 0, 1), BlockMatrixSpec(1, 0, 0, "V")):
-            block = _assemble_block(spec, hermite, mesh, pot)
+            block = assemble_block(spec, hermite, mesh, pot)
             for i in (0, 3, 7):
                 for j in (0, 4, 9):
                     assert block[i, j] == pytest.approx(
@@ -82,7 +81,7 @@ class TestClosedFormOracle:
         # exact hat integrals: mass diag (h_j + h_{j+1})/3, off-diag h/6
         mesh = random_mesh(rng, n=5)
         pot = point_nucleus(1.0)
-        m000 = _assemble_block(BlockMatrixSpec(0, 0, 0), BasisKind.LINEAR_HAT, mesh, pot)
+        m000 = assemble_block(BlockMatrixSpec(0, 0, 0), BasisKind.LINEAR_HAT, mesh, pot)
         j = 3
         hj, hj1 = mesh.h[j - 1], mesh.h[j]
         assert m000[j - 1, j - 1] == pytest.approx((hj + hj1) / 3, rel=1e-13)
@@ -119,7 +118,7 @@ class TestBlockKernelProperties:
         n = mesh.interior_count
         m = n if kind is BasisKind.LINEAR_HAT else 2 * n
         for spec in ALL_SPECS:
-            block = _assemble_block(spec, kind, mesh, pot).toarray()
+            block = assemble_block(spec, kind, mesh, pot)
             want = np.array([[element_integral(spec, kind, mesh, pot, i, j) for j in range(m)]
                              for i in range(m)])
             # entries that cancel to zero (the hat M010 diagonal is 1/2 - 1/2)
@@ -135,9 +134,8 @@ class TestBlockKernelProperties:
         ones = np.ones(mesh.element_count)
         for spec in ALL_SPECS:
             np.testing.assert_array_equal(
-                _assemble_block(spec, kind, mesh, pot, tau=ones,
-                                free_lower_slope=free).toarray(),
-                _assemble_block(spec, kind, mesh, pot, free_lower_slope=free).toarray())
+                assemble_block(spec, kind, mesh, pot, tau=ones, free_lower_slope=free),
+                assemble_block(spec, kind, mesh, pot, free_lower_slope=free))
 
     @PROPERTY
     @given(mesh=meshes())
@@ -148,8 +146,8 @@ class TestBlockKernelProperties:
         pot = point_nucleus(2.0)
         n = mesh.interior_count
         for spec in ALL_SPECS:
-            free = _assemble_block(spec, hermite, mesh, pot, free_lower_slope=True).toarray()
-            fixed = _assemble_block(spec, hermite, mesh, pot).toarray()
+            free = assemble_block(spec, hermite, mesh, pot, free_lower_slope=True)
+            fixed = assemble_block(spec, hermite, mesh, pot)
             np.testing.assert_array_equal(np.delete(np.delete(free, n, 0), n, 1), fixed)
 
     @PROPERTY
@@ -211,8 +209,7 @@ class TestSchemes:
 
     def test_m010_antisymmetric(self, hyd_setup):
         params, mesh, pot = hyd_setup
-        m010 = _assemble_block(BlockMatrixSpec(0, 1, 0), BasisKind.LINEAR_HAT, mesh,
-                               pot).toarray()
+        m010 = assemble_block(BlockMatrixSpec(0, 1, 0), BasisKind.LINEAR_HAT, mesh, pot)
         assert np.max(np.abs(m010 + m010.T)) < 1e-12 * np.max(np.abs(m010))
 
     def test_hermite_shapes_and_symmetry(self, hyd_setup):

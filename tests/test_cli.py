@@ -134,6 +134,20 @@ def test_every_field_settable_from_file_and_flag(name, tmp_path):
 
 
 class TestMain:
+    def test_parser_built_once(self, monkeypatch, capsys):
+        # main parses with the parser built at import; --help still lists every flag
+        def refuse(*args, **kwargs):
+            raise AssertionError("argument parser rebuilt on a call")
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "add_argument", refuse)
+        assert main(["--mode", "verify-tau", "--n", "20", "--format", "csv"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for field in fields(RunConfig):
+            assert "--" + field.name.replace("_", "-") in out
+
     def test_malformed_config_exits_2_without_output(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scheme = fancy\n")
@@ -185,6 +199,27 @@ class TestMain:
         code = main(["--Z", charge, "--n", "20", "--levels", "1"])
         assert code == EXIT_PHYSICS
         assert "nuclear charge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_non_finite_radius_exits_2_without_output(self, radius, tmp_path, capsys):
+        # nan gave point-nucleus numbers with exit 0; inf solved, then exited 4
+        out = tmp_path / "result.csv"
+        code = main(FAST + ["--nucleus", "extended", "--radius", radius,
+                            "--format", "csv", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--mesh-gamma", "inf", "gamma"), ("--mesh-gamma", "800", "gamma"), ("--b", "inf", "b")])
+    def test_bad_mesh_parameter_exits_3_naming_it(self, flag, value, name, capfd):
+        # each printed numpy warnings, then blamed the nodes for not increasing
+        code = main(FAST + [flag, value])
+        assert code == EXIT_PHYSICS
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("physics error: ") and f"parameter {name}=" in err
+        assert err.count("\n") == 1
 
     def test_physics_invariant_exits_3(self, capsys):
         code = main(["--Z", "200", "--kappa", "1", "--n", "10"])

@@ -75,6 +75,19 @@ class TestMesh:
         with pytest.raises(PhysicsError):
             build_exponential_mesh(1e-5, 1.0, 5, -1.0)
 
+    @pytest.mark.parametrize("a, b, gamma, name", [
+        (float("nan"), 1.0, 6.0, "a"), (float("inf"), 1.0, 6.0, "a"),
+        (1e-5, float("inf"), 6.0, "b"), (1e-5, float("nan"), 6.0, "b"),
+        (1e-5, 1.0, float("inf"), "gamma"), (1e-5, 1.0, float("nan"), "gamma"),
+        (1e-5, 1.0, 800.0, "gamma")])
+    def test_bad_parameter_named_before_any_arithmetic(self, a, b, gamma, name, capfd):
+        # b = inf or gamma = inf made NaN nodes and gamma = 800 overflowed
+        # exp(gamma), each with a numpy warning, and Mesh then blamed the
+        # nodes for not increasing
+        with pytest.raises(PhysicsError, match=f"parameter {name}="):
+            build_exponential_mesh(a, b, 5, gamma)
+        assert capfd.readouterr() == ("", "")
+
 
 class TestQuadrature:
     def test_degree_seven_exact(self):

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from diracfem.assembly import (
     SCHEME_HERMITE,
@@ -35,6 +34,8 @@ from diracfem.physics import (
     reference_spectrum,
 )
 
+from oracles import band_storage
+
 TOY = OperatorParams(Z=1, kappa=-1, c=10.0)  # mc^2 = 100
 
 # Toy pencils are written in binding form, as ``assemble`` returns them:
@@ -42,11 +43,11 @@ TOY = OperatorParams(Z=1, kappa=-1, c=10.0)  # mc^2 = 100
 
 
 def toy_system(lhs, rhs, scheme=SCHEME_LINEAR):
-    lhs = np.asarray(lhs, dtype=float)
-    size = lhs.shape[0] // 2
-    return AssembledSystem(scheme=scheme, lhs_csc=scipy.sparse.csc_array(lhs),
-                           rhs_csc=scipy.sparse.csc_array(np.asarray(rhs, dtype=float)),
-                           dof_blocks=(("zeta", size), ("xi", lhs.shape[0] - size)),
+    """A dense block-layout pencil stored as a full band, in the identity order."""
+    size = len(lhs)
+    return AssembledSystem(scheme=scheme, lhs_band=band_storage(lhs, size - 1),
+                           rhs_band=band_storage(rhs, size - 1), block_index=np.arange(size),
+                           dof_blocks=(("zeta", size // 2), ("xi", size - size // 2)),
                            params=TOY)
 
 
@@ -75,10 +76,7 @@ class TestToyPencils:
     def test_window_filter(self):
         # raw eigenvalues {-c^2 - 1, c^2 - 0.5, c^2 + 5}: one bound state
         mu = [-2.0 * TOY.c**2 - 1.0, -0.5, 5.0]
-        sys3 = AssembledSystem(scheme=SCHEME_LINEAR, lhs_csc=scipy.sparse.csc_array(np.diag(mu)),
-                               rhs_csc=scipy.sparse.csc_array(np.eye(3)),
-                               dof_blocks=(("zeta", 2), ("xi", 1)), params=TOY)
-        spectrum = solve(sys3)
+        spectrum = solve(toy_system(np.diag(mu), np.eye(3)))
         bs = bound_states(spectrum, TOY, 1)
         assert bs[0] == pytest.approx(-0.5, abs=1e-10)
         with pytest.raises(InsufficientLevelsError):
@@ -221,6 +219,12 @@ class TestRealSystems:
         with pytest.raises(SolverError, match="not certified"):
             solve(system, window=(-1.0, 0.0))
 
+    def test_windowed_solve_of_an_empty_window(self):
+        # every eigenvalue lies above the window: no bindings, no eigenvectors
+        windowed = solve(toy_system(np.diag(np.arange(5.0, 25.0)), np.eye(20)), window=(-1.0, 0.0))
+        assert windowed.bindings.shape == (0,)
+        assert windowed.eigenvectors.shape == (20, 0)
+
     def test_windowed_singular_shift(self):
         # sigma = -0.5 is an eigenvalue: the shifted pencil is exactly singular
         lhs = np.diag(np.concatenate([[-0.5], np.arange(5.0, 25.0)]))
@@ -310,7 +314,7 @@ class TestRealSystems:
         # nonsymmetric rhs with v^T rhs v = 0 for v = (1, 1)
         rhs = np.array([[1.0, 1.0], [-1.0, -1.0]])
         with pytest.raises(SolverError):
-            _normalize_vectors(np.ones((2, 1)), rhs, 1)
+            _normalize_vectors(np.ones((2, 1)), toy_system(np.eye(2), rhs))
 
     def test_supg_solution_real_here(self):
         params = OperatorParams(Z=1, kappa=-1)

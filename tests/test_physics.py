@@ -72,6 +72,13 @@ class TestPotential:
         with pytest.raises(PhysicsError):
             PotentialModel(kind=NucleusKind.EXTENDED_UNIFORM, Z=1.0, R=None)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1e-4])
+    def test_extended_requires_finite_positive_radius(self, radius):
+        # with R = nan every x < R test is false, so V was the point-nucleus
+        # potential; R = inf made V a constant well
+        with pytest.raises(PhysicsError, match="radius"):
+            extended_nucleus(12, radius)
+
     def test_w_plus_minus(self):
         params = OperatorParams(Z=1, kappa=-1, m=1.0, c=10.0)
         model = point_nucleus(1.0)

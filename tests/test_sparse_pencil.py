@@ -1,4 +1,4 @@
-"""The windowed pipeline runs on the CSC pencil and never builds it dense."""
+"""The windowed pipeline runs on the band pencil and never builds it dense."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,13 @@ from diracfem.assembly import (
     SCHEMES,
     AssembledSystem,
     BlockMatrixSpec,
-    _assemble_block,
     assemble,
 )
 from diracfem.discretization import BasisKind, build_exponential_mesh
 from diracfem.eigensolver import bound_window, solve
 from diracfem.physics import OperatorParams, point_nucleus
+
+from oracles import assemble_block, band_storage
 
 PATHOLOGY_Z1 = "--Z 1 --abs-kappa 1 --n 100 --a 1e-6 --b 150 --mesh-gamma 8 --levels 6".split()
 
@@ -57,31 +58,50 @@ def test_cli_never_densifies(no_dense_pencil, scheme, capsys):
     assert "genuine" in capsys.readouterr().out
 
 
+def test_assemble_and_windowed_solve_build_no_csc_pencil(setup, monkeypatch):
+    # the band pencil goes from the element kernel to the factorisation: no
+    # sparse matrix, no pattern sort and no reordering on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("CSC pencil or pattern sort on the band path")
+
+    monkeypatch.setattr(scipy.sparse.csc_array, "__init__", refuse)
+    monkeypatch.setattr(np, "unique", refuse)
+    params, mesh, pot = setup
+    for scheme in SCHEMES:
+        spectrum = solve(assemble(scheme, params, mesh, pot), window=bound_window(params, 6))
+        assert len(spectrum.bindings) >= 6
+
+
 def test_block_has_the_element_pattern(setup):
     # nodes i, j couple when |i - j| <= 1: 3n - 2 node pairs over n interior
     # nodes, times 4 dof pairs for Hermite; the free node-0 slope adds itself
-    # and its two couplings to node 1 in each direction
-    _, mesh, pot = setup
+    # and its two couplings to node 1 in each direction. The Galerkin rhs
+    # band holds that block once per spinor component and nothing else
+    params, mesh, pot = setup
     n = mesh.interior_count
     spec = BlockMatrixSpec(0, 0, 0)
-    for kind, free, nnz in ((BasisKind.LINEAR_HAT, False, 3 * n - 2),
-                            (BasisKind.CUBIC_HERMITE, False, 4 * (3 * n - 2)),
-                            (BasisKind.CUBIC_HERMITE, True, 4 * (3 * n - 2) + 5)):
-        block = _assemble_block(spec, kind, mesh, pot, free_lower_slope=free)
-        assert isinstance(block, scipy.sparse.csc_array)
-        assert block.nnz == nnz
-        assert block.has_canonical_format
-        assert np.count_nonzero(block.toarray()) == nnz
+    for scheme, kind, free, nnz in (
+            (SCHEME_LINEAR, BasisKind.LINEAR_HAT, False, 3 * n - 2),
+            (SCHEME_HERMITE, BasisKind.CUBIC_HERMITE, False, 4 * (3 * n - 2)),
+            (SCHEME_HERMITE, BasisKind.CUBIC_HERMITE, True, 4 * (3 * n - 2) + 5)):
+        block = assemble_block(spec, kind, mesh, pot, free_lower_slope=free)
+        assert np.count_nonzero(block) == nnz
+        system = assemble(scheme, params, mesh, pot, free_lower_slope=free)
+        assert np.count_nonzero(system.rhs_band) == 2 * nnz
 
 
-def test_pencil_is_read_only_csc(setup):
+def test_pencil_band_is_read_only(setup):
     params, mesh, pot = setup
     system = assemble(SCHEME_LINEAR, params, mesh, pot)
-    for matrix in (system.lhs_csc, system.rhs_csc):
-        assert isinstance(matrix, scipy.sparse.csc_array)
+    for array in (system.lhs_band, system.rhs_band, system.block_index):
         with pytest.raises(ValueError):
-            matrix.data[0] = 1.0
-    np.testing.assert_array_equal(system.lhs, system.lhs_csc.toarray())
+            array[..., 0] = 1
+    assert system.lhs_band.flags.f_contiguous and system.rhs_band.flags.f_contiguous
+    # the dense view holds exactly the band's entries, moved to block layout
+    node_order = np.ix_(system.block_index, system.block_index)
+    for band, dense in ((system.lhs_band, system.lhs), (system.rhs_band, system.rhs)):
+        np.testing.assert_array_equal(band_storage(dense[node_order], 3), band)
+        assert np.count_nonzero(dense) == np.count_nonzero(band)
     assert system.lhs.flags.c_contiguous and not system.lhs.flags.writeable
 
 
@@ -89,22 +109,21 @@ def test_pencil_is_read_only_csc(setup):
                          + [(SCHEME_HERMITE, True), (SCHEME_SUPG, True)])
 def test_pencil_pattern_is_the_block_pattern(setup, scheme, free):
     # lhs couples all four spinor blocks on the element pattern; the
-    # Galerkin rhs is block-diagonal and stores only its two mass blocks
+    # Galerkin rhs is block-diagonal and holds only its two mass blocks
     params, mesh, pot = setup
     system = assemble(scheme, params, mesh, pot, free_lower_slope=free)
     kind = BasisKind.LINEAR_HAT if scheme == SCHEME_LINEAR else BasisKind.CUBIC_HERMITE
-    block = _assemble_block(BlockMatrixSpec(0, 0, 0), kind, mesh, pot,
-                            free_lower_slope=free)
-    m = block.shape[0]
-    assert system.lhs_csc.nnz == 4 * block.nnz
-    for matrix in (system.lhs_csc, system.rhs_csc):
-        assert matrix.has_canonical_format
-    rhs = system.rhs_csc
+    block = assemble_block(BlockMatrixSpec(0, 0, 0), kind, mesh, pot, free_lower_slope=free)
+    m, nnz = len(block), np.count_nonzero(block)
+    pattern = np.tile(block != 0, (2, 2))
+    np.testing.assert_array_equal(system.lhs != 0, pattern)
+    rhs = system.rhs
     if scheme == SCHEME_SUPG:
-        assert rhs.nnz == 4 * block.nnz
+        # the first element carries tau = 0, and only it couples the free
+        # node-0 slope: 5 entries of each off-diagonal block stay zero
+        assert not rhs[~pattern].any()
+        assert np.count_nonzero(rhs) == 4 * nnz - (10 if free else 0)
     else:
-        assert rhs.nnz == 2 * block.nnz
-        assert rhs[:m, m:].nnz == 0 and rhs[m:, :m].nnz == 0
-        assert np.count_nonzero(rhs.data) == rhs.nnz
-        np.testing.assert_array_equal(rhs[:m, :m].toarray(), block.toarray())
-        np.testing.assert_array_equal(rhs[m:, m:].toarray(), block.toarray())
+        assert not rhs[:m, m:].any() and not rhs[m:, :m].any()
+        np.testing.assert_array_equal(rhs[:m, :m], block)
+        np.testing.assert_array_equal(rhs[m:, m:], block)
