@@ -61,10 +61,6 @@ class ClassifiedSpectrum:
     def count(self, label: Label) -> int:
         return sum(1 for e in self.entries if e.label is label)
 
-    @property
-    def genuine(self) -> tuple[ClassifiedLevel, ...]:
-        return tuple(e for e in self.entries if e.label is Label.GENUINE)
-
 
 def _rel(x: float, ref: float) -> float:
     return abs(x - ref) / abs(ref)

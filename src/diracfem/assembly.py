@@ -62,17 +62,26 @@ class BlockMatrixSpec:
             raise ValueError(f"q must be 'one' or 'V', got {self.q!r}")
 
 
+def element_tau(h_j, h_j1):
+    """tau_j = (9/35) * h_{j+1} * (h_{j+1} - h_j) / (h_{j+1} + h_j), for floats or arrays.
+
+    The stabilization parameter of an element of size h_{j+1} whose left
+    neighbour has size h_j.
+    """
+    return (9.0 / 35.0) * h_j1 * (h_j1 - h_j) / (h_j1 + h_j)
+
+
 def compute_tau(mesh: Mesh) -> np.ndarray:
     """Per-element stabilization parameter, a read-only array of length n+1.
 
-    tau_j = (9/35) * h_{j+1} * (h_{j+1} - h_j) / (h_{j+1} + h_j): element e
-    (1-based) carries tau[e-1], and the first element, having no left
-    neighbour, carries zero. Uniform neighbouring elements give tau = 0 and
-    |tau| < h_e always (the 9/35 factor times a ratio below 1).
+    Element e (1-based) carries tau[e-1] = ``element_tau(h_{e-1}, h_e)``, and
+    the first element, having no left neighbour, carries zero. Uniform
+    neighbouring elements give tau = 0 and |tau| < h_e always (the 9/35
+    factor times a ratio below 1).
     """
     h = mesh.h
     tau = np.zeros(mesh.element_count)
-    tau[1:] = (9.0 / 35.0) * h[1:] * (h[1:] - h[:-1]) / (h[1:] + h[:-1])
+    tau[1:] = element_tau(h[:-1], h[1:])
     tau.setflags(write=False)
     return tau
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from . import analysis
 from .analysis import Label, classify, coincidence_report, truncate_to_genuine
-from .assembly import SCHEME_LINEAR, SCHEME_SUPG, SCHEMES, assemble, compute_tau
+from .assembly import SCHEME_LINEAR, SCHEME_SUPG, SCHEMES, assemble, compute_tau, element_tau
 from .discretization import build_exponential_mesh
 from .eigensolver import DEFAULT_REALITY_TOL, bound_window, solve
 from .errors import ConfigError, InsufficientLevelsError, PhysicsError, SolverError
@@ -32,9 +32,7 @@ from .physics import (
     reference_spectrum,
 )
 
-MODES = ("solve", "compare-schemes", "convergence", "coincidence", "verify-tau")
 FORMATS = ("table", "csv", "json")
-NUCLEI = ("point", "extended")
 ENV_CONFIG = "DIRAC_FEM_CONFIG"
 
 EXIT_OK = 0
@@ -69,14 +67,9 @@ class RunConfig:
     def finalize(self) -> "RunConfig":
         """Fill derived defaults and validate; raises ConfigError, or PhysicsError for Z."""
         cfg = replace(self)
-        if cfg.mode not in MODES:
-            raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
-        if cfg.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {cfg.scheme!r}; expected one of {SCHEMES}")
-        if cfg.format not in FORMATS:
-            raise ConfigError(f"unknown format {cfg.format!r}; expected one of {FORMATS}")
-        if cfg.nucleus not in NUCLEI:
-            raise ConfigError(f"nucleus must be 'point' or 'extended', got {cfg.nucleus!r}")
+        for key, choices in _CHOICES.items():
+            if getattr(cfg, key) not in choices:
+                raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; expected one of {choices}")
         if cfg.nucleus == "extended" and (cfg.radius is None or not 0.0 < cfg.radius < math.inf):
             raise ConfigError(f"extended nucleus needs a finite --radius > 0, got {cfg.radius}")
         if cfg.kappa is not None and cfg.abs_kappa is not None:
@@ -116,8 +109,7 @@ class RunConfig:
         return analysis.match_tol_for(self.scheme)
 
     def potential(self) -> PotentialModel:
-        kind = NucleusKind.POINT if self.nucleus == "point" else NucleusKind.EXTENDED_UNIFORM
-        return PotentialModel(kind=kind, Z=self.Z, R=self.radius)
+        return PotentialModel(kind=NucleusKind(self.nucleus), Z=self.Z, R=self.radius)
 
     def params(self, kappa: int) -> OperatorParams:
         return OperatorParams(Z=self.Z, kappa=kappa, m=self.m, c=self.c_value)
@@ -149,8 +141,6 @@ def _value_type(hint):
 
 #: The config keys: every RunConfig field, with its value type.
 _KEY_TYPES = {name: _value_type(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
-
-_CHOICES = {"scheme": SCHEMES, "nucleus": NUCLEI, "mode": MODES, "format": FORMATS}
 
 
 def _parse_value(key: str, raw: str):
@@ -209,9 +199,8 @@ def _solve_kappas(cfg: RunConfig, kappas, levels: int) -> dict:
     return spectra
 
 
-def _solve_classified(cfg: RunConfig):
-    """Solve and classify for every configured kappa; returns per-kappa data."""
-    # negative kappa last
+def _solve_classified(cfg: RunConfig) -> dict:
+    """Classified entries per configured kappa, in column order (negative kappa last)."""
     spectra = _solve_kappas(cfg, sorted(cfg.kappas(), reverse=True), cfg.levels)
     out = {}
     for kappa, spectrum in spectra.items():
@@ -224,42 +213,34 @@ def _solve_classified(cfg: RunConfig):
                 opposite = float(neg.bindings[0])
             else:
                 opposite = reference_binding(cfg.params(-kappa), 0).binding
-        classified = classify(spectrum.bindings, reference,
+        out[kappa] = classify(spectrum.bindings, reference,
                               opposite_kappa_ground=opposite,
                               match_tol=cfg.matching_tolerance())
-        out[kappa] = (spectrum, classified)
-    # Rows are anchored on the kappa < 0 column: it must supply the requested
-    # genuine levels; in pair mode the kappa > 0 column is cut to the same
-    # row count so entries pair index by index.
+    # Rows are anchored on the last column: it must supply the requested
+    # genuine levels, and every column is cut to its row count so entries
+    # pair index by index.
     anchor = min(out)
-    spectrum, classified = out[anchor]
-    classified = truncate_to_genuine(classified, cfg.levels)
+    classified = truncate_to_genuine(out[anchor], cfg.levels)
     if classified.count(Label.GENUINE) < cfg.levels:
         hint = ""
         if (cfg.scheme != SCHEME_LINEAR and not cfg.free_lower_slope and abs(anchor) == 1
-                and len(spectrum.bindings) >= cfg.levels):
+                and len(out[anchor].entries) >= cfg.levels):
             hint = ("; the computed levels miss the reference, likely because of the "
                     "fixed lower slope (try --free-lower-slope)")
         raise InsufficientLevelsError(
             f"kappa={anchor}: only {classified.count(Label.GENUINE)} of "
             f"{cfg.levels} genuine levels found{hint}"
         )
-    out[anchor] = (spectrum, classified)
     depth = len(classified.entries)
-    for kappa in out:
-        if kappa != anchor:
-            spectrum, other = out[kappa]
-            out[kappa] = (spectrum, type(other)(entries=other.entries[:depth]))
-    return out
+    return {kappa: other.entries[:depth] for kappa, other in out.items()}
 
 
-def _long_rows(per_kappa, scheme: str | None = None):
-    """One row per classified entry: the csv/json schema."""
+def _long_rows(columns: dict, scheme: str | None = None):
+    """One row per classified entry, column by column: the csv/json schema."""
     rows = []
-    for kappa in sorted(per_kappa, reverse=True):
-        _, classified = per_kappa[kappa]
+    for kappa, entries in columns.items():
         level = 0
-        for e in classified.entries:
+        for e in entries:
             if e.label is Label.GENUINE:
                 level += 1
             row = {
@@ -291,32 +272,21 @@ def _render_csv(rows, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_solve_table(per_kappa, title: str) -> str:
-    kappas = sorted(per_kappa, reverse=True)
-    heads = ["level"] + [f"kappa={k:+d}" for k in kappas] + ["reference", "label"]
-    # pair classified entries row by row; levels count genuine rows
-    entry_lists = [per_kappa[k][1].entries for k in kappas]
-    depth = max(len(es) for es in entry_lists)
+def _render_solve_table(rows, title: str) -> str:
+    """One table column per kappa; the last column's row gives level, reference and label."""
+    columns = {}
+    for row in rows:
+        columns.setdefault(row["kappa"], []).append(row)
+    heads = ["level"] + [f"kappa={k:+d}" for k in columns] + ["reference", "label"]
     lines = [title, "  ".join(f"{h:>18}" for h in heads)]
-    level = 0
-    for i in range(depth):
-        cells = []
-        row_entries = [es[i] if i < len(es) else None for es in entry_lists]
-        anchor = row_entries[-1] or row_entries[0]
-        genuine_row = anchor is not None and anchor.label is Label.GENUINE
-        if genuine_row:
-            level += 1
-            cells.append(f"{level:>18}")
-        else:
-            cells.append(f"{'=>':>18}")
-        for e in row_entries:
-            cells.append(f"{_fmt(e.binding) if e else '':>18}")
-        ref = anchor.reference.binding if (anchor and anchor.reference) else None
-        label = anchor.label.value if anchor else ""
-        if any(e is not None and e.label is Label.COINCIDENCE for e in row_entries):
+    for i, anchor in enumerate(list(columns.values())[-1]):
+        line = [col[i] if i < len(col) else None for col in columns.values()]
+        label = anchor["label"]
+        if any(r is not None and r["label"] == Label.COINCIDENCE.value for r in line):
             label = Label.COINCIDENCE.value
-        cells.append(f"{_fmt(ref):>18}")
-        cells.append(f"  {label}")
+        cells = [f"{'=>' if anchor['level'] is None else anchor['level']:>18}"]
+        cells += [f"{_fmt(r['binding']) if r else '':>18}" for r in line]
+        cells += [f"{_fmt(anchor['reference']):>18}", f"  {label}"]
         lines.append("  ".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -325,11 +295,10 @@ _SOLVE_COLUMNS = ("level", "kappa", "binding", "reference", "rel_error", "label"
 
 
 def _mode_solve(cfg: RunConfig):
-    per_kappa = _solve_classified(cfg)
-    rows = _long_rows(per_kappa)
+    rows = _long_rows(_solve_classified(cfg))
     title = (f"scheme={cfg.scheme} Z={_fmt(cfg.Z)} n={cfg.n} "
              f"a={_fmt(cfg.a)} b={_fmt(cfg.b)} gamma={_fmt(cfg.mesh_gamma)}")
-    return rows, _SOLVE_COLUMNS, _render_solve_table(per_kappa, title), True
+    return rows, _SOLVE_COLUMNS, _render_solve_table(rows, title), True
 
 
 def _mode_compare(cfg: RunConfig):
@@ -337,9 +306,9 @@ def _mode_compare(cfg: RunConfig):
     for scheme in SCHEMES:
         sub = replace(cfg, scheme=scheme,
                       free_lower_slope=cfg.free_lower_slope and scheme != SCHEME_LINEAR).finalize()
-        per_kappa = _solve_classified(sub)
-        rows.extend(_long_rows(per_kappa, scheme=scheme))
-        tables.append(_render_solve_table(per_kappa, f"--- {scheme} ---"))
+        scheme_rows = _long_rows(_solve_classified(sub), scheme=scheme)
+        rows.extend(scheme_rows)
+        tables.append(_render_solve_table(scheme_rows, f"--- {scheme} ---"))
     return rows, _SOLVE_COLUMNS + ("scheme",), "\n".join(tables), True
 
 
@@ -349,24 +318,22 @@ def _mode_convergence(cfg: RunConfig):
         cfg.scheme, cfg.params(kappa), cfg.potential(), cfg.n_list, cfg.levels,
         a=cfg.a, b=cfg.b, gamma=cfg.mesh_gamma, match_tol=cfg.match_tol,
         reality_tol=cfg.reality_tol, free_lower_slope=cfg.free_lower_slope)
-    rows = []
-    for i, n in enumerate(study.n_values):
-        for lvl in range(cfg.levels):
-            err = study.errors[i, lvl]
-            rows.append({"n": n, "level": lvl + 1, "kappa": kappa,
-                         "rel_error": None if err != err else float(err),
-                         "order": None})
-    for lvl in range(cfg.levels):
-        o = study.orders[lvl]
-        rows.append({"n": None, "level": lvl + 1, "kappa": kappa,
-                     "rel_error": None, "order": None if o != o else float(o)})
+
+    def value(x):  # NaN marks an unmatched level or an order with too few errors
+        return None if math.isnan(x) else float(x)
+
+    rows = [{"n": n, "level": lvl + 1, "kappa": kappa, "rel_error": value(err), "order": None}
+            for n, errors in zip(study.n_values, study.errors)
+            for lvl, err in enumerate(errors)]
+    rows += [{"n": None, "level": lvl + 1, "kappa": kappa, "rel_error": None, "order": value(o)}
+             for lvl, o in enumerate(study.orders)]
     lines = [f"convergence scheme={cfg.scheme} kappa={kappa:+d} Z={_fmt(cfg.Z)}",
              "  ".join([f"{'n':>8}"] + [f"{'lvl ' + str(l + 1):>12}" for l in range(cfg.levels)])]
-    for i, n in enumerate(study.n_values):
-        cells = [f"{n:>8}"] + [f"{_fmt(float(e)) if e == e else '-':>12}" for e in study.errors[i]]
+    for n in (*study.n_values, None):
+        key = "rel_error" if n is not None else "order"
+        cells = [f"{'order' if n is None else n:>8}"]
+        cells += [f"{'-' if r[key] is None else _fmt(r[key]):>12}" for r in rows if r["n"] == n]
         lines.append("  ".join(cells))
-    cells = [f"{'order':>8}"] + [f"{_fmt(float(o)) if o == o else '-':>12}" for o in study.orders]
-    lines.append("  ".join(cells))
     return rows, ("n", "level", "kappa", "rel_error", "order"), "\n".join(lines) + "\n", True
 
 
@@ -410,7 +377,7 @@ def _mode_verify_tau(cfg: RunConfig):
              "dev_unstabilized": None, "value": worst,
              "passed": bool(worst < 1e-13)}]
     hj, hj1 = TAU_DEMO_H
-    tau_star = (9.0 / 35.0) * hj1 * (hj1 - hj) / (hj1 + hj)
+    tau_star = element_tau(hj, hj1)
     for c in TAU_DEMO_C:
         lam_s = analysis.tau_limit_lambda(hj, hj1, tau_star, c)
         lam_0 = analysis.tau_limit_lambda(hj, hj1, 0.0, c)
@@ -435,6 +402,10 @@ def _mode_verify_tau(cfg: RunConfig):
 _RUNNERS = {"solve": _mode_solve, "compare-schemes": _mode_compare,
             "convergence": _mode_convergence, "coincidence": _mode_coincidence,
             "verify-tau": _mode_verify_tau}
+
+#: The allowed values of each choice key, each taken from the table that owns it.
+_CHOICES = {"mode": tuple(_RUNNERS), "scheme": SCHEMES, "format": FORMATS,
+            "nucleus": tuple(kind.value for kind in NucleusKind)}
 
 
 def run(config: RunConfig, stream=None) -> int:

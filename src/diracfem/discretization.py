@@ -82,8 +82,8 @@ def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
 
     Node formula: ``x_i = a + (b - a) * (exp(gamma*i/(n+1)) - 1) / (exp(gamma) - 1)``
     for i = 0..n+1, so the endpoints are hit exactly and element sizes grow
-    monotonically away from a. a, b and gamma must be finite, and exp(gamma)
-    must not overflow.
+    monotonically away from a. a, b and gamma must be finite, exp(gamma)
+    must not overflow, and the computed nodes must strictly increase.
     """
     for name, value in (("a", a), ("b", b), ("gamma", gamma)):
         if not math.isfinite(value):
@@ -101,6 +101,10 @@ def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
     nodes = a + (b - a) * np.expm1(exponents) / np.expm1(gamma)
     nodes[0] = a
     nodes[-1] = b
+    if not np.all(np.diff(nodes) > 0):
+        raise PhysicsError(f"invalid mesh parameter gamma={gamma}: grading too strong "
+                           f"for n={n} in double precision, the nodes near a={a} do not "
+                           "strictly increase")
     return Mesh(a=a, b=b, interior_count=n, gamma=gamma, nodes=nodes)
 
 

@@ -48,6 +48,9 @@ class OperatorParams:
             )
         if self.m <= 0 or self.c <= 0:
             raise PhysicsError("mass and speed of light must be positive")
+        c2 = self.c * self.c
+        if not (math.isfinite(c2) and math.isfinite(self.m * c2)):
+            raise PhysicsError(f"rest energy m*c^2 overflows a float: m={self.m} c={self.c}")
 
     @property
     def rest_energy(self) -> float:
@@ -93,9 +96,7 @@ def potential_value(model: PotentialModel, x):
             raise PhysicsError("potential requires x >= 0")
         R = model.R
         inside = -(model.Z / (2.0 * R)) * (3.0 - x**2 / R**2)
-        with np.errstate(divide="ignore"):
-            outside = np.where(x > 0, -model.Z / np.where(x > 0, x, 1.0), 0.0)
-        out = np.where(x < R, inside, outside)
+        out = np.where(x < R, inside, -model.Z / np.maximum(x, R))
     return out if out.shape else float(out)
 
 
@@ -110,9 +111,7 @@ def potential_derivative(model: PotentialModel, x):
         if np.any(x < 0.0):
             raise PhysicsError("potential requires x >= 0")
         R = model.R
-        with np.errstate(divide="ignore"):
-            outside = np.where(x > 0, model.Z / np.where(x > 0, x, 1.0) ** 2, 0.0)
-        out = np.where(x < R, model.Z * x / R**3, outside)
+        out = np.where(x < R, model.Z * x / R**3, model.Z / np.maximum(x, R)**2)
     return out if out.shape else float(out)
 
 

@@ -157,6 +157,16 @@ class TestMain:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["mode", "scheme", "format", "nucleus"])
+    def test_bad_choice_in_config_file_exits_2_listing_the_choices(self, key, tmp_path, capsys):
+        # the flags reject it in argparse; a config file reaches finalize
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = fancy\n")
+        assert main(["--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown {key} 'fancy'; expected one of {cli._CHOICES[key]}\n"
+        assert "point" in str(cli._CHOICES["nucleus"]) and "verify-tau" in cli._CHOICES["mode"]
+
     def test_linear_free_lower_slope_exits_2_without_output(self, tmp_path, capsys):
         out = tmp_path / "result.csv"
         code = main(["--Z", "1", "--n", "60", "--scheme", "linear-galerkin",
@@ -211,7 +221,8 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, name", [
-        ("--mesh-gamma", "inf", "gamma"), ("--mesh-gamma", "800", "gamma"), ("--b", "inf", "b")])
+        ("--mesh-gamma", "inf", "gamma"), ("--mesh-gamma", "800", "gamma"),
+        ("--mesh-gamma", "700", "gamma"), ("--b", "inf", "b")])
     def test_bad_mesh_parameter_exits_3_naming_it(self, flag, value, name, capfd):
         # each printed numpy warnings, then blamed the nodes for not increasing
         code = main(FAST + [flag, value])
@@ -219,6 +230,18 @@ class TestMain:
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith("physics error: ") and f"parameter {name}=" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [["--c-value", "1e155"], ["--c-value", "1e200"],
+                                       ["--m", "1e305"], ["--m", "1e-300", "--c-value", "1e200"]])
+    def test_overflowing_rest_energy_exits_3(self, extra, capfd):
+        # the first two ended in an OverflowError traceback, the third in a
+        # ValueError about the window (-inf, -inf), each with exit 1
+        code = main(FAST + extra)
+        assert code == EXIT_PHYSICS
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("physics error: ") and "rest energy" in err
         assert err.count("\n") == 1
 
     def test_physics_invariant_exits_3(self, capsys):
@@ -389,3 +412,93 @@ def test_windowed_rows_match_dense(argv, monkeypatch):
             assert (got["order"] is None) == (want["order"] is None)
             if want["order"] is not None and _order_is_resolved(dense, want["level"]):
                 assert math.isclose(got["order"], want["order"], rel_tol=1e-3)
+
+
+# --- table, csv and json render the same rows -------------------------------
+
+AGREEMENT_RUNS = [
+    pytest.param(FAST, id="solve-pair"),
+    pytest.param(["--Z", "12", "--kappa", "2", "--scheme", "hermite-supg", "--n", "100",
+                  "--a", "1e-6", "--b", "60", "--mesh-gamma", "8.5", "--levels", "3"],
+                 id="solve-single-kappa"),
+    pytest.param(SMALL + ["--abs-kappa", "1", "--n", "100", "--mode", "compare-schemes"]
+                 + SUPG_TOL, id="compare-schemes"),
+    # levels 2-4 are unmatched at n=10, level 4 at every n
+    pytest.param(["--Z", "1", "--kappa", "-1", "--scheme", "linear-galerkin", "--a", "1e-6",
+                  "--b", "40", "--mesh-gamma", "8", "--mode", "convergence",
+                  "--n-list", "10,20,40", "--levels", "4"], id="convergence-unmatched"),
+    pytest.param(SMALL + ["--scheme", "linear-galerkin", "--abs-kappa", "1", "--n", "100",
+                          "--mode", "coincidence"], id="coincidence"),
+]
+
+
+def _output(argv, fmt):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv + ["--format", fmt]) == 0
+    return out.getvalue()
+
+
+def _fixed_cells(line, count):
+    """The 18-wide cells of a solve-table line, then the label after them."""
+    return [line[20 * j:20 * j + 18].strip() for j in range(count)], line[20 * count:].strip()
+
+
+def _check_solve_table(text, rows):
+    lines = text.splitlines()
+    heads = lines[1].split()
+    kappas = [int(h.removeprefix("kappa=")) for h in heads[1:-2]]
+    columns = {k: [r for r in rows if r["kappa"] == k] for k in kappas}
+    assert sum(map(len, columns.values())) == len(rows)
+    anchor_rows = columns[kappas[-1]]
+    assert len(lines) == 2 + len(anchor_rows)
+    for i, (line, anchor) in enumerate(zip(lines[2:], anchor_rows)):
+        cells, label = _fixed_cells(line, 2 + len(kappas))
+        line_rows = [col[i] for col in columns.values() if i < len(col)]
+        assert cells[0] == ("=>" if anchor["level"] is None else str(anchor["level"]))
+        assert cells[1:-1] == [cli._fmt(col[i]["binding"]) if i < len(col) else ""
+                               for col in columns.values()]
+        assert cells[-1] == cli._fmt(anchor["reference"])
+        coincidence = any(r["label"] == "coincidence-spurious" for r in line_rows)
+        assert label == ("coincidence-spurious" if coincidence else anchor["label"])
+
+
+def _check_table(mode, text, rows):
+    if mode == "solve":
+        _check_solve_table(text, rows)
+    elif mode == "compare-schemes":
+        blocks = text.split("\n\n")
+        assert [b.splitlines()[0] for b in blocks] == [f"--- {s} ---" for s in cli.SCHEMES]
+        for scheme, block in zip(cli.SCHEMES, blocks):
+            _check_solve_table(block, [r for r in rows if r["scheme"] == scheme])
+    elif mode == "convergence":
+        lines = text.splitlines()[2:]
+        n_values = sorted({r["n"] for r in rows if r["n"] is not None})
+        assert [line.split()[0] for line in lines] == [str(n) for n in n_values] + ["order"]
+        for line, n in zip(lines, n_values + [None]):
+            key = "order" if n is None else "rel_error"
+            assert line.split()[1:] == ["-" if r[key] is None else cli._fmt(r[key])
+                                        for r in rows if r["n"] == n]
+    else:
+        lines = text.splitlines()[1:]
+        assert len(lines) == len(rows)
+        for line, r in zip(lines, rows):
+            pair, rest = line.split(":", 1)
+            assert pair.split() == ["pair", str(r["pair"])]
+            assert rest.split() == [cli._fmt(r["pos_binding"]), "vs", cli._fmt(r["neg_binding"]),
+                                    f"rel={cli._fmt(r['rel_diff'])}", r["note"]]
+
+
+@pytest.mark.parametrize("argv", AGREEMENT_RUNS)
+def test_table_csv_and_json_render_the_same_rows(argv):
+    doc = json.loads(_output(argv, "json"))
+    rows = doc["rows"]
+    assert rows
+    csv_lines = _output(argv, "csv").splitlines()
+    columns = csv_lines[0].split(",")
+    assert set(columns) == set(rows[0])
+    assert [line.split(",") for line in csv_lines[1:]] == \
+        [[cli._fmt(r[c]) for c in columns] for r in rows]
+    _check_table(doc["mode"], _output(argv, "table"), rows)
+    if doc["mode"] == "convergence":  # an unmatched level is null in json, '-' in the table
+        assert any(r["rel_error"] is None and r["n"] is not None for r in rows)

@@ -42,6 +42,15 @@ class TestParams:
         with pytest.raises(PhysicsError):
             OperatorParams(**{"Z": 1.0, "kappa": -1, field: value})
 
+    @pytest.mark.parametrize("m, c", [(1.0, 1e155), (1.0, 1e200), (1e305, 137.035999074),
+                                      (1e-300, 1e200)])
+    def test_overflowing_rest_energy_rejected(self, m, c):
+        # c**2 raised OverflowError in rest_energy, and m*c^2 = inf gave a
+        # window of (-inf, -inf); a tiny m must not hide an infinite c^2
+        with pytest.raises(PhysicsError, match="rest energy"):
+            OperatorParams(Z=1.0, kappa=-1, m=m, c=c)
+        assert OperatorParams(Z=1.0, kappa=-1, m=1e-300, c=1e150).rest_energy > 0
+
 
 class TestPotential:
     def test_point_value(self):
