@@ -3,8 +3,8 @@
 Three discretizations of the coupled first-order system (continuous linear
 Galerkin, cubic Hermite Galerkin, and a stabilized Petrov-Galerkin variant
 with a mesh-derived stability parameter), a generalized eigensolver working
-directly in binding energies (dense full spectrum, or sparse shift-invert on
-a binding window), and a classifier that labels computed levels against
+directly in binding energies (a band shift-invert solve certified complete
+on a binding window), and a classifier that labels computed levels against
 the exact relativistic reference spectrum.
 """
 

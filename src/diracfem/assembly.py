@@ -96,7 +96,9 @@ class AssembledSystem:
     ``lhs_band[hb + i - j, j]`` is entry (i, j) for |i - j| <= hb, the
     half-bandwidth, and likewise ``rhs_band``. Node-order dof k is
     block-layout dof ``block_index[k]``. ``lhs`` and ``rhs`` are dense
-    C-ordered read-only copies in block layout.
+    C-ordered read-only copies in block layout, made on each access; no
+    solve reads them. They serve the tests' dense oracle and the
+    benchmark's trace.
     """
 
     scheme: str

@@ -222,17 +222,37 @@ def _solve_classified(cfg: RunConfig) -> dict:
     anchor = min(out)
     classified = truncate_to_genuine(out[anchor], cfg.levels)
     if classified.count(Label.GENUINE) < cfg.levels:
-        hint = ""
-        if (cfg.scheme != SCHEME_LINEAR and not cfg.free_lower_slope and abs(anchor) == 1
-                and len(out[anchor].entries) >= cfg.levels):
-            hint = ("; the computed levels miss the reference, likely because of the "
-                    "fixed lower slope (try --free-lower-slope)")
         raise InsufficientLevelsError(
             f"kappa={anchor}: only {classified.count(Label.GENUINE)} of "
-            f"{cfg.levels} genuine levels found{hint}"
+            f"{cfg.levels} genuine levels found"
+            f"{_miss_hint(cfg, anchor, out[anchor].entries)}"
         )
     depth = len(classified.entries)
     return {kappa: other.entries[:depth] for kappa, other in out.items()}
+
+
+#: Misses up to this many match tolerances can come from the fixed lower slope.
+SLOPE_MISS_FACTOR = 100.0
+
+
+def _miss_hint(cfg: RunConfig, kappa: int, entries) -> str:
+    """Why the first ``cfg.levels`` computed levels missed: the fixed lower slope or the mesh.
+
+    Each level's miss is its relative distance to the nearest reference level.
+    """
+    if len(entries) < cfg.levels:
+        return ""
+    reference = reference_spectrum(cfg.params(kappa), cfg.levels)
+    tol = cfg.matching_tolerance()
+    worst = max(min(abs(e.binding - r.binding) / abs(r.binding) for r in reference)
+                for e in entries[:cfg.levels])
+    if (worst <= SLOPE_MISS_FACTOR * tol and cfg.scheme != SCHEME_LINEAR
+            and not cfg.free_lower_slope and abs(kappa) == 1):
+        return ("; the computed levels miss the reference, likely because of the "
+                "fixed lower slope (try --free-lower-slope)")
+    return (f"; the computed levels miss the reference by up to {worst:.1e} relative, "
+            f"against the match tolerance {tol:g}: the mesh is likely too coarse for "
+            f"that tolerance (refine --n or loosen --match-tol)")
 
 
 def _long_rows(columns: dict, scheme: str | None = None):
@@ -421,8 +441,11 @@ def run(config: RunConfig, stream=None) -> int:
         text = json.dumps({"mode": config.mode, "scheme": config.scheme,
                            "rows": rows}, indent=2, sort_keys=True) + "\n"
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {config.out}: {exc}") from exc
     else:
         stream.write(text)
     return EXIT_OK if ok else EXIT_SOLVER

@@ -1,18 +1,18 @@
-"""Generalized eigensolves of the assembled pencil and bound-branch extraction.
+"""Windowed generalized eigensolve of the assembled pencil and bound-branch extraction.
 
 The assembled pencil is in binding form, lhs*x = mu*rhs*x with
 mu = lambda - m*c^2 (see ``assembly``), and is solved as it is: the
 bindings never pass through the rest energy, so none of their digits are
 lost to cancellation against it. Only ``Spectrum.raw`` adds m*c^2 back.
 
-Two paths solve that pencil. ``solve(system)`` is the dense full-spectrum
-solve (symmetric-definite ``eigh`` or general QZ), eigenvalues only; it is
-the oracle. With ``window=(lo, hi)`` it is a shift-invert Arnoldi solve
-(Ericsson & Ruhe 1980; ARPACK) that computes only the eigenvalues nearest
-the window midpoint, certifies that every eigenvalue inside the window was
-found, and is the one source of eigenvectors. ``assemble`` stores the
-pencil in node order as band matrices (see ``assembly``): each operator
-application is one band matrix-vector product and one band LU solve.
+``solve(system, window=(lo, hi))`` is the one solve path: a shift-invert
+Arnoldi solve (Ericsson & Ruhe 1980; ARPACK) that computes only the
+eigenvalues nearest the window midpoint, certifies that every eigenvalue
+inside the window was found, and returns their eigenvectors. ``assemble``
+stores the pencil in node order as band matrices (see ``assembly``): each
+operator application is one band matrix-vector product and one band LU
+solve. The dense full-spectrum solve the tests check it against lives in
+the tests.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
+# scipy.linalg before scipy.sparse.linalg: the other order made a fresh
+# ``import diracfem.cli`` about 5 % slower
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
+import scipy.sparse.linalg
 
-from .assembly import SCHEME_SUPG, AssembledSystem
+from .assembly import AssembledSystem
 from .errors import (
     ComplexSpectrumError,
     InsufficientLevelsError,
@@ -46,16 +47,14 @@ _log = logging.getLogger("diracfem")
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The eigenvalues one solve computed plus the bound-state branch.
+    """The eigenpairs one windowed solve computed on the bound-state branch.
 
-    ``bindings`` holds mu = lambda - m*c^2 restricted to the bound window
-    (-2mc^2, 0), and to the requested window of a windowed solve, ascending
-    (deepest level first). ``raw`` holds every eigenvalue lambda this solve
-    computed: all finite ones for the dense solve, the certified
-    neighbourhood of the window for a windowed one. Only a windowed solve
-    returns eigenvectors: one column per binding, rhs-normalized with the
-    largest f-value coefficient made positive. The dense solve leaves
-    ``eigenvectors`` None.
+    ``bindings`` holds mu = lambda - m*c^2 restricted to the requested
+    window and to the bound window (-2mc^2, 0), ascending (deepest level
+    first). ``raw`` holds every eigenvalue lambda the solve computed: the
+    certified neighbourhood of the window. ``eigenvectors`` holds one
+    column per binding, in block layout, rhs-normalized with the largest
+    f-value coefficient made positive.
     """
 
     scheme: str
@@ -64,13 +63,11 @@ class Spectrum:
     max_imag: float
     params: OperatorParams
     dof_blocks: tuple[tuple[str, int], ...]
-    eigenvectors: np.ndarray | None = None
+    eigenvectors: np.ndarray
 
     def __post_init__(self):
-        self.bindings.setflags(write=False)
-        self.raw.setflags(write=False)
-        if self.eigenvectors is not None:
-            self.eigenvectors.setflags(write=False)
+        for array in (self.bindings, self.raw, self.eigenvectors):
+            array.setflags(write=False)
 
 
 def bound_window(params: OperatorParams, levels: int) -> tuple[float, float]:
@@ -141,69 +138,33 @@ def _check_reality(lam: np.ndarray, reality_tol: float) -> float:
     return max_imag
 
 
-def solve(system: AssembledSystem, reality_tol: float = DEFAULT_REALITY_TOL,
-          window: tuple[float, float] | None = None) -> Spectrum:
-    """Solve lhs*X = mu*rhs*X and return the spectrum (bindings mu, raw mu + m*c^2).
+def solve(system: AssembledSystem, window: tuple[float, float],
+          reality_tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
+    """Solve lhs*X = mu*rhs*X on the binding window ``window=(lo, hi)``.
 
-    Without ``window`` the eigenvalues of the whole pencil are computed
-    densely, with no eigenvectors: Galerkin pencils with the
-    symmetric-definite driver (real by construction), the stabilized
-    (nonsymmetric) pencil with the general QZ routine, where any finite
-    eigenvalue whose imaginary part exceeds ``reality_tol`` relative to its
-    magnitude aborts the solve.
+    A shift-invert Arnoldi solve certified complete on the window, for
+    every scheme. The shift sigma is the window midpoint. ``lhs - sigma*rhs``
+    is formed from the node-order band pencil (half-bandwidth 3 for the
+    linear scheme, 7 for Hermite) and factored once in LAPACK band storage
+    with partial pivoting, and ARPACK finds the k largest-magnitude
+    eigenvalues theta of ``x -> (lhs - sigma*rhs)^-1 rhs x`` in node order,
+    i.e. the k bindings mu = sigma + 1/theta nearest sigma; their
+    eigenvectors are returned in block layout. k starts at WINDOW_FIRST_K
+    and doubles until the farthest returned |mu - sigma| exceeds the
+    half-width: every eigenvalue of the window then lies inside the disk
+    the solve exhausted. A fixed start vector makes repeated solves
+    bit-identical, and the number of operator applications (one band
+    matrix-vector product and one band LU solve each) deterministic. A
+    factor that is exactly singular or holds a non-finite entry raises
+    SingularSystemError before ARPACK runs.
 
-    ``window=(lo, hi)`` restricts the solve, for every scheme, to bindings
-    inside (lo, hi): a sparse shift-invert solve (see ``_solve_window``)
-    whose reality check covers the eigenvalues it computed, and which
-    returns the eigenvectors of those bindings.
-
+    Any computed eigenvalue whose imaginary part exceeds ``reality_tol``
+    relative to its magnitude aborts the solve with ComplexSpectrumError.
     ``reality_tol`` must be finite and >= 0, or ValueError is raised before
     any work.
     """
     if not 0.0 <= reality_tol < np.inf:
         raise ValueError(f"reality_tol must be finite and >= 0, got {reality_tol}")
-    if window is not None:
-        return _solve_window(system, window, reality_tol)
-
-    mc2 = system.params.rest_energy
-    lhs, rhs = system.lhs, system.rhs
-    if system.scheme == SCHEME_SUPG:
-        mu = scipy.linalg.eigvals(lhs, rhs)
-        mu = mu[np.isfinite(mu)]
-        if not len(mu):
-            raise SingularSystemError("no finite eigenvalues: rhs numerically singular")
-        max_imag = _check_reality(mu + mc2, reality_tol)
-        mu = np.sort(mu.real)
-    else:
-        try:
-            mu = scipy.linalg.eigh(lhs, rhs, eigvals_only=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"symmetric-definite solve failed: {exc}") from exc
-        max_imag = 0.0
-
-    bound = (mu > -2.0 * mc2) & (mu < 0.0)
-    return Spectrum(scheme=system.scheme, bindings=mu[bound], raw=mu + mc2,
-                    max_imag=max_imag, params=system.params, dof_blocks=system.dof_blocks)
-
-
-def _solve_window(system: AssembledSystem, window: tuple[float, float],
-                  reality_tol: float) -> Spectrum:
-    """Shift-invert Arnoldi solve certified complete on the binding window.
-
-    The shift sigma is the window midpoint. ``lhs - sigma*rhs`` is formed
-    from the node-order band pencil (half-bandwidth 3 for the linear
-    scheme, 7 for Hermite) and factored once in LAPACK band storage with
-    partial pivoting, and ARPACK finds the k largest-magnitude eigenvalues
-    theta of ``x -> (lhs - sigma*rhs)^-1 rhs x`` in node order, i.e. the k
-    bindings mu = sigma + 1/theta nearest sigma; their eigenvectors are
-    returned in block layout. k starts at WINDOW_FIRST_K and doubles until
-    the farthest returned |mu - sigma| exceeds the half-width: every
-    eigenvalue of the window then lies inside the disk the solve exhausted.
-    A fixed start vector makes repeated solves bit-identical, and the number
-    of operator applications (one band matrix-vector product and one band
-    LU solve each) deterministic. A factor that is exactly singular or holds
-    a non-finite entry raises SingularSystemError before ARPACK runs.
-    """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got {window}")
@@ -280,8 +241,6 @@ def component_coefficients(spectrum: Spectrum, index: int, component: str):
 
     For the linear scheme the slope array is None.
     """
-    if spectrum.eigenvectors is None:
-        raise ValueError("spectrum carries no eigenvectors: only a windowed solve computes them")
     vec = spectrum.eigenvectors[:, index]
     blocks = {}
     start = 0

@@ -5,16 +5,25 @@ node; ``element_integral`` evaluates one block-matrix entry straight from
 the basis functions of its two dofs; ``assemble_block`` sums the package's
 element integrals of one integrand into a dense block matrix;
 ``band_storage`` writes a dense matrix in LAPACK band storage;
-``closed_form_element_entries`` gives the exact polynomial integrals the
-4-point rule must reproduce. The
+``dense_bindings`` solves the whole pencil densely, the oracle of the
+windowed solve, and ``dense_bindings_in_workers`` runs it on several
+pencils side by side; ``closed_form_element_entries`` gives the exact
+polynomial integrals the 4-point rule must reproduce. The
 Hermite interpolation-error helpers, ``potential_w``,
 ``accumulation_point`` and the first-order residual functionals and nodal
 propagation of the radial system restate the model in its plainest form.
 """
 
-import numpy as np
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from unittest import mock
 
-from diracfem.assembly import BlockMatrixSpec, _element_kernel
+import numpy as np
+import scipy.linalg
+
+from diracfem.assembly import SCHEME_SUPG, AssembledSystem, BlockMatrixSpec, _element_kernel
 from diracfem.discretization import (
     BasisKind,
     Mesh,
@@ -23,6 +32,8 @@ from diracfem.discretization import (
     hermite_interpolate,
     hermite_local,
 )
+from diracfem.eigensolver import DEFAULT_REALITY_TOL, _check_reality
+from diracfem.errors import SingularSystemError
 from diracfem.physics import OperatorParams, PotentialModel, potential_value
 
 
@@ -175,6 +186,83 @@ def band_storage(matrix, hb: int) -> np.ndarray:
     for d in range(-reach, reach + 1):  # entry (i, i + d) sits in row hb - d, column i + d
         band[hb - d, max(d, 0):size + min(d, 0)] = np.diagonal(matrix, d)
     return band
+
+
+# --- dense full-spectrum solve (eigensolver oracle) --------------------------
+
+
+@dataclass(frozen=True)
+class DenseBindings:
+    """Every finite eigenvalue of one pencil; it has no eigenvectors.
+
+    ``bindings`` holds the bindings mu inside the bound window (-2mc^2, 0),
+    ascending, and ``raw`` every finite eigenvalue lambda = mu + m*c^2.
+    ``scheme``, ``bindings`` and ``params`` are what the pipeline reads of a
+    Spectrum, so it can stand in for one.
+    """
+
+    scheme: str
+    bindings: np.ndarray
+    raw: np.ndarray
+    max_imag: float
+    params: OperatorParams
+
+
+def dense_bindings(system: AssembledSystem,
+                   reality_tol: float = DEFAULT_REALITY_TOL) -> DenseBindings:
+    """All eigenvalues of the binding-form pencil, solved densely.
+
+    Galerkin pencils go to the symmetric-definite driver (real by
+    construction), the stabilized (nonsymmetric) pencil to the general QZ
+    routine, where any finite eigenvalue whose imaginary part exceeds
+    ``reality_tol`` relative to its magnitude raises ComplexSpectrumError.
+    An rhs with no finite eigenvalue against it, or one the
+    symmetric-definite driver cannot factor, raises SingularSystemError.
+    """
+    if not 0.0 <= reality_tol < np.inf:
+        raise ValueError(f"reality_tol must be finite and >= 0, got {reality_tol}")
+    mc2 = system.params.rest_energy
+    lhs, rhs = system.lhs, system.rhs
+    if system.scheme == SCHEME_SUPG:
+        mu = scipy.linalg.eigvals(lhs, rhs)
+        mu = mu[np.isfinite(mu)]
+        if not len(mu):
+            raise SingularSystemError("no finite eigenvalues: rhs numerically singular")
+        max_imag = _check_reality(mu + mc2, reality_tol)
+        mu = np.sort(mu.real)
+    else:
+        try:
+            mu = scipy.linalg.eigh(lhs, rhs, eigvals_only=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"symmetric-definite solve failed: {exc}") from exc
+        max_imag = 0.0
+    bound = (mu > -2.0 * mc2) & (mu < 0.0)
+    return DenseBindings(scheme=system.scheme, bindings=mu[bound], raw=mu + mc2,
+                         max_imag=max_imag, params=system.params)
+
+
+#: Set to 1 in the workers' environment, so that each worker's BLAS runs one thread.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def dense_bindings_in_workers(systems, timeout: float) -> list[DenseBindings]:
+    """``dense_bindings`` of each system, in one spawned worker process per system.
+
+    BLAS threads do not overlap two QZ solves, processes do. Each worker
+    runs one BLAS thread, so the workers do not compete for the cores. A
+    result not back within ``timeout`` seconds raises TimeoutError, after
+    the workers are killed.
+    """
+    with (mock.patch.dict(os.environ, dict.fromkeys(BLAS_THREAD_VARIABLES, "1")),
+          ProcessPoolExecutor(len(systems),
+                              mp_context=multiprocessing.get_context("spawn")) as pool):
+        futures = [pool.submit(dense_bindings, system) for system in systems]
+        try:
+            return [future.result(timeout=timeout) for future in futures]
+        except TimeoutError:
+            for worker in multiprocessing.active_children():
+                worker.kill()
+            raise
 
 
 # --- closed-form element integrals (assembly oracle) ------------------------

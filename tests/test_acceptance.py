@@ -34,6 +34,8 @@ from conftest import random_mesh
 from oracles import (
     assemble_block,
     closed_form_element_entries,
+    dense_bindings,
+    dense_bindings_in_workers,
     eval_hermite,
     hermite_interpolation_error_order,
 )
@@ -56,21 +58,24 @@ def hydrogen_runs():
     out = {}
     for kappa in (1, -1):
         params = OperatorParams(Z=1, kappa=kappa)
-        out[("linear", kappa)] = solve(assemble(SCHEME_LINEAR, params, mesh, pot))
-        out[("hermite", kappa)] = solve(assemble(SCHEME_HERMITE, params, mesh, pot))
+        out[("linear", kappa)] = dense_bindings(assemble(SCHEME_LINEAR, params, mesh, pot))
+        out[("hermite", kappa)] = dense_bindings(assemble(SCHEME_HERMITE, params, mesh, pot))
     return out
+
+
+#: Seconds each dense Z=12 solve may take in its worker (about 25 s on a 2-core VM).
+MAGNESIUM_TIMEOUT_S = 600.0
 
 
 @pytest.fixture(scope="module")
 def magnesium_supg():
-    """Z=12, |kappa|=2, n=400 stabilized runs on the tuned mesh."""
+    """Z=12, |kappa|=2, n=400 stabilized runs on the tuned mesh, one worker per kappa."""
     mesh = build_exponential_mesh(1e-6, 60.0, 400, 8.5)
     pot = point_nucleus(12.0)
-    out = {}
-    for kappa in (2, -2):
-        params = OperatorParams(Z=12, kappa=kappa)
-        out[kappa] = solve(assemble(SCHEME_SUPG, params, mesh, pot))
-    return out
+    kappas = (2, -2)
+    systems = [assemble(SCHEME_SUPG, OperatorParams(Z=12, kappa=kappa), mesh, pot)
+               for kappa in kappas]
+    return dict(zip(kappas, dense_bindings_in_workers(systems, MAGNESIUM_TIMEOUT_S)))
 
 
 def test_dense_fixtures_inside_bound_window(hydrogen_runs, magnesium_supg):
@@ -242,7 +247,7 @@ def test_criterion_05_supg_full_cure(magnesium_supg):
     # of the kappa=-1 ground state
     params92 = OperatorParams(Z=92, kappa=1)
     mesh92 = build_exponential_mesh(1e-7, 1.0, 200, 9.0)
-    spec92 = solve(assemble(SCHEME_SUPG, params92, mesh92, point_nucleus(92.0)))
+    spec92 = dense_bindings(assemble(SCHEME_SUPG, params92, mesh92, point_nucleus(92.0)))
     first = spec92.bindings[0]
     assert first > bound_window(params92, 4)[0]
     ref_2p = reference_binding(params92, 1).binding

@@ -97,7 +97,8 @@ def make_spectrum(kappa, bindings, scheme=SCHEME_HERMITE, Z=1.0):
     params = OperatorParams(Z=Z, kappa=kappa)
     return Spectrum(scheme=scheme, bindings=np.asarray(bindings, dtype=float),
                     raw=np.asarray(bindings) + params.rest_energy, max_imag=0.0,
-                    params=params, dof_blocks=(("zeta", 1),))
+                    params=params, dof_blocks=(("zeta", 1),),
+                    eigenvectors=np.zeros((1, len(bindings))))
 
 
 class TestCoincidenceReport:

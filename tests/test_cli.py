@@ -1,12 +1,13 @@
 import io
 import json
 import math
+import re
 from contextlib import redirect_stdout
 from dataclasses import fields
 
 import pytest
 
-from diracfem import analysis, cli, eigensolver
+from diracfem import analysis, cli
 from diracfem.cli import (
     EXIT_CONFIG,
     EXIT_PHYSICS,
@@ -16,12 +17,18 @@ from diracfem.cli import (
     load_config_file,
     main,
 )
+from diracfem.eigensolver import DEFAULT_REALITY_TOL
 from diracfem.errors import ConfigError
+
+from oracles import dense_bindings
 
 # small, fast solve configuration shared by the output-format tests
 FAST = ["--Z", "1", "--abs-kappa", "1", "--scheme", "hermite-galerkin",
         "--n", "40", "--a", "1e-6", "--b", "40", "--mesh-gamma", "8",
         "--levels", "2"]
+# the README pathology mesh
+PATHOLOGY = ["--Z", "1", "--abs-kappa", "1", "--n", "100", "--a", "1e-6", "--b", "150",
+             "--mesh-gamma", "8", "--levels", "6"]
 
 
 class TestConfig:
@@ -255,6 +262,43 @@ class TestMain:
         assert code == EXIT_SOLVER
         assert "solver error" in capsys.readouterr().err
 
+    def test_small_misses_blame_the_fixed_lower_slope(self, capsys):
+        # the README pathology mesh: the SUPG ground level misses by 1.8e-4,
+        # 18 times the 1e-5 Hermite tolerance
+        code = main(PATHOLOGY + ["--scheme", "hermite-supg", "--levels", "3"])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "try --free-lower-slope" in err
+        assert "too coarse" not in err
+
+    @pytest.mark.parametrize("extra, worst, tol", [
+        (["--b", "40", "--levels", "2", "--n", "3"], 3.4e-2, 1e-5),
+        (["--match-tol", "1e-9"], 7.5e-7, 1e-9),
+        (["--match-tol", "1e-9", "--free-lower-slope"], 4.1e-8, 1e-9)])
+    def test_large_misses_blame_the_mesh(self, extra, worst, tol, capsys):
+        # a miss of more than 100 times the tolerance is no slope effect:
+        # with --free-lower-slope the last run still misses by 4.1e-8
+        code = main(PATHOLOGY + ["--scheme", "hermite-galerkin"] + extra)
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "--free-lower-slope" not in err
+        assert "too coarse" in err and "--n" in err and "--match-tol" in err
+        quoted = re.search(r"by up to (\S+) relative, against the match tolerance (\S+):", err)
+        assert float(quoted.group(1)) == pytest.approx(worst, rel=0.05)
+        assert float(quoted.group(2)) == tol
+
+    @pytest.mark.parametrize("target", ["missing-dir/result.csv", "."])
+    def test_unwritable_out_exits_2_without_output(self, target, tmp_path, capsys):
+        # a missing directory or a directory as the file used to end in a
+        # FileNotFoundError or IsADirectoryError traceback, exit 1
+        out = tmp_path / target
+        code = main(FAST + ["--format", "csv", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write output file {out}: ")
+        assert captured.err.count("\n") == 1
+
     def test_solve_table_output(self, capsys):
         assert main(FAST) == 0
         out = capsys.readouterr().out
@@ -378,8 +422,9 @@ def _json_rows(argv):
     return json.loads(out.getvalue())["rows"]
 
 
-def _dense_solve(system, reality_tol=eigensolver.DEFAULT_REALITY_TOL, window=None):
-    return eigensolver.solve(system, reality_tol=reality_tol)
+def _dense_solve(system, window, reality_tol=DEFAULT_REALITY_TOL):
+    """The dense oracle in place of the windowed solve: it reads no window."""
+    return dense_bindings(system, reality_tol)
 
 
 def _order_is_resolved(rows, level):

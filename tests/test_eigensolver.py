@@ -1,4 +1,5 @@
 import logging
+import os
 import re
 
 import numpy as np
@@ -34,7 +35,7 @@ from diracfem.physics import (
     reference_spectrum,
 )
 
-from oracles import band_storage
+from oracles import band_storage, dense_bindings, dense_bindings_in_workers
 
 TOY = OperatorParams(Z=1, kappa=-1, c=10.0)  # mc^2 = 100
 
@@ -53,13 +54,13 @@ def toy_system(lhs, rhs, scheme=SCHEME_LINEAR):
 
 class TestToyPencils:
     def test_diagonal_pencil(self):
-        spectrum = solve(toy_system(np.diag([2.0, 3.0]) - TOY.rest_energy * np.eye(2),
-                                    np.eye(2)))
+        spectrum = dense_bindings(toy_system(np.diag([2.0, 3.0]) - TOY.rest_energy * np.eye(2),
+                                             np.eye(2)))
         np.testing.assert_allclose(np.sort(spectrum.raw), [2.0, 3.0], atol=1e-9)
 
     def test_reciprocal_scaling(self):
         rhs = np.diag([2.0, 4.0])
-        spectrum = solve(toy_system(np.eye(2) - TOY.rest_energy * rhs, rhs))
+        spectrum = dense_bindings(toy_system(np.eye(2) - TOY.rest_energy * rhs, rhs))
         np.testing.assert_allclose(np.sort(spectrum.raw), [0.25, 0.5], atol=1e-12)
 
     def test_two_by_two_limit_structure(self):
@@ -68,15 +69,15 @@ class TestToyPencils:
         a, b, rho, d = -2.5, 1.2, -9.0 / 70.0, 0.04
         expected = np.sqrt((a**2 - b**2) / (rho**2 - d**2))
         rhs = np.array([[rho, d], [d, rho]])
-        spectrum = solve(toy_system(np.array([[a, b], [-b, -a]]) - TOY.rest_energy * rhs, rhs,
-                                    scheme=SCHEME_SUPG))
+        spectrum = dense_bindings(toy_system(np.array([[a, b], [-b, -a]])
+                                             - TOY.rest_energy * rhs, rhs, scheme=SCHEME_SUPG))
         np.testing.assert_allclose(np.sort(spectrum.raw), [-expected, expected],
                                    rtol=1e-12)
 
     def test_window_filter(self):
         # raw eigenvalues {-c^2 - 1, c^2 - 0.5, c^2 + 5}: one bound state
         mu = [-2.0 * TOY.c**2 - 1.0, -0.5, 5.0]
-        spectrum = solve(toy_system(np.diag(mu), np.eye(3)))
+        spectrum = dense_bindings(toy_system(np.diag(mu), np.eye(3)))
         bs = bound_states(spectrum, TOY, 1)
         assert bs[0] == pytest.approx(-0.5, abs=1e-10)
         with pytest.raises(InsufficientLevelsError):
@@ -85,7 +86,7 @@ class TestToyPencils:
     def test_complex_spectrum_rejected(self):
         # rotation block: eigenvalues +-i
         with pytest.raises(ComplexSpectrumError):
-            solve(toy_system([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), scheme=SCHEME_SUPG))
+            dense_bindings(toy_system([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), scheme=SCHEME_SUPG))
 
     def test_coarse_supg_mesh_goes_complex(self):
         # on very coarse meshes tau is large enough to push continuum
@@ -93,7 +94,7 @@ class TestToyPencils:
         params = OperatorParams(Z=2, kappa=1)
         mesh = build_exponential_mesh(1e-5, 30.0, 24, 6.0)
         with pytest.raises(ComplexSpectrumError):
-            solve(assemble(SCHEME_SUPG, params, mesh, point_nucleus(2.0)))
+            dense_bindings(assemble(SCHEME_SUPG, params, mesh, point_nucleus(2.0)))
 
     @pytest.mark.parametrize("reality_tol", [float("nan"), float("inf"), -1.0])
     def test_bad_reality_tol_rejected(self, reality_tol):
@@ -102,9 +103,15 @@ class TestToyPencils:
         params = OperatorParams(Z=2, kappa=1)
         mesh = build_exponential_mesh(1e-5, 30.0, 24, 6.0)
         system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(2.0))
-        for window in (None, bound_window(params, 3)):
-            with pytest.raises(ValueError, match="reality_tol"):
-                solve(system, reality_tol=reality_tol, window=window)
+        with pytest.raises(ValueError, match="reality_tol"):
+            dense_bindings(system, reality_tol=reality_tol)
+        with pytest.raises(ValueError, match="reality_tol"):
+            solve(system, window=bound_window(params, 3), reality_tol=reality_tol)
+
+    def test_solve_needs_a_window(self):
+        # the package has one solve path; the dense solve is the tests' oracle
+        with pytest.raises(TypeError, match="window"):
+            solve(toy_system(np.diag([-0.5, 3.0, 4.0]), np.eye(3)))
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +119,7 @@ def hydrogen_solution():
     params = OperatorParams(Z=1, kappa=-1)
     mesh = build_exponential_mesh(1e-5, 60.0, 60, 6.0)
     system = assemble(SCHEME_HERMITE, params, mesh, point_nucleus(1.0))
-    return params, system, solve(system)
+    return params, system, dense_bindings(system)
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +200,7 @@ class TestRealSystems:
             params = OperatorParams(Z=1, kappa=kappa)
             system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(1.0))
             lo, hi = bound_window(params, 3)
-            dense = solve(system)
+            dense = dense_bindings(system)
             windowed = solve(system, window=(lo, hi))
             full = dense.bindings[(dense.bindings > lo) & (dense.bindings < hi)]
             assert len(full) >= 2
@@ -240,7 +247,7 @@ class TestRealSystems:
         lhs[0, 1] = lhs[1, 0] = 0.3
         system = toy_system(lhs, np.eye(size))
         windowed = solve(system, window=(-1.0, 0.0))
-        dense = solve(system)
+        dense = dense_bindings(system)
         np.testing.assert_allclose(windowed.bindings, [-0.8, -0.2], rtol=1e-12)
         np.testing.assert_allclose(windowed.bindings, dense.bindings[:2], rtol=1e-12)
 
@@ -320,7 +327,7 @@ class TestRealSystems:
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 40.0, 100, 8.0)
         system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(1.0))
-        spectrum = solve(system)
+        spectrum = dense_bindings(system)
         assert spectrum.max_imag <= 1e-8 * params.rest_energy
         assert spectrum.bindings[0] == pytest.approx(-0.5000066566, abs=1e-4)
 
@@ -337,14 +344,16 @@ class TestRealSystems:
 
     @pytest.mark.parametrize("scheme", [SCHEME_LINEAR, SCHEME_HERMITE, SCHEME_SUPG])
     def test_dense_solve_returns_eigenvalues_only(self, scheme):
-        # the windowed solve is the one source of eigenvectors
+        # the windowed solve is the one source of eigenvectors, and every
+        # spectrum it returns carries one per binding
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 40.0, 40, 8.0)
-        spectrum = solve(assemble(scheme, params, mesh, point_nucleus(1.0)))
-        assert len(spectrum.bindings) >= 3
-        assert spectrum.eigenvectors is None
-        with pytest.raises(ValueError, match="no eigenvectors"):
-            component_coefficients(spectrum, 0, "f")
+        system = assemble(scheme, params, mesh, point_nucleus(1.0))
+        dense = dense_bindings(system)
+        assert len(dense.bindings) >= 3
+        assert not hasattr(dense, "eigenvectors")
+        windowed = solve(system, window=bound_window(params, 3))
+        assert windowed.eigenvectors.shape == (system.size, len(windowed.bindings))
 
     def test_linear_scheme_has_no_slopes(self):
         params = OperatorParams(Z=1, kappa=-1)
@@ -377,10 +386,27 @@ class TestRealSystems:
 
         params = OperatorParams(Z=92, kappa=-1)
         mesh = build_exponential_mesh(1e-7, 1.0, 150, 9.0)
-        point_spec = solve(assemble(SCHEME_HERMITE, params, mesh, point_nucleus(92.0)))
-        ext_spec = solve(assemble(SCHEME_HERMITE,
-            params, mesh, extended_nucleus(92.0, 1.4e-4)))
+        point_spec = dense_bindings(assemble(SCHEME_HERMITE, params, mesh, point_nucleus(92.0)))
+        ext_spec = dense_bindings(assemble(SCHEME_HERMITE,
+                                           params, mesh, extended_nucleus(92.0, 1.4e-4)))
         point_exact = reference_binding(params, 0).binding
         assert point_spec.bindings[0] == pytest.approx(point_exact, rel=1e-4)
         shift = ext_spec.bindings[0] - point_spec.bindings[0]
         assert 0 < shift < 20.0  # a few Hartree for uranium
+
+
+class TestDenseOracle:
+    def test_worker_returns_the_in_process_bits(self):
+        # the acceptance fixtures solve in spawned workers with one BLAS
+        # thread each; what comes back must be what an in-process solve gives
+        params = OperatorParams(Z=12, kappa=-2)
+        mesh = build_exponential_mesh(1e-6, 60.0, 60, 8.5)
+        system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(12.0))
+        here = dense_bindings(system)
+        environment = dict(os.environ)
+        (there,) = dense_bindings_in_workers([system], timeout=120.0)
+        assert dict(os.environ) == environment  # the BLAS settings were the workers' only
+        assert len(here.bindings) >= 12
+        for field in ("bindings", "raw"):
+            assert getattr(there, field).tobytes() == getattr(here, field).tobytes()
+        assert there.max_imag == here.max_imag and there.params == params
