@@ -236,12 +236,15 @@ SLOPE_MISS_FACTOR = 100.0
 
 
 def _miss_hint(cfg: RunConfig, kappa: int, entries) -> str:
-    """Why the first ``cfg.levels`` computed levels missed: the fixed lower slope or the mesh.
+    """Why the first ``cfg.levels`` computed levels missed: the domain, the slope or the mesh.
 
-    Each level's miss is its relative distance to the nearest reference level.
+    A window holding fewer than ``cfg.levels`` computed levels points at a
+    domain too short for the upper levels. Otherwise each level's miss is its
+    relative distance to the nearest reference level.
     """
     if len(entries) < cfg.levels:
-        return ""
+        return (f"; the window held {len(entries)} computed level(s): the domain "
+                f"--b {cfg.b:g} is likely too short for the upper levels (try a larger --b)")
     reference = reference_spectrum(cfg.params(kappa), cfg.levels)
     tol = cfg.matching_tolerance()
     worst = max(min(abs(e.binding - r.binding) / abs(r.binding) for r in reference)

@@ -5,14 +5,14 @@ mu = lambda - m*c^2 (see ``assembly``), and is solved as it is: the
 bindings never pass through the rest energy, so none of their digits are
 lost to cancellation against it. Only ``Spectrum.raw`` adds m*c^2 back.
 
-``solve(system, window=(lo, hi))`` is the one solve path: a shift-invert
-Arnoldi solve (Ericsson & Ruhe 1980; ARPACK) that computes only the
-eigenvalues nearest the window midpoint, certifies that every eigenvalue
-inside the window was found, and returns their eigenvectors. ``assemble``
-stores the pencil in node order as band matrices (see ``assembly``): each
-operator application is one band matrix-vector product and one band LU
-solve. The dense full-spectrum solve the tests check it against lives in
-the tests.
+``solve(system, window=(lo, ..., hi))`` is the one solve path: one
+shift-invert Arnoldi solve (Ericsson & Ruhe 1980; ARPACK) per slice of the
+window, which computes only the eigenvalues nearest the slice midpoint,
+certifies that every eigenvalue inside the slice was found, and returns
+their eigenvectors. ``assemble`` stores the pencil in node order as band
+matrices (see ``assembly``): each operator application is one band
+matrix-vector product and one band LU solve. The dense full-spectrum solve
+the tests check it against lives in the tests.
 """
 
 from __future__ import annotations
@@ -39,8 +39,15 @@ from .physics import OperatorParams, reference_binding
 #: Default relative bound on acceptable imaginary parts of SUPG eigenvalues.
 DEFAULT_REALITY_TOL = 1e-8
 
-#: Eigenpairs asked of the first shift-invert round; doubled until certified.
+#: Eigenpairs asked of the last disk's first shift-invert round; doubled until certified.
 WINDOW_FIRST_K = 16
+
+#: Eigenpairs asked of a lower disk's first round: the two reference levels
+#: it holds and the one eigenpair beyond its edge that certifies it.
+SPLIT_FIRST_K = 3
+
+#: ``bound_window`` splits windows of at least this many levels into two disks.
+SPLIT_LEVELS = 10
 
 _log = logging.getLogger("diracfem")
 
@@ -51,10 +58,12 @@ class Spectrum:
 
     ``bindings`` holds mu = lambda - m*c^2 restricted to the requested
     window and to the bound window (-2mc^2, 0), ascending (deepest level
-    first). ``raw`` holds every eigenvalue lambda the solve computed: the
-    certified neighbourhood of the window. ``eigenvectors`` holds one
-    column per binding, in block layout, rhs-normalized with the largest
-    f-value coefficient made positive.
+    first). ``raw`` holds the eigenvalues lambda the solve computed, the
+    certified neighbourhood of the window, ascending: every one of a
+    one-disk solve; of a split window, each disk's own, i.e. those on its
+    side of the cuts between disks, so no eigenvalue appears twice.
+    ``eigenvectors`` holds one column per binding, in block layout,
+    rhs-normalized with the largest f-value coefficient made positive.
     """
 
     scheme: str
@@ -70,14 +79,21 @@ class Spectrum:
             array.setflags(write=False)
 
 
-def bound_window(params: OperatorParams, levels: int) -> tuple[float, float]:
-    """Binding window (lo, hi) holding the first ``levels`` levels of both kappa signs.
+def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
+    """Binding window edges holding the first ``levels`` levels of both kappa signs.
 
     ``lo`` is twice the kappa = -|kappa| ground binding, below every level of
     either sign including the kappa > 0 copy of that ground state. ``hi``
     lies halfway between the reference levels n_r = levels and
     n_r = levels + 1 (the binding depends on |kappa| and n_r only), past the
-    last level either series needs.
+    last level either series needs. Below SPLIT_LEVELS levels the window is
+    ``(lo, hi)``, one disk for ``solve``. From SPLIT_LEVELS on it is
+    ``(lo, s, hi)``, with ``s`` halfway between the reference levels n_r = 1
+    and n_r = 2: one shift placed at the midpoint of so wide a window sits
+    far from its top edge in the Rydberg accumulation, where the last
+    wanted level and the next one differ in distance from the shift by a
+    fraction of a percent and ARPACK converges slowly (spectrum slicing,
+    Grimes, Lewis & Simon 1994). Two disks each lie close to their edges.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
@@ -85,7 +101,10 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, float]:
     lo = 2.0 * reference_binding(neg, 0).binding
     hi = 0.5 * (reference_binding(neg, levels).binding
                 + reference_binding(neg, levels + 1).binding)
-    return lo, hi
+    if levels < SPLIT_LEVELS:
+        return lo, hi
+    split = 0.5 * (reference_binding(neg, 1).binding + reference_binding(neg, 2).binding)
+    return lo, split, hi
 
 
 def _band_product(band: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -138,40 +157,16 @@ def _check_reality(lam: np.ndarray, reality_tol: float) -> float:
     return max_imag
 
 
-def solve(system: AssembledSystem, window: tuple[float, float],
-          reality_tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
-    """Solve lhs*X = mu*rhs*X on the binding window ``window=(lo, hi)``.
+def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
+                reality_tol: float):
+    """One shift-invert disk certified complete on (lo, hi): (mu, vecs, radius, max_imag).
 
-    A shift-invert Arnoldi solve certified complete on the window, for
-    every scheme. The shift sigma is the window midpoint. ``lhs - sigma*rhs``
-    is formed from the node-order band pencil (half-bandwidth 3 for the
-    linear scheme, 7 for Hermite) and factored once in LAPACK band storage
-    with partial pivoting, and ARPACK finds the k largest-magnitude
-    eigenvalues theta of ``x -> (lhs - sigma*rhs)^-1 rhs x`` in node order,
-    i.e. the k bindings mu = sigma + 1/theta nearest sigma; their
-    eigenvectors are returned in block layout. k starts at WINDOW_FIRST_K
-    and doubles until the farthest returned |mu - sigma| exceeds the
-    half-width: every eigenvalue of the window then lies inside the disk
-    the solve exhausted. A fixed start vector makes repeated solves
-    bit-identical, and the number of operator applications (one band
-    matrix-vector product and one band LU solve each) deterministic. A
-    factor that is exactly singular or holds a non-finite entry raises
-    SingularSystemError before ARPACK runs.
-
-    Any computed eigenvalue whose imaginary part exceeds ``reality_tol``
-    relative to its magnitude aborts the solve with ComplexSpectrumError.
-    ``reality_tol`` must be finite and >= 0, or ValueError is raised before
-    any work.
+    ``mu`` holds the real parts of every computed binding, ascending,
+    ``vecs`` their node-order eigenvectors, and ``radius`` the farthest
+    |mu - sigma|: every eigenvalue closer than that to sigma = (lo + hi)/2
+    is among ``mu``.
     """
-    if not 0.0 <= reality_tol < np.inf:
-        raise ValueError(f"reality_tol must be finite and >= 0, got {reality_tol}")
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError(f"window must satisfy lo < hi, got {window}")
-    mc2 = system.params.rest_energy
     size = system.size
-    if size < 3:
-        raise SolverError(f"pencil of size {size} is too small for a windowed solve")
     sigma, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     a, b = system.lhs_band, system.rhs_band
     hb = a.shape[0] // 2
@@ -194,7 +189,7 @@ def solve(system: AssembledSystem, window: tuple[float, float],
 
     op = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply, dtype=float)
     v0 = np.ones(size)
-    k, rounds = min(WINDOW_FIRST_K, size - 2), 0
+    k, rounds = min(first_k, size - 2), 0
     while True:
         rounds += 1
         try:
@@ -202,25 +197,101 @@ def solve(system: AssembledSystem, window: tuple[float, float],
         except scipy.sparse.linalg.ArpackError as exc:
             raise SolverError(f"shift-invert solve did not converge (k={k}): {exc}") from exc
         mu = sigma + 1.0 / theta
-        if np.max(np.abs(mu - sigma)) > half:
+        radius = float(np.max(np.abs(mu - sigma)))
+        if radius > half:
             break
         if k == size - 2:
             raise SolverError(f"window ({lo}, {hi}) not certified complete with k={k} "
                               f"of {size} eigenpairs")
         k = min(2 * k, size - 2)
 
-    lam = mu + mc2
+    lam = mu + system.params.rest_energy
     max_imag = float(np.max(np.abs(lam.imag)))
     _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) sigma=%r k=%d "
                "rounds=%d ops=%d max_imag=%.3g", size, np.count_nonzero(a), hb, hb, lo, hi,
                sigma, k, rounds, ops, max_imag)
     _check_reality(lam, reality_tol)
     order = np.argsort(mu.real)
-    mu, vecs = mu.real[order], vecs[:, order]
-    keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(hi, 0.0))
-    return Spectrum(scheme=system.scheme, bindings=mu[keep], raw=mu + mc2,
-                    max_imag=max_imag, params=system.params, dof_blocks=system.dof_blocks,
-                    eigenvectors=_normalize_vectors(vecs[:, keep], system))
+    return mu.real[order], vecs[:, order], radius, max_imag
+
+
+def _empty_gap_midpoint(mu: np.ndarray, lo: float, edge: float, rim: float) -> float:
+    """Midpoint of the gap around ``edge`` that a disk certified free of eigenvalues.
+
+    ``mu`` holds the disk's computed bindings, every eigenvalue in
+    [lo, rim] among them. The gap runs from the last of them in [lo, edge]
+    (or ``lo``) to the first above ``edge`` (or ``rim``).
+    """
+    below = mu[(mu >= lo) & (mu <= edge)]
+    above = mu[mu > edge]
+    return float(0.5 * ((below.max() if below.size else lo)
+                        + (above.min() if above.size else rim)))
+
+
+def solve(system: AssembledSystem, window: tuple[float, ...],
+          reality_tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
+    """Solve lhs*X = mu*rhs*X on the binding window ``window=(lo, ..., hi)``.
+
+    ``window`` holds ascending edges; each pair of consecutive edges is one
+    shift-invert Arnoldi disk certified complete on its slice, for every
+    scheme. A disk's shift sigma is its slice's midpoint. ``lhs - sigma*rhs``
+    is formed from the node-order band pencil (half-bandwidth 3 for the
+    linear scheme, 7 for Hermite) and factored once in LAPACK band storage
+    with partial pivoting, and ARPACK finds the k largest-magnitude
+    eigenvalues theta of ``x -> (lhs - sigma*rhs)^-1 rhs x`` in node order,
+    i.e. the k bindings mu = sigma + 1/theta nearest sigma. k starts at
+    SPLIT_FIRST_K for a lower disk and at WINDOW_FIRST_K for the last one,
+    and doubles until the farthest returned |mu - sigma| exceeds the slice's
+    half-width: every eigenvalue of the slice then lies inside the disk the
+    solve exhausted. Each disk logs one DEBUG record. The disk above an
+    interior edge starts at the midpoint of the gap around that edge that
+    the disk below certified empty, so no eigenvalue is kept twice or
+    dropped. The bindings of all disks are returned in one ascending array,
+    with their eigenvectors in block layout.
+
+    A fixed start vector makes repeated solves bit-identical, and the number
+    of operator applications (one band matrix-vector product and one band LU
+    solve each) deterministic. A factor that is exactly singular or holds a
+    non-finite entry raises SingularSystemError before ARPACK runs.
+
+    Any computed eigenvalue whose imaginary part exceeds ``reality_tol``
+    relative to its magnitude aborts the solve with ComplexSpectrumError.
+    ``reality_tol`` must be finite and >= 0, and the edges at least two and
+    strictly ascending, or ValueError is raised before any work.
+    """
+    if not 0.0 <= reality_tol < np.inf:
+        raise ValueError(f"reality_tol must be finite and >= 0, got {reality_tol}")
+    edges = [float(edge) for edge in window]
+    if len(edges) < 2 or not all(x < y for x, y in zip(edges, edges[1:])):
+        raise ValueError(f"window must hold ascending edges lo < ... < hi, got {window}")
+    mc2 = system.params.rest_energy
+    if system.size < 3:
+        raise SolverError(f"pencil of size {system.size} is too small for a windowed solve")
+    bindings, raw, vectors, lo, max_imag = [], [], [], edges[0], 0.0
+    for hi in edges[1:]:
+        if lo >= hi:
+            continue  # the disk below certified this whole slice empty
+        last = hi == edges[-1]
+        mu, vecs, radius, disk_imag = _solve_disk(
+            system, lo, hi, WINDOW_FIRST_K if last else SPLIT_FIRST_K, reality_tol)
+        cut = hi if last else min(edges[-1], _empty_gap_midpoint(
+            mu, lo, hi, 0.5 * (lo + hi) + radius))
+        keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(cut, 0.0))
+        # a disk's own eigenvalues lie between its cuts to the disks beside it
+        own = np.ones(len(mu), dtype=bool)
+        if lo > edges[0]:
+            own &= mu > lo
+        if cut < edges[-1]:
+            own &= mu < cut
+        bindings.append(mu[keep])
+        raw.append(mu[own])
+        vectors.append(vecs[:, keep])
+        max_imag = max(max_imag, disk_imag)
+        lo = cut
+    return Spectrum(scheme=system.scheme, bindings=np.concatenate(bindings),
+                    raw=np.concatenate(raw) + mc2, max_imag=max_imag,
+                    params=system.params, dof_blocks=system.dof_blocks,
+                    eigenvectors=_normalize_vectors(np.hstack(vectors), system))
 
 
 def bound_states(spectrum: Spectrum, params: OperatorParams, count: int) -> np.ndarray:

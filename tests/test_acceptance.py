@@ -63,19 +63,34 @@ def hydrogen_runs():
     return out
 
 
-#: Seconds each dense Z=12 solve may take in its worker (about 25 s on a 2-core VM).
+#: Seconds each dense stabilized solve may take in its worker (a Z=12 one
+#: takes about 25 s on a 2-core VM).
 MAGNESIUM_TIMEOUT_S = 600.0
 
 
 @pytest.fixture(scope="module")
-def magnesium_supg():
-    """Z=12, |kappa|=2, n=400 stabilized runs on the tuned mesh, one worker per kappa."""
+def supg_dense_runs():
+    """Dense stabilized runs, one worker each: the Z=12 pair and the Z=92 one.
+
+    Z=12, |kappa|=2, n=400 on the tuned mesh, keyed by kappa; and Z=92,
+    kappa=+1, n=200, whose first level criterion 5 checks.
+    """
     mesh = build_exponential_mesh(1e-6, 60.0, 400, 8.5)
     pot = point_nucleus(12.0)
     kappas = (2, -2)
     systems = [assemble(SCHEME_SUPG, OperatorParams(Z=12, kappa=kappa), mesh, pot)
                for kappa in kappas]
-    return dict(zip(kappas, dense_bindings_in_workers(systems, MAGNESIUM_TIMEOUT_S)))
+    mesh92 = build_exponential_mesh(1e-7, 1.0, 200, 9.0)
+    systems.append(assemble(SCHEME_SUPG, OperatorParams(Z=92, kappa=1), mesh92,
+                            point_nucleus(92.0)))
+    *magnesium, uranium = dense_bindings_in_workers(systems, MAGNESIUM_TIMEOUT_S)
+    return dict(zip(kappas, magnesium)), uranium
+
+
+@pytest.fixture(scope="module")
+def magnesium_supg(supg_dense_runs):
+    """Z=12, |kappa|=2, n=400 stabilized runs on the tuned mesh, keyed by kappa."""
+    return supg_dense_runs[0]
 
 
 def test_dense_fixtures_inside_bound_window(hydrogen_runs, magnesium_supg):
@@ -87,7 +102,7 @@ def test_dense_fixtures_inside_bound_window(hydrogen_runs, magnesium_supg):
     runs += [(OperatorParams(Z=12, kappa=kappa), spectrum)
              for kappa, spectrum in magnesium_supg.items()]
     for params, spectrum in runs:
-        lo, _ = bound_window(params, 12)
+        lo = bound_window(params, 12)[0]
         assert spectrum.bindings[0] > lo, f"{params}: {spectrum.bindings[0]} <= {lo}"
 
 
@@ -230,7 +245,8 @@ def test_criterion_04_hermite_partial_cure(hydrogen_runs):
 STRETCH_TARGET = 3e-8
 
 
-def test_criterion_05_supg_full_cure(magnesium_supg):
+def test_criterion_05_supg_full_cure(supg_dense_runs):
+    magnesium_supg, spec92 = supg_dense_runs
     worst = 0.0
     for kappa in (2, -2):
         params = OperatorParams(Z=12, kappa=kappa)
@@ -246,8 +262,6 @@ def test_criterion_05_supg_full_cure(magnesium_supg):
     # Z=92: the lowest kappa=+1 level must be the physical one, not a copy
     # of the kappa=-1 ground state
     params92 = OperatorParams(Z=92, kappa=1)
-    mesh92 = build_exponential_mesh(1e-7, 1.0, 200, 9.0)
-    spec92 = dense_bindings(assemble(SCHEME_SUPG, params92, mesh92, point_nucleus(92.0)))
     first = spec92.bindings[0]
     assert first > bound_window(params92, 4)[0]
     ref_2p = reference_binding(params92, 1).binding

@@ -271,6 +271,18 @@ class TestMain:
         assert "try --free-lower-slope" in err
         assert "too coarse" not in err
 
+    @pytest.mark.parametrize("n", [200, 8])
+    def test_too_few_levels_blame_the_domain(self, n, capsys):
+        # on b = 5 the window holds the 1s level only: the hint used to be
+        # empty, although the domain is far too short for the sixth level
+        code = main(["--Z", "1", "--kappa", "-1", "--scheme", "hermite-galerkin",
+                     "--n", str(n), "--b", "5", "--levels", "6"])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "only 0 of 6 genuine levels found; the window held 1 computed level" in err
+        assert "larger --b" in err
+        assert "--free-lower-slope" not in err and "too coarse" not in err
+
     @pytest.mark.parametrize("extra, worst, tol", [
         (["--b", "40", "--levels", "2", "--n", "3"], 3.4e-2, 1e-5),
         (["--match-tol", "1e-9"], 7.5e-7, 1e-9),

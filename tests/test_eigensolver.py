@@ -15,6 +15,7 @@ from diracfem.assembly import (
 )
 from diracfem.discretization import build_exponential_mesh
 from diracfem.eigensolver import (
+    SPLIT_LEVELS,
     _normalize_vectors,
     bound_states,
     bound_window,
@@ -295,13 +296,76 @@ class TestRealSystems:
         # ARPACK applies the operator at least once per Krylov vector
         assert int(re.search(r"ops=(\d+)", message).group(1)) > 16
 
+    def test_split_window_keeps_an_eigenvalue_on_its_edge_once(self):
+        # mu = -0.5 sits exactly on the interior edge: the lower disk keeps
+        # it, and the upper one starts in the empty gap (-0.5, -0.3) above it
+        size = 20
+        lhs = np.diag(np.concatenate([[-0.9, -0.6, -0.5, -0.3, -0.1],
+                                      np.arange(5.0, 5.0 + size - 5)]))
+        windowed = solve(toy_system(lhs, np.eye(size)), window=(-1.0, -0.5, 0.0))
+        np.testing.assert_allclose(windowed.bindings, [-0.9, -0.6, -0.5, -0.3, -0.1],
+                                   rtol=1e-12)
+        assert windowed.eigenvectors.shape == (size, 5)
+        assert np.all(np.diff(windowed.raw) > 0)  # sorted, no eigenvalue twice
+
+    def test_split_window_skips_a_slice_certified_empty(self, caplog):
+        # the lower disk reaches past the window's top edge without finding
+        # an eigenvalue above -0.9: no upper disk runs, and none is lost
+        size = 20
+        lhs = np.diag(np.concatenate([[-0.9], np.arange(5.0, 5.0 + size - 1)]))
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            windowed = solve(toy_system(lhs, np.eye(size)), window=(-1.0, -0.5, -0.01))
+        np.testing.assert_allclose(windowed.bindings, [-0.9], rtol=1e-12)
+        assert len([r for r in caplog.records if r.name == "diracfem"]) == 1
+        np.testing.assert_allclose(windowed.raw - TOY.rest_energy, [-0.9, 5.0, 6.0],
+                                   rtol=1e-12)
+
+    def test_split_window_logs_one_record_per_disk(self, caplog):
+        params = OperatorParams(Z=12, kappa=-2)
+        mesh = build_exponential_mesh(1e-6, 60.0, 100, 8.5)
+        system = assemble(SCHEME_HERMITE, params, mesh, point_nucleus(12.0))
+        lo, split, hi = bound_window(params, 12)
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            solve(system, window=(lo, split, hi))
+        lower, upper = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
+        assert f"window=({lo!r}, {split!r})" in lower and "k=3 " in lower
+        assert f", {hi!r})" in upper and "k=16 " in upper
+        # the upper disk starts in the gap the lower one certified around the split
+        cut = float(re.search(r"window=\((\S+),", upper).group(1))
+        assert reference_binding(params, 1).binding < cut < reference_binding(params, 2).binding
+
+    @pytest.mark.parametrize("scheme", [SCHEME_LINEAR, SCHEME_HERMITE, SCHEME_SUPG])
+    @pytest.mark.parametrize("kappa", [2, -2])
+    def test_split_window_matches_dense(self, scheme, kappa):
+        params = OperatorParams(Z=12, kappa=kappa)
+        mesh = build_exponential_mesh(1e-6, 60.0, 100, 8.5)
+        system = assemble(scheme, params, mesh, point_nucleus(12.0))
+        window = bound_window(params, 12)
+        assert len(window) == 3
+        windowed = solve(system, window=window)
+        dense = dense_bindings(system)
+        full = dense.bindings[(dense.bindings > window[0]) & (dense.bindings < window[-1])]
+        assert len(full) >= 12
+        assert len(windowed.bindings) == len(full)
+        np.testing.assert_allclose(windowed.bindings, full, rtol=1e-9, atol=0.0)
+
     def test_bound_window(self):
+        neg = OperatorParams(Z=12, kappa=-2)
         for kappa in (2, -2):
             params = OperatorParams(Z=12, kappa=kappa)
-            lo, hi = bound_window(params, 12)
-            neg = OperatorParams(Z=12, kappa=-2)
+            window = bound_window(params, 12)
+            lo, hi = window[0], window[-1]
             assert lo == 2.0 * reference_binding(neg, 0).binding
             assert reference_binding(neg, 12).binding < hi < reference_binding(neg, 13).binding
+            # a many-level window is cut between the reference levels n_r = 1 and 2
+            assert len(window) == 3
+            assert window[1] == 0.5 * (reference_binding(neg, 1).binding
+                                       + reference_binding(neg, 2).binding)
+            # a window of fewer than SPLIT_LEVELS levels stays one slice
+            lo, hi = bound_window(params, SPLIT_LEVELS - 1)
+            assert lo == window[0]
+            assert (reference_binding(neg, SPLIT_LEVELS - 1).binding < hi
+                    < reference_binding(neg, SPLIT_LEVELS).binding)
         with pytest.raises(ValueError):
             bound_window(params, 0)
 
