@@ -227,6 +227,15 @@ _SCHEME_TABLE = {
 }
 
 
+def is_galerkin(scheme: str) -> bool:
+    """Whether ``scheme``'s table holds no tau-weighted term.
+
+    Such a pencil is symmetric-definite: lhs symmetric, rhs the positive
+    definite mass matrix.
+    """
+    return not any(weighted for *_, weighted in _SCHEME_TABLE[scheme][1])
+
+
 def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: PotentialModel,
              free_lower_slope: bool = False,
              tau: np.ndarray | None = None) -> AssembledSystem:
@@ -248,7 +257,7 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     if scheme not in _SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     kind, terms = _SCHEME_TABLE[scheme]
-    if any(weighted for *_, weighted in terms):
+    if not is_galerkin(scheme):
         tau = compute_tau(mesh) if tau is None else np.asarray(tau, dtype=float)
         if tau.shape != (mesh.element_count,):
             raise ValueError(f"tau needs one value per element ({mesh.element_count}), "

@@ -6,13 +6,16 @@ bindings never pass through the rest energy, so none of their digits are
 lost to cancellation against it. Only ``Spectrum.raw`` adds m*c^2 back.
 
 ``solve(system, window=(lo, ..., hi))`` is the one solve path: one
-shift-invert Arnoldi solve (Ericsson & Ruhe 1980; ARPACK) per slice of the
-window, which computes only the eigenvalues nearest the slice midpoint,
-certifies that every eigenvalue inside the slice was found, and returns
-their eigenvectors. ``assemble`` stores the pencil in node order as band
-matrices (see ``assembly``): each operator application is one band
-matrix-vector product and one band LU solve. The dense full-spectrum solve
-the tests check it against lives in the tests.
+shift-invert solve (Ericsson & Ruhe 1980; ARPACK) per slice of the window,
+which computes only the eigenvalues nearest the slice midpoint, certifies
+that every eigenvalue inside the slice was found, and returns their
+eigenvectors. ``assemble`` stores the pencil in node order as band matrices
+(see ``assembly``), and each slice factors its shifted pencil once. The
+Galerkin pencils are symmetric-definite, so they go to ARPACK's symmetric
+Lanczos driver on the shift-invert operator symmetrized by the band
+Cholesky factor of rhs; the stabilized pencil is nonsymmetric and goes to
+the Arnoldi driver. The dense full-spectrum solve the tests check it
+against lives in the tests.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 # scipy.linalg before scipy.sparse.linalg: the other order made a fresh
 # ``import diracfem.cli`` about 5 % slower
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.blas import dgbmv, dtbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dtbtrs
 import scipy.sparse.linalg
 
-from .assembly import AssembledSystem
+from .assembly import AssembledSystem, is_galerkin
 from .errors import (
     ComplexSpectrumError,
     InsufficientLevelsError,
@@ -164,7 +167,8 @@ def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
     ``mu`` holds the real parts of every computed binding, ascending,
     ``vecs`` their node-order eigenvectors, and ``radius`` the farthest
     |mu - sigma|: every eigenvalue closer than that to sigma = (lo + hi)/2
-    is among ``mu``.
+    is among ``mu``. The ARPACK driver and its operator follow the scheme
+    (see ``solve``); everything else is shared.
     """
     size = system.size
     sigma, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -181,11 +185,28 @@ def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
         raise SingularSystemError(f"shifted pencil at sigma={sigma} has a non-finite factor")
     ops = 0
 
-    def apply(x):
+    def shift_invert(x):
         nonlocal ops
         ops += 1
-        y, _ = dgbtrs(lu, hb, hb, _band_product(b, x), pivots, overwrite_b=True)
+        y, _ = dgbtrs(lu, hb, hb, x, pivots, overwrite_b=True)
         return y
+
+    if is_galerkin(system.scheme):
+        # rhs = C*C^T: the pencil's eigenvalues are those of the symmetric
+        # C^T (lhs - sigma*rhs)^-1 C, whose eigenvectors y give x = C^-T y
+        chol, info = dpbtrf(b[hb:], lower=1)
+        if info > 0:
+            raise SolverError(f"rhs of the {system.scheme} pencil is not positive definite "
+                              f"(band Cholesky fails in column {info})")
+        driver, arpack = "symmetric", scipy.sparse.linalg.eigsh
+
+        def apply(y):
+            return dtbmv(hb, chol, shift_invert(dtbmv(hb, chol, y, lower=1)), lower=1, trans=1)
+    else:
+        driver, arpack = "nonsymmetric", scipy.sparse.linalg.eigs
+
+        def apply(x):
+            return shift_invert(_band_product(b, x))
 
     op = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply, dtype=float)
     v0 = np.ones(size)
@@ -193,7 +214,7 @@ def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
     while True:
         rounds += 1
         try:
-            theta, vecs = scipy.sparse.linalg.eigs(op, k=k, which="LM", v0=v0)
+            theta, vecs = arpack(op, k=k, which="LM", v0=v0)
         except scipy.sparse.linalg.ArpackError as exc:
             raise SolverError(f"shift-invert solve did not converge (k={k}): {exc}") from exc
         mu = sigma + 1.0 / theta
@@ -205,11 +226,13 @@ def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
                               f"of {size} eigenpairs")
         k = min(2 * k, size - 2)
 
+    if driver == "symmetric":
+        vecs, _ = dtbtrs(chol, vecs, uplo="L", trans="T")
     lam = mu + system.params.rest_energy
     max_imag = float(np.max(np.abs(lam.imag)))
-    _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) sigma=%r k=%d "
-               "rounds=%d ops=%d max_imag=%.3g", size, np.count_nonzero(a), hb, hb, lo, hi,
-               sigma, k, rounds, ops, max_imag)
+    _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) sigma=%r "
+               "driver=%s k=%d rounds=%d ops=%d max_imag=%.3g", size, np.count_nonzero(a),
+               hb, hb, lo, hi, sigma, driver, k, rounds, ops, max_imag)
     _check_reality(lam, reality_tol)
     order = np.argsort(mu.real)
     return mu.real[order], vecs[:, order], radius, max_imag
@@ -233,13 +256,21 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
     """Solve lhs*X = mu*rhs*X on the binding window ``window=(lo, ..., hi)``.
 
     ``window`` holds ascending edges; each pair of consecutive edges is one
-    shift-invert Arnoldi disk certified complete on its slice, for every
-    scheme. A disk's shift sigma is its slice's midpoint. ``lhs - sigma*rhs``
-    is formed from the node-order band pencil (half-bandwidth 3 for the
-    linear scheme, 7 for Hermite) and factored once in LAPACK band storage
-    with partial pivoting, and ARPACK finds the k largest-magnitude
-    eigenvalues theta of ``x -> (lhs - sigma*rhs)^-1 rhs x`` in node order,
-    i.e. the k bindings mu = sigma + 1/theta nearest sigma. k starts at
+    shift-invert disk certified complete on its slice, for every scheme. A
+    disk's shift sigma is its slice's midpoint. ``lhs - sigma*rhs`` is
+    formed from the node-order band pencil (half-bandwidth 3 for the linear
+    scheme, 7 for Hermite) and factored once in LAPACK band storage with
+    partial pivoting, and ARPACK finds the k largest-magnitude eigenvalues
+    theta of a shift-invert operator in node order, i.e. the k bindings
+    mu = sigma + 1/theta nearest sigma. The scheme table decides the
+    operator (``assembly.is_galerkin``). A Galerkin pencil is
+    symmetric-definite: rhs is factored once more, as C*C^T by band
+    Cholesky, and ARPACK's symmetric Lanczos driver (``eigsh``) runs on
+    ``y -> C^T (lhs - sigma*rhs)^-1 C y``, whose eigenvectors give
+    x = C^-T y; an rhs that is not positive definite raises SolverError.
+    Symmetric Rayleigh-Ritz makes each binding's error quadratic in its
+    residual. The stabilized pencil is nonsymmetric and goes to the Arnoldi
+    driver (``eigs``) on ``x -> (lhs - sigma*rhs)^-1 rhs x``. k starts at
     SPLIT_FIRST_K for a lower disk and at WINDOW_FIRST_K for the last one,
     and doubles until the farthest returned |mu - sigma| exceeds the slice's
     half-width: every eigenvalue of the slice then lies inside the disk the
@@ -250,9 +281,11 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
     with their eigenvectors in block layout.
 
     A fixed start vector makes repeated solves bit-identical, and the number
-    of operator applications (one band matrix-vector product and one band LU
-    solve each) deterministic. A factor that is exactly singular or holds a
-    non-finite entry raises SingularSystemError before ARPACK runs.
+    of operator applications (one band LU solve and one or two band
+    matrix-vector products each) deterministic. Each disk's DEBUG record
+    names its driver, ``driver=symmetric`` or ``driver=nonsymmetric``. A
+    factor that is exactly singular or holds a non-finite entry raises
+    SingularSystemError before ARPACK runs.
 
     Any computed eigenvalue whose imaginary part exceeds ``reality_tol``
     relative to its magnitude aborts the solve with ComplexSpectrumError.

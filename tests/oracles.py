@@ -7,8 +7,10 @@ element integrals of one integrand into a dense block matrix;
 ``band_storage`` writes a dense matrix in LAPACK band storage;
 ``dense_bindings`` solves the whole pencil densely, the oracle of the
 windowed solve, and ``dense_bindings_in_workers`` runs it on several
-pencils side by side; ``closed_form_element_entries`` gives the exact
-polynomial integrals the 4-point rule must reproduce. The
+pencils side by side; ``rayleigh_quotients`` gives the extended-precision
+Rayleigh quotients of eigenvectors, and ``dense_rayleigh_bindings`` those
+of the dense solver's own eigenvectors; ``closed_form_element_entries``
+gives the exact polynomial integrals the 4-point rule must reproduce. The
 Hermite interpolation-error helpers, ``potential_w``,
 ``accumulation_point`` and the first-order residual functionals and nodal
 propagation of the radial system restate the model in its plainest form.
@@ -239,6 +241,34 @@ def dense_bindings(system: AssembledSystem,
     bound = (mu > -2.0 * mc2) & (mu < 0.0)
     return DenseBindings(scheme=system.scheme, bindings=mu[bound], raw=mu + mc2,
                          max_imag=max_imag, params=system.params)
+
+
+def rayleigh_quotients(system: AssembledSystem, vectors) -> np.ndarray:
+    """v^T lhs v / v^T rhs v of each block-layout column v, summed in long double.
+
+    The sums run over the stored band entries, so they carry none of the
+    rounding of a double-precision eigensolve: the quotient of a vector
+    with residual r misses its eigenvalue by O(|r|^2) only.
+    """
+    v = np.asarray(vectors, dtype=float).astype(np.longdouble)[system.block_index]
+    hb, size = system.lhs_band.shape[0] // 2, system.size
+    cols = np.broadcast_to(np.arange(size), system.lhs_band.shape)
+    rows = cols + np.arange(-hb, hb + 1)[:, None]  # the entry each band slot holds
+    inside = (rows >= 0) & (rows < size)
+    products = v[rows[inside]] * v[cols[inside]]
+    lhs, rhs = ((band[inside].astype(np.longdouble)[:, None] * products).sum(axis=0)
+                for band in (system.lhs_band, system.rhs_band))
+    return (lhs / rhs).astype(float)
+
+
+def dense_rayleigh_bindings(system: AssembledSystem, lo: float, hi: float) -> np.ndarray:
+    """``rayleigh_quotients`` of the dense eigh eigenvectors of a Galerkin pencil in (lo, hi).
+
+    The dense symmetric-definite driver loses digits on levels near the
+    accumulation point; the quotients of its eigenvectors do not.
+    """
+    mu, vecs = scipy.linalg.eigh(system.lhs, system.rhs)
+    return rayleigh_quotients(system, vecs[:, (mu > lo) & (mu < hi)])
 
 
 #: Set to 1 in the workers' environment, so that each worker's BLAS runs one thread.
