@@ -237,15 +237,13 @@ def is_galerkin(scheme: str) -> bool:
 
 
 def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: PotentialModel,
-             free_lower_slope: bool = False,
-             tau: np.ndarray | None = None) -> AssembledSystem:
+             free_lower_slope: bool = False) -> AssembledSystem:
     """Generalized eigensystem of one scheme (see SCHEMES), in binding form.
 
     linear-galerkin and hermite-galerkin give symmetric pencils (2n and 4n
     dofs); hermite-supg tests against v + tau * v' and gives a nonsymmetric
-    one, with the per-element ``tau`` array defaulting to
-    ``compute_tau(mesh)`` (a given ``tau`` must be finite); the Galerkin
-    schemes take no ``tau``. The
+    one, with tau = ``compute_tau(mesh)``: the stabilization parameter is a
+    function of the mesh nodes alone, so it is not an input. The
     potential's charge must be ``params.Z`` (PhysicsError otherwise).
     Boundary conditions eliminate the value and slope dofs at both
     endpoints; ``free_lower_slope`` keeps the Hermite slope dof at the lower
@@ -257,15 +255,6 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     if scheme not in _SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     kind, terms = _SCHEME_TABLE[scheme]
-    if not is_galerkin(scheme):
-        tau = compute_tau(mesh) if tau is None else np.asarray(tau, dtype=float)
-        if tau.shape != (mesh.element_count,):
-            raise ValueError(f"tau needs one value per element ({mesh.element_count}), "
-                             f"got shape {tau.shape}")
-        if not np.isfinite(tau).all():
-            raise ValueError("tau must be finite")
-    elif tau is not None:
-        raise ValueError(f"scheme {scheme!r} takes no stabilization parameter tau")
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:
         raise ValueError(f"scheme {scheme!r} has no slope dof to free")
     if potential.Z != params.Z:
@@ -277,6 +266,7 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
     local = {name: np.zeros((mesh.element_count, 2 * width, 2 * width)) for name in ("lhs", "rhs")}
     integrals = {}  # (spec, tau-weighted) -> element integrals
     c, k, mc2 = params.c, params.kappa, params.rest_energy
+    tau = None if is_galerkin(scheme) else compute_tau(mesh)
     for matrix, row, col, spec, coefficient, weighted in terms:
         if (spec, weighted) not in integrals:
             integrals[spec, weighted] = kernel(spec, tau if weighted else None)

@@ -72,6 +72,9 @@ class RunConfig:
                 raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; expected one of {choices}")
         if cfg.nucleus == "extended" and (cfg.radius is None or not 0.0 < cfg.radius < math.inf):
             raise ConfigError(f"extended nucleus needs a finite --radius > 0, got {cfg.radius}")
+        if cfg.nucleus != "extended" and cfg.radius is not None:
+            raise ConfigError(f"radius applies to the extended nucleus only, got --radius "
+                              f"{cfg.radius} with --nucleus {cfg.nucleus}")
         if cfg.kappa is not None and cfg.abs_kappa is not None:
             raise ConfigError("give either kappa or abs_kappa, not both")
         if cfg.kappa is None and cfg.abs_kappa is None:

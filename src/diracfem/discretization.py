@@ -5,7 +5,8 @@ of the two bases (continuous piecewise-linear hats and cubic Hermite) with
 their derivatives, and the fixed 4-point Gauss-Legendre quadrature used
 for all element integrals. A basis is a (``BasisKind``, mesh) pair.
 
-The mesh is immutable after construction and all evaluations are pure.
+A mesh is its node array alone (see ``Mesh``) and immutable after
+construction; all evaluations are pure.
 """
 
 from __future__ import annotations
@@ -31,39 +32,21 @@ class BasisKind(Enum):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Partition a = x_0 < x_1 < ... < x_{n+1} = b of the radial domain.
+    """Partition a = x_0 < x_1 < ... < x_{n+1} = b of the radial domain, held as its nodes.
 
+    ``nodes`` (shape (n+2,), both endpoints included) is the whole mesh:
+    the endpoints, the interior count, the element sizes and the SUPG
+    stabilization parameter (``assembly.compute_tau``) all derive from it.
     Construction copies ``nodes`` into a read-only float array and raises
-    PhysicsError unless they strictly increase from a to b.
-
-    Attributes
-    ----------
-    a, b : float
-        Domain endpoints (atomic units), a < b.
-    interior_count : int
-        Number n of interior nodes.
-    gamma : float
-        Exponential grading strength (larger clusters nodes near a).
-    nodes : ndarray, shape (n+2,)
-        All nodes including both endpoints.
+    PhysicsError unless there are at least two and they strictly increase.
     """
 
-    a: float
-    b: float
-    interior_count: int
-    gamma: float
     nodes: np.ndarray
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
-        if nodes.ndim != 1 or len(nodes) != self.interior_count + 2:
-            raise PhysicsError(f"mesh needs interior_count + 2 = {self.interior_count + 2} "
-                               f"nodes, got shape {nodes.shape}")
-        if not np.all(np.diff(nodes) > 0):
-            raise PhysicsError("mesh nodes must strictly increase")
-        if nodes[0] != self.a or nodes[-1] != self.b:
-            raise PhysicsError(f"mesh nodes must run from a={self.a} to b={self.b}, "
-                               f"got {nodes[0]} to {nodes[-1]}")
+        if nodes.ndim != 1 or len(nodes) < 2 or not np.all(np.diff(nodes) > 0):
+            raise PhysicsError("mesh needs at least two strictly increasing nodes")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
 
@@ -73,8 +56,12 @@ class Mesh:
         return np.diff(self.nodes)
 
     @property
+    def interior_count(self) -> int:
+        return len(self.nodes) - 2
+
+    @property
     def element_count(self) -> int:
-        return self.interior_count + 1
+        return len(self.nodes) - 1
 
 
 def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
@@ -82,16 +69,18 @@ def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
 
     Node formula: ``x_i = a + (b - a) * (exp(gamma*i/(n+1)) - 1) / (exp(gamma) - 1)``
     for i = 0..n+1, so the endpoints are hit exactly and element sizes grow
-    monotonically away from a. a, b and gamma must be finite, exp(gamma)
-    must not overflow, and the computed nodes must strictly increase.
+    monotonically away from a. a, b and gamma must be finite, n a whole
+    number (an integral float such as 50.0 counts as 50), exp(gamma) must
+    not overflow, and the computed nodes must strictly increase.
     """
     for name, value in (("a", a), ("b", b), ("gamma", gamma)):
         if not math.isfinite(value):
             raise PhysicsError(f"invalid mesh parameter {name}={value}: must be finite")
     if not (0.0 < a < b):
         raise PhysicsError(f"invalid domain: need 0 < a < b, got a={a}, b={b}")
-    if n < 1:
-        raise PhysicsError(f"invalid interior node count: need n >= 1, got {n}")
+    if not (float(n).is_integer() and n >= 1):
+        raise PhysicsError(f"invalid interior node count n={n}: need an integer n >= 1")
+    n = int(n)
     if gamma <= 0.0:
         raise PhysicsError(f"invalid mesh grading: need gamma > 0, got {gamma}")
     i = np.arange(n + 2, dtype=float)
@@ -105,7 +94,7 @@ def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
         raise PhysicsError(f"invalid mesh parameter gamma={gamma}: grading too strong "
                            f"for n={n} in double precision, the nodes near a={a} do not "
                            "strictly increase")
-    return Mesh(a=a, b=b, interior_count=n, gamma=gamma, nodes=nodes)
+    return Mesh(nodes)
 
 
 def gauss_rule(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:

@@ -110,14 +110,11 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
     return lo, split, hi
 
 
-def _band_product(band: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """A @ x, or A.T @ x, for the square matrix A held in LAPACK band storage ``band``."""
+def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for the square matrix A held in LAPACK band storage ``band``."""
     hb, size = band.shape[0] // 2, band.shape[1]
     # dgbmv's wrapper wants at least 2*hb + 1 rows; those past a small pencil are zero
-    rows = max(size, 2 * hb + 1)
-    if transpose and rows > size:
-        x = np.r_[x, np.zeros(rows - size)]
-    return dgbmv(rows, size, hb, hb, 1.0, band, x, trans=int(transpose))[:size]
+    return dgbmv(max(size, 2 * hb + 1), size, hb, hb, 1.0, band, x)[:size]
 
 
 def _normalize_vectors(vecs: np.ndarray, system: AssembledSystem) -> np.ndarray:
@@ -134,8 +131,8 @@ def _normalize_vectors(vecs: np.ndarray, system: AssembledSystem) -> np.ndarray:
     v = (vecs * np.conj(phase / np.abs(phase))).real.copy()
     vb = np.empty_like(v)
     for j in cols:
-        vb[:, j] = _band_product(system.rhs_band, v[:, j], transpose=True)
-    norms = np.einsum("ik,ik->k", vb, v)
+        vb[:, j] = _band_product(system.rhs_band, v[:, j])
+    norms = np.einsum("ik,ik->k", vb, v)  # v^T rhs v
     eps = np.finfo(float).eps
     vanishing = ~(np.abs(norms) > eps * np.linalg.norm(vb, axis=0) * np.linalg.norm(v, axis=0))
     if vanishing.any():
@@ -289,14 +286,15 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
 
     Any computed eigenvalue whose imaginary part exceeds ``reality_tol``
     relative to its magnitude aborts the solve with ComplexSpectrumError.
-    ``reality_tol`` must be finite and >= 0, and the edges at least two and
-    strictly ascending, or ValueError is raised before any work.
+    ``reality_tol`` must be finite and >= 0, and the edges at least two,
+    finite and strictly ascending, or ValueError is raised before any work.
     """
     if not 0.0 <= reality_tol < np.inf:
         raise ValueError(f"reality_tol must be finite and >= 0, got {reality_tol}")
     edges = [float(edge) for edge in window]
-    if len(edges) < 2 or not all(x < y for x, y in zip(edges, edges[1:])):
-        raise ValueError(f"window must hold ascending edges lo < ... < hi, got {window}")
+    if (len(edges) < 2 or not np.isfinite(edges).all()
+            or not all(x < y for x, y in zip(edges, edges[1:]))):
+        raise ValueError(f"window must hold finite ascending edges lo < ... < hi, got {window}")
     mc2 = system.params.rest_energy
     if system.size < 3:
         raise SolverError(f"pencil of size {system.size} is too small for a windowed solve")
@@ -327,10 +325,8 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
                     eigenvectors=_normalize_vectors(np.hstack(vectors), system))
 
 
-def bound_states(spectrum: Spectrum, params: OperatorParams, count: int) -> np.ndarray:
+def bound_states(spectrum: Spectrum, count: int) -> np.ndarray:
     """First ``count`` bound bindings (deepest first): a checked slice of ``bindings``."""
-    if params != spectrum.params:
-        raise ValueError(f"params {params} do not match the spectrum's {spectrum.params}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if len(spectrum.bindings) < count:

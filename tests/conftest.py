@@ -13,9 +13,9 @@ def random_mesh(rng, n=6, lo=0.2, hi=1.5, start=0.5):
     """Non-uniform mesh with n interior nodes and element sizes in [lo, hi]."""
     h = rng.uniform(lo, hi, n + 1)
     nodes = start + np.concatenate([[0.0], np.cumsum(h)])
-    return Mesh(a=nodes[0], b=nodes[-1], interior_count=n, gamma=0.0, nodes=nodes)
+    return Mesh(nodes)
 
 
 def uniform_mesh(a, b, n):
     nodes = np.linspace(a, b, n + 2)
-    return Mesh(a=a, b=b, interior_count=n, gamma=0.0, nodes=nodes)
+    return Mesh(nodes)

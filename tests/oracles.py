@@ -334,7 +334,7 @@ def hermite_interpolation_max_error(f, df, a: float, b: float, n_elements: int,
                                     samples_per_element: int = 24) -> float:
     """Max-norm error of the Hermite interpolant of f on a uniform mesh."""
     nodes = np.linspace(a, b, n_elements + 1)
-    mesh = Mesh(a=a, b=b, interior_count=n_elements - 1, gamma=0.0, nodes=nodes)
+    mesh = Mesh(nodes)
     values = np.array([f(x) for x in nodes])
     slopes = np.array([df(x) for x in nodes])
     t = np.linspace(0.0, 1.0, samples_per_element, endpoint=False)[1:]

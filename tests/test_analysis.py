@@ -197,7 +197,7 @@ class TestSecondOrderResidual:
         res = []
         for n in (25, 50, 100, 200):
             nodes = np.linspace(0.25, 25.0, n + 2)
-            mesh = Mesh(a=0.25, b=25.0, interior_count=n, gamma=0.0, nodes=nodes)
+            mesh = Mesh(nodes)
             res.append(second_order_residual(params, pot, mesh, lam,
                                              f(nodes), df(nodes), "f"))
         rates = [math.log2(a / b) for a, b in zip(res, res[1:])]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diracfem.assembly
 from diracfem.assembly import (
     SCHEME_HERMITE,
     SCHEME_LINEAR,
@@ -107,7 +108,7 @@ def meshes(draw):
     n = draw(st.integers(2, 8))
     h = draw(st.lists(st.floats(0.05, 2.0), min_size=n + 1, max_size=n + 1))
     nodes = draw(st.floats(0.1, 3.0)) + np.concatenate([[0.0], np.cumsum(h)])
-    return Mesh(a=nodes[0], b=nodes[-1], interior_count=n, gamma=0.0, nodes=nodes)
+    return Mesh(nodes)
 
 
 class TestBlockKernelProperties:
@@ -163,7 +164,7 @@ class TestTau:
         from diracfem.discretization import Mesh
 
         nodes = 1.0 + 0.25 * np.arange(9)
-        mesh = Mesh(a=1.0, b=3.0, interior_count=7, gamma=0.0, nodes=nodes)
+        mesh = Mesh(nodes)
         assert np.all(compute_tau(mesh) == 0.0)
 
     def test_direct_substitution(self):
@@ -171,7 +172,7 @@ class TestTau:
         nodes = np.array([0.5, 0.6, 0.9, 1.4])
         from diracfem.discretization import Mesh
 
-        mesh = Mesh(a=0.5, b=1.4, interior_count=2, gamma=0.0, nodes=nodes)
+        mesh = Mesh(nodes)
         tau = compute_tau(mesh)
         assert tau[0] == 0.0
         assert tau[1] == pytest.approx(27.0 / 700.0, rel=1e-14)
@@ -241,11 +242,11 @@ class TestSchemes:
                 if abs(ni - nj) >= 2:
                     assert block[i, j] == 0.0
 
-    def test_supg_nesting_at_zero_tau(self, hyd_setup):
+    def test_supg_nesting_at_zero_tau(self, hyd_setup, monkeypatch):
         params, mesh, pot = hyd_setup
-        tau0 = np.zeros(mesh.element_count)
-        supg = assemble(SCHEME_SUPG, params, mesh, pot, tau=tau0)
-        assert tau0.flags.writeable  # the caller's array is left as it was
+        monkeypatch.setattr(diracfem.assembly, "compute_tau",
+                            lambda mesh: np.zeros(mesh.element_count))
+        supg = assemble(SCHEME_SUPG, params, mesh, pot)
         galerkin = assemble(SCHEME_HERMITE, params, mesh, pot)
         scale = np.max(np.abs(galerkin.lhs))
         assert np.max(np.abs(supg.lhs - galerkin.lhs)) <= 1e-14 * scale
@@ -256,13 +257,6 @@ class TestSchemes:
         system = assemble(SCHEME_SUPG, params, mesh, pot)
         assert np.max(np.abs(system.lhs - system.lhs.T)) > 0
 
-    def test_galerkin_schemes_reject_tau(self, hyd_setup):
-        params, mesh, pot = hyd_setup
-        tau = compute_tau(mesh)
-        for scheme in (SCHEME_LINEAR, SCHEME_HERMITE):
-            with pytest.raises(ValueError):
-                assemble(scheme, params, mesh, pot, tau=tau)
-
     def test_potential_charge_must_match_params(self, hyd_setup):
         # a Z=12 potential under Z=1 params solves to Z=12-like levels, which
         # classify would label against the Z=1 reference
@@ -271,26 +265,11 @@ class TestSchemes:
             with pytest.raises(PhysicsError, match="charge"):
                 assemble(SCHEME_HERMITE, params, mesh, pot)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_tau_rejected(self, value, capfd):
-        # a NaN tau fills the pencil with NaN, and the solve then blamed the
-        # pencil ("shifted pencil singular") for the caller's input
-        params = OperatorParams(Z=1, kappa=-1)
-        mesh = build_exponential_mesh(1e-5, 40.0, 40, 8.0)
-        with pytest.raises(ValueError, match="tau"):
-            assemble(SCHEME_SUPG, params, mesh, point_nucleus(1.0), tau=np.full(41, value))
-        assert capfd.readouterr() == ("", "")
-
     def test_linear_rejects_free_lower_slope(self, hyd_setup):
         # the hat basis has no slope dof: the flag cannot be honoured
         params, mesh, pot = hyd_setup
         with pytest.raises(ValueError, match="slope"):
             assemble(SCHEME_LINEAR, params, mesh, pot, free_lower_slope=True)
-
-    def test_supg_rejects_mismatched_tau(self, hyd_setup):
-        params, mesh, pot = hyd_setup
-        with pytest.raises(ValueError):
-            assemble(SCHEME_SUPG, params, mesh, pot, tau=np.zeros(3))
 
     def test_free_lower_slope_layout(self, hyd_setup):
         params, mesh, pot = hyd_setup

@@ -227,6 +227,16 @@ class TestMain:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_radius_without_extended_nucleus_exits_2_without_output(self, capsys):
+        # the radius used to be dropped, and the run exited 0 with point-nucleus levels
+        code = main(["--Z", "1", "--abs-kappa", "1", "--scheme", "linear-galerkin",
+                     "--n", "100", "--a", "1e-6", "--b", "150", "--mesh-gamma", "8",
+                     "--levels", "2", "--radius", "1e-3"])
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error") and "radius" in err
+
     @pytest.mark.parametrize("flag, value, name", [
         ("--mesh-gamma", "inf", "gamma"), ("--mesh-gamma", "800", "gamma"),
         ("--mesh-gamma", "700", "gamma"), ("--b", "inf", "b")])

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from diracfem.assembly import SCHEME_HERMITE, SCHEME_LINEAR, SCHEME_SUPG, assemble
 from diracfem.discretization import (
     Mesh,
     build_exponential_mesh,
     gauss_rule,
 )
 from diracfem.errors import PhysicsError
+from diracfem.physics import OperatorParams, point_nucleus
 
 from conftest import random_mesh
 from oracles import (
@@ -42,28 +44,45 @@ class TestMesh:
         assert mesh.nodes[-1] == 60.0
         assert np.all(np.diff(mesh.nodes) > 0)
 
-    @pytest.mark.parametrize("a, b, n, nodes", [
-        (0.5, 0.9, 1, [0.5, 0.4, 0.9]),        # nodes not increasing
-        (0.5, 0.9, 1, [0.5, 0.5, 0.9]),        # repeated node
-        (0.5, 0.9, 2, [0.5, 0.7, 0.9]),        # interior count disagrees
-        (0.5, 0.9, 1, [0.4, 0.7, 0.9]),        # first node is not a
-        (0.5, 0.9, 1, [0.5, 0.7, 1.0]),        # last node is not b
-        (0.5, 0.9, 1, [0.5, float("nan"), 0.9]),
+    @pytest.mark.parametrize("nodes", [
+        [0.5, 0.4, 0.9],        # nodes not increasing
+        [0.5, 0.5, 0.9],        # repeated node
+        [0.5, float("nan"), 0.9],
+        [0.5],                  # no element
+        [[0.5, 0.9]],           # not one-dimensional
     ])
-    def test_direct_construction_validated(self, a, b, n, nodes):
+    def test_direct_construction_validated(self, nodes):
         with pytest.raises(PhysicsError):
-            Mesh(a=a, b=b, interior_count=n, gamma=0.0, nodes=np.array(nodes))
+            Mesh(np.array(nodes))
+
+    def test_counts_derive_from_nodes(self):
+        mesh = Mesh([0.5, 0.7, 0.9])
+        assert (mesh.interior_count, mesh.element_count) == (1, 2)
+        assert type(mesh.interior_count) is int
 
     def test_direct_construction_copies_nodes(self):
         nodes = np.array([0.5, 0.7, 0.9])
-        mesh = Mesh(a=0.5, b=0.9, interior_count=1, gamma=0.0, nodes=nodes)
+        mesh = Mesh(nodes)
         assert nodes.flags.writeable
         assert not mesh.nodes.flags.writeable
         nodes[1] = 0.6
         assert mesh.nodes[1] == 0.7
         # any array-like of numbers is accepted and stored as floats
-        ints = Mesh(a=0, b=2, interior_count=1, gamma=0.0, nodes=[0, 1, 2])
+        ints = Mesh([0, 1, 2])
         assert ints.nodes.dtype == np.float64
+
+    def test_non_integer_node_count_rejected(self):
+        # n=5.5 used to pass as the 6 interior nodes np.arange(n + 2) gives
+        with pytest.raises(PhysicsError, match="node count n=5.5"):
+            build_exponential_mesh(1e-5, 60.0, 5.5, 6.0)
+
+    def test_integral_float_node_count_builds_the_integer_mesh(self):
+        # n=50.0 used to give interior_count 50.0, on which assemble raised TypeError
+        mesh = build_exponential_mesh(1e-5, 60.0, 50.0, 6.0)
+        np.testing.assert_array_equal(mesh.nodes, build_exponential_mesh(1e-5, 60.0, 50, 6.0).nodes)
+        params = OperatorParams(Z=1, kappa=-1)
+        for scheme, size in ((SCHEME_LINEAR, 100), (SCHEME_HERMITE, 200), (SCHEME_SUPG, 200)):
+            assert assemble(scheme, params, mesh, point_nucleus(1.0)).size == size
 
     def test_invalid_domain(self):
         with pytest.raises(PhysicsError):
@@ -91,7 +110,7 @@ class TestMesh:
 
 class TestQuadrature:
     def test_degree_seven_exact(self):
-        unit = Mesh(a=0.0, b=1.0, interior_count=0, gamma=0.0, nodes=np.array([0.0, 1.0]))
+        unit = Mesh(np.array([0.0, 1.0]))
         points, weights = gauss_rule(unit)
         assert np.dot(weights[0], points[0]**7) == pytest.approx(1.0 / 8.0, abs=1e-15)
 
@@ -107,7 +126,7 @@ class TestQuadrature:
         # roots of the degree-4 Legendre polynomial (35x^4 - 30x^2 + 3)/8,
         # found independently with numpy's companion-matrix root solver
         roots = np.sort(np.roots([35.0 / 8.0, 0.0, -30.0 / 8.0, 0.0, 3.0 / 8.0]))
-        unit = Mesh(a=-1.0, b=1.0, interior_count=0, gamma=0.0, nodes=np.array([-1.0, 1.0]))
+        unit = Mesh(np.array([-1.0, 1.0]))
         points = gauss_rule(unit)[0][0]
         np.testing.assert_allclose(np.sort(points), roots, atol=1e-12)
         assert abs(points[1]) == pytest.approx(0.3399810435848563, abs=1e-12)

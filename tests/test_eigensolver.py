@@ -85,10 +85,10 @@ class TestToyPencils:
         # raw eigenvalues {-c^2 - 1, c^2 - 0.5, c^2 + 5}: one bound state
         mu = [-2.0 * TOY.c**2 - 1.0, -0.5, 5.0]
         spectrum = dense_bindings(toy_system(np.diag(mu), np.eye(3)))
-        bs = bound_states(spectrum, TOY, 1)
+        bs = bound_states(spectrum, 1)
         assert bs[0] == pytest.approx(-0.5, abs=1e-10)
         with pytest.raises(InsufficientLevelsError):
-            bound_states(spectrum, TOY, 2)
+            bound_states(spectrum, 2)
 
     def test_complex_spectrum_rejected(self):
         # rotation block: eigenvalues +-i
@@ -114,6 +114,18 @@ class TestToyPencils:
             dense_bindings(system, reality_tol=reality_tol)
         with pytest.raises(ValueError, match="reality_tol"):
             solve(system, window=bound_window(params, 3), reality_tol=reality_tol)
+
+    @pytest.mark.parametrize("window", [
+        (-np.inf, 0.0), (-1.0, np.inf), (-1.0, -0.5, np.inf), (-1.0, -2.0), (-1.0,)])
+    def test_bad_window_rejected_before_any_work(self, window, capfd):
+        # an infinite edge used to make an infinite shift, a numpy warning,
+        # and a SingularSystemError that blamed the pencil for the window
+        params = OperatorParams(Z=1, kappa=-1)
+        mesh = build_exponential_mesh(1e-5, 60.0, 50, 6.0)
+        system = assemble(SCHEME_HERMITE, params, mesh, point_nucleus(1.0))
+        with pytest.raises(ValueError, match="window"):
+            solve(system, window=window)
+        assert capfd.readouterr().err == ""
 
     def test_solve_needs_a_window(self):
         # the package has one solve path; the dense solve is the tests' oracle
@@ -378,14 +390,14 @@ class TestRealSystems:
     def test_bound_states_is_slice_of_bindings(self, hydrogen_solution):
         params, system, spectrum = hydrogen_solution
         for count in (1, 4, len(spectrum.bindings)):
-            np.testing.assert_array_equal(bound_states(spectrum, params, count),
+            np.testing.assert_array_equal(bound_states(spectrum, count),
                                           spectrum.bindings[:count])
         with pytest.raises(InsufficientLevelsError):
-            bound_states(spectrum, params, len(spectrum.bindings) + 1)
+            bound_states(spectrum, len(spectrum.bindings) + 1)
         # a count below 1 would slice silently (-1: all but the last)
         for count in (0, -1):
             with pytest.raises(ValueError, match="count"):
-                bound_states(spectrum, params, count)
+                bound_states(spectrum, count)
 
     def test_vanishing_rhs_norm_raises(self):
         # nonsymmetric rhs with v^T rhs v = 0 for v = (1, 1)

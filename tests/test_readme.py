@@ -14,4 +14,4 @@ def test_readme_quick_start_runs(capsys):
     # it prints the first 12 bindings, then their 12 genuine labels
     printed = capsys.readouterr().out
     assert printed.count("Label.GENUINE") == 12
-    assert len(namespace["bound_states"](namespace["spectrum"], namespace["params"], 12)) == 12
+    assert len(namespace["bound_states"](namespace["spectrum"], 12)) == 12

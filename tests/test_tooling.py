@@ -91,3 +91,56 @@ def test_package_has_no_dense_eigensolve():
     assert len(modules) >= 8
     for module in modules:
         assert dense_eigensolves(module.read_text()) == [], module.name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+READER_DIRS = ("src", "tests", "perfbench")
+
+
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return _dotted(target) in ("dataclass", "dataclasses.dataclass")
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for every annotated field of every ``@dataclass`` class in ``source``."""
+    return [(node.name, item.target.id)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(_is_dataclass_decorator(d) for d in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def attributes_read(source: str) -> set[str]:
+    """Every attribute name ``source`` reads (``obj.name`` in a load context)."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(package: list[str], readers: list[str]) -> list[tuple[str, str]]:
+    """The dataclass fields of ``package`` whose name no source in ``readers`` reads."""
+    read = set().union(*(attributes_read(source) for source in readers))
+    return [field for source in package for field in dataclass_fields(source)
+            if field[1] not in read]
+
+
+def test_unread_field_detector():
+    package = ["from dataclasses import dataclass\n"
+               "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n"
+               "    def f(self):\n        self.y = 1\n"]
+    assert unread_fields(package, package + ["p.x"]) == [("P", "y")]
+    assert unread_fields(package, package + ["p.x", "q.y"]) == []
+
+
+def test_every_dataclass_field_is_read():
+    """Each dataclass field of the package is read somewhere in src, tests or perfbench.
+
+    A field nothing reads is state held for no one, or an input given twice.
+    The check goes by attribute name, not by class, so it is only a floor: a
+    field passes when any object's attribute of the same name is read (a
+    ``Mesh.a`` field would pass because ``RunConfig.a`` is read).
+    """
+    package = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    readers = [path.read_text() for d in READER_DIRS for path in sorted((ROOT / d).rglob("*.py"))]
+    assert unread_fields(package, readers) == []
