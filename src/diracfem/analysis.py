@@ -106,7 +106,9 @@ def classify(computed, reference: list[ReferenceLevel],
 
 
 def truncate_to_genuine(classified: ClassifiedSpectrum, count: int) -> ClassifiedSpectrum:
-    """Keep entries up to and including the count-th genuine level."""
+    """Keep entries up to and including the count-th genuine level (count >= 1)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     entries = []
     genuine = 0
     for e in classified.entries:
@@ -135,8 +137,10 @@ def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
 
     Higher levels coincide physically (same |kappa|, n_r >= 1), so the pairing
     table aligns index-by-index when the unphysical copy is present and with
-    an offset of one when it has been removed.
+    an offset of one when it has been removed. ``tol`` is checked as ``classify``'s.
     """
+    if not (0.0 < tol < MAX_MATCH_TOL):
+        raise ValueError(f"tol must lie in (0, {MAX_MATCH_TOL}), got {tol}")
     if spec_pos.params.kappa <= 0 or spec_neg.params.kappa >= 0:
         raise ValueError("expected spectra for kappa > 0 and kappa < 0, in that order")
     if (abs(spec_pos.params.kappa) != abs(spec_neg.params.kappa)

@@ -19,11 +19,9 @@ bound level is ever computed as a small difference of energies near mc^2.
 The pencil numbers its dofs (boundary dofs eliminated) node by node,
 (f value, g value) for hats and (f value, f slope, g value, g slope) for
 Hermite, so that each pencil matrix is a band matrix; the free lower slope
-option puts (f slope, g slope) of node 0 first. The dense views, the
-eigenvectors and ``dof_blocks`` use the block layout:
-  linear:   [f values at nodes 1..n | g values at nodes 1..n]
-  Hermite:  [f values 1..n | f slopes 1..n | g values 1..n | g slopes 1..n]
-With the free lower slope option the slope lists start at node 0.
+option puts (f slope, g slope) of node 0 first. The dense views and the
+eigenvectors use the same node order, and ``part_dofs`` gives the dofs of
+one part (f values, f slopes, g values or g slopes) in it.
 """
 
 from __future__ import annotations
@@ -94,44 +92,41 @@ class AssembledSystem:
     mu = lambda - m*c^2 of the Dirac energies lambda. It is held in LAPACK
     band storage over the node-order dofs, Fortran-ordered and read-only:
     ``lhs_band[hb + i - j, j]`` is entry (i, j) for |i - j| <= hb, the
-    half-bandwidth, and likewise ``rhs_band``. Node-order dof k is
-    block-layout dof ``block_index[k]``. ``lhs`` and ``rhs`` are dense
-    C-ordered read-only copies in block layout, made on each access; no
-    solve reads them. They serve the tests' dense oracle and the
+    half-bandwidth, and likewise ``rhs_band``. ``lhs`` and ``rhs`` are
+    dense C-ordered read-only copies in the same node order, made on each
+    access; no solve reads them. They serve the tests' dense oracle and the
     benchmark's trace.
     """
 
     scheme: str
     lhs_band: np.ndarray
     rhs_band: np.ndarray
-    block_index: np.ndarray
-    dof_blocks: tuple[tuple[str, int], ...]
     params: OperatorParams
 
     def __post_init__(self):
-        for array in (self.lhs_band, self.rhs_band, self.block_index):
+        for array in (self.lhs_band, self.rhs_band):
             array.setflags(write=False)
 
     @property
     def lhs(self) -> np.ndarray:
-        return _dense_view(self.lhs_band, self.block_index)
+        return _dense_view(self.lhs_band)
 
     @property
     def rhs(self) -> np.ndarray:
-        return _dense_view(self.rhs_band, self.block_index)
+        return _dense_view(self.rhs_band)
 
     @property
     def size(self) -> int:
         return self.lhs_band.shape[1]
 
 
-def _dense_view(band: np.ndarray, block_index: np.ndarray) -> np.ndarray:
+def _dense_view(band: np.ndarray) -> np.ndarray:
     hb, size = band.shape[0] // 2, band.shape[1]
     cols = np.broadcast_to(np.arange(size), band.shape)
     rows = cols + np.arange(-hb, hb + 1)[:, None]  # the entry each band slot holds
     inside = (rows >= 0) & (rows < size)
     dense = np.zeros((size, size))
-    dense[block_index[rows[inside]], block_index[cols[inside]]] = band[inside]
+    dense[rows[inside], cols[inside]] = band[inside]
     dense.setflags(write=False)
     return dense
 
@@ -165,29 +160,20 @@ def _element_kernel(kind: BasisKind, mesh: Mesh, potential: PotentialModel):
     return integrals
 
 
-def _pencil_dofs(n: int, hermite: bool, free_lower_slope: bool):
-    """(element table, block_index) of the pencil dofs.
+def _pencil_dofs(n: int, hermite: bool, free_lower_slope: bool) -> np.ndarray:
+    """Node-order dof of each (element, local dof) of the pencil, -1 if eliminated.
 
-    The table holds the node-order dof of each (element, local dof), -1 if
-    eliminated; local dofs are the f dofs, then the g dofs, each (left
-    value, right value) for hats and (left value, left slope, right value,
-    right slope) for Hermite. Node-order dof k is block dof block_index[k].
+    Local dofs are the f dofs, then the g dofs, each (left value, right
+    value) for hats and (left value, left slope, right value, right slope)
+    for Hermite.
     """
-    value = np.r_[-1, np.arange(n), -1]  # per node 0..n+1, within a component
-    if free_lower_slope:  # slopes at nodes 0..n
-        slope = np.r_[n + np.arange(n + 1), -1]
-    else:
-        slope = np.where(value >= 0, n + value, -1)
-    parts = np.stack([value, slope], axis=1) if hermite else value[:, None]
-    m = int(parts.max()) + 1
-    # block-layout index per (node, f parts then g parts); node order counts row by row
-    block = np.concatenate([parts, np.where(parts >= 0, parts + m, -1)], axis=1)
-    active = block >= 0
-    node = np.full(block.shape, -1)
-    node[active] = np.arange(np.count_nonzero(active))
-    d = parts.shape[1]
-    table = np.concatenate([node[:-1, :d], node[1:, :d], node[:-1, d:], node[1:, d:]], axis=1)
-    return table, block[active]
+    d = 2 if hermite else 1  # parts (value, slope) per node and component
+    active = np.ones((n + 2, 2 * d), dtype=bool)  # per node 0..n+1: f parts, then g parts
+    active[[0, -1]] = False
+    active[0, 1::2] = free_lower_slope  # node 0's f and g slopes (Hermite only)
+    node = np.full(active.shape, -1)
+    node[active] = np.arange(np.count_nonzero(active))  # counted node by node
+    return np.concatenate([node[:-1, :d], node[1:, :d], node[:-1, d:], node[1:, d:]], axis=1)
 
 
 # --- schemes as tables of block terms ----------------------------------------
@@ -259,9 +245,8 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
         raise ValueError(f"scheme {scheme!r} has no slope dof to free")
     if potential.Z != params.Z:
         raise PhysicsError(f"potential charge {potential.Z} does not match Z={params.Z}")
-    n = mesh.interior_count
-    table, block_index = _pencil_dofs(n, kind is BasisKind.CUBIC_HERMITE, free_lower_slope)
-    size, width = len(block_index), table.shape[1] // 2
+    table = _pencil_dofs(mesh.interior_count, kind is BasisKind.CUBIC_HERMITE, free_lower_slope)
+    size, width = int(table.max()) + 1, table.shape[1] // 2
     kernel = _element_kernel(kind, mesh, potential)
     local = {name: np.zeros((mesh.element_count, 2 * width, 2 * width)) for name in ("lhs", "rhs")}
     integrals = {}  # (spec, tau-weighted) -> element integrals
@@ -281,10 +266,19 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: Potenti
                      (2 * hb + 1) * size).ravel()
     lhs, rhs = (np.bincount(slots, local[name].ravel(), (2 * hb + 1) * size + 1)[:-1]
                 .reshape(size, 2 * hb + 1).T for name in ("lhs", "rhs"))
-    if kind is BasisKind.LINEAR_HAT:
-        dof_blocks = (("zeta", n), ("xi", n))
-    else:
-        slopes = size // 2 - n
-        dof_blocks = (("zeta", n), ("zeta_prime", slopes), ("xi", n), ("xi_prime", slopes))
-    return AssembledSystem(scheme=scheme, lhs_band=lhs, rhs_band=rhs, block_index=block_index,
-                           dof_blocks=dof_blocks, params=params)
+    return AssembledSystem(scheme=scheme, lhs_band=lhs, rhs_band=rhs, params=params)
+
+
+def part_dofs(scheme: str, size: int, part: str) -> np.ndarray:
+    """Node-order dofs of ``part`` of a ``size``-dof pencil of ``scheme``, node by node.
+
+    The parts "zeta", "zeta_prime", "xi" and "xi_prime" are the f values, f
+    slopes, g values and g slopes; a hat pencil has no slopes. A Hermite
+    size of 4n+2 means a free lower slope: node 0's (f', g') come first.
+    """
+    k = ("zeta", "zeta_prime", "xi", "xi_prime").index(part)  # ValueError if unknown
+    if _SCHEME_TABLE[scheme][0] is BasisKind.LINEAR_HAT:
+        return np.arange(k // 2, size, 2) if k % 2 == 0 else np.arange(0)
+    free = size % 4  # node 0's two slopes
+    dofs = np.arange(free + k, size, 4)
+    return np.r_[k // 2, dofs] if free and k % 2 else dofs

@@ -9,13 +9,13 @@ lost to cancellation against it. Only ``Spectrum.raw`` adds m*c^2 back.
 shift-invert solve (Ericsson & Ruhe 1980; ARPACK) per slice of the window,
 which computes only the eigenvalues nearest the slice midpoint, certifies
 that every eigenvalue inside the slice was found, and returns their
-eigenvectors. ``assemble`` stores the pencil in node order as band matrices
-(see ``assembly``), and each slice factors its shifted pencil once. The
-Galerkin pencils are symmetric-definite, so they go to ARPACK's symmetric
-Lanczos driver on the shift-invert operator symmetrized by the band
-Cholesky factor of rhs; the stabilized pencil is nonsymmetric and goes to
-the Arnoldi driver. The dense full-spectrum solve the tests check it
-against lives in the tests.
+eigenvectors in the node order in which ``assemble`` stores the pencil as
+band matrices (see ``assembly``). Each slice factors its shifted pencil
+once. The Galerkin pencils are symmetric-definite, so they go to ARPACK's
+symmetric Lanczos driver on the shift-invert operator symmetrized by the
+band Cholesky factor of rhs; the stabilized pencil is nonsymmetric and
+goes to the Arnoldi driver. The dense full-spectrum solve the tests check
+it against lives in the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.linalg.blas import dgbmv, dtbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dtbtrs
 import scipy.sparse.linalg
 
-from .assembly import AssembledSystem, is_galerkin
+from .assembly import AssembledSystem, is_galerkin, part_dofs
 from .errors import (
     ComplexSpectrumError,
     InsufficientLevelsError,
@@ -65,8 +65,9 @@ class Spectrum:
     certified neighbourhood of the window, ascending: every one of a
     one-disk solve; of a split window, each disk's own, i.e. those on its
     side of the cuts between disks, so no eigenvalue appears twice.
-    ``eigenvectors`` holds one column per binding, in block layout,
-    rhs-normalized with the largest f-value coefficient made positive.
+    ``eigenvectors`` holds one column per binding, in the pencil's node
+    order (see ``assembly``), rhs-normalized with the largest f-value
+    coefficient made positive.
     """
 
     scheme: str
@@ -74,7 +75,6 @@ class Spectrum:
     raw: np.ndarray
     max_imag: float
     params: OperatorParams
-    dof_blocks: tuple[tuple[str, int], ...]
     eigenvectors: np.ndarray
 
     def __post_init__(self):
@@ -118,7 +118,7 @@ def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _normalize_vectors(vecs: np.ndarray, system: AssembledSystem) -> np.ndarray:
-    """Node-order columns ``vecs`` made real, rhs-normalized and block-layout.
+    """Node-order columns ``vecs`` made real and rhs-normalized.
 
     Each column is rotated so that its largest entry is real and signed so
     that its largest-|f value| entry is positive. A column whose rhs norm
@@ -139,9 +139,9 @@ def _normalize_vectors(vecs: np.ndarray, system: AssembledSystem) -> np.ndarray:
         k = int(np.argmax(vanishing))
         raise SolverError(f"eigenvector {k} has vanishing rhs norm {norms[k]:.3g}")
     v /= np.sqrt(np.abs(norms))
-    f_values = np.flatnonzero(system.block_index < dict(system.dof_blocks)["zeta"])
+    f_values = part_dofs(system.scheme, system.size, "zeta")
     v[:, v[f_values[np.argmax(np.abs(v[f_values]), axis=0)], cols] < 0] *= -1.0
-    return v[np.argsort(system.block_index)]  # the inverse permutation
+    return v
 
 
 def _check_reality(lam: np.ndarray, reality_tol: float) -> float:
@@ -275,7 +275,7 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
     interior edge starts at the midpoint of the gap around that edge that
     the disk below certified empty, so no eigenvalue is kept twice or
     dropped. The bindings of all disks are returned in one ascending array,
-    with their eigenvectors in block layout.
+    with their node-order eigenvectors.
 
     A fixed start vector makes repeated solves bit-identical, and the number
     of operator applications (one band LU solve and one or two band
@@ -320,8 +320,7 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
         max_imag = max(max_imag, disk_imag)
         lo = cut
     return Spectrum(scheme=system.scheme, bindings=np.concatenate(bindings),
-                    raw=np.concatenate(raw) + mc2, max_imag=max_imag,
-                    params=system.params, dof_blocks=system.dof_blocks,
+                    raw=np.concatenate(raw) + mc2, max_imag=max_imag, params=system.params,
                     eigenvectors=_normalize_vectors(np.hstack(vectors), system))
 
 
@@ -336,27 +335,9 @@ def bound_states(spectrum: Spectrum, count: int) -> np.ndarray:
     return spectrum.bindings[:count]
 
 
-def component_coefficients(spectrum: Spectrum, index: int, component: str):
-    """Nodal (values, slopes) of spinor component 'f' or 'g' for bound state ``index``.
-
-    For the linear scheme the slope array is None.
-    """
-    vec = spectrum.eigenvectors[:, index]
-    blocks = {}
-    start = 0
-    for name, width in spectrum.dof_blocks:
-        blocks[name] = vec[start:start + width]
-        start += width
-    if component == "f":
-        return blocks["zeta"], blocks.get("zeta_prime")
-    if component == "g":
-        return blocks["xi"], blocks.get("xi_prime")
-    raise ValueError(f"component must be 'f' or 'g', got {component!r}")
-
-
 def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarray) -> float:
-    """Relative residual of one eigenpair (binding, block-layout vector) against the pencil."""
-    v = np.asarray(vector, dtype=float)[system.block_index]
+    """Relative residual of one eigenpair (binding, node-order vector) against the pencil."""
+    v = np.asarray(vector, dtype=float)
     r = _band_product(system.lhs_band, v) - binding * _band_product(system.rhs_band, v)
     scale = np.linalg.norm(system.lhs_band) + abs(binding) * np.linalg.norm(system.rhs_band)
     return float(np.linalg.norm(r) / (scale * np.linalg.norm(v)))

@@ -42,12 +42,12 @@ class OperatorParams:
         check_charge(self.Z)
         if not all(math.isfinite(v) for v in (self.m, self.c)):
             raise PhysicsError(f"m and c must be finite, got m={self.m} c={self.c}")
+        if self.m <= 0 or self.c <= 0:
+            raise PhysicsError("mass and speed of light must be positive")
         if self.Z >= self.c * abs(self.kappa):
             raise PhysicsError(
                 f"supercritical charge: Z={self.Z} >= c*|kappa|={self.c * abs(self.kappa)}"
             )
-        if self.m <= 0 or self.c <= 0:
-            raise PhysicsError("mass and speed of light must be positive")
         c2 = self.c * self.c
         if not (math.isfinite(c2) and math.isfinite(self.m * c2)):
             raise PhysicsError(f"rest energy m*c^2 overflows a float: m={self.m} c={self.c}")

@@ -3,8 +3,10 @@
 ``eval_hat`` and ``eval_hermite`` evaluate one global basis function of a
 node; ``element_integral`` evaluates one block-matrix entry straight from
 the basis functions of its two dofs; ``assemble_block`` sums the package's
-element integrals of one integrand into a dense block matrix;
+element integrals of one integrand into a dense block matrix, and
+``block_order`` permutes a node-order pencil into the same block layout;
 ``band_storage`` writes a dense matrix in LAPACK band storage;
+``component_coefficients`` reads one spinor component of an eigenvector;
 ``dense_bindings`` solves the whole pencil densely, the oracle of the
 windowed solve, and ``dense_bindings_in_workers`` runs it on several
 pencils side by side; ``rayleigh_quotients`` gives the extended-precision
@@ -25,7 +27,14 @@ from unittest import mock
 import numpy as np
 import scipy.linalg
 
-from diracfem.assembly import SCHEME_SUPG, AssembledSystem, BlockMatrixSpec, _element_kernel
+from diracfem.assembly import (
+    SCHEME_LINEAR,
+    SCHEME_SUPG,
+    AssembledSystem,
+    BlockMatrixSpec,
+    _element_kernel,
+    part_dofs,
+)
 from diracfem.discretization import (
     BasisKind,
     Mesh,
@@ -34,7 +43,7 @@ from diracfem.discretization import (
     hermite_interpolate,
     hermite_local,
 )
-from diracfem.eigensolver import DEFAULT_REALITY_TOL, _check_reality
+from diracfem.eigensolver import DEFAULT_REALITY_TOL, Spectrum, _check_reality
 from diracfem.errors import SingularSystemError
 from diracfem.physics import OperatorParams, PotentialModel, potential_value
 
@@ -179,6 +188,31 @@ def assemble_block(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
     return block
 
 
+def block_order(system: AssembledSystem) -> np.ndarray:
+    """The node-order dofs of ``system`` in block layout.
+
+    The layout is [f values | f slopes | g values | g slopes], each over the
+    nodes in order, the dof order of ``assemble_block`` per component:
+    ``system.lhs[np.ix_(order, order)]`` is lhs in block layout.
+    """
+    return np.concatenate([part_dofs(system.scheme, system.size, part)
+                           for part in ("zeta", "zeta_prime", "xi", "xi_prime")])
+
+
+def component_coefficients(spectrum: Spectrum, index: int, component: str):
+    """Nodal (values, slopes) of spinor component 'f' or 'g' for bound state ``index``.
+
+    For the linear scheme the slope array is None.
+    """
+    parts = {"f": ("zeta", "zeta_prime"), "g": ("xi", "xi_prime")}
+    if component not in parts:
+        raise ValueError(f"component must be 'f' or 'g', got {component!r}")
+    vec = spectrum.eigenvectors[:, index]
+    values, slopes = (vec[part_dofs(spectrum.scheme, len(vec), part)]
+                      for part in parts[component])
+    return values, None if spectrum.scheme == SCHEME_LINEAR else slopes
+
+
 def band_storage(matrix, hb: int) -> np.ndarray:
     """LAPACK band storage of the entries of a square matrix within hb of its diagonal."""
     matrix = np.asarray(matrix, dtype=float)
@@ -244,13 +278,13 @@ def dense_bindings(system: AssembledSystem,
 
 
 def rayleigh_quotients(system: AssembledSystem, vectors) -> np.ndarray:
-    """v^T lhs v / v^T rhs v of each block-layout column v, summed in long double.
+    """v^T lhs v / v^T rhs v of each node-order column v, summed in long double.
 
     The sums run over the stored band entries, so they carry none of the
     rounding of a double-precision eigensolve: the quotient of a vector
     with residual r misses its eigenvalue by O(|r|^2) only.
     """
-    v = np.asarray(vectors, dtype=float).astype(np.longdouble)[system.block_index]
+    v = np.asarray(vectors, dtype=float).astype(np.longdouble)
     hb, size = system.lhs_band.shape[0] // 2, system.size
     cols = np.broadcast_to(np.arange(size), system.lhs_band.shape)
     rows = cols + np.arange(-hb, hb + 1)[:, None]  # the entry each band slot holds

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diracfem.analysis import (
+    MAX_MATCH_TOL,
     Label,
     classify,
     coincidence_report,
@@ -16,11 +17,11 @@ from diracfem.analysis import (
 )
 from diracfem.assembly import SCHEME_HERMITE, assemble
 from diracfem.discretization import Mesh, build_exponential_mesh
-from diracfem.eigensolver import Spectrum, bound_window, component_coefficients, solve
+from diracfem.eigensolver import Spectrum, bound_window, solve
 from diracfem.errors import DegeneratePencilError
 from diracfem.physics import OperatorParams, point_nucleus, reference_spectrum
 
-from oracles import nodal_propagation, supg_residuals
+from oracles import component_coefficients, nodal_propagation, supg_residuals
 
 # Published eigenvalues of an n=100 hat-function hydrogen run (levels 1-3,
 # the interleaved spurious value, then level 4), used as classifier vectors.
@@ -92,13 +93,19 @@ class TestClassify:
         assert len(cut.entries) == 3
         assert cut.count(Label.GENUINE) == 3
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_truncate_to_genuine_rejects_count_below_one(self, count):
+        # each returned every entry
+        cl = classify(HAT_RUN_NEG_KAPPA, hydrogen_reference(), match_tol=1e-3)
+        with pytest.raises(ValueError, match="count"):
+            truncate_to_genuine(cl, count)
+
 
 def make_spectrum(kappa, bindings, scheme=SCHEME_HERMITE, Z=1.0):
     params = OperatorParams(Z=Z, kappa=kappa)
     return Spectrum(scheme=scheme, bindings=np.asarray(bindings, dtype=float),
                     raw=np.asarray(bindings) + params.rest_energy, max_imag=0.0,
-                    params=params, dof_blocks=(("zeta", 1),),
-                    eigenvectors=np.zeros((1, len(bindings))))
+                    params=params, eigenvectors=np.zeros((1, len(bindings))))
 
 
 class TestCoincidenceReport:
@@ -117,6 +124,13 @@ class TestCoincidenceReport:
         assert not rep.present
         assert rep.pairs[0] == (-0.125, -0.125, 0.0)
         assert rep.pairs[1] == (-0.0555, -0.0555, 0.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, MAX_MATCH_TOL, float("inf")])
+    def test_tolerance_outside_match_range_rejected(self, tol):
+        # NaN, -1 and 0 reported the copy absent, inf reported it present
+        vals = [-0.5, -0.125]
+        with pytest.raises(ValueError, match="tol"):
+            coincidence_report(make_spectrum(1, vals), make_spectrum(-1, vals), tol=tol)
 
     def test_mismatched_inputs_rejected(self):
         with pytest.raises(ValueError):

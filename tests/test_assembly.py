@@ -11,13 +11,14 @@ from diracfem.assembly import (
     BlockMatrixSpec,
     assemble,
     compute_tau,
+    part_dofs,
 )
 from diracfem.discretization import BasisKind, Mesh, build_exponential_mesh
 from diracfem.errors import PhysicsError
 from diracfem.physics import OperatorParams, extended_nucleus, point_nucleus
 
 from conftest import random_mesh
-from oracles import assemble_block, closed_form_element_entries, element_integral
+from oracles import assemble_block, block_order, closed_form_element_entries, element_integral
 
 POLY_SPECS = {
     "MM000": BlockMatrixSpec(0, 0, 0),
@@ -25,6 +26,13 @@ POLY_SPECS = {
     "MM010": BlockMatrixSpec(0, 1, 0),
     "MM110": BlockMatrixSpec(1, 1, 0),
 }
+
+
+PARTS = ("zeta", "zeta_prime", "xi", "xi_prime")
+
+
+def part_sizes(system):
+    return [len(part_dofs(system.scheme, system.size, part)) for part in PARTS]
 
 
 def table_columns(j, n):
@@ -203,7 +211,7 @@ class TestSchemes:
         system = assemble(SCHEME_LINEAR, params, mesh, pot)
         n = mesh.interior_count
         assert system.lhs.shape == (2 * n, 2 * n)
-        assert system.dof_blocks == (("zeta", n), ("xi", n))
+        assert part_sizes(system) == [n, 0, n, 0]
         sym = np.max(np.abs(system.lhs - system.lhs.T)) / np.max(np.abs(system.lhs))
         assert sym < 1e-12
         assert np.max(np.abs(system.rhs - system.rhs.T)) < 1e-12 * np.max(np.abs(system.rhs))
@@ -218,7 +226,7 @@ class TestSchemes:
         system = assemble(SCHEME_HERMITE, params, mesh, pot)
         n = mesh.interior_count
         assert system.lhs.shape == (4 * n, 4 * n)
-        assert system.dof_blocks == (("zeta", n), ("zeta_prime", n), ("xi", n), ("xi_prime", n))
+        assert part_sizes(system) == [n, n, n, n]
         assert np.max(np.abs(system.lhs - system.lhs.T)) < 1e-12 * np.max(np.abs(system.lhs))
         assert np.max(np.abs(system.rhs - system.rhs.T)) < 1e-14 * np.max(np.abs(system.rhs))
 
@@ -235,7 +243,8 @@ class TestSchemes:
         params, mesh, pot = hyd_setup
         n = mesh.interior_count
         system = assemble(SCHEME_HERMITE, params, mesh, pot)
-        block = system.lhs[:2 * n, :2 * n]
+        order = block_order(system)
+        block = system.lhs[np.ix_(order, order)][:2 * n, :2 * n]  # the f-f block
         for i in range(2 * n):
             for j in range(2 * n):
                 ni, nj = i % n, j % n
@@ -276,9 +285,23 @@ class TestSchemes:
         n = mesh.interior_count
         system = assemble(SCHEME_HERMITE, params, mesh, pot, free_lower_slope=True)
         assert system.lhs.shape == (2 * (2 * n + 1), 2 * (2 * n + 1))
-        assert dict(system.dof_blocks)["zeta_prime"] == n + 1
-        assert all(type(width) is int for _, width in system.dof_blocks)
+        assert part_sizes(system) == [n, n + 1, n, n + 1]
+        # node 0's (f', g') come first, then (f, f', g, g') per interior node
+        assert part_dofs(SCHEME_HERMITE, system.size, "zeta_prime")[0] == 0
+        assert part_dofs(SCHEME_HERMITE, system.size, "xi_prime")[0] == 1
         assert np.max(np.abs(system.lhs - system.lhs.T)) < 1e-12 * np.max(np.abs(system.lhs))
+
+    @pytest.mark.parametrize("scheme, free", [(scheme, False) for scheme in
+                                              (SCHEME_LINEAR, SCHEME_HERMITE, SCHEME_SUPG)]
+                             + [(SCHEME_HERMITE, True), (SCHEME_SUPG, True)])
+    def test_parts_partition_the_dofs(self, hyd_setup, scheme, free):
+        params, mesh, pot = hyd_setup
+        system = assemble(scheme, params, mesh, pot, free_lower_slope=free)
+        parts = [part_dofs(scheme, system.size, part) for part in PARTS]
+        assert all(np.all(np.diff(dofs) > 0) for dofs in parts)  # nodes in order
+        np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(system.size))
+        with pytest.raises(ValueError):
+            part_dofs(scheme, system.size, "eta")
 
     def test_dispatch(self, hyd_setup):
         params, mesh, pot = hyd_setup

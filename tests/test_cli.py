@@ -261,6 +261,14 @@ class TestMain:
         assert err.startswith("physics error: ") and "rest energy" in err
         assert err.count("\n") == 1
 
+    def test_negative_speed_of_light_exits_3_naming_it(self, capfd):
+        # it was reported as a supercritical charge
+        code = main(FAST + ["--c-value", "-137"])
+        assert code == EXIT_PHYSICS
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == "physics error: mass and speed of light must be positive\n"
+
     def test_physics_invariant_exits_3(self, capsys):
         code = main(["--Z", "200", "--kappa", "1", "--n", "10"])
         assert code == EXIT_PHYSICS

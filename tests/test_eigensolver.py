@@ -12,6 +12,7 @@ from diracfem.assembly import (
     SCHEME_SUPG,
     AssembledSystem,
     assemble,
+    part_dofs,
 )
 from diracfem.discretization import build_exponential_mesh
 from diracfem.eigensolver import (
@@ -19,7 +20,6 @@ from diracfem.eigensolver import (
     _normalize_vectors,
     bound_states,
     bound_window,
-    component_coefficients,
     eigenpair_residual,
     solve,
 )
@@ -38,6 +38,7 @@ from diracfem.physics import (
 
 from oracles import (
     band_storage,
+    component_coefficients,
     dense_bindings,
     dense_bindings_in_workers,
     dense_rayleigh_bindings,
@@ -51,12 +52,10 @@ TOY = OperatorParams(Z=1, kappa=-1, c=10.0)  # mc^2 = 100
 
 
 def toy_system(lhs, rhs, scheme=SCHEME_LINEAR):
-    """A dense block-layout pencil stored as a full band, in the identity order."""
+    """A dense pencil stored as a full band."""
     size = len(lhs)
     return AssembledSystem(scheme=scheme, lhs_band=band_storage(lhs, size - 1),
-                           rhs_band=band_storage(rhs, size - 1), block_index=np.arange(size),
-                           dof_blocks=(("zeta", size // 2), ("xi", size - size // 2)),
-                           params=TOY)
+                           rhs_band=band_storage(rhs, size - 1), params=TOY)
 
 
 class TestToyPencils:
@@ -174,11 +173,11 @@ class TestRealSystems:
 
     def test_vectors_rhs_normalized_with_positive_lead(self, hydrogen_windowed):
         params, system, spectrum = hydrogen_windowed
-        zeta = spectrum.dof_blocks[0][1]
+        zeta = part_dofs(system.scheme, system.size, "zeta")
         for k in range(3):
             v = spectrum.eigenvectors[:, k]
             assert v @ system.rhs @ v == pytest.approx(1.0, rel=1e-10)
-            assert v[np.argmax(np.abs(v[:zeta]))] > 0
+            assert v[zeta[np.argmax(np.abs(v[zeta]))]] > 0
 
     def test_windowed_solve_matches_full(self, hydrogen_solution):
         params, system, spectrum = hydrogen_solution
@@ -420,7 +419,8 @@ class TestRealSystems:
         assert values.shape == (n,) and slopes.shape == (n,)
         gv, gs = component_coefficients(spectrum, 0, "g")
         vec = spectrum.eigenvectors[:, 0]
-        np.testing.assert_array_equal(np.concatenate([values, slopes, gv, gs]), vec)
+        # node by node: (f, f', g, g') at each interior node
+        np.testing.assert_array_equal(np.stack([values, slopes, gv, gs]), vec.reshape(n, 4).T)
         with pytest.raises(ValueError):
             component_coefficients(spectrum, 0, "h")
 

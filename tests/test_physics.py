@@ -42,6 +42,12 @@ class TestParams:
         with pytest.raises(PhysicsError):
             OperatorParams(**{"Z": 1.0, "kappa": -1, field: value})
 
+    @pytest.mark.parametrize("m, c", [(1.0, -137.0), (1.0, 0.0), (0.0, 137.0), (-1.0, 137.0)])
+    def test_non_positive_mass_or_speed_rejected_as_such(self, m, c):
+        # c <= 0 was blamed on a supercritical charge: Z=1 >= c*|kappa|=-137.0
+        with pytest.raises(PhysicsError, match="mass and speed of light must be positive"):
+            OperatorParams(Z=1, kappa=-1, m=m, c=c)
+
     @pytest.mark.parametrize("m, c", [(1.0, 1e155), (1.0, 1e200), (1e305, 137.035999074),
                                       (1e-300, 1e200)])
     def test_overflowing_rest_energy_rejected(self, m, c):

@@ -18,7 +18,7 @@ from diracfem.discretization import BasisKind, build_exponential_mesh
 from diracfem.eigensolver import bound_window, solve
 from diracfem.physics import OperatorParams, point_nucleus
 
-from oracles import assemble_block, band_storage
+from oracles import assemble_block, band_storage, block_order
 
 PATHOLOGY_Z1 = "--Z 1 --abs-kappa 1 --n 100 --a 1e-6 --b 150 --mesh-gamma 8 --levels 6".split()
 
@@ -93,14 +93,13 @@ def test_block_has_the_element_pattern(setup):
 def test_pencil_band_is_read_only(setup):
     params, mesh, pot = setup
     system = assemble(SCHEME_LINEAR, params, mesh, pot)
-    for array in (system.lhs_band, system.rhs_band, system.block_index):
+    for array in (system.lhs_band, system.rhs_band):
         with pytest.raises(ValueError):
             array[..., 0] = 1
     assert system.lhs_band.flags.f_contiguous and system.rhs_band.flags.f_contiguous
-    # the dense view holds exactly the band's entries, moved to block layout
-    node_order = np.ix_(system.block_index, system.block_index)
+    # the dense view holds exactly the band's entries, in the same node order
     for band, dense in ((system.lhs_band, system.lhs), (system.rhs_band, system.rhs)):
-        np.testing.assert_array_equal(band_storage(dense[node_order], 3), band)
+        np.testing.assert_array_equal(band_storage(dense, 3), band)
         assert np.count_nonzero(dense) == np.count_nonzero(band)
     assert system.lhs.flags.c_contiguous and not system.lhs.flags.writeable
 
@@ -116,8 +115,9 @@ def test_pencil_pattern_is_the_block_pattern(setup, scheme, free):
     block = assemble_block(BlockMatrixSpec(0, 0, 0), kind, mesh, pot, free_lower_slope=free)
     m, nnz = len(block), np.count_nonzero(block)
     pattern = np.tile(block != 0, (2, 2))
-    np.testing.assert_array_equal(system.lhs != 0, pattern)
-    rhs = system.rhs
+    order = np.ix_(block_order(system), block_order(system))
+    np.testing.assert_array_equal(system.lhs[order] != 0, pattern)
+    rhs = system.rhs[order]
     if scheme == SCHEME_SUPG:
         # the first element carries tau = 0, and only it couples the free
         # node-0 slope: 5 entries of each off-diagonal block stay zero

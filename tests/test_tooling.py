@@ -144,3 +144,52 @@ def test_every_dataclass_field_is_read():
     package = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     readers = [path.read_text() for d in READER_DIRS for path in sorted((ROOT / d).rglob("*.py"))]
     assert unread_fields(package, readers) == []
+
+
+def module_functions(source: str) -> list[str]:
+    """The names of the module-level functions ``source`` defines."""
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+
+
+def names_used(source: str) -> set[str]:
+    """Every name ``source`` refers to: a name, an attribute, an import or a string equal to it."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def uncalled_functions(package: list[str], callers: list[str]) -> list[str]:
+    """The module-level functions of ``package`` whose name no source in ``callers`` uses."""
+    used = set().union(*(names_used(source) for source in callers))
+    return [name for source in package for name in module_functions(source) if name not in used]
+
+
+def test_uncalled_function_detector():
+    package = ["def f():\n    return g()\n\ndef g():\n    pass\n\n"
+               "def h():\n    '''the h function'''\n\n"
+               "class C:\n    def method(self):\n        pass\n"]
+    assert uncalled_functions(package, package) == ["f", "h"]
+    assert uncalled_functions(package, package + ["from m import f\nWRAPPED = ('h',)"]) == []
+
+
+def test_every_package_function_has_a_caller():
+    """Each module-level function of the package is used somewhere in src or perfbench.
+
+    A function only the tests call belongs with the tests. The check goes
+    by name, not by module, so it is only a floor: a function passes when
+    any name, attribute, import or string of the same name appears (a
+    re-export in ``__init__`` or a name in perfbench's table of traced
+    entry points counts).
+    """
+    package = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    callers = [path.read_text() for d in ("src", "perfbench")
+               for path in sorted((ROOT / d).rglob("*.py"))]
+    assert uncalled_functions(package, callers) == []
