@@ -34,6 +34,9 @@ DEFAULT_MATCH_TOL = 1e-3
 DEFAULT_MATCH_TOL_HERMITE = 1e-5
 #: Exclusive upper bound on a matching tolerance.
 MAX_MATCH_TOL = 0.1
+#: Relative errors at or below 256 ulp are rounding, not discretization error:
+#: the convergence study fits no order through them.
+ORDER_FIT_FLOOR = 256 * np.finfo(float).eps
 
 
 def match_tol_for(scheme: str) -> float:
@@ -301,7 +304,7 @@ def convergence_study(scheme: str, params: OperatorParams, potential: PotentialM
                       match_tol: float | None = None,
                       reality_tol: float = DEFAULT_REALITY_TOL,
                       free_lower_slope: bool = False) -> ConvergenceStudy:
-    """Solve on a refinement sequence, classify, and fit per-level orders.
+    """Solve on a refinement sequence, classify, and fit per-level orders (``fit_orders``).
 
     Each mesh is solved on ``bound_window(params, levels)`` only.
     """
@@ -319,11 +322,21 @@ def convergence_study(scheme: str, params: OperatorParams, potential: PotentialM
         spectrum = solve(system, reality_tol=reality_tol, window=window)
         classified = classify(spectrum.bindings, reference, match_tol=match_tol)
         errors[i] = genuine_errors(classified, reference)
-    orders = np.full(levels, np.nan)
+    return ConvergenceStudy(scheme=scheme, n_values=n_values, errors=errors,
+                            orders=fit_orders(n_values, errors))
+
+
+def fit_orders(n_values, errors: np.ndarray) -> np.ndarray:
+    """Per-level order p of error ~ h^p, h = 1/(n + 1), fitted in log-log.
+
+    Only errors above ORDER_FIT_FLOOR enter a fit: below it an error is
+    rounding, and a move of one ulp there would move the order. A level
+    with fewer than two such errors gets NaN (not fittable).
+    """
     log_h = np.log(1.0 / (np.array(n_values, dtype=float) + 1.0))
-    for lvl in range(levels):
-        col = errors[:, lvl]
-        ok = np.isfinite(col) & (col > 0)
+    orders = np.full(errors.shape[1], np.nan)
+    for lvl, col in enumerate(errors.T):
+        ok = np.isfinite(col) & (col > ORDER_FIT_FLOOR)
         if ok.sum() >= 2:
             orders[lvl] = np.polyfit(log_h[ok], np.log(col[ok]), 1)[0]
-    return ConvergenceStudy(scheme=scheme, n_values=n_values, errors=errors, orders=orders)
+    return orders

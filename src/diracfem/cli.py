@@ -345,7 +345,7 @@ def _mode_convergence(cfg: RunConfig):
         a=cfg.a, b=cfg.b, gamma=cfg.mesh_gamma, match_tol=cfg.match_tol,
         reality_tol=cfg.reality_tol, free_lower_slope=cfg.free_lower_slope)
 
-    def value(x):  # NaN marks an unmatched level or an order with too few errors
+    def value(x):  # NaN marks an unmatched level, or an order not fittable above rounding
         return None if math.isnan(x) else float(x)
 
     rows = [{"n": n, "level": lvl + 1, "kappa": kappa, "rel_error": value(err), "order": None}

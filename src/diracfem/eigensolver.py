@@ -5,17 +5,24 @@ mu = lambda - m*c^2 (see ``assembly``), and is solved as it is: the
 bindings never pass through the rest energy, so none of their digits are
 lost to cancellation against it. Only ``Spectrum.raw`` adds m*c^2 back.
 
-``solve(system, window=(lo, ..., hi))`` is the one solve path: one
-shift-invert solve (Ericsson & Ruhe 1980; ARPACK) per slice of the window,
-which computes only the eigenvalues nearest the slice midpoint, certifies
-that every eigenvalue inside the slice was found, and returns their
-eigenvectors in the node order in which ``assemble`` stores the pencil as
-band matrices (see ``assembly``). Each slice factors its shifted pencil
-once. The Galerkin pencils are symmetric-definite, so they go to ARPACK's
-symmetric Lanczos driver on the shift-invert operator symmetrized by the
-band Cholesky factor of rhs; the stabilized pencil is nonsymmetric and
-goes to the Arnoldi driver. The dense full-spectrum solve the tests check
-it against lives in the tests.
+``solve(system, window=(lo, ..., hi))`` is the one solve path. It returns
+every eigenvalue of the window, certified complete, with its eigenvector
+in the node order in which ``assemble`` stores the pencil as band matrices
+(see ``assembly``). How a window is certified follows the scheme table:
+
+- The Galerkin pencils are symmetric-definite, so Sylvester inertia counts
+  their eigenvalues exactly (spectrum slicing; Grimes, Lewis & Simon 1994).
+  The counts at the window's edges give its number of levels m, inverse
+  iteration from the exact point-nucleus levels finds them (Parlett, *The
+  Symmetric Eigenvalue Problem*, ch. 3-4), and the solve returns exactly m
+  levels or raises SolverError.
+- The stabilized pencil is nonsymmetric and has no inertia. Each slice of
+  its window is one shift-invert Arnoldi disk (Ericsson & Ruhe 1980;
+  ARPACK) that certifies itself by its radius, and the determinant signs
+  beside the slice's edges check the parity of its number of real
+  eigenvalues.
+
+The dense full-spectrum solve the tests check it against lives in the tests.
 """
 
 from __future__ import annotations
@@ -26,8 +33,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 # scipy.linalg before scipy.sparse.linalg: the other order made a fresh
 # ``import diracfem.cli`` about 5 % slower
-from scipy.linalg.blas import dgbmv, dtbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dtbtrs
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .assembly import AssembledSystem, is_galerkin, part_dofs
@@ -52,6 +60,24 @@ SPLIT_FIRST_K = 3
 #: ``bound_window`` splits windows of at least this many levels into two disks.
 SPLIT_LEVELS = 10
 
+#: Plain inverse-iteration steps at one shift before Rayleigh-quotient iteration takes over.
+INVERSE_STEPS = 4
+
+#: Rayleigh-quotient iteration steps, one band LU each, before a search gives up.
+RQI_STEPS = 6
+
+#: A level has converged once one step moves its Rayleigh quotient by at most this, relative.
+RQ_TOL = 1e-14
+
+#: A converged level is kept if its normwise backward error is at most this.
+BACKWARD_TOL = 1e-10
+
+#: An inertia count refuses a pivot at most this fraction of its own row's largest entry.
+PIVOT_TOL = 1e-12
+
+#: A determinant sign gives no parity at a shift this close, relative, to a found level.
+PARITY_FUZZ = 1e-11
+
 _log = logging.getLogger("diracfem")
 
 
@@ -61,13 +87,14 @@ class Spectrum:
 
     ``bindings`` holds mu = lambda - m*c^2 restricted to the requested
     window and to the bound window (-2mc^2, 0), ascending (deepest level
-    first). ``raw`` holds the eigenvalues lambda the solve computed, the
-    certified neighbourhood of the window, ascending: every one of a
-    one-disk solve; of a split window, each disk's own, i.e. those on its
-    side of the cuts between disks, so no eigenvalue appears twice.
-    ``eigenvectors`` holds one column per binding, in the pencil's node
-    order (see ``assembly``), rhs-normalized with the largest f-value
-    coefficient made positive.
+    first). ``raw`` holds the eigenvalues lambda the solve certified,
+    ascending: for a Galerkin pencil the m levels of the window; for the
+    stabilized one the certified neighbourhood of the window, every
+    eigenvalue of a one-disk solve and, of a split window, each disk's own,
+    i.e. those on its side of the cuts between disks, so no eigenvalue
+    appears twice. ``eigenvectors`` holds one column per binding, in the
+    pencil's node order (see ``assembly``), rhs-normalized with the largest
+    f-value coefficient made positive.
     """
 
     scheme: str
@@ -90,13 +117,14 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
     lies halfway between the reference levels n_r = levels and
     n_r = levels + 1 (the binding depends on |kappa| and n_r only), past the
     last level either series needs. Below SPLIT_LEVELS levels the window is
-    ``(lo, hi)``, one disk for ``solve``. From SPLIT_LEVELS on it is
-    ``(lo, s, hi)``, with ``s`` halfway between the reference levels n_r = 1
-    and n_r = 2: one shift placed at the midpoint of so wide a window sits
-    far from its top edge in the Rydberg accumulation, where the last
-    wanted level and the next one differ in distance from the shift by a
-    fraction of a percent and ARPACK converges slowly (spectrum slicing,
-    Grimes, Lewis & Simon 1994). Two disks each lie close to their edges.
+    ``(lo, hi)``. From SPLIT_LEVELS on it is ``(lo, s, hi)``, with ``s``
+    halfway between the reference levels n_r = 1 and n_r = 2, so that the
+    stabilized pencil is solved as two disks: one shift placed at the
+    midpoint of so wide a window sits far from its top edge in the Rydberg
+    accumulation, where the last wanted level and the next one differ in
+    distance from the shift by a fraction of a percent and ARPACK converges
+    slowly (spectrum slicing, Grimes, Lewis & Simon 1994). The Galerkin
+    solve reads only the outer edges.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
@@ -115,6 +143,29 @@ def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     hb, size = band.shape[0] // 2, band.shape[1]
     # dgbmv's wrapper wants at least 2*hb + 1 rows; those past a small pencil are zero
     return dgbmv(max(size, 2 * hb + 1), size, hb, hb, 1.0, band, x)[:size]
+
+
+def _band_lu(system: AssembledSystem, sigma: float):
+    """``dgbtrf`` of lhs - sigma*rhs with partial pivoting: (lu, pivots, det_sign).
+
+    ``det_sign`` is the sign of det(lhs - sigma*rhs): the product of the
+    signs of U's diagonal, times -1 for each row swap, and 0 when U is
+    exactly singular. A factor holding a non-finite entry raises
+    SingularSystemError.
+    """
+    a, b = system.lhs_band, system.rhs_band
+    hb = a.shape[0] // 2
+    # the array to factor has hb more rows on top for the fill that row swaps bring
+    shifted = np.zeros((3 * hb + 1, system.size), order="F")
+    np.multiply(b, -sigma, out=shifted[hb:])  # lhs - sigma*rhs, with no temporary
+    shifted[hb:] += a
+    lu, pivots, info = dgbtrf(shifted, hb, hb, overwrite_ab=True)
+    if not np.isfinite(lu).all():
+        raise SingularSystemError(f"shifted pencil at sigma={sigma} has a non-finite factor")
+    if info > 0:
+        return lu, pivots, 0
+    flips = np.count_nonzero(lu[2 * hb] < 0) + np.count_nonzero(pivots != np.arange(system.size))
+    return lu, pivots, -1 if flips % 2 else 1
 
 
 def _normalize_vectors(vecs: np.ndarray, system: AssembledSystem) -> np.ndarray:
@@ -139,8 +190,13 @@ def _normalize_vectors(vecs: np.ndarray, system: AssembledSystem) -> np.ndarray:
         k = int(np.argmax(vanishing))
         raise SolverError(f"eigenvector {k} has vanishing rhs norm {norms[k]:.3g}")
     v /= np.sqrt(np.abs(norms))
+    return _lead_positive(v, system)
+
+
+def _lead_positive(v: np.ndarray, system: AssembledSystem) -> np.ndarray:
+    """Node-order columns ``v``, each signed in place: its largest-|f value| entry positive."""
     f_values = part_dofs(system.scheme, system.size, "zeta")
-    v[:, v[f_values[np.argmax(np.abs(v[f_values]), axis=0)], cols] < 0] *= -1.0
+    v[:, v[f_values[np.argmax(np.abs(v[f_values]), axis=0)], np.arange(v.shape[1])] < 0] *= -1.0
     return v
 
 
@@ -157,6 +213,305 @@ def _check_reality(lam: np.ndarray, reality_tol: float) -> float:
     return max_imag
 
 
+# --- Galerkin pencils: inertia counts and inverse iteration --------------------
+
+
+def _inertia_counter(system: AssembledSystem):
+    """count(s): the number of eigenvalues below s of a symmetric-definite band pencil.
+
+    By Sylvester's law of inertia, with rhs positive definite, the number of
+    negative pivots of an LDL^T factorization of lhs - s*rhs is the number of
+    eigenvalues below s. Node order is a band ordering, so SuperLU factors
+    the shifted pencil unpivoted, in that order, with no fill outside the
+    band. The CSC pattern is built once; each count refills its data. A
+    row or column permutation, or a pivot tiny against its own row's
+    entries, would void the count and raises SolverError. (A guard on the
+    ratio of the smallest to the largest pivot would not do: on the graded
+    meshes that ratio is about 1e-15 in factorizations whose counts are
+    right, because the mass entries scale with the element size.)
+    """
+    hb, size = system.lhs_band.shape[0] // 2, system.size
+    rows = np.arange(size) + np.arange(-hb, hb + 1)[:, None]  # the entry each band slot holds
+    inside = (rows >= 0) & (rows < size)
+    slots = inside.ravel(order="F")  # band column j is CSC column j
+    a, b = (band.ravel(order="F")[slots] for band in (system.lhs_band, system.rhs_band))
+    indptr = np.r_[0, np.cumsum(inside.sum(axis=0))].astype(np.intc)
+    indices = rows.ravel(order="F")[slots].astype(np.intc)
+    matrix = scipy.sparse.csc_array((np.zeros(len(a)), indices, indptr), shape=(size, size))
+    natural = np.arange(size)
+
+    def count(s: float) -> int:
+        np.multiply(b, -s, out=matrix.data)  # lhs - s*rhs, refilled in place
+        matrix.data += a
+        try:
+            # one-column panels and no relaxed supernodes: a band needs no
+            # more, and they cut the time (17 %) and workspace of N=1600
+            lu = scipy.sparse.linalg.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                          relax=1, panel_size=1,
+                                          options={"SymmetricMode": True, "Equil": False})
+        except RuntimeError as exc:  # an exactly zero pivot
+            raise SolverError(f"inertia count at {s!r} failed: {exc}") from exc
+        if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
+            raise SolverError(f"inertia count at {s!r}: the LDL^T factorization was permuted")
+        pivots = lu.U.diagonal()
+        # lhs - s*rhs is symmetric: its row i holds the entries of CSC column i
+        row_max = np.maximum.reduceat(np.abs(matrix.data), indptr[:-1])
+        tiny = ~(np.abs(pivots) > PIVOT_TOL * row_max)
+        if tiny.any():
+            i = int(np.argmax(tiny))
+            raise SolverError(f"inertia count at {s!r}: pivot {i} is {pivots[i]:.3g}, "
+                              f"tiny against its row's entries")
+        return int(np.count_nonzero(pivots < 0))
+
+    return count
+
+
+class _LevelSearch:
+    """Deflated inverse iteration on a symmetric-definite band pencil, and the levels it found.
+
+    ``mu`` holds the accepted levels in the order found and ``vectors``
+    their rhs-normalized eigenvectors. Every iterate is made rhs-orthogonal
+    to the vectors already found, so no level is found twice.
+    """
+
+    def __init__(self, system: AssembledSystem):
+        self.system = system
+        self.hb = system.lhs_band.shape[0] // 2
+        self._abs_bands = np.abs(system.lhs_band), np.abs(system.rhs_band)
+        # fixed, so repeated solves are bit-identical; not all ones, which a
+        # symmetric pencil can make orthogonal to a level it then never finds
+        self._start = np.random.default_rng(0).uniform(0.5, 1.5, system.size)
+        self.mu: list[float] = []
+        # the found vectors and rhs times each, one per row, with room for more
+        self._basis, self._rhs_basis = np.zeros((2, 0, system.size))
+        self.factorizations = self.steps = 0
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._basis[:len(self.mu)].T
+
+    def _deflate(self, y: np.ndarray) -> np.ndarray:
+        k = len(self.mu)
+        y -= (self._rhs_basis[:k] @ y) @ self._basis[:k]
+        return y
+
+    def _factor(self, sigma: float):
+        self.factorizations += 1
+        lu, pivots, det_sign = _band_lu(self.system, sigma)
+        if det_sign == 0:
+            # sigma is an eigenvalue: a tiny pivot in place of the zero one
+            # makes the solve return its eigenvector
+            diagonal = lu[2 * self.hb]
+            diagonal[diagonal == 0] = np.finfo(float).eps * max(np.abs(diagonal).max(), 1.0)
+        return lu, pivots, det_sign
+
+    def _step(self, lu, pivots, rhs_y):
+        """One deflated inverse-iteration step: (mu, y, rhs*y, lhs*y), or None if it vanished."""
+        hb, system = self.hb, self.system
+        z, _ = dgbtrs(lu, hb, hb, rhs_y, pivots)
+        z = self._deflate(z)
+        rhs_z = _band_product(system.rhs_band, z)
+        norm2 = z @ rhs_z
+        if not 0.0 < norm2 < np.inf:
+            return None
+        scale = 1.0 / np.sqrt(norm2)
+        z *= scale
+        rhs_z *= scale
+        lhs_z = _band_product(system.lhs_band, z)
+        self.steps += 1
+        return z @ lhs_z, z, rhs_z, lhs_z
+
+    def _accept(self, mu: float, y: np.ndarray, rhs_y: np.ndarray, lhs_y: np.ndarray) -> bool:
+        """Keep (mu, y) if its backward error is small; whether it was kept.
+
+        The backward error ||lhs*y - mu*rhs*y|| / (|| |lhs| |y| || + |mu| || |rhs| |y| ||)
+        is below 1e-12 for a converged level on every mesh tried, and 4e-8
+        or more for an equal mix of two neighbouring levels of the
+        pathology and Z=12 pencils.
+        """
+        abs_lhs, abs_rhs = self._abs_bands
+        scale = (np.linalg.norm(_band_product(abs_lhs, np.abs(y)))
+                 + abs(mu) * np.linalg.norm(_band_product(abs_rhs, np.abs(y))))
+        if not np.linalg.norm(lhs_y - mu * rhs_y) <= BACKWARD_TOL * scale:
+            return False
+        k = len(self.mu)
+        if k == len(self._basis):
+            self._basis, self._rhs_basis = (np.vstack([rows, np.zeros((8, len(y)))])
+                                            for rows in (self._basis, self._rhs_basis))
+        self._basis[k] = y
+        self._rhs_basis[k] = rhs_y
+        self.mu.append(mu)
+        return True
+
+    def search(self, sigma: float, lo: float, hi: float) -> tuple[int, float | None]:
+        """Inverse iteration from sigma in (lo, hi): (sign of det(lhs - sigma*rhs), new level).
+
+        It starts from a fixed positive vector made rhs-orthogonal to the
+        levels found, so it converges to the nearest level not yet found. Plain
+        steps run until the Rayleigh quotient settles, at most
+        INVERSE_STEPS. Where they stall, or settle on a vector whose
+        residual is too large, Rayleigh-quotient iteration takes over, one
+        factorization per step, but only from a Rayleigh quotient inside
+        (lo, hi): from one outside, it would converge to a level the caller
+        is not looking for. The new level is None if the search gave up.
+        """
+        lu, pivots, det_sign = self._factor(sigma)
+        start = self._deflate(self._start.copy())
+        rhs_y = _band_product(self.system.rhs_band, start)
+        previous, plain, rqi = None, 0, 0
+        while rqi <= RQI_STEPS:
+            if rqi:
+                lu, pivots, _ = self._factor(previous)
+            step = self._step(lu, pivots, rhs_y)
+            if step is None:
+                return det_sign, None
+            mu, y, rhs_y, lhs_y = step
+            plain += not rqi
+            settled = previous is not None and abs(mu - previous) <= RQ_TOL * abs(mu)
+            if settled and self._accept(mu, y, rhs_y, lhs_y):
+                return det_sign, mu
+            if rqi or settled or plain >= INVERSE_STEPS:
+                if not lo < mu < hi:
+                    break
+                rqi += 1
+            previous = mu
+        return det_sign, None
+
+
+def _reference_shifts(params: OperatorParams, lo: float, hi: float, most: int,
+                      size: int) -> list[float]:
+    """The kappa = -|kappa| reference bindings in (lo, hi), deepest first, at most ``most``.
+
+    Every genuine level of either kappa sign, and the kappa > 0 copy of the
+    ground state, lies within its discretization error of one of them.
+    """
+    neg = replace(params, kappa=-abs(params.kappa))
+    shifts = []
+    for n_r in range(size):
+        binding = reference_binding(neg, n_r).binding
+        if binding >= hi or len(shifts) == most:
+            break
+        if binding > lo:
+            shifts.append(binding)
+    return shifts
+
+
+def _odd_interval(parity: dict[float, int], found: np.ndarray):
+    """The first interval between parity probes whose found levels miss its parity, or None.
+
+    ``parity`` maps probe points to the parity of the number of eigenvalues
+    below them. A probe within PARITY_FUZZ of a found level is skipped: the
+    rounding of its factorization may put that level on either side.
+    """
+    points = [p for p in sorted(parity)
+              if not np.any(np.abs(found - p) <= PARITY_FUZZ * abs(p))]
+    for p, q in zip(points, points[1:]):
+        inside = np.count_nonzero((found > p) & (found < q))
+        if (inside - parity[q] + parity[p]) % 2:
+            return p, q
+    return None
+
+
+def _widest_gap_midpoint(lo: float, hi: float, found: np.ndarray) -> float:
+    """Midpoint of the widest gap that the found levels leave in (lo, hi)."""
+    points = np.concatenate([[lo], np.sort(found[(found > lo) & (found < hi)]), [hi]])
+    k = int(np.argmax(np.diff(points)))
+    return float(0.5 * (points[k] + points[k + 1]))
+
+
+def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
+    """Every eigenpair of a symmetric-definite pencil in (lo, hi), ascending: (mu, vectors).
+
+    1. Count: m = count(hi) - count(lo), the exact number of levels in the window.
+    2. Locate: one inverse-iteration search from each kappa = -|kappa|
+       reference level in the window.
+    3. Find the extras: each search's determinant sign is the parity of the
+       count below its shift, so an interval between shifts whose found
+       levels miss its parity holds a level not yet found (an instilled
+       level, or the kappa > 0 copy of the ground state). Search it.
+    4. Certify: bisect with counts until every interval holds as many
+       found levels as it counts, searching the middle of each interval
+       that still misses some. A window that does not settle raises
+       SolverError.
+
+    rhs must be positive definite for the counts to mean "eigenvalues below
+    s"; its band Cholesky factorization checks that.
+    """
+    hb = system.lhs_band.shape[0] // 2
+    _, info = dpbtrf(system.rhs_band[hb:], lower=1)
+    if info > 0:
+        raise SolverError(f"rhs of the {system.scheme} pencil is not positive definite "
+                          f"(band Cholesky fails in column {info})")
+    count = _inertia_counter(system)
+    below = {lo: count(lo), hi: count(hi)}
+    m = below[hi] - below[lo]
+    search = _LevelSearch(system)
+    shifts = _reference_shifts(system.params, lo, hi, m, system.size)
+    parity = {edge: below[edge] % 2 for edge in (lo, hi)}
+
+    def probe(sigma, x, y):
+        det_sign, level = search.search(sigma, x, y)
+        if det_sign:
+            parity[sigma] = int(det_sign < 0)
+        return level
+
+    for sigma in shifts:
+        probe(sigma, lo, hi)
+    # each search of an odd interval finds a level in it, or halves it by its parity
+    for _ in range(2 * m + 8):
+        interval = _odd_interval(parity, np.array(search.mu))
+        if interval is None:
+            break
+        probe(_widest_gap_midpoint(*interval, np.array(search.mu)), *interval)
+    pending = [(lo, hi)]
+    while pending:
+        x, y = pending.pop()
+        found = np.sort([mu for mu in search.mu if x < mu < y])
+        missing = below[y] - below[x] - len(found)
+        if missing == 0:
+            continue
+        if missing < 0:
+            raise SolverError(f"{len(found)} levels found in ({x!r}, {y!r}), "
+                              f"where the inertia counts {below[y] - below[x]}")
+        if len(found) >= 2:  # cut between the two middle levels found
+            left, right = found[len(found) // 2 - 1], found[len(found) // 2]
+        else:
+            left, right = x, y
+            # every level not yet found lies farther from the middle than those inside
+            level = probe(0.5 * (x + y), x, y)
+            if level is not None and x < level < y:
+                pending.append((x, y))
+                continue
+        # a cut where the unpivoted count breaks down moves off the middle
+        for t in (0.5, 0.375, 0.625):
+            split = float(left + t * (right - left))
+            if len(below) < 2 * m + 16 and x < split < y and split not in below:
+                try:
+                    below[split] = count(split)
+                    break
+                except SolverError:
+                    pass
+        else:
+            raise SolverError(f"window ({lo!r}, {hi!r}) not certified: {missing} of the "
+                              f"{below[y] - below[x]} levels in ({x!r}, {y!r}) not found")
+        pending += [(x, split), (split, y)]
+
+    mu = np.array(search.mu)
+    order = np.argsort(mu)
+    order = order[(mu[order] > lo) & (mu[order] < hi)]
+    if len(order) != m:  # the certificate
+        raise SolverError(f"window ({lo!r}, {hi!r}) holds {m} levels, {len(order)} found")
+    _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) driver=inertia "
+               "m=%d shifts=[%s] factorizations=%d counts=%d steps=%d max_imag=0",
+               system.size, np.count_nonzero(system.lhs_band), hb, hb, lo, hi, m,
+               ", ".join(f"{s:.10g}" for s in shifts), search.factorizations, len(below),
+               search.steps)
+    return mu[order], search.vectors[:, order]
+
+
+# --- the stabilized pencil: shift-invert Arnoldi disks -------------------------
+
+
 def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
                 reality_tol: float):
     """One shift-invert disk certified complete on (lo, hi): (mu, vecs, radius, max_imag).
@@ -164,46 +519,26 @@ def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
     ``mu`` holds the real parts of every computed binding, ascending,
     ``vecs`` their node-order eigenvectors, and ``radius`` the farthest
     |mu - sigma|: every eigenvalue closer than that to sigma = (lo + hi)/2
-    is among ``mu``. The ARPACK driver and its operator follow the scheme
-    (see ``solve``); everything else is shared.
+    is among ``mu``. The signs of det(lhs - p*rhs) and det(lhs - q*rhs)
+    multiply to (-1) to the number of real eigenvalues in (p, q), because a
+    complex pair contributes a positive factor. p and q are the midpoints
+    of the gaps around lo and hi that the disk certified empty, so no
+    eigenvalue lies near enough to either to blur its sign. A disk whose
+    computed eigenvalues in (p, q) miss that parity raises SolverError.
     """
     size = system.size
     sigma, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    a, b = system.lhs_band, system.rhs_band
-    hb = a.shape[0] // 2
-    # the array to factor has hb more rows on top for the fill that row swaps bring
-    shifted = np.zeros((3 * hb + 1, size), order="F")
-    shifted[hb:] = a - sigma * b
-    lu, pivots, info = dgbtrf(shifted, hb, hb, overwrite_ab=True)
-    if info > 0:
-        raise SingularSystemError(f"shifted pencil singular at sigma={sigma}: "
-                                  f"zero pivot in column {info}")
-    if not np.isfinite(lu).all():
-        raise SingularSystemError(f"shifted pencil at sigma={sigma} has a non-finite factor")
+    hb = system.lhs_band.shape[0] // 2
+    lu, pivots, det_sign = _band_lu(system, sigma)
+    if det_sign == 0:
+        raise SingularSystemError(f"shifted pencil singular at sigma={sigma}")
     ops = 0
 
-    def shift_invert(x):
+    def apply(x):
         nonlocal ops
         ops += 1
-        y, _ = dgbtrs(lu, hb, hb, x, pivots, overwrite_b=True)
+        y, _ = dgbtrs(lu, hb, hb, _band_product(system.rhs_band, x), pivots, overwrite_b=True)
         return y
-
-    if is_galerkin(system.scheme):
-        # rhs = C*C^T: the pencil's eigenvalues are those of the symmetric
-        # C^T (lhs - sigma*rhs)^-1 C, whose eigenvectors y give x = C^-T y
-        chol, info = dpbtrf(b[hb:], lower=1)
-        if info > 0:
-            raise SolverError(f"rhs of the {system.scheme} pencil is not positive definite "
-                              f"(band Cholesky fails in column {info})")
-        driver, arpack = "symmetric", scipy.sparse.linalg.eigsh
-
-        def apply(y):
-            return dtbmv(hb, chol, shift_invert(dtbmv(hb, chol, y, lower=1)), lower=1, trans=1)
-    else:
-        driver, arpack = "nonsymmetric", scipy.sparse.linalg.eigs
-
-        def apply(x):
-            return shift_invert(_band_product(b, x))
 
     op = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply, dtype=float)
     v0 = np.ones(size)
@@ -211,7 +546,7 @@ def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
     while True:
         rounds += 1
         try:
-            theta, vecs = arpack(op, k=k, which="LM", v0=v0)
+            theta, vecs = scipy.sparse.linalg.eigs(op, k=k, which="LM", v0=v0)
         except scipy.sparse.linalg.ArpackError as exc:
             raise SolverError(f"shift-invert solve did not converge (k={k}): {exc}") from exc
         mu = sigma + 1.0 / theta
@@ -223,14 +558,21 @@ def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
                               f"of {size} eigenpairs")
         k = min(2 * k, size - 2)
 
-    if driver == "symmetric":
-        vecs, _ = dtbtrs(chol, vecs, uplo="L", trans="T")
     lam = mu + system.params.rest_energy
     max_imag = float(np.max(np.abs(lam.imag)))
+    rim = sigma - radius, sigma + radius
+    probes = [_empty_gap_midpoint(mu.real, rim[0], edge, rim[1]) for edge in (lo, hi)]
+    inside = int(np.count_nonzero((mu.real > probes[0]) & (mu.real < probes[1])))
+    edge_signs = _band_lu(system, probes[0])[2] * _band_lu(system, probes[1])[2]
     _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) sigma=%r "
-               "driver=%s k=%d rounds=%d ops=%d max_imag=%.3g", size, np.count_nonzero(a),
-               hb, hb, lo, hi, sigma, driver, k, rounds, ops, max_imag)
+               "driver=nonsymmetric k=%d rounds=%d ops=%d max_imag=%.3g parity=%d",
+               size, np.count_nonzero(system.lhs_band), hb, hb, lo, hi, sigma, k, rounds, ops,
+               max_imag, inside % 2)
     _check_reality(lam, reality_tol)
+    if edge_signs != (-1) ** inside:
+        raise SolverError(f"window ({lo}, {hi}): {inside} real eigenvalues found between "
+                          f"{probes[0]!r} and {probes[1]!r}, but the determinant signs "
+                          f"there multiply to {edge_signs}")
     order = np.argsort(mu.real)
     return mu.real[order], vecs[:, order], radius, max_imag
 
@@ -252,42 +594,48 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
           reality_tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
     """Solve lhs*X = mu*rhs*X on the binding window ``window=(lo, ..., hi)``.
 
-    ``window`` holds ascending edges; each pair of consecutive edges is one
-    shift-invert disk certified complete on its slice, for every scheme. A
-    disk's shift sigma is its slice's midpoint. ``lhs - sigma*rhs`` is
-    formed from the node-order band pencil (half-bandwidth 3 for the linear
-    scheme, 7 for Hermite) and factored once in LAPACK band storage with
-    partial pivoting, and ARPACK finds the k largest-magnitude eigenvalues
-    theta of a shift-invert operator in node order, i.e. the k bindings
-    mu = sigma + 1/theta nearest sigma. The scheme table decides the
-    operator (``assembly.is_galerkin``). A Galerkin pencil is
-    symmetric-definite: rhs is factored once more, as C*C^T by band
-    Cholesky, and ARPACK's symmetric Lanczos driver (``eigsh``) runs on
-    ``y -> C^T (lhs - sigma*rhs)^-1 C y``, whose eigenvectors give
-    x = C^-T y; an rhs that is not positive definite raises SolverError.
-    Symmetric Rayleigh-Ritz makes each binding's error quadratic in its
-    residual. The stabilized pencil is nonsymmetric and goes to the Arnoldi
-    driver (``eigs``) on ``x -> (lhs - sigma*rhs)^-1 rhs x``. k starts at
-    SPLIT_FIRST_K for a lower disk and at WINDOW_FIRST_K for the last one,
-    and doubles until the farthest returned |mu - sigma| exceeds the slice's
-    half-width: every eigenvalue of the slice then lies inside the disk the
-    solve exhausted. Each disk logs one DEBUG record. The disk above an
-    interior edge starts at the midpoint of the gap around that edge that
-    the disk below certified empty, so no eigenvalue is kept twice or
-    dropped. The bindings of all disks are returned in one ascending array,
-    with their node-order eigenvectors.
+    ``window`` holds ascending edges. The scheme table decides the path
+    (``assembly.is_galerkin``); both factor shifted pencils ``lhs - s*rhs``
+    formed from the node-order band pencil (half-bandwidth 3 for the
+    linear scheme, 7 for Hermite) in LAPACK band storage.
 
-    A fixed start vector makes repeated solves bit-identical, and the number
-    of operator applications (one band LU solve and one or two band
-    matrix-vector products each) deterministic. Each disk's DEBUG record
-    names its driver, ``driver=symmetric`` or ``driver=nonsymmetric``. A
-    factor that is exactly singular or holds a non-finite entry raises
-    SingularSystemError before ARPACK runs.
+    A Galerkin pencil is symmetric-definite. Its window is solved whole on
+    (lo, hi), whatever interior edges it has: inertia counts at the edges
+    give its number of levels m, and inverse iteration from the kappa =
+    -|kappa| reference levels, parity and count bisection find exactly m
+    levels (see ``_solve_galerkin``), or SolverError is raised. Each
+    binding is the Rayleigh quotient of its eigenvector, so its error is
+    quadratic in the residual. An rhs that is not positive definite raises
+    SolverError. The solve logs one DEBUG record (``driver=inertia``) with
+    N, the band, the window, m, the shifts and the numbers of
+    factorizations, counts and iteration steps.
 
-    Any computed eigenvalue whose imaginary part exceeds ``reality_tol``
-    relative to its magnitude aborts the solve with ComplexSpectrumError.
-    ``reality_tol`` must be finite and >= 0, and the edges at least two,
-    finite and strictly ascending, or ValueError is raised before any work.
+    The stabilized pencil is nonsymmetric. Each pair of consecutive edges
+    is one shift-invert disk certified complete on its slice: its shift
+    sigma is the slice's midpoint, ``lhs - sigma*rhs`` is factored once
+    with partial pivoting, and ARPACK's Arnoldi driver (``eigs``) finds
+    the k largest-magnitude eigenvalues theta of ``x -> (lhs -
+    sigma*rhs)^-1 rhs x``, i.e. the k bindings mu = sigma + 1/theta nearest
+    sigma. k starts at SPLIT_FIRST_K for a lower disk and at
+    WINDOW_FIRST_K for the last one, and doubles until the farthest
+    returned |mu - sigma| exceeds the slice's half-width: every eigenvalue
+    of the slice then lies inside the disk the solve exhausted. The
+    determinant signs at the slice's edges check the parity of its real
+    eigenvalues. The disk above an interior edge starts at the midpoint of
+    the gap around that edge that the disk below certified empty, so no
+    eigenvalue is kept twice or dropped. A fixed start vector makes
+    repeated solves bit-identical and the number of operator applications
+    deterministic. Each disk logs one DEBUG record (``driver=nonsymmetric``)
+    with its k, rounds, ``ops`` and parity. A midpoint shift that is
+    exactly singular raises SingularSystemError.
+
+    The bindings are returned in one ascending array, with their node-order
+    eigenvectors. A pencil or factor holding a non-finite entry raises
+    SingularSystemError. Any computed eigenvalue whose imaginary part
+    exceeds ``reality_tol`` relative to its magnitude aborts the solve
+    with ComplexSpectrumError. ``reality_tol`` must be finite and >= 0, and
+    the edges at least two, finite and strictly ascending, or ValueError
+    is raised before any work.
     """
     if not 0.0 <= reality_tol < np.inf:
         raise ValueError(f"reality_tol must be finite and >= 0, got {reality_tol}")
@@ -298,6 +646,14 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
     mc2 = system.params.rest_energy
     if system.size < 3:
         raise SolverError(f"pencil of size {system.size} is too small for a windowed solve")
+    if not (np.isfinite(system.lhs_band).all() and np.isfinite(system.rhs_band).all()):
+        raise SingularSystemError("the pencil holds a non-finite entry")
+    if is_galerkin(system.scheme):
+        mu, vecs = _solve_galerkin(system, edges[0], edges[-1])
+        keep = (mu > -2.0 * mc2) & (mu < 0.0)
+        # the search returns real, rhs-normalized vectors
+        return Spectrum(scheme=system.scheme, bindings=mu[keep], raw=mu + mc2, max_imag=0.0,
+                        params=system.params, eigenvectors=_lead_positive(vecs[:, keep], system))
     bindings, raw, vectors, lo, max_imag = [], [], [], edges[0], 0.0
     for hi in edges[1:]:
         if lo >= hi:

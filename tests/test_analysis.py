@@ -5,10 +5,12 @@ import pytest
 
 from diracfem.analysis import (
     MAX_MATCH_TOL,
+    ORDER_FIT_FLOOR,
     Label,
     classify,
     coincidence_report,
     convergence_study,
+    fit_orders,
     genuine_errors,
     second_order_residual,
     tau_limit_lambda,
@@ -399,6 +401,24 @@ class TestConvergenceStudy:
             for a_, b_ in zip(col, col[1:]):
                 if np.isfinite(a_) and np.isfinite(b_):
                     assert b_ <= 1.1 * a_
+
+    def test_rounding_level_error_moves_no_order(self):
+        # levels 1 and 2 of the Z=12 Hermite convergence command: the level-1
+        # error at n=400 is about 25 ulp, and a 4e-16 move of it used to move
+        # the printed order from 6.157 to 6.213
+        n_values = (100, 200, 400)
+        errors = np.array([[2.59e-11, 7.43e-10], [4.19e-13, 1.21e-11], [4.93e-15, 1.92e-13]])
+        moved = errors.copy()
+        moved[2, 0] += 4e-16
+        assert errors[2, 0] < ORDER_FIT_FLOOR < errors[1, 0]
+        np.testing.assert_array_equal(fit_orders(n_values, moved), fit_orders(n_values, errors))
+        np.testing.assert_allclose(fit_orders(n_values, errors), [5.99, 5.99], atol=0.01)
+
+    def test_order_needs_two_errors_above_rounding(self):
+        errors = np.array([[2.6e-11, np.nan], [1e-14, 1e-9], [4.9e-15, 1e-10]])
+        orders = fit_orders((100, 200, 400), errors)
+        assert np.isnan(orders[0])
+        assert orders[1] == pytest.approx(np.log2(10.0) / np.log2(401 / 201))
 
     def test_rejects_unsorted_n(self):
         params = OperatorParams(Z=1, kappa=-1)

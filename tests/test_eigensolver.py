@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+import scipy.sparse.linalg
 
+from diracfem import eigensolver
 from diracfem.assembly import (
     SCHEME_HERMITE,
     SCHEME_LINEAR,
@@ -56,6 +58,17 @@ def toy_system(lhs, rhs, scheme=SCHEME_LINEAR):
     size = len(lhs)
     return AssembledSystem(scheme=scheme, lhs_band=band_storage(lhs, size - 1),
                            rhs_band=band_storage(rhs, size - 1), params=TOY)
+
+
+def relabelled(system, scheme):
+    """The same pencil under another scheme's label, which picks the solve path."""
+    return AssembledSystem(scheme=scheme, lhs_band=system.lhs_band, rhs_band=system.rhs_band,
+                           params=system.params)
+
+
+#: Galerkin bindings against the Rayleigh quotients of the dense eigenvectors
+#: (measured: at most 6.2e-16 on the cases below, with one BLAS thread or two)
+GALERKIN_ORACLE_RTOL = 1e-13
 
 
 class TestToyPencils:
@@ -236,10 +249,14 @@ class TestRealSystems:
             solve(system, window=(-1.0, 0.0))
 
     def test_windowed_solve_is_certified_or_refused(self):
-        # every eigenvalue lies in the window: no k < N - 1 can certify it
-        system = toy_system(np.diag(-np.linspace(0.1, 0.9, 10)), np.eye(10))
+        # every eigenvalue lies in the window: no k < N - 1 can certify a disk
+        lhs = np.diag(-np.linspace(0.1, 0.9, 10))
         with pytest.raises(SolverError, match="not certified"):
-            solve(system, window=(-1.0, 0.0))
+            solve(toy_system(lhs, np.eye(10), scheme=SCHEME_SUPG), window=(-1.0, 0.0))
+        # the inertia count certifies the same window of a Galerkin pencil
+        windowed = solve(toy_system(lhs, np.eye(10)), window=(-1.0, 0.0))
+        np.testing.assert_allclose(windowed.bindings, np.linspace(-0.9, -0.1, 10),
+                                   rtol=1e-13)
 
     def test_windowed_solve_of_an_empty_window(self):
         # every eigenvalue lies above the window: no bindings, no eigenvectors
@@ -248,19 +265,20 @@ class TestRealSystems:
         assert windowed.eigenvectors.shape == (20, 0)
 
     def test_windowed_singular_shift(self):
-        # sigma = -0.5 is an eigenvalue: the shifted pencil is exactly singular
+        # sigma = -0.5 is an eigenvalue: the disk's shifted pencil is exactly singular
         lhs = np.diag(np.concatenate([[-0.5], np.arange(5.0, 25.0)]))
         with pytest.raises(SingularSystemError):
-            solve(toy_system(lhs, np.eye(21)), window=(-1.0, 0.0))
+            solve(toy_system(lhs, np.eye(21), scheme=SCHEME_SUPG), window=(-1.0, 0.0))
 
-    def test_windowed_solve_pivots(self):
+    @pytest.mark.parametrize("scheme", [SCHEME_LINEAR, SCHEME_SUPG])
+    def test_windowed_solve_pivots(self, scheme):
         # sigma = -0.5 leaves the block [[0, 0.3], [0.3, 0]] in lhs - sigma*rhs:
         # nonsingular, but only a pivoting factorization gets past its zero
         # diagonal; its eigenvalues -0.8 and -0.2 are the window's levels
         size = 20
         lhs = np.diag(np.concatenate([[-0.5, -0.5], np.arange(5.0, 5.0 + size - 2)]))
         lhs[0, 1] = lhs[1, 0] = 0.3
-        system = toy_system(lhs, np.eye(size))
+        system = toy_system(lhs, np.eye(size), scheme=scheme)
         windowed = solve(system, window=(-1.0, 0.0))
         dense = dense_bindings(system)
         np.testing.assert_allclose(windowed.bindings, [-0.8, -0.2], rtol=1e-12)
@@ -297,18 +315,22 @@ class TestRealSystems:
             solve(system, window=bound_window(params, 3))
         (record,) = [r for r in caplog.records if r.name == "diracfem"]
         assert f"band=({width}, {width})" in record.getMessage()
-        # the Galerkin pencils are symmetric-definite, the SUPG one is not
-        driver = "nonsymmetric" if scheme == SCHEME_SUPG else "symmetric"
+        # the Galerkin pencils are symmetric-definite and counted by inertia;
+        # the SUPG one is not, and goes to the Arnoldi disks
+        driver = "nonsymmetric" if scheme == SCHEME_SUPG else "inertia"
         assert f" driver={driver} " in record.getMessage()
 
     def test_windowed_solve_logs_its_shape(self, hydrogen_solution, caplog):
+        # the hydrogen pencil labelled SUPG runs the Arnoldi disk
         params, system, _ = hydrogen_solution
+        system = relabelled(system, SCHEME_SUPG)
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
-            solve(system, window=(-1.0, -0.01))
+            windowed = solve(system, window=(-1.0, -0.01))
         (record,) = [r for r in caplog.records if r.name == "diracfem"]
         message = record.getMessage()
         for part in (f"N={system.size}", "nnz=", "window=(-1.0, -0.01)", "sigma=-0.505",
-                     "driver=symmetric", "k=16", "rounds=1", "ops=", "max_imag=0"):
+                     "driver=nonsymmetric", "k=16", "rounds=1", "ops=", "max_imag=0",
+                     f"parity={len(windowed.bindings) % 2}"):
             assert part in message
         # ARPACK applies the operator at least once per Krylov vector
         assert int(re.search(r"ops=(\d+)", message).group(1)) > 16
@@ -319,7 +341,8 @@ class TestRealSystems:
         size = 20
         lhs = np.diag(np.concatenate([[-0.9, -0.6, -0.5, -0.3, -0.1],
                                       np.arange(5.0, 5.0 + size - 5)]))
-        windowed = solve(toy_system(lhs, np.eye(size)), window=(-1.0, -0.5, 0.0))
+        windowed = solve(toy_system(lhs, np.eye(size), scheme=SCHEME_SUPG),
+                         window=(-1.0, -0.5, 0.0))
         np.testing.assert_allclose(windowed.bindings, [-0.9, -0.6, -0.5, -0.3, -0.1],
                                    rtol=1e-12)
         assert windowed.eigenvectors.shape == (size, 5)
@@ -331,16 +354,19 @@ class TestRealSystems:
         size = 20
         lhs = np.diag(np.concatenate([[-0.9], np.arange(5.0, 5.0 + size - 1)]))
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
-            windowed = solve(toy_system(lhs, np.eye(size)), window=(-1.0, -0.5, -0.01))
+            windowed = solve(toy_system(lhs, np.eye(size), scheme=SCHEME_SUPG),
+                             window=(-1.0, -0.5, -0.01))
         np.testing.assert_allclose(windowed.bindings, [-0.9], rtol=1e-12)
         assert len([r for r in caplog.records if r.name == "diracfem"]) == 1
         np.testing.assert_allclose(windowed.raw - TOY.rest_energy, [-0.9, 5.0, 6.0],
                                    rtol=1e-12)
 
     def test_split_window_logs_one_record_per_disk(self, caplog):
+        # the Hermite pencil labelled SUPG runs the Arnoldi disks
         params = OperatorParams(Z=12, kappa=-2)
         mesh = build_exponential_mesh(1e-6, 60.0, 100, 8.5)
-        system = assemble(SCHEME_HERMITE, params, mesh, point_nucleus(12.0))
+        system = relabelled(assemble(SCHEME_HERMITE, params, mesh, point_nucleus(12.0)),
+                            SCHEME_SUPG)
         lo, split, hi = bound_window(params, 12)
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             solve(system, window=(lo, split, hi))
@@ -360,11 +386,18 @@ class TestRealSystems:
         window = bound_window(params, 12)
         assert len(window) == 3
         windowed = solve(system, window=window)
-        dense = dense_bindings(system)
-        full = dense.bindings[(dense.bindings > window[0]) & (dense.bindings < window[-1])]
+        if scheme == SCHEME_SUPG:
+            dense = dense_bindings(system)
+            full = dense.bindings[(dense.bindings > window[0]) & (dense.bindings < window[-1])]
+            rtol = 1e-9
+        else:
+            # the Rayleigh quotients of the dense eigenvectors: the dense eigh
+            # values themselves sit up to 2.9e-9 off them
+            full = dense_rayleigh_bindings(system, window[0], window[-1])
+            rtol = GALERKIN_ORACLE_RTOL
         assert len(full) >= 12
         assert len(windowed.bindings) == len(full)
-        np.testing.assert_allclose(windowed.bindings, full, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(windowed.bindings, full, rtol=rtol, atol=0.0)
 
     def test_bound_window(self):
         neg = OperatorParams(Z=12, kappa=-2)
@@ -485,13 +518,13 @@ GALERKIN_SCHEMES = [(SCHEME_LINEAR, False), (SCHEME_HERMITE, False), (SCHEME_HER
 
 
 class TestGalerkinDriver:
-    """The symmetric Lanczos driver of the Galerkin pencils, and what it assumes of them."""
+    """The inertia-certified solve of the Galerkin pencils, and what it assumes of them."""
 
     @pytest.mark.parametrize("scheme, free", GALERKIN_SCHEMES)
     @pytest.mark.parametrize("z, kappa, mesh_args", GALERKIN_CASES)
     def test_galerkin_pencil_is_symmetric_definite(self, scheme, free, z, kappa, mesh_args):
-        # the driver works on C^T (lhs - sigma*rhs)^-1 C for rhs = C*C^T:
-        # lhs must be symmetric and rhs must factor
+        # the inertia count reads the signs of an LDL^T of lhs - s*rhs as the
+        # number of levels below s: lhs must be symmetric and rhs must factor
         params = OperatorParams(Z=z, kappa=kappa)
         system = assemble(scheme, params, build_exponential_mesh(*mesh_args),
                           point_nucleus(float(z)), free_lower_slope=free)
@@ -504,8 +537,8 @@ class TestGalerkinDriver:
     def test_indefinite_galerkin_rhs_raises(self):
         # a Galerkin-labelled pencil whose rhs is not positive definite has
         # no symmetric-definite solve: it is refused, not solved wrongly
-        # (a Galerkin solve of it would return the window's level mu = -0.3
-        # of a vector with negative rhs norm)
+        # (its inertia would count the level mu = -0.3 of a vector with
+        # negative rhs norm)
         size = 20
         rhs = np.diag(np.where(np.arange(size) == 0, -1.0, 1.0))
         system = toy_system(np.diag(np.concatenate([[0.3], np.arange(5.0, 5.0 + size - 1)])),
@@ -518,9 +551,10 @@ class TestGalerkinDriver:
         (SCHEME_LINEAR, 1, -1, 100, 6), (SCHEME_LINEAR, 1, 1, 100, 6),
         (SCHEME_HERMITE, 1, -1, 100, 6), (SCHEME_HERMITE, 1, 1, 100, 6)])
     def test_bindings_are_their_vectors_rayleigh_quotients(self, scheme, z, kappa, n, levels):
-        # symmetric Rayleigh-Ritz makes each binding's error quadratic in its
-        # residual; a nonsymmetric (Arnoldi) solve leaves the Z=12 kappa=+2
-        # instilled level near -0.8896 6.1e-11 off
+        # each binding is the Rayleigh quotient of its converged vector, so
+        # its error is quadratic in the residual (measured: at most 6e-16
+        # off the extended-precision quotient); a nonsymmetric (Arnoldi)
+        # solve leaves the Z=12 kappa=+2 instilled level near -0.8896 6.1e-11 off
         params = OperatorParams(Z=z, kappa=kappa)
         mesh = (1e-6, 60.0, n, 8.5) if z == 12 else (1e-6, 150.0, n, 8.0)
         system = assemble(scheme, params, build_exponential_mesh(*mesh), point_nucleus(float(z)))
@@ -528,7 +562,100 @@ class TestGalerkinDriver:
         assert len(spectrum.bindings) >= levels
         np.testing.assert_allclose(spectrum.bindings,
                                    rayleigh_quotients(system, spectrum.eigenvectors),
-                                   rtol=1e-11, atol=0.0)
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kappa", [-1, 1])
+    def test_linear_pathology_windows_hold_nine_levels(self, kappa):
+        # two instilled levels sit next to genuine ones (-0.03147 beside
+        # -0.03125, -0.01045 beside -0.01021), each in an interval between
+        # reference shifts that holds an even number of levels
+        params = OperatorParams(Z=1, kappa=kappa)
+        system = assemble(SCHEME_LINEAR, params, build_exponential_mesh(1e-6, 150.0, 100, 8.0),
+                          point_nucleus(1.0))
+        lo, hi = bound_window(params, 6)
+        windowed = solve(system, window=(lo, hi))
+        oracle = dense_rayleigh_bindings(system, lo, hi)
+        assert len(oracle) == len(windowed.bindings) == len(windowed.raw) == 9
+        np.testing.assert_allclose(windowed.bindings, oracle, rtol=GALERKIN_ORACLE_RTOL,
+                                   atol=0.0)
+
+    def test_level_on_a_shift_is_found(self):
+        # the pencil's level is the ground reference level itself, where the
+        # search factors lhs - sigma*rhs: an exactly singular factor
+        level = reference_binding(TOY, 0).binding
+        lhs = np.diag(np.concatenate([[level], np.arange(5.0, 24.0)]))
+        windowed = solve(toy_system(lhs, np.eye(20)), window=(-1.0, 0.0))
+        assert windowed.bindings.tolist() == [level]
+        np.testing.assert_allclose(np.abs(windowed.eigenvectors[:, 0]), np.eye(20)[0],
+                                   atol=1e-15)
+
+    def test_tiny_pivot_against_its_row_raises(self):
+        # lhs - lo*rhs starts with [[1e-14, 0.3], [0.3, 1e-14]]: well
+        # conditioned, but an LDL^T without pivoting divides by 1e-14 and its
+        # signs no longer count; pivots are compared with their own row, not
+        # with the largest pivot, which on graded meshes is 1e15 times the
+        # smallest in counts that are right
+        size = 20
+        lhs = np.diag(np.concatenate([[-1.0 + 1e-14] * 2, np.arange(5.0, 5.0 + size - 2)]))
+        lhs[0, 1] = lhs[1, 0] = 0.3
+        with pytest.raises(SolverError, match="tiny against its row"):
+            solve(toy_system(lhs, np.eye(size)), window=(-1.0, 0.0))
+
+    def test_a_dropped_level_is_refused(self, hydrogen_solution, monkeypatch):
+        # a search that loses the n_r = 2 level returns one level fewer than
+        # the window's inertia count: the solve must refuse, not return it
+        params, system, _ = hydrogen_solution
+        accept = eigensolver._LevelSearch._accept
+
+        def drop_one(search, mu, *args):
+            return abs(mu + 0.0556) > 1e-3 and accept(search, mu, *args)
+
+        monkeypatch.setattr(eigensolver._LevelSearch, "_accept", drop_one)
+        with pytest.raises(SolverError, match="not certified"):
+            solve(system, window=bound_window(params, 6))
+
+    def test_debug_record_names_the_count(self, caplog):
+        params = OperatorParams(Z=12, kappa=-2)
+        system = assemble(SCHEME_HERMITE, params, build_exponential_mesh(1e-6, 60.0, 100, 8.5),
+                          point_nucleus(12.0))
+        lo, split, hi = bound_window(params, 12)
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            windowed = solve(system, window=(lo, split, hi))
+        # one record for the whole window: the interior edge cuts no disk
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
+        shifts = [reference_binding(params, n_r).binding for n_r in range(13)]
+        for part in (f"N={system.size} ", "band=(7, 7)", f"window=({lo!r}, {hi!r})",
+                     "driver=inertia", f"m={len(windowed.raw)} ",
+                     "shifts=[" + ", ".join(f"{s:.10g}" for s in shifts) + "]"):
+            assert part in record
+        factorizations, counts, steps = (int(re.search(rf" {key}=(\d+)", record).group(1))
+                                         for key in ("factorizations", "counts", "steps"))
+        # one factorization per shift, the two edge counts, at least two steps a shift
+        assert factorizations >= 13 and counts >= 2 and steps >= 2 * 13
+        assert len(windowed.raw) == 14
+
+
+class TestStabilizedParity:
+    """The parity check of the stabilized pencil's Arnoldi disks."""
+
+    def test_dropped_supg_level_fails_its_parity(self, monkeypatch):
+        # an Arnoldi solve that loses the eigenpair nearest its shift still
+        # covers the disk, but no longer matches the determinant signs
+        params = OperatorParams(Z=1, kappa=-1)
+        system = assemble(SCHEME_SUPG, params, build_exponential_mesh(1e-6, 40.0, 60, 8.0),
+                          point_nucleus(1.0))
+        window = bound_window(params, 3)
+        assert len(solve(system, window=window).bindings) >= 3
+        eigs = scipy.sparse.linalg.eigs
+
+        def drop_nearest(*args, **kwargs):
+            theta, vecs = eigs(*args, **kwargs)
+            keep = np.arange(len(theta)) != np.argmax(np.abs(theta))
+            return theta[keep], vecs[:, keep]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", drop_nearest)
+        with pytest.raises(SolverError, match="determinant signs"):
+            solve(system, window=window)
 
 
 class TestDenseOracle:

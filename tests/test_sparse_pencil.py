@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from diracfem import analysis, cli
 from diracfem.assembly import (
@@ -60,16 +61,36 @@ def test_cli_never_densifies(no_dense_pencil, scheme, capsys):
 
 def test_assemble_and_windowed_solve_build_no_csc_pencil(setup, monkeypatch):
     # the band pencil goes from the element kernel to the factorisation: no
-    # sparse matrix, no pattern sort and no reordering on the way
+    # CSC pencil, no pattern sort and no reordering on the way. The one
+    # sparse matrix is the Galerkin inertia count's CSC copy of the shifted
+    # band in node order: its pattern is built once per solve, and each
+    # count refills its data
     def refuse(*args, **kwargs):
         raise AssertionError("CSC pencil or pattern sort on the band path")
 
-    monkeypatch.setattr(scipy.sparse.csc_array, "__init__", refuse)
+    factored = []
+    splu = scipy.sparse.linalg.splu
+
+    def record(matrix, *args, **kwargs):
+        factored.append(matrix)
+        return splu(matrix, *args, **kwargs)
+
     monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
     params, mesh, pot = setup
     for scheme in SCHEMES:
-        spectrum = solve(assemble(scheme, params, mesh, pot), window=bound_window(params, 6))
+        with monkeypatch.context() as m:
+            m.setattr(scipy.sparse.csc_array, "__init__", refuse)
+            system = assemble(scheme, params, mesh, pot)
+        factored.clear()
+        spectrum = solve(system, window=bound_window(params, 6))
         assert len(spectrum.bindings) >= 6
+        if scheme == SCHEME_SUPG:
+            assert factored == []
+            continue
+        assert len(factored) >= 2 and all(matrix is factored[0] for matrix in factored)
+        hb, size = system.lhs_band.shape[0] // 2, system.size
+        assert factored[0].nnz == size * (2 * hb + 1) - hb * (hb + 1)
 
 
 def test_block_has_the_element_pattern(setup):

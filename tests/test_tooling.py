@@ -93,6 +93,41 @@ def test_package_has_no_dense_eigensolve():
         assert dense_eigensolves(module.read_text()) == [], module.name
 
 
+def arpack_symmetric_uses(source: str) -> list[str]:
+    """Every import, name or attribute ``eigsh`` (ARPACK's symmetric driver) in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == "eigsh":
+            found.append(f"import {node.name}")
+        elif isinstance(node, ast.Name) and node.id == "eigsh":
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "eigsh":
+            found.append(f"{_dotted(node.value)}.eigsh")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.sparse.linalg\nscipy.sparse.linalg.eigsh(op, k=3)",
+    "from scipy.sparse.linalg import eigsh",
+    "from scipy.sparse.linalg import eigsh as lanczos",
+    "import scipy.sparse.linalg as sla\nsla.eigsh(op)",
+    "from scipy.sparse import linalg\nsolver = linalg.eigsh",
+    "from scipy.sparse.linalg._eigen.arpack import eigsh",
+])
+def test_arpack_symmetric_detector_finds_each_form(source):
+    assert arpack_symmetric_uses(source)
+
+
+def test_package_calls_no_arpack_symmetric_driver():
+    # the Galerkin pencils are solved by inertia counts and inverse
+    # iteration; only the stabilized pencil keeps ARPACK (its Arnoldi driver)
+    assert arpack_symmetric_uses("import scipy.sparse.linalg\nscipy.sparse.linalg.eigs(op)") == []
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 8
+    for module in modules:
+        assert arpack_symmetric_uses(module.read_text()) == [], module.name
+
+
 ROOT = Path(__file__).resolve().parents[1]
 READER_DIRS = ("src", "tests", "perfbench")
 
