@@ -96,9 +96,11 @@ class RunConfig:
                               f"{SCHEME_LINEAR} has no slope dof")
         if cfg.a is None:
             cfg.a = 1e-5
-        check_charge(cfg.Z)  # b defaults to 60/Z
+        check_charge(cfg.Z)  # b defaults to a multiple of 1/Z
         if cfg.b is None:
-            cfg.b = 60.0 / cfg.Z
+            # the last level's principal quantum number is at most
+            # levels + |kappa|, and its <r> grows as that squared over Z
+            cfg.b = 3.0 * (cfg.levels + abs(cfg.kappas()[0]) + 1) ** 2 / cfg.Z
         if cfg.n_list is None:
             cfg.n_list = (cfg.n, 2 * cfg.n, 4 * cfg.n)
         if min(cfg.n_list) < 1 or any(n2 <= n1 for n1, n2 in zip(cfg.n_list, cfg.n_list[1:])):
@@ -190,15 +192,19 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
 
 
 def _solve_kappas(cfg: RunConfig, kappas, levels: int) -> dict:
-    """Windowed spectrum per kappa, in the given order, on the configured mesh."""
+    """Windowed spectrum per kappa, in the given order, on the configured mesh.
+
+    Each kappa is solved on its own ``bound_window``.
+    """
     potential = cfg.potential()
     mesh = build_exponential_mesh(cfg.a, cfg.b, cfg.n, cfg.mesh_gamma)
-    window = bound_window(cfg.params(kappas[0]), levels)
     spectra = {}
     for kappa in kappas:
-        system = assemble(cfg.scheme, cfg.params(kappa), mesh, potential,
+        params = cfg.params(kappa)
+        system = assemble(cfg.scheme, params, mesh, potential,
                           free_lower_slope=cfg.free_lower_slope)
-        spectra[kappa] = solve(system, reality_tol=cfg.reality_tol, window=window)
+        spectra[kappa] = solve(system, reality_tol=cfg.reality_tol,
+                               window=bound_window(params, levels))
     return spectra
 
 

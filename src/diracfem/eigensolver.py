@@ -27,6 +27,7 @@ The dense full-spectrum solve the tests check it against lives in the tests.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass, replace
 
@@ -110,16 +111,19 @@ class Spectrum:
 
 
 def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
-    """Binding window edges holding the first ``levels`` levels of both kappa signs.
+    """Binding window edges holding the first ``levels`` levels of ``params``' kappa.
 
     ``lo`` is twice the kappa = -|kappa| ground binding, below every level of
-    either sign including the kappa > 0 copy of that ground state. ``hi``
-    lies halfway between the reference levels n_r = levels and
-    n_r = levels + 1 (the binding depends on |kappa| and n_r only), past the
-    last level either series needs. Below SPLIT_LEVELS levels the window is
-    ``(lo, hi)``. From SPLIT_LEVELS on it is ``(lo, s, hi)``, with ``s``
-    halfway between the reference levels n_r = 1 and n_r = 2, so that the
-    stabilized pencil is solved as two disks: one shift placed at the
+    either sign including the kappa > 0 copy of that ground state. The
+    binding depends on |kappa| and n_r only, and the genuine series run
+    n_r = 0 ... levels - 1 for kappa < 0 and n_r = 1 ... levels for
+    kappa > 0. So ``hi`` lies halfway between the reference levels
+    n_r = levels - 1 and n_r = levels for kappa < 0, and between
+    n_r = levels and n_r = levels + 1 for kappa > 0: past the last level the
+    series needs, and short of the next one. Below SPLIT_LEVELS levels the
+    window is ``(lo, hi)``. From SPLIT_LEVELS on it is ``(lo, s, hi)``, with
+    ``s`` halfway between the reference levels n_r = 1 and n_r = 2, so that
+    the stabilized pencil is solved as two disks: one shift placed at the
     midpoint of so wide a window sits far from its top edge in the Rydberg
     accumulation, where the last wanted level and the next one differ in
     distance from the shift by a fraction of a percent and ARPACK converges
@@ -130,8 +134,9 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
         raise ValueError(f"levels must be >= 1, got {levels}")
     neg = replace(params, kappa=-abs(params.kappa))
     lo = 2.0 * reference_binding(neg, 0).binding
-    hi = 0.5 * (reference_binding(neg, levels).binding
-                + reference_binding(neg, levels + 1).binding)
+    last = levels if params.kappa > 0 else levels - 1
+    hi = 0.5 * (reference_binding(neg, last).binding
+                + reference_binding(neg, last + 1).binding)
     if levels < SPLIT_LEVELS:
         return lo, hi
     split = 0.5 * (reference_binding(neg, 1).binding + reference_binding(neg, 2).binding)
@@ -295,7 +300,8 @@ class _LevelSearch:
         y -= (self._rhs_basis[:k] @ y) @ self._basis[:k]
         return y
 
-    def _factor(self, sigma: float):
+    def factor(self, sigma: float):
+        """``_band_lu`` of lhs - sigma*rhs, made solvable: (lu, pivots, det_sign)."""
         self.factorizations += 1
         lu, pivots, det_sign = _band_lu(self.system, sigma)
         if det_sign == 0:
@@ -343,11 +349,12 @@ class _LevelSearch:
         self.mu.append(mu)
         return True
 
-    def search(self, sigma: float, lo: float, hi: float) -> tuple[int, float | None]:
-        """Inverse iteration from sigma in (lo, hi): (sign of det(lhs - sigma*rhs), new level).
+    def search(self, factor, lo: float, hi: float) -> float | None:
+        """Inverse iteration on ``factor``, of lhs - sigma*rhs, sigma in (lo, hi): the new level.
 
         It starts from a fixed positive vector made rhs-orthogonal to the
-        levels found, so it converges to the nearest level not yet found. Plain
+        levels found, so it converges to the nearest level to sigma not yet
+        found; a second search on the same factor finds the next one. Plain
         steps run until the Rayleigh quotient settles, at most
         INVERSE_STEPS. Where they stall, or settle on a vector whose
         residual is too large, Rayleigh-quotient iteration takes over, one
@@ -355,27 +362,26 @@ class _LevelSearch:
         (lo, hi): from one outside, it would converge to a level the caller
         is not looking for. The new level is None if the search gave up.
         """
-        lu, pivots, det_sign = self._factor(sigma)
-        start = self._deflate(self._start.copy())
-        rhs_y = _band_product(self.system.rhs_band, start)
+        lu, pivots, _ = factor
+        rhs_y = _band_product(self.system.rhs_band, self._deflate(self._start.copy()))
         previous, plain, rqi = None, 0, 0
         while rqi <= RQI_STEPS:
             if rqi:
-                lu, pivots, _ = self._factor(previous)
+                lu, pivots, _ = self.factor(previous)
             step = self._step(lu, pivots, rhs_y)
             if step is None:
-                return det_sign, None
+                return None
             mu, y, rhs_y, lhs_y = step
             plain += not rqi
             settled = previous is not None and abs(mu - previous) <= RQ_TOL * abs(mu)
             if settled and self._accept(mu, y, rhs_y, lhs_y):
-                return det_sign, mu
+                return mu
             if rqi or settled or plain >= INVERSE_STEPS:
                 if not lo < mu < hi:
                     break
                 rqi += 1
             previous = mu
-        return det_sign, None
+        return None
 
 
 def _reference_shifts(params: OperatorParams, lo: float, hi: float, most: int,
@@ -396,20 +402,25 @@ def _reference_shifts(params: OperatorParams, lo: float, hi: float, most: int,
     return shifts
 
 
-def _odd_interval(parity: dict[float, int], found: np.ndarray):
-    """The first interval between parity probes whose found levels miss its parity, or None.
+def _odd_intervals(parity: dict[float, int], found: list[float]):
+    """The intervals between parity probes whose found levels miss their parity, ascending.
 
     ``parity`` maps probe points to the parity of the number of eigenvalues
     below them. A probe within PARITY_FUZZ of a found level is skipped: the
     rounding of its factorization may put that level on either side.
     """
-    points = [p for p in sorted(parity)
-              if not np.any(np.abs(found - p) <= PARITY_FUZZ * abs(p))]
-    for p, q in zip(points, points[1:]):
-        inside = np.count_nonzero((found > p) & (found < q))
-        if (inside - parity[q] + parity[p]) % 2:
-            return p, q
-    return None
+    found = sorted(found)
+    points, below = [], []  # the probes kept, and how many found levels lie below each
+    for p in sorted(parity):
+        i = bisect.bisect_left(found, p)  # found[i - 1] < p <= found[i]
+        fuzz = PARITY_FUZZ * abs(p)
+        if (i == len(found) or found[i] - p > fuzz) and (i == 0 or p - found[i - 1] > fuzz):
+            points.append(p)
+            below.append(i)
+    for k in range(len(points) - 1):
+        p, q = points[k], points[k + 1]
+        if (below[k + 1] - below[k] + parity[p] + parity[q]) % 2:
+            yield p, q
 
 
 def _widest_gap_midpoint(lo: float, hi: float, found: np.ndarray) -> float:
@@ -428,7 +439,11 @@ def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
     3. Find the extras: each search's determinant sign is the parity of the
        count below its shift, so an interval between shifts whose found
        levels miss its parity holds a level not yet found (an instilled
-       level, or the kappa > 0 copy of the ground state). Search it.
+       level, or the kappa > 0 copy of the ground state). Such a level
+       sits beside a genuine one, so an odd interval just below a shift,
+       and one above the last shift, is searched once more on that shift's
+       factor before the next shift is factored; what that misses is
+       searched from the middle of the interval's widest gap.
     4. Certify: bisect with counts until every interval holds as many
        found levels as it counts, searching the middle of each interval
        that still misses some. A window that does not settle raises
@@ -450,16 +465,23 @@ def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
     parity = {edge: below[edge] % 2 for edge in (lo, hi)}
 
     def probe(sigma, x, y):
-        det_sign, level = search.search(sigma, x, y)
-        if det_sign:
-            parity[sigma] = int(det_sign < 0)
-        return level
+        """Factor at sigma, read its parity and search (x, y) on it: (factor, new level)."""
+        factor = search.factor(sigma)
+        if factor[2]:
+            parity[sigma] = int(factor[2] < 0)
+        return factor, search.search(factor, x, y)
 
     for sigma in shifts:
-        probe(sigma, lo, hi)
+        factor, _ = probe(sigma, lo, hi)
+        # the odd interval below this shift, and above the last one, searched on its factor
+        for top in (sigma, hi) if sigma == shifts[-1] else (sigma,):
+            interval = next((i for i in _odd_intervals(parity, search.mu) if i[1] == top), None)
+            if interval is not None:
+                search.search(factor, *interval)
+        del factor  # before the next shift is factored
     # each search of an odd interval finds a level in it, or halves it by its parity
     for _ in range(2 * m + 8):
-        interval = _odd_interval(parity, np.array(search.mu))
+        interval = next(_odd_intervals(parity, search.mu), None)
         if interval is None:
             break
         probe(_widest_gap_midpoint(*interval, np.array(search.mu)), *interval)
@@ -478,7 +500,7 @@ def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
         else:
             left, right = x, y
             # every level not yet found lies farther from the middle than those inside
-            level = probe(0.5 * (x + y), x, y)
+            _, level = probe(0.5 * (x + y), x, y)
             if level is not None and x < level < y:
                 pending.append((x, y))
                 continue
@@ -602,8 +624,9 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
     A Galerkin pencil is symmetric-definite. Its window is solved whole on
     (lo, hi), whatever interior edges it has: inertia counts at the edges
     give its number of levels m, and inverse iteration from the kappa =
-    -|kappa| reference levels, parity and count bisection find exactly m
-    levels (see ``_solve_galerkin``), or SolverError is raised. Each
+    -|kappa| reference levels (a second search on a shift's own factor
+    for an extra level beside it), parity and count bisection find exactly
+    m levels (see ``_solve_galerkin``), or SolverError is raised. Each
     binding is the Rayleigh quotient of its eigenvector, so its error is
     quadratic in the residual. An rhs that is not positive definite raises
     SolverError. The solve logs one DEBUG record (``driver=inertia``) with

@@ -11,7 +11,9 @@ element integrals of one integrand into a dense block matrix, and
 windowed solve, and ``dense_bindings_in_workers`` runs it on several
 pencils side by side; ``rayleigh_quotients`` gives the extended-precision
 Rayleigh quotients of eigenvectors, and ``dense_rayleigh_bindings`` those
-of the dense solver's own eigenvectors; ``closed_form_element_entries``
+of the dense solver's own eigenvectors; ``dense_two_sided_bindings`` gives
+the two-sided quotients of the dense QZ right and left eigenvectors of the
+stabilized pencil; ``closed_form_element_entries``
 gives the exact polynomial integrals the 4-point rule must reproduce. The
 Hermite interpolation-error helpers, ``potential_w``,
 ``accumulation_point`` and the first-order residual functionals and nodal
@@ -277,22 +279,32 @@ def dense_bindings(system: AssembledSystem,
                          max_imag=max_imag, params=system.params)
 
 
-def rayleigh_quotients(system: AssembledSystem, vectors) -> np.ndarray:
-    """v^T lhs v / v^T rhs v of each node-order column v, summed in long double.
+def _quotients(system: AssembledSystem, right, left) -> np.ndarray:
+    """y^H lhs x / y^H rhs x of each pair of node-order columns x, y, summed in extended precision.
 
     The sums run over the stored band entries, so they carry none of the
-    rounding of a double-precision eigensolve: the quotient of a vector
-    with residual r misses its eigenvalue by O(|r|^2) only.
+    rounding of a double-precision eigensolve.
     """
-    v = np.asarray(vectors, dtype=float).astype(np.longdouble)
+    precision = np.clongdouble if np.iscomplexobj(right) or np.iscomplexobj(left) else np.longdouble
+    x = np.asarray(right).astype(precision)
+    y = np.conj(np.asarray(left).astype(precision))
     hb, size = system.lhs_band.shape[0] // 2, system.size
     cols = np.broadcast_to(np.arange(size), system.lhs_band.shape)
     rows = cols + np.arange(-hb, hb + 1)[:, None]  # the entry each band slot holds
     inside = (rows >= 0) & (rows < size)
-    products = v[rows[inside]] * v[cols[inside]]
+    products = y[rows[inside]] * x[cols[inside]]
     lhs, rhs = ((band[inside].astype(np.longdouble)[:, None] * products).sum(axis=0)
                 for band in (system.lhs_band, system.rhs_band))
-    return (lhs / rhs).astype(float)
+    return lhs / rhs
+
+
+def rayleigh_quotients(system: AssembledSystem, vectors) -> np.ndarray:
+    """v^T lhs v / v^T rhs v of each real node-order column v, summed in long double.
+
+    The quotient of a vector with residual r misses its eigenvalue of a
+    symmetric pencil by O(|r|^2) only.
+    """
+    return _quotients(system, vectors, vectors).astype(float)
 
 
 def dense_rayleigh_bindings(system: AssembledSystem, lo: float, hi: float) -> np.ndarray:
@@ -303,6 +315,21 @@ def dense_rayleigh_bindings(system: AssembledSystem, lo: float, hi: float) -> np
     """
     mu, vecs = scipy.linalg.eigh(system.lhs, system.rhs)
     return rayleigh_quotients(system, vecs[:, (mu > lo) & (mu < hi)])
+
+
+def dense_two_sided_bindings(system: AssembledSystem, lo: float, hi: float) -> np.ndarray:
+    """Two-sided quotients y^H lhs x / y^H rhs x of the dense QZ eigenpairs in (lo, hi).
+
+    x and y are QZ's own right and left eigenvectors of the (nonsymmetric)
+    stabilized pencil, the quotients are summed in long double and their
+    real parts returned, ascending in QZ's eigenvalue. A two-sided quotient
+    misses its eigenvalue by the product of the errors of x and y, so it
+    carries little of the rounding of QZ's eigenvalues themselves.
+    """
+    mu, left, right = scipy.linalg.eig(system.lhs, system.rhs, left=True, right=True)
+    keep = np.flatnonzero(np.isfinite(mu) & (mu.real > lo) & (mu.real < hi))
+    keep = keep[np.argsort(mu.real[keep])]
+    return _quotients(system, right[:, keep], left[:, keep]).real.astype(float)
 
 
 #: Set to 1 in the workers' environment, so that each worker's BLAS runs one thread.

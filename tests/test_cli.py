@@ -21,7 +21,7 @@ from diracfem.cli import (
 from diracfem.eigensolver import DEFAULT_REALITY_TOL
 from diracfem.errors import ConfigError
 
-from oracles import dense_bindings, dense_rayleigh_bindings
+from oracles import dense_bindings, dense_rayleigh_bindings, dense_two_sided_bindings
 
 # small, fast solve configuration shared by the output-format tests
 FAST = ["--Z", "1", "--abs-kappa", "1", "--scheme", "hermite-galerkin",
@@ -37,12 +37,15 @@ class TestConfig:
         cfg = RunConfig().finalize()
         assert cfg.abs_kappa == 1
         assert cfg.a == 1e-5
-        assert cfg.b == 60.0
+        assert cfg.b == 3.0 * (6 + 1 + 1) ** 2  # 3 (levels + |kappa| + 1)^2 / Z
         assert cfg.matching_tolerance() == 1e-5  # hermite-supg default scheme
 
     def test_b_scales_with_charge(self):
-        cfg = RunConfig(Z=12.0).finalize()
-        assert cfg.b == pytest.approx(5.0)
+        # with the levels and |kappa| asked for: the last level's <r> grows
+        # as its principal quantum number squared over Z
+        assert RunConfig(Z=12.0).finalize().b == pytest.approx(16.0)
+        assert RunConfig(Z=12.0, abs_kappa=2, levels=3).finalize().b == pytest.approx(9.0)
+        assert RunConfig(Z=12.0, kappa=-3, levels=3).finalize().b == pytest.approx(12.25)
 
     def test_linear_match_tol_default(self):
         cfg = RunConfig(scheme="linear-galerkin").finalize()
@@ -155,6 +158,19 @@ class TestMain:
         out = capsys.readouterr().out
         for field in fields(RunConfig):
             assert "--" + field.name.replace("_", "-") in out
+
+    @pytest.mark.parametrize("levels", [6, 3])
+    @pytest.mark.parametrize("abs_kappa", [2, 3])
+    @pytest.mark.parametrize("z", [1, 12, 50, 92])
+    def test_default_domain_holds_the_levels(self, z, abs_kappa, levels, capsys):
+        # every other setting left at its default: the default domain must
+        # grow with the levels and |kappa| asked for, or the upper levels do
+        # not fit in it and the run exits 4
+        argv = ["--Z", str(z), "--abs-kappa", str(abs_kappa), "--levels", str(levels)]
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {r["label"] for r in rows} == {"genuine"}
+        assert sorted(r["level"] for r in rows if r["kappa"] < 0) == list(range(1, levels + 1))
 
     def test_malformed_config_exits_2_without_output(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -439,9 +455,10 @@ EQUIVALENCE_RUNS = [
                  id="solve-linear-pathology"),
 ]
 
-#: Stabilized bindings against the dense QZ eigenvalues, whose own rounding
-#: reaches 1.1e-9 on the Z=1 pathology mesh
-BINDING_RTOL = 1e-9
+#: Stabilized bindings against the two-sided quotients of the dense QZ
+#: eigenvectors (measured: at most 7.2e-14 relative, with one BLAS thread or
+#: two); on the Z=1 pathology mesh the QZ eigenvalues are up to 1.1e-9 off them
+BINDING_RTOL = 1e-12
 #: Galerkin bindings against the Rayleigh quotients of the dense eigenvectors
 #: (measured: at most 6.7e-16 relative, with one BLAS thread or two)
 GALERKIN_BINDING_RTOL = 1e-13
@@ -461,14 +478,14 @@ def _json_rows(argv):
 def _dense_solve(system, window, reality_tol=DEFAULT_REALITY_TOL):
     """The dense oracle in place of the windowed solve: it reads no window.
 
-    Its Galerkin bindings are the extended-precision Rayleigh quotients of
-    the dense eigenvectors: the dense eigh values are up to 2.9e-9 off them.
+    Its bindings are extended-precision quotients of the dense eigenvectors:
+    Rayleigh quotients for a Galerkin pencil, two-sided ones of QZ's right
+    and left vectors for the stabilized one. The dense eigh values are up to
+    2.9e-9 off them, the QZ values up to 1.1e-9.
     """
     dense = dense_bindings(system, reality_tol)
-    if not is_galerkin(system.scheme):
-        return dense
-    return replace(dense, bindings=dense_rayleigh_bindings(
-        system, -2.0 * system.params.rest_energy, 0.0))
+    quotients = dense_rayleigh_bindings if is_galerkin(system.scheme) else dense_two_sided_bindings
+    return replace(dense, bindings=quotients(system, -2.0 * system.params.rest_energy, 0.0))
 
 
 def _order_is_resolved(rows, level):

@@ -44,6 +44,7 @@ from oracles import (
     dense_bindings,
     dense_bindings_in_workers,
     dense_rayleigh_bindings,
+    dense_two_sided_bindings,
     rayleigh_quotients,
 )
 
@@ -69,6 +70,10 @@ def relabelled(system, scheme):
 #: Galerkin bindings against the Rayleigh quotients of the dense eigenvectors
 #: (measured: at most 6.2e-16 on the cases below, with one BLAS thread or two)
 GALERKIN_ORACLE_RTOL = 1e-13
+#: Stabilized bindings against the two-sided quotients of the dense QZ
+#: eigenvectors (measured: at most 5.8e-14 on the cases below, with one BLAS
+#: thread or two; the QZ eigenvalues themselves are up to 9.9e-11 off them)
+SUPG_ORACLE_RTOL = 1e-12
 
 
 class TestToyPencils:
@@ -228,12 +233,11 @@ class TestRealSystems:
             params = OperatorParams(Z=1, kappa=kappa)
             system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(1.0))
             lo, hi = bound_window(params, 3)
-            dense = dense_bindings(system)
             windowed = solve(system, window=(lo, hi))
-            full = dense.bindings[(dense.bindings > lo) & (dense.bindings < hi)]
+            full = dense_two_sided_bindings(system, lo, hi)
             assert len(full) >= 2
             assert len(windowed.bindings) == len(full)
-            np.testing.assert_allclose(windowed.bindings, full, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(windowed.bindings, full, rtol=SUPG_ORACLE_RTOL, atol=0.0)
             for k in range(len(full)):
                 assert eigenpair_residual(system, windowed.bindings[k],
                                           windowed.eigenvectors[:, k]) <= 1e-8
@@ -387,9 +391,9 @@ class TestRealSystems:
         assert len(window) == 3
         windowed = solve(system, window=window)
         if scheme == SCHEME_SUPG:
-            dense = dense_bindings(system)
-            full = dense.bindings[(dense.bindings > window[0]) & (dense.bindings < window[-1])]
-            rtol = 1e-9
+            # the QZ eigenvalues themselves sit up to 2.9e-11 off these quotients
+            full = dense_two_sided_bindings(system, window[0], window[-1])
+            rtol = SUPG_ORACLE_RTOL
         else:
             # the Rayleigh quotients of the dense eigenvectors: the dense eigh
             # values themselves sit up to 2.9e-9 off them
@@ -403,10 +407,14 @@ class TestRealSystems:
         neg = OperatorParams(Z=12, kappa=-2)
         for kappa in (2, -2):
             params = OperatorParams(Z=12, kappa=kappa)
+            # the kappa > 0 series runs n_r = 1 ... levels, the kappa < 0 one
+            # n_r = 0 ... levels - 1: each window ends right past its last level
+            last = 12 if kappa > 0 else 11
             window = bound_window(params, 12)
             lo, hi = window[0], window[-1]
             assert lo == 2.0 * reference_binding(neg, 0).binding
-            assert reference_binding(neg, 12).binding < hi < reference_binding(neg, 13).binding
+            assert hi == 0.5 * (reference_binding(neg, last).binding
+                                + reference_binding(neg, last + 1).binding)
             # a many-level window is cut between the reference levels n_r = 1 and 2
             assert len(window) == 3
             assert window[1] == 0.5 * (reference_binding(neg, 1).binding
@@ -414,8 +422,9 @@ class TestRealSystems:
             # a window of fewer than SPLIT_LEVELS levels stays one slice
             lo, hi = bound_window(params, SPLIT_LEVELS - 1)
             assert lo == window[0]
-            assert (reference_binding(neg, SPLIT_LEVELS - 1).binding < hi
-                    < reference_binding(neg, SPLIT_LEVELS).binding)
+            last = SPLIT_LEVELS - 1 if kappa > 0 else SPLIT_LEVELS - 2
+            assert (reference_binding(neg, last).binding < hi
+                    < reference_binding(neg, last + 1).binding)
         with pytest.raises(ValueError):
             bound_window(params, 0)
 
@@ -565,17 +574,19 @@ class TestGalerkinDriver:
                                    rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("kappa", [-1, 1])
-    def test_linear_pathology_windows_hold_nine_levels(self, kappa):
+    def test_linear_pathology_windows_hold_every_level(self, kappa):
         # two instilled levels sit next to genuine ones (-0.03147 beside
         # -0.03125, -0.01045 beside -0.01021), each in an interval between
-        # reference shifts that holds an even number of levels
+        # reference shifts that holds an even number of levels; the kappa = -1
+        # window ends below the second one, the kappa = +1 window (which also
+        # holds the copy of the kappa = -1 ground state) above it
         params = OperatorParams(Z=1, kappa=kappa)
         system = assemble(SCHEME_LINEAR, params, build_exponential_mesh(1e-6, 150.0, 100, 8.0),
                           point_nucleus(1.0))
         lo, hi = bound_window(params, 6)
         windowed = solve(system, window=(lo, hi))
         oracle = dense_rayleigh_bindings(system, lo, hi)
-        assert len(oracle) == len(windowed.bindings) == len(windowed.raw) == 9
+        assert len(oracle) == len(windowed.bindings) == len(windowed.raw) == (7 if kappa < 0 else 9)
         np.testing.assert_allclose(windowed.bindings, oracle, rtol=GALERKIN_ORACLE_RTOL,
                                    atol=0.0)
 
@@ -588,6 +599,45 @@ class TestGalerkinDriver:
         assert windowed.bindings.tolist() == [level]
         np.testing.assert_allclose(np.abs(windowed.eigenvectors[:, 0]), np.eye(20)[0],
                                    atol=1e-15)
+
+    @pytest.mark.parametrize("case", ["beside-lower-shift", "above-last-shift"])
+    def test_extra_level_the_held_factor_misses(self, case, caplog, monkeypatch):
+        # genuine levels 1e-4 above the reference shifts s0 < s1 < s2 of the
+        # window (-1, -0.04), and an extra level the search on a shift's own
+        # factor converges past; the widest-gap loop must find it, and the
+        # solve must return exactly the window's levels
+        shifts = [reference_binding(TOY, n_r).binding for n_r in range(3)]
+        levels = [s + 1e-4 for s in shifts]
+        if case == "beside-lower-shift":
+            # the extra sits just above s1, in the odd interval (s1, s2); from
+            # s2 the nearest level not yet found is -0.03, above the window
+            extra, interval = shifts[1] + 2e-3, (shifts[1], shifts[2])
+            others = [-0.03]
+        else:
+            # the extra sits between s2 and hi, and two more levels just below
+            # s2 leave (s1, s2) with its parity right: from s2 the search on
+            # its factor finds one of them, and the count bisection the other
+            extra, interval = -0.045, (shifts[2], -0.04)
+            others = [shifts[2] - 3e-3, shifts[2] - 4e-3]
+        lhs = np.diag(np.concatenate([levels, [extra], others, np.arange(5.0, 20.0)]))
+        gaps = []
+
+        def recorded(x, y, found):
+            gaps.append((x, y))
+            return widest_gap_midpoint(x, y, found)
+
+        widest_gap_midpoint = eigensolver._widest_gap_midpoint
+        monkeypatch.setattr(eigensolver, "_widest_gap_midpoint", recorded)
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            windowed = solve(toy_system(lhs, np.eye(len(lhs))), window=(-1.0, -0.04))
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
+        np.testing.assert_allclose(windowed.bindings,
+                                   sorted(x for x in levels + [extra] + others if x < -0.04),
+                                   rtol=1e-13)
+        assert f" m={len(windowed.bindings)} " in record
+        assert gaps[0] == interval
+        if case == "above-last-shift":
+            assert int(re.search(r" counts=(\d+)", record).group(1)) > 2
 
     def test_tiny_pivot_against_its_row_raises(self):
         # lhs - lo*rhs starts with [[1e-14, 0.3], [0.3, 1e-14]]: well
@@ -623,7 +673,7 @@ class TestGalerkinDriver:
             windowed = solve(system, window=(lo, split, hi))
         # one record for the whole window: the interior edge cuts no disk
         (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
-        shifts = [reference_binding(params, n_r).binding for n_r in range(13)]
+        shifts = [reference_binding(params, n_r).binding for n_r in range(12)]
         for part in (f"N={system.size} ", "band=(7, 7)", f"window=({lo!r}, {hi!r})",
                      "driver=inertia", f"m={len(windowed.raw)} ",
                      "shifts=[" + ", ".join(f"{s:.10g}" for s in shifts) + "]"):
@@ -631,8 +681,30 @@ class TestGalerkinDriver:
         factorizations, counts, steps = (int(re.search(rf" {key}=(\d+)", record).group(1))
                                          for key in ("factorizations", "counts", "steps"))
         # one factorization per shift, the two edge counts, at least two steps a shift
-        assert factorizations >= 13 and counts >= 2 and steps >= 2 * 13
-        assert len(windowed.raw) == 14
+        assert factorizations >= 12 and counts >= 2 and steps >= 2 * 12
+        # the 12 genuine levels and the instilled one
+        assert len(windowed.raw) == 13
+
+
+    @pytest.mark.parametrize("scheme, z, kappa, mesh_args, levels, factorizations, steps", [
+        (SCHEME_LINEAR, 1, 1, (1e-6, 150.0, 100, 8.0), 6, 11, 35),
+        (SCHEME_LINEAR, 1, -1, (1e-6, 150.0, 100, 8.0), 6, 8, 24),
+        (SCHEME_HERMITE, 12, -2, (1e-6, 60.0, 100, 8.5), 12, 14, 39)])
+    def test_work_counts(self, scheme, z, kappa, mesh_args, levels, factorizations, steps,
+                         caplog):
+        # the CLI's pathology windows and the Z=12 convergence window at n=100:
+        # each extra level is searched on the factor of the shift beside it,
+        # and each kappa < 0 window ends at its last level. The counts are
+        # deterministic, so work that comes back fails here (a widest-gap
+        # search of each extra level, on windows one level taller, takes
+        # 16/41, 17/41 and 17/43 factorizations/steps)
+        params = OperatorParams(Z=z, kappa=kappa)
+        system = assemble(scheme, params, build_exponential_mesh(*mesh_args),
+                          point_nucleus(float(z)))
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            solve(system, window=bound_window(params, levels))
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
+        assert f" factorizations={factorizations} counts=2 steps={steps} " in record
 
 
 class TestStabilizedParity:
