@@ -49,12 +49,8 @@ from .errors import (
 )
 from .physics import (
     SPEED_OF_LIGHT,
-    NucleusKind,
     OperatorParams,
-    PotentialModel,
     ReferenceLevel,
-    extended_nucleus,
-    point_nucleus,
     potential_value,
     reference_binding,
     reference_spectrum,

@@ -10,7 +10,7 @@ eigenvalue lambda, not the binding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -21,7 +21,6 @@ from .eigensolver import DEFAULT_REALITY_TOL, Spectrum, bound_window, solve
 from .errors import CoefficientSingularityError, DegeneratePencilError
 from .physics import (
     OperatorParams,
-    PotentialModel,
     ReferenceLevel,
     potential_derivative,
     potential_value,
@@ -146,10 +145,10 @@ def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
         raise ValueError(f"tol must lie in (0, {MAX_MATCH_TOL}), got {tol}")
     if spec_pos.params.kappa <= 0 or spec_neg.params.kappa >= 0:
         raise ValueError("expected spectra for kappa > 0 and kappa < 0, in that order")
-    if (abs(spec_pos.params.kappa) != abs(spec_neg.params.kappa)
-            or spec_pos.params.Z != spec_neg.params.Z
+    if (replace(spec_pos.params, kappa=-spec_pos.params.kappa) != spec_neg.params
             or spec_pos.scheme != spec_neg.scheme):
-        raise ValueError("coincidence report requires matching Z, |kappa| and scheme")
+        raise ValueError("coincidence report requires one operator up to the sign of kappa, "
+                         "and one scheme")
     pos, neg = spec_pos.bindings, spec_neg.bindings
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("empty bound spectrum")
@@ -169,12 +168,11 @@ def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
 # --- strong-form residual diagnostics ---------------------------------------
 
 
-def second_order_coefficients(params: OperatorParams, potential: PotentialModel,
-                              lam: float, x, component: str = "f"):
+def second_order_coefficients(params: OperatorParams, lam: float, x, component: str = "f"):
     """Coefficients (p1, p2) of u'' + p1 u' + p2 u = 0 for one decoupled component."""
     x = np.asarray(x, dtype=float)
-    V = potential_value(potential, x)
-    dV = potential_derivative(potential, x)
+    V = potential_value(params, x)
+    dV = potential_derivative(params, x)
     mc2, c, k = params.rest_energy, params.c, params.kappa
     wp = mc2 + V - lam
     wm = -mc2 + V - lam
@@ -196,8 +194,8 @@ def second_order_coefficients(params: OperatorParams, potential: PotentialModel,
     return p1, p2
 
 
-def second_order_residual(params: OperatorParams, potential: PotentialModel, mesh: Mesh,
-                          lam: float, values, slopes, component: str = "f") -> float:
+def second_order_residual(params: OperatorParams, mesh: Mesh, lam: float, values, slopes,
+                          component: str = "f") -> float:
     """Discrete L2 norm of u'' + p1 u' + p2 u over all quadrature points.
 
     ``values`` and ``slopes`` are the nodal coefficients of the Hermite
@@ -223,7 +221,7 @@ def second_order_residual(params: OperatorParams, potential: PotentialModel, mes
     else:
         full_slopes[1:n + 1] = slopes
     x, w = gauss_rule(mesh)
-    p1, p2 = second_order_coefficients(params, potential, lam, x, component)
+    p1, p2 = second_order_coefficients(params, lam, x, component)
     u, du, d2u = (hermite_interpolate(mesh, full_values, full_slopes, x, order)
                   for order in (0, 1, 2))
     r = d2u + p1 * du + p2 * u
@@ -299,8 +297,8 @@ def genuine_errors(classified: ClassifiedSpectrum, reference: list[ReferenceLeve
     return out
 
 
-def convergence_study(scheme: str, params: OperatorParams, potential: PotentialModel,
-                      n_values, levels: int, *, a: float, b: float, gamma: float,
+def convergence_study(scheme: str, params: OperatorParams, n_values, levels: int, *,
+                      a: float, b: float, gamma: float,
                       match_tol: float | None = None,
                       reality_tol: float = DEFAULT_REALITY_TOL,
                       free_lower_slope: bool = False) -> ConvergenceStudy:
@@ -318,7 +316,7 @@ def convergence_study(scheme: str, params: OperatorParams, potential: PotentialM
     errors = np.full((len(n_values), levels), np.nan)
     for i, n in enumerate(n_values):
         mesh = build_exponential_mesh(a, b, n, gamma)
-        system = assemble(scheme, params, mesh, potential, free_lower_slope=free_lower_slope)
+        system = assemble(scheme, params, mesh, free_lower_slope=free_lower_slope)
         spectrum = solve(system, reality_tol=reality_tol, window=window)
         classified = classify(spectrum.bindings, reference, match_tol=match_tol)
         errors[i] = genuine_errors(classified, reference)

@@ -4,7 +4,8 @@ All block matrices have entries of the form
 
     integral over the domain of  (trial)^(s) * (test)^(r) * x^(-t) * q(x) dx
 
-with q either 1 or the nuclear potential V, evaluated with the fixed
+with q either 1 or the nuclear potential V of the operator parameters
+(a point or a uniformly charged nucleus), evaluated with the fixed
 4-point Gauss rule at every (element, point) pair at once.
 A scheme is a table of block terms: which pencil matrix and 2x2 block a
 term goes to, its block integrand, its coefficient in (c, kappa, mc^2), and
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import BasisKind, Mesh, gauss_rule, hat_local, hermite_local
-from .errors import PhysicsError
-from .physics import OperatorParams, PotentialModel, potential_value
+from .physics import OperatorParams, potential_value
 
 SCHEME_LINEAR = "linear-galerkin"
 SCHEME_HERMITE = "hermite-galerkin"
@@ -134,17 +134,17 @@ def _dense_view(band: np.ndarray) -> np.ndarray:
 # --- block kernel ------------------------------------------------------------
 
 
-def _element_kernel(kind: BasisKind, mesh: Mesh, potential: PotentialModel):
+def _element_kernel(kind: BasisKind, mesh: Mesh, params: OperatorParams):
     """Function (spec, tau=None) -> (element, test a, trial b) integrals of one integrand.
 
     The Gauss rule, the shape tables of derivative orders 0 and 1 and V are
-    evaluated once, here.
+    evaluated once, here; V is the potential of ``params``' nucleus.
     """
     x, w = gauss_rule(mesh)
     h, s = mesh.h[:, None], x - mesh.nodes[:-1, None]
     local = hermite_local if kind is BasisKind.CUBIC_HERMITE else hat_local
     shapes = [np.stack(local(h, s, order), axis=1) for order in (0, 1)]
-    v = potential_value(potential, x)
+    v = potential_value(params, x)
 
     def integrals(spec: BlockMatrixSpec, tau: np.ndarray | None = None) -> np.ndarray:
         weight = np.ones_like(x)
@@ -222,32 +222,31 @@ def is_galerkin(scheme: str) -> bool:
     return not any(weighted for *_, weighted in _SCHEME_TABLE[scheme][1])
 
 
-def assemble(scheme: str, params: OperatorParams, mesh: Mesh, potential: PotentialModel,
+def assemble(scheme: str, params: OperatorParams, mesh: Mesh,
              free_lower_slope: bool = False) -> AssembledSystem:
     """Generalized eigensystem of one scheme (see SCHEMES), in binding form.
 
     linear-galerkin and hermite-galerkin give symmetric pencils (2n and 4n
     dofs); hermite-supg tests against v + tau * v' and gives a nonsymmetric
     one, with tau = ``compute_tau(mesh)``: the stabilization parameter is a
-    function of the mesh nodes alone, so it is not an input. The
-    potential's charge must be ``params.Z`` (PhysicsError otherwise).
-    Boundary conditions eliminate the value and slope dofs at both
-    endpoints; ``free_lower_slope`` keeps the Hermite slope dof at the lower
-    endpoint instead (the physically correct choice for |kappa| = 1). The
-    hat basis has no slope dof, so linear-galerkin rejects it. The Gauss
-    rule, the shape tables and V are evaluated once per call, and each
-    pencil matrix is summed element by element into band storage.
+    function of the mesh nodes alone, so it is not an input. The potential
+    is that of ``params``' nucleus: a point charge Z, or a uniformly charged
+    sphere of radius ``params.R``. Boundary conditions eliminate the value
+    and slope dofs at both endpoints; ``free_lower_slope`` keeps the Hermite
+    slope dof at the lower endpoint instead (the physically correct choice
+    for |kappa| = 1). The hat basis has no slope dof, so linear-galerkin
+    rejects it. The Gauss rule, the shape tables and V are evaluated once
+    per call, and each pencil matrix is summed element by element into band
+    storage.
     """
     if scheme not in _SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     kind, terms = _SCHEME_TABLE[scheme]
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:
         raise ValueError(f"scheme {scheme!r} has no slope dof to free")
-    if potential.Z != params.Z:
-        raise PhysicsError(f"potential charge {potential.Z} does not match Z={params.Z}")
     table = _pencil_dofs(mesh.interior_count, kind is BasisKind.CUBIC_HERMITE, free_lower_slope)
     size, width = int(table.max()) + 1, table.shape[1] // 2
-    kernel = _element_kernel(kind, mesh, potential)
+    kernel = _element_kernel(kind, mesh, params)
     local = {name: np.zeros((mesh.element_count, 2 * width, 2 * width)) for name in ("lhs", "rhs")}
     integrals = {}  # (spec, tau-weighted) -> element integrals
     c, k, mc2 = params.c, params.kappa, params.rest_energy

@@ -24,9 +24,7 @@ from .eigensolver import DEFAULT_REALITY_TOL, bound_window, solve
 from .errors import ConfigError, InsufficientLevelsError, PhysicsError, SolverError
 from .physics import (
     SPEED_OF_LIGHT,
-    NucleusKind,
     OperatorParams,
-    PotentialModel,
     check_charge,
     reference_binding,
     reference_spectrum,
@@ -49,7 +47,6 @@ class RunConfig:
     m: float = 1.0
     c_value: float = SPEED_OF_LIGHT
     scheme: str = SCHEME_SUPG
-    nucleus: str = "point"
     radius: float | None = None
     a: float | None = None
     b: float | None = None
@@ -70,11 +67,8 @@ class RunConfig:
         for key, choices in _CHOICES.items():
             if getattr(cfg, key) not in choices:
                 raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; expected one of {choices}")
-        if cfg.nucleus == "extended" and (cfg.radius is None or not 0.0 < cfg.radius < math.inf):
+        if cfg.radius is not None and not 0.0 < cfg.radius < math.inf:
             raise ConfigError(f"extended nucleus needs a finite --radius > 0, got {cfg.radius}")
-        if cfg.nucleus != "extended" and cfg.radius is not None:
-            raise ConfigError(f"radius applies to the extended nucleus only, got --radius "
-                              f"{cfg.radius} with --nucleus {cfg.nucleus}")
         if cfg.kappa is not None and cfg.abs_kappa is not None:
             raise ConfigError("give either kappa or abs_kappa, not both")
         if cfg.kappa is None and cfg.abs_kappa is None:
@@ -113,11 +107,9 @@ class RunConfig:
             return self.match_tol
         return analysis.match_tol_for(self.scheme)
 
-    def potential(self) -> PotentialModel:
-        return PotentialModel(kind=NucleusKind(self.nucleus), Z=self.Z, R=self.radius)
-
     def params(self, kappa: int) -> OperatorParams:
-        return OperatorParams(Z=self.Z, kappa=kappa, m=self.m, c=self.c_value)
+        """The operator of one kappa; a radius makes its nucleus extended."""
+        return OperatorParams(Z=self.Z, kappa=kappa, m=self.m, c=self.c_value, R=self.radius)
 
     def kappas(self) -> tuple[int, ...]:
         if self.kappa is not None:
@@ -196,13 +188,11 @@ def _solve_kappas(cfg: RunConfig, kappas, levels: int) -> dict:
 
     Each kappa is solved on its own ``bound_window``.
     """
-    potential = cfg.potential()
     mesh = build_exponential_mesh(cfg.a, cfg.b, cfg.n, cfg.mesh_gamma)
     spectra = {}
     for kappa in kappas:
         params = cfg.params(kappa)
-        system = assemble(cfg.scheme, params, mesh, potential,
-                          free_lower_slope=cfg.free_lower_slope)
+        system = assemble(cfg.scheme, params, mesh, free_lower_slope=cfg.free_lower_slope)
         spectra[kappa] = solve(system, reality_tol=cfg.reality_tol,
                                window=bound_window(params, levels))
     return spectra
@@ -347,7 +337,7 @@ def _mode_compare(cfg: RunConfig):
 def _mode_convergence(cfg: RunConfig):
     kappa = cfg.kappas()[0]
     study = analysis.convergence_study(
-        cfg.scheme, cfg.params(kappa), cfg.potential(), cfg.n_list, cfg.levels,
+        cfg.scheme, cfg.params(kappa), cfg.n_list, cfg.levels,
         a=cfg.a, b=cfg.b, gamma=cfg.mesh_gamma, match_tol=cfg.match_tol,
         reality_tol=cfg.reality_tol, free_lower_slope=cfg.free_lower_slope)
 
@@ -436,8 +426,7 @@ _RUNNERS = {"solve": _mode_solve, "compare-schemes": _mode_compare,
             "verify-tau": _mode_verify_tau}
 
 #: The allowed values of each choice key, each taken from the table that owns it.
-_CHOICES = {"mode": tuple(_RUNNERS), "scheme": SCHEMES, "format": FORMATS,
-            "nucleus": tuple(kind.value for kind in NucleusKind)}
+_CHOICES = {"mode": tuple(_RUNNERS), "scheme": SCHEMES, "format": FORMATS}
 
 
 def run(config: RunConfig, stream=None) -> int:

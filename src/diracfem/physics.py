@@ -1,4 +1,4 @@
-"""Operator parameters, nuclear potentials, and the exact reference spectrum.
+"""Operator parameters, the nuclear potential, and the exact reference spectrum.
 
 All energies are in Hartree atomic units. Bound states are reported as
 binding energies (eigenvalue minus the rest energy m*c^2), which is the
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,12 +28,17 @@ def check_charge(Z: float) -> None:
 
 @dataclass(frozen=True)
 class OperatorParams:
-    """Physical constants and quantum numbers of the radial operator."""
+    """Physical constants, quantum numbers and nucleus of the radial operator.
+
+    R is the nuclear radius: None for a point charge, a finite R > 0 for a
+    uniformly charged sphere.
+    """
 
     Z: float
     kappa: int
     m: float = 1.0
     c: float = SPEED_OF_LIGHT
+    R: float | None = None
 
     def __post_init__(self):
         if self.kappa == 0 or not float(self.kappa).is_integer():
@@ -51,67 +55,42 @@ class OperatorParams:
         c2 = self.c * self.c
         if not (math.isfinite(c2) and math.isfinite(self.m * c2)):
             raise PhysicsError(f"rest energy m*c^2 overflows a float: m={self.m} c={self.c}")
+        if self.R is not None and not 0.0 < self.R < math.inf:
+            raise PhysicsError(f"extended nucleus needs a finite radius R > 0, got R={self.R}")
 
     @property
     def rest_energy(self) -> float:
         return self.m * self.c**2
 
 
-class NucleusKind(Enum):
-    POINT = "point"
-    EXTENDED_UNIFORM = "extended"
-
-
-@dataclass(frozen=True)
-class PotentialModel:
-    """Coulomb potential of a point charge or a uniformly charged sphere."""
-
-    kind: NucleusKind
-    Z: float
-    R: float | None = None
-
-    def __post_init__(self):
-        if self.kind is NucleusKind.EXTENDED_UNIFORM:
-            if self.R is None or not 0.0 < self.R < math.inf:
-                raise PhysicsError(f"extended nucleus needs a finite radius R > 0, got R={self.R}")
-
-
-def point_nucleus(Z: float) -> PotentialModel:
-    return PotentialModel(kind=NucleusKind.POINT, Z=Z)
-
-
-def extended_nucleus(Z: float, R: float) -> PotentialModel:
-    return PotentialModel(kind=NucleusKind.EXTENDED_UNIFORM, Z=Z, R=R)
-
-
-def potential_value(model: PotentialModel, x):
-    """V(x): -Z/x outside the nucleus, parabolic inside for the extended kind."""
+def potential_value(params: OperatorParams, x):
+    """V(x): -Z/x outside the nucleus, parabolic inside an extended one."""
     x = np.asarray(x, dtype=float)
-    if model.kind is NucleusKind.POINT:
+    Z, R = params.Z, params.R
+    if R is None:
         if np.any(x <= 0.0):
             raise PhysicsError("point-nucleus potential is singular at x <= 0")
-        out = -model.Z / x
+        out = -Z / x
     else:
         if np.any(x < 0.0):
             raise PhysicsError("potential requires x >= 0")
-        R = model.R
-        inside = -(model.Z / (2.0 * R)) * (3.0 - x**2 / R**2)
-        out = np.where(x < R, inside, -model.Z / np.maximum(x, R))
+        inside = -(Z / (2.0 * R)) * (3.0 - x**2 / R**2)
+        out = np.where(x < R, inside, -Z / np.maximum(x, R))
     return out if out.shape else float(out)
 
 
-def potential_derivative(model: PotentialModel, x):
+def potential_derivative(params: OperatorParams, x):
     """V'(x), needed by the second-order-form coefficients."""
     x = np.asarray(x, dtype=float)
-    if model.kind is NucleusKind.POINT:
+    Z, R = params.Z, params.R
+    if R is None:
         if np.any(x <= 0.0):
             raise PhysicsError("point-nucleus potential is singular at x <= 0")
-        out = model.Z / x**2
+        out = Z / x**2
     else:
         if np.any(x < 0.0):
             raise PhysicsError("potential requires x >= 0")
-        R = model.R
-        out = np.where(x < R, model.Z * x / R**3, model.Z / np.maximum(x, R)**2)
+        out = np.where(x < R, Z * x / R**3, Z / np.maximum(x, R)**2)
     return out if out.shape else float(out)
 
 
@@ -131,6 +110,7 @@ def reference_binding(params: OperatorParams, n_r: int) -> ReferenceLevel:
 
     The kappa > 0 series has no n_r = 0 member; requesting it is the
     unphysical state behind the coincidence phenomenon and is rejected.
+    ``params.R`` is not read: an extended nucleus has no closed form.
     """
     if params.kappa > 0 and n_r < 1:
         raise PhysicsError(f"n_r must be >= 1 for kappa > 0, got n_r={n_r}")

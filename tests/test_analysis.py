@@ -17,11 +17,11 @@ from diracfem.analysis import (
     tau_rule_residual,
     truncate_to_genuine,
 )
-from diracfem.assembly import SCHEME_HERMITE, assemble
+from diracfem.assembly import SCHEME_HERMITE, SCHEME_SUPG, assemble
 from diracfem.discretization import Mesh, build_exponential_mesh
 from diracfem.eigensolver import Spectrum, bound_window, solve
 from diracfem.errors import DegeneratePencilError
-from diracfem.physics import OperatorParams, point_nucleus, reference_spectrum
+from diracfem.physics import OperatorParams, reference_spectrum
 
 from oracles import component_coefficients, nodal_propagation, supg_residuals
 
@@ -103,8 +103,8 @@ class TestClassify:
             truncate_to_genuine(cl, count)
 
 
-def make_spectrum(kappa, bindings, scheme=SCHEME_HERMITE, Z=1.0):
-    params = OperatorParams(Z=Z, kappa=kappa)
+def make_spectrum(kappa, bindings, scheme=SCHEME_HERMITE, Z=1.0, **operator):
+    params = OperatorParams(Z=Z, kappa=kappa, **operator)
     return Spectrum(scheme=scheme, bindings=np.asarray(bindings, dtype=float),
                     raw=np.asarray(bindings) + params.rest_energy, max_imag=0.0,
                     params=params, eigenvectors=np.zeros((1, len(bindings))))
@@ -140,6 +140,15 @@ class TestCoincidenceReport:
         with pytest.raises(ValueError):
             coincidence_report(make_spectrum(2, [-0.5]), make_spectrum(-1, [-0.5]))
 
+    @pytest.mark.parametrize("operator", [{"Z": 2.0}, {"m": 2.0}, {"c": 100.0}, {"R": 1e-4},
+                                          {"scheme": SCHEME_SUPG}],
+                             ids=["Z", "m", "c", "R", "scheme"])
+    def test_spectra_of_two_operators_rejected(self, operator):
+        # a kappa=+1 spectrum at c=137.036 used to pair with a kappa=-1 one at c=100
+        vals = [-0.5, -0.125]
+        with pytest.raises(ValueError, match="operator"):
+            coincidence_report(make_spectrum(1, vals), make_spectrum(-1, vals, **operator))
+
 
 @pytest.fixture(scope="module")
 def exact_ground():
@@ -153,22 +162,22 @@ def exact_ground():
     ratio = -(1 - gam) * params.c / Z
     g = lambda x: ratio * f(x)
     dg = lambda x: ratio * df(x)
-    return params, point_nucleus(Z), lam, f, df, g, dg
+    return params, lam, f, df, g, dg
 
 
 class TestSupgResiduals:
     def test_exact_pair_residuals_vanish(self, exact_ground):
-        params, pot, lam, f, df, g, dg = exact_ground
-        re1, re2 = supg_residuals(params, pot, lam, f, df, g, dg)
+        params, lam, f, df, g, dg = exact_ground
+        re1, re2 = supg_residuals(params, lam, f, df, g, dg)
         xs = np.linspace(0.05, 25.0, 80)
         scale = params.rest_energy  # natural energy scale of each term
         assert np.max(np.abs(re1(xs))) < 1e-12 * scale
         assert np.max(np.abs(re2(xs))) < 1e-12 * scale
 
     def test_zero_functions_give_zero(self, exact_ground):
-        params, pot, lam, *_ = exact_ground
+        params, lam, *_ = exact_ground
         z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        re1, re2 = supg_residuals(params, pot, lam, z, z, z, z)
+        re1, re2 = supg_residuals(params, lam, z, z, z, z)
         xs = np.array([0.2, 1.0, 3.4])
         assert np.all(re1(xs) == 0.0)
         assert np.all(re2(xs) == 0.0)
@@ -176,13 +185,12 @@ class TestSupgResiduals:
     def test_random_cubics_match_symbolic_evaluation(self, rng):
         sympy = pytest.importorskip("sympy")
         params = OperatorParams(Z=5, kappa=2, c=20.0)
-        pot = point_nucleus(5.0)
         lam = 123.456
         cf = rng.uniform(-2, 2, 4)
         cg = rng.uniform(-2, 2, 4)
         f = np.polynomial.Polynomial(cf)
         g = np.polynomial.Polynomial(cg)
-        re1, re2 = supg_residuals(params, pot, lam, f, f.deriv(), g, g.deriv())
+        re1, re2 = supg_residuals(params, lam, f, f.deriv(), g, g.deriv())
 
         x = sympy.symbols("x", positive=True)
         fs = sum(sympy.Rational(0) + c * x**k for k, c in enumerate(cf))
@@ -200,21 +208,21 @@ class TestSupgResiduals:
 
 class TestSecondOrderResidual:
     def test_zero_component_gives_zero(self, exact_ground):
-        params, pot, lam, *_ = exact_ground
+        params, lam, *_ = exact_ground
         mesh = build_exponential_mesh(0.1, 20.0, 12, 3.0)
         n = mesh.interior_count
-        r = second_order_residual(params, pot, mesh, lam, np.zeros(n), np.zeros(n))
+        r = second_order_residual(params, mesh, lam, np.zeros(n), np.zeros(n))
         assert r == 0.0
 
     def test_exact_pair_second_order_rate(self, exact_ground):
         # uniform meshes away from the origin: the reconstruction error of
         # the second derivative dominates and decays at order 2
-        params, pot, lam, f, df, g, dg = exact_ground
+        params, lam, f, df, g, dg = exact_ground
         res = []
         for n in (25, 50, 100, 200):
             nodes = np.linspace(0.25, 25.0, n + 2)
             mesh = Mesh(nodes)
-            res.append(second_order_residual(params, pot, mesh, lam,
+            res.append(second_order_residual(params, mesh, lam,
                                              f(nodes), df(nodes), "f"))
         rates = [math.log2(a / b) for a, b in zip(res, res[1:])]
         assert res[-1] < 1e-2
@@ -226,9 +234,8 @@ class TestSecondOrderResidual:
         # the cubic Hermite run for Z=12 keeps one interleaved spurious level;
         # its strong-form residual towers over the genuine neighbours'
         params = OperatorParams(Z=12, kappa=-2)
-        pot = point_nucleus(12.0)
         mesh = build_exponential_mesh(1e-6, 50.0, 200, 8.0)
-        spectrum = solve(assemble(SCHEME_HERMITE, params, mesh, pot),
+        spectrum = solve(assemble(SCHEME_HERMITE, params, mesh),
                          window=bound_window(params, 10))
         ref = reference_spectrum(params, 10)
         cl = classify(spectrum.bindings[:10], ref, match_tol=1e-5)
@@ -240,7 +247,7 @@ class TestSecondOrderResidual:
         def fres(i):
             lam = cl.entries[i].binding + params.rest_energy
             values, slopes = component_coefficients(spectrum, i, "f")
-            return second_order_residual(params, pot, mesh, lam, values, slopes, "f")
+            return second_order_residual(params, mesh, lam, values, slopes, "f")
 
         spurious = fres(idx)
         neighbours = max(fres(idx - 1), fres(idx + 1))
@@ -254,13 +261,12 @@ class TestSupgWeakConsistency:
         # function (v, tau v') with the same quadrature: the weak residuals
         # must vanish at solver tolerance. This ties supg_residuals, the
         # reconstruction, and the assembled matrices together independently.
-        from diracfem.assembly import SCHEME_SUPG, compute_tau
+        from diracfem.assembly import compute_tau
         from diracfem.discretization import gauss_rule, hermite_interpolate, hermite_local
 
         params = OperatorParams(Z=2, kappa=1)
         mesh = build_exponential_mesh(1e-5, 30.0, 40, 6.0)
-        pot = point_nucleus(2.0)
-        system = assemble(SCHEME_SUPG, params, mesh, pot)
+        system = assemble(SCHEME_SUPG, params, mesh)
         spectrum = solve(system, window=bound_window(params, 3))
         tau = compute_tau(mesh)
         n = mesh.interior_count
@@ -280,7 +286,7 @@ class TestSupgWeakConsistency:
         df = lambda x: hermite_interpolate(mesh, fv, fs, x, 1)
         g = lambda x: hermite_interpolate(mesh, gv, gs, x, 0)
         dg = lambda x: hermite_interpolate(mesh, gv, gs, x, 1)
-        re1, re2 = supg_residuals(params, pot, lam, f, df, g, dg)
+        re1, re2 = supg_residuals(params, lam, f, df, g, dg)
 
         weak_f = np.zeros(2 * n)  # (Re1, v) + (Re2, tau v') per f-test dof
         weak_g = np.zeros(2 * n)  # (Re2, v) + (Re1, tau v') per g-test dof
@@ -306,16 +312,15 @@ class TestSupgWeakConsistency:
 
 class TestNodalPropagation:
     def test_zero_step_identity(self, exact_ground):
-        params, pot, lam, f, df, g, dg = exact_ground
-        out = nodal_propagation(params, pot, 2.0, 0.0, 0.0, 1.25, -0.5, lam)
+        params, lam, f, df, g, dg = exact_ground
+        out = nodal_propagation(params, 2.0, 0.0, 0.0, 1.25, -0.5, lam)
         assert out == (1.25, -0.5, 1.25, -0.5)
 
     def test_sign_conventions_at_rest_energy(self):
         # far from the nucleus with lam = mc^2 the f-values propagate
         # unchanged and the g-update couples through (mc^2 + V - lam) ~ 0
         params = OperatorParams(Z=1, kappa=1, c=10.0)
-        pot = point_nucleus(1.0)
-        zm, xm, zp, xp = nodal_propagation(params, pot, 1e9, 0.01, 0.02,
+        zm, xm, zp, xp = nodal_propagation(params, 1e9, 0.01, 0.02,
                                            1.0, 0.5, params.rest_energy)
         # f-update dominated by the (w- - lam) = -2mc^2 term acting on xi
         assert zm == pytest.approx(1.0 + 0.01 / 10.0 * (-200.0) * 0.5, rel=1e-6)
@@ -324,21 +329,21 @@ class TestNodalPropagation:
         assert xp == pytest.approx(0.5, abs=1e-8)
 
     def test_first_order_accuracy(self, exact_ground):
-        params, pot, lam, f, df, g, dg = exact_ground
+        params, lam, f, df, g, dg = exact_ground
         xj = 2.0
         errs = []
         steps = (0.1, 0.05, 0.025, 0.0125)
         for h in steps:
-            zm, xm, zp, xp = nodal_propagation(params, pot, xj, h, h,
+            zm, xm, zp, xp = nodal_propagation(params, xj, h, h,
                                                f(xj), g(xj), lam)
             errs.append(max(abs(zm - f(xj - h)), abs(zp - f(xj + h))))
         order = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert order >= 0.9  # O(h) difference approximations
 
     def test_requires_positive_node(self, exact_ground):
-        params, pot, lam, *_ = exact_ground
+        params, lam, *_ = exact_ground
         with pytest.raises(ValueError):
-            nodal_propagation(params, pot, 0.0, 0.1, 0.1, 1.0, 1.0, lam)
+            nodal_propagation(params, 0.0, 0.1, 0.1, 1.0, 1.0, lam)
 
 
 class TestTauVerification:
@@ -389,7 +394,7 @@ class TestConvergenceStudy:
 
     def test_hermite_errors_decrease(self):
         params = OperatorParams(Z=1, kappa=-1)
-        study = convergence_study(SCHEME_HERMITE, params, point_nucleus(1.0),
+        study = convergence_study(SCHEME_HERMITE, params,
                                   (30, 60, 120), 2, a=1e-6, b=40.0, gamma=8.0)
         assert study.errors.shape == (3, 2)
         assert np.all(np.isfinite(study.errors[:, 0]))
@@ -423,12 +428,12 @@ class TestConvergenceStudy:
     def test_rejects_unsorted_n(self):
         params = OperatorParams(Z=1, kappa=-1)
         with pytest.raises(ValueError):
-            convergence_study(SCHEME_HERMITE, params, point_nucleus(1.0),
+            convergence_study(SCHEME_HERMITE, params,
                               (100, 50), 2, a=1e-6, b=40.0, gamma=8.0)
 
     def test_rejects_bad_reality_tol(self):
         params = OperatorParams(Z=1, kappa=-1)
         with pytest.raises(ValueError, match="reality_tol"):
-            convergence_study(SCHEME_HERMITE, params, point_nucleus(1.0),
+            convergence_study(SCHEME_HERMITE, params,
                               (30, 60), 2, a=1e-6, b=40.0, gamma=8.0,
                               reality_tol=float("nan"))

@@ -14,8 +14,7 @@ from diracfem.assembly import (
     part_dofs,
 )
 from diracfem.discretization import BasisKind, Mesh, build_exponential_mesh
-from diracfem.errors import PhysicsError
-from diracfem.physics import OperatorParams, extended_nucleus, point_nucleus
+from diracfem.physics import OperatorParams
 
 from conftest import random_mesh
 from oracles import assemble_block, block_order, closed_form_element_entries, element_integral
@@ -43,7 +42,7 @@ def table_columns(j, n):
 class TestClosedFormOracle:
     def test_quadrature_matches_closed_forms(self, rng):
         # polynomial integrands: the 4-point rule must be exact
-        pot = point_nucleus(1.0)
+        params = OperatorParams(Z=1.0, kappa=-1)
         for _ in range(5):
             mesh = random_mesh(rng, n=6)
             n = 6
@@ -52,7 +51,7 @@ class TestClosedFormOracle:
                 for name, spec in POLY_SPECS.items():
                     for row_i, row_dof in ((0, j - 1), (1, j - 1 + n)):
                         for col_i, col_dof in enumerate(table_columns(j, n)):
-                            got = element_integral(spec, BasisKind.CUBIC_HERMITE, mesh, pot,
+                            got = element_integral(spec, BasisKind.CUBIC_HERMITE, mesh, params,
                                                    row_dof, col_dof)
                             want = entries[name][row_i, col_i]
                             assert got == pytest.approx(want, rel=1e-12, abs=1e-13), \
@@ -70,27 +69,27 @@ class TestClosedFormOracle:
 
     def test_disjoint_supports_zero_without_quadrature(self, rng):
         mesh = random_mesh(rng, n=6)
-        pot = point_nucleus(1.0)
+        params = OperatorParams(Z=1.0, kappa=-1)
         hermite = BasisKind.CUBIC_HERMITE
-        assert element_integral(POLY_SPECS["MM000"], hermite, mesh, pot, 0, 3) == 0.0
-        assert element_integral(POLY_SPECS["MM110"], hermite, mesh, pot, 1, 5) == 0.0
+        assert element_integral(POLY_SPECS["MM000"], hermite, mesh, params, 0, 3) == 0.0
+        assert element_integral(POLY_SPECS["MM110"], hermite, mesh, params, 1, 5) == 0.0
 
     def test_block_assembly_consistent_with_entrywise(self, rng):
         mesh = random_mesh(rng, n=5)
-        pot = point_nucleus(2.0)
+        params = OperatorParams(Z=2.0, kappa=-1)
         hermite = BasisKind.CUBIC_HERMITE
         for spec in (BlockMatrixSpec(0, 0, 1), BlockMatrixSpec(1, 0, 0, "V")):
-            block = assemble_block(spec, hermite, mesh, pot)
+            block = assemble_block(spec, hermite, mesh, params)
             for i in (0, 3, 7):
                 for j in (0, 4, 9):
                     assert block[i, j] == pytest.approx(
-                        element_integral(spec, hermite, mesh, pot, i, j), rel=1e-13, abs=1e-16)
+                        element_integral(spec, hermite, mesh, params, i, j), rel=1e-13, abs=1e-16)
 
     def test_linear_hat_blocks(self, rng):
         # exact hat integrals: mass diag (h_j + h_{j+1})/3, off-diag h/6
         mesh = random_mesh(rng, n=5)
-        pot = point_nucleus(1.0)
-        m000 = assemble_block(BlockMatrixSpec(0, 0, 0), BasisKind.LINEAR_HAT, mesh, pot)
+        params = OperatorParams(Z=1.0, kappa=-1)
+        m000 = assemble_block(BlockMatrixSpec(0, 0, 0), BasisKind.LINEAR_HAT, mesh, params)
         j = 3
         hj, hj1 = mesh.h[j - 1], mesh.h[j]
         assert m000[j - 1, j - 1] == pytest.approx((hj + hj1) / 3, rel=1e-13)
@@ -123,12 +122,12 @@ class TestBlockKernelProperties:
     @PROPERTY
     @given(mesh=meshes(), kind=st.sampled_from(list(BasisKind)))
     def test_block_matches_entrywise_oracle(self, mesh, kind):
-        pot = point_nucleus(2.0)
+        params = OperatorParams(Z=2.0, kappa=-1)
         n = mesh.interior_count
         m = n if kind is BasisKind.LINEAR_HAT else 2 * n
         for spec in ALL_SPECS:
-            block = assemble_block(spec, kind, mesh, pot)
-            want = np.array([[element_integral(spec, kind, mesh, pot, i, j) for j in range(m)]
+            block = assemble_block(spec, kind, mesh, params)
+            want = np.array([[element_integral(spec, kind, mesh, params, i, j) for j in range(m)]
                              for i in range(m)])
             # entries that cancel to zero (the hat M010 diagonal is 1/2 - 1/2)
             # assemble to rounding noise on the scale of their row
@@ -139,12 +138,12 @@ class TestBlockKernelProperties:
     @PROPERTY
     @given(mesh=meshes(), kind=st.sampled_from(list(BasisKind)), free=st.booleans())
     def test_unit_tau_reproduces_unweighted_block(self, mesh, kind, free):
-        pot = point_nucleus(2.0)
+        params = OperatorParams(Z=2.0, kappa=-1)
         ones = np.ones(mesh.element_count)
         for spec in ALL_SPECS:
             np.testing.assert_array_equal(
-                assemble_block(spec, kind, mesh, pot, tau=ones, free_lower_slope=free),
-                assemble_block(spec, kind, mesh, pot, free_lower_slope=free))
+                assemble_block(spec, kind, mesh, params, tau=ones, free_lower_slope=free),
+                assemble_block(spec, kind, mesh, params, free_lower_slope=free))
 
     @PROPERTY
     @given(mesh=meshes())
@@ -152,11 +151,11 @@ class TestBlockKernelProperties:
         # the free layout inserts the node-0 slope at index n, ahead of the
         # interior slopes; deleting it leaves the fixed block exactly
         hermite = BasisKind.CUBIC_HERMITE
-        pot = point_nucleus(2.0)
+        params = OperatorParams(Z=2.0, kappa=-1)
         n = mesh.interior_count
         for spec in ALL_SPECS:
-            free = assemble_block(spec, hermite, mesh, pot, free_lower_slope=True)
-            fixed = assemble_block(spec, hermite, mesh, pot)
+            free = assemble_block(spec, hermite, mesh, params, free_lower_slope=True)
+            fixed = assemble_block(spec, hermite, mesh, params)
             np.testing.assert_array_equal(np.delete(np.delete(free, n, 0), n, 1), fixed)
 
     @PROPERTY
@@ -202,13 +201,13 @@ class TestTau:
 def hyd_setup():
     params = OperatorParams(Z=1, kappa=-1)
     mesh = build_exponential_mesh(1e-5, 40.0, 14, 5.0)
-    return params, mesh, point_nucleus(1.0)
+    return params, mesh
 
 
 class TestSchemes:
     def test_linear_shapes_and_symmetry(self, hyd_setup):
-        params, mesh, pot = hyd_setup
-        system = assemble(SCHEME_LINEAR, params, mesh, pot)
+        params, mesh = hyd_setup
+        system = assemble(SCHEME_LINEAR, params, mesh)
         n = mesh.interior_count
         assert system.lhs.shape == (2 * n, 2 * n)
         assert part_sizes(system) == [n, 0, n, 0]
@@ -217,13 +216,13 @@ class TestSchemes:
         assert np.max(np.abs(system.rhs - system.rhs.T)) < 1e-12 * np.max(np.abs(system.rhs))
 
     def test_m010_antisymmetric(self, hyd_setup):
-        params, mesh, pot = hyd_setup
-        m010 = assemble_block(BlockMatrixSpec(0, 1, 0), BasisKind.LINEAR_HAT, mesh, pot)
+        params, mesh = hyd_setup
+        m010 = assemble_block(BlockMatrixSpec(0, 1, 0), BasisKind.LINEAR_HAT, mesh, params)
         assert np.max(np.abs(m010 + m010.T)) < 1e-12 * np.max(np.abs(m010))
 
     def test_hermite_shapes_and_symmetry(self, hyd_setup):
-        params, mesh, pot = hyd_setup
-        system = assemble(SCHEME_HERMITE, params, mesh, pot)
+        params, mesh = hyd_setup
+        system = assemble(SCHEME_HERMITE, params, mesh)
         n = mesh.interior_count
         assert system.lhs.shape == (4 * n, 4 * n)
         assert part_sizes(system) == [n, n, n, n]
@@ -231,18 +230,18 @@ class TestSchemes:
         assert np.max(np.abs(system.rhs - system.rhs.T)) < 1e-14 * np.max(np.abs(system.rhs))
 
     def test_galerkin_rhs_positive_definite(self, hyd_setup, rng):
-        params, mesh, pot = hyd_setup
-        for system in (assemble(SCHEME_LINEAR, params, mesh, pot),
-                       assemble(SCHEME_HERMITE, params, mesh, pot)):
+        params, mesh = hyd_setup
+        for system in (assemble(SCHEME_LINEAR, params, mesh),
+                       assemble(SCHEME_HERMITE, params, mesh)):
             w = np.linalg.eigvalsh(system.rhs)
             assert w.min() > 0
 
     def test_bandwidth(self, hyd_setup):
         # adjacent-element coupling only: within one component block the
         # half-bandwidth is bounded by twice the per-node dof count
-        params, mesh, pot = hyd_setup
+        params, mesh = hyd_setup
         n = mesh.interior_count
-        system = assemble(SCHEME_HERMITE, params, mesh, pot)
+        system = assemble(SCHEME_HERMITE, params, mesh)
         order = block_order(system)
         block = system.lhs[np.ix_(order, order)][:2 * n, :2 * n]  # the f-f block
         for i in range(2 * n):
@@ -252,38 +251,30 @@ class TestSchemes:
                     assert block[i, j] == 0.0
 
     def test_supg_nesting_at_zero_tau(self, hyd_setup, monkeypatch):
-        params, mesh, pot = hyd_setup
+        params, mesh = hyd_setup
         monkeypatch.setattr(diracfem.assembly, "compute_tau",
                             lambda mesh: np.zeros(mesh.element_count))
-        supg = assemble(SCHEME_SUPG, params, mesh, pot)
-        galerkin = assemble(SCHEME_HERMITE, params, mesh, pot)
+        supg = assemble(SCHEME_SUPG, params, mesh)
+        galerkin = assemble(SCHEME_HERMITE, params, mesh)
         scale = np.max(np.abs(galerkin.lhs))
         assert np.max(np.abs(supg.lhs - galerkin.lhs)) <= 1e-14 * scale
         assert np.max(np.abs(supg.rhs - galerkin.rhs)) <= 1e-14
 
     def test_supg_lhs_nonsymmetric(self, hyd_setup):
-        params, mesh, pot = hyd_setup
-        system = assemble(SCHEME_SUPG, params, mesh, pot)
+        params, mesh = hyd_setup
+        system = assemble(SCHEME_SUPG, params, mesh)
         assert np.max(np.abs(system.lhs - system.lhs.T)) > 0
-
-    def test_potential_charge_must_match_params(self, hyd_setup):
-        # a Z=12 potential under Z=1 params solves to Z=12-like levels, which
-        # classify would label against the Z=1 reference
-        params, mesh, _ = hyd_setup
-        for pot in (point_nucleus(12.0), extended_nucleus(12.0, 1e-4)):
-            with pytest.raises(PhysicsError, match="charge"):
-                assemble(SCHEME_HERMITE, params, mesh, pot)
 
     def test_linear_rejects_free_lower_slope(self, hyd_setup):
         # the hat basis has no slope dof: the flag cannot be honoured
-        params, mesh, pot = hyd_setup
+        params, mesh = hyd_setup
         with pytest.raises(ValueError, match="slope"):
-            assemble(SCHEME_LINEAR, params, mesh, pot, free_lower_slope=True)
+            assemble(SCHEME_LINEAR, params, mesh, free_lower_slope=True)
 
     def test_free_lower_slope_layout(self, hyd_setup):
-        params, mesh, pot = hyd_setup
+        params, mesh = hyd_setup
         n = mesh.interior_count
-        system = assemble(SCHEME_HERMITE, params, mesh, pot, free_lower_slope=True)
+        system = assemble(SCHEME_HERMITE, params, mesh, free_lower_slope=True)
         assert system.lhs.shape == (2 * (2 * n + 1), 2 * (2 * n + 1))
         assert part_sizes(system) == [n, n + 1, n, n + 1]
         # node 0's (f', g') come first, then (f, f', g, g') per interior node
@@ -295,8 +286,8 @@ class TestSchemes:
                                               (SCHEME_LINEAR, SCHEME_HERMITE, SCHEME_SUPG)]
                              + [(SCHEME_HERMITE, True), (SCHEME_SUPG, True)])
     def test_parts_partition_the_dofs(self, hyd_setup, scheme, free):
-        params, mesh, pot = hyd_setup
-        system = assemble(scheme, params, mesh, pot, free_lower_slope=free)
+        params, mesh = hyd_setup
+        system = assemble(scheme, params, mesh, free_lower_slope=free)
         parts = [part_dofs(scheme, system.size, part) for part in PARTS]
         assert all(np.all(np.diff(dofs) > 0) for dofs in parts)  # nodes in order
         np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(system.size))
@@ -304,8 +295,8 @@ class TestSchemes:
             part_dofs(scheme, system.size, "eta")
 
     def test_dispatch(self, hyd_setup):
-        params, mesh, pot = hyd_setup
+        params, mesh = hyd_setup
         for scheme in (SCHEME_LINEAR, SCHEME_HERMITE, SCHEME_SUPG):
-            assert assemble(scheme, params, mesh, pot).scheme == scheme
+            assert assemble(scheme, params, mesh).scheme == scheme
         with pytest.raises(ValueError):
-            assemble("spectral", params, mesh, pot)
+            assemble("spectral", params, mesh)

@@ -21,7 +21,12 @@ from diracfem.cli import (
 from diracfem.eigensolver import DEFAULT_REALITY_TOL
 from diracfem.errors import ConfigError
 
-from oracles import dense_bindings, dense_rayleigh_bindings, dense_two_sided_bindings
+from oracles import (
+    GALERKIN_ORACLE_RTOL,
+    dense_bindings,
+    dense_rayleigh_bindings,
+    dense_two_sided_bindings,
+)
 
 # small, fast solve configuration shared by the output-format tests
 FAST = ["--Z", "1", "--abs-kappa", "1", "--scheme", "hermite-galerkin",
@@ -93,7 +98,7 @@ free_lower_slope = yes
         with pytest.raises(ConfigError):
             RunConfig(mode="explore").finalize()
         with pytest.raises(ConfigError):
-            RunConfig(nucleus="extended").finalize()  # missing radius
+            RunConfig(radius=0.0).finalize()
         with pytest.raises(ConfigError):
             RunConfig(levels=0).finalize()
 
@@ -117,7 +122,6 @@ FIELD_SAMPLES = {
     "m": ("--m", "1.5", 1.5),
     "c_value": ("--c-value", "100", 100.0),
     "scheme": ("--scheme", "linear-galerkin", "linear-galerkin"),
-    "nucleus": ("--nucleus", "extended", "extended"),
     "radius": ("--radius", "1e-4", 1e-4),
     "a": ("--a", "1e-6", 1e-6),
     "b": ("--b", "40", 40.0),
@@ -181,7 +185,7 @@ class TestMain:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["mode", "scheme", "format", "nucleus"])
+    @pytest.mark.parametrize("key", ["mode", "scheme", "format"])
     def test_bad_choice_in_config_file_exits_2_listing_the_choices(self, key, tmp_path, capsys):
         # the flags reject it in argparse; a config file reaches finalize
         cfg = tmp_path / "bad.cfg"
@@ -189,7 +193,7 @@ class TestMain:
         assert main(["--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"config error: unknown {key} 'fancy'; expected one of {cli._CHOICES[key]}\n"
-        assert "point" in str(cli._CHOICES["nucleus"]) and "verify-tau" in cli._CHOICES["mode"]
+        assert "verify-tau" in cli._CHOICES["mode"]
 
     def test_linear_free_lower_slope_exits_2_without_output(self, tmp_path, capsys):
         out = tmp_path / "result.csv"
@@ -238,21 +242,25 @@ class TestMain:
     def test_non_finite_radius_exits_2_without_output(self, radius, tmp_path, capsys):
         # nan gave point-nucleus numbers with exit 0; inf solved, then exited 4
         out = tmp_path / "result.csv"
-        code = main(FAST + ["--nucleus", "extended", "--radius", radius,
-                            "--format", "csv", "--out", str(out)])
+        code = main(FAST + ["--radius", radius, "--format", "csv", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
-    def test_radius_without_extended_nucleus_exits_2_without_output(self, capsys):
-        # the radius used to be dropped, and the run exited 0 with point-nucleus levels
-        code = main(["--Z", "1", "--abs-kappa", "1", "--scheme", "linear-galerkin",
-                     "--n", "100", "--a", "1e-6", "--b", "150", "--mesh-gamma", "8",
-                     "--levels", "2", "--radius", "1e-3"])
-        assert code == EXIT_CONFIG
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("config error") and "radius" in err
+    def test_radius_alone_smears_the_nucleus(self, capsys):
+        # smearing the charge over R raises the 1s level above the point
+        # nucleus's; the loose match tolerance still labels it against the
+        # point-nucleus reference
+        argv = ["--Z", "92", "--kappa", "-1", "--scheme", "hermite-galerkin", "--n", "100",
+                "--a", "1e-7", "--b", "1", "--mesh-gamma", "9", "--levels", "1",
+                "--match-tol", "1e-2", "--format", "json"]
+        ground = []
+        for extra in ([], ["--radius", "1e-4"]):
+            assert main(argv + extra) == 0
+            (row,) = json.loads(capsys.readouterr().out)["rows"]
+            ground.append(row["binding"])
+        point, extended = ground
+        assert point < extended < 0.99 * point
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--mesh-gamma", "inf", "gamma"), ("--mesh-gamma", "800", "gamma"),
@@ -459,9 +467,6 @@ EQUIVALENCE_RUNS = [
 #: eigenvectors (measured: at most 7.2e-14 relative, with one BLAS thread or
 #: two); on the Z=1 pathology mesh the QZ eigenvalues are up to 1.1e-9 off them
 BINDING_RTOL = 1e-12
-#: Galerkin bindings against the Rayleigh quotients of the dense eigenvectors
-#: (measured: at most 6.7e-16 relative, with one BLAS thread or two)
-GALERKIN_BINDING_RTOL = 1e-13
 EXACT_KEYS = ("level", "kappa", "label", "n", "pair", "note", "scheme", "reference")
 BINDING_KEYS = ("binding", "pos_binding", "neg_binding")
 # relative differences of bindings: a binding rtol bounds them absolutely
@@ -483,9 +488,11 @@ def _dense_solve(system, window, reality_tol=DEFAULT_REALITY_TOL):
     and left vectors for the stabilized one. The dense eigh values are up to
     2.9e-9 off them, the QZ values up to 1.1e-9.
     """
+    lo = -2.0 * system.params.rest_energy
+    if not is_galerkin(system.scheme):  # one QZ gives the bindings and the reality check
+        return dense_two_sided_bindings(system, lo, 0.0, reality_tol)
     dense = dense_bindings(system, reality_tol)
-    quotients = dense_rayleigh_bindings if is_galerkin(system.scheme) else dense_two_sided_bindings
-    return replace(dense, bindings=quotients(system, -2.0 * system.params.rest_energy, 0.0))
+    return replace(dense, bindings=dense_rayleigh_bindings(system, lo, 0.0))
 
 
 def _order_is_resolved(rows, level):
@@ -508,7 +515,7 @@ def test_windowed_rows_match_dense(argv, monkeypatch):
             assert got.get(key) == want.get(key), key
         scheme = want.get("scheme", argv[argv.index("--scheme") + 1] if "--scheme" in argv
                           else None)
-        rtol = GALERKIN_BINDING_RTOL if scheme and is_galerkin(scheme) else BINDING_RTOL
+        rtol = GALERKIN_ORACLE_RTOL if scheme and is_galerkin(scheme) else BINDING_RTOL
         for key in BINDING_KEYS:
             if key in want:
                 assert got[key] == pytest.approx(want[key], rel=rtol, abs=0.0)

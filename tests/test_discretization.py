@@ -10,7 +10,7 @@ from diracfem.discretization import (
     gauss_rule,
 )
 from diracfem.errors import PhysicsError
-from diracfem.physics import OperatorParams, point_nucleus
+from diracfem.physics import OperatorParams
 
 from conftest import random_mesh
 from oracles import (
@@ -82,7 +82,7 @@ class TestMesh:
         np.testing.assert_array_equal(mesh.nodes, build_exponential_mesh(1e-5, 60.0, 50, 6.0).nodes)
         params = OperatorParams(Z=1, kappa=-1)
         for scheme, size in ((SCHEME_LINEAR, 100), (SCHEME_HERMITE, 200), (SCHEME_SUPG, 200)):
-            assert assemble(scheme, params, mesh, point_nucleus(1.0)).size == size
+            assert assemble(scheme, params, mesh).size == size
 
     def test_invalid_domain(self):
         with pytest.raises(PhysicsError):

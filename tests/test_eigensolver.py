@@ -1,6 +1,7 @@
 import logging
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,12 +34,12 @@ from diracfem.errors import (
 )
 from diracfem.physics import (
     OperatorParams,
-    point_nucleus,
     reference_binding,
     reference_spectrum,
 )
 
 from oracles import (
+    GALERKIN_ORACLE_RTOL,
     band_storage,
     component_coefficients,
     dense_bindings,
@@ -67,9 +68,6 @@ def relabelled(system, scheme):
                            params=system.params)
 
 
-#: Galerkin bindings against the Rayleigh quotients of the dense eigenvectors
-#: (measured: at most 6.2e-16 on the cases below, with one BLAS thread or two)
-GALERKIN_ORACLE_RTOL = 1e-13
 #: Stabilized bindings against the two-sided quotients of the dense QZ
 #: eigenvectors (measured: at most 5.8e-14 on the cases below, with one BLAS
 #: thread or two; the QZ eigenvalues themselves are up to 9.9e-11 off them)
@@ -118,7 +116,7 @@ class TestToyPencils:
         params = OperatorParams(Z=2, kappa=1)
         mesh = build_exponential_mesh(1e-5, 30.0, 24, 6.0)
         with pytest.raises(ComplexSpectrumError):
-            dense_bindings(assemble(SCHEME_SUPG, params, mesh, point_nucleus(2.0)))
+            dense_bindings(assemble(SCHEME_SUPG, params, mesh))
 
     @pytest.mark.parametrize("reality_tol", [float("nan"), float("inf"), -1.0])
     def test_bad_reality_tol_rejected(self, reality_tol):
@@ -126,7 +124,7 @@ class TestToyPencils:
         # and -1 would blame the pencil for the caller's tolerance
         params = OperatorParams(Z=2, kappa=1)
         mesh = build_exponential_mesh(1e-5, 30.0, 24, 6.0)
-        system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(2.0))
+        system = assemble(SCHEME_SUPG, params, mesh)
         with pytest.raises(ValueError, match="reality_tol"):
             dense_bindings(system, reality_tol=reality_tol)
         with pytest.raises(ValueError, match="reality_tol"):
@@ -139,7 +137,7 @@ class TestToyPencils:
         # and a SingularSystemError that blamed the pencil for the window
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 60.0, 50, 6.0)
-        system = assemble(SCHEME_HERMITE, params, mesh, point_nucleus(1.0))
+        system = assemble(SCHEME_HERMITE, params, mesh)
         with pytest.raises(ValueError, match="window"):
             solve(system, window=window)
         assert capfd.readouterr().err == ""
@@ -154,7 +152,7 @@ class TestToyPencils:
 def hydrogen_solution():
     params = OperatorParams(Z=1, kappa=-1)
     mesh = build_exponential_mesh(1e-5, 60.0, 60, 6.0)
-    system = assemble(SCHEME_HERMITE, params, mesh, point_nucleus(1.0))
+    system = assemble(SCHEME_HERMITE, params, mesh)
     return params, system, dense_bindings(system)
 
 
@@ -181,13 +179,14 @@ class TestRealSystems:
         # the windowed pairs are the six deepest levels of the dense solve,
         # read through its eigenvectors' Rayleigh quotients: the dense eigh
         # value of level 6 is itself 2.9e-9 off with one BLAS thread
+        # (measured: bindings within 2.5e-16, residuals at most 3.3e-18)
         params, system, spectrum = hydrogen_windowed
         oracle = dense_rayleigh_bindings(system, -2.0 * params.rest_energy, 0.0)
-        np.testing.assert_allclose(spectrum.bindings[:6], oracle[:6], rtol=1e-9)
+        np.testing.assert_allclose(spectrum.bindings[:6], oracle[:6], rtol=GALERKIN_ORACLE_RTOL)
         for k in range(min(6, len(spectrum.bindings))):
             res = eigenpair_residual(system, spectrum.bindings[k],
                                      spectrum.eigenvectors[:, k])
-            assert res <= 1e-8
+            assert res <= 1e-15
 
     def test_vectors_rhs_normalized_with_positive_lead(self, hydrogen_windowed):
         params, system, spectrum = hydrogen_windowed
@@ -222,7 +221,7 @@ class TestRealSystems:
         # cancellation; at c = 137 this mesh gives 1.9e-8, 5.2e-9 and 2.8e-9
         params = OperatorParams(Z=1, kappa=-1, c=1e5)
         mesh = build_exponential_mesh(1e-6, 60.0, 200, 8.0)
-        system = assemble(SCHEME_HERMITE, params, mesh, point_nucleus(1.0))
+        system = assemble(SCHEME_HERMITE, params, mesh)
         spectrum = solve(system, window=bound_window(params, 4))
         exact = [level.binding for level in reference_spectrum(params, 3)]
         np.testing.assert_allclose(spectrum.bindings[:3], exact, rtol=3e-8, atol=0.0)
@@ -231,10 +230,10 @@ class TestRealSystems:
         mesh = build_exponential_mesh(1e-6, 40.0, 60, 8.0)
         for kappa in (1, -1):
             params = OperatorParams(Z=1, kappa=kappa)
-            system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(1.0))
+            system = assemble(SCHEME_SUPG, params, mesh)
             lo, hi = bound_window(params, 3)
             windowed = solve(system, window=(lo, hi))
-            full = dense_two_sided_bindings(system, lo, hi)
+            full = dense_two_sided_bindings(system, lo, hi).bindings
             assert len(full) >= 2
             assert len(windowed.bindings) == len(full)
             np.testing.assert_allclose(windowed.bindings, full, rtol=SUPG_ORACLE_RTOL, atol=0.0)
@@ -314,7 +313,7 @@ class TestRealSystems:
         # dofs each: a wider band means the reordering regressed
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 40.0, 40, 8.0)
-        system = assemble(scheme, params, mesh, point_nucleus(1.0), free_lower_slope=free)
+        system = assemble(scheme, params, mesh, free_lower_slope=free)
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             solve(system, window=bound_window(params, 3))
         (record,) = [r for r in caplog.records if r.name == "diracfem"]
@@ -369,7 +368,7 @@ class TestRealSystems:
         # the Hermite pencil labelled SUPG runs the Arnoldi disks
         params = OperatorParams(Z=12, kappa=-2)
         mesh = build_exponential_mesh(1e-6, 60.0, 100, 8.5)
-        system = relabelled(assemble(SCHEME_HERMITE, params, mesh, point_nucleus(12.0)),
+        system = relabelled(assemble(SCHEME_HERMITE, params, mesh),
                             SCHEME_SUPG)
         lo, split, hi = bound_window(params, 12)
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
@@ -386,13 +385,13 @@ class TestRealSystems:
     def test_split_window_matches_dense(self, scheme, kappa):
         params = OperatorParams(Z=12, kappa=kappa)
         mesh = build_exponential_mesh(1e-6, 60.0, 100, 8.5)
-        system = assemble(scheme, params, mesh, point_nucleus(12.0))
+        system = assemble(scheme, params, mesh)
         window = bound_window(params, 12)
         assert len(window) == 3
         windowed = solve(system, window=window)
         if scheme == SCHEME_SUPG:
             # the QZ eigenvalues themselves sit up to 2.9e-11 off these quotients
-            full = dense_two_sided_bindings(system, window[0], window[-1])
+            full = dense_two_sided_bindings(system, window[0], window[-1]).bindings
             rtol = SUPG_ORACLE_RTOL
         else:
             # the Rayleigh quotients of the dense eigenvectors: the dense eigh
@@ -449,7 +448,7 @@ class TestRealSystems:
     def test_supg_solution_real_here(self):
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 40.0, 100, 8.0)
-        system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(1.0))
+        system = assemble(SCHEME_SUPG, params, mesh)
         spectrum = dense_bindings(system)
         assert spectrum.max_imag <= 1e-8 * params.rest_energy
         assert spectrum.bindings[0] == pytest.approx(-0.5000066566, abs=1e-4)
@@ -472,7 +471,7 @@ class TestRealSystems:
         # spectrum it returns carries one per binding
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 40.0, 40, 8.0)
-        system = assemble(scheme, params, mesh, point_nucleus(1.0))
+        system = assemble(scheme, params, mesh)
         dense = dense_bindings(system)
         assert len(dense.bindings) >= 3
         assert not hasattr(dense, "eigenvectors")
@@ -482,7 +481,7 @@ class TestRealSystems:
     def test_linear_scheme_has_no_slopes(self):
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 40.0, 30, 5.0)
-        spectrum = solve(assemble(SCHEME_LINEAR, params, mesh, point_nucleus(1.0)),
+        spectrum = solve(assemble(SCHEME_LINEAR, params, mesh),
                          window=bound_window(params, 3))
         values, slopes = component_coefficients(spectrum, 0, "f")
         assert slopes is None
@@ -493,26 +492,24 @@ class TestRealSystems:
         # sharpens the ground state by orders of magnitude
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 60.0, 60, 6.0)
-        pot = point_nucleus(1.0)
         window = bound_window(params, 3)
-        fixed = solve(assemble(SCHEME_HERMITE, params, mesh, pot), window=window)
-        free = solve(assemble(SCHEME_HERMITE, params, mesh, pot, free_lower_slope=True),
+        fixed = solve(assemble(SCHEME_HERMITE, params, mesh), window=window)
+        free = solve(assemble(SCHEME_HERMITE, params, mesh, free_lower_slope=True),
                      window=window)
         exact = -0.50000665659
         assert abs(free.bindings[0] - exact) < 0.01 * abs(fixed.bindings[0] - exact)
         values, slopes = component_coefficients(free, 0, "f")
         assert slopes.shape == (61,)
 
-    def test_extended_nucleus_is_less_bound(self):
+    def test_finite_nucleus_is_less_bound(self):
         # uranium-scale charge: smearing the nucleus over R ~ 1.4e-4 a.u.
         # raises the ground level relative to the point-nucleus one
-        from diracfem.physics import extended_nucleus, reference_binding
+        from diracfem.physics import reference_binding
 
         params = OperatorParams(Z=92, kappa=-1)
         mesh = build_exponential_mesh(1e-7, 1.0, 150, 9.0)
-        point_spec = dense_bindings(assemble(SCHEME_HERMITE, params, mesh, point_nucleus(92.0)))
-        ext_spec = dense_bindings(assemble(SCHEME_HERMITE,
-                                           params, mesh, extended_nucleus(92.0, 1.4e-4)))
+        point_spec = dense_bindings(assemble(SCHEME_HERMITE, params, mesh))
+        ext_spec = dense_bindings(assemble(SCHEME_HERMITE, replace(params, R=1.4e-4), mesh))
         point_exact = reference_binding(params, 0).binding
         assert point_spec.bindings[0] == pytest.approx(point_exact, rel=1e-4)
         shift = ext_spec.bindings[0] - point_spec.bindings[0]
@@ -535,8 +532,7 @@ class TestGalerkinDriver:
         # the inertia count reads the signs of an LDL^T of lhs - s*rhs as the
         # number of levels below s: lhs must be symmetric and rhs must factor
         params = OperatorParams(Z=z, kappa=kappa)
-        system = assemble(scheme, params, build_exponential_mesh(*mesh_args),
-                          point_nucleus(float(z)), free_lower_slope=free)
+        system = assemble(scheme, params, build_exponential_mesh(*mesh_args), free_lower_slope=free)
         lhs = system.lhs
         assert np.max(np.abs(lhs - lhs.T)) <= 1e-14 * np.max(np.abs(lhs))
         hb = system.rhs_band.shape[0] // 2
@@ -566,7 +562,7 @@ class TestGalerkinDriver:
         # solve leaves the Z=12 kappa=+2 instilled level near -0.8896 6.1e-11 off
         params = OperatorParams(Z=z, kappa=kappa)
         mesh = (1e-6, 60.0, n, 8.5) if z == 12 else (1e-6, 150.0, n, 8.0)
-        system = assemble(scheme, params, build_exponential_mesh(*mesh), point_nucleus(float(z)))
+        system = assemble(scheme, params, build_exponential_mesh(*mesh))
         spectrum = solve(system, window=bound_window(params, levels))
         assert len(spectrum.bindings) >= levels
         np.testing.assert_allclose(spectrum.bindings,
@@ -581,8 +577,7 @@ class TestGalerkinDriver:
         # window ends below the second one, the kappa = +1 window (which also
         # holds the copy of the kappa = -1 ground state) above it
         params = OperatorParams(Z=1, kappa=kappa)
-        system = assemble(SCHEME_LINEAR, params, build_exponential_mesh(1e-6, 150.0, 100, 8.0),
-                          point_nucleus(1.0))
+        system = assemble(SCHEME_LINEAR, params, build_exponential_mesh(1e-6, 150.0, 100, 8.0))
         lo, hi = bound_window(params, 6)
         windowed = solve(system, window=(lo, hi))
         oracle = dense_rayleigh_bindings(system, lo, hi)
@@ -666,8 +661,7 @@ class TestGalerkinDriver:
 
     def test_debug_record_names_the_count(self, caplog):
         params = OperatorParams(Z=12, kappa=-2)
-        system = assemble(SCHEME_HERMITE, params, build_exponential_mesh(1e-6, 60.0, 100, 8.5),
-                          point_nucleus(12.0))
+        system = assemble(SCHEME_HERMITE, params, build_exponential_mesh(1e-6, 60.0, 100, 8.5))
         lo, split, hi = bound_window(params, 12)
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             windowed = solve(system, window=(lo, split, hi))
@@ -699,8 +693,7 @@ class TestGalerkinDriver:
         # search of each extra level, on windows one level taller, takes
         # 16/41, 17/41 and 17/43 factorizations/steps)
         params = OperatorParams(Z=z, kappa=kappa)
-        system = assemble(scheme, params, build_exponential_mesh(*mesh_args),
-                          point_nucleus(float(z)))
+        system = assemble(scheme, params, build_exponential_mesh(*mesh_args))
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             solve(system, window=bound_window(params, levels))
         (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
@@ -714,8 +707,7 @@ class TestStabilizedParity:
         # an Arnoldi solve that loses the eigenpair nearest its shift still
         # covers the disk, but no longer matches the determinant signs
         params = OperatorParams(Z=1, kappa=-1)
-        system = assemble(SCHEME_SUPG, params, build_exponential_mesh(1e-6, 40.0, 60, 8.0),
-                          point_nucleus(1.0))
+        system = assemble(SCHEME_SUPG, params, build_exponential_mesh(1e-6, 40.0, 60, 8.0))
         window = bound_window(params, 3)
         assert len(solve(system, window=window).bindings) >= 3
         eigs = scipy.sparse.linalg.eigs
@@ -736,7 +728,7 @@ class TestDenseOracle:
         # thread each; what comes back must be what an in-process solve gives
         params = OperatorParams(Z=12, kappa=-2)
         mesh = build_exponential_mesh(1e-6, 60.0, 60, 8.5)
-        system = assemble(SCHEME_SUPG, params, mesh, point_nucleus(12.0))
+        system = assemble(SCHEME_SUPG, params, mesh)
         here = dense_bindings(system)
         environment = dict(os.environ)
         (there,) = dense_bindings_in_workers([system], timeout=120.0)

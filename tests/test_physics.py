@@ -3,11 +3,7 @@ import pytest
 
 from diracfem.errors import PhysicsError
 from diracfem.physics import (
-    NucleusKind,
     OperatorParams,
-    PotentialModel,
-    extended_nucleus,
-    point_nucleus,
     potential_derivative,
     potential_value,
     reference_binding,
@@ -60,50 +56,45 @@ class TestParams:
 
 class TestPotential:
     def test_point_value(self):
-        assert potential_value(point_nucleus(1.0), 2.0) == -0.5
+        assert potential_value(OperatorParams(Z=1.0, kappa=-1), 2.0) == -0.5
 
     def test_point_singularity(self):
         with pytest.raises(PhysicsError):
-            potential_value(point_nucleus(1.0), 0.0)
+            potential_value(OperatorParams(Z=1.0, kappa=-1), 0.0)
 
     def test_extended_continuous_at_radius(self):
-        model = extended_nucleus(12.0, 0.01)
-        inside = potential_value(model, 0.01 - 1e-12)
-        outside = potential_value(model, 0.01)
+        params = OperatorParams(Z=12.0, kappa=-1, R=0.01)
+        inside = potential_value(params, 0.01 - 1e-12)
+        outside = potential_value(params, 0.01)
         assert inside == pytest.approx(-12.0 / 0.01, rel=1e-9)
         assert outside == pytest.approx(-12.0 / 0.01, rel=1e-12)
 
     def test_extended_at_origin(self):
-        model = extended_nucleus(4.0, 0.25)
-        assert potential_value(model, 0.0) == pytest.approx(-3 * 4.0 / (2 * 0.25), rel=1e-14)
+        params = OperatorParams(Z=4.0, kappa=-1, R=0.25)
+        assert potential_value(params, 0.0) == pytest.approx(-3 * 4.0 / (2 * 0.25), rel=1e-14)
 
     def test_extended_c1_at_radius(self):
         Z, R = 7.0, 0.02
-        model = extended_nucleus(Z, R)
-        assert potential_derivative(model, R - 1e-13) == pytest.approx(Z / R**2, rel=1e-9)
-        assert potential_derivative(model, R + 1e-13) == pytest.approx(Z / R**2, rel=1e-9)
-
-    def test_extended_requires_radius(self):
-        with pytest.raises(PhysicsError):
-            PotentialModel(kind=NucleusKind.EXTENDED_UNIFORM, Z=1.0, R=None)
+        params = OperatorParams(Z=Z, kappa=-1, R=R)
+        assert potential_derivative(params, R - 1e-13) == pytest.approx(Z / R**2, rel=1e-9)
+        assert potential_derivative(params, R + 1e-13) == pytest.approx(Z / R**2, rel=1e-9)
 
     @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1e-4])
     def test_extended_requires_finite_positive_radius(self, radius):
         # with R = nan every x < R test is false, so V was the point-nucleus
         # potential; R = inf made V a constant well
         with pytest.raises(PhysicsError, match="radius"):
-            extended_nucleus(12, radius)
+            OperatorParams(Z=12, kappa=-1, R=radius)
 
     def test_w_plus_minus(self):
         params = OperatorParams(Z=1, kappa=-1, m=1.0, c=10.0)
-        model = point_nucleus(1.0)
-        assert potential_w(params, model, -1, 2.0) == pytest.approx(-100.5, rel=1e-14)
+        assert potential_w(params, -1, 2.0) == pytest.approx(-100.5, rel=1e-14)
         # w+ approaches mc^2 as the potential vanishes
-        assert potential_w(params, model, +1, 1e9) == pytest.approx(100.0, rel=1e-9)
+        assert potential_w(params, +1, 1e9) == pytest.approx(100.0, rel=1e-9)
         # w+ - w- = 2 mc^2 for all x
         xs = np.array([0.3, 1.0, 7.5])
         np.testing.assert_allclose(
-            potential_w(params, model, +1, xs) - potential_w(params, model, -1, xs),
+            potential_w(params, +1, xs) - potential_w(params, -1, xs),
             200.0, rtol=1e-14)
 
 

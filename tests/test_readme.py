@@ -1,9 +1,13 @@
-"""The README's library example runs as documented."""
+"""The README's library example runs as documented, and its flags exist."""
 
 import re
 from pathlib import Path
 
+from diracfem import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+#: Flags the README passes to pip and pytest, not to dirac-fem.
+OTHER_TOOLS_FLAGS = {"--no-build-isolation", "--durations"}
 
 
 def test_readme_quick_start_runs(capsys):
@@ -15,3 +19,9 @@ def test_readme_quick_start_runs(capsys):
     printed = capsys.readouterr().out
     assert printed.count("Label.GENUINE") == 12
     assert len(namespace["bound_states"](namespace["spectrum"], 12)) == 12
+
+
+def test_readme_flags_are_cli_options():
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text()))
+    unknown = flags - OTHER_TOOLS_FLAGS - set(cli._PARSER._option_string_actions)
+    assert not unknown, f"README documents flags dirac-fem does not have: {sorted(unknown)}"

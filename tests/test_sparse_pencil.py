@@ -17,7 +17,7 @@ from diracfem.assembly import (
 )
 from diracfem.discretization import BasisKind, build_exponential_mesh
 from diracfem.eigensolver import bound_window, solve
-from diracfem.physics import OperatorParams, point_nucleus
+from diracfem.physics import OperatorParams
 
 from oracles import assemble_block, band_storage, block_order
 
@@ -36,19 +36,19 @@ def no_dense_pencil(monkeypatch):
 @pytest.fixture
 def setup():
     params = OperatorParams(Z=2, kappa=-1)
-    return params, build_exponential_mesh(1e-6, 40.0, 40, 7.0), point_nucleus(2.0)
+    return params, build_exponential_mesh(1e-6, 40.0, 40, 7.0)
 
 
 def test_windowed_solve_never_densifies(no_dense_pencil, setup):
-    params, mesh, pot = setup
+    params, mesh = setup
     for scheme in SCHEMES:
-        spectrum = solve(assemble(scheme, params, mesh, pot), window=bound_window(params, 6))
+        spectrum = solve(assemble(scheme, params, mesh), window=bound_window(params, 6))
         assert len(spectrum.bindings) >= 6
 
 
 def test_convergence_study_never_densifies(no_dense_pencil, setup):
-    params, _, pot = setup
-    study = analysis.convergence_study(SCHEME_HERMITE, params, pot, (60, 120), 3,
+    params, _ = setup
+    study = analysis.convergence_study(SCHEME_HERMITE, params, (60, 120), 3,
                                        a=1e-6, b=40.0, gamma=7.0)
     assert np.all(np.isfinite(study.errors))
 
@@ -77,11 +77,11 @@ def test_assemble_and_windowed_solve_build_no_csc_pencil(setup, monkeypatch):
 
     monkeypatch.setattr(np, "unique", refuse)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
-    params, mesh, pot = setup
+    params, mesh = setup
     for scheme in SCHEMES:
         with monkeypatch.context() as m:
             m.setattr(scipy.sparse.csc_array, "__init__", refuse)
-            system = assemble(scheme, params, mesh, pot)
+            system = assemble(scheme, params, mesh)
         factored.clear()
         spectrum = solve(system, window=bound_window(params, 6))
         assert len(spectrum.bindings) >= 6
@@ -98,22 +98,22 @@ def test_block_has_the_element_pattern(setup):
     # nodes, times 4 dof pairs for Hermite; the free node-0 slope adds itself
     # and its two couplings to node 1 in each direction. The Galerkin rhs
     # band holds that block once per spinor component and nothing else
-    params, mesh, pot = setup
+    params, mesh = setup
     n = mesh.interior_count
     spec = BlockMatrixSpec(0, 0, 0)
     for scheme, kind, free, nnz in (
             (SCHEME_LINEAR, BasisKind.LINEAR_HAT, False, 3 * n - 2),
             (SCHEME_HERMITE, BasisKind.CUBIC_HERMITE, False, 4 * (3 * n - 2)),
             (SCHEME_HERMITE, BasisKind.CUBIC_HERMITE, True, 4 * (3 * n - 2) + 5)):
-        block = assemble_block(spec, kind, mesh, pot, free_lower_slope=free)
+        block = assemble_block(spec, kind, mesh, params, free_lower_slope=free)
         assert np.count_nonzero(block) == nnz
-        system = assemble(scheme, params, mesh, pot, free_lower_slope=free)
+        system = assemble(scheme, params, mesh, free_lower_slope=free)
         assert np.count_nonzero(system.rhs_band) == 2 * nnz
 
 
 def test_pencil_band_is_read_only(setup):
-    params, mesh, pot = setup
-    system = assemble(SCHEME_LINEAR, params, mesh, pot)
+    params, mesh = setup
+    system = assemble(SCHEME_LINEAR, params, mesh)
     for array in (system.lhs_band, system.rhs_band):
         with pytest.raises(ValueError):
             array[..., 0] = 1
@@ -130,10 +130,10 @@ def test_pencil_band_is_read_only(setup):
 def test_pencil_pattern_is_the_block_pattern(setup, scheme, free):
     # lhs couples all four spinor blocks on the element pattern; the
     # Galerkin rhs is block-diagonal and holds only its two mass blocks
-    params, mesh, pot = setup
-    system = assemble(scheme, params, mesh, pot, free_lower_slope=free)
+    params, mesh = setup
+    system = assemble(scheme, params, mesh, free_lower_slope=free)
     kind = BasisKind.LINEAR_HAT if scheme == SCHEME_LINEAR else BasisKind.CUBIC_HERMITE
-    block = assemble_block(BlockMatrixSpec(0, 0, 0), kind, mesh, pot, free_lower_slope=free)
+    block = assemble_block(BlockMatrixSpec(0, 0, 0), kind, mesh, params, free_lower_slope=free)
     m, nnz = len(block), np.count_nonzero(block)
     pattern = np.tile(block != 0, (2, 2))
     order = np.ix_(block_order(system), block_order(system))
