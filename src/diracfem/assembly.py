@@ -155,7 +155,8 @@ def _element_kernel(kind: BasisKind, mesh: Mesh, params: OperatorParams):
         weight = w * weight
         if tau is not None:
             weight = weight * tau[:, None]
-        return np.einsum("eq,eaq,ebq->eab", weight, shapes[spec.r], shapes[spec.s])
+        # one batched matmul over the elements: (a, q) weighted times (q, b)
+        return np.matmul(shapes[spec.r] * weight[:, None, :], shapes[spec.s].transpose(0, 2, 1))
 
     return integrals
 

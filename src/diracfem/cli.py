@@ -235,11 +235,13 @@ SLOPE_MISS_FACTOR = 100.0
 
 
 def _miss_hint(cfg: RunConfig, kappa: int, entries) -> str:
-    """Why the first ``cfg.levels`` computed levels missed: the domain, the slope or the mesh.
+    """Why the first ``cfg.levels`` levels missed: the domain, the nucleus, the slope or the mesh.
 
     A window holding fewer than ``cfg.levels`` computed levels points at a
     domain too short for the upper levels. Otherwise each level's miss is its
-    relative distance to the nearest reference level.
+    relative distance to the nearest reference level. A ``--radius`` run is
+    labelled against the point-nucleus reference, so its misses are the
+    finite nucleus's own shift of the levels.
     """
     if len(entries) < cfg.levels:
         return (f"; the window held {len(entries)} computed level(s): the domain "
@@ -248,6 +250,11 @@ def _miss_hint(cfg: RunConfig, kappa: int, entries) -> str:
     tol = cfg.matching_tolerance()
     worst = max(min(abs(e.binding - r.binding) / abs(r.binding) for r in reference)
                 for e in entries[:cfg.levels])
+    if cfg.radius is not None:
+        return (f"; the computed levels miss the reference by up to {worst:.1e} relative, "
+                f"against the match tolerance {tol:g}: a --radius run is labelled against "
+                f"the point-nucleus reference, from which the finite nucleus moves the "
+                f"levels (loosen --match-tol to label them)")
     if (worst <= SLOPE_MISS_FACTOR * tol and cfg.scheme != SCHEME_LINEAR
             and not cfg.free_lower_slope and abs(kappa) == 1):
         return ("; the computed levels miss the reference, likely because of the "

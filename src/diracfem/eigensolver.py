@@ -12,10 +12,11 @@ in the node order in which ``assemble`` stores the pencil as band matrices
 
 - The Galerkin pencils are symmetric-definite, so Sylvester inertia counts
   their eigenvalues exactly (spectrum slicing; Grimes, Lewis & Simon 1994).
-  The counts at the window's edges give its number of levels m, inverse
-  iteration from the exact point-nucleus levels finds them (Parlett, *The
-  Symmetric Eigenvalue Problem*, ch. 3-4), and the solve returns exactly m
-  levels or raises SolverError.
+  One count at the window's top edge, and at its lower edge a bound from
+  the negative definite g-g block (Haynsworth 1968), give its number of
+  levels m, inverse iteration from the exact point-nucleus levels finds
+  them (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3-4), and the
+  solve returns exactly m levels or raises SolverError.
 - The stabilized pencil is nonsymmetric and has no inertia. Each slice of
   its window is one shift-invert Arnoldi disk (Ericsson & Ruhe 1980;
   ARPACK) that certifies itself by its radius, and the determinant signs
@@ -150,27 +151,33 @@ def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dgbmv(max(size, 2 * hb + 1), size, hb, hb, 1.0, band, x)[:size]
 
 
-def _band_lu(system: AssembledSystem, sigma: float):
-    """``dgbtrf`` of lhs - sigma*rhs with partial pivoting: (lu, pivots, det_sign).
+def _shifted_lu(system: AssembledSystem):
+    """Function sigma -> partially pivoted ``dgbtrf`` of lhs - sigma*rhs: (lu, pivots, det_sign).
 
-    ``det_sign`` is the sign of det(lhs - sigma*rhs): the product of the
-    signs of U's diagonal, times -1 for each row swap, and 0 when U is
-    exactly singular. A factor holding a non-finite entry raises
-    SingularSystemError.
+    lhs and rhs are copied once into dgbtrf's layout, with hb more rows on
+    top for the fill that row swaps bring, so each shifted pencil is one
+    contiguous multiply-add. ``det_sign`` is the sign of
+    det(lhs - sigma*rhs): the product of the signs of U's diagonal, times -1
+    for each row swap, and 0 when U is exactly singular. A factor holding a
+    non-finite entry raises SingularSystemError.
     """
-    a, b = system.lhs_band, system.rhs_band
-    hb = a.shape[0] // 2
-    # the array to factor has hb more rows on top for the fill that row swaps bring
-    shifted = np.zeros((3 * hb + 1, system.size), order="F")
-    np.multiply(b, -sigma, out=shifted[hb:])  # lhs - sigma*rhs, with no temporary
-    shifted[hb:] += a
-    lu, pivots, info = dgbtrf(shifted, hb, hb, overwrite_ab=True)
-    if not np.isfinite(lu).all():
-        raise SingularSystemError(f"shifted pencil at sigma={sigma} has a non-finite factor")
-    if info > 0:
-        return lu, pivots, 0
-    flips = np.count_nonzero(lu[2 * hb] < 0) + np.count_nonzero(pivots != np.arange(system.size))
-    return lu, pivots, -1 if flips % 2 else 1
+    hb, size = system.lhs_band.shape[0] // 2, system.size
+    lhs, rhs = (np.zeros((3 * hb + 1, size), order="F") for _ in range(2))
+    lhs[hb:], rhs[hb:] = system.lhs_band, system.rhs_band
+    natural = np.arange(size)
+
+    def lu(sigma: float):
+        shifted = np.multiply(rhs, -sigma)  # Fortran-ordered like rhs, so dgbtrf copies nothing
+        shifted += lhs
+        factor, pivots, info = dgbtrf(shifted, hb, hb, overwrite_ab=True)
+        if not np.isfinite(factor).all():
+            raise SingularSystemError(f"shifted pencil at sigma={sigma} has a non-finite factor")
+        if info > 0:
+            return factor, pivots, 0
+        flips = np.count_nonzero(factor[2 * hb] < 0) + np.count_nonzero(pivots != natural)
+        return factor, pivots, -1 if flips % 2 else 1
+
+    return lu
 
 
 def _normalize_vectors(vecs: np.ndarray, system: AssembledSystem) -> np.ndarray:
@@ -279,13 +286,14 @@ class _LevelSearch:
     to the vectors already found, so no level is found twice.
     """
 
-    def __init__(self, system: AssembledSystem):
-        self.system = system
+    def __init__(self, system: AssembledSystem, lu):
+        self.system, self._lu = system, lu
         self.hb = system.lhs_band.shape[0] // 2
         self._abs_bands = np.abs(system.lhs_band), np.abs(system.rhs_band)
         # fixed, so repeated solves are bit-identical; not all ones, which a
         # symmetric pencil can make orthogonal to a level it then never finds
         self._start = np.random.default_rng(0).uniform(0.5, 1.5, system.size)
+        self._rhs_start = _band_product(system.rhs_band, self._start)
         self.mu: list[float] = []
         # the found vectors and rhs times each, one per row, with room for more
         self._basis, self._rhs_basis = np.zeros((2, 0, system.size))
@@ -301,9 +309,9 @@ class _LevelSearch:
         return y
 
     def factor(self, sigma: float):
-        """``_band_lu`` of lhs - sigma*rhs, made solvable: (lu, pivots, det_sign)."""
+        """``dgbtrf`` of lhs - sigma*rhs, made solvable: (lu, pivots, det_sign)."""
         self.factorizations += 1
-        lu, pivots, det_sign = _band_lu(self.system, sigma)
+        lu, pivots, det_sign = self._lu(sigma)
         if det_sign == 0:
             # sigma is an eigenvalue: a tiny pivot in place of the zero one
             # makes the solve return its eigenvector
@@ -363,7 +371,10 @@ class _LevelSearch:
         is not looking for. The new level is None if the search gave up.
         """
         lu, pivots, _ = factor
-        rhs_y = _band_product(self.system.rhs_band, self._deflate(self._start.copy()))
+        # rhs times the deflated start, from rhs*start and the stored rhs
+        # times each found vector, with no band product
+        k = len(self.mu)
+        rhs_y = self._rhs_start - (self._rhs_basis[:k] @ self._start) @ self._rhs_basis[:k]
         previous, plain, rqi = None, 0, 0
         while rqi <= RQI_STEPS:
             if rqi:
@@ -430,10 +441,40 @@ def _widest_gap_midpoint(lo: float, hi: float, found: np.ndarray) -> float:
     return float(0.5 * (points[k] + points[k + 1]))
 
 
-def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
+def _g_block_floor(system: AssembledSystem, lo: float) -> int | None:
+    """N_g, the number of g dofs, if the g-g block of lhs - lo*rhs is negative definite.
+
+    That block is the integral of (V - 2mc^2 - lo)*g_i*g_j: the potential
+    is negative, so the block is negative definite for every lo >= -2mc^2,
+    ``bound_window``'s lo among them. Then lhs - lo*rhs has N_g negative
+    eigenvalues plus those of its Schur complement (Haynsworth's inertia
+    additivity, 1968), so count(lo) >= N_g. The band Cholesky
+    factorization (``dpbtrf``) of minus the block checks its
+    definiteness; None if it fails.
+    """
+    hb = system.lhs_band.shape[0] // 2
+    g = np.sort(np.concatenate([part_dofs(system.scheme, system.size, part)
+                                for part in ("xi", "xi_prime")]))
+    # in g order the block's half-bandwidth is the most g dofs within hb
+    # after one: hb // 2 for an assembled pencil
+    kd = int(np.max(np.searchsorted(g, g + hb, side="right") - np.arange(1, len(g) + 1)))
+    rows = np.arange(len(g)) + np.arange(kd + 1)[:, None]  # the g row of each lower band slot
+    inside = rows < len(g)
+    slots = np.where(inside, hb + g[np.minimum(rows, len(g) - 1)] - g, hb)  # ... and its slot
+    band = np.where(inside, lo * system.rhs_band[slots, g] - system.lhs_band[slots, g], 0.0)
+    _, info = dpbtrf(band, lower=1, overwrite_ab=True)
+    return len(g) if info == 0 else None
+
+
+def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
     """Every eigenpair of a symmetric-definite pencil in (lo, hi), ascending: (mu, vectors).
 
-    1. Count: m = count(hi) - count(lo), the exact number of levels in the window.
+    ``lu`` factors the shifted pencil (see ``_shifted_lu``).
+
+    1. Count: count(hi), and count(lo) >= N_g from the Cholesky
+       factorization of the g-g block at lo (``_g_block_floor``), so the
+       window holds at most m = count(hi) - N_g levels. Where that block is
+       not negative definite, count(lo) is counted and m is exact.
     2. Locate: one inverse-iteration search from each kappa = -|kappa|
        reference level in the window.
     3. Find the extras: each search's determinant sign is the parity of the
@@ -443,10 +484,14 @@ def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
        sits beside a genuine one, so an odd interval just below a shift,
        and one above the last shift, is searched once more on that shift's
        factor before the next shift is factored; what that misses is
-       searched from the middle of the interval's widest gap.
-    4. Certify: bisect with counts until every interval holds as many
-       found levels as it counts, searching the middle of each interval
-       that still misses some. A window that does not settle raises
+       searched from the middle of the interval's widest gap. The parity
+       at lo is N_g's until count(lo) is known; it only steers searches.
+    4. Certify: m levels found in the window prove count(lo) = N_g, and
+       the window is certified with one count. Otherwise count(lo) is
+       counted (another level lies below lo, or a search failed), and
+       count bisection runs until every interval holds as many found
+       levels as it counts, searching the middle of each interval that
+       still misses some. A window that does not settle raises
        SolverError.
 
     rhs must be positive definite for the counts to mean "eigenvalues below
@@ -458,11 +503,14 @@ def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
         raise SolverError(f"rhs of the {system.scheme} pencil is not positive definite "
                           f"(band Cholesky fails in column {info})")
     count = _inertia_counter(system)
-    below = {lo: count(lo), hi: count(hi)}
-    m = below[hi] - below[lo]
-    search = _LevelSearch(system)
+    below = {hi: count(hi)}  # the counts run
+    floor = _g_block_floor(system, lo)
+    if floor is None:
+        floor = below[lo] = count(lo)
+    m = below[hi] - floor  # the window's number of levels, or more until count(lo) is known
+    search = _LevelSearch(system, lu)
     shifts = _reference_shifts(system.params, lo, hi, m, system.size)
-    parity = {edge: below[edge] % 2 for edge in (lo, hi)}
+    parity = {lo: floor % 2, hi: below[hi] % 2}
 
     def probe(sigma, x, y):
         """Factor at sigma, read its parity and search (x, y) on it: (factor, new level)."""
@@ -470,6 +518,13 @@ def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
         if factor[2]:
             parity[sigma] = int(factor[2] < 0)
         return factor, search.search(factor, x, y)
+
+    def count_lo():
+        """Count at lo; from here on, m and the parity at lo are exact."""
+        nonlocal m
+        below[lo] = count(lo)
+        parity[lo] = below[lo] % 2
+        m = below[hi] - below[lo]
 
     for sigma in shifts:
         factor, _ = probe(sigma, lo, hi)
@@ -484,8 +539,18 @@ def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
         interval = next(_odd_intervals(parity, search.mu), None)
         if interval is None:
             break
+        if interval[0] == lo and lo not in below:
+            # lo has the floor's parity: a level other than the N_g below lo
+            # would make this interval odd for good, and halving it never ends
+            count_lo()
+            continue
         probe(_widest_gap_midpoint(*interval, np.array(search.mu)), *interval)
     pending = [(lo, hi)]
+    if lo not in below:
+        if sum(lo < mu < hi for mu in search.mu) == m:
+            pending = []  # the floor is count(lo): the window is certified
+        else:
+            count_lo()
     while pending:
         x, y = pending.pop()
         found = np.sort([mu for mu in search.mu if x < mu < y])
@@ -523,20 +588,23 @@ def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
     order = order[(mu[order] > lo) & (mu[order] < hi)]
     if len(order) != m:  # the certificate
         raise SolverError(f"window ({lo!r}, {hi!r}) holds {m} levels, {len(order)} found")
-    _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) driver=inertia "
-               "m=%d shifts=[%s] factorizations=%d counts=%d steps=%d max_imag=0",
-               system.size, np.count_nonzero(system.lhs_band), hb, hb, lo, hi, m,
-               ", ".join(f"{s:.10g}" for s in shifts), search.factorizations, len(below),
-               search.steps)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) driver=inertia "
+                   "m=%d shifts=[%s] factorizations=%d counts=%d steps=%d max_imag=0",
+                   system.size, np.count_nonzero(system.lhs_band), hb, hb, lo, hi, m,
+                   ", ".join(f"{s:.10g}" for s in shifts), search.factorizations, len(below),
+                   search.steps)
     return mu[order], search.vectors[:, order]
 
 
 # --- the stabilized pencil: shift-invert Arnoldi disks -------------------------
 
 
-def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
+def _solve_disk(system: AssembledSystem, lu, lo: float, hi: float, first_k: int,
                 reality_tol: float):
     """One shift-invert disk certified complete on (lo, hi): (mu, vecs, radius, max_imag).
+
+    ``lu`` factors the shifted pencil (see ``_shifted_lu``).
 
     ``mu`` holds the real parts of every computed binding, ascending,
     ``vecs`` their node-order eigenvectors, and ``radius`` the farthest
@@ -551,7 +619,7 @@ def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
     size = system.size
     sigma, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     hb = system.lhs_band.shape[0] // 2
-    lu, pivots, det_sign = _band_lu(system, sigma)
+    factor, pivots, det_sign = lu(sigma)
     if det_sign == 0:
         raise SingularSystemError(f"shifted pencil singular at sigma={sigma}")
     ops = 0
@@ -559,7 +627,8 @@ def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
     def apply(x):
         nonlocal ops
         ops += 1
-        y, _ = dgbtrs(lu, hb, hb, _band_product(system.rhs_band, x), pivots, overwrite_b=True)
+        y, _ = dgbtrs(factor, hb, hb, _band_product(system.rhs_band, x), pivots,
+                      overwrite_b=True)
         return y
 
     op = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply, dtype=float)
@@ -585,11 +654,12 @@ def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int,
     rim = sigma - radius, sigma + radius
     probes = [_empty_gap_midpoint(mu.real, rim[0], edge, rim[1]) for edge in (lo, hi)]
     inside = int(np.count_nonzero((mu.real > probes[0]) & (mu.real < probes[1])))
-    edge_signs = _band_lu(system, probes[0])[2] * _band_lu(system, probes[1])[2]
-    _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) sigma=%r "
-               "driver=nonsymmetric k=%d rounds=%d ops=%d max_imag=%.3g parity=%d",
-               size, np.count_nonzero(system.lhs_band), hb, hb, lo, hi, sigma, k, rounds, ops,
-               max_imag, inside % 2)
+    edge_signs = lu(probes[0])[2] * lu(probes[1])[2]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("windowed solve: N=%d nnz=%d band=(%d, %d) window=(%r, %r) sigma=%r "
+                   "driver=nonsymmetric k=%d rounds=%d ops=%d max_imag=%.3g parity=%d",
+                   size, np.count_nonzero(system.lhs_band), hb, hb, lo, hi, sigma, k, rounds,
+                   ops, max_imag, inside % 2)
     _check_reality(lam, reality_tol)
     if edge_signs != (-1) ** inside:
         raise SolverError(f"window ({lo}, {hi}): {inside} real eigenvalues found between "
@@ -619,19 +689,22 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
     ``window`` holds ascending edges. The scheme table decides the path
     (``assembly.is_galerkin``); both factor shifted pencils ``lhs - s*rhs``
     formed from the node-order band pencil (half-bandwidth 3 for the
-    linear scheme, 7 for Hermite) in LAPACK band storage.
+    linear scheme, 7 for Hermite) in LAPACK band storage, which each solve
+    copies once into ``dgbtrf``'s layout.
 
     A Galerkin pencil is symmetric-definite. Its window is solved whole on
-    (lo, hi), whatever interior edges it has: inertia counts at the edges
-    give its number of levels m, and inverse iteration from the kappa =
-    -|kappa| reference levels (a second search on a shift's own factor
-    for an extra level beside it), parity and count bisection find exactly
-    m levels (see ``_solve_galerkin``), or SolverError is raised. Each
+    (lo, hi), whatever interior edges it has: an inertia count at hi and
+    the g-g block's bound at lo (or, where that bound fails or the window
+    holds fewer levels than it allows, a count at lo) give its number of
+    levels m, and inverse iteration from the kappa = -|kappa| reference
+    levels (a second search on a shift's own factor for an extra level
+    beside it), parity and count bisection find exactly m levels (see
+    ``_solve_galerkin``), or SolverError is raised. Each
     binding is the Rayleigh quotient of its eigenvector, so its error is
     quadratic in the residual. An rhs that is not positive definite raises
     SolverError. The solve logs one DEBUG record (``driver=inertia``) with
     N, the band, the window, m, the shifts and the numbers of
-    factorizations, counts and iteration steps.
+    factorizations, SuperLU counts run and iteration steps.
 
     The stabilized pencil is nonsymmetric. Each pair of consecutive edges
     is one shift-invert disk certified complete on its slice: its shift
@@ -671,8 +744,9 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
         raise SolverError(f"pencil of size {system.size} is too small for a windowed solve")
     if not (np.isfinite(system.lhs_band).all() and np.isfinite(system.rhs_band).all()):
         raise SingularSystemError("the pencil holds a non-finite entry")
+    lu = _shifted_lu(system)
     if is_galerkin(system.scheme):
-        mu, vecs = _solve_galerkin(system, edges[0], edges[-1])
+        mu, vecs = _solve_galerkin(system, lu, edges[0], edges[-1])
         keep = (mu > -2.0 * mc2) & (mu < 0.0)
         # the search returns real, rhs-normalized vectors
         return Spectrum(scheme=system.scheme, bindings=mu[keep], raw=mu + mc2, max_imag=0.0,
@@ -683,7 +757,7 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
             continue  # the disk below certified this whole slice empty
         last = hi == edges[-1]
         mu, vecs, radius, disk_imag = _solve_disk(
-            system, lo, hi, WINDOW_FIRST_K if last else SPLIT_FIRST_K, reality_tol)
+            system, lu, lo, hi, WINDOW_FIRST_K if last else SPLIT_FIRST_K, reality_tol)
         cut = hi if last else min(edges[-1], _empty_gap_midpoint(
             mu, lo, hi, 0.5 * (lo + hi) + radius))
         keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(cut, 0.0))

@@ -342,6 +342,18 @@ class TestMain:
         assert float(quoted.group(1)) == pytest.approx(worst, rel=0.05)
         assert float(quoted.group(2)) == tol
 
+    def test_radius_misses_blame_the_point_reference(self, capsys):
+        # the finite nucleus moves the levels by up to 8.9e-4 relative of the
+        # point-nucleus reference they are labelled against: no slope or mesh
+        # effect, which the hint used to blame
+        code = main(["--Z", "92", "--kappa", "-1", "--scheme", "hermite-supg", "--n", "200",
+                     "--a", "1e-7", "--b", "1", "--mesh-gamma", "9", "--levels", "3",
+                     "--radius", "1e-4"])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "--radius" in err and "point-nucleus reference" in err and "--match-tol" in err
+        assert "--free-lower-slope" not in err and "too coarse" not in err
+
     @pytest.mark.parametrize("target", ["missing-dir/result.csv", "."])
     def test_unwritable_out_exits_2_without_output(self, target, tmp_path, capsys):
         # a missing directory or a directory as the file used to end in a
