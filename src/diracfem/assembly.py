@@ -27,6 +27,7 @@ one part (f values, f slopes, g values or g slopes) in it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,9 +173,29 @@ def _pencil_dofs(n: int, hermite: bool, free_lower_slope: bool) -> np.ndarray:
     active = np.ones((n + 2, 2 * d), dtype=bool)  # per node 0..n+1: f parts, then g parts
     active[[0, -1]] = False
     active[0, 1::2] = free_lower_slope  # node 0's f and g slopes (Hermite only)
-    node = np.full(active.shape, -1)
+    node = np.full(active.shape, -1, dtype=np.int32)
     node[active] = np.arange(np.count_nonzero(active))  # counted node by node
     return np.concatenate([node[:-1, :d], node[1:, :d], node[:-1, d:], node[1:, d:]], axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def _band_slots(n: int, hermite: bool, free_lower_slope: bool) -> tuple[int, int, np.ndarray]:
+    """(size, width, slots): the band slot of each local entry of the pencil's elements.
+
+    An element couples the dofs of two neighbouring nodes, 2*width in all;
+    entry (i, j) goes to slot (hb + i - j, j) of the Fortran-ordered band of
+    half-bandwidth hb = 2*width - 1, an eliminated one to a spare last slot.
+    They depend on the shape alone, so each shape's are built once;
+    ``slots`` is read-only, and int32 to halve what a held shape keeps.
+    """
+    table = _pencil_dofs(n, hermite, free_lower_slope)
+    size, width = int(table.max()) + 1, table.shape[1] // 2
+    hb = 2 * width - 1
+    rows, cols = table[:, :, None], table[:, None, :]
+    slots = np.where((rows >= 0) & (cols >= 0), hb + rows + 2 * hb * cols,
+                     (2 * hb + 1) * size).ravel()
+    slots.setflags(write=False)
+    return size, width, slots
 
 
 # --- schemes as tables of block terms ----------------------------------------
@@ -238,15 +259,15 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh,
     for |kappa| = 1). The hat basis has no slope dof, so linear-galerkin
     rejects it. The Gauss rule, the shape tables and V are evaluated once
     per call, and each pencil matrix is summed element by element into band
-    storage.
+    storage, through band slots built once per (n, basis, free slope) shape.
     """
     if scheme not in _SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     kind, terms = _SCHEME_TABLE[scheme]
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:
         raise ValueError(f"scheme {scheme!r} has no slope dof to free")
-    table = _pencil_dofs(mesh.interior_count, kind is BasisKind.CUBIC_HERMITE, free_lower_slope)
-    size, width = int(table.max()) + 1, table.shape[1] // 2
+    size, width, slots = _band_slots(mesh.interior_count, kind is BasisKind.CUBIC_HERMITE,
+                                     free_lower_slope)
     kernel = _element_kernel(kind, mesh, params)
     local = {name: np.zeros((mesh.element_count, 2 * width, 2 * width)) for name in ("lhs", "rhs")}
     integrals = {}  # (spec, tau-weighted) -> element integrals
@@ -257,13 +278,8 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh,
             integrals[spec, weighted] = kernel(spec, tau if weighted else None)
         block = np.s_[:, row * width:(row + 1) * width, col * width:(col + 1) * width]
         local[matrix][block] += coefficient(c, k, mc2) * integrals[spec, weighted]
-    # an element couples the dofs of two neighbouring nodes, 2*width in all;
-    # entry (i, j) goes to slot (hb + i - j, j) of the Fortran-ordered band,
-    # an eliminated one to a spare last slot; bincount sums in element order
+    # bincount sums each band slot's entries in element order
     hb = 2 * width - 1
-    rows, cols = table[:, :, None], table[:, None, :]
-    slots = np.where((rows >= 0) & (cols >= 0), hb + rows + 2 * hb * cols,
-                     (2 * hb + 1) * size).ravel()
     lhs, rhs = (np.bincount(slots, local[name].ravel(), (2 * hb + 1) * size + 1)[:-1]
                 .reshape(size, 2 * hb + 1).T for name in ("lhs", "rhs"))
     return AssembledSystem(scheme=scheme, lhs_band=lhs, rhs_band=rhs, params=params)

@@ -371,14 +371,19 @@ def _mode_coincidence(cfg: RunConfig):
         raise ConfigError("coincidence mode requires abs_kappa (a +/- pair)")
     # pairs 1..levels need levels + 1 bindings of each sign
     spectra = _solve_kappas(cfg, (cfg.abs_kappa, -cfg.abs_kappa), cfg.levels + 1)
-    report = coincidence_report(spectra[cfg.abs_kappa], spectra[-cfg.abs_kappa],
-                                tol=cfg.matching_tolerance())
+    neg = spectra[-cfg.abs_kappa]
+    report = coincidence_report(spectra[cfg.abs_kappa], neg, tol=cfg.matching_tolerance())
+    # a pair is a physical degeneracy only where its kappa < 0 level is genuine
+    labels = {e.binding: e.label for e in classify(
+        neg.bindings, reference_spectrum(neg.params, len(neg.bindings)),
+        match_tol=cfg.matching_tolerance()).entries}
     rows = [{"pair": 0, "pos_binding": report.first_pos, "neg_binding": report.first_neg,
              "rel_diff": report.first_rel_diff,
              "note": "coincidence" if report.present else "distinct"}]
     for i, (p, m, r) in enumerate(report.pairs[:cfg.levels], start=1):
         rows.append({"pair": i, "pos_binding": p, "neg_binding": m, "rel_diff": r,
-                     "note": "physical-degeneracy"})
+                     "note": "physical-degeneracy" if labels[m] is Label.GENUINE
+                     else Label.INSTILLED.value})
     lines = [f"coincidence scheme={cfg.scheme} Z={_fmt(cfg.Z)} |kappa|={cfg.abs_kappa}: "
              f"{'PRESENT' if report.present else 'ABSENT'} "
              f"(first pair rel diff {_fmt(report.first_rel_diff)})"]

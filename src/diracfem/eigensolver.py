@@ -29,6 +29,7 @@ The dense full-spectrum solve the tests check it against lives in the tests.
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 from dataclasses import dataclass, replace
 
@@ -144,6 +145,70 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
     return lo, split, hi
 
 
+@dataclass(frozen=True)
+class _BandShape:
+    """The index arrays every solve of one band pencil shape reads, all read-only.
+
+    ``csc_slots`` marks the band slots that hold an entry (``band.ravel("F")``
+    order, which is CSC data order), ``csc_indices`` and ``csc_indptr`` give
+    their CSC pattern. ``g`` holds the sorted g dofs and ``g_slots`` the band
+    slot of each lower band entry of the g-g block, in g order, where
+    ``g_inside`` holds. ``f_values`` are the f-value dofs, ``start`` the fixed
+    start vector of inverse iteration and ``natural`` the identity permutation.
+    """
+
+    csc_slots: np.ndarray
+    csc_indices: np.ndarray
+    csc_indptr: np.ndarray
+    g: np.ndarray
+    g_slots: np.ndarray
+    g_inside: np.ndarray
+    f_values: np.ndarray
+    start: np.ndarray
+    natural: np.ndarray
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=16)
+def _band_shape(scheme: str, size: int, hb: int) -> _BandShape:
+    """The index arrays of a ``size``-dof pencil of ``scheme`` with half-bandwidth ``hb``.
+
+    They depend on the shape alone, so each is built once per shape and
+    shared by every solve of it: a one-shot run's kappa pair, or every call of
+    a long-lived process. The key holds ``hb`` because a band need not be an
+    assembled one (a dense pencil stored as a full band has hb = size - 1).
+    """
+    # the row each band slot holds, one band column a row: in C order this is
+    # band.ravel("F") order, and band column j is CSC column j
+    rows = np.arange(size, dtype=np.intc)[:, None] + np.arange(-hb, hb + 1, dtype=np.intc)
+    inside = (rows >= 0) & (rows < size)
+    g = np.sort(np.concatenate([part_dofs(scheme, size, part) for part in ("xi", "xi_prime")]))
+    # in g order the block's half-bandwidth is the most g dofs within hb
+    # after one: hb // 2 for an assembled pencil
+    kd = int(np.max(np.searchsorted(g, g + hb, side="right") - np.arange(1, len(g) + 1),
+                    initial=0))
+    g_rows = np.arange(len(g)) + np.arange(kd + 1)[:, None]  # the g row of each lower band slot
+    g_inside = g_rows < len(g)
+    g_slots = np.where(g_inside, hb + g[np.minimum(g_rows, len(g) - 1)] - g, hb)  # ... and its slot
+    return _BandShape(
+        csc_slots=inside.ravel(), csc_indices=rows[inside],
+        csc_indptr=np.concatenate([[0], np.cumsum(inside.sum(axis=1))], dtype=np.intc),
+        g=g, g_slots=g_slots, g_inside=g_inside,
+        f_values=part_dofs(scheme, size, "zeta"),
+        # fixed, so repeated solves are bit-identical; not all ones, which a
+        # symmetric pencil can make orthogonal to a level it then never finds
+        start=np.random.default_rng(0).uniform(0.5, 1.5, size),
+        natural=np.arange(size, dtype=np.intc))
+
+
+def _shape_of(system: AssembledSystem) -> _BandShape:
+    """The index arrays of ``system``'s pencil shape (see ``_band_shape``)."""
+    return _band_shape(system.scheme, system.size, system.lhs_band.shape[0] // 2)
+
+
 def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x for the square matrix A held in LAPACK band storage ``band``."""
     hb, size = band.shape[0] // 2, band.shape[1]
@@ -164,7 +229,7 @@ def _shifted_lu(system: AssembledSystem):
     hb, size = system.lhs_band.shape[0] // 2, system.size
     lhs, rhs = (np.zeros((3 * hb + 1, size), order="F") for _ in range(2))
     lhs[hb:], rhs[hb:] = system.lhs_band, system.rhs_band
-    natural = np.arange(size)
+    natural = _shape_of(system).natural
 
     def lu(sigma: float):
         shifted = np.multiply(rhs, -sigma)  # Fortran-ordered like rhs, so dgbtrf copies nothing
@@ -207,7 +272,7 @@ def _normalize_vectors(vecs: np.ndarray, system: AssembledSystem) -> np.ndarray:
 
 def _lead_positive(v: np.ndarray, system: AssembledSystem) -> np.ndarray:
     """Node-order columns ``v``, each signed in place: its largest-|f value| entry positive."""
-    f_values = part_dofs(system.scheme, system.size, "zeta")
+    f_values = _shape_of(system).f_values
     v[:, v[f_values[np.argmax(np.abs(v[f_values]), axis=0)], np.arange(v.shape[1])] < 0] *= -1.0
     return v
 
@@ -235,22 +300,19 @@ def _inertia_counter(system: AssembledSystem):
     negative pivots of an LDL^T factorization of lhs - s*rhs is the number of
     eigenvalues below s. Node order is a band ordering, so SuperLU factors
     the shifted pencil unpivoted, in that order, with no fill outside the
-    band. The CSC pattern is built once; each count refills its data. A
-    row or column permutation, or a pivot tiny against its own row's
-    entries, would void the count and raises SolverError. (A guard on the
-    ratio of the smallest to the largest pivot would not do: on the graded
-    meshes that ratio is about 1e-15 in factorizations whose counts are
-    right, because the mass entries scale with the element size.)
+    band. The CSC pattern is the shape's (``_band_shape``); each count
+    refills its data. A row or column permutation, or a pivot tiny against
+    its own row's entries, would void the count and raises SolverError. (A
+    guard on the ratio of the smallest to the largest pivot would not do:
+    on the graded meshes that ratio is about 1e-15 in factorizations whose
+    counts are right, because the mass entries scale with the element
+    size.)
     """
-    hb, size = system.lhs_band.shape[0] // 2, system.size
-    rows = np.arange(size) + np.arange(-hb, hb + 1)[:, None]  # the entry each band slot holds
-    inside = (rows >= 0) & (rows < size)
-    slots = inside.ravel(order="F")  # band column j is CSC column j
-    a, b = (band.ravel(order="F")[slots] for band in (system.lhs_band, system.rhs_band))
-    indptr = np.r_[0, np.cumsum(inside.sum(axis=0))].astype(np.intc)
-    indices = rows.ravel(order="F")[slots].astype(np.intc)
-    matrix = scipy.sparse.csc_array((np.zeros(len(a)), indices, indptr), shape=(size, size))
-    natural = np.arange(size)
+    shape, size = _shape_of(system), system.size
+    a, b = (band.ravel(order="F")[shape.csc_slots] for band in (system.lhs_band, system.rhs_band))
+    indptr, natural = shape.csc_indptr, shape.natural
+    matrix = scipy.sparse.csc_array((np.zeros(len(a)), shape.csc_indices, indptr),
+                                    shape=(size, size))
 
     def count(s: float) -> int:
         np.multiply(b, -s, out=matrix.data)  # lhs - s*rhs, refilled in place
@@ -290,9 +352,7 @@ class _LevelSearch:
         self.system, self._lu = system, lu
         self.hb = system.lhs_band.shape[0] // 2
         self._abs_bands = np.abs(system.lhs_band), np.abs(system.rhs_band)
-        # fixed, so repeated solves are bit-identical; not all ones, which a
-        # symmetric pencil can make orthogonal to a level it then never finds
-        self._start = np.random.default_rng(0).uniform(0.5, 1.5, system.size)
+        self._start = _shape_of(system).start
         self._rhs_start = _band_product(system.rhs_band, self._start)
         self.mu: list[float] = []
         # the found vectors and rhs times each, one per row, with room for more
@@ -452,16 +512,10 @@ def _g_block_floor(system: AssembledSystem, lo: float) -> int | None:
     factorization (``dpbtrf``) of minus the block checks its
     definiteness; None if it fails.
     """
-    hb = system.lhs_band.shape[0] // 2
-    g = np.sort(np.concatenate([part_dofs(system.scheme, system.size, part)
-                                for part in ("xi", "xi_prime")]))
-    # in g order the block's half-bandwidth is the most g dofs within hb
-    # after one: hb // 2 for an assembled pencil
-    kd = int(np.max(np.searchsorted(g, g + hb, side="right") - np.arange(1, len(g) + 1)))
-    rows = np.arange(len(g)) + np.arange(kd + 1)[:, None]  # the g row of each lower band slot
-    inside = rows < len(g)
-    slots = np.where(inside, hb + g[np.minimum(rows, len(g) - 1)] - g, hb)  # ... and its slot
-    band = np.where(inside, lo * system.rhs_band[slots, g] - system.lhs_band[slots, g], 0.0)
+    shape = _shape_of(system)
+    slots, g = shape.g_slots, shape.g
+    band = np.where(shape.g_inside, lo * system.rhs_band[slots, g] - system.lhs_band[slots, g],
+                    0.0)
     _, info = dpbtrf(band, lower=1, overwrite_ab=True)
     return len(g) if info == 0 else None
 
@@ -779,8 +833,9 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
 
 def bound_states(spectrum: Spectrum, count: int) -> np.ndarray:
     """First ``count`` bound bindings (deepest first): a checked slice of ``bindings``."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if not (float(count).is_integer() and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count}")
+    count = int(count)
     if len(spectrum.bindings) < count:
         raise InsufficientLevelsError(
             f"requested {count} bound states but only {len(spectrum.bindings)} found"
@@ -789,8 +844,18 @@ def bound_states(spectrum: Spectrum, count: int) -> np.ndarray:
 
 
 def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarray) -> float:
-    """Relative residual of one eigenpair (binding, node-order vector) against the pencil."""
+    """Relative residual of one eigenpair (binding, node-order vector) against the pencil.
+
+    A non-finite binding, or a vector that is not finite, nonzero and of the
+    pencil's size, raises ValueError.
+    """
+    if not np.isfinite(binding):
+        raise ValueError(f"binding must be finite, got {binding}")
     v = np.asarray(vector, dtype=float)
+    if v.shape != (system.size,):
+        raise ValueError(f"vector must have shape ({system.size},), got {v.shape}")
+    if not (np.isfinite(v).all() and v.any()):
+        raise ValueError("vector must be finite and nonzero")
     r = _band_product(system.lhs_band, v) - binding * _band_product(system.rhs_band, v)
     scale = np.linalg.norm(system.lhs_band) + abs(binding) * np.linalg.norm(system.rhs_band)
     return float(np.linalg.norm(r) / (scale * np.linalg.norm(v)))

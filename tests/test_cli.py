@@ -410,6 +410,22 @@ class TestMain:
         assert code == 0
         assert "PRESENT" in capsys.readouterr().out
 
+    def test_coincidence_notes_follow_the_negative_kappa_labels(self):
+        # on this mesh the kappa=-1 window holds an instilled level at
+        # -0.0317717, 1.7 % from the n_r=3 reference, which solve mode labels
+        # instilled-spurious; its pair is no physical degeneracy
+        mesh = ["--Z", "1", "--abs-kappa", "1", "--scheme", "linear-galerkin", "--n", "50",
+                "--levels", "4"]
+        pairs = _json_rows(mesh + ["--mode", "coincidence"])
+        assert [r["note"] for r in pairs] == ["coincidence", "physical-degeneracy",
+                                              "physical-degeneracy", "instilled-spurious",
+                                              "physical-degeneracy"]
+        negative = [r for r in _json_rows(mesh) if r["kappa"] == -1]
+        for pair in pairs[1:]:
+            (row,) = [r for r in negative
+                      if math.isclose(r["binding"], pair["neg_binding"], rel_tol=1e-12)]
+            assert (pair["note"] == "physical-degeneracy") == (row["label"] == "genuine")
+
     def test_convergence_mode(self, capsys):
         code = main(["--Z", "1", "--kappa", "-1", "--scheme", "hermite-galerkin",
                      "--n-list", "20,40", "--levels", "2", "--a", "1e-6", "--b", "40",

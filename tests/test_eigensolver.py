@@ -1,14 +1,14 @@
 import logging
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack
 import scipy.sparse.linalg
 
-from diracfem import eigensolver
+from diracfem import assembly, eigensolver
 from diracfem.assembly import (
     SCHEME_HERMITE,
     SCHEME_LINEAR,
@@ -187,6 +187,28 @@ class TestRealSystems:
             res = eigenpair_residual(system, spectrum.bindings[k],
                                      spectrum.eigenvectors[:, k])
             assert res <= 1e-15
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    def test_residual_of_a_zero_or_non_finite_vector_refused(self, hydrogen_windowed, fill):
+        # each once gave NaN with a RuntimeWarning
+        params, system, spectrum = hydrogen_windowed
+        vector = np.full(system.size, fill)
+        with pytest.raises(ValueError, match="vector"):
+            eigenpair_residual(system, spectrum.bindings[0], vector)
+
+    @pytest.mark.parametrize("binding", [np.nan, np.inf, -np.inf])
+    def test_residual_at_a_non_finite_binding_refused(self, hydrogen_windowed, binding):
+        params, system, spectrum = hydrogen_windowed
+        with pytest.raises(ValueError, match="binding"):
+            eigenpair_residual(system, binding, spectrum.eigenvectors[:, 0])
+
+    @pytest.mark.parametrize("cut", [1, -1])
+    def test_residual_of_a_wrong_length_vector_refused(self, hydrogen_windowed, cut):
+        # a short vector once failed inside f2py ("failed for 7th argument x")
+        params, system, spectrum = hydrogen_windowed
+        vector = np.resize(spectrum.eigenvectors[:, 0], system.size - cut)
+        with pytest.raises(ValueError, match="vector"):
+            eigenpair_residual(system, spectrum.bindings[0], vector)
 
     def test_vectors_rhs_normalized_with_positive_lead(self, hydrogen_windowed):
         params, system, spectrum = hydrogen_windowed
@@ -438,6 +460,13 @@ class TestRealSystems:
         for count in (0, -1):
             with pytest.raises(ValueError, match="count"):
                 bound_states(spectrum, count)
+
+    @pytest.mark.parametrize("count", [1.5, np.nan, np.inf])
+    def test_bound_states_needs_an_integer_count(self, hydrogen_solution, count):
+        # 1.5 once failed with a slicing TypeError
+        params, system, spectrum = hydrogen_solution
+        with pytest.raises(ValueError, match="count"):
+            bound_states(spectrum, count)
 
     def test_vanishing_rhs_norm_raises(self):
         # nonsymmetric rhs with v^T rhs v = 0 for v = (1, 1)
@@ -778,6 +807,71 @@ class TestStabilizedParity:
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", drop_nearest)
         with pytest.raises(SolverError, match="determinant signs"):
             solve(system, window=window)
+
+
+class TestShapeCache:
+    """Index structure is built once per pencil shape and shared by every solve of it."""
+
+    @staticmethod
+    def _solved(scheme, n, caplog, free=False, levels=6):
+        """(bands, spectrum, DEBUG records) of a fresh assembly and solve of the Z=1 pathology."""
+        params = OperatorParams(Z=1, kappa=-1)
+        system = assemble(scheme, params, build_exponential_mesh(1e-6, 150.0, n, 8.0),
+                          free_lower_slope=free)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            spectrum = solve(system, window=bound_window(params, levels))
+        records = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
+        return (system.lhs_band, system.rhs_band), spectrum, records
+
+    @staticmethod
+    def _clear():
+        eigensolver._band_shape.cache_clear()
+        assembly._band_slots.cache_clear()
+
+    @staticmethod
+    def _assert_same(got, want):
+        (bands, spectrum, records), (want_bands, want_spectrum, want_records) = got, want
+        for a, b in zip(bands, want_bands):
+            assert a.tobytes() == b.tobytes()
+        for field in ("bindings", "raw", "eigenvectors"):
+            assert getattr(spectrum, field).tobytes() == getattr(want_spectrum, field).tobytes()
+        assert records == want_records
+
+    def test_shapes_of_one_size_solved_interleaved(self, caplog):
+        # linear n=200 and Hermite n=100 both have N=400, with half-bandwidths
+        # 3 and 7 and different g dofs
+        cases = [(SCHEME_LINEAR, 200), (SCHEME_HERMITE, 100)]
+        fresh = {}
+        for case in cases:
+            self._clear()
+            fresh[case] = self._solved(*case, caplog)
+        assert [fresh[case][0][0].shape[1] for case in cases] == [400, 400]
+        for case in cases + cases:
+            self._assert_same(self._solved(*case, caplog), fresh[case])
+
+    @pytest.mark.parametrize("case, after", [
+        ((SCHEME_SUPG, 100, False),
+         [(SCHEME_LINEAR, 200), (SCHEME_LINEAR, 100), (SCHEME_HERMITE, 100)]),
+        ((SCHEME_HERMITE, 100, True), [(SCHEME_LINEAR, 201), (SCHEME_HERMITE, 100)])])
+    def test_other_shapes_of_one_size_after_galerkin_solves(self, case, after, caplog):
+        # SUPG (N=400) and the free lower slope (N=4n+2=402) after Galerkin
+        # solves of the same size, or of the same n
+        scheme, n, free = case
+        self._clear()
+        fresh = self._solved(scheme, n, caplog, free=free, levels=3)
+        for other in after:
+            self._solved(*other, caplog)
+        self._assert_same(self._solved(scheme, n, caplog, free=free, levels=3), fresh)
+
+    def test_cached_arrays_are_read_only(self):
+        shapes = [eigensolver._band_shape(SCHEME_HERMITE, 400, 7),
+                  eigensolver._band_shape(SCHEME_LINEAR, 400, 3)]
+        arrays = [getattr(shape, f.name) for shape in shapes for f in fields(shape)]
+        arrays.append(assembly._band_slots(100, True, False)[2])
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 class TestDenseOracle:

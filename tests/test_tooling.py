@@ -228,3 +228,65 @@ def test_every_package_function_has_a_caller():
     callers = [path.read_text() for d in ("src", "perfbench")
                for path in sorted((ROOT / d).rglob("*.py"))]
     assert uncalled_functions(package, callers) == []
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+#: A cache may be keyed on these alone: on shapes, never on floats, arrays or params.
+CACHE_KEY_TYPES = {"int", "str", "bool"}
+
+
+def cached_parameters(source: str) -> dict[str, list[str]]:
+    """Each ``functools.lru_cache``/``cache`` function of ``source``: its parameters' annotations.
+
+    An unannotated parameter reads as "".
+    """
+    tree = ast.parse(source)
+    decorators = {f"functools.{name}" for name in CACHE_DECORATORS}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            decorators.update(f"{a.asname}.{name}" for a in node.names
+                              if a.name == "functools" and a.asname for name in CACHE_DECORATORS)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            decorators.update(a.asname or a.name for a in node.names
+                              if a.name in CACHE_DECORATORS)
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _dotted(d.func if isinstance(d, ast.Call) else d) in decorators
+                for d in node.decorator_list):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            found[node.name] = ["" if p.annotation is None else ast.unparse(p.annotation)
+                                for p in params]
+    return found
+
+
+@pytest.mark.parametrize("source, annotations", [
+    ("import functools\n@functools.lru_cache(maxsize=4)\ndef f(x: float, n: int): pass",
+     ["float", "int"]),
+    ("from functools import cache\n@cache\ndef f(a: np.ndarray): pass", ["np.ndarray"]),
+    ("from functools import lru_cache as memo\n@memo\ndef f(p: OperatorParams): pass",
+     ["OperatorParams"]),
+    ("import functools as ft\n@ft.cache\ndef f(x, *rest: int): pass", ["", "int"]),
+    ("import functools\nclass C:\n    @functools.lru_cache\n    def f(self, n: int): pass",
+     ["", "int"]),
+    ("import functools\n@functools.lru_cache(maxsize=8)\ndef f(s: str, n: int, b: bool): pass",
+     ["str", "int", "bool"]),
+])
+def test_cache_key_detector_reads_each_form(source, annotations):
+    assert cached_parameters(source) == {"f": annotations}
+    assert cached_parameters(source.replace("cache", "wraps")) == {}
+
+
+def test_package_caches_are_keyed_on_structure():
+    """Every cached function of the package takes only int, str and bool parameters.
+
+    Such a cache holds index structure derived from a shape, never a result
+    computed from floats, arrays or operator parameters.
+    """
+    cached = {}
+    for module in sorted(SRC.glob("*.py")):
+        cached.update(cached_parameters(module.read_text()))
+    assert len(cached) >= 2
+    for name, annotations in cached.items():
+        assert set(annotations) <= CACHE_KEY_TYPES, (name, annotations)
