@@ -22,6 +22,7 @@ from .errors import CoefficientSingularityError, DegeneratePencilError
 from .physics import (
     OperatorParams,
     ReferenceLevel,
+    check_count,
     potential_derivative,
     potential_value,
     reference_spectrum,
@@ -109,8 +110,7 @@ def classify(computed, reference: list[ReferenceLevel],
 
 def truncate_to_genuine(classified: ClassifiedSpectrum, count: int) -> ClassifiedSpectrum:
     """Keep entries up to and including the count-th genuine level (count >= 1)."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = check_count(count, "count")
     entries = []
     genuine = 0
     for e in classified.entries:

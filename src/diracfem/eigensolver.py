@@ -48,7 +48,7 @@ from .errors import (
     SingularSystemError,
     SolverError,
 )
-from .physics import OperatorParams, reference_binding
+from .physics import OperatorParams, check_count, reference_binding
 
 #: Default relative bound on acceptable imaginary parts of SUPG eigenvalues.
 DEFAULT_REALITY_TOL = 1e-8
@@ -132,8 +132,7 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
     slowly (spectrum slicing, Grimes, Lewis & Simon 1994). The Galerkin
     solve reads only the outer edges.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    levels = check_count(levels, "levels")
     neg = replace(params, kappa=-abs(params.kappa))
     lo = 2.0 * reference_binding(neg, 0).binding
     last = levels if params.kappa > 0 else levels - 1
@@ -494,13 +493,6 @@ def _odd_intervals(parity: dict[float, int], found: list[float]):
             yield p, q
 
 
-def _widest_gap_midpoint(lo: float, hi: float, found: np.ndarray) -> float:
-    """Midpoint of the widest gap that the found levels leave in (lo, hi)."""
-    points = np.concatenate([[lo], np.sort(found[(found > lo) & (found < hi)]), [hi]])
-    k = int(np.argmax(np.diff(points)))
-    return float(0.5 * (points[k] + points[k + 1]))
-
-
 def _g_block_floor(system: AssembledSystem, lo: float) -> int | None:
     """N_g, the number of g dofs, if the g-g block of lhs - lo*rhs is negative definite.
 
@@ -537,13 +529,12 @@ def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
        level, or the kappa > 0 copy of the ground state). Such a level
        sits beside a genuine one, so an odd interval just below a shift,
        and one above the last shift, is searched once more on that shift's
-       factor before the next shift is factored; what that misses is
-       searched from the middle of the interval's widest gap. The parity
-       at lo is N_g's until count(lo) is known; it only steers searches.
+       factor before the next shift is factored. The parity at lo is
+       N_g's; it only steers these searches.
     4. Certify: m levels found in the window prove count(lo) = N_g, and
        the window is certified with one count. Otherwise count(lo) is
-       counted (another level lies below lo, or a search failed), and
-       count bisection runs until every interval holds as many found
+       counted (another level lies below lo, or a search missed a level),
+       and count bisection runs until every interval holds as many found
        levels as it counts, searching the middle of each interval that
        still misses some. A window that does not settle raises
        SolverError.
@@ -565,46 +556,24 @@ def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
     search = _LevelSearch(system, lu)
     shifts = _reference_shifts(system.params, lo, hi, m, system.size)
     parity = {lo: floor % 2, hi: below[hi] % 2}
-
-    def probe(sigma, x, y):
-        """Factor at sigma, read its parity and search (x, y) on it: (factor, new level)."""
+    for sigma in shifts:
         factor = search.factor(sigma)
         if factor[2]:
             parity[sigma] = int(factor[2] < 0)
-        return factor, search.search(factor, x, y)
-
-    def count_lo():
-        """Count at lo; from here on, m and the parity at lo are exact."""
-        nonlocal m
-        below[lo] = count(lo)
-        parity[lo] = below[lo] % 2
-        m = below[hi] - below[lo]
-
-    for sigma in shifts:
-        factor, _ = probe(sigma, lo, hi)
+        search.search(factor, lo, hi)
         # the odd interval below this shift, and above the last one, searched on its factor
         for top in (sigma, hi) if sigma == shifts[-1] else (sigma,):
             interval = next((i for i in _odd_intervals(parity, search.mu) if i[1] == top), None)
             if interval is not None:
                 search.search(factor, *interval)
         del factor  # before the next shift is factored
-    # each search of an odd interval finds a level in it, or halves it by its parity
-    for _ in range(2 * m + 8):
-        interval = next(_odd_intervals(parity, search.mu), None)
-        if interval is None:
-            break
-        if interval[0] == lo and lo not in below:
-            # lo has the floor's parity: a level other than the N_g below lo
-            # would make this interval odd for good, and halving it never ends
-            count_lo()
-            continue
-        probe(_widest_gap_midpoint(*interval, np.array(search.mu)), *interval)
     pending = [(lo, hi)]
     if lo not in below:
         if sum(lo < mu < hi for mu in search.mu) == m:
             pending = []  # the floor is count(lo): the window is certified
         else:
-            count_lo()
+            below[lo] = count(lo)
+            m = below[hi] - below[lo]
     while pending:
         x, y = pending.pop()
         found = np.sort([mu for mu in search.mu if x < mu < y])
@@ -619,7 +588,7 @@ def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
         else:
             left, right = x, y
             # every level not yet found lies farther from the middle than those inside
-            _, level = probe(0.5 * (x + y), x, y)
+            level = search.search(search.factor(0.5 * (x + y)), x, y)
             if level is not None and x < level < y:
                 pending.append((x, y))
                 continue
@@ -752,13 +721,14 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
     holds fewer levels than it allows, a count at lo) give its number of
     levels m, and inverse iteration from the kappa = -|kappa| reference
     levels (a second search on a shift's own factor for an extra level
-    beside it), parity and count bisection find exactly m levels (see
-    ``_solve_galerkin``), or SolverError is raised. Each
-    binding is the Rayleigh quotient of its eigenvector, so its error is
-    quadratic in the residual. An rhs that is not positive definite raises
-    SolverError. The solve logs one DEBUG record (``driver=inertia``) with
-    N, the band, the window, m, the shifts and the numbers of
-    factorizations, SuperLU counts run and iteration steps.
+    beside it, steered by the shifts' determinant signs) and count
+    bisection find exactly m levels (see ``_solve_galerkin``), or
+    SolverError is raised. Each binding is the Rayleigh quotient of its
+    eigenvector, so its error is quadratic in the residual. An rhs that
+    is not positive definite raises SolverError. The solve logs one DEBUG
+    record (``driver=inertia``) with N, the band, the window, m, the
+    shifts and the numbers of factorizations, SuperLU counts run and
+    iteration steps.
 
     The stabilized pencil is nonsymmetric. Each pair of consecutive edges
     is one shift-invert disk certified complete on its slice: its shift
@@ -833,9 +803,7 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
 
 def bound_states(spectrum: Spectrum, count: int) -> np.ndarray:
     """First ``count`` bound bindings (deepest first): a checked slice of ``bindings``."""
-    if not (float(count).is_integer() and count >= 1):
-        raise ValueError(f"count must be an integer >= 1, got {count}")
-    count = int(count)
+    count = check_count(count, "count")
     if len(spectrum.bindings) < count:
         raise InsufficientLevelsError(
             f"requested {count} bound states but only {len(spectrum.bindings)} found"

@@ -8,6 +8,7 @@ quantity the solver and classifier work with throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,18 @@ def check_charge(Z: float) -> None:
     """Raise PhysicsError unless Z is a finite nuclear charge >= 1."""
     if not 1.0 <= Z < math.inf:
         raise PhysicsError(f"nuclear charge must be finite and >= 1, got Z={Z}")
+
+
+def check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a whole number >= ``least``.
+
+    An integral float such as 3.0 is taken; a bool, a non-integral or
+    non-finite float, or anything not a real number is refused.
+    """
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -116,6 +129,7 @@ def reference_binding(params: OperatorParams, n_r: int) -> ReferenceLevel:
         raise PhysicsError(f"n_r must be >= 1 for kappa > 0, got n_r={n_r}")
     if params.kappa < 0 and n_r < 0:
         raise PhysicsError(f"n_r must be >= 0, got n_r={n_r}")
+    n_r = check_count(n_r, "n_r", least=0)  # after the range checks and their PhysicsError
     zc = params.Z / params.c
     gamma = math.sqrt(params.kappa**2 - zc**2)
     # expm1/log1p form of mc^2 [(1 + u)^(-1/2) - 1]: immune to the large-c
@@ -127,7 +141,6 @@ def reference_binding(params: OperatorParams, n_r: int) -> ReferenceLevel:
 
 def reference_spectrum(params: OperatorParams, count: int) -> list[ReferenceLevel]:
     """First ``count`` bound levels of the kappa series, deepest first."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = check_count(count, "count")
     start = 0 if params.kappa < 0 else 1
     return [reference_binding(params, n_r) for n_r in range(start, start + count)]

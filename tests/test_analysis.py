@@ -102,6 +102,13 @@ class TestClassify:
         with pytest.raises(ValueError, match="count"):
             truncate_to_genuine(cl, count)
 
+    @pytest.mark.parametrize("count", [1.5, True])
+    def test_truncate_to_genuine_needs_an_integer_count(self, count):
+        # 1.5 once returned every entry, and True the first genuine one
+        cl = classify(HAT_RUN_NEG_KAPPA, hydrogen_reference(), match_tol=1e-3)
+        with pytest.raises(ValueError, match="count"):
+            truncate_to_genuine(cl, count)
+
 
 def make_spectrum(kappa, bindings, scheme=SCHEME_HERMITE, Z=1.0, **operator):
     params = OperatorParams(Z=Z, kappa=kappa, **operator)

@@ -449,6 +449,13 @@ class TestRealSystems:
         with pytest.raises(ValueError):
             bound_window(params, 0)
 
+    @pytest.mark.parametrize("levels", [1.5, True])
+    def test_bound_window_needs_an_integer_count(self, levels):
+        # each once returned a window: 1.5 from the reference levels
+        # n_r = 0.5 and 1.5, True the one-level window
+        with pytest.raises(ValueError, match="levels"):
+            bound_window(OperatorParams(Z=1, kappa=-1), levels)
+
     def test_bound_states_is_slice_of_bindings(self, hydrogen_solution):
         params, system, spectrum = hydrogen_solution
         for count in (1, 4, len(spectrum.bindings)):
@@ -461,9 +468,9 @@ class TestRealSystems:
             with pytest.raises(ValueError, match="count"):
                 bound_states(spectrum, count)
 
-    @pytest.mark.parametrize("count", [1.5, np.nan, np.inf])
+    @pytest.mark.parametrize("count", [1.5, np.nan, np.inf, True])
     def test_bound_states_needs_an_integer_count(self, hydrogen_solution, count):
-        # 1.5 once failed with a slicing TypeError
+        # 1.5 once failed with a slicing TypeError, and True returned one level
         params, system, spectrum = hydrogen_solution
         with pytest.raises(ValueError, match="count"):
             bound_states(spectrum, count)
@@ -625,33 +632,23 @@ class TestGalerkinDriver:
                                    atol=1e-15)
 
     @pytest.mark.parametrize("case", ["beside-lower-shift", "above-last-shift"])
-    def test_extra_level_the_held_factor_misses(self, case, caplog, monkeypatch):
+    def test_extra_level_the_held_factor_misses(self, case, caplog):
         # genuine levels 1e-4 above the reference shifts s0 < s1 < s2 of the
         # window (-1, -0.04), and an extra level the search on a shift's own
-        # factor converges past; the widest-gap loop must find it, and the
-        # solve must return exactly the window's levels
+        # factor converges past; count bisection must find it, and the solve
+        # must return exactly the window's levels
         shifts = [reference_binding(TOY, n_r).binding for n_r in range(3)]
         levels = [s + 1e-4 for s in shifts]
         if case == "beside-lower-shift":
             # the extra sits just above s1, in the odd interval (s1, s2); from
             # s2 the nearest level not yet found is -0.03, above the window
-            extra, interval = shifts[1] + 2e-3, (shifts[1], shifts[2])
-            others = [-0.03]
+            extra, others = shifts[1] + 2e-3, [-0.03]
         else:
             # the extra sits between s2 and hi, and two more levels just below
             # s2 leave (s1, s2) with its parity right: from s2 the search on
-            # its factor finds one of them, and the count bisection the other
-            extra, interval = -0.045, (shifts[2], -0.04)
-            others = [shifts[2] - 3e-3, shifts[2] - 4e-3]
+            # its factor finds one of them, and the count bisection the rest
+            extra, others = -0.045, [shifts[2] - 3e-3, shifts[2] - 4e-3]
         lhs = np.diag(np.concatenate([levels, [extra], others, np.arange(5.0, 20.0)]))
-        gaps = []
-
-        def recorded(x, y, found):
-            gaps.append((x, y))
-            return widest_gap_midpoint(x, y, found)
-
-        widest_gap_midpoint = eigensolver._widest_gap_midpoint
-        monkeypatch.setattr(eigensolver, "_widest_gap_midpoint", recorded)
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             windowed = solve(toy_system(lhs, np.eye(len(lhs))), window=(-1.0, -0.04))
         (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
@@ -659,9 +656,27 @@ class TestGalerkinDriver:
                                    sorted(x for x in levels + [extra] + others if x < -0.04),
                                    rtol=1e-13)
         assert f" m={len(windowed.bindings)} " in record
-        assert gaps[0] == interval
-        if case == "above-last-shift":
-            assert int(re.search(r" counts=(\d+)", record).group(1)) > 2
+        # hi, lo and at least one bisection cut
+        assert int(re.search(r" counts=(\d+)", record).group(1)) >= 3
+
+    @pytest.mark.parametrize("z, kappa, mesh_args, levels", [
+        (12, 1, (2.39e-7, 17.38, 29, 4.935), 9),
+        (2, 1, (4.17e-6, 217.1, 26, 5.775), 10),
+        (12, -1, (4.46e-7, 53.57, 39, 6.139), 13)])
+    def test_count_bisection_finds_what_the_searches_miss(self, z, kappa, mesh_args, levels,
+                                                          caplog):
+        # coarse linear windows whose reference-shift searches miss levels:
+        # count bisection must find every one, and nothing else
+        params = OperatorParams(Z=z, kappa=kappa)
+        system = assemble(SCHEME_LINEAR, params, build_exponential_mesh(*mesh_args))
+        window = bound_window(params, levels)
+        lo, hi = window[0], window[-1]
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            windowed = solve(system, window=window)
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
+        np.testing.assert_allclose(windowed.bindings, dense_rayleigh_bindings(system, lo, hi),
+                                   rtol=GALERKIN_ORACLE_RTOL, atol=0.0)
+        assert int(re.search(r" counts=(\d+)", record).group(1)) > 1
 
     def test_tiny_pivot_against_its_row_raises(self):
         # lhs - lo*rhs starts with [[1e-14, 0.3], [0.3, 1e-14]]: well
@@ -720,9 +735,9 @@ class TestGalerkinDriver:
         # each extra level is searched on the factor of the shift beside it,
         # each kappa < 0 window ends at its last level, and the one inertia
         # count is at hi. The counts are deterministic, so work that comes
-        # back fails here (a widest-gap search of each extra level, on
-        # windows one level taller, takes 16/41, 17/41 and 17/43
-        # factorizations/steps; an exact count at lo makes counts=2)
+        # back fails here (a search of each extra level on a fresh factor
+        # of its own, on windows one level taller, took 16/41, 17/41 and
+        # 17/43 factorizations/steps; an exact count at lo makes counts=2)
         params = OperatorParams(Z=z, kappa=kappa)
         system = assemble(scheme, params, build_exponential_mesh(*mesh_args))
         with caplog.at_level(logging.DEBUG, logger="diracfem"):

@@ -4,6 +4,7 @@ import pytest
 from diracfem.errors import PhysicsError
 from diracfem.physics import (
     OperatorParams,
+    check_count,
     potential_derivative,
     potential_value,
     reference_binding,
@@ -137,6 +138,18 @@ class TestReferenceSpectrum:
         with pytest.raises(PhysicsError):
             reference_binding(OperatorParams(Z=1, kappa=1), 0)
 
+    @pytest.mark.parametrize("n_r", [0.5, True, np.nan])
+    def test_reference_binding_needs_an_integer_n_r(self, n_r):
+        # 0.5 once returned a level with n_r = 0.5
+        with pytest.raises(ValueError, match="n_r"):
+            reference_binding(OperatorParams(Z=1, kappa=-1), n_r)
+
+    @pytest.mark.parametrize("count", [1.5, True])
+    def test_reference_spectrum_needs_an_integer_count(self, count):
+        # 1.5 once failed with a TypeError from range()
+        with pytest.raises(ValueError, match="count"):
+            reference_spectrum(OperatorParams(Z=1, kappa=-1), count)
+
     def test_degeneracy_in_kappa_sign(self):
         for nr in (1, 2, 5):
             up = reference_binding(OperatorParams(Z=30, kappa=2), nr).binding
@@ -166,3 +179,17 @@ class TestReferenceSpectrum:
         # bindings accumulate at zero by construction of the convention
         params = OperatorParams(Z=1, kappa=-1)
         assert reference_binding(params, 40).binding == pytest.approx(0.0, abs=1e-3)
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value, least, expected", [
+        (3, 1, 3), (np.int64(2), 1, 2), (4.0, 1, 4), (0, 0, 0)])
+    def test_whole_numbers_taken(self, value, least, expected):
+        count = check_count(value, "levels", least)
+        assert count == expected and type(count) is int
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 1.5, np.nan, np.inf, "3", None, 0,
+                                       -1])
+    def test_refused_naming_the_argument(self, value):
+        with pytest.raises(ValueError, match="levels must be an integer >= 1"):
+            check_count(value, "levels")

@@ -187,10 +187,13 @@ def module_functions(source: str) -> list[str]:
 
 
 def names_used(source: str) -> set[str]:
-    """Every name ``source`` refers to: a name, an attribute, an import or a string equal to it."""
+    """Every name ``source`` refers to: a name, an attribute, an import or a string equal to it.
+
+    A name bound by an assignment is not a use of it.
+    """
     used = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -228,6 +231,49 @@ def test_every_package_function_has_a_caller():
     callers = [path.read_text() for d in ("src", "perfbench")
                for path in sorted((ROOT / d).rglob("*.py"))]
     assert uncalled_functions(package, callers) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """The ``_``-prefixed (not dunder) functions, classes and constants ``source`` defines at top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def orphaned_private_names(package: list[str]) -> list[str]:
+    """The private top-level definitions of ``package`` that no source in it uses."""
+    used = set().union(*(names_used(source) for source in package))
+    return [name for source in package for name in private_definitions(source)
+            if name not in used]
+
+
+def test_orphaned_private_name_detector():
+    package = ["_LIMIT = 3\n_unused: int = 4\n__all__ = ['f']\n\n"
+               "def f(x):\n    return _gap(x) < _LIMIT\n\n"
+               "def _gap(x):\n    return x\n\n"
+               "def _widest_gap_midpoint(x):\n    return x\n\n"
+               "class _Shape:\n    pass\n"]
+    assert orphaned_private_names(package) == ["_unused", "_widest_gap_midpoint", "_Shape"]
+    assert orphaned_private_names(package + ["from m import _Shape\n_widest_gap_midpoint(1)\n"
+                                             "print(_unused)"]) == []
+
+
+def test_every_private_name_is_used_in_the_package():
+    """Each private top-level function, class or constant of the package is used in src.
+
+    A deletion that removes a helper's last caller must remove the helper
+    too. The check goes by name, not by module, so it is only a floor: a
+    helper passes when any name, attribute, import or string of the same
+    name appears in src, its own body included.
+    """
+    package = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert sum(len(private_definitions(source)) for source in package) >= 10
+    assert orphaned_private_names(package) == []
 
 
 CACHE_DECORATORS = {"lru_cache", "cache"}
