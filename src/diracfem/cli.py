@@ -92,9 +92,7 @@ class RunConfig:
             cfg.a = 1e-5
         check_charge(cfg.Z)  # b defaults to a multiple of 1/Z
         if cfg.b is None:
-            # the last level's principal quantum number is at most
-            # levels + |kappa|, and its <r> grows as that squared over Z
-            cfg.b = 3.0 * (cfg.levels + abs(cfg.kappas()[0]) + 1) ** 2 / cfg.Z
+            cfg.b = cfg.default_b()
         if cfg.n_list is None:
             cfg.n_list = (cfg.n, 2 * cfg.n, 4 * cfg.n)
         if min(cfg.n_list) < 1 or any(n2 <= n1 for n1, n2 in zip(cfg.n_list, cfg.n_list[1:])):
@@ -110,6 +108,10 @@ class RunConfig:
     def params(self, kappa: int) -> OperatorParams:
         """The operator of one kappa; a radius makes its nucleus extended."""
         return OperatorParams(Z=self.Z, kappa=kappa, m=self.m, c=self.c_value, R=self.radius)
+
+    def default_b(self) -> float:
+        """The derived b: the last level's n is at most levels + |kappa|, and <r> ~ n^2/Z."""
+        return 3.0 * (self.levels + abs(self.kappas()[0]) + 1) ** 2 / self.Z
 
     def kappas(self) -> tuple[int, ...]:
         if self.kappa is not None:
@@ -238,14 +240,17 @@ def _miss_hint(cfg: RunConfig, kappa: int, entries) -> str:
     """Why the first ``cfg.levels`` levels missed: the domain, the nucleus, the slope or the mesh.
 
     A window holding fewer than ``cfg.levels`` computed levels points at a
-    domain too short for the upper levels. Otherwise each level's miss is its
+    domain too short for the upper levels if b is below ``RunConfig.default_b``,
+    else at a mesh too coarse for them. Otherwise each level's miss is its
     relative distance to the nearest reference level. A ``--radius`` run is
     labelled against the point-nucleus reference, so its misses are the
     finite nucleus's own shift of the levels.
     """
     if len(entries) < cfg.levels:
-        return (f"; the window held {len(entries)} computed level(s): the domain "
-                f"--b {cfg.b:g} is likely too short for the upper levels (try a larger --b)")
+        cause = (f"the domain --b {cfg.b:g} is likely too short for the upper levels "
+                 f"(try a larger --b)" if cfg.b < cfg.default_b() else
+                 "the mesh is likely too coarse for the upper levels (try a larger --n)")
+        return f"; the window held {len(entries)} computed level(s): {cause}"
     reference = reference_spectrum(cfg.params(kappa), cfg.levels)
     tol = cfg.matching_tolerance()
     worst = max(min(abs(e.binding - r.binding) / abs(r.binding) for r in reference)
@@ -295,9 +300,7 @@ def _fmt(x) -> str:
 
 
 def _render_csv(rows, columns) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
+    lines = [",".join(columns)] + [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -327,18 +330,18 @@ def _mode_solve(cfg: RunConfig):
     rows = _long_rows(_solve_classified(cfg))
     title = (f"scheme={cfg.scheme} Z={_fmt(cfg.Z)} n={cfg.n} "
              f"a={_fmt(cfg.a)} b={_fmt(cfg.b)} gamma={_fmt(cfg.mesh_gamma)}")
-    return rows, _SOLVE_COLUMNS, _render_solve_table(rows, title), True
+    return rows, _SOLVE_COLUMNS, lambda: _render_solve_table(rows, title), True
 
 
 def _mode_compare(cfg: RunConfig):
-    rows, tables = [], []
+    rows = []
     for scheme in SCHEMES:
         sub = replace(cfg, scheme=scheme,
                       free_lower_slope=cfg.free_lower_slope and scheme != SCHEME_LINEAR).finalize()
-        scheme_rows = _long_rows(_solve_classified(sub), scheme=scheme)
-        rows.extend(scheme_rows)
-        tables.append(_render_solve_table(scheme_rows, f"--- {scheme} ---"))
-    return rows, _SOLVE_COLUMNS + ("scheme",), "\n".join(tables), True
+        rows.extend(_long_rows(_solve_classified(sub), scheme=scheme))
+    return rows, _SOLVE_COLUMNS + ("scheme",), lambda: "\n".join(
+        _render_solve_table([r for r in rows if r["scheme"] == s], f"--- {s} ---")
+        for s in SCHEMES), True
 
 
 def _mode_convergence(cfg: RunConfig):
@@ -356,14 +359,18 @@ def _mode_convergence(cfg: RunConfig):
             for lvl, err in enumerate(errors)]
     rows += [{"n": None, "level": lvl + 1, "kappa": kappa, "rel_error": None, "order": value(o)}
              for lvl, o in enumerate(study.orders)]
-    lines = [f"convergence scheme={cfg.scheme} kappa={kappa:+d} Z={_fmt(cfg.Z)}",
-             "  ".join([f"{'n':>8}"] + [f"{'lvl ' + str(l + 1):>12}" for l in range(cfg.levels)])]
-    for n in (*study.n_values, None):
-        key = "rel_error" if n is not None else "order"
-        cells = [f"{'order' if n is None else n:>8}"]
-        cells += [f"{'-' if r[key] is None else _fmt(r[key]):>12}" for r in rows if r["n"] == n]
-        lines.append("  ".join(cells))
-    return rows, ("n", "level", "kappa", "rel_error", "order"), "\n".join(lines) + "\n", True
+
+    def table():
+        lines = [f"convergence scheme={cfg.scheme} kappa={kappa:+d} Z={_fmt(cfg.Z)}",
+                 "  ".join([f"{'n':>8}"] + [f"{f'lvl {l + 1}':>12}" for l in range(cfg.levels)])]
+        for n in (*study.n_values, None):
+            key = "rel_error" if n is not None else "order"
+            cells = [f"{'order' if n is None else n:>8}"]
+            cells += [f"{'-' if r[key] is None else _fmt(r[key]):>12}" for r in rows if r["n"] == n]
+            lines.append("  ".join(cells))
+        return "\n".join(lines) + "\n"
+
+    return rows, ("n", "level", "kappa", "rel_error", "order"), table, True
 
 
 def _mode_coincidence(cfg: RunConfig):
@@ -391,7 +398,7 @@ def _mode_coincidence(cfg: RunConfig):
         lines.append(f"  pair {row['pair']:>2}: {_fmt(row['pos_binding']):>18} vs "
                      f"{_fmt(row['neg_binding']):>18}  rel={_fmt(row['rel_diff'])}  {row['note']}")
     return rows, ("pair", "pos_binding", "neg_binding", "rel_diff", "note"), \
-        "\n".join(lines) + "\n", True
+        lambda: "\n".join(lines) + "\n", True
 
 
 #: Element pair and c sweep used by the verify-tau report.
@@ -429,10 +436,10 @@ def _mode_verify_tau(cfg: RunConfig):
                      f"({'improved' if row['passed'] else 'NOT improved'})")
     ok = all(r["passed"] for r in rows)
     return rows, ("check", "c", "dev_stabilized", "dev_unstabilized", "value", "passed"), \
-        "\n".join(lines) + "\n", ok
+        lambda: "\n".join(lines) + "\n", ok
 
 
-#: Each mode returns (rows, columns, table text, ok).
+#: Each mode returns (rows, columns, a function rendering the table text, ok).
 _RUNNERS = {"solve": _mode_solve, "compare-schemes": _mode_compare,
             "convergence": _mode_convergence, "coincidence": _mode_coincidence,
             "verify-tau": _mode_verify_tau}
@@ -441,13 +448,12 @@ _RUNNERS = {"solve": _mode_solve, "compare-schemes": _mode_compare,
 _CHOICES = {"mode": tuple(_RUNNERS), "scheme": SCHEMES, "format": FORMATS}
 
 
-def run(config: RunConfig, stream=None) -> int:
+def run(config: RunConfig) -> int:
     """Execute one mode and emit the result; returns the process exit code."""
-    stream = stream if stream is not None else sys.stdout
     rows, columns, table, ok = _RUNNERS[config.mode](config)
 
     if config.format == "table":
-        text = table
+        text = table()
     elif config.format == "csv":
         text = _render_csv(rows, columns)
     else:
@@ -460,7 +466,7 @@ def run(config: RunConfig, stream=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot write output file {config.out}: {exc}") from exc
     else:
-        stream.write(text)
+        sys.stdout.write(text)
     return EXIT_OK if ok else EXIT_SOLVER
 
 

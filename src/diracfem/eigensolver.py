@@ -344,13 +344,14 @@ class _LevelSearch:
 
     ``mu`` holds the accepted levels in the order found and ``vectors``
     their rhs-normalized eigenvectors. Every iterate is made rhs-orthogonal
-    to the vectors already found, so no level is found twice.
+    to the vectors already found (a no-op before the first), so no level is
+    found twice; |lhs| and |rhs| are formed only if an ``_accept`` needs them.
     """
 
     def __init__(self, system: AssembledSystem, lu):
         self.system, self._lu = system, lu
         self.hb = system.lhs_band.shape[0] // 2
-        self._abs_bands = np.abs(system.lhs_band), np.abs(system.rhs_band)
+        self._abs_bands = None
         self._start = _shape_of(system).start
         self._rhs_start = _band_product(system.rhs_band, self._start)
         self.mu: list[float] = []
@@ -363,8 +364,8 @@ class _LevelSearch:
         return self._basis[:len(self.mu)].T
 
     def _deflate(self, y: np.ndarray) -> np.ndarray:
-        k = len(self.mu)
-        y -= (self._rhs_basis[:k] @ y) @ self._basis[:k]
+        if k := len(self.mu):
+            y -= (self._rhs_basis[:k] @ y) @ self._basis[:k]
         return y
 
     def factor(self, sigma: float):
@@ -400,13 +401,20 @@ class _LevelSearch:
         The backward error ||lhs*y - mu*rhs*y|| / (|| |lhs| |y| || + |mu| || |rhs| |y| ||)
         is below 1e-12 for a converged level on every mesh tried, and 4e-8
         or more for an equal mix of two neighbouring levels of the
-        pathology and Z=12 pencils.
+        pathology and Z=12 pencils. As |lhs*y| <= |lhs| |y| entrywise, the
+        step's own products bound that scale from below by ||lhs*y|| +
+        |mu| ||rhs*y||: a residual within BACKWARD_TOL of that bound is kept
+        at once, and only one that is not forms |lhs| and |rhs| for the scale.
         """
-        abs_lhs, abs_rhs = self._abs_bands
-        scale = (np.linalg.norm(_band_product(abs_lhs, np.abs(y)))
-                 + abs(mu) * np.linalg.norm(_band_product(abs_rhs, np.abs(y))))
-        if not np.linalg.norm(lhs_y - mu * rhs_y) <= BACKWARD_TOL * scale:
-            return False
+        residual = np.linalg.norm(lhs_y - mu * rhs_y)
+        if not residual <= BACKWARD_TOL * (np.linalg.norm(lhs_y) + abs(mu) * np.linalg.norm(rhs_y)):
+            if self._abs_bands is None:
+                self._abs_bands = np.abs(self.system.lhs_band), np.abs(self.system.rhs_band)
+            abs_lhs, abs_rhs = self._abs_bands
+            scale = (np.linalg.norm(_band_product(abs_lhs, np.abs(y)))
+                     + abs(mu) * np.linalg.norm(_band_product(abs_rhs, np.abs(y))))
+            if not residual <= BACKWARD_TOL * scale:
+                return False
         k = len(self.mu)
         if k == len(self._basis):
             self._basis, self._rhs_basis = (np.vstack([rows, np.zeros((8, len(y)))])
@@ -432,8 +440,9 @@ class _LevelSearch:
         lu, pivots, _ = factor
         # rhs times the deflated start, from rhs*start and the stored rhs
         # times each found vector, with no band product
-        k = len(self.mu)
-        rhs_y = self._rhs_start - (self._rhs_basis[:k] @ self._start) @ self._rhs_basis[:k]
+        rhs_y = self._rhs_start
+        if k := len(self.mu):
+            rhs_y = rhs_y - (self._rhs_basis[:k] @ self._start) @ self._rhs_basis[:k]
         previous, plain, rqi = None, 0, 0
         while rqi <= RQI_STEPS:
             if rqi:

@@ -326,6 +326,19 @@ class TestMain:
         assert "larger --b" in err
         assert "--free-lower-slope" not in err and "too coarse" not in err
 
+    @pytest.mark.parametrize("b, held", [([], 5), (["--b", "1000"], 3)])
+    def test_too_few_levels_on_a_long_domain_blame_the_mesh(self, b, held, capsys):
+        # n = 3 on the derived domain (b = 3*(6 + 1 + 1)^2 = 192) or a longer
+        # one: the window holds 5 levels, and on b = 1000 only 3, so a longer
+        # domain does not help and the hint must point at the mesh
+        code = main(["--Z", "1", "--kappa", "-1", "--scheme", "hermite-galerkin",
+                     "--n", "3", "--levels", "6"] + b)
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert f"the window held {held} computed level(s)" in err
+        assert "too coarse" in err and "larger --n" in err
+        assert "too short" not in err and "larger --b" not in err
+
     @pytest.mark.parametrize("extra, worst, tol", [
         (["--b", "40", "--levels", "2", "--n", "3"], 3.4e-2, 1e-5),
         (["--match-tol", "1e-9"], 7.5e-7, 1e-9),

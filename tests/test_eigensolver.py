@@ -68,6 +68,42 @@ def relabelled(system, scheme):
                            params=system.params)
 
 
+@pytest.fixture(autouse=True)
+def accept_attempts(monkeypatch):
+    """Every Galerkin accept attempt of a test, each checked against the exact scale.
+
+    ``_accept`` reads the bound ||lhs*y|| + |mu| ||rhs*y|| first. Each attempt
+    must decide as the exact scale || |lhs| |y| || + |mu| || |rhs| |y| || does.
+    Each one is recorded as (mu, kept, products, formed). ``products`` counts
+    the band products the attempt ran: 0 where the bound decided, 2 where it
+    formed the exact scale. ``formed`` tells whether the search now holds
+    |lhs| and |rhs|.
+    """
+    attempts = []
+    band_product, accept = eigensolver._band_product, eigensolver._LevelSearch._accept
+    products = 0
+
+    def counted(band, x):
+        nonlocal products
+        products += 1
+        return band_product(band, x)
+
+    def checked(search, mu, y, rhs_y, lhs_y):
+        system = search.system
+        scale = (np.linalg.norm(band_product(np.abs(system.lhs_band), np.abs(y)))
+                 + abs(mu) * np.linalg.norm(band_product(np.abs(system.rhs_band), np.abs(y))))
+        exact = bool(np.linalg.norm(lhs_y - mu * rhs_y) <= eigensolver.BACKWARD_TOL * scale)
+        before = products
+        kept = accept(search, mu, y, rhs_y, lhs_y)
+        attempts.append((mu, kept, products - before, search._abs_bands is not None))
+        assert kept == exact, f"mu={mu!r}: kept={kept}, but the exact scale says {exact}"
+        return kept
+
+    monkeypatch.setattr(eigensolver, "_band_product", counted)
+    monkeypatch.setattr(eigensolver._LevelSearch, "_accept", checked)
+    return attempts
+
+
 #: Stabilized bindings against the two-sided quotients of the dense QZ
 #: eigenvectors (measured: at most 5.8e-14 on the cases below, with one BLAS
 #: thread or two; the QZ eigenvalues themselves are up to 9.9e-11 off them)
@@ -744,6 +780,53 @@ class TestGalerkinDriver:
             solve(system, window=bound_window(params, levels))
         (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
         assert f" factorizations={factorizations} counts=1 steps={steps} " in record
+
+    @pytest.mark.parametrize("scheme, z, kappa, mesh_args, levels, exact_scales", [
+        (SCHEME_LINEAR, 1, 1, (1e-6, 150.0, 100, 8.0), 6, 1),
+        (SCHEME_LINEAR, 1, -1, (1e-6, 150.0, 100, 8.0), 6, 0),
+        (SCHEME_HERMITE, 1, 1, (1e-6, 150.0, 100, 8.0), 6, 0),
+        (SCHEME_HERMITE, 1, -1, (1e-6, 150.0, 100, 8.0), 6, 0),
+        (SCHEME_HERMITE, 12, -2, (1e-6, 60.0, 100, 8.5), 12, 0),
+        (SCHEME_HERMITE, 12, -2, (1e-6, 60.0, 200, 8.5), 12, 0),
+        (SCHEME_HERMITE, 12, -2, (1e-6, 60.0, 400, 8.5), 12, 0)])
+    def test_acceptance_reads_the_bound_in_hand(self, scheme, z, kappa, mesh_args, levels,
+                                                exact_scales, accept_attempts):
+        # the benchmark windows: the bound from the step's own products
+        # decides every accept attempt (each as the exact scale does, see
+        # ``accept_attempts``) but one, a level of the linear kappa = +1
+        # window near -0.01045 whose residual is 1.3e-10 of the bound and
+        # 2.3e-14 of the exact scale; there the exact scale is formed once and
+        # accepts it, and elsewhere |lhs| and |rhs| are never formed
+        params = OperatorParams(Z=z, kappa=kappa)
+        system = assemble(scheme, params, build_exponential_mesh(*mesh_args))
+        spectrum = solve(system, window=bound_window(params, levels))
+        assert {products for _, _, products, _ in accept_attempts} <= {0, 2}
+        exact = [(mu, kept) for mu, kept, products, _ in accept_attempts if products]
+        assert len(exact) == exact_scales
+        assert all(kept and mu in spectrum.bindings for mu, kept in exact)
+        assert any(formed for *_, formed in accept_attempts) == bool(exact_scales)
+
+    @pytest.mark.parametrize("z, kappa, mesh_args, levels", [
+        (1, -1, (1e-6, 150.0, 100, 8.0), 6), (12, -2, (1e-6, 60.0, 100, 8.5), 12)])
+    @pytest.mark.parametrize("scheme", [SCHEME_LINEAR, SCHEME_HERMITE])
+    def test_an_equal_mix_of_neighbouring_levels_is_refused(self, scheme, z, kappa, mesh_args,
+                                                            levels, accept_attempts):
+        # the rhs-normalized mix of two neighbouring levels has a small
+        # residual against its Rayleigh quotient, but not small enough: the
+        # bound refuses it, and so does the exact scale it then forms
+        params = OperatorParams(Z=z, kappa=kappa)
+        system = assemble(scheme, params, build_exponential_mesh(*mesh_args))
+        vectors = solve(system, window=bound_window(params, levels)).eigenvectors
+        del accept_attempts[:]
+        for i in range(vectors.shape[1] - 1):
+            y = (vectors[:, i] + vectors[:, i + 1]) / np.sqrt(2.0)
+            rhs_y, lhs_y = (eigensolver._band_product(band, y)
+                            for band in (system.rhs_band, system.lhs_band))
+            search = eigensolver._LevelSearch(system, eigensolver._shifted_lu(system))
+            assert not search._accept(y @ lhs_y, y, rhs_y, lhs_y)
+            assert search.mu == []
+        assert [(kept, products) for _, kept, products, _ in accept_attempts] == \
+            [(False, 2)] * (vectors.shape[1] - 1)
 
     @pytest.mark.parametrize("scheme, free, z, kappa, mesh_args, levels", [
         (SCHEME_LINEAR, False, 1, -1, (1e-6, 150.0, 100, 8.0), 6),
