@@ -17,7 +17,6 @@ from .analysis import (
     classify,
     coincidence_report,
     convergence_study,
-    second_order_residual,
     tau_limit_lambda,
     tau_rule_residual,
 )

@@ -3,9 +3,7 @@
 Computed spectra are matched against the exact reference to label each
 level genuine, instilled-spurious (the interleaved unphysical values), or
 coincidence-spurious (a kappa > 0 copy of the opposite series' lowest
-state). Residual operations reconstruct spinor components from Hermite
-coefficients and evaluate the strong-form equations; these take the raw
-eigenvalue lambda, not the binding.
+state).
 """
 
 from __future__ import annotations
@@ -16,17 +14,10 @@ from enum import Enum
 import numpy as np
 
 from .assembly import SCHEME_LINEAR, assemble
-from .discretization import Mesh, build_exponential_mesh, gauss_rule, hermite_interpolate
+from .discretization import build_exponential_mesh
 from .eigensolver import DEFAULT_REALITY_TOL, Spectrum, bound_window, solve
-from .errors import CoefficientSingularityError, DegeneratePencilError
-from .physics import (
-    OperatorParams,
-    ReferenceLevel,
-    check_count,
-    potential_derivative,
-    potential_value,
-    reference_spectrum,
-)
+from .errors import DegeneratePencilError
+from .physics import OperatorParams, ReferenceLevel, check_count, reference_spectrum
 
 #: Default relative matching tolerances: linear-basis genuine levels are only
 #: ~1e-4 accurate, the Hermite schemes far better.
@@ -163,69 +154,6 @@ def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
     return CoincidenceReport(present=present, first_pos=float(pos[0]),
                              first_neg=float(neg[0]), first_rel_diff=first_rel,
                              pairs=pairs)
-
-
-# --- strong-form residual diagnostics ---------------------------------------
-
-
-def second_order_coefficients(params: OperatorParams, lam: float, x, component: str = "f"):
-    """Coefficients (p1, p2) of u'' + p1 u' + p2 u = 0 for one decoupled component."""
-    x = np.asarray(x, dtype=float)
-    V = potential_value(params, x)
-    dV = potential_derivative(params, x)
-    mc2, c, k = params.rest_energy, params.c, params.kappa
-    wp = mc2 + V - lam
-    wm = -mc2 + V - lam
-    if component == "f":
-        denom = wm
-        p1 = -dV / denom
-        p2 = wp * wm / c**2 - (k**2 + k) / x**2 - k * dV / (x * denom)
-    elif component == "g":
-        denom = wp
-        p1 = -dV / denom
-        p2 = wp * wm / c**2 - (k**2 - k) / x**2 + k * dV / (x * denom)
-    else:
-        raise ValueError(f"component must be 'f' or 'g', got {component!r}")
-    scale = mc2 + abs(lam)
-    if np.min(np.abs(denom)) < 1e-10 * scale:
-        raise CoefficientSingularityError(
-            f"w{'-' if component == 'f' else '+'}(x) - lambda vanishes at a quadrature point"
-        )
-    return p1, p2
-
-
-def second_order_residual(params: OperatorParams, mesh: Mesh, lam: float, values, slopes,
-                          component: str = "f") -> float:
-    """Discrete L2 norm of u'' + p1 u' + p2 u over all quadrature points.
-
-    ``values`` and ``slopes`` are the nodal coefficients of the Hermite
-    expansion of the chosen component. Interior-length arrays (n, or n+1
-    slopes when the lower slope dof was free) get zero boundary dofs, the
-    solver's convention; length n+2 arrays carry explicit boundary data,
-    for externally sampled functions. Genuine eigenpairs drive this
-    residual to zero under refinement, instilled spurious pairs do not.
-    """
-    n = mesh.interior_count
-    values = np.asarray(values, dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    full_values = np.zeros(n + 2)
-    if len(values) == n + 2:
-        full_values[:] = values
-    else:
-        full_values[1:n + 1] = values
-    full_slopes = np.zeros(n + 2)
-    if len(slopes) == n + 2:
-        full_slopes[:] = slopes
-    elif len(slopes) == n + 1:
-        full_slopes[0:n + 1] = slopes
-    else:
-        full_slopes[1:n + 1] = slopes
-    x, w = gauss_rule(mesh)
-    p1, p2 = second_order_coefficients(params, lam, x, component)
-    u, du, d2u = (hermite_interpolate(mesh, full_values, full_slopes, x, order)
-                  for order in (0, 1, 2))
-    r = d2u + p1 * du + p2 * u
-    return float(np.sqrt(np.sum(w * r**2)))
 
 
 # --- stability-parameter verification ----------------------------------------

@@ -328,9 +328,9 @@ _SOLVE_COLUMNS = ("level", "kappa", "binding", "reference", "rel_error", "label"
 
 def _mode_solve(cfg: RunConfig):
     rows = _long_rows(_solve_classified(cfg))
-    title = (f"scheme={cfg.scheme} Z={_fmt(cfg.Z)} n={cfg.n} "
-             f"a={_fmt(cfg.a)} b={_fmt(cfg.b)} gamma={_fmt(cfg.mesh_gamma)}")
-    return rows, _SOLVE_COLUMNS, lambda: _render_solve_table(rows, title), True
+    return rows, _SOLVE_COLUMNS, lambda: _render_solve_table(
+        rows, f"scheme={cfg.scheme} Z={_fmt(cfg.Z)} n={cfg.n} "
+              f"a={_fmt(cfg.a)} b={_fmt(cfg.b)} gamma={_fmt(cfg.mesh_gamma)}"), True
 
 
 def _mode_compare(cfg: RunConfig):
@@ -378,6 +378,10 @@ def _mode_coincidence(cfg: RunConfig):
         raise ConfigError("coincidence mode requires abs_kappa (a +/- pair)")
     # pairs 1..levels need levels + 1 bindings of each sign
     spectra = _solve_kappas(cfg, (cfg.abs_kappa, -cfg.abs_kappa), cfg.levels + 1)
+    for kappa, spectrum in spectra.items():
+        if not len(spectrum.bindings):
+            raise InsufficientLevelsError(
+                f"kappa={kappa}: no bound level found{_miss_hint(cfg, kappa, ())}")
     neg = spectra[-cfg.abs_kappa]
     report = coincidence_report(spectra[cfg.abs_kappa], neg, tol=cfg.matching_tolerance())
     # a pair is a physical degeneracy only where its kappa < 0 level is genuine
@@ -391,14 +395,17 @@ def _mode_coincidence(cfg: RunConfig):
         rows.append({"pair": i, "pos_binding": p, "neg_binding": m, "rel_diff": r,
                      "note": "physical-degeneracy" if labels[m] is Label.GENUINE
                      else Label.INSTILLED.value})
-    lines = [f"coincidence scheme={cfg.scheme} Z={_fmt(cfg.Z)} |kappa|={cfg.abs_kappa}: "
-             f"{'PRESENT' if report.present else 'ABSENT'} "
-             f"(first pair rel diff {_fmt(report.first_rel_diff)})"]
-    for row in rows:
-        lines.append(f"  pair {row['pair']:>2}: {_fmt(row['pos_binding']):>18} vs "
-                     f"{_fmt(row['neg_binding']):>18}  rel={_fmt(row['rel_diff'])}  {row['note']}")
-    return rows, ("pair", "pos_binding", "neg_binding", "rel_diff", "note"), \
-        lambda: "\n".join(lines) + "\n", True
+
+    def table():
+        lines = [f"coincidence scheme={cfg.scheme} Z={_fmt(cfg.Z)} |kappa|={cfg.abs_kappa}: "
+                 f"{'PRESENT' if report.present else 'ABSENT'} "
+                 f"(first pair rel diff {_fmt(report.first_rel_diff)})"]
+        lines += [f"  pair {row['pair']:>2}: {_fmt(row['pos_binding']):>18} vs "
+                  f"{_fmt(row['neg_binding']):>18}  rel={_fmt(row['rel_diff'])}  {row['note']}"
+                  for row in rows]
+        return "\n".join(lines) + "\n"
+
+    return rows, ("pair", "pos_binding", "neg_binding", "rel_diff", "note"), table, True
 
 
 #: Element pair and c sweep used by the verify-tau report.
@@ -410,6 +417,10 @@ def _mode_verify_tau(cfg: RunConfig):
     mesh = build_exponential_mesh(cfg.a, cfg.b, cfg.n, cfg.mesh_gamma)
     tau = compute_tau(mesh)
     h = mesh.h
+    if (h[1:] == h[:-1]).any():
+        raise ConfigError(f"--mesh-gamma {_fmt(cfg.mesh_gamma)} grades the mesh too weakly for "
+                          "verify-tau: two neighbouring elements round to one size, where the "
+                          "tau rule is undefined")
     worst = 0.0
     for e in range(2, mesh.element_count + 1):
         r = analysis.tau_rule_residual(h[e - 2], h[e - 1], tau[e - 1])
@@ -427,16 +438,19 @@ def _mode_verify_tau(cfg: RunConfig):
         rows.append({"check": "limit-lambda", "c": c, "dev_stabilized": dev_s,
                      "dev_unstabilized": dev_0, "value": None,
                      "passed": bool(dev_s < dev_0)})
-    lines = [f"stability-parameter verification (mesh n={cfg.n}, h pair {hj}/{hj1})",
-             f"  max scaled rule residual over mesh: {worst:.3e}  "
-             f"({'ok' if rows[0]['passed'] else 'FAIL'})"]
-    for row in rows[1:]:
-        lines.append(f"  c={_fmt(row['c']):>8}: |lam1-c^2|/c^2 stabilized={_fmt(row['dev_stabilized'])}"
-                     f" unstabilized={_fmt(row['dev_unstabilized'])}  "
-                     f"({'improved' if row['passed'] else 'NOT improved'})")
-    ok = all(r["passed"] for r in rows)
+
+    def table():
+        lines = [f"stability-parameter verification (mesh n={cfg.n}, h pair {hj}/{hj1})",
+                 f"  max scaled rule residual over mesh: {worst:.3e}  "
+                 f"({'ok' if rows[0]['passed'] else 'FAIL'})"]
+        lines += [f"  c={_fmt(row['c']):>8}: |lam1-c^2|/c^2 stabilized={_fmt(row['dev_stabilized'])}"
+                  f" unstabilized={_fmt(row['dev_unstabilized'])}  "
+                  f"({'improved' if row['passed'] else 'NOT improved'})"
+                  for row in rows[1:]]
+        return "\n".join(lines) + "\n"
+
     return rows, ("check", "c", "dev_stabilized", "dev_unstabilized", "value", "passed"), \
-        lambda: "\n".join(lines) + "\n", ok
+        table, all(r["passed"] for r in rows)
 
 
 #: Each mode returns (rows, columns, a function rendering the table text, ok).

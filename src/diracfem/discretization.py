@@ -134,7 +134,7 @@ def hermite_local(h: float, s, order: int):
     """Cubic Hermite pieces on one element.
 
     Returns (left value, left slope, right value, right slope) evaluated at
-    local offsets s from the left node; ``order`` in {0, 1, 2}.
+    local offsets s from the left node; ``order`` in {0, 1}.
     """
     s = np.asarray(s, dtype=float)
     if order == 0:
@@ -147,31 +147,6 @@ def hermite_local(h: float, s, order: int):
         ls = 1.0 - 2.0 * s / h + (3.0 * s**2 - 2.0 * h * s) / h**2
         rv = 2.0 * s / h**2 - (6.0 * s**2 - 4.0 * h * s) / h**3
         rs = (3.0 * s**2 - 2.0 * h * s) / h**2
-    elif order == 2:
-        lv = -2.0 / h**2 + (12.0 * s - 4.0 * h) / h**3
-        ls = -2.0 / h + (6.0 * s - 2.0 * h) / h**2
-        rv = 2.0 / h**2 - (12.0 * s - 4.0 * h) / h**3
-        rs = (6.0 * s - 2.0 * h) / h**2
     else:
         raise ValueError(f"unsupported derivative order {order} for cubic Hermite")
     return lv, ls, rv, rs
-
-
-# --- Hermite interpolation diagnostics -------------------------------------
-
-
-def hermite_interpolate(mesh: Mesh, values, slopes, x, order: int = 0):
-    """Evaluate the Hermite interpolant with given nodal values and slopes.
-
-    ``values`` and ``slopes`` cover all nodes 0..n+1; supports order 0..2
-    (the interpolant is piecewise cubic, so the second derivative exists
-    inside every element).
-    """
-    values = np.asarray(values, dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    x = np.asarray(x, dtype=float)
-    nodes, h = mesh.nodes, mesh.h
-    e = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, mesh.element_count - 1)
-    lv, ls, rv, rs = hermite_local(h[e], x - nodes[e], order)
-    out = values[e] * lv + slopes[e] * ls + values[e + 1] * rv + slopes[e + 1] * rs
-    return out if out.shape else float(out)

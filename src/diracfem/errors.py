@@ -31,7 +31,3 @@ class InsufficientLevelsError(SolverError):
 
 class DegeneratePencilError(SolverError):
     """The reduced 2x2 limit pencil is degenerate (rho^2 equals d_j^2)."""
-
-
-class CoefficientSingularityError(SolverError):
-    """A second-order-form coefficient denominator vanished at a quadrature point."""

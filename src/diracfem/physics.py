@@ -92,21 +92,6 @@ def potential_value(params: OperatorParams, x):
     return out if out.shape else float(out)
 
 
-def potential_derivative(params: OperatorParams, x):
-    """V'(x), needed by the second-order-form coefficients."""
-    x = np.asarray(x, dtype=float)
-    Z, R = params.Z, params.R
-    if R is None:
-        if np.any(x <= 0.0):
-            raise PhysicsError("point-nucleus potential is singular at x <= 0")
-        out = Z / x**2
-    else:
-        if np.any(x < 0.0):
-            raise PhysicsError("potential requires x >= 0")
-        out = np.where(x < R, Z * x / R**3, Z / np.maximum(x, R)**2)
-    return out if out.shape else float(out)
-
-
 @dataclass(frozen=True)
 class ReferenceLevel:
     """One exact point-nucleus bound level identified by (kappa, n_r)."""

@@ -6,7 +6,8 @@ the basis functions of its two dofs; ``assemble_block`` sums the package's
 element integrals of one integrand into a dense block matrix, and
 ``block_order`` permutes a node-order pencil into the same block layout;
 ``band_storage`` writes a dense matrix in LAPACK band storage;
-``component_coefficients`` reads one spinor component of an eigenvector;
+``component_coefficients`` reads one spinor component of an eigenvector,
+and ``eigenpair_component`` evaluates it with ``hermite_interpolate``;
 ``dense_bindings`` solves the whole pencil densely, the oracle of the
 windowed solve, and ``dense_bindings_in_workers`` runs it on several
 pencils side by side; ``rayleigh_quotients`` gives the extended-precision
@@ -42,7 +43,6 @@ from diracfem.discretization import (
     Mesh,
     gauss_rule,
     hat_local,
-    hermite_interpolate,
     hermite_local,
 )
 from diracfem.eigensolver import DEFAULT_REALITY_TOL, Spectrum, _check_reality
@@ -213,6 +213,18 @@ def component_coefficients(spectrum: Spectrum, index: int, component: str):
     values, slopes = (vec[part_dofs(spectrum.scheme, len(vec), part)]
                       for part in parts[component])
     return values, None if spectrum.scheme == SCHEME_LINEAR else slopes
+
+
+def eigenpair_component(spectrum: Spectrum, mesh: Mesh, index: int, component: str):
+    """Hermite spinor component 'f' or 'g' of bound state ``index`` and its derivative, as callables.
+
+    The boundary dofs are zero, the solver's convention with a fixed lower slope.
+    """
+    n = mesh.interior_count
+    values, slopes = np.zeros(n + 2), np.zeros(n + 2)
+    values[1:n + 1], slopes[1:n + 1] = component_coefficients(spectrum, index, component)
+    return (lambda x: hermite_interpolate(mesh, values, slopes, x, 0),
+            lambda x: hermite_interpolate(mesh, values, slopes, x, 1))
 
 
 def band_storage(matrix, hb: int) -> np.ndarray:
@@ -412,7 +424,22 @@ def closed_form_element_entries(mesh: Mesh, j: int) -> dict[str, np.ndarray]:
     return {"MM000": mm000, "MM100": mm100, "MM010": mm010, "MM110": mm110}
 
 
-# --- Hermite interpolation error --------------------------------------------
+# --- Hermite interpolation ---------------------------------------------------
+
+
+def hermite_interpolate(mesh: Mesh, values, slopes, x, order: int = 0):
+    """Evaluate the Hermite interpolant with given nodal values and slopes, or its derivative.
+
+    ``values`` and ``slopes`` cover all nodes 0..n+1; ``order`` is 0 or 1.
+    """
+    values = np.asarray(values, dtype=float)
+    slopes = np.asarray(slopes, dtype=float)
+    x = np.asarray(x, dtype=float)
+    nodes, h = mesh.nodes, mesh.h
+    e = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, mesh.element_count - 1)
+    lv, ls, rv, rs = hermite_local(h[e], x - nodes[e], order)
+    out = values[e] * lv + slopes[e] * ls + values[e + 1] * rv + slopes[e + 1] * rs
+    return out if out.shape else float(out)
 
 
 def hermite_interpolation_max_error(f, df, a: float, b: float, n_elements: int,

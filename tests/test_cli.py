@@ -305,6 +305,30 @@ class TestMain:
         assert code == EXIT_SOLVER
         assert "solver error" in capsys.readouterr().err
 
+    def test_coincidence_on_an_empty_window_exits_4_naming_the_kappa(self, capfd):
+        # a one-node mesh holds no level of either sign: the report raised
+        # ValueError("empty bound spectrum") and the run ended in a traceback
+        code = main(["--mode", "coincidence", "--abs-kappa", "1", "--n", "1"])
+        assert code == EXIT_SOLVER
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("solver error: kappa=1: no bound level found; "
+                              "the window held 0 computed level(s): ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, gamma", [("5", "1e-17"), ("100", "1e-15")])
+    def test_verify_tau_on_a_nearly_uniform_mesh_exits_2_naming_the_grading(self, n, gamma,
+                                                                             capfd):
+        # neighbouring elements of equal size leave the tau rule undefined:
+        # tau_rule_residual raised ValueError and the run ended in a traceback
+        code = main(["--mode", "verify-tau", "--n", n, "--mesh-gamma", gamma])
+        assert code == EXIT_CONFIG
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: --mesh-gamma {gamma} ")
+        assert err.count("\n") == 1
+        assert main(["--mode", "verify-tau", "--n", "5", "--mesh-gamma", "1e-15"]) == 0
+
     def test_small_misses_blame_the_fixed_lower_slope(self, capsys):
         # the README pathology mesh: the SUPG ground level misses by 1.8e-4,
         # 18 times the 1e-5 Hermite tolerance
@@ -587,6 +611,17 @@ AGREEMENT_RUNS = [
     pytest.param(SMALL + ["--scheme", "linear-galerkin", "--abs-kappa", "1", "--n", "100",
                           "--mode", "coincidence"], id="coincidence"),
 ]
+
+
+@pytest.mark.parametrize("argv", AGREEMENT_RUNS + [
+    pytest.param(["--mode", "verify-tau", "--n", "15"], id="verify-tau")])
+def test_json_run_renders_no_table(argv, monkeypatch):
+    # every mode renders its table only under --format table
+    def refuse(x):
+        raise AssertionError("a json run formatted a table cell")
+
+    monkeypatch.setattr(cli, "_fmt", refuse)
+    assert json.loads(_output(argv, "json"))["rows"]
 
 
 def _output(argv, fmt):

@@ -5,7 +5,6 @@ from diracfem.errors import PhysicsError
 from diracfem.physics import (
     OperatorParams,
     check_count,
-    potential_derivative,
     potential_value,
     reference_binding,
     reference_spectrum,
@@ -75,10 +74,15 @@ class TestPotential:
         assert potential_value(params, 0.0) == pytest.approx(-3 * 4.0 / (2 * 0.25), rel=1e-14)
 
     def test_extended_c1_at_radius(self):
+        # both one-sided difference quotients at R approach V'(R) = Z/R^2; a
+        # kink would part them by O(1), the step only by O(d/R) = 1e-6
         Z, R = 7.0, 0.02
         params = OperatorParams(Z=Z, kappa=-1, R=R)
-        assert potential_derivative(params, R - 1e-13) == pytest.approx(Z / R**2, rel=1e-9)
-        assert potential_derivative(params, R + 1e-13) == pytest.approx(Z / R**2, rel=1e-9)
+        d = 1e-6 * R
+        left = (potential_value(params, R) - potential_value(params, R - d)) / d
+        right = (potential_value(params, R + d) - potential_value(params, R)) / d
+        assert left == pytest.approx(Z / R**2, rel=1e-5)
+        assert right == pytest.approx(Z / R**2, rel=1e-5)
 
     @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1e-4])
     def test_extended_requires_finite_positive_radius(self, radius):

@@ -10,8 +10,13 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 OTHER_TOOLS_FLAGS = {"--no-build-isolation", "--durations"}
 
 
+def python_blocks(markdown: str) -> list[str]:
+    """The code of every ```python block of ``markdown``."""
+    return re.findall(r"```python\n(.*?)```", markdown, re.DOTALL)
+
+
 def test_readme_quick_start_runs(capsys):
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    blocks = python_blocks(README.read_text())
     assert len(blocks) == 1
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from test_readme import README, python_blocks
+
 tomllib = pytest.importorskip("tomllib")
 
 pytest_plugins = ["pytester"]
@@ -216,21 +218,26 @@ def test_uncalled_function_detector():
                "class C:\n    def method(self):\n        pass\n"]
     assert uncalled_functions(package, package) == ["f", "h"]
     assert uncalled_functions(package, package + ["from m import f\nWRAPPED = ('h',)"]) == []
+    readme = "Use it:\n\n```python\nfrom m import h\n```\n\n```\nf()\n```\n"
+    assert python_blocks(readme) == ["from m import h\n"]
+    assert uncalled_functions(package, package + python_blocks(readme)) == ["f"]
 
 
 def test_every_package_function_has_a_caller():
-    """Each module-level function of the package is used somewhere in src or perfbench.
+    """Each module-level function of the package is used in src, perfbench or the README example.
 
-    A function only the tests call belongs with the tests. The check goes
-    by name, not by module, so it is only a floor: a function passes when
-    any name, attribute, import or string of the same name appears (a
-    re-export in ``__init__`` or a name in perfbench's table of traced
-    entry points counts).
+    A function only the tests call belongs with the tests. A re-export in
+    ``__init__`` is no use; the README's one python block, the library's
+    documented entry point, is. The check goes by name, not by module, so
+    it is only a floor: a function passes when any name, attribute, import
+    or string of the same name appears (a name in perfbench's table of
+    traced entry points counts).
     """
     package = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     callers = [path.read_text() for d in ("src", "perfbench")
-               for path in sorted((ROOT / d).rglob("*.py"))]
-    assert uncalled_functions(package, callers) == []
+               for path in sorted((ROOT / d).rglob("*.py")) if path != SRC / "__init__.py"]
+    (example,) = python_blocks(README.read_text())
+    assert uncalled_functions(package, callers + [example]) == []
 
 
 def private_definitions(source: str) -> list[str]:
