@@ -10,8 +10,11 @@ with q either 1 or the nuclear potential V of the operator parameters
 A scheme is a table of block terms: which pencil matrix and 2x2 block a
 term goes to, its block integrand, its coefficient in (c, kappa, mc^2), and
 whether the per-element stabilization parameter tau weights it. The
-stabilized scheme is the Galerkin table plus the tau-weighted terms, so
-with tau identically zero it gives the Galerkin system by construction.
+stabilized scheme also tests each radial equation with tau times the
+derivative of the other component's test function: its table is the
+Galerkin table plus each Galerkin term moved to the other component's row,
+with test derivative order 1 and weighted by tau. With tau identically zero
+it gives the Galerkin system by construction.
 
 The coefficients are those of the binding-form pencil (A - mc^2 B, B) of
 the Dirac pencil (A, B): the rest energy cancels term by term here, so no
@@ -28,7 +31,7 @@ one part (f values, f slopes, g values or g slopes) in it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -215,18 +218,10 @@ _GALERKIN = (
     ("rhs", 1, 1, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: 1.0, False),
 )
 
-#: Couplings of the tau * v' part of the stabilized test space.
-_STABILIZED = (
-    ("lhs", 0, 0, BlockMatrixSpec(1, 1, 0), lambda c, k, mc2: c, True),
-    ("lhs", 0, 0, BlockMatrixSpec(1, 0, 1), lambda c, k, mc2: c * k, True),
-    ("lhs", 0, 1, BlockMatrixSpec(1, 0, 0), lambda c, k, mc2: -2.0 * mc2, True),
-    ("lhs", 0, 1, BlockMatrixSpec(1, 0, 0, "V"), lambda c, k, mc2: 1.0, True),
-    ("lhs", 1, 0, BlockMatrixSpec(1, 0, 0, "V"), lambda c, k, mc2: 1.0, True),
-    ("lhs", 1, 1, BlockMatrixSpec(1, 1, 0), lambda c, k, mc2: -c, True),
-    ("lhs", 1, 1, BlockMatrixSpec(1, 0, 1), lambda c, k, mc2: c * k, True),
-    ("rhs", 0, 1, BlockMatrixSpec(1, 0, 0), lambda c, k, mc2: 1.0, True),
-    ("rhs", 1, 0, BlockMatrixSpec(1, 0, 0), lambda c, k, mc2: 1.0, True),
-)
+#: The tau * v' part of the stabilized test space: the Galerkin terms, each
+#: in the other component's row, on the test function's derivative.
+_STABILIZED = tuple((matrix, 1 - row, col, replace(spec, r=1), coefficient, True)
+                    for matrix, row, col, spec, coefficient, _ in _GALERKIN)
 
 _SCHEME_TABLE = {
     SCHEME_LINEAR: (BasisKind.LINEAR_HAT, _GALERKIN),

@@ -48,7 +48,7 @@ class RunConfig:
     c_value: float = SPEED_OF_LIGHT
     scheme: str = SCHEME_SUPG
     radius: float | None = None
-    a: float | None = None
+    a: float = 1e-5
     b: float | None = None
     n: int = 100
     mesh_gamma: float = 6.0
@@ -88,8 +88,6 @@ class RunConfig:
         if cfg.free_lower_slope and cfg.scheme == SCHEME_LINEAR and cfg.mode != "compare-schemes":
             raise ConfigError("free_lower_slope applies to the Hermite schemes only: "
                               f"{SCHEME_LINEAR} has no slope dof")
-        if cfg.a is None:
-            cfg.a = 1e-5
         check_charge(cfg.Z)  # b defaults to a multiple of 1/Z
         if cfg.b is None:
             cfg.b = cfg.default_b()
@@ -205,8 +203,7 @@ def _solve_classified(cfg: RunConfig) -> dict:
     spectra = _solve_kappas(cfg, sorted(cfg.kappas(), reverse=True), cfg.levels)
     out = {}
     for kappa, spectrum in spectra.items():
-        params = cfg.params(kappa)
-        reference = reference_spectrum(params, cfg.levels)
+        reference = reference_spectrum(spectrum.params, cfg.levels)
         opposite = None
         if kappa > 0:
             neg = spectra.get(-kappa)
@@ -299,8 +296,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _render_csv(rows, columns) -> str:
-    lines = [",".join(columns)] + [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
+def _render_csv(rows) -> str:
+    """The rows under a header of the first row's keys, which every row of a mode holds."""
+    columns = list(rows[0])
+    lines = [",".join(columns)] + [",".join(_fmt(row[c]) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -323,12 +322,9 @@ def _render_solve_table(rows, title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SOLVE_COLUMNS = ("level", "kappa", "binding", "reference", "rel_error", "label")
-
-
 def _mode_solve(cfg: RunConfig):
     rows = _long_rows(_solve_classified(cfg))
-    return rows, _SOLVE_COLUMNS, lambda: _render_solve_table(
+    return rows, lambda: _render_solve_table(
         rows, f"scheme={cfg.scheme} Z={_fmt(cfg.Z)} n={cfg.n} "
               f"a={_fmt(cfg.a)} b={_fmt(cfg.b)} gamma={_fmt(cfg.mesh_gamma)}"), True
 
@@ -339,7 +335,7 @@ def _mode_compare(cfg: RunConfig):
         sub = replace(cfg, scheme=scheme,
                       free_lower_slope=cfg.free_lower_slope and scheme != SCHEME_LINEAR).finalize()
         rows.extend(_long_rows(_solve_classified(sub), scheme=scheme))
-    return rows, _SOLVE_COLUMNS + ("scheme",), lambda: "\n".join(
+    return rows, lambda: "\n".join(
         _render_solve_table([r for r in rows if r["scheme"] == s], f"--- {s} ---")
         for s in SCHEMES), True
 
@@ -370,7 +366,7 @@ def _mode_convergence(cfg: RunConfig):
             lines.append("  ".join(cells))
         return "\n".join(lines) + "\n"
 
-    return rows, ("n", "level", "kappa", "rel_error", "order"), table, True
+    return rows, table, True
 
 
 def _mode_coincidence(cfg: RunConfig):
@@ -405,7 +401,7 @@ def _mode_coincidence(cfg: RunConfig):
                   for row in rows]
         return "\n".join(lines) + "\n"
 
-    return rows, ("pair", "pos_binding", "neg_binding", "rel_diff", "note"), table, True
+    return rows, table, True
 
 
 #: Element pair and c sweep used by the verify-tau report.
@@ -449,11 +445,11 @@ def _mode_verify_tau(cfg: RunConfig):
                   for row in rows[1:]]
         return "\n".join(lines) + "\n"
 
-    return rows, ("check", "c", "dev_stabilized", "dev_unstabilized", "value", "passed"), \
-        table, all(r["passed"] for r in rows)
+    return rows, table, all(r["passed"] for r in rows)
 
 
-#: Each mode returns (rows, columns, a function rendering the table text, ok).
+#: Each mode returns (rows, a function rendering the table text, ok); a mode has
+#: at least one row, and each of its rows holds the csv columns as keys, in order.
 _RUNNERS = {"solve": _mode_solve, "compare-schemes": _mode_compare,
             "convergence": _mode_convergence, "coincidence": _mode_coincidence,
             "verify-tau": _mode_verify_tau}
@@ -464,12 +460,12 @@ _CHOICES = {"mode": tuple(_RUNNERS), "scheme": SCHEMES, "format": FORMATS}
 
 def run(config: RunConfig) -> int:
     """Execute one mode and emit the result; returns the process exit code."""
-    rows, columns, table, ok = _RUNNERS[config.mode](config)
+    rows, table, ok = _RUNNERS[config.mode](config)
 
     if config.format == "table":
         text = table()
     elif config.format == "csv":
-        text = _render_csv(rows, columns)
+        text = _render_csv(rows)
     else:
         text = json.dumps({"mode": config.mode, "scheme": config.scheme,
                            "rows": rows}, indent=2, sort_keys=True) + "\n"

@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import PhysicsError
+from .physics import check_real
 
 # 4-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree <= 7.
 _GAUSS_POINTS, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -69,10 +70,13 @@ def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
 
     Node formula: ``x_i = a + (b - a) * (exp(gamma*i/(n+1)) - 1) / (exp(gamma) - 1)``
     for i = 0..n+1, so the endpoints are hit exactly and element sizes grow
-    monotonically away from a. a, b and gamma must be finite, n a whole
-    number (an integral float such as 50.0 counts as 50), exp(gamma) must
-    not overflow, and the computed nodes must strictly increase.
+    monotonically away from a. a, b, n and gamma must be real numbers, not
+    bools; a, b and gamma finite, n a whole number (an integral float such
+    as 50.0 counts as 50), exp(gamma) must not overflow, and the computed
+    nodes must strictly increase.
     """
+    for name, value in (("a", a), ("b", b), ("n", n), ("gamma", gamma)):
+        check_real(value, name)
     for name, value in (("a", a), ("b", b), ("gamma", gamma)):
         if not math.isfinite(value):
             raise PhysicsError(f"invalid mesh parameter {name}={value}: must be finite")

@@ -90,26 +90,25 @@ class Spectrum:
 
     ``bindings`` holds mu = lambda - m*c^2 restricted to the requested
     window and to the bound window (-2mc^2, 0), ascending (deepest level
-    first). ``raw`` holds the eigenvalues lambda the solve certified,
-    ascending: for a Galerkin pencil the m levels of the window; for the
-    stabilized one the certified neighbourhood of the window, every
-    eigenvalue of a one-disk solve and, of a split window, each disk's own,
-    i.e. those on its side of the cuts between disks, so no eigenvalue
-    appears twice. ``eigenvectors`` holds one column per binding, in the
-    pencil's node order (see ``assembly``), rhs-normalized with the largest
-    f-value coefficient made positive.
+    first), and ``raw`` the energies lambda = mu + m*c^2 of those levels.
+    ``eigenvectors`` holds one column per binding, in the pencil's node
+    order (see ``assembly``), rhs-normalized with the largest f-value
+    coefficient made positive.
     """
 
     scheme: str
     bindings: np.ndarray
-    raw: np.ndarray
     max_imag: float
     params: OperatorParams
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        for array in (self.bindings, self.raw, self.eigenvectors):
+        for array in (self.bindings, self.eigenvectors):
             array.setflags(write=False)
+
+    @property
+    def raw(self) -> np.ndarray:
+        return self.bindings + self.params.rest_energy
 
 
 def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
@@ -782,9 +781,9 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
         mu, vecs = _solve_galerkin(system, lu, edges[0], edges[-1])
         keep = (mu > -2.0 * mc2) & (mu < 0.0)
         # the search returns real, rhs-normalized vectors
-        return Spectrum(scheme=system.scheme, bindings=mu[keep], raw=mu + mc2, max_imag=0.0,
+        return Spectrum(scheme=system.scheme, bindings=mu[keep], max_imag=0.0,
                         params=system.params, eigenvectors=_lead_positive(vecs[:, keep], system))
-    bindings, raw, vectors, lo, max_imag = [], [], [], edges[0], 0.0
+    bindings, vectors, lo, max_imag = [], [], edges[0], 0.0
     for hi in edges[1:]:
         if lo >= hi:
             continue  # the disk below certified this whole slice empty
@@ -794,19 +793,12 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
         cut = hi if last else min(edges[-1], _empty_gap_midpoint(
             mu, lo, hi, 0.5 * (lo + hi) + radius))
         keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(cut, 0.0))
-        # a disk's own eigenvalues lie between its cuts to the disks beside it
-        own = np.ones(len(mu), dtype=bool)
-        if lo > edges[0]:
-            own &= mu > lo
-        if cut < edges[-1]:
-            own &= mu < cut
         bindings.append(mu[keep])
-        raw.append(mu[own])
         vectors.append(vecs[:, keep])
         max_imag = max(max_imag, disk_imag)
         lo = cut
-    return Spectrum(scheme=system.scheme, bindings=np.concatenate(bindings),
-                    raw=np.concatenate(raw) + mc2, max_imag=max_imag, params=system.params,
+    return Spectrum(scheme=system.scheme, bindings=np.concatenate(bindings), max_imag=max_imag,
+                    params=system.params,
                     eigenvectors=_normalize_vectors(np.hstack(vectors), system))
 
 

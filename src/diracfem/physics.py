@@ -21,6 +21,13 @@ from .errors import PhysicsError
 SPEED_OF_LIGHT = 137.035999074
 
 
+def check_real(value, name: str) -> None:
+    """Raise PhysicsError naming ``name`` unless ``value`` is a real number other than a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise PhysicsError(f"parameter {name}={value!r} must be a real number, "
+                           f"not {type(value).__name__}")
+
+
 def check_charge(Z: float) -> None:
     """Raise PhysicsError unless Z is a finite nuclear charge >= 1."""
     if not 1.0 <= Z < math.inf:
@@ -44,7 +51,7 @@ class OperatorParams:
     """Physical constants, quantum numbers and nucleus of the radial operator.
 
     R is the nuclear radius: None for a point charge, a finite R > 0 for a
-    uniformly charged sphere.
+    uniformly charged sphere. Each must be a real number, not a bool.
     """
 
     Z: float
@@ -54,6 +61,9 @@ class OperatorParams:
     R: float | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if name != "R" or value is not None:
+                check_real(value, name)
         if self.kappa == 0 or not float(self.kappa).is_integer():
             raise PhysicsError(f"kappa must be a nonzero integer, got {self.kappa}")
         check_charge(self.Z)

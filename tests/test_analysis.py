@@ -111,8 +111,7 @@ class TestClassify:
 
 def make_spectrum(kappa, bindings, scheme=SCHEME_HERMITE, Z=1.0, **operator):
     params = OperatorParams(Z=Z, kappa=kappa, **operator)
-    return Spectrum(scheme=scheme, bindings=np.asarray(bindings, dtype=float),
-                    raw=np.asarray(bindings) + params.rest_energy, max_imag=0.0,
+    return Spectrum(scheme=scheme, bindings=np.asarray(bindings, dtype=float), max_imag=0.0,
                     params=params, eigenvectors=np.zeros((1, len(bindings))))
 
 

@@ -300,3 +300,55 @@ class TestSchemes:
             assert assemble(scheme, params, mesh).scheme == scheme
         with pytest.raises(ValueError):
             assemble("spectral", params, mesh)
+
+
+class TestPencilAgainstRadialEquations:
+    """Each scheme's whole pencil, entry by entry, against the radial equations.
+
+    In binding form mu = lambda - mc^2 the equations read
+
+        mu f = V f - c g' + c kappa g / x
+        mu g = c f' + c kappa f / x + (V - 2 mc^2) g.
+
+    A Galerkin scheme tests equation e with v, in pencil row e; hermite-supg
+    also tests it with tau v', in the other row 1 - e.
+    """
+
+    @pytest.mark.parametrize("scheme, free", [(SCHEME_LINEAR, False), (SCHEME_HERMITE, False),
+                                              (SCHEME_HERMITE, True), (SCHEME_SUPG, False),
+                                              (SCHEME_SUPG, True)])
+    @pytest.mark.parametrize("kappa", [-2, -1, 1, 2])
+    def test_pencil_is_the_tested_equations(self, scheme, free, kappa):
+        params = OperatorParams(Z=2.0, kappa=kappa)
+        mesh = build_exponential_mesh(1e-3, 20.0, 6, 5.0)
+        kind = BasisKind.LINEAR_HAT if scheme == SCHEME_LINEAR else BasisKind.CUBIC_HERMITE
+        c, mc2 = params.c, params.rest_energy
+
+        def block(r, s, t, q="one", tau=None):
+            return assemble_block(BlockMatrixSpec(r, s, t, q), kind, mesh, params, tau=tau,
+                                  free_lower_slope=free)
+
+        def equations(r, tau=None):
+            """Rows (equation 0, equation 1) of lhs and rhs blocks, tested with v^(r)."""
+            mass = block(r, 0, 0, tau=tau)
+            zero = np.zeros_like(mass)
+            lhs = [[block(r, 0, 0, "V", tau), -c * block(r, 1, 0, tau=tau)
+                    + c * kappa * block(r, 0, 1, tau=tau)],
+                   [c * block(r, 1, 0, tau=tau) + c * kappa * block(r, 0, 1, tau=tau),
+                    block(r, 0, 0, "V", tau) - 2.0 * mc2 * mass]]
+            return lhs, [[mass, zero], [zero, mass]]
+
+        lhs, rhs = (np.block(rows) for rows in equations(0))
+        if scheme == SCHEME_SUPG:
+            tau_lhs, tau_rhs = equations(1, compute_tau(mesh))
+            lhs = lhs + np.block(tau_lhs[::-1])  # equation e in row 1 - e
+            rhs = rhs + np.block(tau_rhs[::-1])
+        system = assemble(scheme, params, mesh, free_lower_slope=free)
+        order = block_order(system)
+        for name, got, want in (("lhs", system.lhs, lhs), ("rhs", system.rhs, rhs)):
+            # the tolerance, fixed before the run: the package sums the same
+            # integrals in another order, which moves an entry by rounding on
+            # the scale of its row
+            tol = 1e-13 * np.max(np.abs(want), axis=1, keepdims=True)
+            bad = np.abs(got[np.ix_(order, order)] - want) > tol
+            assert not bad.any(), f"{name} entries {np.argwhere(bad).tolist()}"

@@ -84,6 +84,16 @@ class TestMesh:
         for scheme, size in ((SCHEME_LINEAR, 100), (SCHEME_HERMITE, 200), (SCHEME_SUPG, 200)):
             assert assemble(scheme, params, mesh).size == size
 
+    @pytest.mark.parametrize("a, b, n, gamma, name", [
+        (1e-5, 10.0, True, 6.0, "n"), (1e-5, 10.0, 5, True, "gamma"),
+        (True, 10.0, 5, 6.0, "a"), (1e-5, True, 5, 6.0, "b"),
+        ("1e-5", 10.0, 5, 6.0, "a"), (1e-5, 10.0, "5", 6.0, "n"), (1e-5, 10.0, None, 6.0, "n")])
+    def test_bool_or_non_number_refused_naming_it(self, a, b, n, gamma, name):
+        # n=True built a one-node mesh and gamma=True graded it as gamma = 1;
+        # a="1e-5" and n="5" raised a foreign TypeError
+        with pytest.raises(PhysicsError, match=f"parameter {name}="):
+            build_exponential_mesh(a, b, n, gamma)
+
     def test_invalid_domain(self):
         with pytest.raises(PhysicsError):
             build_exponential_mesh(0.0, 1.0, 5, 6.0)

@@ -44,6 +44,15 @@ class TestParams:
         with pytest.raises(PhysicsError, match="mass and speed of light must be positive"):
             OperatorParams(Z=1, kappa=-1, m=m, c=c)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", True), ("kappa", np.True_), ("Z", True), ("m", True), ("c", True),
+        ("R", True), ("kappa", "1"), ("Z", "1"), ("m", "1"), ("R", "1e-4"), ("Z", None)])
+    def test_bool_or_non_number_refused_naming_it(self, field, value):
+        # kappa=True passed as kappa = 1, and kappa="1" raised a foreign
+        # TypeError ("bad operand type for abs()")
+        with pytest.raises(PhysicsError, match=f"parameter {field}="):
+            OperatorParams(**{"Z": 1.0, "kappa": -1, field: value})
+
     @pytest.mark.parametrize("m, c", [(1.0, 1e155), (1.0, 1e200), (1e305, 137.035999074),
                                       (1e-300, 1e200)])
     def test_overflowing_rest_energy_rejected(self, m, c):
