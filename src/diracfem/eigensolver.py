@@ -14,9 +14,12 @@ in the node order in which ``assemble`` stores the pencil as band matrices
   their eigenvalues exactly (spectrum slicing; Grimes, Lewis & Simon 1994).
   One count at the window's top edge, and at its lower edge a bound from
   the negative definite g-g block (Haynsworth 1968), give its number of
-  levels m, inverse iteration from the exact point-nucleus levels finds
-  them (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3-4), and the
-  solve returns exactly m levels or raises SolverError.
+  levels m. A count is one partially pivoted band LU of the shifted
+  pencil under a diagonal similarity by powers of two, which keeps the
+  unpivoted pivots exact and leaves a row interchange only where a pivot
+  is too small to count by. Inverse iteration from the exact point-nucleus
+  levels finds them (Parlett, *The Symmetric Eigenvalue Problem*,
+  ch. 3-4), and the solve returns exactly m levels or raises SolverError.
 - The stabilized pencil is nonsymmetric and has no inertia. Each slice of
   its window is one shift-invert Arnoldi disk (Ericsson & Ruhe 1980;
   ARPACK) that certifies itself by its radius, and the determinant signs
@@ -31,6 +34,7 @@ from __future__ import annotations
 import bisect
 import functools
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +42,6 @@ import numpy as np
 # ``import diracfem.cli`` about 5 % slower
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .assembly import AssembledSystem, is_galerkin, part_dofs
@@ -76,6 +79,8 @@ RQ_TOL = 1e-14
 BACKWARD_TOL = 1e-10
 
 #: An inertia count refuses a pivot at most this fraction of its own row's largest entry.
+#: Its band LU scales the pencil by powers of 2^-40, the first below this, so
+#: that a row interchange, which it refuses too, marks a pivot smaller still.
 PIVOT_TOL = 1e-12
 
 #: A determinant sign gives no parity at a shift this close, relative, to a found level.
@@ -145,19 +150,18 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class _BandShape:
-    """The index arrays every solve of one band pencil shape reads, all read-only.
+    """The arrays every solve of one band pencil shape reads, all read-only.
 
-    ``csc_slots`` marks the band slots that hold an entry (``band.ravel("F")``
-    order, which is CSC data order), ``csc_indices`` and ``csc_indptr`` give
-    their CSC pattern. ``g`` holds the sorted g dofs and ``g_slots`` the band
-    slot of each lower band entry of the g-g block, in g order, where
-    ``g_inside`` holds. ``f_values`` are the f-value dofs, ``start`` the fixed
-    start vector of inverse iteration and ``natural`` the identity permutation.
+    ``scale`` holds one power of two per band row, 2^(-k*(i - j)) for the
+    row of offset i - j, that scales the shifted pencil for an inertia
+    count (see ``_inertia_counter``). ``g`` holds the sorted g dofs and
+    ``g_slots`` the band slot of each lower band entry of the g-g block, in
+    g order, where ``g_inside`` holds. ``f_values`` are the f-value dofs,
+    ``start`` the fixed start vector of inverse iteration and ``natural``
+    the identity permutation.
     """
 
-    csc_slots: np.ndarray
-    csc_indices: np.ndarray
-    csc_indptr: np.ndarray
+    scale: np.ndarray
     g: np.ndarray
     g_slots: np.ndarray
     g_inside: np.ndarray
@@ -179,10 +183,9 @@ def _band_shape(scheme: str, size: int, hb: int) -> _BandShape:
     a long-lived process. The key holds ``hb`` because a band need not be an
     assembled one (a dense pencil stored as a full band has hb = size - 1).
     """
-    # the row each band slot holds, one band column a row: in C order this is
-    # band.ravel("F") order, and band column j is CSC column j
-    rows = np.arange(size, dtype=np.intc)[:, None] + np.arange(-hb, hb + 1, dtype=np.intc)
-    inside = (rows >= 0) & (rows < size)
+    # 2^-k just below PIVOT_TOL (k = 40), as far as the scales 2^(+-k*hb)
+    # leave entries from 2^-62 to 2^63 inside the normal double range
+    k = min(math.ceil(-math.log2(PIVOT_TOL)), 960 // max(hb, 1))
     g = np.sort(np.concatenate([part_dofs(scheme, size, part) for part in ("xi", "xi_prime")]))
     # in g order the block's half-bandwidth is the most g dofs within hb
     # after one: hb // 2 for an assembled pencil
@@ -192,8 +195,7 @@ def _band_shape(scheme: str, size: int, hb: int) -> _BandShape:
     g_inside = g_rows < len(g)
     g_slots = np.where(g_inside, hb + g[np.minimum(g_rows, len(g) - 1)] - g, hb)  # ... and its slot
     return _BandShape(
-        csc_slots=inside.ravel(), csc_indices=rows[inside],
-        csc_indptr=np.concatenate([[0], np.cumsum(inside.sum(axis=1))], dtype=np.intc),
+        scale=np.ldexp(1.0, -k * np.arange(-hb, hb + 1))[:, None],
         g=g, g_slots=g_slots, g_inside=g_inside,
         f_values=part_dofs(scheme, size, "zeta"),
         # fixed, so repeated solves are bit-identical; not all ones, which a
@@ -295,39 +297,52 @@ def _inertia_counter(system: AssembledSystem):
     """count(s): the number of eigenvalues below s of a symmetric-definite band pencil.
 
     By Sylvester's law of inertia, with rhs positive definite, the number of
-    negative pivots of an LDL^T factorization of lhs - s*rhs is the number of
-    eigenvalues below s. Node order is a band ordering, so SuperLU factors
-    the shifted pencil unpivoted, in that order, with no fill outside the
-    band. The CSC pattern is the shape's (``_band_shape``); each count
-    refills its data. A row or column permutation, or a pivot tiny against
-    its own row's entries, would void the count and raises SolverError. (A
-    guard on the ratio of the smallest to the largest pivot would not do:
-    on the graded meshes that ratio is about 1e-15 in factorizations whose
-    counts are right, because the mass entries scale with the element
-    size.)
+    negative pivots of an LDL^T factorization of A = lhs - s*rhs is the
+    number of eigenvalues below s. Node order is a band ordering, so the
+    unpivoted LU of A, whose pivots are that D, has no fill outside the
+    band. ``dgbtrf`` computes it from the similar matrix D A D^-1,
+    D = diag(2^(-k*i)): its entry at offset i - j is A's times
+    2^(-k*(i - j)), one factor per band row (``_BandShape.scale``). Powers
+    of two scale without rounding, and D A D^-1 has A's unpivoted pivots,
+    each bit for bit. Partial pivoting on it swaps rows only where an
+    unpivoted pivot is below 2^-k times an entry under it, so with
+    k = 40 (2^-40 is just below PIVOT_TOL) a factor without row
+    interchanges holds exactly A's pivots on its diagonal. A row
+    interchange, an exactly zero pivot, a non-finite factor or a pivot at
+    most PIVOT_TOL times its own row's largest entry would void the count
+    and raises SolverError naming the shift. (A guard on the ratio of the
+    smallest to the largest pivot would not do: on the graded meshes that
+    ratio is about 1e-15 in factorizations whose counts are right, because
+    the mass entries scale with the element size.) A band too wide for
+    k = 40 inside the double range takes a smaller k: its counts refuse
+    more often, but never count otherwise.
     """
     shape, size = _shape_of(system), system.size
-    a, b = (band.ravel(order="F")[shape.csc_slots] for band in (system.lhs_band, system.rhs_band))
-    indptr, natural = shape.csc_indptr, shape.natural
-    matrix = scipy.sparse.csc_array((np.zeros(len(a)), shape.csc_indices, indptr),
-                                    shape=(size, size))
+    hb = system.lhs_band.shape[0] // 2
+    lhs, rhs = (np.zeros((3 * hb + 1, size), order="F") for _ in range(2))
+    lhs[hb:], rhs[hb:] = system.lhs_band * shape.scale, system.rhs_band * shape.scale
+    # unscaled and C-ordered, where the reduction down each band column is fast
+    lhs_rows, rhs_rows = (np.ascontiguousarray(band) for band in (system.lhs_band, system.rhs_band))
 
     def count(s: float) -> int:
-        np.multiply(b, -s, out=matrix.data)  # lhs - s*rhs, refilled in place
-        matrix.data += a
-        try:
-            # one-column panels and no relaxed supernodes: a band needs no
-            # more, and they cut the time (17 %) and workspace of N=1600
-            lu = scipy.sparse.linalg.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                                          relax=1, panel_size=1,
-                                          options={"SymmetricMode": True, "Equil": False})
-        except RuntimeError as exc:  # an exactly zero pivot
-            raise SolverError(f"inertia count at {s!r} failed: {exc}") from exc
-        if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
-            raise SolverError(f"inertia count at {s!r}: the LDL^T factorization was permuted")
-        pivots = lu.U.diagonal()
-        # lhs - s*rhs is symmetric: its row i holds the entries of CSC column i
-        row_max = np.maximum.reduceat(np.abs(matrix.data), indptr[:-1])
+        shifted = np.multiply(rhs, -s)  # D (lhs - s*rhs) D^-1, exactly
+        shifted += lhs
+        # lhs - s*rhs is symmetric: its row j holds the entries of band column j
+        entries = np.multiply(rhs_rows, -s)
+        entries += lhs_rows
+        row_max = np.abs(entries, out=entries).max(axis=0)
+        factor, swaps, info = dgbtrf(shifted, hb, hb, overwrite_ab=True)
+        if not np.isfinite(factor).all():
+            raise SolverError(f"inertia count at {s!r}: the factor holds a non-finite entry")
+        pivots = factor[2 * hb]
+        if (swapped := swaps != shape.natural).any():
+            # the swap moved the unpivoted pivot under the new one, as its multiplier
+            i = int(np.argmax(swapped))
+            unpivoted = factor[2 * hb + swaps[i] - i, i] * pivots[i]
+            raise SolverError(f"inertia count at {s!r}: pivot {i} is {unpivoted:.3g}, "
+                              f"tiny against its row's entries")
+        if info > 0:
+            raise SolverError(f"inertia count at {s!r} failed: pivot {info - 1} is exactly zero")
         tiny = ~(np.abs(pivots) > PIVOT_TOL * row_max)
         if tiny.any():
             i = int(np.argmax(tiny))
@@ -735,7 +750,7 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
     eigenvector, so its error is quadratic in the residual. An rhs that
     is not positive definite raises SolverError. The solve logs one DEBUG
     record (``driver=inertia``) with N, the band, the window, m, the
-    shifts and the numbers of factorizations, SuperLU counts run and
+    shifts and the numbers of factorizations, inertia counts run and
     iteration steps.
 
     The stabilized pencil is nonsymmetric. Each pair of consecutive edges

@@ -6,6 +6,8 @@ the basis functions of its two dofs; ``assemble_block`` sums the package's
 element integrals of one integrand into a dense block matrix, and
 ``block_order`` permutes a node-order pencil into the same block layout;
 ``band_storage`` writes a dense matrix in LAPACK band storage;
+``superlu_count`` counts a symmetric-definite pencil's eigenvalues below a
+shift from SuperLU's unpivoted LDL^T, the inertia count's oracle;
 ``component_coefficients`` reads one spinor component of an eigenvector,
 and ``eigenpair_component`` evaluates it with ``hermite_interpolate``;
 ``dense_bindings`` solves the whole pencil densely, the oracle of the
@@ -29,6 +31,8 @@ from unittest import mock
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from diracfem.assembly import (
     SCHEME_LINEAR,
@@ -45,8 +49,8 @@ from diracfem.discretization import (
     hat_local,
     hermite_local,
 )
-from diracfem.eigensolver import DEFAULT_REALITY_TOL, Spectrum, _check_reality
-from diracfem.errors import SingularSystemError
+from diracfem.eigensolver import DEFAULT_REALITY_TOL, PIVOT_TOL, Spectrum, _check_reality
+from diracfem.errors import SingularSystemError, SolverError
 from diracfem.physics import OperatorParams, potential_value
 
 
@@ -236,6 +240,40 @@ def band_storage(matrix, hb: int) -> np.ndarray:
     for d in range(-reach, reach + 1):  # entry (i, i + d) sits in row hb - d, column i + d
         band[hb - d, max(d, 0):size + min(d, 0)] = np.diagonal(matrix, d)
     return band
+
+
+def superlu_count(system: AssembledSystem, s: float) -> int:
+    """The number of eigenvalues below s of a symmetric-definite band pencil, by SuperLU.
+
+    SuperLU factors lhs - s*rhs in node order with no pivoting (natural
+    orderings, no diagonal pivoting, symmetric mode), from a CSC copy of
+    the band, and the count is the number of negative pivots of that
+    LDL^T. A permuted factorization, an exactly zero pivot or a pivot at
+    most PIVOT_TOL of its own row's largest entry raises SolverError.
+    """
+    hb, size = system.lhs_band.shape[0] // 2, system.size
+    shifted = np.multiply(system.rhs_band, -s)
+    shifted += system.lhs_band
+    # band column j is CSC column j; its slot in band row r holds row j + r - hb
+    rows = np.arange(size)[:, None] + np.arange(-hb, hb + 1)
+    inside = (rows >= 0) & (rows < size)
+    indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+    matrix = scipy.sparse.csc_array((shifted.T[inside], rows[inside], indptr),
+                                    shape=(size, size))
+    try:
+        lu = scipy.sparse.linalg.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True, "Equil": False})
+    except RuntimeError as exc:  # an exactly zero pivot
+        raise SolverError(f"SuperLU count at {s!r} failed: {exc}") from exc
+    natural = np.arange(size)
+    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
+        raise SolverError(f"SuperLU count at {s!r}: the LDL^T factorization was permuted")
+    pivots = lu.U.diagonal()
+    # lhs - s*rhs is symmetric: its row i holds the entries of CSC column i
+    row_max = np.maximum.reduceat(np.abs(matrix.data), indptr[:-1])
+    if not (np.abs(pivots) > PIVOT_TOL * row_max).all():
+        raise SolverError(f"SuperLU count at {s!r}: a pivot is tiny against its row's entries")
+    return int(np.count_nonzero(pivots < 0))
 
 
 # --- dense full-spectrum solve (eigensolver oracle) --------------------------

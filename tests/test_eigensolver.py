@@ -47,6 +47,7 @@ from oracles import (
     dense_rayleigh_bindings,
     dense_two_sided_bindings,
     rayleigh_quotients,
+    superlu_count,
 )
 
 TOY = OperatorParams(Z=1, kappa=-1, c=10.0)  # mc^2 = 100
@@ -880,6 +881,144 @@ class TestGalerkinDriver:
         (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
         np.testing.assert_allclose(windowed.bindings, levels, rtol=1e-13)
         assert " m=3 " in record and " factorizations=3 counts=2 " in record
+
+
+#: The Galerkin pencils of the benchmark windows (pathology-z1, convergence-z12),
+#: the Z=92 pencils and a free-slope Hermite one: (scheme, free, Z, kappa, mesh, levels)
+COUNTED_PENCILS = [
+    *[(scheme, False, 1, kappa, (1e-6, 150.0, 100, 8.0), 6)
+      for scheme in (SCHEME_LINEAR, SCHEME_HERMITE) for kappa in (-1, 1)],
+    *[(SCHEME_HERMITE, False, 12, -2, (1e-6, 60.0, n, 8.5), 12) for n in (100, 200, 400)],
+    (SCHEME_LINEAR, False, 92, -1, (1e-7, 1.0, 150, 9.0), 3),
+    (SCHEME_HERMITE, False, 92, -1, (1e-7, 1.0, 150, 9.0), 3),
+    (SCHEME_HERMITE, True, 1, -1, (1e-6, 150.0, 100, 8.0), 6)]
+
+
+def band_toy(lhs, hb):
+    """A symmetric toy pencil (lhs, I) stored with half-bandwidth ``hb``."""
+    size = len(lhs)
+    return AssembledSystem(scheme=SCHEME_LINEAR, lhs_band=band_storage(lhs, hb),
+                           rhs_band=band_storage(np.eye(size), hb), params=TOY)
+
+
+def random_band(rng, size, hb, diagonal):
+    """A symmetric matrix of half-bandwidth ``hb``: entries from U(-1, 1), then ``diagonal``."""
+    lhs = np.triu(np.tril(rng.uniform(-1.0, 1.0, (size, size)), hb), 1)
+    return lhs + lhs.T + np.diag(diagonal)
+
+
+class TestInertiaCount:
+    """The scaled band-LU inertia count, against SuperLU's LDL^T and the dense spectrum."""
+
+    @pytest.mark.parametrize("scheme, free, z, kappa, mesh_args, levels", COUNTED_PENCILS)
+    def test_count_is_superlus_across_the_window(self, scheme, free, z, kappa, mesh_args,
+                                                 levels):
+        params = OperatorParams(Z=z, kappa=kappa)
+        system = assemble(scheme, params, build_exponential_mesh(*mesh_args),
+                          free_lower_slope=free)
+        window = bound_window(params, levels)
+        count = eigensolver._inertia_counter(system)
+        # both edges and 25 shifts between them
+        for s in np.linspace(window[0], window[-1], 27):
+            assert count(s) == superlu_count(system, s)
+
+    def test_count_is_superlus_in_random_windows(self):
+        # within 1e-9 relative of a level either count can be off by one
+        # (measured); the solver never counts that close, and from 1e-7 on
+        # the two agree at every shift tried
+        rng = np.random.default_rng(25)
+        compared = 0
+        for _ in range(24):
+            abs_kappa, levels = int(rng.integers(1, 4)), int(rng.integers(1, 14))
+            z = int(rng.choice([1, 2, 12, 50, 92]))
+            params = OperatorParams(Z=z, kappa=int(rng.choice([-1, 1])) * abs_kappa)
+            scheme = (SCHEME_LINEAR, SCHEME_HERMITE)[int(rng.integers(2))]
+            b = 3.0 * (levels + abs_kappa + 1) ** 2 / z * 2.0 ** rng.uniform(-1.0, 1.0)
+            mesh = build_exponential_mesh(10.0 ** rng.uniform(-7.0, -4.0), b,
+                                          int(rng.integers(20, 201)), rng.uniform(4.0, 10.0))
+            system = assemble(scheme, params, mesh,
+                              free_lower_slope=scheme == SCHEME_HERMITE and bool(rng.integers(2)))
+            window = bound_window(params, levels)
+            found = solve(system, window=window).bindings
+            count = eigensolver._inertia_counter(system)
+            for s in rng.uniform(window[0], window[-1], 8):
+                if not np.all(np.abs(found - s) >= 1e-7 * abs(s)):
+                    continue
+                assert count(s) == superlu_count(system, s)
+                compared += 1
+        assert compared >= 150
+
+    @pytest.mark.parametrize("hb", [3, 7, 23])
+    def test_scaling_keeps_the_unpivoted_pivots(self, hb, monkeypatch):
+        # an indefinite, diagonally dominant toy that plain dgbtrf factors
+        # without a row interchange: the count's factor of the scaled pencil
+        # holds the same pivots, bit for bit
+        size, s = 60, 0.5
+        rng = np.random.default_rng(hb)
+        dominant = (2 * hb + 1 + rng.uniform(0.0, 1.0, size)) * rng.choice([-1.0, 1.0], size)
+        system = band_toy(random_band(rng, size, hb, dominant), hb)
+        assert np.log2(eigensolver._shape_of(system).scale).ravel().tolist() == \
+            [-40.0 * d for d in range(-hb, hb + 1)]
+        plain = np.zeros((3 * hb + 1, size), order="F")
+        plain[hb:] = np.multiply(system.rhs_band, -s) + system.lhs_band
+        plain, swaps, info = scipy.linalg.lapack.dgbtrf(plain, hb, hb)
+        assert info == 0 and swaps.tolist() == list(range(size))
+        factors = []
+
+        def recorded(*args, **kwargs):
+            factor, swaps, info = scipy.linalg.lapack.dgbtrf(*args, **kwargs)
+            factors.append(factor.copy())
+            return factor, swaps, info
+
+        monkeypatch.setattr(eigensolver, "dgbtrf", recorded)
+        negative = eigensolver._inertia_counter(system)(s)
+        assert factors[0][2 * hb].tobytes() == plain[2 * hb].tobytes()
+        assert negative == np.count_nonzero(plain[2 * hb] < 0) == superlu_count(system, s)
+        assert 0 < negative < size
+
+    @pytest.mark.parametrize("diagonal, coupling, s, refusal", [
+        # at s = 4 the fourth pivot is exactly zero, with nothing under it to swap in
+        ([1.0, 2.0], 0.0, 4.0, r"at 4\.0 failed: pivot 3 is exactly zero"),
+        # the toy of test_tiny_pivot_against_its_row_raises at lo: the LU
+        # swaps rows 0 and 1, and the refusal names the pivot an unpivoted
+        # LDL^T would have divided by, not the entry swapped in
+        ([-1.0 + 1e-14] * 2, 0.3, -1.0, r"at -1\.0: pivot 0 is 9\.99e-15, tiny"),
+        # the second pivot is 1e-14 against its row's 0.5, with nothing
+        # larger under it: no row interchange marks it, the row guard must
+        ([1.0, 0.25 + 1e-14], 0.5, 0.0, r"at 0\.0: pivot 1 is 9\.99e-15, tiny")])
+    def test_refusals_name_the_shift(self, diagonal, coupling, s, refusal):
+        # rows 0 and 1 start [[d0, coupling], [coupling, d1]], then 3, 4, 5, ...
+        size = 20
+        lhs = np.diag(np.concatenate([diagonal, np.arange(3.0, 1.0 + size)]))
+        lhs[0, 1] = lhs[1, 0] = coupling
+        system = toy_system(lhs, np.eye(size))
+        with pytest.raises(SolverError, match=refusal):
+            eigensolver._inertia_counter(system)(s)
+        with pytest.raises(SolverError):
+            superlu_count(system, s)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_band_counts_right_or_refuses(self, seed):
+        # hb = 30 leaves 40*hb past the double range, so the scales span
+        # 2^(+-32*30) and pivots below 2^-32 of an entry under them swap and
+        # refuse: a count is the dense spectrum's or SolverError, never
+        # another count and never an overflow (a RuntimeWarning fails the test)
+        size, hb = 64, 30
+        rng = np.random.default_rng(seed)
+        lhs = random_band(rng, size, hb, rng.uniform(-4.0, 4.0, size))
+        system = band_toy(lhs, hb)
+        assert np.log2(eigensolver._shape_of(system).scale).min() == -32 * hb
+        levels = np.linalg.eigvalsh(lhs)
+        count = eigensolver._inertia_counter(system)
+        counted = 0
+        for i, s in enumerate(0.5 * (levels[1:] + levels[:-1])):
+            try:
+                got = count(s)
+            except SolverError:
+                continue
+            assert got == i + 1
+            counted += 1
+        assert counted >= size // 2
 
 
 class TestStabilizedParity:
