@@ -16,7 +16,7 @@ import numpy as np
 from .assembly import SCHEME_LINEAR, assemble
 from .discretization import build_exponential_mesh
 from .eigensolver import DEFAULT_REALITY_TOL, Spectrum, bound_window, solve
-from .errors import DegeneratePencilError
+from .errors import ConfigError, DegeneratePencilError
 from .physics import OperatorParams, ReferenceLevel, check_count, reference_spectrum
 
 #: Default relative matching tolerances: linear-basis genuine levels are only
@@ -73,12 +73,12 @@ def classify(computed, reference: list[ReferenceLevel],
     """
     computed = [float(x) for x in computed]
     if any(b < a for a, b in zip(computed, computed[1:])):
-        raise ValueError("computed bindings must be sorted ascending")
+        raise ConfigError("computed bindings must be sorted ascending")
     ref_bindings = [r.binding for r in reference]
     if any(b < a for a, b in zip(ref_bindings, ref_bindings[1:])):
-        raise ValueError("reference levels must be sorted ascending")
+        raise ConfigError("reference levels must be sorted ascending")
     if not (0.0 < match_tol < MAX_MATCH_TOL):
-        raise ValueError(f"match_tol must lie in (0, {MAX_MATCH_TOL}), got {match_tol}")
+        raise ConfigError(f"match_tol must lie in (0, {MAX_MATCH_TOL}), got {match_tol}")
 
     entries = []
     ri = 0
@@ -133,16 +133,16 @@ def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
     an offset of one when it has been removed. ``tol`` is checked as ``classify``'s.
     """
     if not (0.0 < tol < MAX_MATCH_TOL):
-        raise ValueError(f"tol must lie in (0, {MAX_MATCH_TOL}), got {tol}")
+        raise ConfigError(f"tol must lie in (0, {MAX_MATCH_TOL}), got {tol}")
     if spec_pos.params.kappa <= 0 or spec_neg.params.kappa >= 0:
-        raise ValueError("expected spectra for kappa > 0 and kappa < 0, in that order")
+        raise ConfigError("expected spectra for kappa > 0 and kappa < 0, in that order")
     if (replace(spec_pos.params, kappa=-spec_pos.params.kappa) != spec_neg.params
             or spec_pos.scheme != spec_neg.scheme):
-        raise ValueError("coincidence report requires one operator up to the sign of kappa, "
-                         "and one scheme")
+        raise ConfigError("coincidence report requires one operator up to the sign of kappa, "
+                          "and one scheme")
     pos, neg = spec_pos.bindings, spec_neg.bindings
     if len(pos) == 0 or len(neg) == 0:
-        raise ValueError("empty bound spectrum")
+        raise ConfigError("empty bound spectrum")
     first_rel = _rel(pos[0], neg[0])
     present = first_rel <= tol
     start, offset = (1, 0) if present else (0, 1)
@@ -169,7 +169,7 @@ def tau_rule_residual(h_j: float, h_j1: float, tau: float) -> float:
     (9/35) h_{j+1} / grad stabilization value.
     """
     if h_j1 == h_j:
-        raise ValueError("requires h_{j+1} != h_j")
+        raise ConfigError("requires h_{j+1} != h_j")
     grad = (h_j1 + h_j) / (h_j1 - h_j)
     return 0.25 * grad**2 * tau**2 - (81.0 / 4900.0) * h_j1**2
 
@@ -186,7 +186,7 @@ def tau_limit_lambda(h_j: float, h_j1: float, tau: float, c: float):
     range, which is how an unstabilized coarse element behaves at large c).
     """
     if h_j1 == h_j:
-        raise ValueError("requires h_{j+1} != h_j")
+        raise ConfigError("requires h_{j+1} != h_j")
     grad = (h_j1 + h_j) / (h_j1 - h_j)
     a = -((6.0 * c / 5.0) / (h_j1 * h_j) + 0.5 * c**3 * grad) * tau + RHO * c**2
     b = (6.0 * c**2 / 5.0) * tau / h_j1 - (9.0 * c**3 / 70.0) * h_j1
@@ -234,9 +234,9 @@ def convergence_study(scheme: str, params: OperatorParams, n_values, levels: int
 
     Each mesh is solved on ``bound_window(params, levels)`` only.
     """
-    n_values = tuple(int(n) for n in n_values)
+    n_values = tuple(check_count(n, "n") for n in n_values)
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
-        raise ValueError("n_values must be strictly increasing")
+        raise ConfigError(f"n_values must be strictly increasing, got {n_values}")
     if match_tol is None:
         match_tol = match_tol_for(scheme)
     reference = reference_spectrum(params, levels)

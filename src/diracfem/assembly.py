@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discretization import BasisKind, Mesh, gauss_rule, hat_local, hermite_local
+from .errors import ConfigError
 from .physics import OperatorParams, potential_value
 
 SCHEME_LINEAR = "linear-galerkin"
@@ -59,9 +60,9 @@ class BlockMatrixSpec:
 
     def __post_init__(self):
         if self.r not in (0, 1) or self.s not in (0, 1) or self.t not in (0, 1):
-            raise ValueError(f"r, s, t must be 0 or 1, got {(self.r, self.s, self.t)}")
+            raise ConfigError(f"r, s, t must be 0 or 1, got {(self.r, self.s, self.t)}")
         if self.q not in ("one", "V"):
-            raise ValueError(f"q must be 'one' or 'V', got {self.q!r}")
+            raise ConfigError(f"q must be 'one' or 'V', got {self.q!r}")
 
 
 def element_tau(h_j, h_j1):
@@ -257,10 +258,11 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh,
     storage, through band slots built once per (n, basis, free slope) shape.
     """
     if scheme not in _SCHEME_TABLE:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     kind, terms = _SCHEME_TABLE[scheme]
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:
-        raise ValueError(f"scheme {scheme!r} has no slope dof to free")
+        raise ConfigError(f"free_lower_slope applies to the Hermite schemes only: "
+                          f"{scheme} has no slope dof")
     size, width, slots = _band_slots(mesh.interior_count, kind is BasisKind.CUBIC_HERMITE,
                                      free_lower_slope)
     kernel = _element_kernel(kind, mesh, params)
@@ -287,7 +289,10 @@ def part_dofs(scheme: str, size: int, part: str) -> np.ndarray:
     slopes, g values and g slopes; a hat pencil has no slopes. A Hermite
     size of 4n+2 means a free lower slope: node 0's (f', g') come first.
     """
-    k = ("zeta", "zeta_prime", "xi", "xi_prime").index(part)  # ValueError if unknown
+    parts = ("zeta", "zeta_prime", "xi", "xi_prime")
+    if part not in parts:
+        raise ConfigError(f"unknown part {part!r}; expected one of {parts}")
+    k = parts.index(part)
     if _SCHEME_TABLE[scheme][0] is BasisKind.LINEAR_HAT:
         return np.arange(k // 2, size, 2) if k % 2 == 0 else np.arange(0)
     free = size % 4  # node 0's two slopes

@@ -3,7 +3,7 @@
 Configuration is a flat ``key = value`` text file (# comments allowed),
 every key overridable by the command-line flag of the same name; the
 DIRAC_FEM_CONFIG environment variable names a default config file. Exit
-codes: 0 success, 2 config error, 3 physics invariant, 4 solver failure.
+codes: 0 success, 2 config error, 3 physics error, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .physics import (
     SPEED_OF_LIGHT,
     OperatorParams,
     check_charge,
+    check_count,
     reference_binding,
     reference_spectrum,
 )
@@ -62,39 +63,26 @@ class RunConfig:
     n_list: tuple[int, ...] | None = None
 
     def finalize(self) -> "RunConfig":
-        """Fill derived defaults and validate; raises ConfigError, or PhysicsError for Z."""
+        """Fill derived defaults, checking only the keys the library never sees and b's inputs.
+
+        Raises ConfigError, or PhysicsError for Z; the library checks the rest where it is read.
+        """
         cfg = replace(self)
         for key, choices in _CHOICES.items():
             if getattr(cfg, key) not in choices:
                 raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; expected one of {choices}")
-        if cfg.radius is not None and not 0.0 < cfg.radius < math.inf:
-            raise ConfigError(f"extended nucleus needs a finite --radius > 0, got {cfg.radius}")
         if cfg.kappa is not None and cfg.abs_kappa is not None:
             raise ConfigError("give either kappa or abs_kappa, not both")
         if cfg.kappa is None and cfg.abs_kappa is None:
             cfg.abs_kappa = 1
         if cfg.abs_kappa is not None and cfg.abs_kappa < 1:
             raise ConfigError("abs_kappa must be >= 1")
-        if cfg.n < 1:
-            raise ConfigError("n must be >= 1")
-        if cfg.levels < 1:
-            raise ConfigError("levels must be >= 1")
-        if cfg.match_tol is not None and not 0.0 < cfg.match_tol < analysis.MAX_MATCH_TOL:
-            raise ConfigError(f"match_tol must lie in (0, {analysis.MAX_MATCH_TOL}), "
-                              f"got {cfg.match_tol}")
-        if not 0.0 <= cfg.reality_tol < math.inf:
-            raise ConfigError(f"reality_tol must be finite and >= 0, got {cfg.reality_tol}")
-        # compare-schemes applies the flag to the Hermite schemes only
-        if cfg.free_lower_slope and cfg.scheme == SCHEME_LINEAR and cfg.mode != "compare-schemes":
-            raise ConfigError("free_lower_slope applies to the Hermite schemes only: "
-                              f"{SCHEME_LINEAR} has no slope dof")
         check_charge(cfg.Z)  # b defaults to a multiple of 1/Z
+        check_count(cfg.levels, "levels")
         if cfg.b is None:
             cfg.b = cfg.default_b()
         if cfg.n_list is None:
             cfg.n_list = (cfg.n, 2 * cfg.n, 4 * cfg.n)
-        if min(cfg.n_list) < 1 or any(n2 <= n1 for n1, n2 in zip(cfg.n_list, cfg.n_list[1:])):
-            raise ConfigError(f"n_list must be strictly increasing and >= 1, got {cfg.n_list}")
         return cfg
 
     def matching_tolerance(self) -> float:
@@ -304,7 +292,10 @@ def _render_csv(rows) -> str:
 
 
 def _render_solve_table(rows, title: str) -> str:
-    """One table column per kappa; the last column's row gives level, reference and label."""
+    """One table column per kappa; the last column's row gives level and reference.
+
+    A line's label is its worst row's: coincidence, then instilled, then genuine.
+    """
     columns = {}
     for row in rows:
         columns.setdefault(row["kappa"], []).append(row)
@@ -312,9 +303,9 @@ def _render_solve_table(rows, title: str) -> str:
     lines = [title, "  ".join(f"{h:>18}" for h in heads)]
     for i, anchor in enumerate(list(columns.values())[-1]):
         line = [col[i] if i < len(col) else None for col in columns.values()]
-        label = anchor["label"]
-        if any(r is not None and r["label"] == Label.COINCIDENCE.value for r in line):
-            label = Label.COINCIDENCE.value
+        held = {r["label"] for r in line if r is not None}
+        label = next(worst.value for worst in (Label.COINCIDENCE, Label.INSTILLED, Label.GENUINE)
+                     if worst.value in held)
         cells = [f"{'=>' if anchor['level'] is None else anchor['level']:>18}"]
         cells += [f"{_fmt(r['binding']) if r else '':>18}" for r in line]
         cells += [f"{_fmt(anchor['reference']):>18}", f"  {label}"]
@@ -333,7 +324,7 @@ def _mode_compare(cfg: RunConfig):
     rows = []
     for scheme in SCHEMES:
         sub = replace(cfg, scheme=scheme,
-                      free_lower_slope=cfg.free_lower_slope and scheme != SCHEME_LINEAR).finalize()
+                      free_lower_slope=cfg.free_lower_slope and scheme != SCHEME_LINEAR)
         rows.extend(_long_rows(_solve_classified(sub), scheme=scheme))
     return rows, lambda: "\n".join(
         _render_solve_table([r for r in rows if r["scheme"] == s], f"--- {s} ---")
@@ -474,7 +465,7 @@ def run(config: RunConfig) -> int:
             with open(config.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write output file {config.out}: {exc}") from exc
+            raise ConfigError(f"cannot write --out file {config.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK if ok else EXIT_SOLVER

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PhysicsError
-from .physics import check_real
+from .errors import ConfigError, PhysicsError
+from .physics import check_count, check_real
 
 # 4-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree <= 7.
 _GAUSS_POINTS, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -70,21 +70,19 @@ def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
 
     Node formula: ``x_i = a + (b - a) * (exp(gamma*i/(n+1)) - 1) / (exp(gamma) - 1)``
     for i = 0..n+1, so the endpoints are hit exactly and element sizes grow
-    monotonically away from a. a, b, n and gamma must be real numbers, not
-    bools; a, b and gamma finite, n a whole number (an integral float such
-    as 50.0 counts as 50), exp(gamma) must not overflow, and the computed
-    nodes must strictly increase.
+    monotonically away from a. a, b and gamma must be finite real numbers,
+    not bools, exp(gamma) must not overflow, and the computed nodes must
+    strictly increase, or PhysicsError is raised; n must be a count
+    (``check_count``: an integral float such as 50.0 counts as 50), or
+    ConfigError is raised.
     """
-    for name, value in (("a", a), ("b", b), ("n", n), ("gamma", gamma)):
-        check_real(value, name)
     for name, value in (("a", a), ("b", b), ("gamma", gamma)):
+        check_real(value, name)
         if not math.isfinite(value):
             raise PhysicsError(f"invalid mesh parameter {name}={value}: must be finite")
     if not (0.0 < a < b):
         raise PhysicsError(f"invalid domain: need 0 < a < b, got a={a}, b={b}")
-    if not (float(n).is_integer() and n >= 1):
-        raise PhysicsError(f"invalid interior node count n={n}: need an integer n >= 1")
-    n = int(n)
+    n = check_count(n, "n")
     if gamma <= 0.0:
         raise PhysicsError(f"invalid mesh grading: need gamma > 0, got {gamma}")
     i = np.arange(n + 2, dtype=float)
@@ -131,7 +129,7 @@ def hat_local(h: float, s, order: int):
     if order == 1:
         shape = np.broadcast(s).shape
         return np.full(shape, -1.0 / h), np.full(shape, 1.0 / h)
-    raise ValueError(f"unsupported derivative order {order} for linear hats")
+    raise ConfigError(f"unsupported derivative order {order} for linear hats")
 
 
 def hermite_local(h: float, s, order: int):
@@ -152,5 +150,5 @@ def hermite_local(h: float, s, order: int):
         rv = 2.0 * s / h**2 - (6.0 * s**2 - 4.0 * h * s) / h**3
         rs = (3.0 * s**2 - 2.0 * h * s) / h**2
     else:
-        raise ValueError(f"unsupported derivative order {order} for cubic Hermite")
+        raise ConfigError(f"unsupported derivative order {order} for cubic Hermite")
     return lv, ls, rv, rs

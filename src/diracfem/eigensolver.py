@@ -47,6 +47,7 @@ import scipy.sparse.linalg
 from .assembly import AssembledSystem, is_galerkin, part_dofs
 from .errors import (
     ComplexSpectrumError,
+    ConfigError,
     InsufficientLevelsError,
     SingularSystemError,
     SolverError,
@@ -777,15 +778,15 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
     SingularSystemError. Any computed eigenvalue whose imaginary part
     exceeds ``reality_tol`` relative to its magnitude aborts the solve
     with ComplexSpectrumError. ``reality_tol`` must be finite and >= 0, and
-    the edges at least two, finite and strictly ascending, or ValueError
+    the edges at least two, finite and strictly ascending, or ConfigError
     is raised before any work.
     """
     if not 0.0 <= reality_tol < np.inf:
-        raise ValueError(f"reality_tol must be finite and >= 0, got {reality_tol}")
+        raise ConfigError(f"reality_tol must be finite and >= 0, got {reality_tol}")
     edges = [float(edge) for edge in window]
     if (len(edges) < 2 or not np.isfinite(edges).all()
             or not all(x < y for x, y in zip(edges, edges[1:]))):
-        raise ValueError(f"window must hold finite ascending edges lo < ... < hi, got {window}")
+        raise ConfigError(f"window must hold finite ascending edges lo < ... < hi, got {window}")
     mc2 = system.params.rest_energy
     if system.size < 3:
         raise SolverError(f"pencil of size {system.size} is too small for a windowed solve")
@@ -831,15 +832,15 @@ def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarr
     """Relative residual of one eigenpair (binding, node-order vector) against the pencil.
 
     A non-finite binding, or a vector that is not finite, nonzero and of the
-    pencil's size, raises ValueError.
+    pencil's size, raises ConfigError.
     """
     if not np.isfinite(binding):
-        raise ValueError(f"binding must be finite, got {binding}")
+        raise ConfigError(f"binding must be finite, got {binding}")
     v = np.asarray(vector, dtype=float)
     if v.shape != (system.size,):
-        raise ValueError(f"vector must have shape ({system.size},), got {v.shape}")
+        raise ConfigError(f"vector must have shape ({system.size},), got {v.shape}")
     if not (np.isfinite(v).all() and v.any()):
-        raise ValueError("vector must be finite and nonzero")
+        raise ConfigError("vector must be finite and nonzero")
     r = _band_product(system.lhs_band, v) - binding * _band_product(system.rhs_band, v)
     scale = np.linalg.norm(system.lhs_band) + abs(binding) * np.linalg.norm(system.rhs_band)
     return float(np.linalg.norm(r) / (scale * np.linalg.norm(v)))

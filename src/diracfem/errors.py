@@ -1,16 +1,20 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes: config errors (2), physics
-invariant violations (3), solver failures (4).
+Every bad argument raises one of the two ``ValueError`` types, by one rule:
+PhysicsError for a real value that defines the operator or the domain (Z,
+kappa, m, c, R, a, b, gamma) or an impossible combination of them, and
+ConfigError for any other (counts, tolerances, windows, vectors, scheme
+names, combinations of settings). The CLI maps them onto distinct exit
+codes: config errors (2), physics errors (3), solver failures (4).
 """
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration."""
+    """A bad argument that defines neither the operator nor the domain, or a bad run setting."""
 
 
 class PhysicsError(ValueError):
-    """Violated physical or geometric precondition (domain, quantum numbers, ...)."""
+    """A bad value of the operator or the domain, or an impossible combination of them."""
 
 
 class SolverError(RuntimeError):

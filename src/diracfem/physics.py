@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicsError
+from .errors import ConfigError, PhysicsError
 
 #: Speed of light in atomic units (CODATA 2010 inverse fine-structure constant).
 #: Chosen because it reproduces the tabulated point-nucleus reference energies
@@ -35,14 +35,14 @@ def check_charge(Z: float) -> None:
 
 
 def check_count(value, name: str, least: int = 1) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless it is a whole number >= ``least``.
+    """``value`` as an int; ConfigError naming ``name`` unless it is a whole number >= ``least``.
 
     An integral float such as 3.0 is taken; a bool, a non-integral or
     non-finite float, or anything not a real number is refused.
     """
     if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
             or not float(value).is_integer() or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -70,7 +70,7 @@ class OperatorParams:
         if not all(math.isfinite(v) for v in (self.m, self.c)):
             raise PhysicsError(f"m and c must be finite, got m={self.m} c={self.c}")
         if self.m <= 0 or self.c <= 0:
-            raise PhysicsError("mass and speed of light must be positive")
+            raise PhysicsError(f"m and c must be positive, got m={self.m} c={self.c}")
         if self.Z >= self.c * abs(self.kappa):
             raise PhysicsError(
                 f"supercritical charge: Z={self.Z} >= c*|kappa|={self.c * abs(self.kappa)}"

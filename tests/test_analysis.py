@@ -19,7 +19,7 @@ from diracfem.analysis import (
 from diracfem.assembly import SCHEME_HERMITE, SCHEME_SUPG, assemble
 from diracfem.discretization import build_exponential_mesh, gauss_rule
 from diracfem.eigensolver import Spectrum, bound_window, solve
-from diracfem.errors import DegeneratePencilError
+from diracfem.errors import ConfigError, DegeneratePencilError
 from diracfem.physics import OperatorParams, reference_spectrum
 
 from oracles import eigenpair_component, nodal_propagation, supg_residuals
@@ -83,9 +83,9 @@ class TestClassify:
             assert cl == cl0
 
     def test_unordered_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             classify([-0.1, -0.5], hydrogen_reference(), match_tol=1e-3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             classify([-0.5], hydrogen_reference(), match_tol=0.5)
 
     def test_truncate_to_genuine(self):
@@ -98,14 +98,14 @@ class TestClassify:
     def test_truncate_to_genuine_rejects_count_below_one(self, count):
         # each returned every entry
         cl = classify(HAT_RUN_NEG_KAPPA, hydrogen_reference(), match_tol=1e-3)
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(ConfigError, match="count"):
             truncate_to_genuine(cl, count)
 
     @pytest.mark.parametrize("count", [1.5, True])
     def test_truncate_to_genuine_needs_an_integer_count(self, count):
         # 1.5 once returned every entry, and True the first genuine one
         cl = classify(HAT_RUN_NEG_KAPPA, hydrogen_reference(), match_tol=1e-3)
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(ConfigError, match="count"):
             truncate_to_genuine(cl, count)
 
 
@@ -136,13 +136,13 @@ class TestCoincidenceReport:
     def test_tolerance_outside_match_range_rejected(self, tol):
         # NaN, -1 and 0 reported the copy absent, inf reported it present
         vals = [-0.5, -0.125]
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(ConfigError, match="tol"):
             coincidence_report(make_spectrum(1, vals), make_spectrum(-1, vals), tol=tol)
 
     def test_mismatched_inputs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             coincidence_report(make_spectrum(-1, [-0.5]), make_spectrum(1, [-0.5]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             coincidence_report(make_spectrum(2, [-0.5]), make_spectrum(-1, [-0.5]))
 
     @pytest.mark.parametrize("operator", [{"Z": 2.0}, {"m": 2.0}, {"c": 100.0}, {"R": 1e-4},
@@ -151,7 +151,7 @@ class TestCoincidenceReport:
     def test_spectra_of_two_operators_rejected(self, operator):
         # a kappa=+1 spectrum at c=137.036 used to pair with a kappa=-1 one at c=100
         vals = [-0.5, -0.125]
-        with pytest.raises(ValueError, match="operator"):
+        with pytest.raises(ConfigError, match="operator"):
             coincidence_report(make_spectrum(1, vals), make_spectrum(-1, vals, **operator))
 
 
@@ -346,9 +346,9 @@ class TestTauVerification:
         assert lam.imag > 0
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             tau_limit_lambda(0.01, 0.01, 0.0, 100.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             tau_rule_residual(0.01, 0.01, 0.0)
         # rho^2 == d^2 degeneracy: tau = -rho * h_{j+1} * 5/6 makes d = rho
         hj, hj1 = 0.01, 0.02
@@ -399,13 +399,22 @@ class TestConvergenceStudy:
 
     def test_rejects_unsorted_n(self):
         params = OperatorParams(Z=1, kappa=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="n_values must be strictly increasing"):
             convergence_study(SCHEME_HERMITE, params,
                               (100, 50), 2, a=1e-6, b=40.0, gamma=8.0)
 
+    @pytest.mark.parametrize("n_values", [(20.7, 40), (True, 40), (0, 0)])
+    def test_rejects_a_size_that_is_not_a_count(self, n_values):
+        # 20.7 was solved at n = 20 and True at n = 1, and (0, 0) was
+        # reported as an unsorted sequence, not as a bad size
+        params = OperatorParams(Z=1, kappa=-1)
+        with pytest.raises(ConfigError, match=f"n must be an integer >= 1, got {n_values[0]}"):
+            convergence_study(SCHEME_HERMITE, params,
+                              n_values, 2, a=1e-6, b=40.0, gamma=8.0)
+
     def test_rejects_bad_reality_tol(self):
         params = OperatorParams(Z=1, kappa=-1)
-        with pytest.raises(ValueError, match="reality_tol"):
+        with pytest.raises(ConfigError, match="reality_tol"):
             convergence_study(SCHEME_HERMITE, params,
                               (30, 60), 2, a=1e-6, b=40.0, gamma=8.0,
                               reality_tol=float("nan"))

@@ -14,6 +14,7 @@ from diracfem.assembly import (
     part_dofs,
 )
 from diracfem.discretization import BasisKind, Mesh, build_exponential_mesh
+from diracfem.errors import ConfigError
 from diracfem.physics import OperatorParams
 
 from conftest import random_mesh
@@ -96,9 +97,9 @@ class TestClosedFormOracle:
         assert m000[j - 1, j] == pytest.approx(hj1 / 6, rel=1e-13)
 
     def test_bad_spec(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             BlockMatrixSpec(2, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             BlockMatrixSpec(0, 0, 0, "W")
 
 
@@ -268,7 +269,7 @@ class TestSchemes:
     def test_linear_rejects_free_lower_slope(self, hyd_setup):
         # the hat basis has no slope dof: the flag cannot be honoured
         params, mesh = hyd_setup
-        with pytest.raises(ValueError, match="slope"):
+        with pytest.raises(ConfigError, match="slope"):
             assemble(SCHEME_LINEAR, params, mesh, free_lower_slope=True)
 
     def test_free_lower_slope_layout(self, hyd_setup):
@@ -291,14 +292,14 @@ class TestSchemes:
         parts = [part_dofs(scheme, system.size, part) for part in PARTS]
         assert all(np.all(np.diff(dofs) > 0) for dofs in parts)  # nodes in order
         np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(system.size))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             part_dofs(scheme, system.size, "eta")
 
     def test_dispatch(self, hyd_setup):
         params, mesh = hyd_setup
         for scheme in (SCHEME_LINEAR, SCHEME_HERMITE, SCHEME_SUPG):
             assert assemble(scheme, params, mesh).scheme == scheme
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             assemble("spectral", params, mesh)
 
 

@@ -92,27 +92,6 @@ free_lower_slope = yes
         with pytest.raises(ConfigError):
             load_config_file(str(path))
 
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RunConfig(kappa=1, abs_kappa=1).finalize()
-        with pytest.raises(ConfigError):
-            RunConfig(mode="explore").finalize()
-        with pytest.raises(ConfigError):
-            RunConfig(radius=0.0).finalize()
-        with pytest.raises(ConfigError):
-            RunConfig(levels=0).finalize()
-
-    def test_free_lower_slope_needs_a_hermite_scheme(self):
-        # the hat basis has no slope dof, so the flag would be dropped
-        with pytest.raises(ConfigError, match="free_lower_slope"):
-            RunConfig(free_lower_slope=True, scheme="linear-galerkin").finalize()
-        for scheme in ("hermite-galerkin", "hermite-supg"):
-            assert RunConfig(scheme=scheme, free_lower_slope=True).finalize().free_lower_slope
-        # compare-schemes applies it to the two Hermite schemes only
-        for scheme in ("linear-galerkin", "hermite-supg"):
-            assert RunConfig(mode="compare-schemes", scheme=scheme,
-                             free_lower_slope=True).finalize().free_lower_slope
-
 
 #: Per RunConfig field: its flag, a raw value, and the value it parses to.
 FIELD_SAMPLES = {
@@ -148,6 +127,102 @@ def test_every_field_settable_from_file_and_flag(name, tmp_path):
     assert vars(cli._make_parser().parse_args(argv))[name] == value
 
 
+# --- a bad value of each config key ---------------------------------------
+
+#: A fast solve, as config-file lines: a case's own lines come after them and
+#: its flags override them
+BASE_FILE = ("Z = 1\nscheme = hermite-galerkin\nn = 40\na = 1e-6\nb = 40\nmesh_gamma = 8\n"
+             "levels = 2\nformat = csv\n")
+VERIFY_TAU = ["--mode", "verify-tau"]
+COINCIDENCE = ["--mode", "coincidence"]
+CONVERGENCE = ["--mode", "convergence"]
+
+#: Per bad value: its config-file lines or flags ("{tmp}" is the test's
+#: directory), the exit code the error rule gives (exit 3 for a value that
+#: defines the operator or the domain, exit 2 for any other), and the name its
+#: one stderr line holds: the key, its flag, or the library parameter it maps to
+BAD_VALUES = [
+    pytest.param(["--Z", "0.5"], EXIT_PHYSICS, "Z", id="Z"),
+    pytest.param(["--kappa", "0"], EXIT_PHYSICS, "kappa", id="kappa"),
+    pytest.param(["--kappa", "1", "--abs-kappa", "1"], EXIT_CONFIG, "kappa",
+                 id="kappa-with-abs_kappa"),
+    pytest.param(["--kappa", "-1"] + COINCIDENCE, EXIT_CONFIG, "abs_kappa",
+                 id="kappa-coincidence"),
+    pytest.param(["--abs-kappa", "0"], EXIT_CONFIG, "abs_kappa", id="abs_kappa"),
+    pytest.param(["--m", "-1"], EXIT_PHYSICS, "m", id="m"),
+    pytest.param(["--c-value", "nan"], EXIT_PHYSICS, "c", id="c_value"),
+    pytest.param("scheme = fancy\n", EXIT_CONFIG, "scheme", id="scheme"),
+    *[pytest.param(["--radius", radius], EXIT_PHYSICS, "R", id=f"radius-{radius}")
+      for radius in ("-1", "0", "nan", "inf")],
+    pytest.param(["--a", "-1"], EXIT_PHYSICS, "a", id="a"),
+    pytest.param(["--b", "-1"], EXIT_PHYSICS, "b", id="b"),
+    pytest.param(["--n", "0"], EXIT_CONFIG, "n", id="n"),
+    pytest.param(["--n", "0"] + CONVERGENCE, EXIT_CONFIG, "n", id="n-convergence"),
+    pytest.param(["--mesh-gamma", "-1"], EXIT_PHYSICS, "gamma", id="mesh_gamma"),
+    pytest.param(["--mesh-gamma", "1e-17", "--n", "5"] + VERIFY_TAU, EXIT_CONFIG, "--mesh-gamma",
+                 id="mesh_gamma-verify-tau"),
+    pytest.param(["--levels", "0"], EXIT_CONFIG, "levels", id="levels"),
+    pytest.param(["--levels", "-2"], EXIT_CONFIG, "levels", id="levels-negative"),
+    pytest.param(["--levels", "0"] + COINCIDENCE, EXIT_CONFIG, "levels", id="levels-coincidence"),
+    pytest.param(["--levels", "0"] + VERIFY_TAU, EXIT_CONFIG, "levels", id="levels-verify-tau"),
+    *[pytest.param(["--match-tol", tol], EXIT_CONFIG, "match_tol", id=f"match_tol-{tol}")
+      for tol in ("0.5", "nan", "0")],
+    pytest.param(["--match-tol", "0.5"] + COINCIDENCE, EXIT_CONFIG, "tol",
+                 id="match_tol-coincidence"),
+    *[pytest.param(["--reality-tol", tol], EXIT_CONFIG, "reality_tol", id=f"reality_tol-{tol}")
+      for tol in ("nan", "-1", "inf")],
+    pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"], EXIT_CONFIG,
+                 "free_lower_slope", id="free_lower_slope-linear"),
+    pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"] + COINCIDENCE, EXIT_CONFIG,
+                 "free_lower_slope", id="free_lower_slope-linear-coincidence"),
+    pytest.param("free_lower_slope = maybe\n", EXIT_CONFIG, "free_lower_slope",
+                 id="free_lower_slope"),
+    pytest.param("mode = fancy\n", EXIT_CONFIG, "mode", id="mode"),
+    pytest.param("format = fancy\n", EXIT_CONFIG, "format", id="format"),
+    # a missing directory, or a directory as the file, ended in a traceback
+    *[pytest.param(["--out", f"{{tmp}}/{target}"], EXIT_CONFIG, "--out", id=f"out-{target}")
+      for target in ("missing-dir/result.csv", ".")],
+    *[pytest.param(["--n-list", n_list] + CONVERGENCE, EXIT_CONFIG, "n_values",
+                   id=f"n_list-{n_list}") for n_list in ("100,50", "50,50")],
+    pytest.param(["--n-list", "0,10"] + CONVERGENCE, EXIT_CONFIG, "n", id="n_list-0,10"),
+    pytest.param("n_list = 10,x\n", EXIT_CONFIG, "n_list", id="n_list"),
+    pytest.param("unknown_key = 3\n", EXIT_CONFIG, "unknown_key", id="unknown-key"),
+]
+
+
+@pytest.mark.parametrize("given, code, name", BAD_VALUES)
+def test_bad_value_of_each_key_exits_by_the_rule_naming_it(given, code, name, tmp_path, capfd):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_FILE + (given if isinstance(given, str) else ""))
+    flags = [] if isinstance(given, str) else [f.replace("{tmp}", str(tmp_path)) for f in given]
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "result.csv")] + flags) == code
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert err.startswith("config error: " if code == EXIT_CONFIG else "physics error: ")
+    assert err.count("\n") == 1
+    assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", err.replace(str(tmp_path), ""))
+
+
+@pytest.mark.parametrize("flags", [
+    *[pytest.param(VERIFY_TAU + [flag, value], id=f"verify-tau-{flag[2:]}")
+      for flag, value in (("--kappa", "0"), ("--m", "-1"), ("--c-value", "nan"),
+                          ("--radius", "-1"), ("--match-tol", "0.5"), ("--reality-tol", "-1"))],
+    pytest.param(VERIFY_TAU + ["--scheme", "linear-galerkin", "--free-lower-slope"],
+                 id="verify-tau-linear-free-lower-slope"),
+    pytest.param(["--n-list", "100,50"], id="solve-n-list"),
+    # compare-schemes reads no scheme key, and applies the flag to its Hermite schemes only
+    pytest.param(["--mode", "compare-schemes", "--scheme", "linear-galerkin",
+                  "--free-lower-slope", "--n", "100", "--match-tol", "1e-4"],
+                 id="compare-schemes-linear-free-lower-slope"),
+])
+def test_a_key_the_mode_does_not_read_is_not_checked(flags, tmp_path, capfd):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_FILE)
+    assert main(["--config", str(cfg)] + flags) == 0
+    assert capfd.readouterr().err == ""
+
+
 class TestMain:
     def test_parser_built_once(self, monkeypatch, capsys):
         # main parses with the parser built at import; --help still lists every flag
@@ -176,15 +251,6 @@ class TestMain:
         assert {r["label"] for r in rows} == {"genuine"}
         assert sorted(r["level"] for r in rows if r["kappa"] < 0) == list(range(1, levels + 1))
 
-    def test_malformed_config_exits_2_without_output(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("scheme = fancy\n")
-        out = tmp_path / "result.csv"
-        code = main(["--config", str(cfg), "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert not out.exists()
-        assert "config error" in capsys.readouterr().err
-
     @pytest.mark.parametrize("key", ["mode", "scheme", "format"])
     def test_bad_choice_in_config_file_exits_2_listing_the_choices(self, key, tmp_path, capsys):
         # the flags reject it in argparse; a config file reaches finalize
@@ -195,35 +261,11 @@ class TestMain:
         assert err == f"config error: unknown {key} 'fancy'; expected one of {cli._CHOICES[key]}\n"
         assert "verify-tau" in cli._CHOICES["mode"]
 
-    def test_linear_free_lower_slope_exits_2_without_output(self, tmp_path, capsys):
-        out = tmp_path / "result.csv"
-        code = main(["--Z", "1", "--n", "60", "--scheme", "linear-galerkin",
-                     "--free-lower-slope", "--format", "csv", "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert not out.exists()
-        assert "config error" in capsys.readouterr().err
-
     def test_env_config_used(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "env.cfg"
         cfg.write_text("mode = bogus\n")
         monkeypatch.setenv("DIRAC_FEM_CONFIG", str(cfg))
         assert main([]) == EXIT_CONFIG
-
-    @pytest.mark.parametrize("extra", [
-        ["--match-tol", "0.5"], ["--match-tol", "nan"], ["--match-tol", "0"],
-        ["--mode", "convergence", "--n-list", "100,50"],
-        ["--mode", "convergence", "--n-list", "50,50"],
-        ["--mode", "convergence", "--n-list", "0,10"],
-        ["--reality-tol", "nan"], ["--reality-tol", "-1"], ["--reality-tol", "inf"],
-    ])
-    def test_bad_tolerance_or_n_list_exits_2_without_output(self, extra, tmp_path, capsys):
-        # each used to end in a traceback, a solver failure or a silently
-        # disabled reality check
-        out = tmp_path / "result.csv"
-        code = main(FAST + extra + ["--format", "csv", "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert not out.exists()
-        assert "config error" in capsys.readouterr().err
 
     def test_non_finite_charge_exits_3(self, capsys):
         code = main(["--Z", "nan", "--b", "60", "--n", "20", "--levels", "1"])
@@ -237,15 +279,6 @@ class TestMain:
         code = main(["--Z", charge, "--n", "20", "--levels", "1"])
         assert code == EXIT_PHYSICS
         assert "nuclear charge" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("radius", ["nan", "inf"])
-    def test_non_finite_radius_exits_2_without_output(self, radius, tmp_path, capsys):
-        # nan gave point-nucleus numbers with exit 0; inf solved, then exited 4
-        out = tmp_path / "result.csv"
-        code = main(FAST + ["--radius", radius, "--format", "csv", "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert not out.exists()
-        assert "config error" in capsys.readouterr().err
 
     def test_radius_alone_smears_the_nucleus(self, capsys):
         # smearing the charge over R raises the 1s level above the point
@@ -292,7 +325,7 @@ class TestMain:
         assert code == EXIT_PHYSICS
         out, err = capfd.readouterr()
         assert out == ""
-        assert err == "physics error: mass and speed of light must be positive\n"
+        assert err == "physics error: m and c must be positive, got m=1.0 c=-137.0\n"
 
     def test_physics_invariant_exits_3(self, capsys):
         code = main(["--Z", "200", "--kappa", "1", "--n", "10"])
@@ -391,23 +424,22 @@ class TestMain:
         assert "--radius" in err and "point-nucleus reference" in err and "--match-tol" in err
         assert "--free-lower-slope" not in err and "too coarse" not in err
 
-    @pytest.mark.parametrize("target", ["missing-dir/result.csv", "."])
-    def test_unwritable_out_exits_2_without_output(self, target, tmp_path, capsys):
-        # a missing directory or a directory as the file used to end in a
-        # FileNotFoundError or IsADirectoryError traceback, exit 1
-        out = tmp_path / target
-        code = main(FAST + ["--format", "csv", "--out", str(out)])
-        assert code == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"config error: cannot write output file {out}: ")
-        assert captured.err.count("\n") == 1
-
     def test_solve_table_output(self, capsys):
         assert main(FAST) == 0
         out = capsys.readouterr().out
         assert "kappa=+1" in out and "kappa=-1" in out
         assert "coincidence-spurious" in out
+
+    def test_an_instilled_row_labels_its_line(self):
+        # the README pathology mesh with the free lower slope: line 6 pairs
+        # the genuine kappa=-1 level 6 with an instilled kappa=+1 row, and the
+        # table printed it genuine
+        argv = PATHOLOGY + ["--scheme", "hermite-supg", "--free-lower-slope"]
+        rows = _json_rows(argv)
+        assert [r["label"] for r in rows if r["kappa"] == 1][5] == "instilled-spurious"
+        assert [r["label"] for r in rows if r["kappa"] == -1][5] == "genuine"
+        line = _output(argv, "table").splitlines()[2 + 5]
+        assert line.split()[0] == "6" and line.endswith("  instilled-spurious")
 
     def test_csv_schema_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -651,8 +683,10 @@ def _check_solve_table(text, rows):
         assert cells[1:-1] == [cli._fmt(col[i]["binding"]) if i < len(col) else ""
                                for col in columns.values()]
         assert cells[-1] == cli._fmt(anchor["reference"])
-        coincidence = any(r["label"] == "coincidence-spurious" for r in line_rows)
-        assert label == ("coincidence-spurious" if coincidence else anchor["label"])
+        # the worst row of the line labels it
+        labels = {r["label"] for r in line_rows}
+        assert label == next(worst for worst in ("coincidence-spurious", "instilled-spurious",
+                                                 "genuine") if worst in labels)
 
 
 def _check_table(mode, text, rows):

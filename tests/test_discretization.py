@@ -8,8 +8,10 @@ from diracfem.discretization import (
     Mesh,
     build_exponential_mesh,
     gauss_rule,
+    hat_local,
+    hermite_local,
 )
-from diracfem.errors import PhysicsError
+from diracfem.errors import ConfigError, PhysicsError
 from diracfem.physics import OperatorParams
 
 from conftest import random_mesh
@@ -73,7 +75,7 @@ class TestMesh:
 
     def test_non_integer_node_count_rejected(self):
         # n=5.5 used to pass as the 6 interior nodes np.arange(n + 2) gives
-        with pytest.raises(PhysicsError, match="node count n=5.5"):
+        with pytest.raises(ConfigError, match="n must be an integer >= 1, got 5.5"):
             build_exponential_mesh(1e-5, 60.0, 5.5, 6.0)
 
     def test_integral_float_node_count_builds_the_integer_mesh(self):
@@ -90,8 +92,11 @@ class TestMesh:
         ("1e-5", 10.0, 5, 6.0, "a"), (1e-5, 10.0, "5", 6.0, "n"), (1e-5, 10.0, None, 6.0, "n")])
     def test_bool_or_non_number_refused_naming_it(self, a, b, n, gamma, name):
         # n=True built a one-node mesh and gamma=True graded it as gamma = 1;
-        # a="1e-5" and n="5" raised a foreign TypeError
-        with pytest.raises(PhysicsError, match=f"parameter {name}="):
+        # a="1e-5" and n="5" raised a foreign TypeError. n is a count, the
+        # others define the domain
+        error, message = ((ConfigError, "n must be an integer") if name == "n"
+                          else (PhysicsError, f"parameter {name}="))
+        with pytest.raises(error, match=message):
             build_exponential_mesh(a, b, n, gamma)
 
     def test_invalid_domain(self):
@@ -99,7 +104,7 @@ class TestMesh:
             build_exponential_mesh(0.0, 1.0, 5, 6.0)
         with pytest.raises(PhysicsError):
             build_exponential_mesh(2.0, 1.0, 5, 6.0)
-        with pytest.raises(PhysicsError):
+        with pytest.raises(ConfigError, match="n must be"):
             build_exponential_mesh(1e-5, 1.0, 0, 6.0)
         with pytest.raises(PhysicsError):
             build_exponential_mesh(1e-5, 1.0, 5, -1.0)
@@ -175,6 +180,8 @@ class TestHatBasis:
     def test_unsupported_order(self, mesh):
         with pytest.raises(ValueError):
             eval_hat(mesh, 1, 1.0, 2)
+        with pytest.raises(ConfigError, match="order 2"):
+            hat_local(1.0, 0.5, 2)
 
 
 class TestHermiteBasis:
@@ -231,6 +238,8 @@ class TestHermiteBasis:
     def test_unsupported_order(self, mesh):
         with pytest.raises(ValueError):
             eval_hermite(mesh, 1, "value", 1.0, 2)
+        with pytest.raises(ConfigError, match="order 2"):
+            hermite_local(1.0, 0.5, 2)
 
     def test_bad_part(self, mesh):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from diracfem.eigensolver import (
 )
 from diracfem.errors import (
     ComplexSpectrumError,
+    ConfigError,
     InsufficientLevelsError,
     SingularSystemError,
     SolverError,
@@ -164,7 +165,7 @@ class TestToyPencils:
         system = assemble(SCHEME_SUPG, params, mesh)
         with pytest.raises(ValueError, match="reality_tol"):
             dense_bindings(system, reality_tol=reality_tol)
-        with pytest.raises(ValueError, match="reality_tol"):
+        with pytest.raises(ConfigError, match="reality_tol"):
             solve(system, window=bound_window(params, 3), reality_tol=reality_tol)
 
     @pytest.mark.parametrize("window", [
@@ -175,7 +176,7 @@ class TestToyPencils:
         params = OperatorParams(Z=1, kappa=-1)
         mesh = build_exponential_mesh(1e-5, 60.0, 50, 6.0)
         system = assemble(SCHEME_HERMITE, params, mesh)
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(ConfigError, match="window"):
             solve(system, window=window)
         assert capfd.readouterr().err == ""
 
@@ -230,13 +231,13 @@ class TestRealSystems:
         # each once gave NaN with a RuntimeWarning
         params, system, spectrum = hydrogen_windowed
         vector = np.full(system.size, fill)
-        with pytest.raises(ValueError, match="vector"):
+        with pytest.raises(ConfigError, match="vector"):
             eigenpair_residual(system, spectrum.bindings[0], vector)
 
     @pytest.mark.parametrize("binding", [np.nan, np.inf, -np.inf])
     def test_residual_at_a_non_finite_binding_refused(self, hydrogen_windowed, binding):
         params, system, spectrum = hydrogen_windowed
-        with pytest.raises(ValueError, match="binding"):
+        with pytest.raises(ConfigError, match="binding"):
             eigenpair_residual(system, binding, spectrum.eigenvectors[:, 0])
 
     @pytest.mark.parametrize("cut", [1, -1])
@@ -244,7 +245,7 @@ class TestRealSystems:
         # a short vector once failed inside f2py ("failed for 7th argument x")
         params, system, spectrum = hydrogen_windowed
         vector = np.resize(spectrum.eigenvectors[:, 0], system.size - cut)
-        with pytest.raises(ValueError, match="vector"):
+        with pytest.raises(ConfigError, match="vector"):
             eigenpair_residual(system, spectrum.bindings[0], vector)
 
     def test_vectors_rhs_normalized_with_positive_lead(self, hydrogen_windowed):
@@ -480,14 +481,14 @@ class TestRealSystems:
             last = SPLIT_LEVELS - 1 if kappa > 0 else SPLIT_LEVELS - 2
             assert (reference_binding(neg, last).binding < hi
                     < reference_binding(neg, last + 1).binding)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             bound_window(params, 0)
 
     @pytest.mark.parametrize("levels", [1.5, True])
     def test_bound_window_needs_an_integer_count(self, levels):
         # each once returned a window: 1.5 from the reference levels
         # n_r = 0.5 and 1.5, True the one-level window
-        with pytest.raises(ValueError, match="levels"):
+        with pytest.raises(ConfigError, match="levels"):
             bound_window(OperatorParams(Z=1, kappa=-1), levels)
 
     def test_bound_states_is_slice_of_bindings(self, hydrogen_solution):
@@ -499,14 +500,14 @@ class TestRealSystems:
             bound_states(spectrum, len(spectrum.bindings) + 1)
         # a count below 1 would slice silently (-1: all but the last)
         for count in (0, -1):
-            with pytest.raises(ValueError, match="count"):
+            with pytest.raises(ConfigError, match="count"):
                 bound_states(spectrum, count)
 
     @pytest.mark.parametrize("count", [1.5, np.nan, np.inf, True])
     def test_bound_states_needs_an_integer_count(self, hydrogen_solution, count):
         # 1.5 once failed with a slicing TypeError, and True returned one level
         params, system, spectrum = hydrogen_solution
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(ConfigError, match="count"):
             bound_states(spectrum, count)
 
     def test_vanishing_rhs_norm_raises(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracfem.errors import PhysicsError
+from diracfem.errors import ConfigError, PhysicsError
 from diracfem.physics import (
     OperatorParams,
     check_count,
@@ -41,7 +41,7 @@ class TestParams:
     @pytest.mark.parametrize("m, c", [(1.0, -137.0), (1.0, 0.0), (0.0, 137.0), (-1.0, 137.0)])
     def test_non_positive_mass_or_speed_rejected_as_such(self, m, c):
         # c <= 0 was blamed on a supercritical charge: Z=1 >= c*|kappa|=-137.0
-        with pytest.raises(PhysicsError, match="mass and speed of light must be positive"):
+        with pytest.raises(PhysicsError, match="m and c must be positive"):
             OperatorParams(Z=1, kappa=-1, m=m, c=c)
 
     @pytest.mark.parametrize("field, value", [
@@ -154,13 +154,13 @@ class TestReferenceSpectrum:
     @pytest.mark.parametrize("n_r", [0.5, True, np.nan])
     def test_reference_binding_needs_an_integer_n_r(self, n_r):
         # 0.5 once returned a level with n_r = 0.5
-        with pytest.raises(ValueError, match="n_r"):
+        with pytest.raises(ConfigError, match="n_r"):
             reference_binding(OperatorParams(Z=1, kappa=-1), n_r)
 
     @pytest.mark.parametrize("count", [1.5, True])
     def test_reference_spectrum_needs_an_integer_count(self, count):
         # 1.5 once failed with a TypeError from range()
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(ConfigError, match="count"):
             reference_spectrum(OperatorParams(Z=1, kappa=-1), count)
 
     def test_degeneracy_in_kappa_sign(self):
@@ -204,5 +204,5 @@ class TestCheckCount:
     @pytest.mark.parametrize("value", [True, False, np.True_, 1.5, np.nan, np.inf, "3", None, 0,
                                        -1])
     def test_refused_naming_the_argument(self, value):
-        with pytest.raises(ValueError, match="levels must be an integer >= 1"):
+        with pytest.raises(ConfigError, match="levels must be an integer >= 1"):
             check_count(value, "levels")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from diracfem import errors
+
 from test_readme import README, python_blocks
 
 tomllib = pytest.importorskip("tomllib")
@@ -343,3 +345,45 @@ def test_package_caches_are_keyed_on_structure():
     assert len(cached) >= 2
     for name, annotations in cached.items():
         assert set(annotations) <= CACHE_KEY_TYPES, (name, annotations)
+
+
+def raised_types(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, what is raised) for every ``raise`` of ``source`` but a bare re-raise."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                found.append((function, ast.unparse(exc)))
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_raise_detector_names_each_raise():
+    source = ("def f(x):\n    if x:\n        raise ValueError(x)\n    try:\n        g()\n"
+              "    except OSError as exc:\n        raise errors.ConfigError('y') from exc\n"
+              "    raise\n\nclass C:\n    def m(self):\n        raise SolverError\n\n"
+              "raise exc_of_module\n")
+    assert raised_types(source) == [("f", "ValueError"), ("f", "errors.ConfigError"),
+                                    ("m", "SolverError"), ("<module>", "exc_of_module")]
+
+
+def test_package_raises_only_its_own_error_types():
+    """Every ``raise`` of the package names a type of ``diracfem.errors``.
+
+    So a bad argument fails with ConfigError or PhysicsError, never a bare
+    ValueError. The one exception is ``cli._parse_bool``, whose ValueError
+    ``cli._parse_value`` turns into a ConfigError naming the key.
+    """
+    own = {name for name, value in vars(errors).items()
+           if isinstance(value, type) and issubclass(value, Exception)}
+    raised = [(module.stem, function, name) for module in sorted(SRC.glob("*.py"))
+              for function, name in raised_types(module.read_text())]
+    assert len(raised) >= 50
+    assert [r for r in raised if r[2] not in own] == [("cli", "_parse_bool", "ValueError")]
