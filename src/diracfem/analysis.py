@@ -17,7 +17,7 @@ from .assembly import SCHEME_LINEAR, assemble
 from .discretization import build_exponential_mesh
 from .eigensolver import DEFAULT_REALITY_TOL, Spectrum, bound_window, solve
 from .errors import ConfigError, DegeneratePencilError
-from .physics import OperatorParams, ReferenceLevel, check_count, reference_spectrum
+from .physics import OperatorParams, ReferenceLevel, check_count, is_real, reference_spectrum
 
 #: Default relative matching tolerances: linear-basis genuine levels are only
 #: ~1e-4 accurate, the Hermite schemes far better.
@@ -32,6 +32,13 @@ ORDER_FIT_FLOOR = 256 * np.finfo(float).eps
 
 def match_tol_for(scheme: str) -> float:
     return DEFAULT_MATCH_TOL if scheme == SCHEME_LINEAR else DEFAULT_MATCH_TOL_HERMITE
+
+
+def check_match_tol(value, name: str = "match_tol") -> float:
+    """``value`` if it is a real number in (0, MAX_MATCH_TOL), else ConfigError naming ``name``."""
+    if not (is_real(value) and 0.0 < value < MAX_MATCH_TOL):
+        raise ConfigError(f"{name} must lie in (0, {MAX_MATCH_TOL}), got {value!r}")
+    return value
 
 
 class Label(Enum):
@@ -71,14 +78,16 @@ def classify(computed, reference: list[ReferenceLevel],
     for kappa > 0 runs only) are the coincidence phenomenon; every other
     unmatched value is an instilled spurious level.
     """
+    check_match_tol(match_tol)
+    computed = list(computed)
+    if not all(is_real(x) for x in computed):
+        raise ConfigError(f"computed bindings must be real numbers, got {computed!r}")
     computed = [float(x) for x in computed]
     if any(b < a for a, b in zip(computed, computed[1:])):
         raise ConfigError("computed bindings must be sorted ascending")
     ref_bindings = [r.binding for r in reference]
     if any(b < a for a, b in zip(ref_bindings, ref_bindings[1:])):
         raise ConfigError("reference levels must be sorted ascending")
-    if not (0.0 < match_tol < MAX_MATCH_TOL):
-        raise ConfigError(f"match_tol must lie in (0, {MAX_MATCH_TOL}), got {match_tol}")
 
     entries = []
     ri = 0
@@ -132,8 +141,7 @@ def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
     table aligns index-by-index when the unphysical copy is present and with
     an offset of one when it has been removed. ``tol`` is checked as ``classify``'s.
     """
-    if not (0.0 < tol < MAX_MATCH_TOL):
-        raise ConfigError(f"tol must lie in (0, {MAX_MATCH_TOL}), got {tol}")
+    check_match_tol(tol, "tol")
     if spec_pos.params.kappa <= 0 or spec_neg.params.kappa >= 0:
         raise ConfigError("expected spectra for kappa > 0 and kappa < 0, in that order")
     if (replace(spec_pos.params, kappa=-spec_pos.params.kappa) != spec_neg.params
@@ -237,8 +245,7 @@ def convergence_study(scheme: str, params: OperatorParams, n_values, levels: int
     n_values = tuple(check_count(n, "n") for n in n_values)
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise ConfigError(f"n_values must be strictly increasing, got {n_values}")
-    if match_tol is None:
-        match_tol = match_tol_for(scheme)
+    match_tol = match_tol_for(scheme) if match_tol is None else check_match_tol(match_tol)
     reference = reference_spectrum(params, levels)
     window = bound_window(params, levels)
     errors = np.full((len(n_values), levels), np.nan)

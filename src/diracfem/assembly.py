@@ -231,13 +231,20 @@ _SCHEME_TABLE = {
 }
 
 
+def _scheme_entry(scheme: str):
+    """``scheme``'s (basis kind, terms) in the scheme table; ConfigError for any other value."""
+    if not isinstance(scheme, str) or scheme not in _SCHEME_TABLE:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return _SCHEME_TABLE[scheme]
+
+
 def is_galerkin(scheme: str) -> bool:
     """Whether ``scheme``'s table holds no tau-weighted term.
 
     Such a pencil is symmetric-definite: lhs symmetric, rhs the positive
     definite mass matrix.
     """
-    return not any(weighted for *_, weighted in _SCHEME_TABLE[scheme][1])
+    return not any(weighted for *_, weighted in _scheme_entry(scheme)[1])
 
 
 def assemble(scheme: str, params: OperatorParams, mesh: Mesh,
@@ -257,9 +264,7 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh,
     per call, and each pencil matrix is summed element by element into band
     storage, through band slots built once per (n, basis, free slope) shape.
     """
-    if scheme not in _SCHEME_TABLE:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    kind, terms = _SCHEME_TABLE[scheme]
+    kind, terms = _scheme_entry(scheme)
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:
         raise ConfigError(f"free_lower_slope applies to the Hermite schemes only: "
                           f"{scheme} has no slope dof")
@@ -293,7 +298,7 @@ def part_dofs(scheme: str, size: int, part: str) -> np.ndarray:
     if part not in parts:
         raise ConfigError(f"unknown part {part!r}; expected one of {parts}")
     k = parts.index(part)
-    if _SCHEME_TABLE[scheme][0] is BasisKind.LINEAR_HAT:
+    if _scheme_entry(scheme)[0] is BasisKind.LINEAR_HAT:
         return np.arange(k // 2, size, 2) if k % 2 == 0 else np.arange(0)
     free = size % 4  # node 0's two slopes
     dofs = np.arange(free + k, size, 4)

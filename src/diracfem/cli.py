@@ -86,9 +86,9 @@ class RunConfig:
         return cfg
 
     def matching_tolerance(self) -> float:
-        """Explicit match_tol, or the per-scheme default."""
+        """Explicit match_tol, checked by ``analysis.check_match_tol``, or the scheme default."""
         if self.match_tol is not None:
-            return self.match_tol
+            return analysis.check_match_tol(self.match_tol)
         return analysis.match_tol_for(self.scheme)
 
     def params(self, kappa: int) -> OperatorParams:
@@ -188,6 +188,7 @@ def _solve_kappas(cfg: RunConfig, kappas, levels: int) -> dict:
 
 def _solve_classified(cfg: RunConfig) -> dict:
     """Classified entries per configured kappa, in column order (negative kappa last)."""
+    match_tol = cfg.matching_tolerance()  # checked before any solve
     spectra = _solve_kappas(cfg, sorted(cfg.kappas(), reverse=True), cfg.levels)
     out = {}
     for kappa, spectrum in spectra.items():
@@ -200,8 +201,7 @@ def _solve_classified(cfg: RunConfig) -> dict:
             else:
                 opposite = reference_binding(cfg.params(-kappa), 0).binding
         out[kappa] = classify(spectrum.bindings, reference,
-                              opposite_kappa_ground=opposite,
-                              match_tol=cfg.matching_tolerance())
+                              opposite_kappa_ground=opposite, match_tol=match_tol)
     # Rows are anchored on the last column: it must supply the requested
     # genuine levels, and every column is cut to its row count so entries
     # pair index by index.
@@ -363,6 +363,7 @@ def _mode_convergence(cfg: RunConfig):
 def _mode_coincidence(cfg: RunConfig):
     if cfg.kappa is not None:
         raise ConfigError("coincidence mode requires abs_kappa (a +/- pair)")
+    match_tol = cfg.matching_tolerance()  # checked before any solve
     # pairs 1..levels need levels + 1 bindings of each sign
     spectra = _solve_kappas(cfg, (cfg.abs_kappa, -cfg.abs_kappa), cfg.levels + 1)
     for kappa, spectrum in spectra.items():
@@ -370,11 +371,11 @@ def _mode_coincidence(cfg: RunConfig):
             raise InsufficientLevelsError(
                 f"kappa={kappa}: no bound level found{_miss_hint(cfg, kappa, ())}")
     neg = spectra[-cfg.abs_kappa]
-    report = coincidence_report(spectra[cfg.abs_kappa], neg, tol=cfg.matching_tolerance())
+    report = coincidence_report(spectra[cfg.abs_kappa], neg, tol=match_tol)
     # a pair is a physical degeneracy only where its kappa < 0 level is genuine
     labels = {e.binding: e.label for e in classify(
         neg.bindings, reference_spectrum(neg.params, len(neg.bindings)),
-        match_tol=cfg.matching_tolerance()).entries}
+        match_tol=match_tol).entries}
     rows = [{"pair": 0, "pos_binding": report.first_pos, "neg_binding": report.first_neg,
              "rel_diff": report.first_rel_diff,
              "note": "coincidence" if report.present else "distinct"}]

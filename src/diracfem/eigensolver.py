@@ -38,11 +38,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# scipy.linalg before scipy.sparse.linalg: the other order made a fresh
-# ``import diracfem.cli`` about 5 % slower
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
-import scipy.sparse.linalg
 
 from .assembly import AssembledSystem, is_galerkin, part_dofs
 from .errors import (
@@ -52,7 +49,7 @@ from .errors import (
     SingularSystemError,
     SolverError,
 )
-from .physics import OperatorParams, check_count, reference_binding
+from .physics import OperatorParams, check_count, is_real, reference_binding
 
 #: Default relative bound on acceptable imaginary parts of SUPG eigenvalues.
 DEFAULT_REALITY_TOL = 1e-8
@@ -663,6 +660,9 @@ def _solve_disk(system: AssembledSystem, lu, lo: float, hi: float, first_k: int,
     eigenvalue lies near enough to either to blur its sign. A disk whose
     computed eigenvalues in (p, q) miss that parity raises SolverError.
     """
+    # only this solve reads ARPACK, so the Galerkin path never loads scipy.sparse
+    import scipy.sparse.linalg
+
     size = system.size
     sigma, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     hb = system.lhs_band.shape[0] // 2
@@ -777,13 +777,13 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
     eigenvectors. A pencil or factor holding a non-finite entry raises
     SingularSystemError. Any computed eigenvalue whose imaginary part
     exceeds ``reality_tol`` relative to its magnitude aborts the solve
-    with ComplexSpectrumError. ``reality_tol`` must be finite and >= 0, and
-    the edges at least two, finite and strictly ascending, or ConfigError
-    is raised before any work.
+    with ComplexSpectrumError. ``reality_tol`` must be a finite real >= 0,
+    and the edges at least two real numbers, finite and strictly ascending,
+    or ConfigError is raised before any work.
     """
-    if not 0.0 <= reality_tol < np.inf:
-        raise ConfigError(f"reality_tol must be finite and >= 0, got {reality_tol}")
-    edges = [float(edge) for edge in window]
+    if not (is_real(reality_tol) and 0.0 <= reality_tol < np.inf):
+        raise ConfigError(f"reality_tol must be finite and >= 0, got {reality_tol!r}")
+    edges = [float(edge) if is_real(edge) else math.nan for edge in window]  # refused below
     if (len(edges) < 2 or not np.isfinite(edges).all()
             or not all(x < y for x, y in zip(edges, edges[1:]))):
         raise ConfigError(f"window must hold finite ascending edges lo < ... < hi, got {window}")

@@ -21,9 +21,14 @@ from .errors import ConfigError, PhysicsError
 SPEED_OF_LIGHT = 137.035999074
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool: a check to make before comparing it."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 def check_real(value, name: str) -> None:
     """Raise PhysicsError naming ``name`` unless ``value`` is a real number other than a bool."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+    if not is_real(value):
         raise PhysicsError(f"parameter {name}={value!r} must be a real number, "
                            f"not {type(value).__name__}")
 
@@ -40,8 +45,7 @@ def check_count(value, name: str, least: int = 1) -> int:
     An integral float such as 3.0 is taken; a bool, a non-integral or
     non-finite float, or anything not a real number is refused.
     """
-    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < least):
+    if not is_real(value) or not float(value).is_integer() or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -117,14 +121,15 @@ def reference_binding(params: OperatorParams, n_r: int) -> ReferenceLevel:
     binding = m*c^2 * [ (1 + (Z/c)^2 / (n_r + sqrt(kappa^2 - (Z/c)^2))^2)^(-1/2) - 1 ]
 
     The kappa > 0 series has no n_r = 0 member; requesting it is the
-    unphysical state behind the coincidence phenomenon and is rejected.
-    ``params.R`` is not read: an extended nucleus has no closed form.
+    unphysical state behind the coincidence phenomenon and is rejected
+    with PhysicsError, as is n_r < 0; an n_r that is not a whole number
+    raises ConfigError. ``params.R`` is not read: an extended nucleus has
+    no closed form.
     """
-    if params.kappa > 0 and n_r < 1:
-        raise PhysicsError(f"n_r must be >= 1 for kappa > 0, got n_r={n_r}")
-    if params.kappa < 0 and n_r < 0:
-        raise PhysicsError(f"n_r must be >= 0, got n_r={n_r}")
-    n_r = check_count(n_r, "n_r", least=0)  # after the range checks and their PhysicsError
+    least = 1 if params.kappa > 0 else 0
+    if is_real(n_r) and n_r < least:
+        raise PhysicsError(f"n_r must be >= {least} for kappa={params.kappa}, got n_r={n_r}")
+    n_r = check_count(n_r, "n_r", least=0)
     zc = params.Z / params.c
     gamma = math.sqrt(params.kappa**2 - zc**2)
     # expm1/log1p form of mc^2 [(1 + u)^(-1/2) - 1]: immune to the large-c

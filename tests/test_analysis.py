@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from diracfem import analysis
 from diracfem.analysis import (
     MAX_MATCH_TOL,
     ORDER_FIT_FLOOR,
@@ -16,11 +18,11 @@ from diracfem.analysis import (
     tau_rule_residual,
     truncate_to_genuine,
 )
-from diracfem.assembly import SCHEME_HERMITE, SCHEME_SUPG, assemble
+from diracfem.assembly import SCHEME_HERMITE, SCHEME_SUPG, assemble, part_dofs
 from diracfem.discretization import build_exponential_mesh, gauss_rule
 from diracfem.eigensolver import Spectrum, bound_window, solve
 from diracfem.errors import ConfigError, DegeneratePencilError
-from diracfem.physics import OperatorParams, reference_spectrum
+from diracfem.physics import OperatorParams, reference_binding, reference_spectrum
 
 from oracles import eigenpair_component, nodal_propagation, supg_residuals
 
@@ -33,6 +35,38 @@ HAT_RUN_POS_KAPPA_FIRST = -0.50000665661
 
 def hydrogen_reference(count=5):
     return reference_spectrum(OperatorParams(Z=1, kappa=-1), count)
+
+
+def small_hermite_solve(**kwargs):
+    """``solve`` of a 40-dof hydrogen Hermite pencil, on its two-level window unless given."""
+    params = OperatorParams(Z=1, kappa=-1)
+    system = assemble(SCHEME_HERMITE, params, build_exponential_mesh(1e-6, 40.0, 10, 8.0))
+    return solve(system, **{"window": bound_window(params, 2), **kwargs})
+
+
+#: Per library call with a non-number argument: the call, and the parameter its
+#: ConfigError names. Each raised a builtin TypeError, ValueError or KeyError
+#: from a comparison, ``float()`` or a dict lookup before the type was checked.
+NON_NUMBER_CALLS = [
+    pytest.param(lambda: reference_binding(OperatorParams(Z=1, kappa=-1), "1"), "n_r",
+                 id="reference_binding-n_r"),
+    pytest.param(lambda: small_hermite_solve(reality_tol="x"), "reality_tol",
+                 id="solve-reality_tol"),
+    pytest.param(lambda: small_hermite_solve(window=("a", 0)), "window", id="solve-window"),
+    pytest.param(lambda: classify([-0.5], hydrogen_reference(), match_tol="x"), "match_tol",
+                 id="classify-match_tol"),
+    pytest.param(lambda: classify(["a"], hydrogen_reference()), "computed",
+                 id="classify-computed"),
+    pytest.param(lambda: part_dofs("spectral", 10, "zeta"), "scheme", id="part_dofs-scheme"),
+]
+
+
+@pytest.mark.parametrize("call, name", NON_NUMBER_CALLS)
+def test_a_non_number_argument_raises_config_error_naming_it(call, name):
+    with pytest.raises(ConfigError) as caught:
+        call()
+    assert type(caught.value) is ConfigError
+    assert re.search(rf"\b{name}\b", str(caught.value))
 
 
 class TestClassify:
@@ -411,6 +445,17 @@ class TestConvergenceStudy:
         with pytest.raises(ConfigError, match=f"n must be an integer >= 1, got {n_values[0]}"):
             convergence_study(SCHEME_HERMITE, params,
                               n_values, 2, a=1e-6, b=40.0, gamma=8.0)
+
+    @pytest.mark.parametrize("match_tol", [0.5, "x"])
+    def test_rejects_a_bad_match_tol_before_any_solve(self, match_tol, monkeypatch):
+        # the first mesh was solved before classify refused the tolerance
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before match_tol was checked")
+
+        monkeypatch.setattr(analysis, "solve", refuse)
+        with pytest.raises(ConfigError, match="match_tol"):
+            convergence_study(SCHEME_HERMITE, OperatorParams(Z=1, kappa=-1),
+                              (30, 60), 2, a=1e-6, b=40.0, gamma=8.0, match_tol=match_tol)
 
     def test_rejects_bad_reality_tol(self):
         params = OperatorParams(Z=1, kappa=-1)

@@ -1,9 +1,13 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -167,8 +171,13 @@ BAD_VALUES = [
     pytest.param(["--levels", "0"] + VERIFY_TAU, EXIT_CONFIG, "levels", id="levels-verify-tau"),
     *[pytest.param(["--match-tol", tol], EXIT_CONFIG, "match_tol", id=f"match_tol-{tol}")
       for tol in ("0.5", "nan", "0")],
-    pytest.param(["--match-tol", "0.5"] + COINCIDENCE, EXIT_CONFIG, "tol",
+    pytest.param(["--match-tol", "0.5"] + COINCIDENCE, EXIT_CONFIG, "match_tol",
                  id="match_tol-coincidence"),
+    # a pencil too small to solve exited 4: match_tol was read after the solves
+    *[pytest.param(["--scheme", "linear-galerkin", "--n", "1", "--match-tol", "0.5"] + mode,
+                   EXIT_CONFIG, "match_tol", id=f"match_tol-before-{name}")
+      for name, mode in [("solve", []), ("compare-schemes", ["--mode", "compare-schemes"]),
+                         ("coincidence", COINCIDENCE), ("convergence", CONVERGENCE)]],
     *[pytest.param(["--reality-tol", tol], EXIT_CONFIG, "reality_tol", id=f"reality_tol-{tol}")
       for tol in ("nan", "-1", "inf")],
     pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"], EXIT_CONFIG,
@@ -728,3 +737,29 @@ def test_table_csv_and_json_render_the_same_rows(argv):
     _check_table(doc["mode"], _output(argv, "table"), rows)
     if doc["mode"] == "convergence":  # an unmatched level is null in json, '-' in the table
         assert any(r["rel_error"] is None and r["n"] is not None for r in rows)
+
+
+#: Run in a fresh interpreter: the README pathology command with the Hermite
+#: Galerkin scheme, then a small Z=12 stabilized solve; prints each exit code
+#: and whether scipy.sparse was loaded after it.
+_IMPORT_PROBE = f"""
+import contextlib, io, json, sys
+from diracfem.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    galerkin = main({PATHOLOGY + ["--scheme", "hermite-galerkin"]!r})
+    galerkin_sparse = "scipy.sparse" in sys.modules
+    supg = main({["--Z", "12", "--abs-kappa", "2", "--scheme", "hermite-supg", "--n", "100",
+                  "--a", "1e-6", "--b", "60", "--mesh-gamma", "8.5", "--levels", "6"]!r})
+print(json.dumps([galerkin, galerkin_sparse, supg, "scipy.sparse.linalg" in sys.modules]))
+"""
+
+
+def test_only_a_stabilized_run_loads_arpack():
+    # the Galerkin pencils are solved with scipy.linalg's band LAPACK alone;
+    # ARPACK (scipy.sparse.linalg) is imported by the stabilized solve
+    env = {k: v for k, v in os.environ.items() if k != cli.ENV_CONFIG}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])  # the tested package
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, False, 0, True]

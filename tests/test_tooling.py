@@ -132,6 +132,82 @@ def test_package_calls_no_arpack_symmetric_driver():
         assert arpack_symmetric_uses(module.read_text()) == [], module.name
 
 
+def _names_scipy_sparse(module: str) -> bool:
+    return module == "scipy.sparse" or module.startswith("scipy.sparse.")
+
+
+def _module_level(tree):
+    """The nodes of ``tree`` that run when the module loads: everything outside a function body."""
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _module_level(node)
+
+
+def module_level_sparse_imports(source: str) -> list[str]:
+    """Every import of scipy.sparse or a submodule of it in ``source`` outside a function body.
+
+    That covers ``import``, ``from ... import`` (also ``from scipy import
+    sparse`` and ``from scipy import *``, which loads every submodule) and a
+    call of ``importlib.import_module`` or ``__import__`` on a string naming it.
+    """
+    found = []
+    for node in _module_level(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if _names_scipy_sparse(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [a.name for a in node.names]
+            if _names_scipy_sparse(node.module) or (
+                    node.module == "scipy" and ({"sparse", "*"} & set(names))):
+                found.append(f"from {node.module} import {', '.join(names)}")
+        elif (isinstance(node, ast.Call)
+              and _dotted(node.func) in ("importlib.import_module", "import_module", "__import__")
+              and node.args and isinstance(node.args[0], ast.Constant)
+              and isinstance(node.args[0].value, str) and _names_scipy_sparse(node.args[0].value)):
+            found.append(f"{_dotted(node.func)}({node.args[0].value!r})")
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import scipy.sparse.linalg", True),
+    ("import scipy.sparse", True),
+    ("import numpy as np, scipy.sparse.linalg as sla", True),
+    ("from scipy.sparse.linalg import eigs", True),
+    ("from scipy.sparse import linalg", True),
+    ("from scipy import sparse", True),
+    ("from scipy import linalg, sparse as sp", True),
+    ("from scipy import *", True),
+    ("import importlib\nsla = importlib.import_module('scipy.sparse.linalg')", True),
+    ("__import__('scipy.sparse')", True),
+    ("try:\n    import scipy.sparse\nexcept ImportError:\n    pass", True),
+    ("if True:\n    from scipy.sparse import csr_array", True),
+    ("class C:\n    import scipy.sparse.linalg", True),
+    ("def f():\n    import scipy.sparse.linalg\n    return scipy.sparse.linalg.eigs", False),
+    ("async def f():\n    from scipy.sparse.linalg import eigs", False),
+    ("class C:\n    def m(self):\n        from scipy import sparse", False),
+    ("import scipy.linalg\nfrom scipy.linalg.lapack import dgbtrf", False),
+    ("from scipy import linalg", False),
+    ("import scipy_sparse\nfrom scipy.sparsetools import x", False),
+    ("from .sparse import y\nimportlib.import_module('scipy.linalg')", False),
+])
+def test_sparse_import_detector_reads_each_form(source, found):
+    assert bool(module_level_sparse_imports(source)) is found
+
+
+def test_package_loads_no_scipy_sparse_at_import():
+    """No module of the package imports scipy.sparse when it loads.
+
+    The Galerkin solve needs only ``scipy.linalg``'s band LAPACK, so ARPACK
+    is imported inside the one function that runs it (``_solve_disk``). At
+    module level it cost a Galerkin benchmark worker 3.3 MB of peak
+    resident memory.
+    """
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 8
+    for module in modules:
+        assert module_level_sparse_imports(module.read_text()) == [], module.name
+
+
 ROOT = Path(__file__).resolve().parents[1]
 READER_DIRS = ("src", "tests", "perfbench")
 
