@@ -169,6 +169,16 @@ def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
 RHO = -9.0 / 70.0
 
 
+def _element_pair_grad(h_j: float, h_j1: float, **others: float) -> float:
+    """grad = (h_{j+1} + h_j)/(h_{j+1} - h_j); ConfigError naming an argument that is not real."""
+    for name, value in {"h_j": h_j, "h_j1": h_j1, **others}.items():
+        if not is_real(value):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+    if h_j1 == h_j:
+        raise ConfigError("requires h_{j+1} != h_j")
+    return (h_j1 + h_j) / (h_j1 - h_j)
+
+
 def tau_rule_residual(h_j: float, h_j1: float, tau: float) -> float:
     """Defect of the leading-order optimality condition for tau.
 
@@ -176,9 +186,7 @@ def tau_rule_residual(h_j: float, h_j1: float, tau: float) -> float:
     grad = (h_{j+1} + h_j)/(h_{j+1} - h_j); zero exactly at the
     (9/35) h_{j+1} / grad stabilization value.
     """
-    if h_j1 == h_j:
-        raise ConfigError("requires h_{j+1} != h_j")
-    grad = (h_j1 + h_j) / (h_j1 - h_j)
+    grad = _element_pair_grad(h_j, h_j1, tau=tau)
     return 0.25 * grad**2 * tau**2 - (81.0 / 4900.0) * h_j1**2
 
 
@@ -193,9 +201,7 @@ def tau_limit_lambda(h_j: float, h_j1: float, tau: float, c: float):
     the radicand is negative (the approximation has left its validity
     range, which is how an unstabilized coarse element behaves at large c).
     """
-    if h_j1 == h_j:
-        raise ConfigError("requires h_{j+1} != h_j")
-    grad = (h_j1 + h_j) / (h_j1 - h_j)
+    grad = _element_pair_grad(h_j, h_j1, tau=tau, c=c)
     a = -((6.0 * c / 5.0) / (h_j1 * h_j) + 0.5 * c**3 * grad) * tau + RHO * c**2
     b = (6.0 * c**2 / 5.0) * tau / h_j1 - (9.0 * c**3 / 70.0) * h_j1
     d = -(6.0 / 5.0) * tau / h_j1

@@ -37,7 +37,7 @@ import numpy as np
 
 from .discretization import BasisKind, Mesh, gauss_rule, hat_local, hermite_local
 from .errors import ConfigError
-from .physics import OperatorParams, potential_value
+from .physics import OperatorParams, check_count, potential_value
 
 SCHEME_LINEAR = "linear-galerkin"
 SCHEME_HERMITE = "hermite-galerkin"
@@ -265,6 +265,8 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh,
     storage, through band slots built once per (n, basis, free slope) shape.
     """
     kind, terms = _scheme_entry(scheme)
+    if not isinstance(mesh, Mesh):
+        raise ConfigError(f"mesh must be a Mesh, got {type(mesh).__name__}")
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:
         raise ConfigError(f"free_lower_slope applies to the Hermite schemes only: "
                           f"{scheme} has no slope dof")
@@ -297,7 +299,7 @@ def part_dofs(scheme: str, size: int, part: str) -> np.ndarray:
     parts = ("zeta", "zeta_prime", "xi", "xi_prime")
     if part not in parts:
         raise ConfigError(f"unknown part {part!r}; expected one of {parts}")
-    k = parts.index(part)
+    k, size = parts.index(part), check_count(size, "size", least=0)
     if _scheme_entry(scheme)[0] is BasisKind.LINEAR_HAT:
         return np.arange(k // 2, size, 2) if k % 2 == 0 else np.arange(0)
     free = size % 4  # node 0's two slopes

@@ -5,7 +5,7 @@ mu = lambda - m*c^2 (see ``assembly``), and is solved as it is: the
 bindings never pass through the rest energy, so none of their digits are
 lost to cancellation against it. Only ``Spectrum.raw`` adds m*c^2 back.
 
-``solve(system, window=(lo, ..., hi))`` is the one solve path. It returns
+``solve(system, window=(lo, hi))`` is the one solve path. It returns
 every eigenvalue of the window, certified complete, with its eigenvector
 in the node order in which ``assemble`` stores the pencil as band matrices
 (see ``assembly``). How a window is certified follows the scheme table:
@@ -20,11 +20,11 @@ in the node order in which ``assemble`` stores the pencil as band matrices
   is too small to count by. Inverse iteration from the exact point-nucleus
   levels finds them (Parlett, *The Symmetric Eigenvalue Problem*,
   ch. 3-4), and the solve returns exactly m levels or raises SolverError.
-- The stabilized pencil is nonsymmetric and has no inertia. Each slice of
-  its window is one shift-invert Arnoldi disk (Ericsson & Ruhe 1980;
-  ARPACK) that certifies itself by its radius, and the determinant signs
-  beside the slice's edges check the parity of its number of real
-  eigenvalues.
+- The stabilized pencil is nonsymmetric and has no inertia. The solve
+  cuts a window of many levels in two, and each slice is one shift-invert
+  Arnoldi disk (Ericsson & Ruhe 1980; ARPACK) that certifies itself by its
+  radius; the determinant signs beside the slice's edges check the parity
+  of its number of real eigenvalues.
 
 The dense full-spectrum solve the tests check it against lives in the tests.
 """
@@ -61,7 +61,7 @@ WINDOW_FIRST_K = 16
 #: it holds and the one eigenpair beyond its edge that certifies it.
 SPLIT_FIRST_K = 3
 
-#: ``bound_window`` splits windows of at least this many levels into two disks.
+#: The stabilized solve cuts a window of at least this many genuine levels into two disks.
 SPLIT_LEVELS = 10
 
 #: Plain inverse-iteration steps at one shift before Rayleigh-quotient iteration takes over.
@@ -114,8 +114,8 @@ class Spectrum:
         return self.bindings + self.params.rest_energy
 
 
-def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
-    """Binding window edges holding the first ``levels`` levels of ``params``' kappa.
+def bound_window(params: OperatorParams, levels: int) -> tuple[float, float]:
+    """Binding window (lo, hi) holding the first ``levels`` levels of ``params``' kappa.
 
     ``lo`` is twice the kappa = -|kappa| ground binding, below every level of
     either sign including the kappa > 0 copy of that ground state. The
@@ -124,15 +124,7 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
     kappa > 0. So ``hi`` lies halfway between the reference levels
     n_r = levels - 1 and n_r = levels for kappa < 0, and between
     n_r = levels and n_r = levels + 1 for kappa > 0: past the last level the
-    series needs, and short of the next one. Below SPLIT_LEVELS levels the
-    window is ``(lo, hi)``. From SPLIT_LEVELS on it is ``(lo, s, hi)``, with
-    ``s`` halfway between the reference levels n_r = 1 and n_r = 2, so that
-    the stabilized pencil is solved as two disks: one shift placed at the
-    midpoint of so wide a window sits far from its top edge in the Rydberg
-    accumulation, where the last wanted level and the next one differ in
-    distance from the shift by a fraction of a percent and ARPACK converges
-    slowly (spectrum slicing, Grimes, Lewis & Simon 1994). The Galerkin
-    solve reads only the outer edges.
+    series needs, and short of the next one.
     """
     levels = check_count(levels, "levels")
     neg = replace(params, kappa=-abs(params.kappa))
@@ -140,10 +132,7 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, ...]:
     last = levels if params.kappa > 0 else levels - 1
     hi = 0.5 * (reference_binding(neg, last).binding
                 + reference_binding(neg, last + 1).binding)
-    if levels < SPLIT_LEVELS:
-        return lo, hi
-    split = 0.5 * (reference_binding(neg, 1).binding + reference_binding(neg, 2).binding)
-    return lo, split, hi
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -716,6 +705,23 @@ def _solve_disk(system: AssembledSystem, lu, lo: float, hi: float, first_k: int,
     return mu.real[order], vecs[:, order], radius, max_imag
 
 
+def _disk_edges(params: OperatorParams, lo: float, hi: float, size: int) -> list[float]:
+    """The edges of the stabilized solve's disks on (lo, hi): [lo, hi], or [lo, s, hi].
+
+    One shift at the midpoint of a window of SPLIT_LEVELS genuine levels or
+    more sits far from its top edge in the Rydberg accumulation, where
+    ARPACK converges slowly: the last wanted level and the next one differ
+    in distance from it by a fraction of a percent. Such a window is cut at
+    s, halfway between the kappa = -|kappa| reference levels n_r = 1 and 2,
+    if s lies inside it. Its reference shifts count its genuine levels,
+    less one for kappa > 0, whose series has no n_r = 0 level.
+    """
+    genuine = len(_reference_shifts(params, lo, hi, SPLIT_LEVELS + 1, size)) - (params.kappa > 0)
+    neg = replace(params, kappa=-abs(params.kappa))
+    split = 0.5 * (reference_binding(neg, 1).binding + reference_binding(neg, 2).binding)
+    return [lo, split, hi] if genuine >= SPLIT_LEVELS and lo < split < hi else [lo, hi]
+
+
 def _empty_gap_midpoint(mu: np.ndarray, lo: float, edge: float, rim: float) -> float:
     """Midpoint of the gap around ``edge`` that a disk certified free of eigenvalues.
 
@@ -729,64 +735,51 @@ def _empty_gap_midpoint(mu: np.ndarray, lo: float, edge: float, rim: float) -> f
                         + (above.min() if above.size else rim)))
 
 
-def solve(system: AssembledSystem, window: tuple[float, ...],
+def solve(system: AssembledSystem, window: tuple[float, float],
           reality_tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
-    """Solve lhs*X = mu*rhs*X on the binding window ``window=(lo, ..., hi)``.
+    """Solve lhs*X = mu*rhs*X on the binding window ``window=(lo, hi)``.
 
-    ``window`` holds ascending edges. The scheme table decides the path
-    (``assembly.is_galerkin``); both factor shifted pencils ``lhs - s*rhs``
-    formed from the node-order band pencil (half-bandwidth 3 for the
-    linear scheme, 7 for Hermite) in LAPACK band storage, which each solve
-    copies once into ``dgbtrf``'s layout.
+    The scheme table decides the path (``assembly.is_galerkin``); both
+    factor shifted pencils ``lhs - s*rhs`` of the node-order band pencil
+    (half-bandwidth 3 for the linear scheme, 7 for Hermite).
 
-    A Galerkin pencil is symmetric-definite. Its window is solved whole on
-    (lo, hi), whatever interior edges it has: an inertia count at hi and
-    the g-g block's bound at lo (or, where that bound fails or the window
-    holds fewer levels than it allows, a count at lo) give its number of
-    levels m, and inverse iteration from the kappa = -|kappa| reference
-    levels (a second search on a shift's own factor for an extra level
-    beside it, steered by the shifts' determinant signs) and count
-    bisection find exactly m levels (see ``_solve_galerkin``), or
-    SolverError is raised. Each binding is the Rayleigh quotient of its
-    eigenvector, so its error is quadratic in the residual. An rhs that
-    is not positive definite raises SolverError. The solve logs one DEBUG
-    record (``driver=inertia``) with N, the band, the window, m, the
+    A Galerkin pencil is symmetric-definite: ``_solve_galerkin`` finds
+    exactly the m levels that inertia counts give in the window, each the
+    Rayleigh quotient of its eigenvector, or raises SolverError. It logs one
+    DEBUG record (``driver=inertia``) with N, the band, the window, m, the
     shifts and the numbers of factorizations, inertia counts run and
     iteration steps.
 
-    The stabilized pencil is nonsymmetric. Each pair of consecutive edges
-    is one shift-invert disk certified complete on its slice: its shift
-    sigma is the slice's midpoint, ``lhs - sigma*rhs`` is factored once
-    with partial pivoting, and ARPACK's Arnoldi driver (``eigs``) finds
-    the k largest-magnitude eigenvalues theta of ``x -> (lhs -
-    sigma*rhs)^-1 rhs x``, i.e. the k bindings mu = sigma + 1/theta nearest
-    sigma. k starts at SPLIT_FIRST_K for a lower disk and at
-    WINDOW_FIRST_K for the last one, and doubles until the farthest
-    returned |mu - sigma| exceeds the slice's half-width: every eigenvalue
-    of the slice then lies inside the disk the solve exhausted. The
-    determinant signs at the slice's edges check the parity of its real
-    eigenvalues. The disk above an interior edge starts at the midpoint of
-    the gap around that edge that the disk below certified empty, so no
-    eigenvalue is kept twice or dropped. A fixed start vector makes
-    repeated solves bit-identical and the number of operator applications
-    deterministic. Each disk logs one DEBUG record (``driver=nonsymmetric``)
-    with its k, rounds, ``ops`` and parity. A midpoint shift that is
-    exactly singular raises SingularSystemError.
+    The stabilized pencil is nonsymmetric. The solve cuts a window of many
+    levels in two (``_disk_edges``), and each slice is one shift-invert disk
+    at its midpoint sigma: ``lhs - sigma*rhs`` is factored once with partial
+    pivoting, and ARPACK's Arnoldi driver (``eigs``) finds the k bindings mu
+    nearest sigma, whose 1/(mu - sigma) are the largest-magnitude
+    eigenvalues of ``x -> (lhs - sigma*rhs)^-1 rhs x``. k starts at
+    SPLIT_FIRST_K for a lower disk and at WINDOW_FIRST_K for the last one,
+    and doubles until the farthest |mu - sigma| exceeds the slice's
+    half-width. The determinant signs at the slice's edges check the parity
+    of its real eigenvalues. The upper disk starts at the midpoint of the
+    gap around the cut that the lower one certified empty, so no eigenvalue
+    is kept twice or dropped. A fixed start vector makes repeated solves
+    bit-identical. Each disk logs one DEBUG record (``driver=nonsymmetric``)
+    with its k, rounds, ``ops`` and parity. A midpoint shift that is exactly
+    singular raises SingularSystemError.
 
     The bindings are returned in one ascending array, with their node-order
     eigenvectors. A pencil or factor holding a non-finite entry raises
     SingularSystemError. Any computed eigenvalue whose imaginary part
     exceeds ``reality_tol`` relative to its magnitude aborts the solve
     with ComplexSpectrumError. ``reality_tol`` must be a finite real >= 0,
-    and the edges at least two real numbers, finite and strictly ascending,
-    or ConfigError is raised before any work.
+    and ``window`` two real numbers lo < hi, both finite, or ConfigError is
+    raised before any work.
     """
     if not (is_real(reality_tol) and 0.0 <= reality_tol < np.inf):
         raise ConfigError(f"reality_tol must be finite and >= 0, got {reality_tol!r}")
-    edges = [float(edge) if is_real(edge) else math.nan for edge in window]  # refused below
-    if (len(edges) < 2 or not np.isfinite(edges).all()
-            or not all(x < y for x, y in zip(edges, edges[1:]))):
-        raise ConfigError(f"window must hold finite ascending edges lo < ... < hi, got {window}")
+    edges = [float(e) if is_real(e) else math.nan for e in window] if np.iterable(window) else []
+    if len(edges) != 2 or not -np.inf < edges[0] < edges[1] < np.inf:
+        raise ConfigError(f"window must be (lo, hi), finite with lo < hi, got {window!r}")
+    lo, hi = edges
     mc2 = system.params.rest_energy
     if system.size < 3:
         raise SolverError(f"pencil of size {system.size} is too small for a windowed solve")
@@ -794,20 +787,19 @@ def solve(system: AssembledSystem, window: tuple[float, ...],
         raise SingularSystemError("the pencil holds a non-finite entry")
     lu = _shifted_lu(system)
     if is_galerkin(system.scheme):
-        mu, vecs = _solve_galerkin(system, lu, edges[0], edges[-1])
+        mu, vecs = _solve_galerkin(system, lu, lo, hi)
         keep = (mu > -2.0 * mc2) & (mu < 0.0)
         # the search returns real, rhs-normalized vectors
         return Spectrum(scheme=system.scheme, bindings=mu[keep], max_imag=0.0,
                         params=system.params, eigenvectors=_lead_positive(vecs[:, keep], system))
-    bindings, vectors, lo, max_imag = [], [], edges[0], 0.0
-    for hi in edges[1:]:
-        if lo >= hi:
+    bindings, vectors, max_imag = [], [], 0.0
+    for top in _disk_edges(system.params, lo, hi, system.size)[1:]:
+        if lo >= top:
             continue  # the disk below certified this whole slice empty
-        last = hi == edges[-1]
         mu, vecs, radius, disk_imag = _solve_disk(
-            system, lu, lo, hi, WINDOW_FIRST_K if last else SPLIT_FIRST_K, reality_tol)
-        cut = hi if last else min(edges[-1], _empty_gap_midpoint(
-            mu, lo, hi, 0.5 * (lo + hi) + radius))
+            system, lu, lo, top, WINDOW_FIRST_K if top == hi else SPLIT_FIRST_K, reality_tol)
+        cut = hi if top == hi else min(hi, _empty_gap_midpoint(
+            mu, lo, top, 0.5 * (lo + top) + radius))
         keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(cut, 0.0))
         bindings.append(mu[keep])
         vectors.append(vecs[:, keep])
@@ -831,11 +823,11 @@ def bound_states(spectrum: Spectrum, count: int) -> np.ndarray:
 def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarray) -> float:
     """Relative residual of one eigenpair (binding, node-order vector) against the pencil.
 
-    A non-finite binding, or a vector that is not finite, nonzero and of the
-    pencil's size, raises ConfigError.
+    A binding that is not a finite real number, or a vector that is not
+    finite, nonzero and of the pencil's size, raises ConfigError.
     """
-    if not np.isfinite(binding):
-        raise ConfigError(f"binding must be finite, got {binding}")
+    if not (is_real(binding) and np.isfinite(binding)):
+        raise ConfigError(f"binding must be a finite real number, got {binding!r}")
     v = np.asarray(vector, dtype=float)
     if v.shape != (system.size,):
         raise ConfigError(f"vector must have shape ({system.size},), got {v.shape}")

@@ -20,7 +20,7 @@ from diracfem.analysis import (
 )
 from diracfem.assembly import SCHEME_HERMITE, SCHEME_SUPG, assemble, part_dofs
 from diracfem.discretization import build_exponential_mesh, gauss_rule
-from diracfem.eigensolver import Spectrum, bound_window, solve
+from diracfem.eigensolver import Spectrum, bound_window, eigenpair_residual, solve
 from diracfem.errors import ConfigError, DegeneratePencilError
 from diracfem.physics import OperatorParams, reference_binding, reference_spectrum
 
@@ -37,22 +37,36 @@ def hydrogen_reference(count=5):
     return reference_spectrum(OperatorParams(Z=1, kappa=-1), count)
 
 
-def small_hermite_solve(**kwargs):
-    """``solve`` of a 40-dof hydrogen Hermite pencil, on its two-level window unless given."""
+def small_hermite_system():
+    """A 40-dof hydrogen Hermite pencil."""
     params = OperatorParams(Z=1, kappa=-1)
-    system = assemble(SCHEME_HERMITE, params, build_exponential_mesh(1e-6, 40.0, 10, 8.0))
-    return solve(system, **{"window": bound_window(params, 2), **kwargs})
+    return assemble(SCHEME_HERMITE, params, build_exponential_mesh(1e-6, 40.0, 10, 8.0))
+
+
+def small_hermite_solve(**kwargs):
+    """``solve`` of ``small_hermite_system()``, on its two-level window unless given."""
+    system = small_hermite_system()
+    return solve(system, **{"window": bound_window(system.params, 2), **kwargs})
 
 
 #: Per library call with a non-number argument: the call, and the parameter its
-#: ConfigError names. Each raised a builtin TypeError, ValueError or KeyError
-#: from a comparison, ``float()`` or a dict lookup before the type was checked.
+#: ConfigError names. Each raised a builtin TypeError, ValueError, KeyError or
+#: AttributeError from a comparison, ``float()``, a dict lookup, arithmetic or an
+#: attribute read before the type was checked.
 NON_NUMBER_CALLS = [
     pytest.param(lambda: reference_binding(OperatorParams(Z=1, kappa=-1), "1"), "n_r",
                  id="reference_binding-n_r"),
     pytest.param(lambda: small_hermite_solve(reality_tol="x"), "reality_tol",
                  id="solve-reality_tol"),
     pytest.param(lambda: small_hermite_solve(window=("a", 0)), "window", id="solve-window"),
+    pytest.param(lambda: small_hermite_solve(window=None), "window", id="solve-window-none"),
+    pytest.param(lambda: eigenpair_residual(small_hermite_system(), "x", np.ones(40)), "binding",
+                 id="eigenpair_residual-binding"),
+    pytest.param(lambda: tau_rule_residual("a", 0.1, 0.1), "h_j", id="tau_rule_residual-h_j"),
+    pytest.param(lambda: tau_limit_lambda(0.1, 0.2, 0.01, "c"), "c", id="tau_limit_lambda-c"),
+    pytest.param(lambda: part_dofs(SCHEME_HERMITE, "10", "zeta"), "size", id="part_dofs-size"),
+    pytest.param(lambda: assemble(SCHEME_HERMITE, OperatorParams(Z=1, kappa=-1), "mesh"), "mesh",
+                 id="assemble-mesh"),
     pytest.param(lambda: classify([-0.5], hydrogen_reference(), match_tol="x"), "match_tol",
                  id="classify-match_tol"),
     pytest.param(lambda: classify(["a"], hydrogen_reference()), "computed",

@@ -52,6 +52,8 @@ from oracles import (
 )
 
 TOY = OperatorParams(Z=1, kappa=-1, c=10.0)  # mc^2 = 100
+#: Where the stabilized solve cuts a TOY window of SPLIT_LEVELS levels or more, about -0.0905.
+TOY_SPLIT = 0.5 * (reference_binding(TOY, 1).binding + reference_binding(TOY, 2).binding)
 
 # Toy pencils are written in binding form, as ``assemble`` returns them:
 # lhs = A - mc^2 * rhs for the Dirac-form matrix A, so raw = mu + mc^2.
@@ -169,7 +171,8 @@ class TestToyPencils:
             solve(system, window=bound_window(params, 3), reality_tol=reality_tol)
 
     @pytest.mark.parametrize("window", [
-        (-np.inf, 0.0), (-1.0, np.inf), (-1.0, -0.5, np.inf), (-1.0, -2.0), (-1.0,)])
+        (-np.inf, 0.0), (-1.0, np.inf), (-1.0, -0.5, np.inf), (-1.0, -2.0), (-1.0,),
+        (-1.0, -0.5, 0.0)])
     def test_bad_window_rejected_before_any_work(self, window, capfd):
         # an infinite edge used to make an infinite shift, a numpy warning,
         # and a SingularSystemError that blamed the pencil for the window
@@ -328,10 +331,12 @@ class TestRealSystems:
         assert windowed.eigenvectors.shape == (20, 0)
 
     def test_windowed_singular_shift(self):
-        # sigma = -0.5 is an eigenvalue: the disk's shifted pencil is exactly singular
-        lhs = np.diag(np.concatenate([[-0.5], np.arange(5.0, 25.0)]))
+        # the window holds 7 TOY levels, so it is one disk; its shift
+        # sigma = -0.505 is an eigenvalue: the shifted pencil is exactly singular
+        lo, hi = -1.0, -0.01
+        lhs = np.diag(np.concatenate([[0.5 * (lo + hi)], np.arange(5.0, 25.0)]))
         with pytest.raises(SingularSystemError):
-            solve(toy_system(lhs, np.eye(21), scheme=SCHEME_SUPG), window=(-1.0, 0.0))
+            solve(toy_system(lhs, np.eye(21), scheme=SCHEME_SUPG), window=(lo, hi))
 
     @pytest.mark.parametrize("scheme", [SCHEME_LINEAR, SCHEME_SUPG])
     def test_windowed_solve_pivots(self, scheme):
@@ -398,28 +403,33 @@ class TestRealSystems:
         # ARPACK applies the operator at least once per Krylov vector
         assert int(re.search(r"ops=(\d+)", message).group(1)) > 16
 
-    def test_split_window_keeps_an_eigenvalue_on_its_edge_once(self):
-        # mu = -0.5 sits exactly on the interior edge: the lower disk keeps
-        # it, and the upper one starts in the empty gap (-0.5, -0.3) above it
+    def test_split_window_keeps_an_eigenvalue_on_its_edge_once(self, caplog):
+        # (-1, 0) holds every TOY level, so the solve cuts it at TOY_SPLIT;
+        # an eigenvalue sits exactly on the cut: the lower disk keeps it, and
+        # the upper one starts in the empty gap (TOY_SPLIT, -0.05) above it
         size = 20
-        lhs = np.diag(np.concatenate([[-0.9, -0.6, -0.5, -0.3, -0.1],
-                                      np.arange(5.0, 5.0 + size - 5)]))
-        windowed = solve(toy_system(lhs, np.eye(size), scheme=SCHEME_SUPG),
-                         window=(-1.0, -0.5, 0.0))
-        np.testing.assert_allclose(windowed.bindings, [-0.9, -0.6, -0.5, -0.3, -0.1],
-                                   rtol=1e-12)
+        levels = [-0.9, -0.6, TOY_SPLIT, -0.05, -0.01]
+        lhs = np.diag(np.concatenate([levels, np.arange(5.0, 5.0 + size - 5)]))
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            windowed = solve(toy_system(lhs, np.eye(size), scheme=SCHEME_SUPG),
+                             window=(-1.0, 0.0))
+        lower, _ = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
+        assert f"window=(-1.0, {TOY_SPLIT!r})" in lower
+        np.testing.assert_allclose(windowed.bindings, levels, rtol=1e-12)
         assert windowed.eigenvectors.shape == (size, 5)
 
     def test_split_window_skips_a_slice_certified_empty(self, caplog):
-        # the lower disk reaches past the window's top edge without finding
-        # an eigenvalue above -0.9: no upper disk runs, and none is lost
+        # (-1, 0) is cut at TOY_SPLIT, and the lower disk reaches past the
+        # window's top edge without finding an eigenvalue above -0.9: no
+        # upper disk runs, and none is lost
         size = 20
         lhs = np.diag(np.concatenate([[-0.9], np.arange(5.0, 5.0 + size - 1)]))
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             windowed = solve(toy_system(lhs, np.eye(size), scheme=SCHEME_SUPG),
-                             window=(-1.0, -0.5, -0.01))
+                             window=(-1.0, 0.0))
         np.testing.assert_allclose(windowed.bindings, [-0.9], rtol=1e-12)
-        assert len([r for r in caplog.records if r.name == "diracfem"]) == 1
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
+        assert f"window=(-1.0, {TOY_SPLIT!r})" in record
 
     def test_split_window_logs_one_record_per_disk(self, caplog):
         # the Hermite pencil labelled SUPG runs the Arnoldi disks
@@ -427,9 +437,11 @@ class TestRealSystems:
         mesh = build_exponential_mesh(1e-6, 60.0, 100, 8.5)
         system = relabelled(assemble(SCHEME_HERMITE, params, mesh),
                             SCHEME_SUPG)
-        lo, split, hi = bound_window(params, 12)
+        lo, hi = bound_window(params, 12)
+        # a window of 12 levels is cut between the reference levels n_r = 1 and 2
+        split = 0.5 * (reference_binding(params, 1).binding + reference_binding(params, 2).binding)
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
-            solve(system, window=(lo, split, hi))
+            solve(system, window=(lo, hi))
         lower, upper = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
         assert f"window=({lo!r}, {split!r})" in lower and "k=3 " in lower
         assert f", {hi!r})" in upper and "k=16 " in upper
@@ -439,21 +451,25 @@ class TestRealSystems:
 
     @pytest.mark.parametrize("scheme", [SCHEME_LINEAR, SCHEME_HERMITE, SCHEME_SUPG])
     @pytest.mark.parametrize("kappa", [2, -2])
-    def test_split_window_matches_dense(self, scheme, kappa):
+    def test_split_window_matches_dense(self, scheme, kappa, caplog):
         params = OperatorParams(Z=12, kappa=kappa)
         mesh = build_exponential_mesh(1e-6, 60.0, 100, 8.5)
         system = assemble(scheme, params, mesh)
-        window = bound_window(params, 12)
-        assert len(window) == 3
-        windowed = solve(system, window=window)
+        lo, hi = bound_window(params, 12)
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            windowed = solve(system, window=(lo, hi))
+        records = [r for r in caplog.records if r.name == "diracfem"]
         if scheme == SCHEME_SUPG:
+            # the 12-level window is solved as two disks
+            assert len(records) == 2
             # the QZ eigenvalues themselves sit up to 2.9e-11 off these quotients
-            full = dense_two_sided_bindings(system, window[0], window[-1]).bindings
+            full = dense_two_sided_bindings(system, lo, hi).bindings
             rtol = SUPG_ORACLE_RTOL
         else:
+            assert len(records) == 1
             # the Rayleigh quotients of the dense eigenvectors: the dense eigh
             # values themselves sit up to 2.9e-9 off them
-            full = dense_rayleigh_bindings(system, window[0], window[-1])
+            full = dense_rayleigh_bindings(system, lo, hi)
             rtol = GALERKIN_ORACLE_RTOL
         assert len(full) >= 12
         assert len(windowed.bindings) == len(full)
@@ -467,15 +483,12 @@ class TestRealSystems:
             # n_r = 0 ... levels - 1: each window ends right past its last level
             last = 12 if kappa > 0 else 11
             window = bound_window(params, 12)
-            lo, hi = window[0], window[-1]
+            assert len(window) == 2
+            lo, hi = window
             assert lo == 2.0 * reference_binding(neg, 0).binding
             assert hi == 0.5 * (reference_binding(neg, last).binding
                                 + reference_binding(neg, last + 1).binding)
-            # a many-level window is cut between the reference levels n_r = 1 and 2
-            assert len(window) == 3
-            assert window[1] == 0.5 * (reference_binding(neg, 1).binding
-                                       + reference_binding(neg, 2).binding)
-            # a window of fewer than SPLIT_LEVELS levels stays one slice
+            # a window of fewer levels ends right past its own last level
             lo, hi = bound_window(params, SPLIT_LEVELS - 1)
             assert lo == window[0]
             last = SPLIT_LEVELS - 1 if kappa > 0 else SPLIT_LEVELS - 2
@@ -490,6 +503,42 @@ class TestRealSystems:
         # n_r = 0.5 and 1.5, True the one-level window
         with pytest.raises(ConfigError, match="levels"):
             bound_window(OperatorParams(Z=1, kappa=-1), levels)
+
+    def test_stabilized_solve_cuts_a_bound_window_of_many_levels(self):
+        # every bound window is (lo, hi); the stabilized solve cuts it halfway
+        # between the kappa = -|kappa| reference levels n_r = 1 and 2 from
+        # SPLIT_LEVELS levels on, for either sign of kappa
+        for z in (1, 2, 12, 50, 92):
+            for kappa in (-3, -2, -1, 1, 2, 3):
+                params = OperatorParams(Z=z, kappa=kappa)
+                neg = replace(params, kappa=-abs(kappa))
+                split = 0.5 * (reference_binding(neg, 1).binding
+                               + reference_binding(neg, 2).binding)
+                for levels in range(1, 41):
+                    window = bound_window(params, levels)
+                    assert len(window) == 2
+                    lo, hi = window
+                    edges = [lo, split, hi] if levels >= SPLIT_LEVELS else [lo, hi]
+                    assert eigensolver._disk_edges(params, lo, hi, 1600) == edges
+
+    def test_many_levels_above_the_cut_stay_one_disk(self, caplog):
+        # (lo, hi) holds the 11 levels n_r = 2 ... 12, but the cut between
+        # n_r = 1 and 2 lies below lo: one disk, and the levels the two disks
+        # of the whole bound window find there
+        params = OperatorParams(Z=12, kappa=-2)
+        system = assemble(SCHEME_SUPG, params, build_exponential_mesh(1e-6, 60.0, 100, 8.5))
+        b1, b2 = (reference_binding(params, n_r).binding for n_r in (1, 2))
+        lo = 0.5 * (0.5 * (b1 + b2) + b2)  # between the cut and n_r = 2
+        _, hi = window = bound_window(params, 13)
+        assert eigensolver._disk_edges(params, lo, hi, system.size) == [lo, hi]
+        whole = solve(system, window=window)
+        with caplog.at_level(logging.DEBUG, logger="diracfem"):
+            upper = solve(system, window=(lo, hi))
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
+        assert f"window=({lo!r}, {hi!r})" in record
+        assert len(upper.bindings) >= SPLIT_LEVELS
+        np.testing.assert_allclose(upper.bindings, whole.bindings[whole.bindings > lo],
+                                   rtol=1e-12, atol=0.0)
 
     def test_bound_states_is_slice_of_bindings(self, hydrogen_solution):
         params, system, spectrum = hydrogen_solution
@@ -705,7 +754,7 @@ class TestGalerkinDriver:
         params = OperatorParams(Z=z, kappa=kappa)
         system = assemble(SCHEME_LINEAR, params, build_exponential_mesh(*mesh_args))
         window = bound_window(params, levels)
-        lo, hi = window[0], window[-1]
+        lo, hi = window
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             windowed = solve(system, window=window)
         (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
@@ -741,10 +790,10 @@ class TestGalerkinDriver:
     def test_debug_record_names_the_count(self, caplog):
         params = OperatorParams(Z=12, kappa=-2)
         system = assemble(SCHEME_HERMITE, params, build_exponential_mesh(1e-6, 60.0, 100, 8.5))
-        lo, split, hi = bound_window(params, 12)
+        lo, hi = bound_window(params, 12)
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
-            windowed = solve(system, window=(lo, split, hi))
-        # one record for the whole window: the interior edge cuts no disk
+            windowed = solve(system, window=(lo, hi))
+        # one record for the whole window: the Galerkin solve cuts no disk
         (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
         shifts = [reference_binding(params, n_r).binding for n_r in range(12)]
         for part in (f"N={system.size} ", "band=(7, 7)", f"window=({lo!r}, {hi!r})",
@@ -920,7 +969,7 @@ class TestInertiaCount:
         window = bound_window(params, levels)
         count = eigensolver._inertia_counter(system)
         # both edges and 25 shifts between them
-        for s in np.linspace(window[0], window[-1], 27):
+        for s in np.linspace(*window, 27):
             assert count(s) == superlu_count(system, s)
 
     def test_count_is_superlus_in_random_windows(self):
@@ -942,7 +991,7 @@ class TestInertiaCount:
             window = bound_window(params, levels)
             found = solve(system, window=window).bindings
             count = eigensolver._inertia_counter(system)
-            for s in rng.uniform(window[0], window[-1], 8):
+            for s in rng.uniform(*window, 8):
                 if not np.all(np.abs(found - s) >= 1e-7 * abs(s)):
                     continue
                 assert count(s) == superlu_count(system, s)

@@ -318,23 +318,34 @@ def test_every_package_function_has_a_caller():
     assert uncalled_functions(package, callers + [example]) == []
 
 
-def private_definitions(source: str) -> list[str]:
-    """The ``_``-prefixed (not dunder) functions, classes and constants ``source`` defines at top level."""
+def top_level_definitions(source: str) -> list[tuple[str, bool]]:
+    """(name, whether it is assigned) for each function, class and constant ``source`` defines at top level."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            names.append((node.name, False))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [target.id for target in targets if isinstance(target, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+            names += [(target.id, True) for target in targets if isinstance(target, ast.Name)]
+    return names
 
 
-def orphaned_private_names(package: list[str]) -> list[str]:
-    """The private top-level definitions of ``package`` that no source in it uses."""
+def private_definitions(source: str) -> list[str]:
+    """The ``_``-prefixed (not dunder) functions, classes and constants ``source`` defines at top level."""
+    return [name for name, _ in top_level_definitions(source)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def public_constants(source: str) -> list[str]:
+    """The UPPER_CASE names ``source`` assigns at top level, not ``_``-prefixed."""
+    return [name for name, assigned in top_level_definitions(source)
+            if assigned and name.isupper() and not name.startswith("_")]
+
+
+def orphaned_names(package: list[str], definitions=private_definitions) -> list[str]:
+    """The names ``definitions`` finds in ``package`` (private ones by default) that no source in it uses."""
     used = set().union(*(names_used(source) for source in package))
-    return [name for source in package for name in private_definitions(source)
-            if name not in used]
+    return [name for source in package for name in definitions(source) if name not in used]
 
 
 def test_orphaned_private_name_detector():
@@ -343,9 +354,9 @@ def test_orphaned_private_name_detector():
                "def _gap(x):\n    return x\n\n"
                "def _widest_gap_midpoint(x):\n    return x\n\n"
                "class _Shape:\n    pass\n"]
-    assert orphaned_private_names(package) == ["_unused", "_widest_gap_midpoint", "_Shape"]
-    assert orphaned_private_names(package + ["from m import _Shape\n_widest_gap_midpoint(1)\n"
-                                             "print(_unused)"]) == []
+    assert orphaned_names(package) == ["_unused", "_widest_gap_midpoint", "_Shape"]
+    assert orphaned_names(package + ["from m import _Shape\n_widest_gap_midpoint(1)\n"
+                                     "print(_unused)"]) == []
 
 
 def test_every_private_name_is_used_in_the_package():
@@ -358,7 +369,29 @@ def test_every_private_name_is_used_in_the_package():
     """
     package = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     assert sum(len(private_definitions(source)) for source in package) >= 10
-    assert orphaned_private_names(package) == []
+    assert orphaned_names(package) == []
+
+
+def test_orphaned_constant_detector():
+    package = ["SPLIT_LEVELS = 10\nWINDOW_FIRST_K: int = 16\n_LIMIT = 3\nnot_a_constant = 4\n"
+               "__all__ = ['f']\n\ndef f(k=WINDOW_FIRST_K):\n    return k < _LIMIT\n"]
+    assert orphaned_names(package, public_constants) == ["SPLIT_LEVELS"]
+    assert orphaned_names(package + ["from m import SPLIT_LEVELS"], public_constants) == []
+    assert public_constants(package[0]) == ["SPLIT_LEVELS", "WINDOW_FIRST_K"]
+
+
+def test_every_public_constant_is_read_in_the_package():
+    """Each public UPPER_CASE module constant of the package is read somewhere in src.
+
+    A constant nothing in src reads is a setting that sets nothing: a change
+    that removes its last reader must remove it too. A re-export in
+    ``__init__`` is no read. The check goes by name, like the private-name
+    check, so it is only a floor.
+    """
+    package = [path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path != SRC / "__init__.py"]
+    assert sum(len(public_constants(source)) for source in package) >= 20
+    assert orphaned_names(package, public_constants) == []
 
 
 CACHE_DECORATORS = {"lru_cache", "cache"}
