@@ -37,7 +37,7 @@ import numpy as np
 
 from .discretization import BasisKind, Mesh, gauss_rule, hat_local, hermite_local
 from .errors import ConfigError
-from .physics import OperatorParams, check_count, potential_value
+from .physics import OperatorParams, check_count, check_type, potential_value
 
 SCHEME_LINEAR = "linear-galerkin"
 SCHEME_HERMITE = "hermite-galerkin"
@@ -82,6 +82,7 @@ def compute_tau(mesh: Mesh) -> np.ndarray:
     neighbouring elements give tau = 0 and |tau| < h_e always (the 9/35
     factor times a ratio below 1).
     """
+    check_type(mesh, "mesh", Mesh)
     h = mesh.h
     tau = np.zeros(mesh.element_count)
     tau[1:] = element_tau(h[:-1], h[1:])
@@ -265,8 +266,9 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh,
     storage, through band slots built once per (n, basis, free slope) shape.
     """
     kind, terms = _scheme_entry(scheme)
-    if not isinstance(mesh, Mesh):
-        raise ConfigError(f"mesh must be a Mesh, got {type(mesh).__name__}")
+    check_type(params, "params", OperatorParams)
+    check_type(mesh, "mesh", Mesh)
+    check_type(free_lower_slope, "free_lower_slope", bool, np.bool_)
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:
         raise ConfigError(f"free_lower_slope applies to the Hermite schemes only: "
                           f"{scheme} has no slope dof")

@@ -12,14 +12,13 @@ in the node order in which ``assemble`` stores the pencil as band matrices
 
 - The Galerkin pencils are symmetric-definite, so Sylvester inertia counts
   their eigenvalues exactly (spectrum slicing; Grimes, Lewis & Simon 1994).
-  One count at the window's top edge, and at its lower edge a bound from
-  the negative definite g-g block (Haynsworth 1968), give its number of
-  levels m. A count is one partially pivoted band LU of the shifted
-  pencil under a diagonal similarity by powers of two, which keeps the
-  unpivoted pivots exact and leaves a row interchange only where a pivot
-  is too small to count by. Inverse iteration from the exact point-nucleus
-  levels finds them (Parlett, *The Symmetric Eigenvalue Problem*,
-  ch. 3-4), and the solve returns exactly m levels or raises SolverError.
+  One count at each edge of the window gives its number of levels m. A
+  count is one partially pivoted band LU of the shifted pencil under a
+  diagonal similarity by powers of two, which keeps the unpivoted pivots
+  exact and leaves a row interchange only where a pivot is too small to
+  count by. Inverse iteration from the exact point-nucleus levels finds
+  them (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3-4), and the
+  solve returns exactly m levels or raises SolverError.
 - The stabilized pencil is nonsymmetric and has no inertia. The solve
   cuts a window of many levels in two, and each slice is one shift-invert
   Arnoldi disk (Ericsson & Ruhe 1980; ARPACK) that certifies itself by its
@@ -49,7 +48,7 @@ from .errors import (
     SingularSystemError,
     SolverError,
 )
-from .physics import OperatorParams, check_count, is_real, reference_binding
+from .physics import OperatorParams, check_count, check_type, is_real, reference_binding
 
 #: Default relative bound on acceptable imaginary parts of SUPG eigenvalues.
 DEFAULT_REALITY_TOL = 1e-8
@@ -126,6 +125,7 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, float]:
     n_r = levels and n_r = levels + 1 for kappa > 0: past the last level the
     series needs, and short of the next one.
     """
+    check_type(params, "params", OperatorParams)
     levels = check_count(levels, "levels")
     neg = replace(params, kappa=-abs(params.kappa))
     lo = 2.0 * reference_binding(neg, 0).binding
@@ -141,17 +141,12 @@ class _BandShape:
 
     ``scale`` holds one power of two per band row, 2^(-k*(i - j)) for the
     row of offset i - j, that scales the shifted pencil for an inertia
-    count (see ``_inertia_counter``). ``g`` holds the sorted g dofs and
-    ``g_slots`` the band slot of each lower band entry of the g-g block, in
-    g order, where ``g_inside`` holds. ``f_values`` are the f-value dofs,
+    count (see ``_inertia_counter``). ``f_values`` are the f-value dofs,
     ``start`` the fixed start vector of inverse iteration and ``natural``
     the identity permutation.
     """
 
     scale: np.ndarray
-    g: np.ndarray
-    g_slots: np.ndarray
-    g_inside: np.ndarray
     f_values: np.ndarray
     start: np.ndarray
     natural: np.ndarray
@@ -173,17 +168,8 @@ def _band_shape(scheme: str, size: int, hb: int) -> _BandShape:
     # 2^-k just below PIVOT_TOL (k = 40), as far as the scales 2^(+-k*hb)
     # leave entries from 2^-62 to 2^63 inside the normal double range
     k = min(math.ceil(-math.log2(PIVOT_TOL)), 960 // max(hb, 1))
-    g = np.sort(np.concatenate([part_dofs(scheme, size, part) for part in ("xi", "xi_prime")]))
-    # in g order the block's half-bandwidth is the most g dofs within hb
-    # after one: hb // 2 for an assembled pencil
-    kd = int(np.max(np.searchsorted(g, g + hb, side="right") - np.arange(1, len(g) + 1),
-                    initial=0))
-    g_rows = np.arange(len(g)) + np.arange(kd + 1)[:, None]  # the g row of each lower band slot
-    g_inside = g_rows < len(g)
-    g_slots = np.where(g_inside, hb + g[np.minimum(g_rows, len(g) - 1)] - g, hb)  # ... and its slot
     return _BandShape(
         scale=np.ldexp(1.0, -k * np.arange(-hb, hb + 1))[:, None],
-        g=g, g_slots=g_slots, g_inside=g_inside,
         f_values=part_dofs(scheme, size, "zeta"),
         # fixed, so repeated solves are bit-identical; not all ones, which a
         # symmetric pencil can make orthogonal to a level it then never finds
@@ -503,34 +489,12 @@ def _odd_intervals(parity: dict[float, int], found: list[float]):
             yield p, q
 
 
-def _g_block_floor(system: AssembledSystem, lo: float) -> int | None:
-    """N_g, the number of g dofs, if the g-g block of lhs - lo*rhs is negative definite.
-
-    That block is the integral of (V - 2mc^2 - lo)*g_i*g_j: the potential
-    is negative, so the block is negative definite for every lo >= -2mc^2,
-    ``bound_window``'s lo among them. Then lhs - lo*rhs has N_g negative
-    eigenvalues plus those of its Schur complement (Haynsworth's inertia
-    additivity, 1968), so count(lo) >= N_g. The band Cholesky
-    factorization (``dpbtrf``) of minus the block checks its
-    definiteness; None if it fails.
-    """
-    shape = _shape_of(system)
-    slots, g = shape.g_slots, shape.g
-    band = np.where(shape.g_inside, lo * system.rhs_band[slots, g] - system.lhs_band[slots, g],
-                    0.0)
-    _, info = dpbtrf(band, lower=1, overwrite_ab=True)
-    return len(g) if info == 0 else None
-
-
 def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
     """Every eigenpair of a symmetric-definite pencil in (lo, hi), ascending: (mu, vectors).
 
     ``lu`` factors the shifted pencil (see ``_shifted_lu``).
 
-    1. Count: count(hi), and count(lo) >= N_g from the Cholesky
-       factorization of the g-g block at lo (``_g_block_floor``), so the
-       window holds at most m = count(hi) - N_g levels. Where that block is
-       not negative definite, count(lo) is counted and m is exact.
+    1. Count: the window holds m = count(hi) - count(lo) levels.
     2. Locate: one inverse-iteration search from each kappa = -|kappa|
        reference level in the window.
     3. Find the extras: each search's determinant sign is the parity of the
@@ -539,15 +503,12 @@ def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
        level, or the kappa > 0 copy of the ground state). Such a level
        sits beside a genuine one, so an odd interval just below a shift,
        and one above the last shift, is searched once more on that shift's
-       factor before the next shift is factored. The parity at lo is
-       N_g's; it only steers these searches.
-    4. Certify: m levels found in the window prove count(lo) = N_g, and
-       the window is certified with one count. Otherwise count(lo) is
-       counted (another level lies below lo, or a search missed a level),
-       and count bisection runs until every interval holds as many found
-       levels as it counts, searching the middle of each interval that
-       still misses some. A window that does not settle raises
-       SolverError.
+       factor before the next shift is factored. The parity at each edge
+       is its count's.
+    4. Certify: count bisection runs until every interval holds as many
+       found levels as it counts, searching the middle of each interval
+       that still misses some; with m levels found, it counts nothing
+       more. A window that does not settle raises SolverError.
 
     rhs must be positive definite for the counts to mean "eigenvalues below
     s"; its band Cholesky factorization checks that.
@@ -558,14 +519,11 @@ def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
         raise SolverError(f"rhs of the {system.scheme} pencil is not positive definite "
                           f"(band Cholesky fails in column {info})")
     count = _inertia_counter(system)
-    below = {hi: count(hi)}  # the counts run
-    floor = _g_block_floor(system, lo)
-    if floor is None:
-        floor = below[lo] = count(lo)
-    m = below[hi] - floor  # the window's number of levels, or more until count(lo) is known
+    below = {hi: count(hi), lo: count(lo)}  # the counts run
+    m = below[hi] - below[lo]  # the window's number of levels
     search = _LevelSearch(system, lu)
     shifts = _reference_shifts(system.params, lo, hi, m, system.size)
-    parity = {lo: floor % 2, hi: below[hi] % 2}
+    parity = {edge: n % 2 for edge, n in below.items()}
     for sigma in shifts:
         factor = search.factor(sigma)
         if factor[2]:
@@ -578,12 +536,6 @@ def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
                 search.search(factor, *interval)
         del factor  # before the next shift is factored
     pending = [(lo, hi)]
-    if lo not in below:
-        if sum(lo < mu < hi for mu in search.mu) == m:
-            pending = []  # the floor is count(lo): the window is certified
-        else:
-            below[lo] = count(lo)
-            m = below[hi] - below[lo]
     while pending:
         x, y = pending.pop()
         found = np.sort([mu for mu in search.mu if x < mu < y])
@@ -770,10 +722,11 @@ def solve(system: AssembledSystem, window: tuple[float, float],
     eigenvectors. A pencil or factor holding a non-finite entry raises
     SingularSystemError. Any computed eigenvalue whose imaginary part
     exceeds ``reality_tol`` relative to its magnitude aborts the solve
-    with ComplexSpectrumError. ``reality_tol`` must be a finite real >= 0,
-    and ``window`` two real numbers lo < hi, both finite, or ConfigError is
-    raised before any work.
+    with ComplexSpectrumError. ``system`` must be an AssembledSystem,
+    ``reality_tol`` a finite real >= 0 and ``window`` two real numbers
+    lo < hi, both finite, or ConfigError is raised before any work.
     """
+    check_type(system, "system", AssembledSystem)
     if not (is_real(reality_tol) and 0.0 <= reality_tol < np.inf):
         raise ConfigError(f"reality_tol must be finite and >= 0, got {reality_tol!r}")
     edges = [float(e) if is_real(e) else math.nan for e in window] if np.iterable(window) else []
@@ -811,7 +764,12 @@ def solve(system: AssembledSystem, window: tuple[float, float],
 
 
 def bound_states(spectrum: Spectrum, count: int) -> np.ndarray:
-    """First ``count`` bound bindings (deepest first): a checked slice of ``bindings``."""
+    """First ``count`` bound bindings (deepest first): a checked slice of ``bindings``.
+
+    ``spectrum`` is a Spectrum, or anything else with its ``bindings``.
+    """
+    if not hasattr(spectrum, "bindings"):
+        raise ConfigError(f"spectrum must be a Spectrum, got {type(spectrum).__name__}")
     count = check_count(count, "count")
     if len(spectrum.bindings) < count:
         raise InsufficientLevelsError(
@@ -826,6 +784,7 @@ def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarr
     A binding that is not a finite real number, or a vector that is not
     finite, nonzero and of the pencil's size, raises ConfigError.
     """
+    check_type(system, "system", AssembledSystem)
     if not (is_real(binding) and np.isfinite(binding)):
         raise ConfigError(f"binding must be a finite real number, got {binding!r}")
     v = np.asarray(vector, dtype=float)

@@ -39,6 +39,13 @@ def check_charge(Z: float) -> None:
         raise PhysicsError(f"nuclear charge must be finite and >= 1, got Z={Z}")
 
 
+def check_type(value, name: str, *kinds: type) -> None:
+    """Raise ConfigError naming ``name`` and the type it got unless ``value`` is one of ``kinds``."""
+    if not isinstance(value, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise ConfigError(f"{name} must be a {expected}, got {type(value).__name__}")
+
+
 def check_count(value, name: str, least: int = 1) -> int:
     """``value`` as an int; ConfigError naming ``name`` unless it is a whole number >= ``least``.
 
@@ -126,6 +133,7 @@ def reference_binding(params: OperatorParams, n_r: int) -> ReferenceLevel:
     raises ConfigError. ``params.R`` is not read: an extended nucleus has
     no closed form.
     """
+    check_type(params, "params", OperatorParams)
     least = 1 if params.kappa > 0 else 0
     if is_real(n_r) and n_r < least:
         raise PhysicsError(f"n_r must be >= {least} for kappa={params.kappa}, got n_r={n_r}")
@@ -141,6 +149,7 @@ def reference_binding(params: OperatorParams, n_r: int) -> ReferenceLevel:
 
 def reference_spectrum(params: OperatorParams, count: int) -> list[ReferenceLevel]:
     """First ``count`` bound levels of the kappa series, deepest first."""
+    check_type(params, "params", OperatorParams)
     count = check_count(count, "count")
     start = 0 if params.kappa < 0 else 1
     return [reference_binding(params, n_r) for n_r in range(start, start + count)]

@@ -18,9 +18,9 @@ from diracfem.analysis import (
     tau_rule_residual,
     truncate_to_genuine,
 )
-from diracfem.assembly import SCHEME_HERMITE, SCHEME_SUPG, assemble, part_dofs
+from diracfem.assembly import SCHEME_HERMITE, SCHEME_SUPG, assemble, compute_tau, part_dofs
 from diracfem.discretization import build_exponential_mesh, gauss_rule
-from diracfem.eigensolver import Spectrum, bound_window, eigenpair_residual, solve
+from diracfem.eigensolver import Spectrum, bound_states, bound_window, eigenpair_residual, solve
 from diracfem.errors import ConfigError, DegeneratePencilError
 from diracfem.physics import OperatorParams, reference_binding, reference_spectrum
 
@@ -81,6 +81,52 @@ def test_a_non_number_argument_raises_config_error_naming_it(call, name):
         call()
     assert type(caught.value) is ConfigError
     assert re.search(rf"\b{name}\b", str(caught.value))
+
+
+HYDROGEN = OperatorParams(Z=1, kappa=-1)
+SMALL_MESH = build_exponential_mesh(1e-6, 40.0, 10, 8.0)
+
+#: Per library call with an argument of the wrong type: the call, the parameter
+#: its ConfigError names and the type it got. Each object argument raised a
+#: builtin AttributeError, and a truthy flag that is not a bool freed the slope.
+WRONG_TYPE_CALLS = [
+    pytest.param(lambda: assemble(SCHEME_HERMITE, "params", SMALL_MESH), "params", "str",
+                 id="assemble-params"),
+    pytest.param(lambda: bound_window("params", 3), "params", "str", id="bound_window-params"),
+    pytest.param(lambda: solve("system", (-1.0, 0.0)), "system", "str", id="solve-system"),
+    pytest.param(lambda: bound_states("s", 2), "spectrum", "str", id="bound_states-spectrum"),
+    pytest.param(lambda: compute_tau("mesh"), "mesh", "str", id="compute_tau-mesh"),
+    pytest.param(lambda: eigenpair_residual("system", -0.5, np.ones(40)), "system", "str",
+                 id="eigenpair_residual-system"),
+    pytest.param(lambda: reference_binding("params", 0), "params", "str",
+                 id="reference_binding-params"),
+    pytest.param(lambda: reference_spectrum(None, 2), "params", "NoneType",
+                 id="reference_spectrum-params"),
+    pytest.param(lambda: convergence_study(SCHEME_HERMITE, "params", (10,), 2, a=1e-6, b=40.0,
+                                           gamma=8.0), "params", "str",
+                 id="convergence_study-params"),
+    pytest.param(lambda: assemble(SCHEME_HERMITE, HYDROGEN, SMALL_MESH, free_lower_slope="yes"),
+                 "free_lower_slope", "str", id="assemble-free_lower_slope-str"),
+    pytest.param(lambda: assemble(SCHEME_HERMITE, HYDROGEN, SMALL_MESH, free_lower_slope=2),
+                 "free_lower_slope", "int", id="assemble-free_lower_slope-int"),
+    pytest.param(lambda: convergence_study(SCHEME_HERMITE, HYDROGEN, (10,), 2, a=1e-6, b=40.0,
+                                           gamma=8.0, free_lower_slope="yes"),
+                 "free_lower_slope", "str", id="convergence_study-free_lower_slope"),
+]
+
+
+@pytest.mark.parametrize("call, name, got", WRONG_TYPE_CALLS)
+def test_a_wrong_type_raises_config_error_naming_it(call, name, got):
+    with pytest.raises(ConfigError) as caught:
+        call()
+    assert type(caught.value) is ConfigError
+    assert re.search(rf"\b{name}\b.*\b{got}\b", str(caught.value))
+
+
+def test_a_numpy_bool_frees_the_slope():
+    sizes = {flag: assemble(SCHEME_HERMITE, HYDROGEN, SMALL_MESH, free_lower_slope=flag).size
+             for flag in (False, True, np.False_, np.True_)}
+    assert sizes == {False: 40, True: 42}
 
 
 class TestClassify:

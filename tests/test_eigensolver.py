@@ -760,7 +760,8 @@ class TestGalerkinDriver:
         (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
         np.testing.assert_allclose(windowed.bindings, dense_rayleigh_bindings(system, lo, hi),
                                    rtol=GALERKIN_ORACLE_RTOL, atol=0.0)
-        assert int(re.search(r" counts=(\d+)", record).group(1)) > 1
+        # lo, hi and at least one bisection cut
+        assert int(re.search(r" counts=(\d+)", record).group(1)) > 2
 
     def test_tiny_pivot_against_its_row_raises(self):
         # lhs - lo*rhs starts with [[1e-14, 0.3], [0.3, 1e-14]]: well
@@ -802,9 +803,9 @@ class TestGalerkinDriver:
             assert part in record
         factorizations, counts, steps = (int(re.search(rf" {key}=(\d+)", record).group(1))
                                          for key in ("factorizations", "counts", "steps"))
-        # one factorization per shift, one count at hi (the g-g block bounds
-        # the count at lo), at least two steps a shift
-        assert factorizations >= 12 and counts == 1 and steps >= 2 * 12
+        # one factorization per shift, one count at each edge, at least two
+        # steps a shift
+        assert factorizations >= 12 and counts == 2 and steps >= 2 * 12
         # the 12 genuine levels and the instilled one
         assert len(windowed.raw) == 13
 
@@ -817,17 +818,17 @@ class TestGalerkinDriver:
                          caplog):
         # the CLI's pathology windows and the Z=12 convergence window at n=100:
         # each extra level is searched on the factor of the shift beside it,
-        # each kappa < 0 window ends at its last level, and the one inertia
-        # count is at hi. The counts are deterministic, so work that comes
-        # back fails here (a search of each extra level on a fresh factor
-        # of its own, on windows one level taller, took 16/41, 17/41 and
-        # 17/43 factorizations/steps; an exact count at lo makes counts=2)
+        # each kappa < 0 window ends at its last level, and the inertia
+        # counts are at lo and hi alone. The counts are deterministic, so
+        # work that comes back fails here (a search of each extra level on
+        # a fresh factor of its own, on windows one level taller, took
+        # 16/41, 17/41 and 17/43 factorizations/steps)
         params = OperatorParams(Z=z, kappa=kappa)
         system = assemble(scheme, params, build_exponential_mesh(*mesh_args))
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             solve(system, window=bound_window(params, levels))
         (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
-        assert f" factorizations={factorizations} counts=1 steps={steps} " in record
+        assert f" factorizations={factorizations} counts=2 steps={steps} " in record
 
     @pytest.mark.parametrize("scheme, z, kappa, mesh_args, levels, exact_scales", [
         (SCHEME_LINEAR, 1, 1, (1e-6, 150.0, 100, 8.0), 6, 1),
@@ -882,26 +883,23 @@ class TestGalerkinDriver:
         (SCHEME_HERMITE, True, 1, -1, (1e-6, 150.0, 100, 8.0), 6),
         (SCHEME_HERMITE, False, 12, -2, (1e-6, 60.0, 400, 8.5), 12),
         (SCHEME_HERMITE, False, 92, -1, (1e-7, 1.0, 150, 9.0), 3)])
-    def test_g_block_floor_is_the_count_at_lo(self, scheme, free, z, kappa, mesh_args, levels):
-        # at lo the g-g block of lhs - lo*rhs is the integral of
-        # (V - 2mc^2 - lo)*g_i*g_j, negative definite, so count(lo) >= N_g;
-        # on these pencils no other level lies below lo
+    def test_only_the_g_branch_lies_below_lo(self, scheme, free, z, kappa, mesh_args, levels):
+        # lo lies below every level of the bound branch, so the levels below
+        # it are the N_g of the negative-energy branch, one per g dof
         params = OperatorParams(Z=z, kappa=kappa)
         system = assemble(scheme, params, build_exponential_mesh(*mesh_args),
                           free_lower_slope=free)
         lo = bound_window(params, levels)[0]
         n_g = sum(len(part_dofs(scheme, system.size, part)) for part in ("xi", "xi_prime"))
-        assert eigensolver._g_block_floor(system, lo) == n_g
         assert eigensolver._inertia_counter(system)(lo) == n_g
 
     @pytest.mark.parametrize("scheme", [SCHEME_LINEAR, SCHEME_HERMITE])
-    def test_g_block_floor_refused(self, scheme, caplog):
-        # the diagonal toys put levels above lo on g dofs, so -A_gg(lo) is not
-        # positive definite: the solve counts at lo exactly, before anything else
+    def test_levels_above_lo_on_g_dofs(self, scheme, caplog):
+        # the diagonal toys put levels above lo on g dofs, so count(lo) is
+        # not N_g: the solve counts both edges and finds the one level
         level = reference_binding(TOY, 0).binding
         system = toy_system(np.diag(np.concatenate([[level], np.arange(5.0, 24.0)])),
                             np.eye(20), scheme=scheme)
-        assert eigensolver._g_block_floor(system, -1.0) is None
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             windowed = solve(system, window=(-1.0, 0.0))
         (record,) = [r.getMessage() for r in caplog.records if r.name == "diracfem"]
@@ -909,14 +907,12 @@ class TestGalerkinDriver:
         assert " m=1 " in record and " counts=2 " in record
 
     def test_level_below_lo_takes_the_exact_count(self, caplog):
-        # the g dofs hold levels near -2mc^2, so the g-g block at lo is
-        # negative definite and count(lo) >= N_g; but an f level lies below
-        # lo too, so count(lo) = N_g + 1 and the window holds one level
-        # fewer than count(hi) - N_g. The searches find three levels, not
-        # four: the exact count at lo must run, and the solve return exactly
-        # the window's levels. The interval from lo to the first shift is
-        # odd by the floor's parity alone: counting lo closes it, where
-        # halving it took 16 more factorizations
+        # the g dofs hold levels near -2mc^2, and an f level lies below lo
+        # too, so count(lo) = N_g + 1: the window holds count(hi) - N_g - 1
+        # levels, and the solve must return exactly those three, with no
+        # search of the interval from lo to the first shift (on N_g's
+        # parity alone it looked odd, and halving it took 16 more
+        # factorizations)
         size = 24
         shifts = [reference_binding(TOY, n_r).binding for n_r in range(3)]
         levels = [s + 1e-4 for s in shifts]
@@ -924,7 +920,6 @@ class TestGalerkinDriver:
         diagonal[0::2] = [-1.5] + levels + list(np.arange(5.0, 5.0 + size // 2 - 4))
         diagonal[1::2] = -200.0 - np.arange(size // 2)
         system = toy_system(np.diag(diagonal), np.eye(size))
-        assert eigensolver._g_block_floor(system, -1.0) == size // 2
         assert eigensolver._inertia_counter(system)(-1.0) == size // 2 + 1
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             windowed = solve(system, window=(-1.0, -0.04))
@@ -975,7 +970,8 @@ class TestInertiaCount:
     def test_count_is_superlus_in_random_windows(self):
         # within 1e-9 relative of a level either count can be off by one
         # (measured); the solver never counts that close, and from 1e-7 on
-        # the two agree at every shift tried
+        # the two agree at every shift tried. Each window returns as many
+        # levels as SuperLU counts between its edges
         rng = np.random.default_rng(25)
         compared = 0
         for _ in range(24):
@@ -990,6 +986,7 @@ class TestInertiaCount:
                               free_lower_slope=scheme == SCHEME_HERMITE and bool(rng.integers(2)))
             window = bound_window(params, levels)
             found = solve(system, window=window).bindings
+            assert len(found) == superlu_count(system, window[1]) - superlu_count(system, window[0])
             count = eigensolver._inertia_counter(system)
             for s in rng.uniform(*window, 8):
                 if not np.all(np.abs(found - s) >= 1e-7 * abs(s)):

@@ -394,6 +394,46 @@ def test_every_public_constant_is_read_in_the_package():
     assert orphaned_names(package, public_constants) == []
 
 
+def unread_imports(source: str) -> list[str]:
+    """The names ``source``'s imports bind that no name in it reads, in import order.
+
+    ``import a.b`` binds ``a``; ``from __future__`` imports bind nothing.
+    A read is a name in load context, an annotation's included.
+    """
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("source, unread", [
+    ("from __future__ import annotations\nimport math\nfrom x import y, z as w\n"
+     "def f(a: y) -> int:\n    return math.pi\n", ["w"]),
+    ("import scipy.sparse.linalg\nimport numpy as np\n", ["scipy", "np"]),
+    ("def f():\n    import scipy.sparse.linalg\n    return scipy.sparse.linalg.eigs\n", []),
+    ("from .lapack import dpbtrf, dgbtrf\nx = 'dpbtrf'\ndgbtrf = 1\n", ["dpbtrf", "dgbtrf"]),
+])
+def test_unread_import_detector(source, unread):
+    assert unread_imports(source) == unread
+
+
+def test_every_package_import_is_read():
+    """Each name a package module imports is read in that module.
+
+    A deletion that removes an import's last reader must remove the import
+    too. ``__init__``'s imports are its re-exports, and are exempt.
+    """
+    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path != SRC / "__init__.py"}
+    assert {name: unread_imports(source) for name, source in package.items()} == \
+        dict.fromkeys(package, [])
+
+
 CACHE_DECORATORS = {"lru_cache", "cache"}
 #: A cache may be keyed on these alone: on shapes, never on floats, arrays or params.
 CACHE_KEY_TYPES = {"int", "str", "bool"}
