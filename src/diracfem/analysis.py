@@ -15,9 +15,16 @@ import numpy as np
 
 from .assembly import SCHEME_LINEAR, assemble
 from .discretization import build_exponential_mesh
-from .eigensolver import DEFAULT_REALITY_TOL, Spectrum, bound_window, solve
+from .eigensolver import Spectrum, bound_window, solve
 from .errors import ConfigError, DegeneratePencilError
-from .physics import OperatorParams, ReferenceLevel, check_count, is_real, reference_spectrum
+from .physics import (
+    OperatorParams,
+    ReferenceLevel,
+    check_count,
+    check_type,
+    is_real,
+    reference_spectrum,
+)
 
 #: Default relative matching tolerances: linear-basis genuine levels are only
 #: ~1e-4 accurate, the Hermite schemes far better.
@@ -79,9 +86,16 @@ def classify(computed, reference: list[ReferenceLevel],
     unmatched value is an instilled spurious level.
     """
     check_match_tol(match_tol)
+    check_type(reference, "reference", list, tuple)
+    for level in reference:
+        check_type(level, "reference level", ReferenceLevel)
+    ground = opposite_kappa_ground
+    if not (ground is None or is_real(ground) and np.isfinite(ground) and ground != 0):
+        raise ConfigError("opposite_kappa_ground must be a finite nonzero real number or None, "
+                          f"got {type(ground).__name__} {ground!r}")
     computed = list(computed)
-    if not all(is_real(x) for x in computed):
-        raise ConfigError(f"computed bindings must be real numbers, got {computed!r}")
+    if not all(is_real(x) and np.isfinite(x) for x in computed):
+        raise ConfigError(f"computed bindings must be finite real numbers, got {computed!r}")
     computed = [float(x) for x in computed]
     if any(b < a for a, b in zip(computed, computed[1:])):
         raise ConfigError("computed bindings must be sorted ascending")
@@ -100,9 +114,8 @@ def classify(computed, reference: list[ReferenceLevel],
                                            reference=reference[ri],
                                            rel_error=_rel(c, ref_bindings[ri])))
             ri += 1
-        elif opposite_kappa_ground is not None and _rel(c, opposite_kappa_ground) <= match_tol:
-            entries.append(ClassifiedLevel(binding=c, label=Label.COINCIDENCE,
-                                           rel_error=_rel(c, opposite_kappa_ground)))
+        elif ground is not None and _rel(c, ground) <= match_tol:
+            entries.append(ClassifiedLevel(c, Label.COINCIDENCE, rel_error=_rel(c, ground)))
         else:
             entries.append(ClassifiedLevel(binding=c, label=Label.INSTILLED))
     return ClassifiedSpectrum(entries=tuple(entries))
@@ -110,16 +123,14 @@ def classify(computed, reference: list[ReferenceLevel],
 
 def truncate_to_genuine(classified: ClassifiedSpectrum, count: int) -> ClassifiedSpectrum:
     """Keep entries up to and including the count-th genuine level (count >= 1)."""
+    check_type(classified, "classified", ClassifiedSpectrum)
     count = check_count(count, "count")
-    entries = []
     genuine = 0
-    for e in classified.entries:
-        entries.append(e)
-        if e.label is Label.GENUINE:
-            genuine += 1
-            if genuine == count:
-                break
-    return ClassifiedSpectrum(entries=tuple(entries))
+    for i, e in enumerate(classified.entries):
+        genuine += e.label is Label.GENUINE
+        if genuine == count:
+            return ClassifiedSpectrum(entries=classified.entries[:i + 1])
+    return classified
 
 
 @dataclass(frozen=True)
@@ -141,6 +152,8 @@ def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
     table aligns index-by-index when the unphysical copy is present and with
     an offset of one when it has been removed. ``tol`` is checked as ``classify``'s.
     """
+    check_type(spec_pos, "spec_pos", Spectrum)
+    check_type(spec_neg, "spec_neg", Spectrum)
     check_match_tol(tol, "tol")
     if spec_pos.params.kappa <= 0 or spec_neg.params.kappa >= 0:
         raise ConfigError("expected spectra for kappa > 0 and kappa < 0, in that order")
@@ -219,7 +232,6 @@ def tau_limit_lambda(h_j: float, h_j1: float, tau: float, c: float):
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    scheme: str
     n_values: tuple[int, ...]
     errors: np.ndarray  # shape (len(n_values), levels); NaN where unmatched
     orders: np.ndarray  # per-level fitted order; NaN where not fittable
@@ -242,7 +254,6 @@ def genuine_errors(classified: ClassifiedSpectrum, reference: list[ReferenceLeve
 def convergence_study(scheme: str, params: OperatorParams, n_values, levels: int, *,
                       a: float, b: float, gamma: float,
                       match_tol: float | None = None,
-                      reality_tol: float = DEFAULT_REALITY_TOL,
                       free_lower_slope: bool = False) -> ConvergenceStudy:
     """Solve on a refinement sequence, classify, and fit per-level orders (``fit_orders``).
 
@@ -258,11 +269,10 @@ def convergence_study(scheme: str, params: OperatorParams, n_values, levels: int
     for i, n in enumerate(n_values):
         mesh = build_exponential_mesh(a, b, n, gamma)
         system = assemble(scheme, params, mesh, free_lower_slope=free_lower_slope)
-        spectrum = solve(system, reality_tol=reality_tol, window=window)
+        spectrum = solve(system, window=window)
         classified = classify(spectrum.bindings, reference, match_tol=match_tol)
         errors[i] = genuine_errors(classified, reference)
-    return ConvergenceStudy(scheme=scheme, n_values=n_values, errors=errors,
-                            orders=fit_orders(n_values, errors))
+    return ConvergenceStudy(n_values=n_values, errors=errors, orders=fit_orders(n_values, errors))
 
 
 def fit_orders(n_values, errors: np.ndarray) -> np.ndarray:

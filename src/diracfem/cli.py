@@ -20,7 +20,7 @@ from . import analysis
 from .analysis import Label, classify, coincidence_report, truncate_to_genuine
 from .assembly import SCHEME_LINEAR, SCHEME_SUPG, SCHEMES, assemble, compute_tau, element_tau
 from .discretization import build_exponential_mesh
-from .eigensolver import DEFAULT_REALITY_TOL, bound_window, solve
+from .eigensolver import bound_window, solve
 from .errors import ConfigError, InsufficientLevelsError, PhysicsError, SolverError
 from .physics import (
     SPEED_OF_LIGHT,
@@ -55,7 +55,6 @@ class RunConfig:
     mesh_gamma: float = 6.0
     levels: int = 6
     match_tol: float | None = None
-    reality_tol: float = DEFAULT_REALITY_TOL
     free_lower_slope: bool = False
     mode: str = "solve"
     format: str = "table"
@@ -181,8 +180,7 @@ def _solve_kappas(cfg: RunConfig, kappas, levels: int) -> dict:
     for kappa in kappas:
         params = cfg.params(kappa)
         system = assemble(cfg.scheme, params, mesh, free_lower_slope=cfg.free_lower_slope)
-        spectra[kappa] = solve(system, reality_tol=cfg.reality_tol,
-                               window=bound_window(params, levels))
+        spectra[kappa] = solve(system, window=bound_window(params, levels))
     return spectra
 
 
@@ -336,7 +334,7 @@ def _mode_convergence(cfg: RunConfig):
     study = analysis.convergence_study(
         cfg.scheme, cfg.params(kappa), cfg.n_list, cfg.levels,
         a=cfg.a, b=cfg.b, gamma=cfg.mesh_gamma, match_tol=cfg.match_tol,
-        reality_tol=cfg.reality_tol, free_lower_slope=cfg.free_lower_slope)
+        free_lower_slope=cfg.free_lower_slope)
 
     def value(x):  # NaN marks an unmatched level, or an order not fittable above rounding
         return None if math.isnan(x) else float(x)

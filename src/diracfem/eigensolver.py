@@ -50,8 +50,8 @@ from .errors import (
 )
 from .physics import OperatorParams, check_count, check_type, is_real, reference_binding
 
-#: Default relative bound on acceptable imaginary parts of SUPG eigenvalues.
-DEFAULT_REALITY_TOL = 1e-8
+#: Relative bound on acceptable imaginary parts of SUPG eigenvalues.
+REALITY_TOL = 1e-8
 
 #: Eigenpairs asked of the last disk's first shift-invert round; doubled until certified.
 WINDOW_FIRST_K = 16
@@ -250,17 +250,13 @@ def _lead_positive(v: np.ndarray, system: AssembledSystem) -> np.ndarray:
     return v
 
 
-def _check_reality(lam: np.ndarray, reality_tol: float) -> float:
-    """Largest |Im lambda|; raises if any exceeds ``reality_tol`` relative to |lambda|."""
-    max_imag = float(np.max(np.abs(lam.imag)))
-    bad = np.abs(lam.imag) > reality_tol * np.abs(lam)
+def _check_reality(lam: np.ndarray) -> None:
+    """Raise ComplexSpectrumError if any |Im lambda| exceeds REALITY_TOL relative to |lambda|."""
+    bad = np.abs(lam.imag) > REALITY_TOL * np.abs(lam)
     if bad.any():
         worst = lam[np.argmax(np.abs(lam.imag) / np.maximum(np.abs(lam), 1e-300))]
-        raise ComplexSpectrumError(
-            f"{bad.sum()} eigenvalue(s) violate reality tolerance {reality_tol}"
-            f" (worst: {worst})"
-        )
-    return max_imag
+        raise ComplexSpectrumError(f"{bad.sum()} eigenvalue(s) violate reality tolerance "
+                                   f"{REALITY_TOL} (worst: {worst})")
 
 
 # --- Galerkin pencils: inertia counts and inverse iteration --------------------
@@ -585,8 +581,7 @@ def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
 # --- the stabilized pencil: shift-invert Arnoldi disks -------------------------
 
 
-def _solve_disk(system: AssembledSystem, lu, lo: float, hi: float, first_k: int,
-                reality_tol: float):
+def _solve_disk(system: AssembledSystem, lu, lo: float, hi: float, first_k: int):
     """One shift-invert disk certified complete on (lo, hi): (mu, vecs, radius, max_imag).
 
     ``lu`` factors the shifted pencil (see ``_shifted_lu``).
@@ -648,7 +643,7 @@ def _solve_disk(system: AssembledSystem, lu, lo: float, hi: float, first_k: int,
                    "driver=nonsymmetric k=%d rounds=%d ops=%d max_imag=%.3g parity=%d",
                    size, np.count_nonzero(system.lhs_band), hb, hb, lo, hi, sigma, k, rounds,
                    ops, max_imag, inside % 2)
-    _check_reality(lam, reality_tol)
+    _check_reality(lam)
     if edge_signs != (-1) ** inside:
         raise SolverError(f"window ({lo}, {hi}): {inside} real eigenvalues found between "
                           f"{probes[0]!r} and {probes[1]!r}, but the determinant signs "
@@ -687,8 +682,7 @@ def _empty_gap_midpoint(mu: np.ndarray, lo: float, edge: float, rim: float) -> f
                         + (above.min() if above.size else rim)))
 
 
-def solve(system: AssembledSystem, window: tuple[float, float],
-          reality_tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
+def solve(system: AssembledSystem, window: tuple[float, float]) -> Spectrum:
     """Solve lhs*X = mu*rhs*X on the binding window ``window=(lo, hi)``.
 
     The scheme table decides the path (``assembly.is_galerkin``); both
@@ -721,14 +715,11 @@ def solve(system: AssembledSystem, window: tuple[float, float],
     The bindings are returned in one ascending array, with their node-order
     eigenvectors. A pencil or factor holding a non-finite entry raises
     SingularSystemError. Any computed eigenvalue whose imaginary part
-    exceeds ``reality_tol`` relative to its magnitude aborts the solve
-    with ComplexSpectrumError. ``system`` must be an AssembledSystem,
-    ``reality_tol`` a finite real >= 0 and ``window`` two real numbers
-    lo < hi, both finite, or ConfigError is raised before any work.
+    exceeds REALITY_TOL relative to its magnitude aborts the solve with
+    ComplexSpectrumError. ``system`` must be an AssembledSystem and ``window``
+    (lo, hi) two finite reals, lo < hi, or ConfigError is raised first.
     """
     check_type(system, "system", AssembledSystem)
-    if not (is_real(reality_tol) and 0.0 <= reality_tol < np.inf):
-        raise ConfigError(f"reality_tol must be finite and >= 0, got {reality_tol!r}")
     edges = [float(e) if is_real(e) else math.nan for e in window] if np.iterable(window) else []
     if len(edges) != 2 or not -np.inf < edges[0] < edges[1] < np.inf:
         raise ConfigError(f"window must be (lo, hi), finite with lo < hi, got {window!r}")
@@ -750,7 +741,7 @@ def solve(system: AssembledSystem, window: tuple[float, float],
         if lo >= top:
             continue  # the disk below certified this whole slice empty
         mu, vecs, radius, disk_imag = _solve_disk(
-            system, lu, lo, top, WINDOW_FIRST_K if top == hi else SPLIT_FIRST_K, reality_tol)
+            system, lu, lo, top, WINDOW_FIRST_K if top == hi else SPLIT_FIRST_K)
         cut = hi if top == hi else min(hi, _empty_gap_midpoint(
             mu, lo, top, 0.5 * (lo + top) + radius))
         keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(cut, 0.0))

@@ -22,7 +22,7 @@ class SolverError(RuntimeError):
 
 
 class ComplexSpectrumError(SolverError):
-    """An eigenvalue violated the reality tolerance (stabilization too strong)."""
+    """An eigenvalue violated ``eigensolver.REALITY_TOL`` (stabilization too strong)."""
 
 
 class SingularSystemError(SolverError):

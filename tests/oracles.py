@@ -49,7 +49,7 @@ from diracfem.discretization import (
     hat_local,
     hermite_local,
 )
-from diracfem.eigensolver import DEFAULT_REALITY_TOL, PIVOT_TOL, Spectrum, _check_reality
+from diracfem.eigensolver import PIVOT_TOL, Spectrum, _check_reality
 from diracfem.errors import SingularSystemError, SolverError
 from diracfem.physics import OperatorParams, potential_value
 
@@ -298,14 +298,14 @@ class DenseBindings:
     params: OperatorParams
 
 
-def dense_bindings(system: AssembledSystem,
-                   reality_tol: float = DEFAULT_REALITY_TOL) -> DenseBindings:
+def dense_bindings(system: AssembledSystem) -> DenseBindings:
     """All eigenvalues of the binding-form pencil, solved densely.
 
     Galerkin pencils go to the symmetric-definite driver (real by
     construction), the stabilized (nonsymmetric) pencil to the general QZ
     routine, where any finite eigenvalue whose imaginary part exceeds
-    ``reality_tol`` relative to its magnitude raises ComplexSpectrumError.
+    ``eigensolver.REALITY_TOL`` relative to its magnitude raises
+    ComplexSpectrumError, as in ``solve``.
     An rhs with no finite eigenvalue against it, or one the
     symmetric-definite driver cannot factor, raises SingularSystemError.
     """
@@ -318,26 +318,26 @@ def dense_bindings(system: AssembledSystem,
             mu = scipy.linalg.eigh(lhs, rhs, eigvals_only=True)
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(f"symmetric-definite solve failed: {exc}") from exc
-    finite, max_imag = _finite_real(system, mu, reality_tol)
+    finite, max_imag = _finite_real(system, mu)
     mu = np.sort(mu[finite].real)
     bound = (mu > -2.0 * mc2) & (mu < 0.0)
     return DenseBindings(scheme=system.scheme, bindings=mu[bound], raw=mu + mc2,
                          max_imag=max_imag, params=system.params)
 
 
-def _finite_real(system: AssembledSystem, mu: np.ndarray, reality_tol: float):
+def _finite_real(system: AssembledSystem, mu: np.ndarray):
     """The finite mask of the dense eigenvalues ``mu``, and their largest |Im lambda|.
 
     Raises as ``dense_bindings`` does: SingularSystemError if no eigenvalue
-    is finite, ComplexSpectrumError if a finite one is not real to
-    ``reality_tol``.
+    is finite, ComplexSpectrumError (``_check_reality``) if a finite one is
+    not real.
     """
-    if not 0.0 <= reality_tol < np.inf:
-        raise ValueError(f"reality_tol must be finite and >= 0, got {reality_tol}")
     finite = np.isfinite(mu)
     if not finite.any():
         raise SingularSystemError("no finite eigenvalues: rhs numerically singular")
-    return finite, _check_reality(mu[finite] + system.params.rest_energy, reality_tol)
+    lam = mu[finite] + system.params.rest_energy
+    _check_reality(lam)
+    return finite, float(np.max(np.abs(lam.imag)))
 
 
 def _quotients(system: AssembledSystem, right, left) -> np.ndarray:
@@ -378,8 +378,7 @@ def dense_rayleigh_bindings(system: AssembledSystem, lo: float, hi: float) -> np
     return rayleigh_quotients(system, vecs[:, (mu > lo) & (mu < hi)])
 
 
-def dense_two_sided_bindings(system: AssembledSystem, lo: float, hi: float,
-                             reality_tol: float = DEFAULT_REALITY_TOL) -> DenseBindings:
+def dense_two_sided_bindings(system: AssembledSystem, lo: float, hi: float) -> DenseBindings:
     """Two-sided quotients y^H lhs x / y^H rhs x of the dense QZ eigenpairs in (lo, hi).
 
     x and y are QZ's own right and left eigenvectors of the (nonsymmetric)
@@ -391,7 +390,7 @@ def dense_two_sided_bindings(system: AssembledSystem, lo: float, hi: float,
     over all of it, as in ``dense_bindings``.
     """
     mu, left, right = scipy.linalg.eig(system.lhs, system.rhs, left=True, right=True)
-    finite, max_imag = _finite_real(system, mu, reality_tol)
+    finite, max_imag = _finite_real(system, mu)
     keep = np.flatnonzero(finite & (mu.real > lo) & (mu.real < hi))
     keep = keep[np.argsort(mu.real[keep])]
     return DenseBindings(

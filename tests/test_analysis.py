@@ -56,8 +56,6 @@ def small_hermite_solve(**kwargs):
 NON_NUMBER_CALLS = [
     pytest.param(lambda: reference_binding(OperatorParams(Z=1, kappa=-1), "1"), "n_r",
                  id="reference_binding-n_r"),
-    pytest.param(lambda: small_hermite_solve(reality_tol="x"), "reality_tol",
-                 id="solve-reality_tol"),
     pytest.param(lambda: small_hermite_solve(window=("a", 0)), "window", id="solve-window"),
     pytest.param(lambda: small_hermite_solve(window=None), "window", id="solve-window-none"),
     pytest.param(lambda: eigenpair_residual(small_hermite_system(), "x", np.ones(40)), "binding",
@@ -88,7 +86,8 @@ SMALL_MESH = build_exponential_mesh(1e-6, 40.0, 10, 8.0)
 
 #: Per library call with an argument of the wrong type: the call, the parameter
 #: its ConfigError names and the type it got. Each object argument raised a
-#: builtin AttributeError, and a truthy flag that is not a bool freed the slope.
+#: builtin AttributeError, a string opposite_kappa_ground a TypeError, and a
+#: truthy flag that is not a bool freed the slope.
 WRONG_TYPE_CALLS = [
     pytest.param(lambda: assemble(SCHEME_HERMITE, "params", SMALL_MESH), "params", "str",
                  id="assemble-params"),
@@ -112,6 +111,18 @@ WRONG_TYPE_CALLS = [
     pytest.param(lambda: convergence_study(SCHEME_HERMITE, HYDROGEN, (10,), 2, a=1e-6, b=40.0,
                                            gamma=8.0, free_lower_slope="yes"),
                  "free_lower_slope", "str", id="convergence_study-free_lower_slope"),
+    pytest.param(lambda: classify([-0.5], "ref"), "reference", "str", id="classify-reference"),
+    pytest.param(lambda: classify([-0.5], [None]), "reference", "NoneType",
+                 id="classify-reference-level"),
+    pytest.param(lambda: classify([-0.9], reference_spectrum(OperatorParams(Z=1, kappa=1), 2),
+                                  opposite_kappa_ground="x"), "opposite_kappa_ground", "str",
+                 id="classify-opposite_kappa_ground"),
+    pytest.param(lambda: truncate_to_genuine("x", 2), "classified", "str",
+                 id="truncate_to_genuine-classified"),
+    pytest.param(lambda: coincidence_report("a", "b"), "spec_pos", "str",
+                 id="coincidence_report-spec_pos"),
+    pytest.param(lambda: coincidence_report(make_spectrum(1, [-0.5]), None), "spec_neg",
+                 "NoneType", id="coincidence_report-spec_neg"),
 ]
 
 
@@ -181,6 +192,19 @@ class TestClassify:
             classify([-0.1, -0.5], hydrogen_reference(), match_tol=1e-3)
         with pytest.raises(ConfigError):
             classify([-0.5], hydrogen_reference(), match_tol=0.5)
+
+    @pytest.mark.parametrize("ground", [float("nan"), float("inf"), 0.0])
+    def test_opposite_ground_must_be_finite_and_nonzero(self, ground):
+        # NaN and inf labelled the coincidence copy instilled; 0 divided by zero
+        ref_pos = reference_spectrum(OperatorParams(Z=1, kappa=1), 2)
+        with pytest.raises(ConfigError, match="opposite_kappa_ground"):
+            classify([-0.5, -0.125], ref_pos, opposite_kappa_ground=ground)
+
+    @pytest.mark.parametrize("stray", [float("nan"), float("-inf")])
+    def test_non_finite_binding_rejected(self, stray):
+        # each was labelled instilled
+        with pytest.raises(ConfigError, match="finite"):
+            classify([stray, -0.5], hydrogen_reference(), match_tol=1e-3)
 
     def test_truncate_to_genuine(self):
         cl = classify(HAT_RUN_NEG_KAPPA, hydrogen_reference(), match_tol=1e-3)
@@ -516,10 +540,3 @@ class TestConvergenceStudy:
         with pytest.raises(ConfigError, match="match_tol"):
             convergence_study(SCHEME_HERMITE, OperatorParams(Z=1, kappa=-1),
                               (30, 60), 2, a=1e-6, b=40.0, gamma=8.0, match_tol=match_tol)
-
-    def test_rejects_bad_reality_tol(self):
-        params = OperatorParams(Z=1, kappa=-1)
-        with pytest.raises(ConfigError, match="reality_tol"):
-            convergence_study(SCHEME_HERMITE, params,
-                              (30, 60), 2, a=1e-6, b=40.0, gamma=8.0,
-                              reality_tol=float("nan"))

@@ -6,9 +6,10 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diracfem import analysis, cli
@@ -22,12 +23,11 @@ from diracfem.cli import (
     load_config_file,
     main,
 )
-from diracfem.eigensolver import DEFAULT_REALITY_TOL
+from diracfem.eigensolver import Spectrum
 from diracfem.errors import ConfigError
 
 from oracles import (
     GALERKIN_ORACLE_RTOL,
-    dense_bindings,
     dense_rayleigh_bindings,
     dense_two_sided_bindings,
 )
@@ -112,7 +112,6 @@ FIELD_SAMPLES = {
     "mesh_gamma": ("--mesh-gamma", "7.5", 7.5),
     "levels": ("--levels", "4", 4),
     "match_tol": ("--match-tol", "1e-4", 1e-4),
-    "reality_tol": ("--reality-tol", "1e-7", 1e-7),
     "free_lower_slope": ("--free-lower-slope", "yes", True),
     "mode": ("--mode", "coincidence", "coincidence"),
     "format": ("--format", "csv", "csv"),
@@ -178,8 +177,8 @@ BAD_VALUES = [
                    EXIT_CONFIG, "match_tol", id=f"match_tol-before-{name}")
       for name, mode in [("solve", []), ("compare-schemes", ["--mode", "compare-schemes"]),
                          ("coincidence", COINCIDENCE), ("convergence", CONVERGENCE)]],
-    *[pytest.param(["--reality-tol", tol], EXIT_CONFIG, "reality_tol", id=f"reality_tol-{tol}")
-      for tol in ("nan", "-1", "inf")],
+    # the reality check is a constant: a file that still sets it names the unknown key
+    pytest.param("reality_tol = 1e-7\n", EXIT_CONFIG, "reality_tol", id="reality_tol-removed"),
     pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"], EXIT_CONFIG,
                  "free_lower_slope", id="free_lower_slope-linear"),
     pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"] + COINCIDENCE, EXIT_CONFIG,
@@ -216,7 +215,7 @@ def test_bad_value_of_each_key_exits_by_the_rule_naming_it(given, code, name, tm
 @pytest.mark.parametrize("flags", [
     *[pytest.param(VERIFY_TAU + [flag, value], id=f"verify-tau-{flag[2:]}")
       for flag, value in (("--kappa", "0"), ("--m", "-1"), ("--c-value", "nan"),
-                          ("--radius", "-1"), ("--match-tol", "0.5"), ("--reality-tol", "-1"))],
+                          ("--radius", "-1"), ("--match-tol", "0.5"))],
     pytest.param(VERIFY_TAU + ["--scheme", "linear-galerkin", "--free-lower-slope"],
                  id="verify-tau-linear-free-lower-slope"),
     pytest.param(["--n-list", "100,50"], id="solve-n-list"),
@@ -586,19 +585,24 @@ def _json_rows(argv):
     return json.loads(out.getvalue())["rows"]
 
 
-def _dense_solve(system, window, reality_tol=DEFAULT_REALITY_TOL):
+def _dense_solve(system, window):
     """The dense oracle in place of the windowed solve: it reads no window.
 
     Its bindings are extended-precision quotients of the dense eigenvectors:
     Rayleigh quotients for a Galerkin pencil, two-sided ones of QZ's right
     and left vectors for the stabilized one. The dense eigh values are up to
-    2.9e-9 off them, the QZ values up to 1.1e-9.
+    2.9e-9 off them, the QZ values up to 1.1e-9. They come back as a
+    Spectrum, which ``coincidence_report`` requires, with no eigenvectors:
+    the CLI reads none.
     """
     lo = -2.0 * system.params.rest_energy
-    if not is_galerkin(system.scheme):  # one QZ gives the bindings and the reality check
-        return dense_two_sided_bindings(system, lo, 0.0, reality_tol)
-    dense = dense_bindings(system, reality_tol)
-    return replace(dense, bindings=dense_rayleigh_bindings(system, lo, 0.0))
+    if is_galerkin(system.scheme):  # eigh's eigenvalues are real
+        bindings, max_imag = dense_rayleigh_bindings(system, lo, 0.0), 0.0
+    else:  # one QZ gives the bindings and the reality check
+        dense = dense_two_sided_bindings(system, lo, 0.0)
+        bindings, max_imag = dense.bindings, dense.max_imag
+    return Spectrum(scheme=system.scheme, bindings=bindings, max_imag=max_imag,
+                    params=system.params, eigenvectors=np.empty((0, len(bindings))))
 
 
 def _order_is_resolved(rows, level):

@@ -158,17 +158,19 @@ class TestToyPencils:
         with pytest.raises(ComplexSpectrumError):
             dense_bindings(assemble(SCHEME_SUPG, params, mesh))
 
-    @pytest.mark.parametrize("reality_tol", [float("nan"), float("inf"), -1.0])
-    def test_bad_reality_tol_rejected(self, reality_tol):
-        # nan and inf would let the complex levels of the pencil above pass,
-        # and -1 would blame the pencil for the caller's tolerance
-        params = OperatorParams(Z=2, kappa=1)
-        mesh = build_exponential_mesh(1e-5, 30.0, 24, 6.0)
-        system = assemble(SCHEME_SUPG, params, mesh)
-        with pytest.raises(ValueError, match="reality_tol"):
-            dense_bindings(system, reality_tol=reality_tol)
-        with pytest.raises(ConfigError, match="reality_tol"):
-            solve(system, window=bound_window(params, 3), reality_tol=reality_tol)
+    def test_reality_threshold_is_fixed(self):
+        # mu = -0.5 +- i*eps, so |Im lambda| / |lambda| = eps / 99.5 meets
+        # REALITY_TOL = 1e-8 at eps ~ 9.95e-7; a 20 % move either way fails
+        def rotation(eps):
+            lhs = np.diag(np.arange(5.0, 25.0))
+            lhs[:2, :2] = [[-0.5, eps], [-eps, -0.5]]
+            return toy_system(lhs, np.eye(20), scheme=SCHEME_SUPG)
+
+        with pytest.raises(ComplexSpectrumError):
+            solve(rotation(1.15e-6), window=(-1.0, 0.0))
+        spectrum = solve(rotation(0.9e-6), window=(-1.0, 0.0))
+        np.testing.assert_allclose(spectrum.bindings, [-0.5, -0.5], rtol=1e-12)
+        assert spectrum.max_imag == pytest.approx(0.9e-6, abs=1e-12)
 
     @pytest.mark.parametrize("window", [
         (-np.inf, 0.0), (-1.0, np.inf), (-1.0, -0.5, np.inf), (-1.0, -2.0), (-1.0,),

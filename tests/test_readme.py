@@ -26,7 +26,19 @@ def test_readme_quick_start_runs(capsys):
     assert len(namespace["bound_states"](namespace["spectrum"], 12)) == 12
 
 
+def readme_flags() -> set[str]:
+    """Every ``--flag`` the README names."""
+    return set(re.findall(r"(?<![\w-])--[a-zA-Z][a-zA-Z0-9-]*", README.read_text()))
+
+
 def test_readme_flags_are_cli_options():
-    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text()))
-    unknown = flags - OTHER_TOOLS_FLAGS - set(cli._PARSER._option_string_actions)
+    unknown = readme_flags() - OTHER_TOOLS_FLAGS - set(cli._PARSER._option_string_actions)
     assert not unknown, f"README documents flags dirac-fem does not have: {sorted(unknown)}"
+
+
+def test_cli_options_are_in_the_readme():
+    # --help and argparse's --no-* negations of the bool flags are generated
+    options = {o for o in cli._PARSER._option_string_actions
+               if o.startswith("--") and o != "--help" and not o.startswith("--no-")}
+    missing = options - readme_flags()
+    assert not missing, f"dirac-fem has flags the README does not document: {sorted(missing)}"
