@@ -17,8 +17,6 @@ from .analysis import (
     classify,
     coincidence_report,
     convergence_study,
-    tau_limit_lambda,
-    tau_rule_residual,
 )
 from .assembly import (
     SCHEME_HERMITE,
@@ -26,21 +24,14 @@ from .assembly import (
     SCHEME_SUPG,
     SCHEMES,
     AssembledSystem,
-    BlockMatrixSpec,
     assemble,
     compute_tau,
 )
-from .discretization import (
-    BasisKind,
-    Mesh,
-    build_exponential_mesh,
-    gauss_rule,
-)
+from .discretization import Mesh, build_exponential_mesh
 from .eigensolver import Spectrum, bound_states, bound_window, solve
 from .errors import (
     ComplexSpectrumError,
     ConfigError,
-    DegeneratePencilError,
     InsufficientLevelsError,
     PhysicsError,
     SingularSystemError,
@@ -50,7 +41,6 @@ from .physics import (
     SPEED_OF_LIGHT,
     OperatorParams,
     ReferenceLevel,
-    potential_value,
     reference_binding,
     reference_spectrum,
 )

@@ -16,7 +16,7 @@ import numpy as np
 from .assembly import SCHEME_LINEAR, assemble
 from .discretization import build_exponential_mesh
 from .eigensolver import Spectrum, bound_window, solve
-from .errors import ConfigError, DegeneratePencilError
+from .errors import ConfigError
 from .physics import (
     OperatorParams,
     ReferenceLevel,
@@ -93,6 +93,7 @@ def classify(computed, reference: list[ReferenceLevel],
     if not (ground is None or is_real(ground) and np.isfinite(ground) and ground != 0):
         raise ConfigError("opposite_kappa_ground must be a finite nonzero real number or None, "
                           f"got {type(ground).__name__} {ground!r}")
+    check_type(computed, "computed", list, tuple, np.ndarray)
     computed = list(computed)
     if not all(is_real(x) and np.isfinite(x) for x in computed):
         raise ConfigError(f"computed bindings must be finite real numbers, got {computed!r}")
@@ -177,56 +178,6 @@ def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
                              pairs=pairs)
 
 
-# --- stability-parameter verification ----------------------------------------
-
-RHO = -9.0 / 70.0
-
-
-def _element_pair_grad(h_j: float, h_j1: float, **others: float) -> float:
-    """grad = (h_{j+1} + h_j)/(h_{j+1} - h_j); ConfigError naming an argument that is not real."""
-    for name, value in {"h_j": h_j, "h_j1": h_j1, **others}.items():
-        if not is_real(value):
-            raise ConfigError(f"{name} must be a real number, got {value!r}")
-    if h_j1 == h_j:
-        raise ConfigError("requires h_{j+1} != h_j")
-    return (h_j1 + h_j) / (h_j1 - h_j)
-
-
-def tau_rule_residual(h_j: float, h_j1: float, tau: float) -> float:
-    """Defect of the leading-order optimality condition for tau.
-
-    (1/4) * grad^2 * tau^2 - (81/4900) * h_{j+1}^2 with
-    grad = (h_{j+1} + h_j)/(h_{j+1} - h_j); zero exactly at the
-    (9/35) h_{j+1} / grad stabilization value.
-    """
-    grad = _element_pair_grad(h_j, h_j1, tau=tau)
-    return 0.25 * grad**2 * tau**2 - (81.0 / 4900.0) * h_j1**2
-
-
-def tau_limit_lambda(h_j: float, h_j1: float, tau: float, c: float):
-    """Positive root of the reduced limit pencil on one element pair.
-
-    Builds the 2x2 determinant coefficients
-      a = -((6c/5)/(h_{j+1} h_j) + (c^3/2) grad) tau + rho c^2
-      b = (6c^2/5) tau/h_{j+1} - (9 c^3/70) h_{j+1}
-      d = -(6/5) tau/h_{j+1}
-    and returns sqrt((a^2 - b^2)/(rho^2 - d^2)), as a complex number when
-    the radicand is negative (the approximation has left its validity
-    range, which is how an unstabilized coarse element behaves at large c).
-    """
-    grad = _element_pair_grad(h_j, h_j1, tau=tau, c=c)
-    a = -((6.0 * c / 5.0) / (h_j1 * h_j) + 0.5 * c**3 * grad) * tau + RHO * c**2
-    b = (6.0 * c**2 / 5.0) * tau / h_j1 - (9.0 * c**3 / 70.0) * h_j1
-    d = -(6.0 / 5.0) * tau / h_j1
-    denom = RHO**2 - d**2
-    if abs(denom) < 1e-14 * RHO**2:
-        raise DegeneratePencilError("rho^2 - d_j^2 vanishes: reduced pencil is degenerate")
-    radicand = (a**2 - b**2) / denom
-    if radicand >= 0.0:
-        return float(np.sqrt(radicand))
-    return complex(0.0, float(np.sqrt(-radicand)))
-
-
 # --- convergence study --------------------------------------------------------
 
 
@@ -259,6 +210,9 @@ def convergence_study(scheme: str, params: OperatorParams, n_values, levels: int
 
     Each mesh is solved on ``bound_window(params, levels)`` only.
     """
+    check_type(n_values, "n_values", list, tuple)
+    if not n_values:
+        raise ConfigError("n_values must hold at least one size, got none")
     n_values = tuple(check_count(n, "n") for n in n_values)
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise ConfigError(f"n_values must be strictly increasing, got {n_values}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from . import analysis
 from .analysis import Label, classify, coincidence_report, truncate_to_genuine
-from .assembly import SCHEME_LINEAR, SCHEME_SUPG, SCHEMES, assemble, compute_tau, element_tau
+from .assembly import SCHEME_LINEAR, SCHEME_SUPG, SCHEMES, assemble
 from .discretization import build_exponential_mesh
 from .eigensolver import bound_window, solve
 from .errors import ConfigError, InsufficientLevelsError, PhysicsError, SolverError
@@ -315,7 +315,7 @@ def _mode_solve(cfg: RunConfig):
     rows = _long_rows(_solve_classified(cfg))
     return rows, lambda: _render_solve_table(
         rows, f"scheme={cfg.scheme} Z={_fmt(cfg.Z)} n={cfg.n} "
-              f"a={_fmt(cfg.a)} b={_fmt(cfg.b)} gamma={_fmt(cfg.mesh_gamma)}"), True
+              f"a={_fmt(cfg.a)} b={_fmt(cfg.b)} gamma={_fmt(cfg.mesh_gamma)}")
 
 
 def _mode_compare(cfg: RunConfig):
@@ -326,7 +326,7 @@ def _mode_compare(cfg: RunConfig):
         rows.extend(_long_rows(_solve_classified(sub), scheme=scheme))
     return rows, lambda: "\n".join(
         _render_solve_table([r for r in rows if r["scheme"] == s], f"--- {s} ---")
-        for s in SCHEMES), True
+        for s in SCHEMES)
 
 
 def _mode_convergence(cfg: RunConfig):
@@ -355,7 +355,7 @@ def _mode_convergence(cfg: RunConfig):
             lines.append("  ".join(cells))
         return "\n".join(lines) + "\n"
 
-    return rows, table, True
+    return rows, table
 
 
 def _mode_coincidence(cfg: RunConfig):
@@ -391,66 +391,21 @@ def _mode_coincidence(cfg: RunConfig):
                   for row in rows]
         return "\n".join(lines) + "\n"
 
-    return rows, table, True
+    return rows, table
 
 
-#: Element pair and c sweep used by the verify-tau report.
-TAU_DEMO_H = (0.009, 0.011)
-TAU_DEMO_C = (1e3, 1e4, 1e5)
-
-
-def _mode_verify_tau(cfg: RunConfig):
-    mesh = build_exponential_mesh(cfg.a, cfg.b, cfg.n, cfg.mesh_gamma)
-    tau = compute_tau(mesh)
-    h = mesh.h
-    if (h[1:] == h[:-1]).any():
-        raise ConfigError(f"--mesh-gamma {_fmt(cfg.mesh_gamma)} grades the mesh too weakly for "
-                          "verify-tau: two neighbouring elements round to one size, where the "
-                          "tau rule is undefined")
-    worst = 0.0
-    for e in range(2, mesh.element_count + 1):
-        r = analysis.tau_rule_residual(h[e - 2], h[e - 1], tau[e - 1])
-        worst = max(worst, abs(r) / h[e - 1] ** 2)
-    rows = [{"check": "rule-residual", "c": None, "dev_stabilized": None,
-             "dev_unstabilized": None, "value": worst,
-             "passed": bool(worst < 1e-13)}]
-    hj, hj1 = TAU_DEMO_H
-    tau_star = element_tau(hj, hj1)
-    for c in TAU_DEMO_C:
-        lam_s = analysis.tau_limit_lambda(hj, hj1, tau_star, c)
-        lam_0 = analysis.tau_limit_lambda(hj, hj1, 0.0, c)
-        dev_s = abs(lam_s - c**2) / c**2
-        dev_0 = abs(lam_0 - c**2) / c**2
-        rows.append({"check": "limit-lambda", "c": c, "dev_stabilized": dev_s,
-                     "dev_unstabilized": dev_0, "value": None,
-                     "passed": bool(dev_s < dev_0)})
-
-    def table():
-        lines = [f"stability-parameter verification (mesh n={cfg.n}, h pair {hj}/{hj1})",
-                 f"  max scaled rule residual over mesh: {worst:.3e}  "
-                 f"({'ok' if rows[0]['passed'] else 'FAIL'})"]
-        lines += [f"  c={_fmt(row['c']):>8}: |lam1-c^2|/c^2 stabilized={_fmt(row['dev_stabilized'])}"
-                  f" unstabilized={_fmt(row['dev_unstabilized'])}  "
-                  f"({'improved' if row['passed'] else 'NOT improved'})"
-                  for row in rows[1:]]
-        return "\n".join(lines) + "\n"
-
-    return rows, table, all(r["passed"] for r in rows)
-
-
-#: Each mode returns (rows, a function rendering the table text, ok); a mode has
+#: Each mode returns (rows, a function rendering the table text); a mode has
 #: at least one row, and each of its rows holds the csv columns as keys, in order.
 _RUNNERS = {"solve": _mode_solve, "compare-schemes": _mode_compare,
-            "convergence": _mode_convergence, "coincidence": _mode_coincidence,
-            "verify-tau": _mode_verify_tau}
+            "convergence": _mode_convergence, "coincidence": _mode_coincidence}
 
 #: The allowed values of each choice key, each taken from the table that owns it.
 _CHOICES = {"mode": tuple(_RUNNERS), "scheme": SCHEMES, "format": FORMATS}
 
 
 def run(config: RunConfig) -> int:
-    """Execute one mode and emit the result; returns the process exit code."""
-    rows, table, ok = _RUNNERS[config.mode](config)
+    """Execute one mode and emit the result; returns EXIT_OK, as every failure raises."""
+    rows, table = _RUNNERS[config.mode](config)
 
     if config.format == "table":
         text = table()
@@ -467,7 +422,7 @@ def run(config: RunConfig) -> int:
             raise ConfigError(f"cannot write --out file {config.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
-    return EXIT_OK if ok else EXIT_SOLVER
+    return EXIT_OK
 
 
 def _make_parser() -> argparse.ArgumentParser:

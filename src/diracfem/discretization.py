@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, PhysicsError
-from .physics import check_count, check_real
+from .physics import check_count, check_real, check_type
 
 # 4-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree <= 7.
 _GAUSS_POINTS, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -104,6 +104,7 @@ def gauss_rule(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
     Row e-1 holds the rule on element ``[x_{e-1}, x_e]``.
     """
+    check_type(mesh, "mesh", Mesh)
     xl, xr = mesh.nodes[:-1, None], mesh.nodes[1:, None]
     mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
     return mid + half * _GAUSS_POINTS, half * _GAUSS_WEIGHTS

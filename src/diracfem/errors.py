@@ -31,7 +31,3 @@ class SingularSystemError(SolverError):
 
 class InsufficientLevelsError(SolverError):
     """Fewer bound states found than requested."""
-
-
-class DegeneratePencilError(SolverError):
-    """The reduced 2x2 limit pencil is degenerate (rho^2 equals d_j^2)."""

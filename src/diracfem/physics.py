@@ -99,6 +99,9 @@ class OperatorParams:
 
 def potential_value(params: OperatorParams, x):
     """V(x): -Z/x outside the nucleus, parabolic inside an extended one."""
+    check_type(params, "params", OperatorParams)
+    if np.asarray(x).dtype.kind not in "iuf":  # None read as NaN, a bool as 0 or 1
+        raise ConfigError(f"x must be a real number or array, got {type(x).__name__}")
     x = np.asarray(x, dtype=float)
     Z, R = params.Z, params.R
     if R is None:

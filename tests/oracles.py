@@ -21,6 +21,10 @@ gives the exact polynomial integrals the 4-point rule must reproduce. The
 Hermite interpolation-error helpers, ``potential_w``,
 ``accumulation_point`` and the first-order residual functionals and nodal
 propagation of the radial system restate the model in its plainest form.
+``tau_rule_residual`` (the defect of tau's leading-order optimality
+condition on one element pair) and ``tau_limit_lambda`` (the positive root
+of the reduced 2x2 limit pencil) restate the stability parameter's
+derivation; the tests evaluate them at the derived tau.
 """
 
 import multiprocessing
@@ -569,3 +573,50 @@ def nodal_propagation(params: OperatorParams, x_j: float, h_j: float, h_j1: floa
     zeta_p = (1.0 - h_j1 * k / x_j) * zeta_j + (h_j1 / c) * (lam + mc2 - V) * xi_j
     xi_p = (1.0 + h_j1 * k / x_j) * xi_j + (h_j1 / c) * (mc2 + V - lam) * zeta_j
     return zeta_m, xi_m, zeta_p, xi_p
+
+
+# --- the stability parameter's derivation -------------------------------------
+
+RHO = -9.0 / 70.0
+
+
+def _element_pair_grad(h_j: float, h_j1: float) -> float:
+    """grad = (h_{j+1} + h_j)/(h_{j+1} - h_j) of one element pair; h_{j+1} != h_j."""
+    if h_j1 == h_j:
+        raise ValueError("requires h_{j+1} != h_j")
+    return (h_j1 + h_j) / (h_j1 - h_j)
+
+
+def tau_rule_residual(h_j: float, h_j1: float, tau: float) -> float:
+    """Defect of the leading-order optimality condition for tau.
+
+    (1/4) * grad^2 * tau^2 - (81/4900) * h_{j+1}^2 with
+    grad = (h_{j+1} + h_j)/(h_{j+1} - h_j); zero exactly at the
+    (9/35) h_{j+1} / grad stabilization value.
+    """
+    grad = _element_pair_grad(h_j, h_j1)
+    return 0.25 * grad**2 * tau**2 - (81.0 / 4900.0) * h_j1**2
+
+
+def tau_limit_lambda(h_j: float, h_j1: float, tau: float, c: float):
+    """Positive root of the reduced limit pencil on one element pair.
+
+    Builds the 2x2 determinant coefficients
+      a = -((6c/5)/(h_{j+1} h_j) + (c^3/2) grad) tau + rho c^2
+      b = (6c^2/5) tau/h_{j+1} - (9 c^3/70) h_{j+1}
+      d = -(6/5) tau/h_{j+1}
+    and returns sqrt((a^2 - b^2)/(rho^2 - d^2)), as a complex number when
+    the radicand is negative (the approximation has left its validity
+    range, which is how an unstabilized coarse element behaves at large c).
+    """
+    grad = _element_pair_grad(h_j, h_j1)
+    a = -((6.0 * c / 5.0) / (h_j1 * h_j) + 0.5 * c**3 * grad) * tau + RHO * c**2
+    b = (6.0 * c**2 / 5.0) * tau / h_j1 - (9.0 * c**3 / 70.0) * h_j1
+    d = -(6.0 / 5.0) * tau / h_j1
+    denom = RHO**2 - d**2
+    if abs(denom) < 1e-14 * RHO**2:
+        raise ValueError("rho^2 - d_j^2 vanishes: reduced pencil is degenerate")
+    radicand = (a**2 - b**2) / denom
+    if radicand >= 0.0:
+        return float(np.sqrt(radicand))
+    return complex(0.0, float(np.sqrt(-radicand)))

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 import diracfem.assembly
-from diracfem.analysis import (
-    Label,
-    classify,
-    tau_limit_lambda,
-    tau_rule_residual,
-)
+from diracfem.analysis import Label, classify
 from diracfem.assembly import (
     SCHEME_HERMITE,
     SCHEME_LINEAR,
@@ -42,6 +37,8 @@ from oracles import (
     dense_rayleigh_bindings,
     eval_hermite,
     hermite_interpolation_error_order,
+    tau_limit_lambda,
+    tau_rule_residual,
 )
 
 

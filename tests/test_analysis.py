@@ -14,17 +14,26 @@ from diracfem.analysis import (
     convergence_study,
     fit_orders,
     genuine_errors,
-    tau_limit_lambda,
-    tau_rule_residual,
     truncate_to_genuine,
 )
 from diracfem.assembly import SCHEME_HERMITE, SCHEME_SUPG, assemble, compute_tau, part_dofs
 from diracfem.discretization import build_exponential_mesh, gauss_rule
 from diracfem.eigensolver import Spectrum, bound_states, bound_window, eigenpair_residual, solve
-from diracfem.errors import ConfigError, DegeneratePencilError
-from diracfem.physics import OperatorParams, reference_binding, reference_spectrum
+from diracfem.errors import ConfigError
+from diracfem.physics import (
+    OperatorParams,
+    potential_value,
+    reference_binding,
+    reference_spectrum,
+)
 
-from oracles import eigenpair_component, nodal_propagation, supg_residuals
+from oracles import (
+    eigenpair_component,
+    nodal_propagation,
+    supg_residuals,
+    tau_limit_lambda,
+    tau_rule_residual,
+)
 
 # Published eigenvalues of an n=100 hat-function hydrogen run (levels 1-3,
 # the interleaved spurious value, then level 4), used as classifier vectors.
@@ -60,8 +69,6 @@ NON_NUMBER_CALLS = [
     pytest.param(lambda: small_hermite_solve(window=None), "window", id="solve-window-none"),
     pytest.param(lambda: eigenpair_residual(small_hermite_system(), "x", np.ones(40)), "binding",
                  id="eigenpair_residual-binding"),
-    pytest.param(lambda: tau_rule_residual("a", 0.1, 0.1), "h_j", id="tau_rule_residual-h_j"),
-    pytest.param(lambda: tau_limit_lambda(0.1, 0.2, 0.01, "c"), "c", id="tau_limit_lambda-c"),
     pytest.param(lambda: part_dofs(SCHEME_HERMITE, "10", "zeta"), "size", id="part_dofs-size"),
     pytest.param(lambda: assemble(SCHEME_HERMITE, OperatorParams(Z=1, kappa=-1), "mesh"), "mesh",
                  id="assemble-mesh"),
@@ -86,9 +93,17 @@ SMALL_MESH = build_exponential_mesh(1e-6, 40.0, 10, 8.0)
 
 #: Per library call with an argument of the wrong type: the call, the parameter
 #: its ConfigError names and the type it got. Each object argument raised a
-#: builtin AttributeError, a string opposite_kappa_ground a TypeError, and a
-#: truthy flag that is not a bool freed the slope.
+#: builtin AttributeError, a string opposite_kappa_ground a TypeError, a
+#: truthy flag that is not a bool freed the slope, and a None or bool position
+#: gave a potential of NaN or of 1.
 WRONG_TYPE_CALLS = [
+    pytest.param(lambda: gauss_rule("mesh"), "mesh", "str", id="gauss_rule-mesh"),
+    pytest.param(lambda: potential_value("params", 2.0), "params", "str",
+                 id="potential_value-params"),
+    pytest.param(lambda: potential_value(HYDROGEN, None), "x", "NoneType",
+                 id="potential_value-x-none"),
+    pytest.param(lambda: potential_value(HYDROGEN, True), "x", "bool",
+                 id="potential_value-x-bool"),
     pytest.param(lambda: assemble(SCHEME_HERMITE, "params", SMALL_MESH), "params", "str",
                  id="assemble-params"),
     pytest.param(lambda: bound_window("params", 3), "params", "str", id="bound_window-params"),
@@ -111,6 +126,11 @@ WRONG_TYPE_CALLS = [
     pytest.param(lambda: convergence_study(SCHEME_HERMITE, HYDROGEN, (10,), 2, a=1e-6, b=40.0,
                                            gamma=8.0, free_lower_slope="yes"),
                  "free_lower_slope", "str", id="convergence_study-free_lower_slope"),
+    pytest.param(lambda: convergence_study(SCHEME_HERMITE, HYDROGEN, 5, 2, a=1e-6, b=40.0,
+                                           gamma=8.0), "n_values", "int",
+                 id="convergence_study-n_values"),
+    pytest.param(lambda: classify(5, hydrogen_reference()), "computed", "int",
+                 id="classify-computed"),
     pytest.param(lambda: classify([-0.5], "ref"), "reference", "str", id="classify-reference"),
     pytest.param(lambda: classify([-0.5], [None]), "reference", "NoneType",
                  id="classify-reference-level"),
@@ -463,15 +483,25 @@ class TestTauVerification:
         assert isinstance(lam, complex)
         assert lam.imag > 0
 
+    @pytest.mark.parametrize("a, b, n, gamma", [(1e-5, 192.0, 100, 6.0), (1e-5, 192.0, 400, 4.0),
+                                                (1e-3, 5.0, 30, 2.0)])
+    def test_rule_residual_zero_at_the_assembled_tau(self, a, b, n, gamma):
+        # the package's tau on a real graded mesh meets the oracle's rule on every element pair
+        mesh = build_exponential_mesh(a, b, n, gamma)
+        tau, h = compute_tau(mesh), mesh.h
+        assert tau[0] == 0.0
+        for e in range(1, mesh.element_count):
+            assert abs(tau_rule_residual(h[e - 1], h[e], tau[e])) <= 1e-14 * h[e] ** 2
+
     def test_preconditions(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"requires h_\{j\+1\} != h_j"):
             tau_limit_lambda(0.01, 0.01, 0.0, 100.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"requires h_\{j\+1\} != h_j"):
             tau_rule_residual(0.01, 0.01, 0.0)
         # rho^2 == d^2 degeneracy: tau = -rho * h_{j+1} * 5/6 makes d = rho
         hj, hj1 = 0.01, 0.02
         tau_deg = -(-9.0 / 70.0) * hj1 * 5.0 / 6.0
-        with pytest.raises(DegeneratePencilError):
+        with pytest.raises(ValueError, match="reduced pencil is degenerate"):
             tau_limit_lambda(hj, hj1, tau_deg, 100.0)
 
 
@@ -529,6 +559,11 @@ class TestConvergenceStudy:
         with pytest.raises(ConfigError, match=f"n must be an integer >= 1, got {n_values[0]}"):
             convergence_study(SCHEME_HERMITE, params,
                               n_values, 2, a=1e-6, b=40.0, gamma=8.0)
+
+    def test_rejects_no_sizes(self):
+        # an empty sequence returned a study with no errors and NaN orders
+        with pytest.raises(ConfigError, match="n_values must hold at least one size"):
+            convergence_study(SCHEME_HERMITE, HYDROGEN, [], 2, a=1e-6, b=40.0, gamma=8.0)
 
     @pytest.mark.parametrize("match_tol", [0.5, "x"])
     def test_rejects_a_bad_match_tol_before_any_solve(self, match_tol, monkeypatch):

@@ -136,7 +136,6 @@ def test_every_field_settable_from_file_and_flag(name, tmp_path):
 #: its flags override them
 BASE_FILE = ("Z = 1\nscheme = hermite-galerkin\nn = 40\na = 1e-6\nb = 40\nmesh_gamma = 8\n"
              "levels = 2\nformat = csv\n")
-VERIFY_TAU = ["--mode", "verify-tau"]
 COINCIDENCE = ["--mode", "coincidence"]
 CONVERGENCE = ["--mode", "convergence"]
 
@@ -162,12 +161,12 @@ BAD_VALUES = [
     pytest.param(["--n", "0"], EXIT_CONFIG, "n", id="n"),
     pytest.param(["--n", "0"] + CONVERGENCE, EXIT_CONFIG, "n", id="n-convergence"),
     pytest.param(["--mesh-gamma", "-1"], EXIT_PHYSICS, "gamma", id="mesh_gamma"),
-    pytest.param(["--mesh-gamma", "1e-17", "--n", "5"] + VERIFY_TAU, EXIT_CONFIG, "--mesh-gamma",
-                 id="mesh_gamma-verify-tau"),
+    *[pytest.param(["--mesh-gamma", "-1"] + mode, EXIT_PHYSICS, "gamma", id=f"mesh_gamma-{name}")
+      for name, mode in [("compare-schemes", ["--mode", "compare-schemes"]),
+                         ("coincidence", COINCIDENCE), ("convergence", CONVERGENCE)]],
     pytest.param(["--levels", "0"], EXIT_CONFIG, "levels", id="levels"),
     pytest.param(["--levels", "-2"], EXIT_CONFIG, "levels", id="levels-negative"),
     pytest.param(["--levels", "0"] + COINCIDENCE, EXIT_CONFIG, "levels", id="levels-coincidence"),
-    pytest.param(["--levels", "0"] + VERIFY_TAU, EXIT_CONFIG, "levels", id="levels-verify-tau"),
     *[pytest.param(["--match-tol", tol], EXIT_CONFIG, "match_tol", id=f"match_tol-{tol}")
       for tol in ("0.5", "nan", "0")],
     pytest.param(["--match-tol", "0.5"] + COINCIDENCE, EXIT_CONFIG, "match_tol",
@@ -186,6 +185,8 @@ BAD_VALUES = [
     pytest.param("free_lower_slope = maybe\n", EXIT_CONFIG, "free_lower_slope",
                  id="free_lower_slope"),
     pytest.param("mode = fancy\n", EXIT_CONFIG, "mode", id="mode"),
+    # the verify-tau mode is gone, its tau algebra moved to the test oracles
+    pytest.param("mode = verify-tau\n", EXIT_CONFIG, "mode", id="mode-verify-tau-removed"),
     pytest.param("format = fancy\n", EXIT_CONFIG, "format", id="format"),
     # a missing directory, or a directory as the file, ended in a traceback
     *[pytest.param(["--out", f"{{tmp}}/{target}"], EXIT_CONFIG, "--out", id=f"out-{target}")
@@ -213,11 +214,6 @@ def test_bad_value_of_each_key_exits_by_the_rule_naming_it(given, code, name, tm
 
 
 @pytest.mark.parametrize("flags", [
-    *[pytest.param(VERIFY_TAU + [flag, value], id=f"verify-tau-{flag[2:]}")
-      for flag, value in (("--kappa", "0"), ("--m", "-1"), ("--c-value", "nan"),
-                          ("--radius", "-1"), ("--match-tol", "0.5"))],
-    pytest.param(VERIFY_TAU + ["--scheme", "linear-galerkin", "--free-lower-slope"],
-                 id="verify-tau-linear-free-lower-slope"),
     pytest.param(["--n-list", "100,50"], id="solve-n-list"),
     # compare-schemes reads no scheme key, and applies the flag to its Hermite schemes only
     pytest.param(["--mode", "compare-schemes", "--scheme", "linear-galerkin",
@@ -238,7 +234,8 @@ class TestMain:
             raise AssertionError("argument parser rebuilt on a call")
 
         monkeypatch.setattr(cli.argparse.ArgumentParser, "add_argument", refuse)
-        assert main(["--mode", "verify-tau", "--n", "20", "--format", "csv"]) == 0
+        assert main(["--scheme", "hermite-galerkin", "--n", "40", "--a", "1e-6", "--b", "40",
+                     "--mesh-gamma", "8", "--levels", "2", "--format", "csv"]) == 0
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
@@ -267,7 +264,7 @@ class TestMain:
         assert main(["--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"config error: unknown {key} 'fancy'; expected one of {cli._CHOICES[key]}\n"
-        assert "verify-tau" in cli._CHOICES["mode"]
+        assert cli._CHOICES["mode"] == ("solve", "compare-schemes", "convergence", "coincidence")
 
     def test_env_config_used(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "env.cfg"
@@ -356,19 +353,6 @@ class TestMain:
         assert err.startswith("solver error: kappa=1: no bound level found; "
                               "the window held 0 computed level(s): ")
         assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("n, gamma", [("5", "1e-17"), ("100", "1e-15")])
-    def test_verify_tau_on_a_nearly_uniform_mesh_exits_2_naming_the_grading(self, n, gamma,
-                                                                             capfd):
-        # neighbouring elements of equal size leave the tau rule undefined:
-        # tau_rule_residual raised ValueError and the run ended in a traceback
-        code = main(["--mode", "verify-tau", "--n", n, "--mesh-gamma", gamma])
-        assert code == EXIT_CONFIG
-        out, err = capfd.readouterr()
-        assert out == ""
-        assert err.startswith(f"config error: --mesh-gamma {gamma} ")
-        assert err.count("\n") == 1
-        assert main(["--mode", "verify-tau", "--n", "5", "--mesh-gamma", "1e-15"]) == 0
 
     def test_small_misses_blame_the_fixed_lower_slope(self, capsys):
         # the README pathology mesh: the SUPG ground level misses by 1.8e-4,
@@ -510,11 +494,6 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "n,level,kappa,rel_error,order"
-
-    def test_verify_tau_mode(self, capsys):
-        assert main(["--mode", "verify-tau", "--n", "15"]) == 0
-        out = capsys.readouterr().out
-        assert "improved" in out
 
     def test_compare_schemes_free_lower_slope_on_pathology_config(self, capsys):
         # the README pathology mesh: with the fixed lower slope the SUPG
@@ -658,8 +637,7 @@ AGREEMENT_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("argv", AGREEMENT_RUNS + [
-    pytest.param(["--mode", "verify-tau", "--n", "15"], id="verify-tau")])
+@pytest.mark.parametrize("argv", AGREEMENT_RUNS)
 def test_json_run_renders_no_table(argv, monkeypatch):
     # every mode renders its table only under --format table
     def refuse(x):

@@ -1,4 +1,4 @@
-"""The README's library example runs as documented, and its flags exist."""
+"""The README's library example runs as documented, and its flags and modes exist."""
 
 import re
 from pathlib import Path
@@ -42,3 +42,15 @@ def test_cli_options_are_in_the_readme():
                if o.startswith("--") and o != "--help" and not o.startswith("--no-")}
     missing = options - readme_flags()
     assert not missing, f"dirac-fem has flags the README does not document: {sorted(missing)}"
+
+
+def test_readme_modes_are_cli_modes():
+    written = set(re.findall(r"--mode\s+([\w-]+)", README.read_text()))
+    unknown = written - set(cli._CHOICES["mode"])
+    assert not unknown, f"README runs modes dirac-fem does not have: {sorted(unknown)}"
+
+
+def test_cli_modes_are_in_the_readme():
+    text = README.read_text()
+    missing = {mode for mode in cli._CHOICES["mode"] if f"`{mode}`" not in text}
+    assert not missing, f"dirac-fem has modes the README does not name: {sorted(missing)}"
