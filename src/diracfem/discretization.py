@@ -39,13 +39,17 @@ class Mesh:
     the endpoints, the interior count, the element sizes and the SUPG
     stabilization parameter (``assembly.compute_tau``) all derive from it.
     Construction copies ``nodes`` into a read-only float array and raises
-    PhysicsError unless there are at least two and they strictly increase.
+    PhysicsError unless they are real numbers, at least two, strictly increasing.
     """
 
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
+        try:
+            nodes = np.array(self.nodes, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise PhysicsError(f"mesh nodes must be real numbers, "
+                               f"not {type(self.nodes).__name__}") from exc
         if nodes.ndim != 1 or len(nodes) < 2 or not np.all(np.diff(nodes) > 0):
             raise PhysicsError("mesh needs at least two strictly increasing nodes")
         nodes.setflags(write=False)

@@ -135,51 +135,27 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class _BandShape:
-    """The arrays every solve of one band pencil shape reads, all read-only.
-
-    ``scale`` holds one power of two per band row, 2^(-k*(i - j)) for the
-    row of offset i - j, that scales the shifted pencil for an inertia
-    count (see ``_inertia_counter``). ``f_values`` are the f-value dofs,
-    ``start`` the fixed start vector of inverse iteration and ``natural``
-    the identity permutation.
-    """
-
-    scale: np.ndarray
-    f_values: np.ndarray
-    start: np.ndarray
-    natural: np.ndarray
-
-    def __post_init__(self):
-        for array in vars(self).values():
-            array.setflags(write=False)
-
-
 @functools.lru_cache(maxsize=16)
-def _band_shape(scheme: str, size: int, hb: int) -> _BandShape:
-    """The index arrays of a ``size``-dof pencil of ``scheme`` with half-bandwidth ``hb``.
+def _start_vector(size: int) -> np.ndarray:
+    """The read-only start vector of inverse iteration on a ``size``-dof pencil, held per size.
 
-    They depend on the shape alone, so each is built once per shape and
-    shared by every solve of it: a one-shot run's kappa pair, or every call of
-    a long-lived process. The key holds ``hb`` because a band need not be an
-    assembled one (a dense pencil stored as a full band has hb = size - 1).
+    Fixed, so repeated solves are bit-identical; not all ones, which a
+    symmetric pencil can make orthogonal to a level it then never finds.
     """
-    # 2^-k just below PIVOT_TOL (k = 40), as far as the scales 2^(+-k*hb)
-    # leave entries from 2^-62 to 2^63 inside the normal double range
+    start = np.random.default_rng(0).uniform(0.5, 1.5, size)
+    start.setflags(write=False)
+    return start
+
+
+def _count_scale(hb: int) -> np.ndarray:
+    """One power of two per band row, 2^(-k*(i - j)) for the row of offset i - j.
+
+    It scales the shifted pencil of an inertia count (see ``_inertia_counter``):
+    2^-k just below PIVOT_TOL (k = 40), as far as the scales 2^(+-k*hb)
+    leave entries from 2^-62 to 2^63 inside the normal double range.
+    """
     k = min(math.ceil(-math.log2(PIVOT_TOL)), 960 // max(hb, 1))
-    return _BandShape(
-        scale=np.ldexp(1.0, -k * np.arange(-hb, hb + 1))[:, None],
-        f_values=part_dofs(scheme, size, "zeta"),
-        # fixed, so repeated solves are bit-identical; not all ones, which a
-        # symmetric pencil can make orthogonal to a level it then never finds
-        start=np.random.default_rng(0).uniform(0.5, 1.5, size),
-        natural=np.arange(size, dtype=np.intc))
-
-
-def _shape_of(system: AssembledSystem) -> _BandShape:
-    """The index arrays of ``system``'s pencil shape (see ``_band_shape``)."""
-    return _band_shape(system.scheme, system.size, system.lhs_band.shape[0] // 2)
+    return np.ldexp(1.0, -k * np.arange(-hb, hb + 1))[:, None]
 
 
 def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -189,30 +165,43 @@ def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dgbmv(max(size, 2 * hb + 1), size, hb, hb, 1.0, band, x)[:size]
 
 
+def _shifted_pencil(lhs_band: np.ndarray, rhs_band: np.ndarray):
+    """Function s -> lhs - s*rhs of two band matrices, Fortran-ordered in ``dgbtrf``'s layout.
+
+    The bands are copied once, under hb rows for the fill that row swaps
+    bring, so each shifted pencil is one contiguous multiply-add.
+    """
+    hb, size = lhs_band.shape[0] // 2, lhs_band.shape[1]
+    lhs, rhs = (np.zeros((3 * hb + 1, size), order="F") for _ in range(2))
+    lhs[hb:], rhs[hb:] = lhs_band, rhs_band
+
+    def shifted(s: float) -> np.ndarray:
+        pencil = np.multiply(rhs, -s)  # Fortran-ordered like rhs, so dgbtrf copies nothing
+        pencil += lhs
+        return pencil
+
+    return shifted
+
+
 def _shifted_lu(system: AssembledSystem):
     """Function sigma -> partially pivoted ``dgbtrf`` of lhs - sigma*rhs: (lu, pivots, det_sign).
 
-    lhs and rhs are copied once into dgbtrf's layout, with hb more rows on
-    top for the fill that row swaps bring, so each shifted pencil is one
-    contiguous multiply-add. ``det_sign`` is the sign of
-    det(lhs - sigma*rhs): the product of the signs of U's diagonal, times -1
-    for each row swap, and 0 when U is exactly singular. A factor holding a
-    non-finite entry raises SingularSystemError.
+    ``det_sign`` is the sign of det(lhs - sigma*rhs): the product of the
+    signs of U's diagonal, times -1 for each row swap, and 0 when U is
+    exactly singular. A factor holding a non-finite entry raises
+    SingularSystemError.
     """
-    hb, size = system.lhs_band.shape[0] // 2, system.size
-    lhs, rhs = (np.zeros((3 * hb + 1, size), order="F") for _ in range(2))
-    lhs[hb:], rhs[hb:] = system.lhs_band, system.rhs_band
-    natural = _shape_of(system).natural
+    hb = system.lhs_band.shape[0] // 2
+    pencil = _shifted_pencil(system.lhs_band, system.rhs_band)
 
     def lu(sigma: float):
-        shifted = np.multiply(rhs, -sigma)  # Fortran-ordered like rhs, so dgbtrf copies nothing
-        shifted += lhs
-        factor, pivots, info = dgbtrf(shifted, hb, hb, overwrite_ab=True)
+        factor, pivots, info = dgbtrf(pencil(sigma), hb, hb, overwrite_ab=True)
         if not np.isfinite(factor).all():
             raise SingularSystemError(f"shifted pencil at sigma={sigma} has a non-finite factor")
         if info > 0:
             return factor, pivots, 0
-        flips = np.count_nonzero(factor[2 * hb] < 0) + np.count_nonzero(pivots != natural)
+        flips = (np.count_nonzero(factor[2 * hb] < 0)
+                 + np.count_nonzero(pivots != np.arange(system.size)))
         return factor, pivots, -1 if flips % 2 else 1
 
     return lu
@@ -245,7 +234,7 @@ def _normalize_vectors(vecs: np.ndarray, system: AssembledSystem) -> np.ndarray:
 
 def _lead_positive(v: np.ndarray, system: AssembledSystem) -> np.ndarray:
     """Node-order columns ``v``, each signed in place: its largest-|f value| entry positive."""
-    f_values = _shape_of(system).f_values
+    f_values = part_dofs(system.scheme, system.size, "zeta")
     v[:, v[f_values[np.argmax(np.abs(v[f_values]), axis=0)], np.arange(v.shape[1])] < 0] *= -1.0
     return v
 
@@ -271,7 +260,7 @@ def _inertia_counter(system: AssembledSystem):
     unpivoted LU of A, whose pivots are that D, has no fill outside the
     band. ``dgbtrf`` computes it from the similar matrix D A D^-1,
     D = diag(2^(-k*i)): its entry at offset i - j is A's times
-    2^(-k*(i - j)), one factor per band row (``_BandShape.scale``). Powers
+    2^(-k*(i - j)), one factor per band row (``_count_scale``). Powers
     of two scale without rounding, and D A D^-1 has A's unpivoted pivots,
     each bit for bit. Partial pivoting on it swaps rows only where an
     unpivoted pivot is below 2^-k times an entry under it, so with
@@ -286,16 +275,14 @@ def _inertia_counter(system: AssembledSystem):
     k = 40 inside the double range takes a smaller k: its counts refuse
     more often, but never count otherwise.
     """
-    shape, size = _shape_of(system), system.size
     hb = system.lhs_band.shape[0] // 2
-    lhs, rhs = (np.zeros((3 * hb + 1, size), order="F") for _ in range(2))
-    lhs[hb:], rhs[hb:] = system.lhs_band * shape.scale, system.rhs_band * shape.scale
+    scale = _count_scale(hb)
+    scaled = _shifted_pencil(system.lhs_band * scale, system.rhs_band * scale)
     # unscaled and C-ordered, where the reduction down each band column is fast
     lhs_rows, rhs_rows = (np.ascontiguousarray(band) for band in (system.lhs_band, system.rhs_band))
 
     def count(s: float) -> int:
-        shifted = np.multiply(rhs, -s)  # D (lhs - s*rhs) D^-1, exactly
-        shifted += lhs
+        shifted = scaled(s)  # D (lhs - s*rhs) D^-1, exactly
         # lhs - s*rhs is symmetric: its row j holds the entries of band column j
         entries = np.multiply(rhs_rows, -s)
         entries += lhs_rows
@@ -304,7 +291,7 @@ def _inertia_counter(system: AssembledSystem):
         if not np.isfinite(factor).all():
             raise SolverError(f"inertia count at {s!r}: the factor holds a non-finite entry")
         pivots = factor[2 * hb]
-        if (swapped := swaps != shape.natural).any():
+        if (swapped := swaps != np.arange(system.size)).any():
             # the swap moved the unpivoted pivot under the new one, as its multiplier
             i = int(np.argmax(swapped))
             unpivoted = factor[2 * hb + swaps[i] - i, i] * pivots[i]
@@ -331,11 +318,11 @@ class _LevelSearch:
     found twice; |lhs| and |rhs| are formed only if an ``_accept`` needs them.
     """
 
-    def __init__(self, system: AssembledSystem, lu):
-        self.system, self._lu = system, lu
+    def __init__(self, system: AssembledSystem):
+        self.system, self._lu = system, _shifted_lu(system)
         self.hb = system.lhs_band.shape[0] // 2
         self._abs_bands = None
-        self._start = _shape_of(system).start
+        self._start = _start_vector(system.size)
         self._rhs_start = _band_product(system.rhs_band, self._start)
         self.mu: list[float] = []
         # the found vectors and rhs times each, one per row, with room for more
@@ -446,16 +433,15 @@ class _LevelSearch:
         return None
 
 
-def _reference_shifts(params: OperatorParams, lo: float, hi: float, most: int,
-                      size: int) -> list[float]:
+def _reference_shifts(system: AssembledSystem, lo: float, hi: float, most: int) -> list[float]:
     """The kappa = -|kappa| reference bindings in (lo, hi), deepest first, at most ``most``.
 
     Every genuine level of either kappa sign, and the kappa > 0 copy of the
     ground state, lies within its discretization error of one of them.
     """
-    neg = replace(params, kappa=-abs(params.kappa))
+    neg = replace(system.params, kappa=-abs(system.params.kappa))
     shifts = []
-    for n_r in range(size):
+    for n_r in range(system.size):
         binding = reference_binding(neg, n_r).binding
         if binding >= hi or len(shifts) == most:
             break
@@ -485,10 +471,8 @@ def _odd_intervals(parity: dict[float, int], found: list[float]):
             yield p, q
 
 
-def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
+def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
     """Every eigenpair of a symmetric-definite pencil in (lo, hi), ascending: (mu, vectors).
-
-    ``lu`` factors the shifted pencil (see ``_shifted_lu``).
 
     1. Count: the window holds m = count(hi) - count(lo) levels.
     2. Locate: one inverse-iteration search from each kappa = -|kappa|
@@ -517,8 +501,8 @@ def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
     count = _inertia_counter(system)
     below = {hi: count(hi), lo: count(lo)}  # the counts run
     m = below[hi] - below[lo]  # the window's number of levels
-    search = _LevelSearch(system, lu)
-    shifts = _reference_shifts(system.params, lo, hi, m, system.size)
+    search = _LevelSearch(system)
+    shifts = _reference_shifts(system, lo, hi, m)
     parity = {edge: n % 2 for edge, n in below.items()}
     for sigma in shifts:
         factor = search.factor(sigma)
@@ -581,10 +565,8 @@ def _solve_galerkin(system: AssembledSystem, lu, lo: float, hi: float):
 # --- the stabilized pencil: shift-invert Arnoldi disks -------------------------
 
 
-def _solve_disk(system: AssembledSystem, lu, lo: float, hi: float, first_k: int):
+def _solve_disk(system: AssembledSystem, lo: float, hi: float, first_k: int):
     """One shift-invert disk certified complete on (lo, hi): (mu, vecs, radius, max_imag).
-
-    ``lu`` factors the shifted pencil (see ``_shifted_lu``).
 
     ``mu`` holds the real parts of every computed binding, ascending,
     ``vecs`` their node-order eigenvectors, and ``radius`` the farthest
@@ -602,6 +584,7 @@ def _solve_disk(system: AssembledSystem, lu, lo: float, hi: float, first_k: int)
     size = system.size
     sigma, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     hb = system.lhs_band.shape[0] // 2
+    lu = _shifted_lu(system)
     factor, pivots, det_sign = lu(sigma)
     if det_sign == 0:
         raise SingularSystemError(f"shifted pencil singular at sigma={sigma}")
@@ -652,7 +635,7 @@ def _solve_disk(system: AssembledSystem, lu, lo: float, hi: float, first_k: int)
     return mu.real[order], vecs[:, order], radius, max_imag
 
 
-def _disk_edges(params: OperatorParams, lo: float, hi: float, size: int) -> list[float]:
+def _disk_edges(system: AssembledSystem, lo: float, hi: float) -> list[float]:
     """The edges of the stabilized solve's disks on (lo, hi): [lo, hi], or [lo, s, hi].
 
     One shift at the midpoint of a window of SPLIT_LEVELS genuine levels or
@@ -663,7 +646,8 @@ def _disk_edges(params: OperatorParams, lo: float, hi: float, size: int) -> list
     if s lies inside it. Its reference shifts count its genuine levels,
     less one for kappa > 0, whose series has no n_r = 0 level.
     """
-    genuine = len(_reference_shifts(params, lo, hi, SPLIT_LEVELS + 1, size)) - (params.kappa > 0)
+    params = system.params
+    genuine = len(_reference_shifts(system, lo, hi, SPLIT_LEVELS + 1)) - (params.kappa > 0)
     neg = replace(params, kappa=-abs(params.kappa))
     split = 0.5 * (reference_binding(neg, 1).binding + reference_binding(neg, 2).binding)
     return [lo, split, hi] if genuine >= SPLIT_LEVELS and lo < split < hi else [lo, hi]
@@ -729,19 +713,18 @@ def solve(system: AssembledSystem, window: tuple[float, float]) -> Spectrum:
         raise SolverError(f"pencil of size {system.size} is too small for a windowed solve")
     if not (np.isfinite(system.lhs_band).all() and np.isfinite(system.rhs_band).all()):
         raise SingularSystemError("the pencil holds a non-finite entry")
-    lu = _shifted_lu(system)
     if is_galerkin(system.scheme):
-        mu, vecs = _solve_galerkin(system, lu, lo, hi)
+        mu, vecs = _solve_galerkin(system, lo, hi)
         keep = (mu > -2.0 * mc2) & (mu < 0.0)
         # the search returns real, rhs-normalized vectors
         return Spectrum(scheme=system.scheme, bindings=mu[keep], max_imag=0.0,
                         params=system.params, eigenvectors=_lead_positive(vecs[:, keep], system))
     bindings, vectors, max_imag = [], [], 0.0
-    for top in _disk_edges(system.params, lo, hi, system.size)[1:]:
+    for top in _disk_edges(system, lo, hi)[1:]:
         if lo >= top:
             continue  # the disk below certified this whole slice empty
         mu, vecs, radius, disk_imag = _solve_disk(
-            system, lu, lo, top, WINDOW_FIRST_K if top == hi else SPLIT_FIRST_K)
+            system, lo, top, WINDOW_FIRST_K if top == hi else SPLIT_FIRST_K)
         cut = hi if top == hi else min(hi, _empty_gap_midpoint(
             mu, lo, top, 0.5 * (lo + top) + radius))
         keep = (mu > max(lo, -2.0 * mc2)) & (mu < min(cut, 0.0))
@@ -778,7 +761,11 @@ def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarr
     check_type(system, "system", AssembledSystem)
     if not (is_real(binding) and np.isfinite(binding)):
         raise ConfigError(f"binding must be a finite real number, got {binding!r}")
-    v = np.asarray(vector, dtype=float)
+    try:
+        v = np.asarray(vector, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"vector must be an array of real numbers, "
+                          f"not {type(vector).__name__}") from exc
     if v.shape != (system.size,):
         raise ConfigError(f"vector must have shape ({system.size},), got {v.shape}")
     if not (np.isfinite(v).all() and v.any()):

@@ -111,7 +111,11 @@ def potential_value(params: OperatorParams, x):
     else:
         if np.any(x < 0.0):
             raise PhysicsError("potential requires x >= 0")
-        inside = -(Z / (2.0 * R)) * (3.0 - x**2 / R**2)
+        # x^2/R^2 as (x*2^-e)^2/m^2, R = m*2^e with 0.5 <= m < 1: scaling by a
+        # power of two leaves the rounded quotient as it was, and no square
+        # leaves the double range at any R, since only x <= R is squared
+        m, e = math.frexp(R)
+        inside = -(Z / (2.0 * R)) * (3.0 - np.ldexp(np.minimum(x, R), -e) ** 2 / (m * m))
         out = np.where(x < R, inside, -Z / np.maximum(x, R))
     return out if out.shape else float(out)
 

@@ -69,6 +69,8 @@ NON_NUMBER_CALLS = [
     pytest.param(lambda: small_hermite_solve(window=None), "window", id="solve-window-none"),
     pytest.param(lambda: eigenpair_residual(small_hermite_system(), "x", np.ones(40)), "binding",
                  id="eigenpair_residual-binding"),
+    pytest.param(lambda: eigenpair_residual(small_hermite_system(), -0.5, "x"), "vector",
+                 id="eigenpair_residual-vector"),
     pytest.param(lambda: part_dofs(SCHEME_HERMITE, "10", "zeta"), "size", id="part_dofs-size"),
     pytest.param(lambda: assemble(SCHEME_HERMITE, OperatorParams(Z=1, kappa=-1), "mesh"), "mesh",
                  id="assemble-mesh"),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diracfem.assembly
+from diracfem.analysis import Label, classify
 from diracfem.assembly import (
     SCHEME_HERMITE,
     SCHEME_LINEAR,
@@ -14,8 +15,9 @@ from diracfem.assembly import (
     part_dofs,
 )
 from diracfem.discretization import BasisKind, Mesh, build_exponential_mesh
+from diracfem.eigensolver import bound_window, solve
 from diracfem.errors import ConfigError
-from diracfem.physics import OperatorParams
+from diracfem.physics import OperatorParams, reference_binding, reference_spectrum
 
 from conftest import random_mesh
 from oracles import assemble_block, block_order, closed_form_element_entries, element_integral
@@ -196,6 +198,32 @@ class TestTau:
         mesh = random_mesh(rng, n=10)
         tau = compute_tau(mesh)
         assert np.all(np.abs(tau) < mesh.h)
+
+    @pytest.mark.parametrize("z, kappa, mesh_args, levels", [
+        (12, -2, (1e-6, 60.0, 100, 8.5), 12), (12, -2, (1e-6, 60.0, 400, 8.5), 12),
+        (1, 1, (1e-6, 150.0, 100, 8.0), 6)])
+    def test_the_papers_tau_removes_the_spurious_level(self, z, kappa, mesh_args, levels,
+                                                       monkeypatch):
+        # the stabilized window holds only genuine levels at the paper's tau,
+        # and one instilled level more at a thousandth of it: Z=12's, and the
+        # extra kappa > 0 level of the pathology mesh (free lower slope).
+        # Labels by distance, at match_tol 1e-3
+        params = OperatorParams(Z=z, kappa=kappa)
+        ground = reference_binding(OperatorParams(Z=z, kappa=-abs(kappa)), 0).binding
+        paper = compute_tau
+        counts = {}
+        for scale in (1.0, 0.001):
+            monkeypatch.setattr(diracfem.assembly, "compute_tau",
+                                lambda mesh, scale=scale: scale * paper(mesh))
+            system = assemble(SCHEME_SUPG, params, build_exponential_mesh(*mesh_args),
+                              free_lower_slope=kappa > 0)
+            bindings = solve(system, window=bound_window(params, levels)).bindings
+            classified = classify(bindings, reference_spectrum(params, levels),
+                                  opposite_kappa_ground=ground if kappa > 0 else None,
+                                  match_tol=1e-3)
+            counts[scale] = {label: classified.count(label) for label in Label}
+        clean = dict.fromkeys(Label, 0) | {Label.GENUINE: levels}
+        assert counts == {1.0: clean, 0.001: clean | {Label.INSTILLED: 1}}
 
 
 @pytest.fixture

@@ -416,6 +416,15 @@ class TestMain:
         assert "--radius" in err and "point-nucleus reference" in err and "--match-tol" in err
         assert "--free-lower-slope" not in err and "too coarse" not in err
 
+    @pytest.mark.parametrize("radius", ["1e160", "1e-300"])
+    def test_extreme_radius_exits_with_a_documented_code(self, radius, capsys):
+        # R = 1e160 raised a builtin OverflowError from R**2 (a traceback,
+        # exit 1), and R = 1e-300 warned of a division by zero
+        code = main(["--scheme", "hermite-galerkin", "--Z", "1", "--abs-kappa", "1", "--n", "40",
+                     "--levels", "3", "--radius", radius])
+        assert code == EXIT_SOLVER
+        assert "genuine levels found" in capsys.readouterr().err
+
     def test_solve_table_output(self, capsys):
         assert main(FAST) == 0
         out = capsys.readouterr().out

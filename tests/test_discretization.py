@@ -52,9 +52,11 @@ class TestMesh:
         [0.5, float("nan"), 0.9],
         [0.5],                  # no element
         [[0.5, 0.9]],           # not one-dimensional
+        "x",                    # not numbers: a builtin ValueError
+        object(),               # a builtin TypeError
     ])
     def test_direct_construction_validated(self, nodes):
-        with pytest.raises(PhysicsError):
+        with pytest.raises(PhysicsError, match=r"\bnodes\b"):
             Mesh(np.array(nodes))
 
     def test_counts_derive_from_nodes(self):

@@ -1,7 +1,7 @@
 import logging
 import os
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -510,9 +510,12 @@ class TestRealSystems:
         # every bound window is (lo, hi); the stabilized solve cuts it halfway
         # between the kappa = -|kappa| reference levels n_r = 1 and 2 from
         # SPLIT_LEVELS levels on, for either sign of kappa
+        bands = np.zeros((1, 1600))  # the edges read the pencil's size and params alone
         for z in (1, 2, 12, 50, 92):
             for kappa in (-3, -2, -1, 1, 2, 3):
                 params = OperatorParams(Z=z, kappa=kappa)
+                system = AssembledSystem(scheme=SCHEME_SUPG, lhs_band=bands, rhs_band=bands,
+                                         params=params)
                 neg = replace(params, kappa=-abs(kappa))
                 split = 0.5 * (reference_binding(neg, 1).binding
                                + reference_binding(neg, 2).binding)
@@ -521,7 +524,7 @@ class TestRealSystems:
                     assert len(window) == 2
                     lo, hi = window
                     edges = [lo, split, hi] if levels >= SPLIT_LEVELS else [lo, hi]
-                    assert eigensolver._disk_edges(params, lo, hi, 1600) == edges
+                    assert eigensolver._disk_edges(system, lo, hi) == edges
 
     def test_many_levels_above_the_cut_stay_one_disk(self, caplog):
         # (lo, hi) holds the 11 levels n_r = 2 ... 12, but the cut between
@@ -532,7 +535,7 @@ class TestRealSystems:
         b1, b2 = (reference_binding(params, n_r).binding for n_r in (1, 2))
         lo = 0.5 * (0.5 * (b1 + b2) + b2)  # between the cut and n_r = 2
         _, hi = window = bound_window(params, 13)
-        assert eigensolver._disk_edges(params, lo, hi, system.size) == [lo, hi]
+        assert eigensolver._disk_edges(system, lo, hi) == [lo, hi]
         whole = solve(system, window=window)
         with caplog.at_level(logging.DEBUG, logger="diracfem"):
             upper = solve(system, window=(lo, hi))
@@ -873,7 +876,7 @@ class TestGalerkinDriver:
             y = (vectors[:, i] + vectors[:, i + 1]) / np.sqrt(2.0)
             rhs_y, lhs_y = (eigensolver._band_product(band, y)
                             for band in (system.rhs_band, system.lhs_band))
-            search = eigensolver._LevelSearch(system, eigensolver._shifted_lu(system))
+            search = eigensolver._LevelSearch(system)
             assert not search._accept(y @ lhs_y, y, rhs_y, lhs_y)
             assert search.mu == []
         assert [(kept, products) for _, kept, products, _ in accept_attempts] == \
@@ -1006,7 +1009,7 @@ class TestInertiaCount:
         rng = np.random.default_rng(hb)
         dominant = (2 * hb + 1 + rng.uniform(0.0, 1.0, size)) * rng.choice([-1.0, 1.0], size)
         system = band_toy(random_band(rng, size, hb, dominant), hb)
-        assert np.log2(eigensolver._shape_of(system).scale).ravel().tolist() == \
+        assert np.log2(eigensolver._count_scale(hb)).ravel().tolist() == \
             [-40.0 * d for d in range(-hb, hb + 1)]
         plain = np.zeros((3 * hb + 1, size), order="F")
         plain[hb:] = np.multiply(system.rhs_band, -s) + system.lhs_band
@@ -1056,7 +1059,7 @@ class TestInertiaCount:
         rng = np.random.default_rng(seed)
         lhs = random_band(rng, size, hb, rng.uniform(-4.0, 4.0, size))
         system = band_toy(lhs, hb)
-        assert np.log2(eigensolver._shape_of(system).scale).min() == -32 * hb
+        assert np.log2(eigensolver._count_scale(hb)).min() == -32 * hb
         levels = np.linalg.eigvalsh(lhs)
         count = eigensolver._inertia_counter(system)
         counted = 0
@@ -1093,7 +1096,7 @@ class TestStabilizedParity:
 
 
 class TestShapeCache:
-    """Index structure is built once per pencil shape and shared by every solve of it."""
+    """What is held per shape, assembly's band slots and the start vector, changes no solve."""
 
     @staticmethod
     def _solved(scheme, n, caplog, free=False, levels=6):
@@ -1109,7 +1112,7 @@ class TestShapeCache:
 
     @staticmethod
     def _clear():
-        eigensolver._band_shape.cache_clear()
+        eigensolver._start_vector.cache_clear()
         assembly._band_slots.cache_clear()
 
     @staticmethod
@@ -1148,10 +1151,8 @@ class TestShapeCache:
         self._assert_same(self._solved(scheme, n, caplog, free=free, levels=3), fresh)
 
     def test_cached_arrays_are_read_only(self):
-        shapes = [eigensolver._band_shape(SCHEME_HERMITE, 400, 7),
-                  eigensolver._band_shape(SCHEME_LINEAR, 400, 3)]
-        arrays = [getattr(shape, f.name) for shape in shapes for f in fields(shape)]
-        arrays.append(assembly._band_slots(100, True, False)[2])
+        arrays = [eigensolver._start_vector(400), eigensolver._start_vector(402),
+                  assembly._band_slots(100, True, False)[2]]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0

@@ -93,6 +93,16 @@ class TestPotential:
         assert left == pytest.approx(Z / R**2, rel=1e-5)
         assert right == pytest.approx(Z / R**2, rel=1e-5)
 
+    @pytest.mark.parametrize("radius", [1e160, 1e300, 1e-300])
+    def test_extreme_radius_gives_a_finite_potential(self, radius):
+        # R**2 overflowed a float past R ~ 1.3e154, and x**2 / R**2 divided
+        # by zero once it underflowed (in the branch np.where then discards);
+        # a RuntimeWarning fails the test
+        x = np.array([0.0, 1e-6, 1.0, 150.0])
+        got = potential_value(OperatorParams(Z=1.0, kappa=-1, R=radius), x)
+        want = np.where(x < radius, -1.5 / radius, -1.0 / np.maximum(x, radius))
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
     @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1e-4])
     def test_extended_requires_finite_positive_radius(self, radius):
         # with R = nan every x < R test is false, so V was the point-nucleus
