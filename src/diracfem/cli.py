@@ -45,7 +45,6 @@ class RunConfig:
     Z: float = 1.0
     kappa: int | None = None
     abs_kappa: int | None = None
-    m: float = 1.0
     c_value: float = SPEED_OF_LIGHT
     scheme: str = SCHEME_SUPG
     radius: float | None = None
@@ -92,7 +91,7 @@ class RunConfig:
 
     def params(self, kappa: int) -> OperatorParams:
         """The operator of one kappa; a radius makes its nucleus extended."""
-        return OperatorParams(Z=self.Z, kappa=kappa, m=self.m, c=self.c_value, R=self.radius)
+        return OperatorParams(Z=self.Z, kappa=kappa, c=self.c_value, R=self.radius)
 
     def default_b(self) -> float:
         """The derived b: the last level's n is at most levels + |kappa|, and <r> ~ n^2/Z."""

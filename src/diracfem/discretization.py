@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, PhysicsError
-from .physics import check_count, check_real, check_type
+from .physics import check_count, check_real, check_type, is_real_array
 
 # 4-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree <= 7.
 _GAUSS_POINTS, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -45,11 +45,9 @@ class Mesh:
     nodes: np.ndarray
 
     def __post_init__(self):
-        try:
-            nodes = np.array(self.nodes, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise PhysicsError(f"mesh nodes must be real numbers, "
-                               f"not {type(self.nodes).__name__}") from exc
+        if not is_real_array(self.nodes):
+            raise PhysicsError(f"mesh nodes must be real numbers, not {type(self.nodes).__name__}")
+        nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2 or not np.all(np.diff(nodes) > 0):
             raise PhysicsError("mesh needs at least two strictly increasing nodes")
         nodes.setflags(write=False)

@@ -30,7 +30,6 @@ The dense full-spectrum solve the tests check it against lives in the tests.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import logging
 import math
@@ -48,7 +47,8 @@ from .errors import (
     SingularSystemError,
     SolverError,
 )
-from .physics import OperatorParams, check_count, check_type, is_real, reference_binding
+from .physics import (OperatorParams, check_count, check_type, is_real, is_real_array,
+                      reference_binding)
 
 #: Relative bound on acceptable imaginary parts of SUPG eigenvalues.
 REALITY_TOL = 1e-8
@@ -450,25 +450,23 @@ def _reference_shifts(system: AssembledSystem, lo: float, hi: float, most: int) 
     return shifts
 
 
-def _odd_intervals(parity: dict[float, int], found: list[float]):
-    """The intervals between parity probes whose found levels miss their parity, ascending.
+def _odd_interval(parity: dict[float, int], found: list[float], top: float):
+    """The interval up to ``top`` from the probe below it, if its found levels miss its parity.
 
     ``parity`` maps probe points to the parity of the number of eigenvalues
     below them. A probe within PARITY_FUZZ of a found level is skipped: the
-    rounding of its factorization may put that level on either side.
+    rounding of its factorization may put that level on either side. None
+    if ``top`` is no probe or is skipped, has none below it, or its interval is even.
     """
-    found = sorted(found)
-    points, below = [], []  # the probes kept, and how many found levels lie below each
-    for p in sorted(parity):
-        i = bisect.bisect_left(found, p)  # found[i - 1] < p <= found[i]
-        fuzz = PARITY_FUZZ * abs(p)
-        if (i == len(found) or found[i] - p > fuzz) and (i == 0 or p - found[i - 1] > fuzz):
-            points.append(p)
-            below.append(i)
-    for k in range(len(points) - 1):
-        p, q = points[k], points[k + 1]
-        if (below[k + 1] - below[k] + parity[p] + parity[q]) % 2:
-            yield p, q
+    def kept(p):
+        return all(abs(f - p) > PARITY_FUZZ * abs(p) for f in found)
+
+    if top in parity and kept(top):
+        for p in sorted((p for p in parity if p < top), reverse=True):
+            if kept(p):
+                inside = sum(p < f < top for f in found)
+                return (p, top) if (inside + parity[p] + parity[top]) % 2 else None
+    return None
 
 
 def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
@@ -511,7 +509,7 @@ def _solve_galerkin(system: AssembledSystem, lo: float, hi: float):
         search.search(factor, lo, hi)
         # the odd interval below this shift, and above the last one, searched on its factor
         for top in (sigma, hi) if sigma == shifts[-1] else (sigma,):
-            interval = next((i for i in _odd_intervals(parity, search.mu) if i[1] == top), None)
+            interval = _odd_interval(parity, search.mu, top)
             if interval is not None:
                 search.search(factor, *interval)
         del factor  # before the next shift is factored
@@ -761,11 +759,9 @@ def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarr
     check_type(system, "system", AssembledSystem)
     if not (is_real(binding) and np.isfinite(binding)):
         raise ConfigError(f"binding must be a finite real number, got {binding!r}")
-    try:
-        v = np.asarray(vector, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"vector must be an array of real numbers, "
-                          f"not {type(vector).__name__}") from exc
+    if not is_real_array(vector):
+        raise ConfigError(f"vector must be an array of real numbers, not {type(vector).__name__}")
+    v = np.asarray(vector, dtype=float)
     if v.shape != (system.size,):
         raise ConfigError(f"vector must have shape ({system.size},), got {v.shape}")
     if not (np.isfinite(v).all() and v.any()):

@@ -2,7 +2,7 @@
 
 Every bad argument raises one of the two ``ValueError`` types, by one rule:
 PhysicsError for a real value that defines the operator or the domain (Z,
-kappa, m, c, R, a, b, gamma) or an impossible combination of them, and
+kappa, c, R, a, b, gamma) or an impossible combination of them, and
 ConfigError for any other (counts, tolerances, windows, vectors, scheme
 names, combinations of settings). The CLI maps them onto distinct exit
 codes: config errors (2), physics errors (3), solver failures (4).

@@ -1,8 +1,9 @@
 """Operator parameters, the nuclear potential, and the exact reference spectrum.
 
-All energies are in Hartree atomic units. Bound states are reported as
-binding energies (eigenvalue minus the rest energy m*c^2), which is the
-quantity the solver and classifier work with throughout.
+All energies are in Hartree atomic units, so the electron mass m is 1.
+Bound states are reported as binding energies (eigenvalue minus the rest
+energy m*c^2), which is the quantity the solver and classifier work with
+throughout.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ SPEED_OF_LIGHT = 137.035999074
 def is_real(value) -> bool:
     """Whether ``value`` is a real number other than a bool: a check to make before comparing it."""
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def is_real_array(values) -> bool:
+    """``is_real`` of every entry of ``values``: a string or bool in a list is not a number."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return True
+    return all(map(is_real, np.asarray(values, dtype=object).flat))
 
 
 def check_real(value, name: str) -> None:
@@ -61,13 +69,13 @@ def check_count(value, name: str, least: int = 1) -> int:
 class OperatorParams:
     """Physical constants, quantum numbers and nucleus of the radial operator.
 
-    R is the nuclear radius: None for a point charge, a finite R > 0 for a
-    uniformly charged sphere. Each must be a real number, not a bool.
+    R is the nuclear radius: None for a point charge, or for a uniformly
+    charged sphere a finite R > 0 whose central potential -1.5*Z/R is
+    finite. Each must be a real number, not a bool.
     """
 
     Z: float
     kappa: int
-    m: float = 1.0
     c: float = SPEED_OF_LIGHT
     R: float | None = None
 
@@ -78,29 +86,27 @@ class OperatorParams:
         if self.kappa == 0 or not float(self.kappa).is_integer():
             raise PhysicsError(f"kappa must be a nonzero integer, got {self.kappa}")
         check_charge(self.Z)
-        if not all(math.isfinite(v) for v in (self.m, self.c)):
-            raise PhysicsError(f"m and c must be finite, got m={self.m} c={self.c}")
-        if self.m <= 0 or self.c <= 0:
-            raise PhysicsError(f"m and c must be positive, got m={self.m} c={self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise PhysicsError(f"c must be finite and positive, got c={self.c}")
         if self.Z >= self.c * abs(self.kappa):
             raise PhysicsError(
                 f"supercritical charge: Z={self.Z} >= c*|kappa|={self.c * abs(self.kappa)}"
             )
-        c2 = self.c * self.c
-        if not (math.isfinite(c2) and math.isfinite(self.m * c2)):
-            raise PhysicsError(f"rest energy m*c^2 overflows a float: m={self.m} c={self.c}")
-        if self.R is not None and not 0.0 < self.R < math.inf:
-            raise PhysicsError(f"extended nucleus needs a finite radius R > 0, got R={self.R}")
+        if not math.isfinite(self.c * self.c):
+            raise PhysicsError(f"rest energy c^2 overflows a float: c={self.c}")
+        R = self.R  # -1.5*Z/R is the potential at the centre
+        if R is not None and not (0.0 < R < math.inf and math.isfinite(3.0 * (0.5 * self.Z / R))):
+            raise PhysicsError(f"nuclear radius needs finite R > 0 and 1.5*Z/R, got R={R}")
 
     @property
     def rest_energy(self) -> float:
-        return self.m * self.c**2
+        return self.c**2
 
 
 def potential_value(params: OperatorParams, x):
     """V(x): -Z/x outside the nucleus, parabolic inside an extended one."""
     check_type(params, "params", OperatorParams)
-    if np.asarray(x).dtype.kind not in "iuf":  # None read as NaN, a bool as 0 or 1
+    if not is_real_array(x):  # None read as NaN, a bool as 0 or 1
         raise ConfigError(f"x must be a real number or array, got {type(x).__name__}")
     x = np.asarray(x, dtype=float)
     Z, R = params.Z, params.R
@@ -115,7 +121,7 @@ def potential_value(params: OperatorParams, x):
         # power of two leaves the rounded quotient as it was, and no square
         # leaves the double range at any R, since only x <= R is squared
         m, e = math.frexp(R)
-        inside = -(Z / (2.0 * R)) * (3.0 - np.ldexp(np.minimum(x, R), -e) ** 2 / (m * m))
+        inside = -(0.5 * Z / R) * (3.0 - np.ldexp(np.minimum(x, R), -e) ** 2 / (m * m))
         out = np.where(x < R, inside, -Z / np.maximum(x, R))
     return out if out.shape else float(out)
 

@@ -71,6 +71,10 @@ NON_NUMBER_CALLS = [
                  id="eigenpair_residual-binding"),
     pytest.param(lambda: eigenpair_residual(small_hermite_system(), -0.5, "x"), "vector",
                  id="eigenpair_residual-vector"),
+    pytest.param(lambda: eigenpair_residual(small_hermite_system(), -0.5, ["1.0"] * 40),
+                 "vector", id="eigenpair_residual-vector-strings"),
+    pytest.param(lambda: eigenpair_residual(small_hermite_system(), -0.5, [True] + [1.0] * 39),
+                 "vector", id="eigenpair_residual-vector-bool"),
     pytest.param(lambda: part_dofs(SCHEME_HERMITE, "10", "zeta"), "size", id="part_dofs-size"),
     pytest.param(lambda: assemble(SCHEME_HERMITE, OperatorParams(Z=1, kappa=-1), "mesh"), "mesh",
                  id="assemble-mesh"),
@@ -285,9 +289,9 @@ class TestCoincidenceReport:
         with pytest.raises(ConfigError):
             coincidence_report(make_spectrum(2, [-0.5]), make_spectrum(-1, [-0.5]))
 
-    @pytest.mark.parametrize("operator", [{"Z": 2.0}, {"m": 2.0}, {"c": 100.0}, {"R": 1e-4},
+    @pytest.mark.parametrize("operator", [{"Z": 2.0}, {"c": 100.0}, {"R": 1e-4},
                                           {"scheme": SCHEME_SUPG}],
-                             ids=["Z", "m", "c", "R", "scheme"])
+                             ids=["Z", "c", "R", "scheme"])
     def test_spectra_of_two_operators_rejected(self, operator):
         # a kappa=+1 spectrum at c=137.036 used to pair with a kappa=-1 one at c=100
         vals = [-0.5, -0.125]

@@ -102,7 +102,6 @@ FIELD_SAMPLES = {
     "Z": ("--Z", "12", 12.0),
     "kappa": ("--kappa", "-2", -2),
     "abs_kappa": ("--abs-kappa", "2", 2),
-    "m": ("--m", "1.5", 1.5),
     "c_value": ("--c-value", "100", 100.0),
     "scheme": ("--scheme", "linear-galerkin", "linear-galerkin"),
     "radius": ("--radius", "1e-4", 1e-4),
@@ -151,11 +150,10 @@ BAD_VALUES = [
     pytest.param(["--kappa", "-1"] + COINCIDENCE, EXIT_CONFIG, "abs_kappa",
                  id="kappa-coincidence"),
     pytest.param(["--abs-kappa", "0"], EXIT_CONFIG, "abs_kappa", id="abs_kappa"),
-    pytest.param(["--m", "-1"], EXIT_PHYSICS, "m", id="m"),
     pytest.param(["--c-value", "nan"], EXIT_PHYSICS, "c", id="c_value"),
     pytest.param("scheme = fancy\n", EXIT_CONFIG, "scheme", id="scheme"),
     *[pytest.param(["--radius", radius], EXIT_PHYSICS, "R", id=f"radius-{radius}")
-      for radius in ("-1", "0", "nan", "inf")],
+      for radius in ("-1", "0", "nan", "inf", "5e-324")],
     pytest.param(["--a", "-1"], EXIT_PHYSICS, "a", id="a"),
     pytest.param(["--b", "-1"], EXIT_PHYSICS, "b", id="b"),
     pytest.param(["--n", "0"], EXIT_CONFIG, "n", id="n"),
@@ -178,6 +176,8 @@ BAD_VALUES = [
                          ("coincidence", COINCIDENCE), ("convergence", CONVERGENCE)]],
     # the reality check is a constant: a file that still sets it names the unknown key
     pytest.param("reality_tol = 1e-7\n", EXIT_CONFIG, "reality_tol", id="reality_tol-removed"),
+    # the mass is the unit of atomic units: a file that still sets it names the unknown key
+    pytest.param("m = 1\n", EXIT_CONFIG, "m", id="m-removed"),
     pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"], EXIT_CONFIG,
                  "free_lower_slope", id="free_lower_slope-linear"),
     pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"] + COINCIDENCE, EXIT_CONFIG,
@@ -312,12 +312,10 @@ class TestMain:
         assert err.startswith("physics error: ") and f"parameter {name}=" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("extra", [["--c-value", "1e155"], ["--c-value", "1e200"],
-                                       ["--m", "1e305"], ["--m", "1e-300", "--c-value", "1e200"]])
-    def test_overflowing_rest_energy_exits_3(self, extra, capfd):
-        # the first two ended in an OverflowError traceback, the third in a
-        # ValueError about the window (-inf, -inf), each with exit 1
-        code = main(FAST + extra)
+    @pytest.mark.parametrize("c_value", ["1e155", "1e200"])
+    def test_overflowing_rest_energy_exits_3(self, c_value, capfd):
+        # each ended in an OverflowError traceback with exit 1
+        code = main(FAST + ["--c-value", c_value])
         assert code == EXIT_PHYSICS
         out, err = capfd.readouterr()
         assert out == ""
@@ -330,7 +328,13 @@ class TestMain:
         assert code == EXIT_PHYSICS
         out, err = capfd.readouterr()
         assert out == ""
-        assert err == "physics error: m and c must be positive, got m=1.0 c=-137.0\n"
+        assert err == "physics error: c must be finite and positive, got c=-137.0\n"
+
+    def test_the_mass_flag_is_gone(self):
+        # the mass is the unit of atomic units, so argparse refuses the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["--m", "1"])
+        assert exc.value.code == EXIT_CONFIG
 
     def test_physics_invariant_exits_3(self, capsys):
         code = main(["--Z", "200", "--kappa", "1", "--n", "10"])

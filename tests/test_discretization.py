@@ -54,10 +54,12 @@ class TestMesh:
         [[0.5, 0.9]],           # not one-dimensional
         "x",                    # not numbers: a builtin ValueError
         object(),               # a builtin TypeError
+        ["0.5", "0.9"],         # numeric strings were parsed as numbers
+        [True, 2],              # a bool was read as 1.0
     ])
     def test_direct_construction_validated(self, nodes):
         with pytest.raises(PhysicsError, match=r"\bnodes\b"):
-            Mesh(np.array(nodes))
+            Mesh(nodes)
 
     def test_counts_derive_from_nodes(self):
         mesh = Mesh([0.5, 0.7, 0.9])
