@@ -1073,6 +1073,28 @@ class TestInertiaCount:
         assert counted >= size // 2
 
 
+#: Probe points of one shift sequence and the parity of the levels below each.
+PROBES = {-1.0: 1, -0.6: 1, -0.5: 1}
+#: A level nearer -0.6 than the parity fuzz, which may sit on either side of it.
+NEAR_PROBE = -0.6 * (1.0 - eigensolver.PARITY_FUZZ / 4)
+
+
+class TestOddInterval:
+    """The interval ending at a probe, searched when its found levels miss its parity."""
+
+    @pytest.mark.parametrize("found, top, want", [
+        pytest.param([], -0.5, None, id="even-interval"),
+        pytest.param([-0.55], -0.5, (-0.6, -0.5), id="one-found-in-an-even-interval"),
+        pytest.param([], -0.3, None, id="top-is-no-probe"),
+        pytest.param([], -1.0, None, id="no-probe-below-top"),
+        pytest.param([-0.5 * (1.0 + eigensolver.PARITY_FUZZ / 4)], -0.5, None,
+                     id="top-within-fuzz-of-a-level"),
+        pytest.param([NEAR_PROBE], -0.5, (-1.0, -0.5), id="probe-within-fuzz-skipped"),
+    ])
+    def test_interval_ending_at_top(self, found, top, want):
+        assert eigensolver._odd_interval(PROBES, found, top) == want
+
+
 class TestStabilizedParity:
     """The parity check of the stabilized pencil's Arnoldi disks."""
 

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from diracfem.errors import ConfigError, PhysicsError
 from diracfem.physics import (
+    SPEED_OF_LIGHT,
     OperatorParams,
     check_count,
     potential_value,
@@ -60,6 +63,11 @@ class TestParams:
             OperatorParams(Z=1.0, kappa=-1, c=c)
         assert OperatorParams(Z=1.0, kappa=-1, c=1e150).rest_energy > 0
 
+    def test_the_operator_is_charge_kappa_speed_and_radius(self):
+        # the mass is the atomic unit: no field holds it, and the rest energy is c^2
+        assert [f.name for f in dataclasses.fields(OperatorParams)] == ["Z", "kappa", "c", "R"]
+        assert OperatorParams(Z=1, kappa=-1).rest_energy == SPEED_OF_LIGHT**2
+
 
 class TestPotential:
     def test_point_value(self):
@@ -110,6 +118,14 @@ class TestPotential:
         # central potential -1.5*Z/R overflowed to -inf
         with pytest.raises(PhysicsError, match="radius"):
             OperatorParams(Z=12, kappa=-1, R=radius)
+
+    def test_radius_refused_where_the_charge_overflows_the_central_potential(self):
+        # 1.5*Z/R passes the double range at R = 1e-307 for Z = 92, not for Z = 1
+        with pytest.raises(PhysicsError, match="radius"):
+            OperatorParams(Z=92, kappa=-1, R=1e-307)
+        for Z, R in [(1, 1e-307), (92, 1e-306)]:
+            got = potential_value(OperatorParams(Z=Z, kappa=-1, R=R), 0.0)
+            assert got == pytest.approx(-1.5 * Z / R, rel=1e-15)
 
     def test_w_plus_minus(self):
         params = OperatorParams(Z=1, kappa=-1, c=10.0)
