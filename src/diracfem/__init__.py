@@ -6,29 +6,15 @@ with a mesh-derived stability parameter), a generalized eigensolver working
 directly in binding energies (a band shift-invert solve certified complete
 on a binding window), and a classifier that labels computed levels against
 the exact relativistic reference spectrum.
+
+The package re-exports the names of the README's quick start and the error
+types; everything else is imported from its module.
 """
 
-from .analysis import (
-    ClassifiedLevel,
-    ClassifiedSpectrum,
-    CoincidenceReport,
-    ConvergenceStudy,
-    Label,
-    classify,
-    coincidence_report,
-    convergence_study,
-)
-from .assembly import (
-    SCHEME_HERMITE,
-    SCHEME_LINEAR,
-    SCHEME_SUPG,
-    SCHEMES,
-    AssembledSystem,
-    assemble,
-    compute_tau,
-)
-from .discretization import Mesh, build_exponential_mesh
-from .eigensolver import Spectrum, bound_states, bound_window, solve
+from .analysis import classify
+from .assembly import assemble
+from .discretization import build_exponential_mesh
+from .eigensolver import bound_window, solve
 from .errors import (
     ComplexSpectrumError,
     ConfigError,
@@ -37,12 +23,6 @@ from .errors import (
     SingularSystemError,
     SolverError,
 )
-from .physics import (
-    SPEED_OF_LIGHT,
-    OperatorParams,
-    ReferenceLevel,
-    reference_binding,
-    reference_spectrum,
-)
+from .physics import OperatorParams, reference_spectrum
 
 __version__ = "0.1.0"

@@ -75,15 +75,17 @@ def _rel(x: float, ref: float) -> float:
 
 
 def classify(computed, reference: list[ReferenceLevel],
-             opposite_kappa_ground: float | None = None,
-             match_tol: float = DEFAULT_MATCH_TOL) -> ClassifiedSpectrum:
+             opposite_kappa_ground: float | None = None, *,
+             match_tol: float) -> ClassifiedSpectrum:
     """Label computed bindings against the reference spectrum.
 
     Matching is greedy and in order: each computed value either consumes the
     next unmatched reference level (within ``match_tol`` relative) or is
     spurious. Unmatched values close to ``opposite_kappa_ground`` (pass it
     for kappa > 0 runs only) are the coincidence phenomenon; every other
-    unmatched value is an instilled spurious level.
+    unmatched value is an instilled spurious level. ``match_tol`` has no
+    default because it follows the scheme (``match_tol_for``): the linear
+    scheme's 1e-3 swaps a Hermite level with its instilled neighbour.
     """
     check_match_tol(match_tol)
     check_type(reference, "reference", list, tuple)

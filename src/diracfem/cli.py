@@ -23,7 +23,6 @@ from .discretization import build_exponential_mesh
 from .eigensolver import bound_window, solve
 from .errors import ConfigError, InsufficientLevelsError, PhysicsError, SolverError
 from .physics import (
-    SPEED_OF_LIGHT,
     OperatorParams,
     check_charge,
     check_count,
@@ -45,7 +44,6 @@ class RunConfig:
     Z: float = 1.0
     kappa: int | None = None
     abs_kappa: int | None = None
-    c_value: float = SPEED_OF_LIGHT
     scheme: str = SCHEME_SUPG
     radius: float | None = None
     a: float = 1e-5
@@ -91,7 +89,7 @@ class RunConfig:
 
     def params(self, kappa: int) -> OperatorParams:
         """The operator of one kappa; a radius makes its nucleus extended."""
-        return OperatorParams(Z=self.Z, kappa=kappa, c=self.c_value, R=self.radius)
+        return OperatorParams(Z=self.Z, kappa=kappa, R=self.radius)
 
     def default_b(self) -> float:
         """The derived b: the last level's n is at most levels + |kappa|, and <r> ~ n^2/Z."""
@@ -425,7 +423,7 @@ def run(config: RunConfig) -> int:
 
 
 def _make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dirac-fem",
+    p = argparse.ArgumentParser(prog="dirac-fem", allow_abbrev=False,
                                 description="Radial Coulomb-Dirac finite element solver")
     p.add_argument("--config", help="key = value config file")
     for name, value_type in _KEY_TYPES.items():

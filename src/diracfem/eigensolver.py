@@ -43,7 +43,6 @@ from .assembly import AssembledSystem, is_galerkin, part_dofs
 from .errors import (
     ComplexSpectrumError,
     ConfigError,
-    InsufficientLevelsError,
     SingularSystemError,
     SolverError,
 )
@@ -733,21 +732,6 @@ def solve(system: AssembledSystem, window: tuple[float, float]) -> Spectrum:
     return Spectrum(scheme=system.scheme, bindings=np.concatenate(bindings), max_imag=max_imag,
                     params=system.params,
                     eigenvectors=_normalize_vectors(np.hstack(vectors), system))
-
-
-def bound_states(spectrum: Spectrum, count: int) -> np.ndarray:
-    """First ``count`` bound bindings (deepest first): a checked slice of ``bindings``.
-
-    ``spectrum`` is a Spectrum, or anything else with its ``bindings``.
-    """
-    if not hasattr(spectrum, "bindings"):
-        raise ConfigError(f"spectrum must be a Spectrum, got {type(spectrum).__name__}")
-    count = check_count(count, "count")
-    if len(spectrum.bindings) < count:
-        raise InsufficientLevelsError(
-            f"requested {count} bound states but only {len(spectrum.bindings)} found"
-        )
-    return spectrum.bindings[:count]
 
 
 def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarray) -> float:

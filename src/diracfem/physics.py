@@ -18,7 +18,7 @@ from .errors import ConfigError, PhysicsError
 
 #: Speed of light in atomic units (CODATA 2010 inverse fine-structure constant).
 #: Chosen because it reproduces the tabulated point-nucleus reference energies
-#: for Z = 1 and Z = 12 to the last printed digit; overridable everywhere.
+#: for Z = 1 and Z = 12 to the last printed digit; overridable through ``OperatorParams``.
 SPEED_OF_LIGHT = 137.035999074
 
 

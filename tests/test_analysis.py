@@ -18,7 +18,7 @@ from diracfem.analysis import (
 )
 from diracfem.assembly import SCHEME_HERMITE, SCHEME_SUPG, assemble, compute_tau, part_dofs
 from diracfem.discretization import build_exponential_mesh, gauss_rule
-from diracfem.eigensolver import Spectrum, bound_states, bound_window, eigenpair_residual, solve
+from diracfem.eigensolver import Spectrum, bound_window, eigenpair_residual, solve
 from diracfem.errors import ConfigError
 from diracfem.physics import (
     OperatorParams,
@@ -80,7 +80,7 @@ NON_NUMBER_CALLS = [
                  id="assemble-mesh"),
     pytest.param(lambda: classify([-0.5], hydrogen_reference(), match_tol="x"), "match_tol",
                  id="classify-match_tol"),
-    pytest.param(lambda: classify(["a"], hydrogen_reference()), "computed",
+    pytest.param(lambda: classify(["a"], hydrogen_reference(), match_tol=1e-3), "computed",
                  id="classify-computed"),
     pytest.param(lambda: part_dofs("spectral", 10, "zeta"), "scheme", id="part_dofs-scheme"),
 ]
@@ -114,7 +114,6 @@ WRONG_TYPE_CALLS = [
                  id="assemble-params"),
     pytest.param(lambda: bound_window("params", 3), "params", "str", id="bound_window-params"),
     pytest.param(lambda: solve("system", (-1.0, 0.0)), "system", "str", id="solve-system"),
-    pytest.param(lambda: bound_states("s", 2), "spectrum", "str", id="bound_states-spectrum"),
     pytest.param(lambda: compute_tau("mesh"), "mesh", "str", id="compute_tau-mesh"),
     pytest.param(lambda: eigenpair_residual("system", -0.5, np.ones(40)), "system", "str",
                  id="eigenpair_residual-system"),
@@ -135,13 +134,15 @@ WRONG_TYPE_CALLS = [
     pytest.param(lambda: convergence_study(SCHEME_HERMITE, HYDROGEN, 5, 2, a=1e-6, b=40.0,
                                            gamma=8.0), "n_values", "int",
                  id="convergence_study-n_values"),
-    pytest.param(lambda: classify(5, hydrogen_reference()), "computed", "int",
+    pytest.param(lambda: classify(5, hydrogen_reference(), match_tol=1e-3), "computed", "int",
                  id="classify-computed"),
-    pytest.param(lambda: classify([-0.5], "ref"), "reference", "str", id="classify-reference"),
-    pytest.param(lambda: classify([-0.5], [None]), "reference", "NoneType",
+    pytest.param(lambda: classify([-0.5], "ref", match_tol=1e-3), "reference", "str",
+                 id="classify-reference"),
+    pytest.param(lambda: classify([-0.5], [None], match_tol=1e-3), "reference", "NoneType",
                  id="classify-reference-level"),
     pytest.param(lambda: classify([-0.9], reference_spectrum(OperatorParams(Z=1, kappa=1), 2),
-                                  opposite_kappa_ground="x"), "opposite_kappa_ground", "str",
+                                  opposite_kappa_ground="x", match_tol=1e-3),
+                 "opposite_kappa_ground", "str",
                  id="classify-opposite_kappa_ground"),
     pytest.param(lambda: truncate_to_genuine("x", 2), "classified", "str",
                  id="truncate_to_genuine-classified"),
@@ -224,13 +225,30 @@ class TestClassify:
         # NaN and inf labelled the coincidence copy instilled; 0 divided by zero
         ref_pos = reference_spectrum(OperatorParams(Z=1, kappa=1), 2)
         with pytest.raises(ConfigError, match="opposite_kappa_ground"):
-            classify([-0.5, -0.125], ref_pos, opposite_kappa_ground=ground)
+            classify([-0.5, -0.125], ref_pos, opposite_kappa_ground=ground, match_tol=1e-3)
 
     @pytest.mark.parametrize("stray", [float("nan"), float("-inf")])
     def test_non_finite_binding_rejected(self, stray):
         # each was labelled instilled
         with pytest.raises(ConfigError, match="finite"):
             classify([stray, -0.5], hydrogen_reference(), match_tol=1e-3)
+
+    def test_match_tol_has_no_default(self):
+        # the old default 1e-3 is the linear scheme's: on this Hermite run it
+        # took the instilled level beside n_r = 7 (4.5e-4 off) for genuine and
+        # labelled the true level (1.3e-10 off) instilled
+        params = OperatorParams(Z=12, kappa=-2)
+        mesh = build_exponential_mesh(1e-6, 60.0, 400, 8.5)
+        spectrum = solve(assemble(SCHEME_HERMITE, params, mesh),
+                         window=bound_window(params, 12))
+        ref = reference_spectrum(params, 12)
+        with pytest.raises(TypeError, match="match_tol"):
+            classify(spectrum.bindings, ref)
+        for tol, n_r7 in ((1e-3, 7), (analysis.match_tol_for(SCHEME_HERMITE), 8)):
+            entries = classify(spectrum.bindings, ref, match_tol=tol).entries
+            genuine = [i for i, e in enumerate(entries) if e.label is Label.GENUINE]
+            assert len(genuine) == 12
+            assert entries[n_r7].reference.n_r == 7
 
     def test_truncate_to_genuine(self):
         cl = classify(HAT_RUN_NEG_KAPPA, hydrogen_reference(), match_tol=1e-3)

@@ -21,7 +21,6 @@ from diracfem.discretization import build_exponential_mesh
 from diracfem.eigensolver import (
     SPLIT_LEVELS,
     _normalize_vectors,
-    bound_states,
     bound_window,
     eigenpair_residual,
     solve,
@@ -29,7 +28,6 @@ from diracfem.eigensolver import (
 from diracfem.errors import (
     ComplexSpectrumError,
     ConfigError,
-    InsufficientLevelsError,
     SingularSystemError,
     SolverError,
 )
@@ -140,10 +138,9 @@ class TestToyPencils:
         # raw eigenvalues {-c^2 - 1, c^2 - 0.5, c^2 + 5}: one bound state
         mu = [-2.0 * TOY.c**2 - 1.0, -0.5, 5.0]
         spectrum = dense_bindings(toy_system(np.diag(mu), np.eye(3)))
-        bs = bound_states(spectrum, 1)
+        bs = spectrum.bindings[:2]
+        assert len(bs) == 1
         assert bs[0] == pytest.approx(-0.5, abs=1e-10)
-        with pytest.raises(InsufficientLevelsError):
-            bound_states(spectrum, 2)
 
     def test_complex_spectrum_rejected(self):
         # rotation block: eigenvalues +-i
@@ -544,25 +541,6 @@ class TestRealSystems:
         assert len(upper.bindings) >= SPLIT_LEVELS
         np.testing.assert_allclose(upper.bindings, whole.bindings[whole.bindings > lo],
                                    rtol=1e-12, atol=0.0)
-
-    def test_bound_states_is_slice_of_bindings(self, hydrogen_solution):
-        params, system, spectrum = hydrogen_solution
-        for count in (1, 4, len(spectrum.bindings)):
-            np.testing.assert_array_equal(bound_states(spectrum, count),
-                                          spectrum.bindings[:count])
-        with pytest.raises(InsufficientLevelsError):
-            bound_states(spectrum, len(spectrum.bindings) + 1)
-        # a count below 1 would slice silently (-1: all but the last)
-        for count in (0, -1):
-            with pytest.raises(ConfigError, match="count"):
-                bound_states(spectrum, count)
-
-    @pytest.mark.parametrize("count", [1.5, np.nan, np.inf, True])
-    def test_bound_states_needs_an_integer_count(self, hydrogen_solution, count):
-        # 1.5 once failed with a slicing TypeError, and True returned one level
-        params, system, spectrum = hydrogen_solution
-        with pytest.raises(ConfigError, match="count"):
-            bound_states(spectrum, count)
 
     def test_vanishing_rhs_norm_raises(self):
         # nonsymmetric rhs with v^T rhs v = 0 for v = (1, 1)

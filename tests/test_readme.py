@@ -1,9 +1,15 @@
-"""The README's library example runs as documented, and its flags and modes exist."""
+"""The README's library example and commands run as documented, and its flags and modes exist."""
 
+import ast
 import re
+import shlex
+import types
 from pathlib import Path
 
-from diracfem import cli
+import pytest
+
+import diracfem
+from diracfem import cli, errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 #: Flags the README passes to pip and pytest, not to dirac-fem.
@@ -23,7 +29,42 @@ def test_readme_quick_start_runs(capsys):
     # it prints the first 12 bindings, then their 12 genuine labels
     printed = capsys.readouterr().out
     assert printed.count("Label.GENUINE") == 12
-    assert len(namespace["bound_states"](namespace["spectrum"], 12)) == 12
+    assert len(namespace["spectrum"].bindings[:12]) == 12
+
+
+def test_the_package_exports_the_quick_start_names_and_the_error_types():
+    (block,) = python_blocks(README.read_text())
+    quick_start = {alias.name for node in ast.walk(ast.parse(block))
+                   if isinstance(node, ast.ImportFrom) and node.module == "diracfem"
+                   for alias in node.names}
+    error_types = {name for name, value in vars(errors).items()
+                   if isinstance(value, type) and issubclass(value, Exception)}
+    assert len(error_types) == 6
+    exported = {name for name, value in vars(diracfem).items()
+                if (not name.startswith("_") or name == "__version__")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == quick_start | error_types | {"__version__"}
+
+
+def readme_commands() -> list[str]:
+    """Every fenced ``dirac-fem`` command of the README, its ``\\`` continuations joined."""
+    blocks = re.findall(r"```\n(dirac-fem .*?)```", README.read_text(), re.DOTALL)
+    return [re.sub(r"\\\n\s*", "", block).strip() for block in blocks]
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_runs_as_documented(command, capsys):
+    program, *argv = shlex.split(command)
+    assert program == "dirac-fem"
+    flags = [arg for arg in argv if arg.startswith("--")]
+    unknown = set(flags) - set(cli._PARSER._option_string_actions)
+    assert not unknown, f"flags not spelled in full: {sorted(unknown)}"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+
+
+def test_the_readme_has_its_three_commands():
+    assert len(readme_commands()) == 3
 
 
 def readme_flags() -> set[str]:
