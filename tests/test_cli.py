@@ -176,6 +176,8 @@ BAD_VALUES = [
     pytest.param("reality_tol = 1e-7\n", EXIT_CONFIG, "reality_tol", id="reality_tol-removed"),
     # the mass is the unit of atomic units: a file that still sets it names the unknown key
     pytest.param("m = 1\n", EXIT_CONFIG, "m", id="m-removed"),
+    # the CLI solves at SPEED_OF_LIGHT: a file that still sets c names the unknown key
+    pytest.param("c_value = 100\n", EXIT_CONFIG, "c_value", id="c_value-removed"),
     pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"], EXIT_CONFIG,
                  "free_lower_slope", id="free_lower_slope-linear"),
     pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"] + COINCIDENCE, EXIT_CONFIG,
