@@ -206,7 +206,7 @@ def genuine_errors(classified: ClassifiedSpectrum, reference: list[ReferenceLeve
 
 def convergence_study(scheme: str, params: OperatorParams, n_values, levels: int, *,
                       a: float, b: float, gamma: float,
-                      match_tol: float | None = None,
+                      match_tol: float,
                       free_lower_slope: bool = False) -> ConvergenceStudy:
     """Solve on a refinement sequence, classify, and fit per-level orders (``fit_orders``).
 
@@ -218,7 +218,7 @@ def convergence_study(scheme: str, params: OperatorParams, n_values, levels: int
     n_values = tuple(check_count(n, "n") for n in n_values)
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise ConfigError(f"n_values must be strictly increasing, got {n_values}")
-    match_tol = match_tol_for(scheme) if match_tol is None else check_match_tol(match_tol)
+    match_tol = check_match_tol(match_tol)
     reference = reference_spectrum(params, levels)
     window = bound_window(params, levels)
     errors = np.full((len(n_values), levels), np.nan)

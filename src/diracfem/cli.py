@@ -1,9 +1,8 @@
-"""Batch front end: config parsing, pipeline orchestration, table/csv/json output.
+"""Batch front end: argv parsing, pipeline orchestration, table/csv/json output.
 
-Configuration is a flat ``key = value`` text file (# comments allowed),
-every key overridable by the command-line flag of the same name; the
-DIRAC_FEM_CONFIG environment variable names a default config file. Exit
-codes: 0 success, 2 config error, 3 physics error, 4 solver failure.
+The command line is the one input: every RunConfig field is one flag of the
+same name. Exit codes: 0 success, 2 config error, 3 physics error, 4 solver
+failure.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import typing
 from dataclasses import dataclass, replace
@@ -31,7 +29,6 @@ from .physics import (
 )
 
 FORMATS = ("table", "csv", "json")
-ENV_CONFIG = "DIRAC_FEM_CONFIG"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,9 +61,6 @@ class RunConfig:
         Raises ConfigError, or PhysicsError for Z; the library checks the rest where it is read.
         """
         cfg = replace(self)
-        for key, choices in _CHOICES.items():
-            if getattr(cfg, key) not in choices:
-                raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; expected one of {choices}")
         if cfg.kappa is not None and cfg.abs_kappa is not None:
             raise ConfigError("give either kappa or abs_kappa, not both")
         if cfg.kappa is None and cfg.abs_kappa is None:
@@ -101,17 +95,13 @@ class RunConfig:
         return (self.abs_kappa, -self.abs_kappa)
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return True
-    if raw.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+def int_list(raw: str) -> tuple[int, ...]:
+    """A comma-separated list of ints, as ``--n-list`` takes it."""
+    return tuple(int(x) for x in raw.split(","))
 
 
-#: Parser of a config value or flag argument, per RunConfig field type.
-_PARSERS = {bool: _parse_bool, int: int, float: float, str: str,
-            tuple[int, ...]: lambda s: tuple(int(x) for x in s.split(","))}
+#: Parser of a flag argument, per RunConfig field type; a bool field is an on/off flag.
+_PARSERS = {int: int, float: float, str: str, tuple[int, ...]: int_list}
 
 
 def _value_type(hint):
@@ -120,48 +110,8 @@ def _value_type(hint):
     return args[0] if type(None) in args else hint
 
 
-#: The config keys: every RunConfig field, with its value type.
+#: The flags: every RunConfig field, with its value type.
 _KEY_TYPES = {name: _value_type(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
-
-
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key not in _KEY_TYPES:
-        raise ConfigError(f"unknown config key {key!r}")
-    try:
-        return _PARSERS[_KEY_TYPES[key]](raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-
-
-def load_config_file(path: str) -> dict:
-    """Parse a flat key = value file into a field dict."""
-    values = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = line.split("=", 1)
-                key = key.strip()
-                values[key] = _parse_value(key, raw)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def build_config(file_values: dict, flag_values: dict) -> RunConfig:
-    cfg = RunConfig()
-    for source in (file_values, flag_values):
-        for key, value in source.items():
-            if key not in _KEY_TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
-            if value is not None:
-                setattr(cfg, key, value)
-    return cfg.finalize()
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -330,7 +280,7 @@ def _mode_convergence(cfg: RunConfig):
     kappa = cfg.kappas()[0]
     study = analysis.convergence_study(
         cfg.scheme, cfg.params(kappa), cfg.n_list, cfg.levels,
-        a=cfg.a, b=cfg.b, gamma=cfg.mesh_gamma, match_tol=cfg.match_tol,
+        a=cfg.a, b=cfg.b, gamma=cfg.mesh_gamma, match_tol=cfg.matching_tolerance(),
         free_lower_slope=cfg.free_lower_slope)
 
     def value(x):  # NaN marks an unmatched level, or an order not fittable above rounding
@@ -425,7 +375,6 @@ def run(config: RunConfig) -> int:
 def _make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dirac-fem", allow_abbrev=False,
                                 description="Radial Coulomb-Dirac finite element solver")
-    p.add_argument("--config", help="key = value config file")
     for name, value_type in _KEY_TYPES.items():
         flag = "--" + name.replace("_", "-")
         if value_type is bool:
@@ -439,13 +388,9 @@ _PARSER = _make_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    flags = vars(_PARSER.parse_args(argv))
     try:
-        config_path = args.config or os.environ.get(ENV_CONFIG)
-        file_values = load_config_file(config_path) if config_path else {}
-        flag_values = {k: v for k, v in vars(args).items() if k != "config"}
-        config = build_config(file_values, flag_values)
-        return run(config)
+        return run(RunConfig(**{k: v for k, v in flags.items() if v is not None}).finalize())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -122,17 +122,17 @@ WRONG_TYPE_CALLS = [
     pytest.param(lambda: reference_spectrum(None, 2), "params", "NoneType",
                  id="reference_spectrum-params"),
     pytest.param(lambda: convergence_study(SCHEME_HERMITE, "params", (10,), 2, a=1e-6, b=40.0,
-                                           gamma=8.0), "params", "str",
+                                           gamma=8.0, match_tol=1e-5), "params", "str",
                  id="convergence_study-params"),
     pytest.param(lambda: assemble(SCHEME_HERMITE, HYDROGEN, SMALL_MESH, free_lower_slope="yes"),
                  "free_lower_slope", "str", id="assemble-free_lower_slope-str"),
     pytest.param(lambda: assemble(SCHEME_HERMITE, HYDROGEN, SMALL_MESH, free_lower_slope=2),
                  "free_lower_slope", "int", id="assemble-free_lower_slope-int"),
     pytest.param(lambda: convergence_study(SCHEME_HERMITE, HYDROGEN, (10,), 2, a=1e-6, b=40.0,
-                                           gamma=8.0, free_lower_slope="yes"),
+                                           gamma=8.0, match_tol=1e-5, free_lower_slope="yes"),
                  "free_lower_slope", "str", id="convergence_study-free_lower_slope"),
     pytest.param(lambda: convergence_study(SCHEME_HERMITE, HYDROGEN, 5, 2, a=1e-6, b=40.0,
-                                           gamma=8.0), "n_values", "int",
+                                           gamma=8.0, match_tol=1e-5), "n_values", "int",
                  id="convergence_study-n_values"),
     pytest.param(lambda: classify(5, hydrogen_reference(), match_tol=1e-3), "computed", "int",
                  id="classify-computed"),
@@ -539,7 +539,7 @@ class TestConvergenceStudy:
     def test_hermite_errors_decrease(self):
         params = OperatorParams(Z=1, kappa=-1)
         study = convergence_study(SCHEME_HERMITE, params,
-                                  (30, 60, 120), 2, a=1e-6, b=40.0, gamma=8.0)
+                                  (30, 60, 120), 2, a=1e-6, b=40.0, gamma=8.0, match_tol=1e-5)
         assert study.errors.shape == (3, 2)
         assert np.all(np.isfinite(study.errors[:, 0]))
         assert study.errors[2, 0] < study.errors[0, 0]
@@ -573,7 +573,7 @@ class TestConvergenceStudy:
         params = OperatorParams(Z=1, kappa=-1)
         with pytest.raises(ConfigError, match="n_values must be strictly increasing"):
             convergence_study(SCHEME_HERMITE, params,
-                              (100, 50), 2, a=1e-6, b=40.0, gamma=8.0)
+                              (100, 50), 2, a=1e-6, b=40.0, gamma=8.0, match_tol=1e-5)
 
     @pytest.mark.parametrize("n_values", [(20.7, 40), (True, 40), (0, 0)])
     def test_rejects_a_size_that_is_not_a_count(self, n_values):
@@ -582,12 +582,19 @@ class TestConvergenceStudy:
         params = OperatorParams(Z=1, kappa=-1)
         with pytest.raises(ConfigError, match=f"n must be an integer >= 1, got {n_values[0]}"):
             convergence_study(SCHEME_HERMITE, params,
-                              n_values, 2, a=1e-6, b=40.0, gamma=8.0)
+                              n_values, 2, a=1e-6, b=40.0, gamma=8.0, match_tol=1e-5)
 
     def test_rejects_no_sizes(self):
         # an empty sequence returned a study with no errors and NaN orders
         with pytest.raises(ConfigError, match="n_values must hold at least one size"):
-            convergence_study(SCHEME_HERMITE, HYDROGEN, [], 2, a=1e-6, b=40.0, gamma=8.0)
+            convergence_study(SCHEME_HERMITE, HYDROGEN, [], 2, a=1e-6, b=40.0, gamma=8.0,
+                              match_tol=1e-5)
+
+    def test_match_tol_is_required(self):
+        # an omitted match_tol fell back to the scheme default, a second place
+        # deciding the default beside the CLI's RunConfig.matching_tolerance
+        with pytest.raises(TypeError, match="match_tol"):
+            convergence_study(SCHEME_HERMITE, HYDROGEN, (10,), 2, a=1e-6, b=40.0, gamma=8.0)
 
     @pytest.mark.parametrize("match_tol", [0.5, "x"])
     def test_rejects_a_bad_match_tol_before_any_solve(self, match_tol, monkeypatch):

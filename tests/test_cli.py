@@ -19,12 +19,9 @@ from diracfem.cli import (
     EXIT_PHYSICS,
     EXIT_SOLVER,
     RunConfig,
-    build_config,
-    load_config_file,
     main,
 )
 from diracfem.eigensolver import Spectrum
-from diracfem.errors import ConfigError
 
 from oracles import (
     GALERKIN_ORACLE_RTOL,
@@ -62,42 +59,9 @@ class TestConfig:
         assert RunConfig(scheme="linear-galerkin", match_tol=0.05).finalize() \
             .matching_tolerance() == 0.05
 
-    def test_file_parsing(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("""
-# comment line
-Z = 12
-abs_kappa = 2          # trailing comment
-scheme = hermite-supg
-n_list = 50,100
-free_lower_slope = yes
-""")
-        values = load_config_file(str(path))
-        assert values == {"Z": 12.0, "abs_kappa": 2, "scheme": "hermite-supg",
-                          "n_list": (50, 100), "free_lower_slope": True}
 
-    def test_flags_override_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("Z = 12\nn = 50\n")
-        cfg = build_config(load_config_file(str(path)), {"n": 75})
-        assert cfg.Z == 12.0 and cfg.n == 75
-
-    def test_bad_key_and_value(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config_file(str(tmp_path / "missing.cfg"))
-        path = tmp_path / "bad.cfg"
-        path.write_text("unknown_key = 3\n")
-        with pytest.raises(ConfigError):
-            load_config_file(str(path))
-        path.write_text("n = not-a-number\n")
-        with pytest.raises(ConfigError):
-            load_config_file(str(path))
-        path.write_text("just a line\n")
-        with pytest.raises(ConfigError):
-            load_config_file(str(path))
-
-
-#: Per RunConfig field: its flag, a raw value, and the value it parses to.
+#: Per RunConfig field: its flag, a raw value (None for an on/off flag), and
+#: the value it parses to.
 FIELD_SAMPLES = {
     "Z": ("--Z", "12", 12.0),
     "kappa": ("--kappa", "-2", -2),
@@ -110,7 +74,7 @@ FIELD_SAMPLES = {
     "mesh_gamma": ("--mesh-gamma", "7.5", 7.5),
     "levels": ("--levels", "4", 4),
     "match_tol": ("--match-tol", "1e-4", 1e-4),
-    "free_lower_slope": ("--free-lower-slope", "yes", True),
+    "free_lower_slope": ("--free-lower-slope", None, True),
     "mode": ("--mode", "coincidence", "coincidence"),
     "format": ("--format", "csv", "csv"),
     "out": ("--out", "result.txt", "result.txt"),
@@ -119,28 +83,25 @@ FIELD_SAMPLES = {
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
-def test_every_field_settable_from_file_and_flag(name, tmp_path):
+def test_every_field_settable_from_its_flag(name):
     flag, raw, value = FIELD_SAMPLES[name]
-    path = tmp_path / "run.cfg"
-    path.write_text(f"{name} = {raw}\n")
-    assert load_config_file(str(path)) == {name: value}
-    argv = [flag] if value is True else [flag, raw]
-    assert vars(cli._make_parser().parse_args(argv))[name] == value
+    args = vars(cli._make_parser().parse_args([flag] if raw is None else [flag, raw]))
+    assert set(args) == {f.name for f in fields(RunConfig)}  # the flags are the fields
+    assert args[name] == value
 
 
-# --- a bad value of each config key ---------------------------------------
+# --- a bad value of each flag ---------------------------------------------
 
-#: A fast solve, as config-file lines: a case's own lines come after them and
-#: its flags override them
-BASE_FILE = ("Z = 1\nscheme = hermite-galerkin\nn = 40\na = 1e-6\nb = 40\nmesh_gamma = 8\n"
-             "levels = 2\nformat = csv\n")
+#: A fast solve, as flags: a case's own flags come after them and override them
+BASE = ["--Z", "1", "--scheme", "hermite-galerkin", "--n", "40", "--a", "1e-6", "--b", "40",
+        "--mesh-gamma", "8", "--levels", "2", "--format", "csv"]
 COINCIDENCE = ["--mode", "coincidence"]
 CONVERGENCE = ["--mode", "convergence"]
 
-#: Per bad value: its config-file lines or flags ("{tmp}" is the test's
-#: directory), the exit code the error rule gives (exit 3 for a value that
-#: defines the operator or the domain, exit 2 for any other), and the name its
-#: one stderr line holds: the key, its flag, or the library parameter it maps to
+#: Per bad value: its flags ("{tmp}" is the test's directory), the exit code
+#: the error rule gives (exit 3 for a value that defines the operator or the
+#: domain, exit 2 for any other), and the name its one stderr line holds: the
+#: key, its flag, or the library parameter it maps to
 BAD_VALUES = [
     pytest.param(["--Z", "0.5"], EXIT_PHYSICS, "Z", id="Z"),
     pytest.param(["--kappa", "0"], EXIT_PHYSICS, "kappa", id="kappa"),
@@ -149,7 +110,6 @@ BAD_VALUES = [
     pytest.param(["--kappa", "-1"] + COINCIDENCE, EXIT_CONFIG, "abs_kappa",
                  id="kappa-coincidence"),
     pytest.param(["--abs-kappa", "0"], EXIT_CONFIG, "abs_kappa", id="abs_kappa"),
-    pytest.param("scheme = fancy\n", EXIT_CONFIG, "scheme", id="scheme"),
     *[pytest.param(["--radius", radius], EXIT_PHYSICS, "R", id=f"radius-{radius}")
       for radius in ("-1", "0", "nan", "inf", "5e-324")],
     pytest.param(["--a", "-1"], EXIT_PHYSICS, "a", id="a"),
@@ -172,42 +132,26 @@ BAD_VALUES = [
                    EXIT_CONFIG, "match_tol", id=f"match_tol-before-{name}")
       for name, mode in [("solve", []), ("compare-schemes", ["--mode", "compare-schemes"]),
                          ("coincidence", COINCIDENCE), ("convergence", CONVERGENCE)]],
-    # the reality check is a constant: a file that still sets it names the unknown key
-    pytest.param("reality_tol = 1e-7\n", EXIT_CONFIG, "reality_tol", id="reality_tol-removed"),
-    # the mass is the unit of atomic units: a file that still sets it names the unknown key
-    pytest.param("m = 1\n", EXIT_CONFIG, "m", id="m-removed"),
-    # the CLI solves at SPEED_OF_LIGHT: a file that still sets c names the unknown key
-    pytest.param("c_value = 100\n", EXIT_CONFIG, "c_value", id="c_value-removed"),
     pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"], EXIT_CONFIG,
                  "free_lower_slope", id="free_lower_slope-linear"),
     pytest.param(["--scheme", "linear-galerkin", "--free-lower-slope"] + COINCIDENCE, EXIT_CONFIG,
                  "free_lower_slope", id="free_lower_slope-linear-coincidence"),
-    pytest.param("free_lower_slope = maybe\n", EXIT_CONFIG, "free_lower_slope",
-                 id="free_lower_slope"),
-    pytest.param("mode = fancy\n", EXIT_CONFIG, "mode", id="mode"),
-    # the verify-tau mode is gone, its tau algebra moved to the test oracles
-    pytest.param("mode = verify-tau\n", EXIT_CONFIG, "mode", id="mode-verify-tau-removed"),
-    pytest.param("format = fancy\n", EXIT_CONFIG, "format", id="format"),
     # a missing directory, or a directory as the file, ended in a traceback
     *[pytest.param(["--out", f"{{tmp}}/{target}"], EXIT_CONFIG, "--out", id=f"out-{target}")
       for target in ("missing-dir/result.csv", ".")],
     *[pytest.param(["--n-list", n_list] + CONVERGENCE, EXIT_CONFIG, "n_values",
                    id=f"n_list-{n_list}") for n_list in ("100,50", "50,50")],
     pytest.param(["--n-list", "0,10"] + CONVERGENCE, EXIT_CONFIG, "n", id="n_list-0,10"),
-    pytest.param("n_list = 10,x\n", EXIT_CONFIG, "n_list", id="n_list"),
-    pytest.param("unknown_key = 3\n", EXIT_CONFIG, "unknown_key", id="unknown-key"),
 ]
 
 
 @pytest.mark.parametrize("given, code, name", BAD_VALUES)
 def test_bad_value_of_each_key_exits_by_the_rule_naming_it(given, code, name, tmp_path, capfd):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(BASE_FILE + (given if isinstance(given, str) else ""))
-    flags = [] if isinstance(given, str) else [f.replace("{tmp}", str(tmp_path)) for f in given]
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "result.csv")] + flags) == code
+    flags = [f.replace("{tmp}", str(tmp_path)) for f in given]
+    assert main(BASE + ["--out", str(tmp_path / "result.csv")] + flags) == code
     out, err = capfd.readouterr()
     assert out == ""
-    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert [p.name for p in tmp_path.iterdir()] == []
     assert err.startswith("config error: " if code == EXIT_CONFIG else "physics error: ")
     assert err.count("\n") == 1
     assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", err.replace(str(tmp_path), ""))
@@ -220,10 +164,8 @@ def test_bad_value_of_each_key_exits_by_the_rule_naming_it(given, code, name, tm
                   "--free-lower-slope", "--n", "100", "--match-tol", "1e-4"],
                  id="compare-schemes-linear-free-lower-slope"),
 ])
-def test_a_key_the_mode_does_not_read_is_not_checked(flags, tmp_path, capfd):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(BASE_FILE)
-    assert main(["--config", str(cfg)] + flags) == 0
+def test_a_key_the_mode_does_not_read_is_not_checked(flags, capfd):
+    assert main(BASE + flags) == 0
     assert capfd.readouterr().err == ""
 
 
@@ -256,21 +198,36 @@ class TestMain:
         assert {r["label"] for r in rows} == {"genuine"}
         assert sorted(r["level"] for r in rows if r["kappa"] < 0) == list(range(1, levels + 1))
 
-    @pytest.mark.parametrize("key", ["mode", "scheme", "format"])
-    def test_bad_choice_in_config_file_exits_2_listing_the_choices(self, key, tmp_path, capsys):
-        # the flags reject it in argparse; a config file reaches finalize
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"{key} = fancy\n")
-        assert main(["--config", str(cfg)]) == EXIT_CONFIG
+    @pytest.mark.parametrize("key, value", [
+        ("mode", "fancy"), ("scheme", "fancy"), ("format", "fancy"),
+        # the verify-tau mode is gone, its tau algebra moved to the test oracles
+        ("mode", "verify-tau")])
+    def test_bad_choice_exits_2_listing_the_choices(self, key, value, capsys):
+        # argparse's choices, fed by _CHOICES, are the one choice check
+        with pytest.raises(SystemExit) as exc:
+            main(FAST + ["--" + key, value])
+        assert exc.value.code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == f"config error: unknown {key} 'fancy'; expected one of {cli._CHOICES[key]}\n"
+        assert f"argument --{key}: invalid choice: {value!r}" in err
+        assert all(choice in err.split("choose from", 1)[1] for choice in cli._CHOICES[key])
         assert cli._CHOICES["mode"] == ("solve", "compare-schemes", "convergence", "coincidence")
 
-    def test_env_config_used(self, tmp_path, monkeypatch, capsys):
+    def test_the_config_environment_variable_is_ignored(self, tmp_path, monkeypatch, capsys):
+        # DIRAC_FEM_CONFIG named a default config file, read on every call
         cfg = tmp_path / "env.cfg"
         cfg.write_text("mode = bogus\n")
         monkeypatch.setenv("DIRAC_FEM_CONFIG", str(cfg))
-        assert main([]) == EXIT_CONFIG
+        assert main(FAST) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_bad_n_list_names_the_flag(self, capsys):
+        # argparse names the type function, which was a lambda
+        with pytest.raises(SystemExit) as exc:
+            main(FAST + ["--mode", "convergence", "--n-list", "10,x"])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "argument --n-list: invalid int_list value: '10,x'" in err
+        assert "<lambda>" not in err
 
     def test_non_finite_charge_exits_3(self, capsys):
         code = main(["--Z", "nan", "--b", "60", "--n", "20", "--levels", "1"])
@@ -319,10 +276,12 @@ class TestMain:
         assert exc.value.code == EXIT_CONFIG
 
     @pytest.mark.parametrize("flag, value", [("--lev", "2"), ("--form", "csv"),
-                                             ("--c-value", "100")])
+                                             ("--c-value", "100"), ("--reality-tol", "1e-7"),
+                                             ("--unknown-key", "3"), ("--config", "x.cfg")])
     def test_a_flag_not_spelled_in_full_or_removed_exits_2(self, flag, value, capsys):
-        # --lev and --form ran as --levels and --format (exit 0), while a config
-        # file takes only full keys; the CLI solves at c = SPEED_OF_LIGHT
+        # --lev and --form ran as --levels and --format (exit 0); the CLI solves
+        # at c = SPEED_OF_LIGHT, the reality check is a constant, and the
+        # command line is the one input (no key = value file)
         with pytest.raises(SystemExit) as exc:
             main(FAST + [flag, value])
         assert exc.value.code == EXIT_CONFIG
@@ -748,8 +707,8 @@ print(json.dumps([galerkin, galerkin_sparse, supg, "scipy.sparse.linalg" in sys.
 def test_only_a_stabilized_run_loads_arpack():
     # the Galerkin pencils are solved with scipy.linalg's band LAPACK alone;
     # ARPACK (scipy.sparse.linalg) is imported by the stabilized solve
-    env = {k: v for k, v in os.environ.items() if k != cli.ENV_CONFIG}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])  # the tested package
+    tested = Path(cli.__file__).resolve().parents[1]  # the tested package's tree
+    env = dict(os.environ, PYTHONPATH=str(tested))
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -40,7 +40,7 @@ def test_failing_property_test_is_reported(pytester):
     result.stdout.fnmatch_lines(["*Falsifying example*"])
 
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "diracfem"
+SRC = Path(errors.__file__).parent  # the imported package: the scans read the tested tree
 DENSE_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "qz"}
 LINALG_MODULES = {"scipy.linalg", "numpy.linalg"}
 
@@ -534,12 +534,43 @@ def test_package_raises_only_its_own_error_types():
     """Every ``raise`` of the package names a type of ``diracfem.errors``.
 
     So a bad argument fails with ConfigError or PhysicsError, never a bare
-    ValueError. The one exception is ``cli._parse_bool``, whose ValueError
-    ``cli._parse_value`` turns into a ConfigError naming the key.
+    ValueError.
     """
     own = {name for name, value in vars(errors).items()
            if isinstance(value, type) and issubclass(value, Exception)}
     raised = [(module.stem, function, name) for module in sorted(SRC.glob("*.py"))
               for function, name in raised_types(module.read_text())]
     assert len(raised) >= 50
-    assert [r for r in raised if r[2] not in own] == [("cli", "_parse_bool", "ValueError")]
+    assert [r for r in raised if r[2] not in own] == []
+
+
+#: The os names that read the process environment.
+ENVIRONMENT_READS = {"os.environ", "os.getenv"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Every ENVIRONMENT_READS name that ``source`` reads as ``os.<name>`` or imports from os."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and _dotted(node) in ENVIRONMENT_READS:
+            found.append(_dotted(node))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name}" for a in node.names if f"os.{a.name}" in ENVIRONMENT_READS]
+    return found
+
+
+def test_environment_detector_names_each_read():
+    source = ("import os\nfrom os import environ, path\nx = os.environ.get('A')\n"
+              "def f():\n    return os.getenv('B'), os.path.join('a', 'b')\n")
+    assert sorted(environment_reads(source)) == ["os.environ", "os.environ", "os.getenv"]
+
+
+def test_package_reads_no_environment():
+    """The command line is the CLI's one input: no module reads an environment variable.
+
+    ``cli.main`` read a default config file named by an environment
+    variable, which changed every call in which it was set.
+    """
+    reads = {module.stem: environment_reads(module.read_text())
+             for module in sorted(SRC.glob("*.py"))}
+    assert {stem: names for stem, names in reads.items() if names} == {}
