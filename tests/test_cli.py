@@ -291,6 +291,22 @@ class TestMain:
         args = cli._PARSER.parse_args(["--free-lower-slope", "--no-free-lower-slope"])
         assert args.free_lower_slope is False
 
+    @pytest.mark.parametrize("name", [name for name, value_type in cli._KEY_TYPES.items()
+                                      if value_type is not str])
+    def test_a_value_its_flag_does_not_parse_exits_2_naming_the_flag(self, name, capsys):
+        # argparse's type is the one value check: a number flag refuses "x", and
+        # the on/off flag takes no value (there is no yes/no grammar)
+        flag = "--" + name.replace("_", "-")
+        given = [flag + "=maybe"] if cli._KEY_TYPES[name] is bool else [flag, "x"]
+        with pytest.raises(SystemExit) as exc:
+            main(FAST + given)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.search(rf"argument {re.escape(flag)}(/--no-{re.escape(flag[2:])})?: "
+                         r"(invalid \w+ value: 'x'|ignored explicit argument 'maybe')$",
+                         err.splitlines()[-1])
+        assert "<lambda>" not in err
+
     def test_physics_invariant_exits_3(self, capsys):
         code = main(["--Z", "200", "--kappa", "1", "--n", "10"])
         assert code == EXIT_PHYSICS
