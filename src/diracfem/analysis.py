@@ -20,9 +20,9 @@ from .errors import ConfigError
 from .physics import (
     OperatorParams,
     ReferenceLevel,
-    check_count,
-    check_type,
-    is_real,
+    _check_count,
+    _check_type,
+    _is_real,
     reference_spectrum,
 )
 
@@ -37,15 +37,15 @@ MAX_MATCH_TOL = 0.1
 ORDER_FIT_FLOOR = 256 * np.finfo(float).eps
 
 
-def match_tol_for(scheme: str) -> float:
+def _match_tol_for(scheme: str) -> float:
     return DEFAULT_MATCH_TOL if scheme == SCHEME_LINEAR else DEFAULT_MATCH_TOL_HERMITE
 
 
-def check_match_tol(value, name: str = "match_tol") -> float:
-    """``value`` if it is a real number in (0, MAX_MATCH_TOL), else ConfigError naming ``name``."""
-    if not (is_real(value) and 0.0 < value < MAX_MATCH_TOL):
-        raise ConfigError(f"{name} must lie in (0, {MAX_MATCH_TOL}), got {value!r}")
-    return value
+def check_match_tol(match_tol) -> float:
+    """``match_tol`` if it is a real number in (0, MAX_MATCH_TOL), else ConfigError naming it."""
+    if not (_is_real(match_tol) and 0.0 < match_tol < MAX_MATCH_TOL):
+        raise ConfigError(f"match_tol must lie in (0, {MAX_MATCH_TOL}), got {match_tol!r}")
+    return match_tol
 
 
 class Label(Enum):
@@ -84,20 +84,20 @@ def classify(computed, reference: list[ReferenceLevel],
     spurious. Unmatched values close to ``opposite_kappa_ground`` (pass it
     for kappa > 0 runs only) are the coincidence phenomenon; every other
     unmatched value is an instilled spurious level. ``match_tol`` has no
-    default because it follows the scheme (``match_tol_for``): the linear
+    default because it follows the scheme (``_match_tol_for``): the linear
     scheme's 1e-3 swaps a Hermite level with its instilled neighbour.
     """
     check_match_tol(match_tol)
-    check_type(reference, "reference", list, tuple)
+    _check_type(reference, "reference", list, tuple)
     for level in reference:
-        check_type(level, "reference level", ReferenceLevel)
+        _check_type(level, "reference level", ReferenceLevel)
     ground = opposite_kappa_ground
-    if not (ground is None or is_real(ground) and np.isfinite(ground) and ground != 0):
+    if not (ground is None or _is_real(ground) and np.isfinite(ground) and ground != 0):
         raise ConfigError("opposite_kappa_ground must be a finite nonzero real number or None, "
                           f"got {type(ground).__name__} {ground!r}")
-    check_type(computed, "computed", list, tuple, np.ndarray)
+    _check_type(computed, "computed", list, tuple, np.ndarray)
     computed = list(computed)
-    if not all(is_real(x) and np.isfinite(x) for x in computed):
+    if not all(_is_real(x) and np.isfinite(x) for x in computed):
         raise ConfigError(f"computed bindings must be finite real numbers, got {computed!r}")
     computed = [float(x) for x in computed]
     if any(b < a for a, b in zip(computed, computed[1:])):
@@ -126,8 +126,8 @@ def classify(computed, reference: list[ReferenceLevel],
 
 def truncate_to_genuine(classified: ClassifiedSpectrum, count: int) -> ClassifiedSpectrum:
     """Keep entries up to and including the count-th genuine level (count >= 1)."""
-    check_type(classified, "classified", ClassifiedSpectrum)
-    count = check_count(count, "count")
+    _check_type(classified, "classified", ClassifiedSpectrum)
+    count = _check_count(count, "count")
     genuine = 0
     for i, e in enumerate(classified.entries):
         genuine += e.label is Label.GENUINE
@@ -147,17 +147,18 @@ class CoincidenceReport:
     pairs: tuple[tuple[float, float, float], ...]
 
 
-def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
-                       tol: float = 1e-6) -> CoincidenceReport:
+def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum, *,
+                       match_tol: float) -> CoincidenceReport:
     """Check whether the lowest kappa > 0 level copies the kappa < 0 ground state.
 
     Higher levels coincide physically (same |kappa|, n_r >= 1), so the pairing
     table aligns index-by-index when the unphysical copy is present and with
-    an offset of one when it has been removed. ``tol`` is checked as ``classify``'s.
+    an offset of one when it has been removed. The copy is present when the
+    two lowest levels agree within ``match_tol`` relative, checked as ``classify``'s.
     """
-    check_type(spec_pos, "spec_pos", Spectrum)
-    check_type(spec_neg, "spec_neg", Spectrum)
-    check_match_tol(tol, "tol")
+    _check_type(spec_pos, "spec_pos", Spectrum)
+    _check_type(spec_neg, "spec_neg", Spectrum)
+    check_match_tol(match_tol)
     if spec_pos.params.kappa <= 0 or spec_neg.params.kappa >= 0:
         raise ConfigError("expected spectra for kappa > 0 and kappa < 0, in that order")
     if (replace(spec_pos.params, kappa=-spec_pos.params.kappa) != spec_neg.params
@@ -168,7 +169,7 @@ def coincidence_report(spec_pos: Spectrum, spec_neg: Spectrum,
     if len(pos) == 0 or len(neg) == 0:
         raise ConfigError("empty bound spectrum")
     first_rel = _rel(pos[0], neg[0])
-    present = first_rel <= tol
+    present = first_rel <= match_tol
     start, offset = (1, 0) if present else (0, 1)
     pairs = tuple(
         (float(pos[i]), float(neg[i + offset]), _rel(pos[i], neg[i + offset]))
@@ -194,7 +195,7 @@ class ConvergenceStudy:
         self.orders.setflags(write=False)
 
 
-def genuine_errors(classified: ClassifiedSpectrum, reference: list[ReferenceLevel]) -> np.ndarray:
+def _genuine_errors(classified: ClassifiedSpectrum, reference: list[ReferenceLevel]) -> np.ndarray:
     """Relative error per reference level (NaN where no genuine match)."""
     out = np.full(len(reference), np.nan)
     for e in classified.entries:
@@ -208,17 +209,18 @@ def convergence_study(scheme: str, params: OperatorParams, n_values, levels: int
                       a: float, b: float, gamma: float,
                       match_tol: float,
                       free_lower_slope: bool = False) -> ConvergenceStudy:
-    """Solve on a refinement sequence, classify, and fit per-level orders (``fit_orders``).
+    """Solve on a refinement sequence, classify, and fit per-level orders (``_fit_orders``).
 
     Each mesh is solved on ``bound_window(params, levels)`` only.
     """
-    check_type(n_values, "n_values", list, tuple)
+    _check_type(n_values, "n_values", list, tuple)
     if not n_values:
         raise ConfigError("n_values must hold at least one size, got none")
-    n_values = tuple(check_count(n, "n") for n in n_values)
+    n_values = tuple(_check_count(n, "n") for n in n_values)
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise ConfigError(f"n_values must be strictly increasing, got {n_values}")
     match_tol = check_match_tol(match_tol)
+    levels = _check_count(levels, "levels")
     reference = reference_spectrum(params, levels)
     window = bound_window(params, levels)
     errors = np.full((len(n_values), levels), np.nan)
@@ -227,11 +229,11 @@ def convergence_study(scheme: str, params: OperatorParams, n_values, levels: int
         system = assemble(scheme, params, mesh, free_lower_slope=free_lower_slope)
         spectrum = solve(system, window=window)
         classified = classify(spectrum.bindings, reference, match_tol=match_tol)
-        errors[i] = genuine_errors(classified, reference)
-    return ConvergenceStudy(n_values=n_values, errors=errors, orders=fit_orders(n_values, errors))
+        errors[i] = _genuine_errors(classified, reference)
+    return ConvergenceStudy(n_values=n_values, errors=errors, orders=_fit_orders(n_values, errors))
 
 
-def fit_orders(n_values, errors: np.ndarray) -> np.ndarray:
+def _fit_orders(n_values, errors: np.ndarray) -> np.ndarray:
     """Per-level order p of error ~ h^p, h = 1/(n + 1), fitted in log-log.
 
     Only errors above ORDER_FIT_FLOOR enter a fit: below it an error is

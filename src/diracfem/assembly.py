@@ -35,9 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretization import BasisKind, Mesh, gauss_rule, hat_local, hermite_local
+from .discretization import BasisKind, Mesh, gauss_rule, _hat_local, _hermite_local
 from .errors import ConfigError
-from .physics import OperatorParams, check_count, check_type, potential_value
+from .physics import OperatorParams, _check_count, _check_type, potential_value
 
 SCHEME_LINEAR = "linear-galerkin"
 SCHEME_HERMITE = "hermite-galerkin"
@@ -46,7 +46,7 @@ SCHEMES = (SCHEME_LINEAR, SCHEME_HERMITE, SCHEME_SUPG)
 
 
 @dataclass(frozen=True)
-class BlockMatrixSpec:
+class _BlockMatrixSpec:
     """Indices (r, s, t, q) identifying one block-matrix integrand.
 
     r and s are the derivative orders on the test and trial function, t the
@@ -65,7 +65,7 @@ class BlockMatrixSpec:
             raise ConfigError(f"q must be 'one' or 'V', got {self.q!r}")
 
 
-def element_tau(h_j, h_j1):
+def _element_tau(h_j, h_j1):
     """tau_j = (9/35) * h_{j+1} * (h_{j+1} - h_j) / (h_{j+1} + h_j), for floats or arrays.
 
     The stabilization parameter of an element of size h_{j+1} whose left
@@ -77,15 +77,15 @@ def element_tau(h_j, h_j1):
 def compute_tau(mesh: Mesh) -> np.ndarray:
     """Per-element stabilization parameter, a read-only array of length n+1.
 
-    Element e (1-based) carries tau[e-1] = ``element_tau(h_{e-1}, h_e)``, and
+    Element e (1-based) carries tau[e-1] = ``_element_tau(h_{e-1}, h_e)``, and
     the first element, having no left neighbour, carries zero. Uniform
     neighbouring elements give tau = 0 and |tau| < h_e always (the 9/35
     factor times a ratio below 1).
     """
-    check_type(mesh, "mesh", Mesh)
+    _check_type(mesh, "mesh", Mesh)
     h = mesh.h
     tau = np.zeros(mesh.element_count)
-    tau[1:] = element_tau(h[:-1], h[1:])
+    tau[1:] = _element_tau(h[:-1], h[1:])
     tau.setflags(write=False)
     return tau
 
@@ -148,11 +148,11 @@ def _element_kernel(kind: BasisKind, mesh: Mesh, params: OperatorParams):
     """
     x, w = gauss_rule(mesh)
     h, s = mesh.h[:, None], x - mesh.nodes[:-1, None]
-    local = hermite_local if kind is BasisKind.CUBIC_HERMITE else hat_local
+    local = _hermite_local if kind is BasisKind.CUBIC_HERMITE else _hat_local
     shapes = [np.stack(local(h, s, order), axis=1) for order in (0, 1)]
     v = potential_value(params, x)
 
-    def integrals(spec: BlockMatrixSpec, tau: np.ndarray | None = None) -> np.ndarray:
+    def integrals(spec: _BlockMatrixSpec, tau: np.ndarray | None = None) -> np.ndarray:
         weight = np.ones_like(x)
         if spec.t:
             weight = weight / x
@@ -209,15 +209,15 @@ def _band_slots(n: int, hermite: bool, free_lower_slope: bool) -> tuple[int, int
 #: of the pencil in binding form: lhs = A - mc2*B and rhs = B for the
 #: Dirac pencil A*x = lambda*B*x, so its eigenvalues are mu = lambda - mc2.
 _GALERKIN = (
-    ("lhs", 0, 0, BlockMatrixSpec(0, 0, 0, "V"), lambda c, k, mc2: 1.0, False),
-    ("lhs", 0, 1, BlockMatrixSpec(0, 1, 0), lambda c, k, mc2: -c, False),
-    ("lhs", 0, 1, BlockMatrixSpec(0, 0, 1), lambda c, k, mc2: c * k, False),
-    ("lhs", 1, 0, BlockMatrixSpec(0, 1, 0), lambda c, k, mc2: c, False),
-    ("lhs", 1, 0, BlockMatrixSpec(0, 0, 1), lambda c, k, mc2: c * k, False),
-    ("lhs", 1, 1, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: -2.0 * mc2, False),
-    ("lhs", 1, 1, BlockMatrixSpec(0, 0, 0, "V"), lambda c, k, mc2: 1.0, False),
-    ("rhs", 0, 0, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: 1.0, False),
-    ("rhs", 1, 1, BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: 1.0, False),
+    ("lhs", 0, 0, _BlockMatrixSpec(0, 0, 0, "V"), lambda c, k, mc2: 1.0, False),
+    ("lhs", 0, 1, _BlockMatrixSpec(0, 1, 0), lambda c, k, mc2: -c, False),
+    ("lhs", 0, 1, _BlockMatrixSpec(0, 0, 1), lambda c, k, mc2: c * k, False),
+    ("lhs", 1, 0, _BlockMatrixSpec(0, 1, 0), lambda c, k, mc2: c, False),
+    ("lhs", 1, 0, _BlockMatrixSpec(0, 0, 1), lambda c, k, mc2: c * k, False),
+    ("lhs", 1, 1, _BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: -2.0 * mc2, False),
+    ("lhs", 1, 1, _BlockMatrixSpec(0, 0, 0, "V"), lambda c, k, mc2: 1.0, False),
+    ("rhs", 0, 0, _BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: 1.0, False),
+    ("rhs", 1, 1, _BlockMatrixSpec(0, 0, 0), lambda c, k, mc2: 1.0, False),
 )
 
 #: The tau * v' part of the stabilized test space: the Galerkin terms, each
@@ -266,9 +266,9 @@ def assemble(scheme: str, params: OperatorParams, mesh: Mesh,
     storage, through band slots built once per (n, basis, free slope) shape.
     """
     kind, terms = _scheme_entry(scheme)
-    check_type(params, "params", OperatorParams)
-    check_type(mesh, "mesh", Mesh)
-    check_type(free_lower_slope, "free_lower_slope", bool, np.bool_)
+    _check_type(params, "params", OperatorParams)
+    _check_type(mesh, "mesh", Mesh)
+    _check_type(free_lower_slope, "free_lower_slope", bool, np.bool_)
     if free_lower_slope and kind is BasisKind.LINEAR_HAT:
         raise ConfigError(f"free_lower_slope applies to the Hermite schemes only: "
                           f"{scheme} has no slope dof")
@@ -301,7 +301,7 @@ def part_dofs(scheme: str, size: int, part: str) -> np.ndarray:
     parts = ("zeta", "zeta_prime", "xi", "xi_prime")
     if part not in parts:
         raise ConfigError(f"unknown part {part!r}; expected one of {parts}")
-    k, size = parts.index(part), check_count(size, "size", least=0)
+    k, size = parts.index(part), _check_count(size, "size", least=0)
     if _scheme_entry(scheme)[0] is BasisKind.LINEAR_HAT:
         return np.arange(k // 2, size, 2) if k % 2 == 0 else np.arange(0)
     free = size % 4  # node 0's two slopes

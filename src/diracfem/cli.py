@@ -22,8 +22,8 @@ from .eigensolver import bound_window, solve
 from .errors import ConfigError, InsufficientLevelsError, PhysicsError, SolverError
 from .physics import (
     OperatorParams,
-    check_charge,
-    check_count,
+    _check_charge,
+    _check_count,
     reference_binding,
     reference_spectrum,
 )
@@ -67,8 +67,8 @@ class RunConfig:
             cfg.abs_kappa = 1
         if cfg.abs_kappa is not None and cfg.abs_kappa < 1:
             raise ConfigError("abs_kappa must be >= 1")
-        check_charge(cfg.Z)  # b defaults to a multiple of 1/Z
-        check_count(cfg.levels, "levels")
+        _check_charge(cfg.Z)  # b defaults to a multiple of 1/Z
+        _check_count(cfg.levels, "levels")
         if cfg.b is None:
             cfg.b = cfg.default_b()
         if cfg.n_list is None:
@@ -79,7 +79,7 @@ class RunConfig:
         """Explicit match_tol, checked by ``analysis.check_match_tol``, or the scheme default."""
         if self.match_tol is not None:
             return analysis.check_match_tol(self.match_tol)
-        return analysis.match_tol_for(self.scheme)
+        return analysis._match_tol_for(self.scheme)
 
     def params(self, kappa: int) -> OperatorParams:
         """The operator of one kappa; a radius makes its nucleus extended."""
@@ -316,7 +316,7 @@ def _mode_coincidence(cfg: RunConfig):
             raise InsufficientLevelsError(
                 f"kappa={kappa}: no bound level found{_miss_hint(cfg, kappa, ())}")
     neg = spectra[-cfg.abs_kappa]
-    report = coincidence_report(spectra[cfg.abs_kappa], neg, tol=match_tol)
+    report = coincidence_report(spectra[cfg.abs_kappa], neg, match_tol=match_tol)
     # a pair is a physical degeneracy only where its kappa < 0 level is genuine
     labels = {e.binding: e.label for e in classify(
         neg.bindings, reference_spectrum(neg.params, len(neg.bindings)),

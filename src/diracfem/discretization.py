@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, PhysicsError
-from .physics import check_count, check_real, check_type, is_real_array
+from .physics import _check_count, _check_real, _check_type, _is_real_array
 
 # 4-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree <= 7.
 _GAUSS_POINTS, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -45,7 +45,7 @@ class Mesh:
     nodes: np.ndarray
 
     def __post_init__(self):
-        if not is_real_array(self.nodes):
+        if not _is_real_array(self.nodes):
             raise PhysicsError(f"mesh nodes must be real numbers, not {type(self.nodes).__name__}")
         nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2 or not np.all(np.diff(nodes) > 0):
@@ -75,16 +75,16 @@ def build_exponential_mesh(a: float, b: float, n: int, gamma: float) -> Mesh:
     monotonically away from a. a, b and gamma must be finite real numbers,
     not bools, exp(gamma) must not overflow, and the computed nodes must
     strictly increase, or PhysicsError is raised; n must be a count
-    (``check_count``: an integral float such as 50.0 counts as 50), or
+    (``_check_count``: an integral float such as 50.0 counts as 50), or
     ConfigError is raised.
     """
     for name, value in (("a", a), ("b", b), ("gamma", gamma)):
-        check_real(value, name)
+        _check_real(value, name)
         if not math.isfinite(value):
             raise PhysicsError(f"invalid mesh parameter {name}={value}: must be finite")
     if not (0.0 < a < b):
         raise PhysicsError(f"invalid domain: need 0 < a < b, got a={a}, b={b}")
-    n = check_count(n, "n")
+    n = _check_count(n, "n")
     if gamma <= 0.0:
         raise PhysicsError(f"invalid mesh grading: need gamma > 0, got {gamma}")
     i = np.arange(n + 2, dtype=float)
@@ -106,7 +106,7 @@ def gauss_rule(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
     Row e-1 holds the rule on element ``[x_{e-1}, x_e]``.
     """
-    check_type(mesh, "mesh", Mesh)
+    _check_type(mesh, "mesh", Mesh)
     xl, xr = mesh.nodes[:-1, None], mesh.nodes[1:, None]
     mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
     return mid + half * _GAUSS_POINTS, half * _GAUSS_WEIGHTS
@@ -124,7 +124,7 @@ def gauss_rule(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 # array that broadcasts against s, so one call covers many elements.
 
 
-def hat_local(h: float, s, order: int):
+def _hat_local(h: float, s, order: int):
     """Hat-function pieces on one element; returns (left, right) arrays."""
     s = np.asarray(s, dtype=float)
     if order == 0:
@@ -135,7 +135,7 @@ def hat_local(h: float, s, order: int):
     raise ConfigError(f"unsupported derivative order {order} for linear hats")
 
 
-def hermite_local(h: float, s, order: int):
+def _hermite_local(h: float, s, order: int):
     """Cubic Hermite pieces on one element.
 
     Returns (left value, left slope, right value, right slope) evaluated at

@@ -46,7 +46,7 @@ from .errors import (
     SingularSystemError,
     SolverError,
 )
-from .physics import (OperatorParams, check_count, check_type, is_real, is_real_array,
+from .physics import (OperatorParams, _check_count, _check_type, _is_real, _is_real_array,
                       reference_binding)
 
 #: Relative bound on acceptable imaginary parts of SUPG eigenvalues.
@@ -124,8 +124,8 @@ def bound_window(params: OperatorParams, levels: int) -> tuple[float, float]:
     n_r = levels and n_r = levels + 1 for kappa > 0: past the last level the
     series needs, and short of the next one.
     """
-    check_type(params, "params", OperatorParams)
-    levels = check_count(levels, "levels")
+    _check_type(params, "params", OperatorParams)
+    levels = _check_count(levels, "levels")
     neg = replace(params, kappa=-abs(params.kappa))
     lo = 2.0 * reference_binding(neg, 0).binding
     last = levels if params.kappa > 0 else levels - 1
@@ -700,8 +700,8 @@ def solve(system: AssembledSystem, window: tuple[float, float]) -> Spectrum:
     ComplexSpectrumError. ``system`` must be an AssembledSystem and ``window``
     (lo, hi) two finite reals, lo < hi, or ConfigError is raised first.
     """
-    check_type(system, "system", AssembledSystem)
-    edges = [float(e) if is_real(e) else math.nan for e in window] if np.iterable(window) else []
+    _check_type(system, "system", AssembledSystem)
+    edges = [float(e) if _is_real(e) else math.nan for e in window] if np.iterable(window) else []
     if len(edges) != 2 or not -np.inf < edges[0] < edges[1] < np.inf:
         raise ConfigError(f"window must be (lo, hi), finite with lo < hi, got {window!r}")
     lo, hi = edges
@@ -740,10 +740,10 @@ def eigenpair_residual(system: AssembledSystem, binding: float, vector: np.ndarr
     A binding that is not a finite real number, or a vector that is not
     finite, nonzero and of the pencil's size, raises ConfigError.
     """
-    check_type(system, "system", AssembledSystem)
-    if not (is_real(binding) and np.isfinite(binding)):
+    _check_type(system, "system", AssembledSystem)
+    if not (_is_real(binding) and np.isfinite(binding)):
         raise ConfigError(f"binding must be a finite real number, got {binding!r}")
-    if not is_real_array(vector):
+    if not _is_real_array(vector):
         raise ConfigError(f"vector must be an array of real numbers, not {type(vector).__name__}")
     v = np.asarray(vector, dtype=float)
     if v.shape != (system.size,):

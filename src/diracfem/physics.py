@@ -3,7 +3,8 @@
 All energies are in Hartree atomic units, so the electron mass m is 1.
 Bound states are reported as binding energies (eigenvalue minus the rest
 energy m*c^2), which is the quantity the solver and classifier work with
-throughout.
+throughout. The ``_check_*`` argument checks here are private: every
+module of the package calls them on its own arguments.
 """
 
 from __future__ import annotations
@@ -22,45 +23,45 @@ from .errors import ConfigError, PhysicsError
 SPEED_OF_LIGHT = 137.035999074
 
 
-def is_real(value) -> bool:
+def _is_real(value) -> bool:
     """Whether ``value`` is a real number other than a bool: a check to make before comparing it."""
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
-def is_real_array(values) -> bool:
-    """``is_real`` of every entry of ``values``: a string or bool in a list is not a number."""
+def _is_real_array(values) -> bool:
+    """``_is_real`` of every entry of ``values``: a string or bool in a list is not a number."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return True
-    return all(map(is_real, np.asarray(values, dtype=object).flat))
+    return all(map(_is_real, np.asarray(values, dtype=object).flat))
 
 
-def check_real(value, name: str) -> None:
+def _check_real(value, name: str) -> None:
     """Raise PhysicsError naming ``name`` unless ``value`` is a real number other than a bool."""
-    if not is_real(value):
+    if not _is_real(value):
         raise PhysicsError(f"parameter {name}={value!r} must be a real number, "
                            f"not {type(value).__name__}")
 
 
-def check_charge(Z: float) -> None:
+def _check_charge(Z: float) -> None:
     """Raise PhysicsError unless Z is a finite nuclear charge >= 1."""
     if not 1.0 <= Z < math.inf:
         raise PhysicsError(f"nuclear charge must be finite and >= 1, got Z={Z}")
 
 
-def check_type(value, name: str, *kinds: type) -> None:
+def _check_type(value, name: str, *kinds: type) -> None:
     """Raise ConfigError naming ``name`` and the type it got unless ``value`` is one of ``kinds``."""
     if not isinstance(value, kinds):
         expected = " or ".join(kind.__name__ for kind in kinds)
         raise ConfigError(f"{name} must be a {expected}, got {type(value).__name__}")
 
 
-def check_count(value, name: str, least: int = 1) -> int:
+def _check_count(value, name: str, least: int = 1) -> int:
     """``value`` as an int; ConfigError naming ``name`` unless it is a whole number >= ``least``.
 
     An integral float such as 3.0 is taken; a bool, a non-integral or
     non-finite float, or anything not a real number is refused.
     """
-    if not is_real(value) or not float(value).is_integer() or value < least:
+    if not _is_real(value) or not float(value).is_integer() or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -82,10 +83,10 @@ class OperatorParams:
     def __post_init__(self):
         for name, value in vars(self).items():
             if name != "R" or value is not None:
-                check_real(value, name)
+                _check_real(value, name)
         if self.kappa == 0 or not float(self.kappa).is_integer():
             raise PhysicsError(f"kappa must be a nonzero integer, got {self.kappa}")
-        check_charge(self.Z)
+        _check_charge(self.Z)
         if not 0.0 < self.c < math.inf:
             raise PhysicsError(f"c must be finite and positive, got c={self.c}")
         if self.Z >= self.c * abs(self.kappa):
@@ -105,10 +106,12 @@ class OperatorParams:
 
 def potential_value(params: OperatorParams, x):
     """V(x): -Z/x outside the nucleus, parabolic inside an extended one."""
-    check_type(params, "params", OperatorParams)
-    if not is_real_array(x):  # None read as NaN, a bool as 0 or 1
+    _check_type(params, "params", OperatorParams)
+    if not _is_real_array(x):  # None read as NaN, a bool as 0 or 1
         raise ConfigError(f"x must be a real number or array, got {type(x).__name__}")
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise PhysicsError("potential requires x that is not NaN")
     Z, R = params.Z, params.R
     if R is None:
         if np.any(x <= 0.0):
@@ -146,11 +149,11 @@ def reference_binding(params: OperatorParams, n_r: int) -> ReferenceLevel:
     raises ConfigError. ``params.R`` is not read: an extended nucleus has
     no closed form.
     """
-    check_type(params, "params", OperatorParams)
+    _check_type(params, "params", OperatorParams)
     least = 1 if params.kappa > 0 else 0
-    if is_real(n_r) and n_r < least:
+    if _is_real(n_r) and n_r < least:
         raise PhysicsError(f"n_r must be >= {least} for kappa={params.kappa}, got n_r={n_r}")
-    n_r = check_count(n_r, "n_r", least=0)
+    n_r = _check_count(n_r, "n_r", least=0)
     zc = params.Z / params.c
     gamma = math.sqrt(params.kappa**2 - zc**2)
     # expm1/log1p form of mc^2 [(1 + u)^(-1/2) - 1]: immune to the large-c
@@ -162,7 +165,7 @@ def reference_binding(params: OperatorParams, n_r: int) -> ReferenceLevel:
 
 def reference_spectrum(params: OperatorParams, count: int) -> list[ReferenceLevel]:
     """First ``count`` bound levels of the kappa series, deepest first."""
-    check_type(params, "params", OperatorParams)
-    count = check_count(count, "count")
+    _check_type(params, "params", OperatorParams)
+    count = _check_count(count, "count")
     start = 0 if params.kappa < 0 else 1
     return [reference_binding(params, n_r) for n_r in range(start, start + count)]

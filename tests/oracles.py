@@ -42,7 +42,7 @@ from diracfem.assembly import (
     SCHEME_LINEAR,
     SCHEME_SUPG,
     AssembledSystem,
-    BlockMatrixSpec,
+    _BlockMatrixSpec,
     _element_kernel,
     part_dofs,
 )
@@ -50,8 +50,8 @@ from diracfem.discretization import (
     BasisKind,
     Mesh,
     gauss_rule,
-    hat_local,
-    hermite_local,
+    _hat_local,
+    _hermite_local,
 )
 from diracfem.eigensolver import PIVOT_TOL, Spectrum, _check_reality
 from diracfem.errors import SingularSystemError, SolverError
@@ -84,9 +84,9 @@ def eval_hat(mesh: Mesh, j: int, x, order: int = 0):
     nodes, h = mesh.nodes, mesh.h
     out = np.zeros(x.shape, dtype=float)
     if left.any():
-        out[left] = hat_local(h[j - 1], x[left] - nodes[j - 1], order)[1]
+        out[left] = _hat_local(h[j - 1], x[left] - nodes[j - 1], order)[1]
     if right.any():
-        out[right] = hat_local(h[j], x[right] - nodes[j], order)[0]
+        out[right] = _hat_local(h[j], x[right] - nodes[j], order)[0]
     return out if out.shape else float(out)
 
 
@@ -106,9 +106,9 @@ def eval_hermite(mesh: Mesh, j: int, part: str, x, order: int = 0):
     sel = 2 if part == "value" else 3  # right-node pieces of the left element
     out = np.zeros(x.shape, dtype=float)
     if left.any():
-        out[left] = hermite_local(h[j - 1], x[left] - nodes[j - 1], order)[sel]
+        out[left] = _hermite_local(h[j - 1], x[left] - nodes[j - 1], order)[sel]
     if right.any():
-        out[right] = hermite_local(h[j], x[right] - nodes[j], order)[sel - 2]
+        out[right] = _hermite_local(h[j], x[right] - nodes[j], order)[sel - 2]
     return out if out.shape else float(out)
 
 
@@ -118,7 +118,7 @@ def _check_node(mesh: Mesh, j: int, allow_boundary: bool = False):
         raise IndexError(f"node index {j} out of range {lo}..{hi}")
 
 
-def _weight_at(spec: BlockMatrixSpec, params: OperatorParams, x: np.ndarray) -> np.ndarray:
+def _weight_at(spec: _BlockMatrixSpec, params: OperatorParams, x: np.ndarray) -> np.ndarray:
     w = np.ones_like(x)
     if spec.t:
         w = w / x
@@ -127,7 +127,7 @@ def _weight_at(spec: BlockMatrixSpec, params: OperatorParams, x: np.ndarray) -> 
     return w
 
 
-def element_integral(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
+def element_integral(spec: _BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
                      params: OperatorParams, test_dof: int, trial_dof: int) -> float:
     """Single block-matrix entry; 0 without quadrature when supports are disjoint.
 
@@ -143,7 +143,7 @@ def element_integral(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
 
     def node_part(dof):
         if hermite and dof >= n:
-            return dof - n + 1, 3  # slope piece index in hermite_local order
+            return dof - n + 1, 3  # slope piece index in _hermite_local order
         return dof + 1, 2
 
     t_node, t_sel = node_part(test_dof)
@@ -160,16 +160,16 @@ def element_integral(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
         h = mesh.h[e - 1]
         s = xq - mesh.nodes[e - 1]
         if hermite:
-            test = hermite_local(h, s, spec.r)[t_sel if e == t_node else t_sel - 2]
-            trial = hermite_local(h, s, spec.s)[s_sel if e == s_node else s_sel - 2]
+            test = _hermite_local(h, s, spec.r)[t_sel if e == t_node else t_sel - 2]
+            trial = _hermite_local(h, s, spec.s)[s_sel if e == s_node else s_sel - 2]
         else:
-            test = hat_local(h, s, spec.r)[1 if e == t_node else 0]
-            trial = hat_local(h, s, spec.s)[1 if e == s_node else 0]
+            test = _hat_local(h, s, spec.r)[1 if e == t_node else 0]
+            trial = _hat_local(h, s, spec.s)[1 if e == s_node else 0]
         total += float(np.dot(w, test * trial))
     return total
 
 
-def assemble_block(spec: BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
+def assemble_block(spec: _BlockMatrixSpec, kind: BasisKind, mesh: Mesh,
                    params: OperatorParams, tau: np.ndarray | None = None,
                    free_lower_slope: bool = False) -> np.ndarray:
     """Dense block matrix of one integrand over the active dofs of one spinor component.
@@ -478,7 +478,7 @@ def hermite_interpolate(mesh: Mesh, values, slopes, x, order: int = 0):
     x = np.asarray(x, dtype=float)
     nodes, h = mesh.nodes, mesh.h
     e = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, mesh.element_count - 1)
-    lv, ls, rv, rs = hermite_local(h[e], x - nodes[e], order)
+    lv, ls, rv, rs = _hermite_local(h[e], x - nodes[e], order)
     out = values[e] * lv + slopes[e] * ls + values[e + 1] * rv + slopes[e + 1] * rs
     return out if out.shape else float(out)
 

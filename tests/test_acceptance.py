@@ -17,7 +17,7 @@ from diracfem.assembly import (
     SCHEME_HERMITE,
     SCHEME_LINEAR,
     SCHEME_SUPG,
-    BlockMatrixSpec,
+    _BlockMatrixSpec,
     assemble,
 )
 from diracfem.discretization import (
@@ -144,8 +144,8 @@ def test_criterion_01_reference_digits():
 # ---------------------------------------------------------------------------
 # criterion 2: element-integral oracle on 100 random meshes
 
-POLY_SPECS = {"MM000": BlockMatrixSpec(0, 0, 0), "MM100": BlockMatrixSpec(1, 0, 0),
-              "MM010": BlockMatrixSpec(0, 1, 0), "MM110": BlockMatrixSpec(1, 1, 0)}
+POLY_SPECS = {"MM000": _BlockMatrixSpec(0, 0, 0), "MM100": _BlockMatrixSpec(1, 0, 0),
+              "MM010": _BlockMatrixSpec(0, 1, 0), "MM110": _BlockMatrixSpec(1, 1, 0)}
 
 
 def test_criterion_02_element_integral_oracle():
@@ -366,7 +366,7 @@ def test_criterion_09_property_suite(hydrogen_runs):
             assert np.max(np.abs(system.lhs - system.lhs.T)) <= 1e-12 * scale
             assert np.linalg.eigvalsh(system.rhs).min() > 0
 
-        m010 = assemble_block(BlockMatrixSpec(0, 1, 0), BasisKind.LINEAR_HAT, mesh, params)
+        m010 = assemble_block(_BlockMatrixSpec(0, 1, 0), BasisKind.LINEAR_HAT, mesh, params)
         assert np.max(np.abs(m010 + m010.T)) <= 1e-12 * np.max(np.abs(m010))
 
         xs = np.linspace(mesh.nodes[1], mesh.nodes[-2], 53)

@@ -9,7 +9,7 @@ from diracfem.assembly import (
     SCHEME_HERMITE,
     SCHEME_LINEAR,
     SCHEME_SUPG,
-    BlockMatrixSpec,
+    _BlockMatrixSpec,
     assemble,
     compute_tau,
     part_dofs,
@@ -23,10 +23,10 @@ from conftest import random_mesh
 from oracles import assemble_block, block_order, closed_form_element_entries, element_integral
 
 POLY_SPECS = {
-    "MM000": BlockMatrixSpec(0, 0, 0),
-    "MM100": BlockMatrixSpec(1, 0, 0),
-    "MM010": BlockMatrixSpec(0, 1, 0),
-    "MM110": BlockMatrixSpec(1, 1, 0),
+    "MM000": _BlockMatrixSpec(0, 0, 0),
+    "MM100": _BlockMatrixSpec(1, 0, 0),
+    "MM010": _BlockMatrixSpec(0, 1, 0),
+    "MM110": _BlockMatrixSpec(1, 1, 0),
 }
 
 
@@ -81,7 +81,7 @@ class TestClosedFormOracle:
         mesh = random_mesh(rng, n=5)
         params = OperatorParams(Z=2.0, kappa=-1)
         hermite = BasisKind.CUBIC_HERMITE
-        for spec in (BlockMatrixSpec(0, 0, 1), BlockMatrixSpec(1, 0, 0, "V")):
+        for spec in (_BlockMatrixSpec(0, 0, 1), _BlockMatrixSpec(1, 0, 0, "V")):
             block = assemble_block(spec, hermite, mesh, params)
             for i in (0, 3, 7):
                 for j in (0, 4, 9):
@@ -92,7 +92,7 @@ class TestClosedFormOracle:
         # exact hat integrals: mass diag (h_j + h_{j+1})/3, off-diag h/6
         mesh = random_mesh(rng, n=5)
         params = OperatorParams(Z=1.0, kappa=-1)
-        m000 = assemble_block(BlockMatrixSpec(0, 0, 0), BasisKind.LINEAR_HAT, mesh, params)
+        m000 = assemble_block(_BlockMatrixSpec(0, 0, 0), BasisKind.LINEAR_HAT, mesh, params)
         j = 3
         hj, hj1 = mesh.h[j - 1], mesh.h[j]
         assert m000[j - 1, j - 1] == pytest.approx((hj + hj1) / 3, rel=1e-13)
@@ -100,12 +100,12 @@ class TestClosedFormOracle:
 
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
-            BlockMatrixSpec(2, 0, 0)
+            _BlockMatrixSpec(2, 0, 0)
         with pytest.raises(ConfigError):
-            BlockMatrixSpec(0, 0, 0, "W")
+            _BlockMatrixSpec(0, 0, 0, "W")
 
 
-ALL_SPECS = [BlockMatrixSpec(r, s, t, q)
+ALL_SPECS = [_BlockMatrixSpec(r, s, t, q)
              for r in (0, 1) for s in (0, 1) for t in (0, 1) for q in ("one", "V")]
 
 #: Fixed examples, so the suite passes or fails the same way on every run.
@@ -246,7 +246,7 @@ class TestSchemes:
 
     def test_m010_antisymmetric(self, hyd_setup):
         params, mesh = hyd_setup
-        m010 = assemble_block(BlockMatrixSpec(0, 1, 0), BasisKind.LINEAR_HAT, mesh, params)
+        m010 = assemble_block(_BlockMatrixSpec(0, 1, 0), BasisKind.LINEAR_HAT, mesh, params)
         assert np.max(np.abs(m010 + m010.T)) < 1e-12 * np.max(np.abs(m010))
 
     def test_hermite_shapes_and_symmetry(self, hyd_setup):
@@ -354,7 +354,7 @@ class TestPencilAgainstRadialEquations:
         c, mc2 = params.c, params.rest_energy
 
         def block(r, s, t, q="one", tau=None):
-            return assemble_block(BlockMatrixSpec(r, s, t, q), kind, mesh, params, tau=tau,
+            return assemble_block(_BlockMatrixSpec(r, s, t, q), kind, mesh, params, tau=tau,
                                   free_lower_slope=free)
 
         def equations(r, tau=None):

@@ -8,8 +8,8 @@ from diracfem.discretization import (
     Mesh,
     build_exponential_mesh,
     gauss_rule,
-    hat_local,
-    hermite_local,
+    _hat_local,
+    _hermite_local,
 )
 from diracfem.errors import ConfigError, PhysicsError
 from diracfem.physics import OperatorParams
@@ -185,7 +185,7 @@ class TestHatBasis:
         with pytest.raises(ValueError):
             eval_hat(mesh, 1, 1.0, 2)
         with pytest.raises(ConfigError, match="order 2"):
-            hat_local(1.0, 0.5, 2)
+            _hat_local(1.0, 0.5, 2)
 
 
 class TestHermiteBasis:
@@ -243,7 +243,7 @@ class TestHermiteBasis:
         with pytest.raises(ValueError):
             eval_hermite(mesh, 1, "value", 1.0, 2)
         with pytest.raises(ConfigError, match="order 2"):
-            hermite_local(1.0, 0.5, 2)
+            _hermite_local(1.0, 0.5, 2)
 
     def test_bad_part(self, mesh):
         with pytest.raises(ValueError):

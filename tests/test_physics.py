@@ -7,7 +7,7 @@ from diracfem.errors import ConfigError, PhysicsError
 from diracfem.physics import (
     SPEED_OF_LIGHT,
     OperatorParams,
-    check_count,
+    _check_count,
     potential_value,
     reference_binding,
     reference_spectrum,
@@ -76,6 +76,13 @@ class TestPotential:
     def test_point_singularity(self):
         with pytest.raises(PhysicsError):
             potential_value(OperatorParams(Z=1.0, kappa=-1), 0.0)
+
+    @pytest.mark.parametrize("R", [None, 0.01])
+    @pytest.mark.parametrize("x", [np.nan, [1.0, np.nan]], ids=["scalar", "array"])
+    def test_nan_position_refused(self, R, x):
+        # a NaN passed both range checks and gave a potential of NaN
+        with pytest.raises(PhysicsError, match=r"\bx\b"):
+            potential_value(OperatorParams(Z=1.0, kappa=-1, R=R), x)
 
     def test_extended_continuous_at_radius(self):
         params = OperatorParams(Z=12.0, kappa=-1, R=0.01)
@@ -225,11 +232,11 @@ class TestCheckCount:
     @pytest.mark.parametrize("value, least, expected", [
         (3, 1, 3), (np.int64(2), 1, 2), (4.0, 1, 4), (0, 0, 0)])
     def test_whole_numbers_taken(self, value, least, expected):
-        count = check_count(value, "levels", least)
+        count = _check_count(value, "levels", least)
         assert count == expected and type(count) is int
 
     @pytest.mark.parametrize("value", [True, False, np.True_, 1.5, np.nan, np.inf, "3", None, 0,
                                        -1])
     def test_refused_naming_the_argument(self, value):
         with pytest.raises(ConfigError, match="levels must be an integer >= 1"):
-            check_count(value, "levels")
+            _check_count(value, "levels")

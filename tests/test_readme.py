@@ -1,6 +1,7 @@
 """The README's library example and commands run as documented, and its flags and modes exist."""
 
 import ast
+import json
 import re
 import shlex
 import types
@@ -61,6 +62,18 @@ def test_readme_command_runs_as_documented(command, capsys):
     assert not unknown, f"flags not spelled in full: {sorted(unknown)}"
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_the_pathology_command_prints_its_stated_table(capsys):
+    # the README states 6 genuine rows, one spurious row and the kappa = +1
+    # coincidence on row 1
+    (command,) = [command for command in readme_commands() if "linear-galerkin" in command]
+    assert cli.main(shlex.split(command)[1:] + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    negative = [row["label"] for row in rows if row["kappa"] == -1]
+    assert sorted(negative) == ["genuine"] * 6 + ["instilled-spurious"]
+    positive = [row["label"] for row in rows if row["kappa"] == 1]
+    assert positive[0] == "coincidence-spurious"
 
 
 def test_the_readme_has_its_three_commands():

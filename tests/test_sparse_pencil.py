@@ -12,7 +12,7 @@ from diracfem.assembly import (
     SCHEME_SUPG,
     SCHEMES,
     AssembledSystem,
-    BlockMatrixSpec,
+    _BlockMatrixSpec,
     assemble,
 )
 from diracfem.discretization import BasisKind, build_exponential_mesh
@@ -82,7 +82,7 @@ def test_block_has_the_element_pattern(setup):
     # band holds that block once per spinor component and nothing else
     params, mesh = setup
     n = mesh.interior_count
-    spec = BlockMatrixSpec(0, 0, 0)
+    spec = _BlockMatrixSpec(0, 0, 0)
     for scheme, kind, free, nnz in (
             (SCHEME_LINEAR, BasisKind.LINEAR_HAT, False, 3 * n - 2),
             (SCHEME_HERMITE, BasisKind.CUBIC_HERMITE, False, 4 * (3 * n - 2)),
@@ -115,7 +115,7 @@ def test_pencil_pattern_is_the_block_pattern(setup, scheme, free):
     params, mesh = setup
     system = assemble(scheme, params, mesh, free_lower_slope=free)
     kind = BasisKind.LINEAR_HAT if scheme == SCHEME_LINEAR else BasisKind.CUBIC_HERMITE
-    block = assemble_block(BlockMatrixSpec(0, 0, 0), kind, mesh, params, free_lower_slope=free)
+    block = assemble_block(_BlockMatrixSpec(0, 0, 0), kind, mesh, params, free_lower_slope=free)
     m, nnz = len(block), np.count_nonzero(block)
     pattern = np.tile(block != 0, (2, 2))
     order = np.ix_(block_order(system), block_order(system))
